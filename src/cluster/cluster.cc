@@ -19,42 +19,24 @@ Cluster::Cluster(ClusterOptions options, Catalog* catalog)
         n, sched, SteadyClock::Default(), &board_));
   }
   node_alive_.assign(options_.num_nodes, true);
+  const std::chrono::milliseconds period(options_.scheduler_period_ms);
+  for (auto& scheduler : schedulers_) {
+    scheduler_threads_.emplace_back(
+        [s = scheduler.get(), period] { s->RunLoop(period); });
+  }
 }
 
 Cluster::~Cluster() {
-  // Safety net for leaked Start refs: force the threads down.
-  {
-    std::lock_guard<std::mutex> lock(scheduler_lifecycle_mu_);
-    scheduler_refcount_ = 1;
-  }
-  StopSchedulers();
+  for (auto& scheduler : schedulers_) scheduler->Shutdown();
+  for (std::thread& t : scheduler_threads_) t.join();
 }
 
 void Cluster::StartSchedulers() {
-  std::lock_guard<std::mutex> lock(scheduler_lifecycle_mu_);
-  if (++scheduler_refcount_ > 1) return;  // already running
-  schedulers_running_.store(true, std::memory_order_release);
-  for (int n = 0; n < options_.num_nodes; ++n) {
-    scheduler_threads_.emplace_back([this, n] {
-      while (schedulers_running_.load(std::memory_order_acquire)) {
-        schedulers_[n]->Tick();
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(options_.scheduler_period_ms));
-      }
-    });
-  }
+  for (auto& scheduler : schedulers_) scheduler->SetHalted(false);
 }
 
 void Cluster::StopSchedulers() {
-  std::lock_guard<std::mutex> lock(scheduler_lifecycle_mu_);
-  if (scheduler_refcount_ == 0) return;
-  if (--scheduler_refcount_ > 0) return;  // other queries still hold it
-  schedulers_running_.store(false, std::memory_order_release);
-  for (std::thread& t : scheduler_threads_) {
-    if (t.joinable()) t.join();
-  }
-  scheduler_threads_.clear();
-  board_.Reset();
+  for (auto& scheduler : schedulers_) scheduler->SetHalted(true);
 }
 
 bool Cluster::NodeAlive(int node) const {

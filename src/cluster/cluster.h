@@ -1,7 +1,6 @@
 #ifndef CLAIMS_CLUSTER_CLUSTER_H_
 #define CLAIMS_CLUSTER_CLUSTER_H_
 
-#include <atomic>
 #include <functional>
 #include <map>
 #include <memory>
@@ -49,13 +48,12 @@ class Cluster {
   DynamicScheduler* scheduler(int node) { return schedulers_[node].get(); }
   MemoryTracker* memory() { return &memory_; }
 
-  /// Starts the per-node scheduler threads (EP mode). Reference-counted:
-  /// each Start must be paired with a Stop; the threads launch on the first
-  /// Start and keep ticking while any holder remains, so overlapping queries
-  /// (workload manager) share one set of control loops.
+  /// Each node's scheduler runs one control loop (DynamicScheduler::RunLoop)
+  /// from construction to destruction, parked while the node has no segment
+  /// registered, so queries neither start nor stop it. StopSchedulers halts
+  /// every loop promptly (a tick in progress finishes first);
+  /// StartSchedulers resumes them and is a no-op on running loops.
   void StartSchedulers();
-  /// Releases one Start; the last holder stops the threads and clears the
-  /// throughput board.
   void StopSchedulers();
 
   // --- Node health (chaos plane) --------------------------------------------
@@ -92,10 +90,8 @@ class Cluster {
   std::unique_ptr<Network> network_;
   GlobalThroughputBoard board_;
   std::vector<std::unique_ptr<DynamicScheduler>> schedulers_;
-  std::mutex scheduler_lifecycle_mu_;  ///< guards refcount + thread vector
-  int scheduler_refcount_ = 0;
+  /// One RunLoop thread per node, joined by the destructor.
   std::vector<std::thread> scheduler_threads_;
-  std::atomic<bool> schedulers_running_{false};
 
   mutable std::mutex health_mu_;  ///< guards node_alive_ + listeners
   std::vector<bool> node_alive_;

@@ -499,13 +499,11 @@ Result<ResultSet> Executor::Execute(const PhysicalPlan& plan,
       for (auto& segment : segments_) {
         cluster_->scheduler(segment->node_id())->AddSegment(segment.get());
       }
-      cluster_->StartSchedulers();
     }
     for (auto& segment : segments_) segment->Start();
     drain_result();
     for (auto& segment : segments_) segment->Join();
     if (opts.mode == ExecMode::kElastic) {
-      cluster_->StopSchedulers();
       for (auto& segment : segments_) {
         cluster_->scheduler(segment->node_id())->RemoveSegment(segment.get());
       }

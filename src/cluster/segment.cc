@@ -59,6 +59,12 @@ void Segment::DriverMain() {
   Clock* clock =
       config_.clock != nullptr ? config_.clock : SteadyClock::Default();
   const int64_t t0 = clock->NowNanos();
+  if (tc->enabled()) {
+    // The report's parallelism series starts at the launch width; scheduler
+    // ticks add a point each from there.
+    tc->Counter(t0, config_.node_id, "parallelism:" + config_.name,
+                config_.elastic.initial_parallelism);
+  }
 
   WorkerContext ctx;  // the driver is not a worker; no terminate flag
   elastic_->Open(&ctx);

@@ -29,11 +29,6 @@ double GlobalThroughputBoard::GlobalLambda() const {
   return lambda;
 }
 
-void GlobalThroughputBoard::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  local_lambda_.clear();
-}
-
 DynamicScheduler::DynamicScheduler(int node_id, SchedulerOptions options,
                                    Clock* clock, GlobalThroughputBoard* board)
     : node_id_(node_id),
@@ -51,10 +46,13 @@ DynamicScheduler::DynamicScheduler(int node_id, SchedulerOptions options,
           "scheduler.node" + std::to_string(node_id) + ".cores_in_use")) {}
 
 void DynamicScheduler::AddSegment(SchedulableSegment* segment) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto rec = std::make_unique<SegmentRecord>();
-  rec->segment = segment;
-  records_.push_back(std::move(rec));
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto rec = std::make_unique<SegmentRecord>();
+    rec->segment = segment;
+    records_.push_back(std::move(rec));
+  }
+  loop_cv_.notify_one();
 }
 
 void DynamicScheduler::RemoveSegment(SchedulableSegment* segment) {
@@ -64,6 +62,12 @@ void DynamicScheduler::RemoveSegment(SchedulableSegment* segment) {
                                   return r->segment == segment;
                                 }),
                  records_.end());
+  if (records_.empty()) board_->ClearNode(node_id_);
+}
+
+bool DynamicScheduler::has_segments() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return !records_.empty();
 }
 
 int DynamicScheduler::cores_in_use() const {
@@ -144,9 +148,41 @@ void DynamicScheduler::SetEnabled(bool enabled) {
   }
 }
 
+void DynamicScheduler::RunLoop(std::chrono::nanoseconds period) {
+  std::unique_lock<std::mutex> lock(mu_);
+  for (;;) {
+    loop_cv_.wait(lock, [this] {
+      return shutdown_ || (!halted_ && !records_.empty());
+    });
+    if (shutdown_) return;
+    TickLocked();
+    loop_cv_.wait_for(lock, period, [this] { return shutdown_; });
+  }
+}
+
+void DynamicScheduler::SetHalted(bool halted) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    halted_ = halted;
+  }
+  loop_cv_.notify_one();
+}
+
+void DynamicScheduler::Shutdown() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    shutdown_ = true;
+  }
+  loop_cv_.notify_one();
+}
+
 std::vector<SchedulerAction> DynamicScheduler::Tick() {
-  if (!enabled_.load(std::memory_order_acquire)) return {};
   std::lock_guard<std::mutex> lock(mu_);
+  return TickLocked();
+}
+
+std::vector<SchedulerAction> DynamicScheduler::TickLocked() {
+  if (!enabled_.load(std::memory_order_acquire)) return {};
   std::vector<SchedulerAction> actions;
   const int64_t now = clock_->NowNanos();
   const double thr = options_.blocked_fraction_threshold;

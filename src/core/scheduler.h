@@ -2,6 +2,8 @@
 #define CLAIMS_CORE_SCHEDULER_H_
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <deque>
 #include <map>
 #include <memory>
@@ -55,8 +57,6 @@ class GlobalThroughputBoard {
 
   /// min over published nodes; +inf when nothing is published.
   double GlobalLambda() const;
-
-  void Reset();
 
  private:
   mutable std::mutex mu_;
@@ -144,8 +144,27 @@ class DynamicScheduler {
                    GlobalThroughputBoard* board);
   CLAIMS_DISALLOW_COPY_AND_ASSIGN(DynamicScheduler);
 
+  /// Registers a segment and wakes a control loop parked in RunLoop.
   void AddSegment(SchedulableSegment* segment);
+  /// Unregisters a segment; once this returns no tick touches it again.
+  /// When the node's last segment leaves, the node's λ is withdrawn from the
+  /// board, so an idle node never pins the global minimum at the rate of a
+  /// finished pipeline.
   void RemoveSegment(SchedulableSegment* segment);
+  /// True while any segment is registered.
+  bool has_segments() const;
+
+  /// The node's control loop, for a thread of its own (Cluster runs one per
+  /// node for its whole lifetime). Ticks when a segment arrives, then every
+  /// `period` while any stays registered; parks on mu_ while none is, or
+  /// while halted. Returns once Shutdown() is called. Paced in real time:
+  /// the simulator calls Tick() on its virtual clock instead.
+  void RunLoop(std::chrono::nanoseconds period);
+  /// While halted, RunLoop starts no tick; a tick in progress finishes
+  /// before SetHalted(true) returns.
+  void SetHalted(bool halted);
+  /// Makes RunLoop return.
+  void Shutdown();
 
   /// Graceful degradation on node loss: a disabled scheduler's Tick() is a
   /// no-op and its node's λ entry is withdrawn from the board, so the
@@ -209,6 +228,9 @@ class DynamicScheduler {
 
   static constexpr size_t kAuditCap = 512;
 
+  /// One scheduling round; the caller holds mu_.
+  std::vector<SchedulerAction> TickLocked();
+
   int node_id_;
   SchedulerOptions options_;
   Clock* clock_;
@@ -226,7 +248,11 @@ class DynamicScheduler {
   MetricGauge* cores_gauge_;
 
   mutable std::mutex mu_;
-  std::vector<std::unique_ptr<SegmentRecord>> records_;
+  std::vector<std::unique_ptr<SegmentRecord>> records_;  ///< guarded by mu_
+  /// RunLoop parks on this (with mu_) while there is nothing to schedule.
+  std::condition_variable loop_cv_;
+  bool halted_ = false;    ///< guarded by mu_
+  bool shutdown_ = false;  ///< guarded by mu_
   std::deque<SchedTickAudit> audit_;   ///< guarded by mu_
   int64_t last_tick_ns_ = 0;           ///< guarded by mu_
   double last_lambda_local_ = -1.0;    ///< guarded by mu_

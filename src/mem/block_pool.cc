@@ -12,6 +12,19 @@ namespace {
 /// reused, so a stale map entry for a destroyed pool can never be looked up
 /// again (a new pool always carries a new serial).
 std::atomic<uint64_t> g_pool_serial{1};
+
+/// Live pools by serial. An exiting thread looks its pools up here, so a
+/// pool destroyed before the thread exits is skipped, never touched. Leaked
+/// on purpose: threads may exit during static destruction.
+struct PoolRegistry {
+  std::mutex mu;
+  std::unordered_map<uint64_t, BlockPool*> live;  ///< guarded by mu
+};
+
+PoolRegistry& Registry() {
+  static PoolRegistry* registry = new PoolRegistry;
+  return *registry;
+}
 }  // namespace
 
 /// One free list per (size class, simulated node). Its own mutex, so
@@ -22,11 +35,28 @@ struct BlockPool::CentralList {
 };
 
 /// Per-thread, per-pool cache: one bounded magazine per size class. Touched
-/// only by the owning thread; the pool owns the storage so teardown does not
-/// depend on thread exit order.
+/// only by the owning thread, its exit included. The pool owns the storage,
+/// so a pool destroyed while the thread still runs frees it.
 struct BlockPool::ThreadCache {
   int node = 0;
   std::vector<char*> magazines[kNumSizeClasses];
+};
+
+/// The calling thread's caches, one per pool it has used. Destroyed when the
+/// thread exits: each cache whose pool is still live is retired into that
+/// pool's central tier, under the registry lock so the pool cannot be
+/// destroyed meanwhile.
+struct BlockPool::ThreadCacheSet {
+  std::unordered_map<uint64_t, ThreadCache*> by_pool;
+
+  ~ThreadCacheSet() {
+    PoolRegistry& registry = Registry();
+    std::lock_guard<std::mutex> lock(registry.mu);
+    for (const auto& [serial, cache] : by_pool) {
+      auto it = registry.live.find(serial);
+      if (it != registry.live.end()) it->second->RetireCache(cache);
+    }
+  }
 };
 
 BlockPool::BlockPool() : BlockPool(Options()) {}
@@ -54,11 +84,22 @@ BlockPool::BlockPool(Options options)
     pressure_fallbacks_metric_ = reg->counter(p + ".pressure_fallbacks");
     numa_remote_metric_ = reg->counter(p + ".numa_remote");
   }
+  PoolRegistry& registry = Registry();
+  std::lock_guard<std::mutex> lock(registry.mu);
+  registry.live.emplace(serial_, this);
 }
 
 BlockPool::~BlockPool() {
+  {
+    // Unregister before freeing anything: from here on no exiting thread
+    // can reach this pool.
+    PoolRegistry& registry = Registry();
+    std::lock_guard<std::mutex> lock(registry.mu);
+    registry.live.erase(serial_);
+  }
   // By destruction time no thread may still be allocating from this pool;
-  // every cached chunk (magazines + central tier) is plain new[] storage.
+  // every cached chunk (magazines of threads still running + central tier)
+  // is plain new[] storage.
   for (auto& cache : caches_) {
     for (auto& mag : cache->magazines) {
       for (char* b : mag) delete[] b;
@@ -81,9 +122,9 @@ BlockPool* BlockPool::Global() {
 }
 
 BlockPool::ThreadCache* BlockPool::LocalCache() {
-  thread_local std::unordered_map<uint64_t, ThreadCache*> caches;
-  auto it = caches.find(serial_);
-  if (it != caches.end()) return it->second;
+  thread_local ThreadCacheSet caches;
+  auto it = caches.by_pool.find(serial_);
+  if (it != caches.by_pool.end()) return it->second;
   auto owned = std::make_unique<ThreadCache>();
   ThreadCache* cache = owned.get();
   {
@@ -92,8 +133,22 @@ BlockPool::ThreadCache* BlockPool::LocalCache() {
     next_node_ = (next_node_ + 1) % std::max(1, options_.num_nodes);
     caches_.push_back(std::move(owned));
   }
-  caches.emplace(serial_, cache);
+  caches.by_pool.emplace(serial_, cache);
   return cache;
+}
+
+void BlockPool::RetireCache(ThreadCache* cache) {
+  for (int cls = 0; cls < kNumSizeClasses; ++cls) {
+    for (char* b : cache->magazines[cls]) PushCentral(cls, cache->node, b);
+  }
+  {
+    std::lock_guard<std::mutex> lock(caches_mu_);
+    caches_.erase(std::find_if(caches_.begin(), caches_.end(),
+                               [cache](const std::unique_ptr<ThreadCache>& c) {
+                                 return c.get() == cache;
+                               }));
+  }
+  PublishGauges();
 }
 
 char* BlockPool::PopCentral(int cls, int node) {

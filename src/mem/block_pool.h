@@ -111,15 +111,21 @@ class BlockPool {
   Stats GetStats() const;
 
   /// Drains the central tier back to the OS (tests; between bench reps).
-  /// Thread magazines and live allocations are unaffected — magazines belong
-  /// to their owning threads and cannot be drained from outside race-free.
+  /// Live allocations and running threads' magazines are unaffected: a
+  /// magazine belongs to its thread and cannot be drained from outside
+  /// race-free. It returns to the central tier when its thread exits.
   void TrimCaches();
 
  private:
   struct CentralList;
   struct ThreadCache;
+  struct ThreadCacheSet;
 
   ThreadCache* LocalCache();
+  /// Thread-exit path: moves `cache`'s magazines to the central tier and
+  /// frees the cache. Runs under the live-pool registry lock, so the pool
+  /// cannot be destroyed meanwhile.
+  void RetireCache(ThreadCache* cache);
   char* PopCentral(int cls, int node);
   void PushCentral(int cls, int node, char* data);
   void PublishGauges();
@@ -143,8 +149,9 @@ class BlockPool {
   /// its own mutex so classes don't contend with each other.
   std::vector<std::unique_ptr<CentralList>> central_;
 
-  /// The pool owns every thread cache it ever created (threads may outlive or
-  /// predecease the pool; ownership here makes teardown deterministic).
+  /// The cache of every running thread that has used this pool. A thread's
+  /// exit retires its cache; the destructor frees those of threads still
+  /// running (threads may outlive the pool).
   std::mutex caches_mu_;
   std::vector<std::unique_ptr<ThreadCache>> caches_;
   int next_node_ = 0;

@@ -26,8 +26,9 @@ struct SegmentReport {
   int64_t lifetime_ns = 0;        ///< driver start → drained
   int final_parallelism = 0;
   int peak_parallelism = 0;
-  /// (ts_ns, workers) samples from the scheduler's per-tick counter events;
-  /// empty when tracing was off during the run.
+  /// (ts_ns, workers) samples: the launch width at segment start, then the
+  /// scheduler's per-tick counter events; empty when tracing was off during
+  /// the run.
   std::vector<std::pair<int64_t, int>> parallelism_timeline;
 };
 

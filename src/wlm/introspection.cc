@@ -112,18 +112,17 @@ void IntrospectionPlane::RegisterProbes() {
     return any_running ? value : StallWatchdog::kInactive;
   });
 
-  // Scheduler-tick progress per node, active only while queries run (the
-  // control loops tick for the service's whole lifetime, but an operator
-  // stopping them between workloads is not an anomaly worth paging on).
+  // Scheduler-tick progress per node, active only while the node has a
+  // segment registered: a node's control loop parks whenever it has nothing
+  // to schedule (SP/ME queries never register), and a parked loop's frozen
+  // tick count is idleness, not a stall.
   Cluster* cluster = service_->cluster();
   for (int node = 0; node < cluster->num_nodes(); ++node) {
     DynamicScheduler* sched = cluster->scheduler(node);
     watchdog_.AddProgressProbe(
-        StrFormat("scheduler.node%d.ticks", node), [this, sched]() -> int64_t {
-          if (service_->admission()->running() == 0) {
-            return StallWatchdog::kInactive;
-          }
-          return sched->tick_count();
+        StrFormat("scheduler.node%d.ticks", node), [sched]() -> int64_t {
+          return sched->has_segments() ? sched->tick_count()
+                                       : StallWatchdog::kInactive;
         });
   }
 

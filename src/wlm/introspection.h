@@ -56,8 +56,8 @@ struct IntrospectionOptions {
 ///                   live segments, parallelism, last λ and R_i)
 ///
 /// and wires the watchdog probes:
-///   * scheduler-tick progress per node (active only while queries run —
-///     an idle scheduler parks between ticks and must not alarm);
+///   * scheduler-tick progress per node (active only while the node has a
+///     segment registered — an idle control loop parks and must not alarm);
 ///   * per-query tuples-emitted progress for every running query;
 ///   * a deadline-breach condition (running past its absolute deadline by
 ///     more than the stall window means cooperative cancellation wedged).

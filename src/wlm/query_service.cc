@@ -152,10 +152,6 @@ QueryService::QueryService(Cluster* cluster, QueryServiceOptions options)
   queue_wait_metric_ = reg->histogram("wlm.queue_wait_ns");
   latency_metric_ = reg->histogram("wlm.latency_ns");
 
-  // Schedulers run for the service's whole lifetime (refcounted): queries
-  // come and go, the per-node arbitration loop persists across them.
-  cluster_->StartSchedulers();
-
   int workers = options_.workers;
   if (workers <= 0) workers = std::max(1, admission_.options().max_concurrent);
   workers_.reserve(static_cast<size_t>(workers));
@@ -164,10 +160,7 @@ QueryService::QueryService(Cluster* cluster, QueryServiceOptions options)
   }
 }
 
-QueryService::~QueryService() {
-  Shutdown(/*cancel_pending=*/true);
-  cluster_->StopSchedulers();
-}
+QueryService::~QueryService() { Shutdown(/*cancel_pending=*/true); }
 
 QueryHandlePtr QueryService::Submit(PhysicalPlan plan, SubmitOptions options) {
   const int64_t submit_ns = SteadyClock::Default()->NowNanos();

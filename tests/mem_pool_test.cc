@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
 #include <cstring>
 #include <deque>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -165,6 +167,61 @@ TEST(BlockPoolTest, EightThreadChurnExchangesMagazinesCleanly) {
   EXPECT_EQ(stats.live_bytes, 0);
   // Churn this heavy must be served mostly from recycling, not the OS.
   EXPECT_GT(stats.hits, stats.misses);
+}
+
+// Worker threads live for one query, so an exiting thread hands its
+// magazines to the central tier and the next thread's refills recycle them.
+// Stranded magazines would make every thread here allocate fresh: 512 misses.
+TEST(BlockPoolTest, ExitingThreadsReturnTheirMagazines) {
+  BlockPool pool;
+  constexpr int kThreads = 64;
+  constexpr int kChunks = 8;
+  constexpr size_t kBytes = 64 << 10;
+  for (int t = 0; t < kThreads; ++t) {
+    std::thread([&pool] {
+      std::vector<PoolAlloc> chunks;
+      for (int i = 0; i < kChunks; ++i) chunks.push_back(pool.Allocate(kBytes));
+      for (const PoolAlloc& a : chunks) pool.Release(a);
+    }).join();
+  }
+  BlockPool::Stats stats = pool.GetStats();
+  EXPECT_LE(stats.misses, 2 * kChunks);
+  EXPECT_EQ(stats.live_bytes, 0);
+  // Every chunk ever allocated sits in the central tier; no exited thread
+  // keeps one.
+  EXPECT_EQ(stats.central_bytes, stats.misses * static_cast<int64_t>(kBytes));
+}
+
+// A pool destroyed while a thread that used it still runs: the thread's exit
+// must not touch the dead pool (ASan reports any access), and must still
+// return its magazines to a pool that outlives it.
+TEST(BlockPoolTest, ThreadOutlivingAPoolSkipsItAtExit) {
+  auto doomed = std::make_unique<BlockPool>();
+  BlockPool survivor;
+  std::mutex mu;
+  std::condition_variable cv;
+  bool cached = false;
+  bool destroyed = false;
+  std::thread worker([&, pool = doomed.get()] {
+    pool->Release(pool->Allocate(64 << 10));
+    survivor.Release(survivor.Allocate(64 << 10));
+    std::unique_lock<std::mutex> lock(mu);
+    cached = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return destroyed; });
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return cached; });
+  }
+  doomed.reset();  // frees the worker's cache, magazine included
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    destroyed = true;
+  }
+  cv.notify_all();
+  worker.join();
+  EXPECT_EQ(survivor.GetStats().central_bytes, 64 << 10);
 }
 
 // --- QueryBudget ledger ---------------------------------------------------------

@@ -153,8 +153,16 @@ TEST_F(ObsReportTest, ReportReconcilesWithSegmentStats) {
 }
 
 TEST_F(ObsReportTest, TimelinesFilledWhenTracingEnabled) {
+  auto total_ticks = [] {
+    int64_t ticks = 0;
+    for (int n = 0; n < kNodes; ++n) {
+      ticks += cluster_->scheduler(n)->tick_count();
+    }
+    return ticks;
+  };
   TraceCollector* tc = TraceCollector::Global();
   tc->Clear();
+  const int64_t ticks_before = total_ticks();
   tc->Enable();
   PhysicalPlan plan = JoinAggPlan();
   Executor exec(cluster_);
@@ -164,30 +172,33 @@ TEST_F(ObsReportTest, TimelinesFilledWhenTracingEnabled) {
   auto result = exec.Execute(plan, opts);
   tc->Disable();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const int64_t ticks = total_ticks() - ticks_before;
 
-  // The long-lived join/agg segments span several scheduler ticks, so their
-  // parallelism counter series must appear in the report.
-  bool any_timeline = false;
+  // Every segment's series starts at its launch width and gains a point per
+  // scheduler tick, so each segment has a timeline however few ticks the
+  // query spanned.
   for (const SegmentReport& sr : exec.report().segments) {
+    EXPECT_FALSE(sr.parallelism_timeline.empty()) << sr.name;
     for (const auto& [ts, p] : sr.parallelism_timeline) {
-      any_timeline = true;
       EXPECT_GE(p, 0);
       EXPECT_LE(p, 4);  // cores_per_node
     }
   }
-  EXPECT_TRUE(any_timeline);
 
-  // The capture itself holds the query span and scheduler decisions.
-  bool saw_query = false, saw_tick = false;
+  // The capture holds the query span and one tick instant per tick the
+  // schedulers took: they tick only while the query's segments are
+  // registered, all of it inside the traced window.
+  bool saw_query = false;
+  int64_t tick_events = 0;
   for (const TraceEvent& ev : tc->Snapshot()) {
     if (ev.phase == TraceEvent::Phase::kComplete &&
         ev.name.rfind("query", 0) == 0) {
       saw_query = true;
     }
-    if (ev.name == "tick") saw_tick = true;
+    if (ev.name == "tick") ++tick_events;
   }
   EXPECT_TRUE(saw_query);
-  EXPECT_TRUE(saw_tick);
+  EXPECT_EQ(tick_events, ticks);
   tc->Clear();
 }
 

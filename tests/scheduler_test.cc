@@ -80,7 +80,7 @@ TEST(GlobalThroughputBoardTest, MinOverNodes) {
   EXPECT_DOUBLE_EQ(board.GlobalLambda(), 100.0);
   board.ClearNode(0);
   EXPECT_DOUBLE_EQ(board.GlobalLambda(), 200.0);
-  board.Reset();
+  board.ClearNode(1);
   EXPECT_TRUE(std::isinf(board.GlobalLambda()));
 }
 
@@ -285,6 +285,37 @@ TEST(DynamicSchedulerTest, PublishesLocalLambda) {
   sched1.Tick();
   // Global λ is node 1's 120 t/s.
   EXPECT_NEAR(board.GlobalLambda(), 120.0, 1.0);
+}
+
+TEST(DynamicSchedulerTest, LastSegmentLeavingWithdrawsNodeLambda) {
+  FakeClock clock;
+  GlobalThroughputBoard board;
+  DynamicScheduler busy(0, TestOptions(8), &clock, &board);
+  DynamicScheduler done(1, TestOptions(8), &clock, &board);
+  FakeSegment a("a", 2);
+  FakeSegment b1("b1", 2);
+  FakeSegment b2("b2", 2);
+  busy.AddSegment(&a);
+  done.AddSegment(&b1);
+  done.AddSegment(&b2);
+  busy.Tick();
+  done.Tick();
+  clock.Advance(kSec);
+  a.Work(kSec, 300.0);
+  b1.Work(kSec, 120.0);
+  b2.Work(kSec, 150.0);
+  busy.Tick();
+  done.Tick();
+  EXPECT_NEAR(board.GlobalLambda(), 120.0, 1.0);  // node 1 is the bottleneck
+
+  // A node with a segment left keeps its published λ...
+  done.RemoveSegment(&b1);
+  EXPECT_TRUE(done.has_segments());
+  EXPECT_NEAR(board.GlobalLambda(), 120.0, 1.0);
+  // ...but once its last segment leaves it no longer pins the global λ.
+  done.RemoveSegment(&b2);
+  EXPECT_FALSE(done.has_segments());
+  EXPECT_NEAR(board.GlobalLambda(), 300.0, 1.0);
 }
 
 TEST(DynamicSchedulerTest, SnapshotReflectsTicksLambdaAndSegments) {

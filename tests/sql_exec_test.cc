@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <map>
+#include <thread>
 
 #include "common/string_util.h"
 #include "engine/database.h"
@@ -332,6 +334,62 @@ INSTANTIATE_TEST_SUITE_P(
                       "E6", "E7", "E8", "E9",             // SSE
                       "Q1", "Q2", "Q3", "Q5", "Q6", "Q7", "Q8", "Q9", "Q10",
                       "Q12", "Q14"));
+
+// --- Scheduler lifecycle ------------------------------------------------------
+// Each node's control loop lives as long as its cluster and parks while the
+// node has no segment registered, so a query neither starts nor stops it.
+
+DatabaseOptions LifecycleOptions(int64_t period_ms) {
+  DatabaseOptions options;
+  options.cluster.num_nodes = 2;
+  options.cluster.cores_per_node = 2;
+  options.cluster.scheduler_period_ms = period_ms;
+  return options;
+}
+
+int64_t TotalTicks(Cluster* cluster) {
+  int64_t ticks = 0;
+  for (int n = 0; n < cluster->num_nodes(); ++n) {
+    ticks += cluster->scheduler(n)->tick_count();
+  }
+  return ticks;
+}
+
+TEST(SchedulerLifecycleTest, QueryNeverWaitsOutTheSchedulerPeriod) {
+  Database db(LifecycleOptions(10'000));
+  ASSERT_TRUE(db.LoadTpch({.scale_factor = 0.002}).ok());
+  const auto start = std::chrono::steady_clock::now();
+  auto result = db.Query(*TpchQuery(6));  // EP: registers with the schedulers
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_LT(elapsed, std::chrono::seconds(2));
+}
+
+TEST(SchedulerLifecycleTest, IdleClusterNeverTicks) {
+  Database db(LifecycleOptions(5));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // 10 periods
+  EXPECT_EQ(TotalTicks(db.cluster()), 0);
+}
+
+TEST(SchedulerLifecycleTest, TicksStopWhenTheQuerySegmentsLeave) {
+  Database db(LifecycleOptions(5));
+  ASSERT_TRUE(db.LoadTpch({.scale_factor = 0.002}).ok());
+  ASSERT_TRUE(db.Query(*TpchQuery(1)).ok());
+  // The executor unregistered its segments before returning, and removal
+  // waits out a tick in progress: no tick may follow.
+  const int64_t after_query = TotalTicks(db.cluster());
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(TotalTicks(db.cluster()), after_query);
+}
+
+TEST(SchedulerLifecycleTest, StoppedLoopsStayHaltedWhileSegmentsRun) {
+  Database db(LifecycleOptions(1));
+  ASSERT_TRUE(db.LoadTpch({.scale_factor = 0.002}).ok());
+  db.cluster()->StopSchedulers();
+  // The query still runs, at its initial parallelism, with no tick.
+  ASSERT_TRUE(db.Query(*TpchQuery(1)).ok());
+  EXPECT_EQ(TotalTicks(db.cluster()), 0);
+}
 
 }  // namespace
 }  // namespace claims

@@ -12,9 +12,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cluster/executor.h"
@@ -183,6 +185,63 @@ TEST_F(MemStressTest, PoolSqueezeMidStormDegradesWithoutHangs) {
   // relief valve, at least some queries complete correctly.
   EXPECT_GT(ok, 0) << ok << " ok / " << exhausted << " exhausted";
   EXPECT_EQ(ok + exhausted, kQueries);
+}
+
+// Thread exits racing allocations: waves of short-lived threads come and go
+// while two resident threads keep allocating from the same pool. Each exit
+// hands that thread's magazines to the central tier (pool registry, then
+// central-list locks) while the residents refill from those lists; TSan
+// checks that handoff. A stamp per allocation catches a chunk handed to two
+// owners at once.
+TEST(PoolThreadExitStress, ExitsRaceAllocations) {
+  BlockPool pool;
+  std::atomic<uint32_t> next_stamp{1};
+  std::atomic<int64_t> corrupt{0};
+  auto churn = [&](int rounds) {
+    std::vector<std::pair<PoolAlloc, uint32_t>> held;
+    auto release_all = [&] {
+      for (const auto& [a, stamp] : held) {
+        uint32_t seen = 0;
+        std::memcpy(&seen, a.data, sizeof seen);
+        if (seen != stamp) corrupt.fetch_add(1);
+        pool.Release(a);
+      }
+      held.clear();
+    };
+    for (int i = 0; i < rounds; ++i) {
+      PoolAlloc a = pool.Allocate(kMinSizeClassBytes << (i % 3));
+      const uint32_t stamp = next_stamp.fetch_add(1);
+      std::memcpy(a.data, &stamp, sizeof stamp);
+      held.emplace_back(a, stamp);
+      if (held.size() == 6) release_all();
+    }
+    release_all();
+  };
+
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> residents;
+  for (int r = 0; r < 2; ++r) {
+    residents.emplace_back([&] {
+      while (!stop.load(std::memory_order_acquire)) churn(64);
+    });
+  }
+  constexpr int kWaves = 40;
+  constexpr int kThreadsPerWave = 4;
+  for (int w = 0; w < kWaves; ++w) {
+    std::vector<std::thread> wave;
+    for (int t = 0; t < kThreadsPerWave; ++t) {
+      wave.emplace_back([&churn, w, t] { churn(20 + (w + t) % 16); });
+    }
+    for (std::thread& th : wave) th.join();
+  }
+  stop.store(true, std::memory_order_release);
+  for (std::thread& th : residents) th.join();
+
+  EXPECT_EQ(corrupt.load(), 0);
+  BlockPool::Stats stats = pool.GetStats();
+  EXPECT_EQ(stats.live_bytes, 0);
+  // Exited threads' chunks were recycled, not stranded.
+  EXPECT_GT(stats.hits, stats.misses);
 }
 
 }  // namespace

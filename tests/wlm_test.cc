@@ -15,6 +15,7 @@
 
 #include "engine/database.h"
 #include "engine/workloads.h"
+#include "fault/injector.h"
 #include "net/socket_util.h"
 #include "wlm/driver/workload_driver.h"
 #include "wlm/introspection.h"
@@ -234,13 +235,23 @@ TEST_F(WlmTest, DeadlineExpiresWhileQueued) {
 }
 
 TEST_F(WlmTest, DeadlineExpiresWhileRunning) {
+  // Every exchange send stalls for a minute, so the query cannot finish
+  // before its deadline however fast the machine is. The stall is
+  // cancellable: the deadline's cancellation is what ends the run.
+  auto faults = ParseFaultPlan("kind=delay delay=60s\n");
+  ASSERT_TRUE(faults.ok());
+  FaultInjector injector(*faults);
+  injector.ArmManual();
+  injector.PollOnce();  // the stall is in force before the query starts
+  db_->cluster()->AttachFaultInjector(&injector);
   QueryService service(db_->cluster(), {});
   SubmitOptions impatient = SlowOptions();
-  impatient.timeout_ns = 100'000'000;  // the slow plan needs ~5x longer
+  impatient.timeout_ns = 100'000'000;
   QueryHandlePtr h = service.Submit(SlowPlan(), impatient);
   h->Wait();
-  EXPECT_EQ(h->status().code(), StatusCode::kDeadlineExceeded);
   service.Shutdown();
+  db_->cluster()->AttachFaultInjector(nullptr);
+  EXPECT_EQ(h->status().code(), StatusCode::kDeadlineExceeded);
 }
 
 TEST_F(WlmTest, BackpressureBlocksSubmitter) {
@@ -564,6 +575,41 @@ TEST_F(WlmTest, IntrospectionWatchdogProbesStayQuietOnHealthyRuns) {
   EXPECT_EQ(plane.watchdog()->incident_count(), 0);
   plane.Stop();
   EXPECT_FALSE(plane.watchdog()->running());
+  service.Shutdown();
+}
+
+TEST_F(WlmTest, WatchdogQuietWhileStaticQueryLeavesLoopsParked) {
+  // An SP query registers nothing with the dynamic schedulers, so every
+  // node's control loop stays parked and its tick count frozen for the whole
+  // run. That is an idle loop, not a stalled one: no tick probe may fire.
+  // A 10 ms stall on every exchange send stretches the scan well past the
+  // 200 ms window on any machine, while its tuples keep flowing.
+  auto faults = ParseFaultPlan("kind=delay delay=10ms\n");
+  ASSERT_TRUE(faults.ok());
+  FaultInjector injector(*faults);
+  injector.ArmManual();
+  injector.PollOnce();
+  QueryService service(db_->cluster(), {});
+  IntrospectionOptions options;
+  options.enable_watchdog = true;
+  options.watchdog.incident_dir = ::testing::TempDir();
+  options.watchdog.stall_window_ns = 200'000'000;
+  options.watchdog.poll_period_ns = 20'000'000;
+  IntrospectionPlane plane(&service, options);
+  ASSERT_TRUE(plane.Start().ok());
+
+  SubmitOptions sp = SlowOptions();
+  sp.exec.mode = ExecMode::kStatic;
+  sp.exec.collect_result = false;
+  db_->cluster()->AttachFaultInjector(&injector);
+  QueryHandlePtr h = service.Submit(
+      PlanSql("SELECT l_orderkey, l_quantity FROM lineitem"), sp);
+  h->Wait();
+  db_->cluster()->AttachFaultInjector(nullptr);
+  EXPECT_TRUE(h->status().ok()) << h->status().ToString();
+  EXPECT_GT(h->latency_ns(), 3 * options.watchdog.stall_window_ns);
+  EXPECT_EQ(plane.watchdog()->incident_count(), 0);
+  plane.Stop();
   service.Shutdown();
 }
 
