@@ -140,7 +140,7 @@ JoinHashTable::JoinHashTable(const Schema* build_schema,
                              MemSource source)
     : build_schema_(build_schema),
       build_keys_(std::move(build_keys)),
-      buckets_(RoundUpPow2(num_buckets == 0 ? 1 : num_buckets)),
+      buckets_(source.pool, RoundUpPow2(num_buckets == 0 ? 1 : num_buckets)),
       bucket_mask_(buckets_.size() - 1),
       arena_(1 << 18, source) {}
 
@@ -196,7 +196,7 @@ AggHashTable::AggHashTable(Schema group_schema, int num_aggs,
                  all_group_cols_),
       group_row_size_(group_schema_.row_size()),
       num_aggs_(num_aggs),
-      buckets_(RoundUpPow2(num_buckets == 0 ? 1 : num_buckets)),
+      buckets_(source.pool, RoundUpPow2(num_buckets == 0 ? 1 : num_buckets)),
       bucket_mask_(buckets_.size() - 1),
       arena_(1 << 18, source) {}
 

@@ -11,6 +11,7 @@
 #include "common/memory_tracker.h"
 #include "common/status.h"
 #include "mem/mem_source.h"
+#include "mem/scratch.h"
 #include "storage/partition.h"
 #include "storage/schema.h"
 #include "storage/value.h"
@@ -151,8 +152,8 @@ class JoinHashTable {
   const Schema* build_schema_;
   std::vector<int> build_keys_;
   /// Bucket count is rounded up to a power of two so the per-probe index is
-  /// a mask, not an integer division.
-  std::vector<std::atomic<Entry*>> buckets_;
+  /// a mask, not an integer division. Drawn from the source's pool.
+  PooledArray<std::atomic<Entry*>> buckets_;
   size_t bucket_mask_;
   Arena arena_;
   std::atomic<int64_t> size_{0};
@@ -287,8 +288,8 @@ class AggHashTable {
   int group_row_size_;
   int num_aggs_;
   /// Power-of-two sized (rounded up in the constructor): bucket selection is
-  /// a mask, not a division.
-  std::vector<Bucket> buckets_;
+  /// a mask, not a division. Drawn from the source's pool.
+  PooledArray<Bucket> buckets_;
   size_t bucket_mask_;
   Arena arena_;
   std::atomic<int64_t> size_{0};

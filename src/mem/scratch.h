@@ -2,6 +2,7 @@
 #define CLAIMS_MEM_SCRATCH_H_
 
 #include <cstddef>
+#include <memory>
 
 #include "common/macros.h"
 #include "mem/block_pool.h"
@@ -46,6 +47,31 @@ class Scratch {
  private:
   BlockPool* pool_;
   PoolAlloc alloc_;
+};
+
+/// Fixed-size array of value-initialized T on Scratch storage, for the hash
+/// tables' bucket arrays (a join's is 512 KiB). Pool chunks stay mapped, so
+/// every query's tables start on resident memory; from the global allocator,
+/// whether they got fresh pages depended on whether free() had returned the
+/// previous query's arrays to the OS. Not charged to any ledger: the bucket
+/// count is fixed by the operator, not by the data it holds.
+template <typename T>
+class PooledArray {
+ public:
+  PooledArray(BlockPool* pool, size_t count)
+      : storage_(pool, count), size_(count) {
+    std::uninitialized_value_construct_n(storage_.data(), size_);
+  }
+
+  size_t size() const { return size_; }
+  T& operator[](size_t i) { return storage_.data()[i]; }
+  const T& operator[](size_t i) const { return storage_.data()[i]; }
+  const T* begin() const { return storage_.data(); }
+  const T* end() const { return storage_.data() + size_; }
+
+ private:
+  Scratch<T> storage_;
+  size_t size_;
 };
 
 }  // namespace claims

@@ -19,6 +19,7 @@
 #include "exec/hash_table.h"
 #include "mem/block_pool.h"
 #include "mem/mem_source.h"
+#include "mem/scratch.h"
 #include "mem/query_budget.h"
 #include "mem/size_class.h"
 #include "mem/spill.h"
@@ -344,6 +345,47 @@ TEST(ArenaPoolTest, ResetReturnsChunksToThePool) {
   BlockPool::Stats before = pool.GetStats();
   for (int i = 0; i < 32; ++i) arena.Allocate(16 << 10);
   EXPECT_GT(pool.GetStats().recycled_bytes, before.recycled_bytes);
+}
+
+// --- Hash-table bucket arrays ---------------------------------------------------
+
+TEST(PooledArrayTest, RecycledChunkStartsZeroed) {
+  BlockPool pool;
+  {
+    PooledArray<uint64_t> first(&pool, 1 << 16);
+    for (size_t i = 0; i < first.size(); ++i) first[i] = ~uint64_t{0};
+  }
+  PooledArray<uint64_t> second(&pool, 1 << 16);
+  EXPECT_EQ(pool.GetStats().misses, 1);  // the first array's chunk, reused
+  for (uint64_t v : second) ASSERT_EQ(v, 0u);
+}
+
+TEST(PooledArrayTest, HashTablesReuseTheirPredecessorsBuckets) {
+  // One table per query on the same pool: after the first, the bucket array
+  // and the arena chunk come back from the pool, and the recycled buckets
+  // hold no chain of the table before (each round uses fresh group keys).
+  BlockPool pool;
+  Schema group({ColumnDef::Int32("g")});
+  std::vector<AggFn> fns = {AggFn::kCount};
+  std::vector<char> grow(group.row_size());
+  for (int round = 0; round < 4; ++round) {
+    AggHashTable table(group, 1, 1 << 14, MemSource{&pool, nullptr, nullptr});
+    for (int i = 0; i < 100; ++i) {
+      group.SetInt32(grow.data(), 0, round * 1000 + i % 10);
+      double values[1] = {0};
+      int64_t weights[1] = {1};
+      ASSERT_TRUE(table.Update(grow.data(), fns, values, weights));
+    }
+    int64_t groups = 0;
+    int64_t rows = 0;
+    table.ForEach([&](const char*, const AggHashTable::AggState* states) {
+      ++groups;
+      rows += states[0].count;
+    });
+    EXPECT_EQ(groups, 10);
+    EXPECT_EQ(rows, 100);
+  }
+  EXPECT_EQ(pool.GetStats().misses, 2);  // one bucket array, one arena chunk
 }
 
 // --- Spill round-trip -----------------------------------------------------------
