@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
-#include <thread>
 
 #include "common/string_util.h"
+#include "core/pooled_thread.h"
 #include "exec/ops/filter.h"
 #include "exec/ops/hash_join.h"
 #include "exec/ops/profiling_iterator.h"
@@ -438,10 +438,10 @@ Result<ResultSet> Executor::Execute(const PhysicalPlan& plan,
     }
   }
 
-  // Deadline watchdog: one short-lived thread per deadline-bearing query.
+  // Deadline watchdog: one parked thread per deadline-bearing query.
   // Uniform across EP/SP/ME — it cancels the registered segments directly,
   // so even a blocking ME stage obeys the deadline at its next block.
-  std::thread watchdog;
+  PooledThread watchdog;
   std::mutex wd_mu;
   std::condition_variable wd_cv;
   bool wd_done = false;
@@ -454,7 +454,7 @@ Result<ResultSet> Executor::Execute(const PhysicalPlan& plan,
     if (watchdog.joinable()) watchdog.join();
   });
   if (opts.deadline_ns > 0) {
-    watchdog = std::thread([&] {
+    watchdog = PooledThread([&] {
       std::unique_lock<std::mutex> lock(wd_mu);
       while (!wd_done && clock->NowNanos() < opts.deadline_ns) {
         int64_t remaining = opts.deadline_ns - clock->NowNanos();

@@ -34,7 +34,7 @@ Segment::~Segment() {
 
 void Segment::Start() {
   started_.store(true, std::memory_order_release);
-  driver_ = std::thread([this] { DriverMain(); });
+  driver_ = PooledThread([this] { DriverMain(); });
 }
 
 void Segment::Join() {

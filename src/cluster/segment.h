@@ -3,10 +3,10 @@
 
 #include <memory>
 #include <string>
-#include <thread>
 
 #include "cluster/exchange.h"
 #include "core/elastic_iterator.h"
+#include "core/pooled_thread.h"
 #include "core/scheduler.h"
 
 namespace claims {
@@ -15,8 +15,9 @@ namespace claims {
 /// (paper §2.1). Physically it is
 ///     [scan | merger] → ops… → ElasticIterator → SenderPump
 /// driven by a dedicated driver thread (the paper's sender thread, not
-/// counted against the node's worker cores). Implements SchedulableSegment
-/// so the node's DynamicScheduler can expand/shrink it.
+/// counted against the node's worker cores), taken from the thread park.
+/// Implements SchedulableSegment so the node's DynamicScheduler can
+/// expand/shrink it.
 class Segment : public SchedulableSegment {
  public:
   struct Config {
@@ -37,7 +38,7 @@ class Segment : public SchedulableSegment {
 
   CLAIMS_DISALLOW_COPY_AND_ASSIGN(Segment);
 
-  /// Launches the driver thread.
+  /// Launches the driver on a parked thread.
   void Start();
 
   /// Blocks until the segment finished pumping (or was cancelled).
@@ -89,7 +90,7 @@ class Segment : public SchedulableSegment {
   ScalabilityVector scalability_;
   std::unique_ptr<ElasticIterator> elastic_;
   SenderPump sender_;
-  std::thread driver_;
+  PooledThread driver_;
   std::atomic<bool> cancel_{false};
   std::atomic<bool> done_{false};
   std::atomic<bool> failed_{false};

@@ -14,12 +14,10 @@ void DynamicBarrier::Deregister() {
   if (open_) return;
   --registered_;
   // The departing worker may have been the only one everyone was waiting for.
+  // When it was the last one registered, nobody arrived: the phase is not
+  // done, so the barrier stays closed and the next worker to register (a
+  // later Expand, or a worker that had not started yet) completes it.
   if (registered_ > 0 && arrived_ >= registered_) {
-    open_ = true;
-    cv_.notify_all();
-  } else if (registered_ == 0) {
-    // All workers terminated before completing the phase; open so that any
-    // future late joiner does not deadlock (the segment is being torn down).
     open_ = true;
     cv_.notify_all();
   }

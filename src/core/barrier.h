@@ -37,7 +37,8 @@ class DynamicBarrier {
 
   /// Removes a worker that will never arrive (termination). If the removed
   /// worker was the last one outstanding, the barrier opens and waiters are
-  /// released.
+  /// released. If no worker remains registered, nobody completed the phase:
+  /// the barrier stays closed, and the next worker to register runs it.
   void Deregister();
 
   /// Blocks until every registered worker has arrived (or the barrier is

@@ -1,6 +1,7 @@
 #include "core/elastic_iterator.h"
 
 #include <chrono>
+#include <thread>
 
 #include "common/logging.h"
 #include "obs/profile/profiler.h"
@@ -89,7 +90,7 @@ ElasticIterator::Worker* ElasticIterator::StartWorkerLocked(int core_id) {
   ++live_workers_;
   if (live_workers_ > peak_parallelism_) peak_parallelism_ = live_workers_;
   workers_.push_back(std::move(worker));
-  w->thread = std::thread([this, w] { WorkerMain(w); });
+  w->thread = PooledThread([this, w] { WorkerMain(w); });
   return w;
 }
 

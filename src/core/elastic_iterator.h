@@ -3,7 +3,6 @@
 
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "common/clock.h"
@@ -11,6 +10,7 @@
 #include "core/data_buffer.h"
 #include "core/iterator.h"
 #include "core/metrics.h"
+#include "core/pooled_thread.h"
 #include "obs/metrics_registry.h"
 
 namespace claims {
@@ -18,12 +18,13 @@ namespace claims {
 /// The elastic iterator (paper §3, Fig. 4–5; appendix Alg. 2) — the operator
 /// that upgrades a Volcano-style pipeline with runtime parallelism control.
 ///
-/// It owns a pool of worker threads that collaboratively drive the child
-/// iterator subtree: each worker recursively calls child->Open() (parallel
-/// state construction — building the shared hash table, sorting chunks, ...)
-/// and then repeatedly calls child->Next(), inserting result blocks into the
-/// joint DataBuffer. The parent iterator (typically the segment's sender)
-/// consumes blocks from the buffer via this iterator's Next().
+/// It owns a pool of workers, each run on a parked thread (PooledThread),
+/// that collaboratively drive the child iterator subtree: each worker
+/// recursively calls child->Open() (parallel state construction — building
+/// the shared hash table, sorting chunks, ...) and then repeatedly calls
+/// child->Next(), inserting result blocks into the joint DataBuffer. The
+/// parent iterator (typically the segment's sender) consumes blocks from the
+/// buffer via this iterator's Next().
 ///
 /// Elasticity:
 ///  * Expand() starts one more worker. Because every iterator state is shared
@@ -34,8 +35,9 @@ namespace claims {
 ///  * Shrink() flags one worker for termination. The worker observes the flag
 ///    at the next block boundary (the termination checks injected into every
 ///    iterator's Open/Next), finishes its in-flight block so no tuple is lost,
-///    deregisters from all barriers, and exits — a few milliseconds at most,
-///    growing with the depth of the active stage (Fig. 9b).
+///    deregisters from all barriers, and its thread parks — a few
+///    milliseconds at most, growing with the depth of the active stage
+///    (Fig. 9b).
 class ElasticIterator : public Iterator {
  public:
   struct Options {
@@ -124,7 +126,7 @@ class ElasticIterator : public Iterator {
 
  private:
   struct Worker {
-    std::thread thread;
+    PooledThread thread;
     std::atomic<bool> terminate{false};
     std::atomic<bool> done{false};
     std::atomic<bool> ready{false};  ///< passed Open; processing data

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "mem/scratch.h"
+
 namespace claims {
 
 FilterIterator::FilterIterator(std::unique_ptr<Iterator> child,
@@ -40,7 +42,7 @@ NextResult FilterIterator::Next(WorkerContext* ctx, BlockPtr* out) {
       schema_->row_size(),
       std::max<int32_t>(kDefaultBlockBytes, n * schema_->row_size()));
   if (batch_pred_ != nullptr) {
-    std::vector<int32_t> sel(n);
+    Scratch<int32_t> sel(BlockPool::Global(), n);
     int32_t k = batch_pred_->FilterBlock(*input, nullptr, n, sel.data());
     output->AppendGather(*input, sel.data(), k);
   } else {

@@ -1,7 +1,8 @@
 #include "exec/ops/hash_join.h"
 
-#include <algorithm>
 #include <cstring>
+
+#include "mem/scratch.h"
 
 namespace claims {
 
@@ -53,7 +54,7 @@ NextResult HashJoinIterator::Open(WorkerContext* ctx) {
     if (batch_ && nb > 0) {
       // Hash the whole build block column-at-a-time, then link each row with
       // its precomputed hash.
-      std::vector<uint64_t> hashes(nb);
+      Scratch<uint64_t> hashes(spec_.pool, nb);
       HashRowKeysBatch(*spec_.build_schema, block->RowAt(0),
                        block->row_size(), spec_.build_keys, nullptr, nb,
                        hashes.data());
@@ -97,25 +98,30 @@ NextResult HashJoinIterator::Open(WorkerContext* ctx) {
 NextResult HashJoinIterator::Next(WorkerContext* ctx, BlockPtr* out) {
   const int build_size = spec_.build_schema->row_size();
   const int probe_size = spec_.probe_schema->row_size();
-  const int out_size = output_schema_.row_size();
   if (ctx->DetectedTerminateRequest()) return NextResult::kTerminated;
   BlockPtr input;
   NextResult r = probe_child_->Next(ctx, &input);
   if (r != NextResult::kSuccess) return r;
   const int32_t n = input->num_rows();
-  // Join fan-out is unbounded, so accumulate matches first and size the
-  // output block exactly (keeps Next stateless for concurrent workers).
-  std::vector<char> rows;
+  // Join fan-out is unbounded: matches go straight into a default-size
+  // output block that doubles through the pool when it fills. Next stays
+  // stateless for concurrent workers, and a selective join never zeroes an
+  // input-sized block.
+  BlockPtr output = MakeBlock(output_schema_.row_size());
+  Block& block = *output;
   auto emit = [&](const char* probe_row, const char* build_row) {
-    size_t off = rows.size();
-    rows.resize(off + static_cast<size_t>(out_size));
-    std::memcpy(rows.data() + off, build_row, build_size);
-    std::memcpy(rows.data() + off + build_size, probe_row, probe_size);
+    char* slot = block.AppendRow();
+    if (slot == nullptr) {
+      block.DoubleCapacity();
+      slot = block.AppendRow();
+    }
+    std::memcpy(slot, build_row, build_size);
+    std::memcpy(slot + build_size, probe_row, probe_size);
   };
   if (batch_ && n > 0) {
     // Vectorized probe: one column-at-a-time hash pass over the block, then
     // chain walks with the hoisted comparator.
-    std::vector<uint64_t> hashes(n);
+    Scratch<uint64_t> hashes(spec_.pool, n);
     HashRowKeysBatch(*spec_.probe_schema, input->RowAt(0), input->row_size(),
                      spec_.probe_keys, nullptr, n, hashes.data());
     for (int32_t i = 0; i < n; ++i) {
@@ -132,14 +138,6 @@ NextResult HashJoinIterator::Next(WorkerContext* ctx, BlockPtr* out) {
           probe_cmp_, probe_row,
           [&](const char* build_row) { emit(probe_row, build_row); });
     }
-  }
-  int32_t nrows = static_cast<int32_t>(rows.size() / out_size);
-  auto output = MakeBlock(
-      out_size,
-      std::max<int32_t>(kDefaultBlockBytes, nrows * out_size));
-  for (int32_t i = 0; i < nrows; ++i) output->AppendRow();
-  if (nrows > 0) {
-    std::memcpy(output->MutableRowAt(0), rows.data(), rows.size());
   }
   // A probe block with no matches still emits (empty): its sequence number
   // is the watermark the order-preserving merge is waiting for.

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
-#include <vector>
+
+#include "mem/scratch.h"
 
 namespace claims {
 
@@ -67,7 +68,7 @@ NextResult ScanIterator::Next(WorkerContext* ctx, BlockPtr* out) {
       schema_->row_size(),
       std::max<int32_t>(kDefaultBlockBytes, n * schema_->row_size()));
   if (batch_pred_ != nullptr) {
-    std::vector<int32_t> sel(n);
+    Scratch<int32_t> sel(BlockPool::Global(), n);
     int32_t k = batch_pred_->FilterBlock(src, nullptr, n, sel.data());
     block->AppendGather(src, sel.data(), k);
   } else if (options_.predicate != nullptr) {

@@ -82,6 +82,9 @@ void FaultInjector::Arm() {
   bool was_armed = armed_.load(std::memory_order_acquire);
   ArmManual();
   if (was_armed || poll_thread_.joinable()) return;
+  // Windows due at t=0 take effect before Arm returns, not whenever the poll
+  // thread first runs: a query started right after Arm is covered.
+  PollOnce();
   stop_.store(false, std::memory_order_release);
   poll_thread_ = std::thread([this] { PollLoop(); });
 }

@@ -58,8 +58,8 @@ class FaultInjector {
   /// with no substrate wiring; tests override it to observe actuations.
   void SetMemPressureHandler(std::function<void(int64_t cap_bytes)> handler);
 
-  /// Starts the clock (t=0 of the plan) and a poll thread that applies
-  /// window transitions. Idempotent.
+  /// Starts the clock (t=0 of the plan), applies the transitions due at
+  /// t=0, and starts a poll thread that applies the rest. Idempotent.
   void Arm();
 
   /// Arm without the poll thread: tests and the simulator drive transitions

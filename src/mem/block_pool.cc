@@ -42,21 +42,25 @@ struct BlockPool::ThreadCache {
   std::vector<char*> magazines[kNumSizeClasses];
 };
 
-/// The calling thread's caches, one per pool it has used. Destroyed when the
-/// thread exits: each cache whose pool is still live is retired into that
-/// pool's central tier, under the registry lock so the pool cannot be
-/// destroyed meanwhile.
+/// The calling thread's caches, one per pool it has used. Retired when the
+/// thread exits or calls RetireCallingThreadCaches: each cache whose pool is
+/// still live goes back to that pool's central tier, under the registry lock
+/// so the pool cannot be destroyed meanwhile.
 struct BlockPool::ThreadCacheSet {
   std::unordered_map<uint64_t, ThreadCache*> by_pool;
 
-  ~ThreadCacheSet() {
+  void RetireAll() {
+    if (by_pool.empty()) return;
     PoolRegistry& registry = Registry();
     std::lock_guard<std::mutex> lock(registry.mu);
     for (const auto& [serial, cache] : by_pool) {
       auto it = registry.live.find(serial);
       if (it != registry.live.end()) it->second->RetireCache(cache);
     }
+    by_pool.clear();
   }
+
+  ~ThreadCacheSet() { RetireAll(); }
 };
 
 BlockPool::BlockPool() : BlockPool(Options()) {}
@@ -121,8 +125,17 @@ BlockPool* BlockPool::Global() {
   return pool;
 }
 
-BlockPool::ThreadCache* BlockPool::LocalCache() {
+BlockPool::ThreadCacheSet& BlockPool::CallingThreadCaches() {
   thread_local ThreadCacheSet caches;
+  return caches;
+}
+
+void BlockPool::RetireCallingThreadCaches() {
+  CallingThreadCaches().RetireAll();
+}
+
+BlockPool::ThreadCache* BlockPool::LocalCache() {
+  ThreadCacheSet& caches = CallingThreadCaches();
   auto it = caches.by_pool.find(serial_);
   if (it != caches.by_pool.end()) return it->second;
   auto owned = std::make_unique<ThreadCache>();

@@ -113,18 +113,26 @@ class BlockPool {
   /// Drains the central tier back to the OS (tests; between bench reps).
   /// Live allocations and running threads' magazines are unaffected: a
   /// magazine belongs to its thread and cannot be drained from outside
-  /// race-free. It returns to the central tier when its thread exits.
+  /// race-free. It returns to the central tier when its thread exits or
+  /// calls RetireCallingThreadCaches.
   void TrimCaches();
+
+  /// Hands the calling thread's magazines, in every live pool it has used,
+  /// back to those pools' central tiers and drops its caches, exactly as
+  /// thread exit does. A parked thread (core/pooled_thread.h) calls this
+  /// after every task, so an idle thread holds no pool memory.
+  static void RetireCallingThreadCaches();
 
  private:
   struct CentralList;
   struct ThreadCache;
   struct ThreadCacheSet;
 
+  static ThreadCacheSet& CallingThreadCaches();
   ThreadCache* LocalCache();
-  /// Thread-exit path: moves `cache`'s magazines to the central tier and
-  /// frees the cache. Runs under the live-pool registry lock, so the pool
-  /// cannot be destroyed meanwhile.
+  /// Retire path (thread exit, RetireCallingThreadCaches): moves `cache`'s
+  /// magazines to the central tier and frees the cache. Runs under the
+  /// live-pool registry lock, so the pool cannot be destroyed meanwhile.
   void RetireCache(ThreadCache* cache);
   char* PopCentral(int cls, int node);
   void PushCentral(int cls, int node, char* data);
@@ -150,8 +158,8 @@ class BlockPool {
   std::vector<std::unique_ptr<CentralList>> central_;
 
   /// The cache of every running thread that has used this pool. A thread's
-  /// exit retires its cache; the destructor frees those of threads still
-  /// running (threads may outlive the pool).
+  /// exit (or RetireCallingThreadCaches) retires its cache; the destructor
+  /// frees those of threads still running (threads may outlive the pool).
   std::mutex caches_mu_;
   std::vector<std::unique_ptr<ThreadCache>> caches_;
   int next_node_ = 0;

@@ -9,8 +9,8 @@
 
 namespace claims {
 
-/// RAII scratch array for operator inner loops (group-row staging, hash
-/// vectors, argument columns). Pool-backed when a pool is given — per-block
+/// RAII scratch array for operator inner loops (selection vectors, group-row
+/// staging, hash vectors, argument columns). Pool-backed when a pool is given — per-block
 /// scratch is exactly the churn a recycling pool exists for — with a plain
 /// new[] fallback so operators built without a pool behave as before.
 ///

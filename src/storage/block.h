@@ -1,6 +1,7 @@
 #ifndef CLAIMS_STORAGE_BLOCK_H_
 #define CLAIMS_STORAGE_BLOCK_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -93,6 +94,22 @@ class Block {
       dst += row_size_;
     }
     num_rows_ += n;
+  }
+
+  /// Doubles the row capacity through the pool, keeping the rows appended so
+  /// far: the output of an operator whose fan-out per input block is
+  /// unbounded (the join probe) starts at the default size and grows only
+  /// when it fills. The new tail is zeroed like a fresh payload.
+  void DoubleCapacity() {
+    const int32_t rows = std::max<int32_t>(1, capacity_rows_) * 2;
+    const size_t bytes = static_cast<size_t>(rows) * row_size_;
+    const size_t used = static_cast<size_t>(payload_bytes());
+    PoolAlloc bigger = BlockPool::Global()->Allocate(bytes);
+    std::memcpy(bigger.data, payload_.data, used);
+    std::memset(bigger.data + used, 0, bytes - used);
+    BlockPool::Global()->Release(payload_);
+    payload_ = bigger;
+    capacity_rows_ = rows;
   }
 
   void Clear() { num_rows_ = 0; }

@@ -62,12 +62,17 @@ TEST(DynamicBarrierTest, DeregisterReleasesWaiters) {
   EXPECT_TRUE(released.load());
 }
 
-TEST(DynamicBarrierTest, AllWorkersTerminateOpensBarrier) {
+TEST(DynamicBarrierTest, AllWorkersTerminatingLeavesThePhaseToTheNextJoiner) {
+  // Every registered worker left before any arrived: the guarded phase is
+  // not done, so a worker registering afterwards must run it, not skip it.
   DynamicBarrier b;
   b.Register();
   b.Register();
   b.Deregister();
   b.Deregister();
+  EXPECT_FALSE(b.IsOpen());
+  EXPECT_FALSE(b.Register());
+  b.Arrive();  // the only registrant completes the phase
   EXPECT_TRUE(b.IsOpen());
 }
 

@@ -51,6 +51,20 @@ TEST(BlockTest, MetadataTail) {
   EXPECT_EQ(b.visit_rate(), 0.25);
 }
 
+TEST(BlockTest, DoubleCapacityKeepsRowsAndZeroesTheTail) {
+  Schema s({ColumnDef::Int64("x")});
+  Block b(s.row_size(), 4 * s.row_size());
+  for (int64_t i = 0; i < 4; ++i) s.SetInt64(b.AppendRow(), 0, i + 1);
+  ASSERT_TRUE(b.full());
+  b.DoubleCapacity();
+  EXPECT_EQ(b.capacity_rows(), 8);
+  EXPECT_EQ(b.num_rows(), 4);
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(s.GetInt64(b.RowAt(i), 0), i + 1);
+  char* slot = b.AppendRow();
+  ASSERT_NE(slot, nullptr);
+  EXPECT_EQ(s.GetInt64(slot, 0), 0);
+}
+
 TEST(BlockTest, ClearResetsRows) {
   Block b(8, 64);
   b.AppendRow();

@@ -74,9 +74,11 @@ TEST(ElasticIteratorTest, ExpandDuringExecution) {
 TEST(ElasticIteratorTest, ShrinkDuringExecutionLosesNothing) {
   ElasticIterator::Options opts;
   opts.initial_parallelism = 4;
+  // ~30 ms of work for four workers, so both shrinks land mid-stream even
+  // when the workers start at once and the shrinker's sleep overshoots.
   ElasticIterator it(
       std::make_unique<SlowPassThrough>(
-          std::make_unique<CountingSource>(80, 5), /*cost_us=*/300),
+          std::make_unique<CountingSource>(400, 5), /*cost_us=*/300),
       opts);
   WorkerContext ctx;
   ASSERT_EQ(it.Open(&ctx), NextResult::kSuccess);
@@ -87,7 +89,7 @@ TEST(ElasticIteratorTest, ShrinkDuringExecutionLosesNothing) {
   });
   auto values = DrainValues(&it);
   shrinker.join();
-  EXPECT_EQ(values, ExpectedValues(400));
+  EXPECT_EQ(values, ExpectedValues(2000));
   it.Close();
 }
 

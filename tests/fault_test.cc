@@ -735,7 +735,17 @@ TEST(WlmFaultTest, RetryPolicySurvivesNodeLossAndReportsRetrying) {
   sub.retry.initial_backoff_ns = 300'000'000;
 
   QueryHandlePtr handle = service.Submit(tc.SlowPlan(), sub);
-  std::this_thread::sleep_for(std::chrono::milliseconds(40));
+  // Kill the node once the query is consuming input, not after a fixed
+  // sleep: how long the plan runs depends on the machine, and a query that
+  // finished first would never retry.
+  bool consuming = false;
+  for (int i = 0; i < 100'000 && !consuming; ++i) {
+    for (const QueryInfo& q : service.ListQueries()) {
+      consuming |= q.id == handle->id() && q.tuples_consumed > 0;
+    }
+    if (!consuming) std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+  ASSERT_TRUE(consuming) << "query never started consuming";
   tc.cluster->KillNode(1);
 
   bool saw_retrying = false;

@@ -3,11 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 #include <numeric>
 #include <set>
 
 #include "core/elastic_iterator.h"
+#include "exec/expr/batch_expr.h"
 #include "exec/ops/filter.h"
 #include "exec/ops/hash_agg.h"
 #include "exec/ops/hash_join.h"
@@ -389,34 +391,88 @@ TEST(HashJoinTest, ParallelBuildCorrect) {
   it.Close();
 }
 
-TEST(HashJoinTest, NoMatchProbeBlockEmitsEmptyWatermark) {
-  // A probe block with zero matches still comes out (empty, sequence number
-  // preserved) so order-preserving consumers see the sequence was consumed.
-  Schema bs({ColumnDef::Int32("k"), ColumnDef::Int64("v")});
-  Schema ps({ColumnDef::Int32("k"), ColumnDef::Int64("v")});
-  auto build = MakeKVBlock(bs, 10, 10);       // keys 0..9
-  auto probe = MakeKVBlock(ps, 20, 20);       // keys 0..19
-  for (int i = 0; i < probe->num_rows(); ++i) {
-    ps.SetInt32(probe->MutableRowAt(i), 0, 100 + i);  // keys 100.. — no hits
-  }
-  probe->set_sequence_number(5);
+// Joins one build block with one probe block on column 0 in kernel mode
+// `mode`, hashing through `pool`; returns the single output block.
+BlockPtr JoinOneProbeBlock(KernelMode mode, const Schema& bs,
+                           const Schema& ps, BlockPtr build, BlockPtr probe,
+                           BlockPool* pool) {
   HashJoinIterator::Spec spec;
   spec.build_schema = &bs;
   spec.probe_schema = &ps;
   spec.build_keys = {0};
   spec.probe_keys = {0};
+  spec.pool = pool;
+  const KernelMode saved = CurrentKernelMode();
+  SetKernelMode(mode);  // the join latches its mode at construction
   HashJoinIterator join(
       std::make_unique<BlocksIterator>(std::vector<BlockPtr>{std::move(build)}),
       std::make_unique<BlocksIterator>(std::vector<BlockPtr>{std::move(probe)}),
       spec);
+  SetKernelMode(saved);
   WorkerContext ctx;
-  ASSERT_EQ(join.Open(&ctx), NextResult::kSuccess);
+  EXPECT_EQ(join.Open(&ctx), NextResult::kSuccess);
   BlockPtr out;
-  ASSERT_EQ(join.Next(&ctx, &out), NextResult::kSuccess);
-  EXPECT_EQ(out->num_rows(), 0);
-  EXPECT_EQ(out->sequence_number(), 5u);
-  EXPECT_EQ(join.Next(&ctx, &out), NextResult::kEndOfFile);
+  EXPECT_EQ(join.Next(&ctx, &out), NextResult::kSuccess);
+  BlockPtr end;
+  EXPECT_EQ(join.Next(&ctx, &end), NextResult::kEndOfFile);
   join.Close();
+  return out;
+}
+
+TEST(HashJoinTest, NoMatchProbeBlockEmitsEmptyWatermark) {
+  // A probe block with zero matches still comes out (empty, sequence number
+  // preserved) so order-preserving consumers see the sequence was consumed.
+  Schema bs({ColumnDef::Int32("k"), ColumnDef::Int64("v")});
+  Schema ps({ColumnDef::Int32("k"), ColumnDef::Int64("v")});
+  BlockPool pool;
+  for (KernelMode mode : {KernelMode::kBatch, KernelMode::kScalar}) {
+    auto build = MakeKVBlock(bs, 10, 10);       // keys 0..9
+    auto probe = MakeKVBlock(ps, 20, 20);       // keys 0..19
+    for (int i = 0; i < probe->num_rows(); ++i) {
+      ps.SetInt32(probe->MutableRowAt(i), 0, 100 + i);  // no hits
+    }
+    probe->set_sequence_number(5);
+    BlockPtr out = JoinOneProbeBlock(mode, bs, ps, std::move(build),
+                                     std::move(probe), &pool);
+    ASSERT_NE(out, nullptr);
+    EXPECT_EQ(out->num_rows(), 0);
+    EXPECT_EQ(out->sequence_number(), 5u);
+  }
+}
+
+TEST(HashJoinTest, HighFanOutGrowsTheOutputBlockAndMatchesScalar) {
+  // Every probe key matches 64 build rows: 256 probe rows emit 16384 rows,
+  // six times a default block, all into the one output block of this probe
+  // block, which must double through the pool past 4 x 64 KiB.
+  constexpr int kKeys = 16;
+  constexpr int kFanOut = 64;
+  constexpr int kProbeRows = 256;
+  Schema bs({ColumnDef::Int32("k"), ColumnDef::Int64("v")});
+  Schema ps({ColumnDef::Int32("k"), ColumnDef::Int64("v")});
+  BlockPool pool;
+  auto run = [&](KernelMode mode) {
+    auto probe = MakeKVBlock(ps, kProbeRows, kKeys);
+    probe->set_sequence_number(9);
+    return JoinOneProbeBlock(mode, bs, ps,
+                             MakeKVBlock(bs, kKeys * kFanOut, kKeys),
+                             std::move(probe), &pool);
+  };
+  BlockPtr batch = run(KernelMode::kBatch);
+  BlockPtr scalar = run(KernelMode::kScalar);
+  ASSERT_NE(batch, nullptr);
+  ASSERT_NE(scalar, nullptr);
+  EXPECT_GT(batch->capacity_bytes(), 4 * kDefaultBlockBytes);
+  EXPECT_EQ(batch->sequence_number(), 9u);
+  ASSERT_EQ(batch->num_rows(), kProbeRows * kFanOut);
+  ASSERT_EQ(scalar->num_rows(), kProbeRows * kFanOut);
+  const Schema out = JoinOutputSchema(bs, ps);
+  for (int r = 0; r < batch->num_rows(); ++r) {
+    ASSERT_EQ(std::memcmp(batch->RowAt(r), scalar->RowAt(r), out.row_size()),
+              0)
+        << "row " << r;
+    EXPECT_EQ(out.GetInt32(batch->RowAt(r), 0),
+              out.GetInt32(batch->RowAt(r), 2));
+  }
 }
 
 // --- Hash aggregation -----------------------------------------------------------

@@ -4,9 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdlib>
+#include <fstream>
 #include <map>
+#include <string>
 #include <thread>
 
 #include "common/string_util.h"
@@ -389,6 +393,69 @@ TEST(SchedulerLifecycleTest, StoppedLoopsStayHaltedWhileSegmentsRun) {
   // The query still runs, at its initial parallelism, with no tick.
   ASSERT_TRUE(db.Query(*TpchQuery(1)).ok());
   EXPECT_EQ(TotalTicks(db.cluster()), 0);
+}
+
+// --- Thread reuse -------------------------------------------------------------
+// Segment drivers and elastic workers run on parked threads, so once the park
+// has grown to the peak concurrency of the mix, later passes start no
+// threads. The count is sampled while the queries run: a query that started
+// fresh threads would show them in /proc/self/status before joining them.
+
+int ProcessThreads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::atoi(line.c_str() + 8);
+  }
+  return -1;
+}
+
+TEST(ThreadParkTest, RepeatedPassesOfTheMixStartNoNewThreads) {
+  DatabaseOptions options = LifecycleOptions(50);
+  Database db(options);
+  ASSERT_TRUE(db.LoadTpch({.scale_factor = 0.002}).ok());
+  auto run_mix = [&db] {
+    for (int q : SupportedTpchQueries()) {
+      auto result = db.Query(*TpchQuery(q));
+      EXPECT_TRUE(result.ok()) << "Q" << q << ": "
+                               << result.status().ToString();
+    }
+  };
+  // Warm-up: repeat the mix until two passes in a row leave the thread count
+  // where they found it, i.e. the park holds the mix's peak overlap. How
+  // many tasks overlap varies with thread scheduling, so one pass is not
+  // always enough.
+  int settled = ProcessThreads();
+  for (int pass = 0, quiet = 0; pass < 10 && quiet < 2; ++pass) {
+    run_mix();
+    const int now = ProcessThreads();
+    quiet = now == settled ? quiet + 1 : 0;
+    settled = now;
+  }
+
+  std::atomic<bool> done{false};
+  std::atomic<int> peak{0};
+  std::thread sampler([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      const int now = ProcessThreads();
+      if (now > peak.load(std::memory_order_relaxed)) {
+        peak.store(now, std::memory_order_relaxed);
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+  const int before = ProcessThreads();  // the sampler included
+  for (int pass = 0; pass < 5; ++pass) run_mix();
+  const int after = ProcessThreads();
+  done.store(true, std::memory_order_release);
+  sampler.join();
+  EXPECT_GT(before, 0);
+  // Parked threads never exit: no thread seen during the passes is gone.
+  EXPECT_LE(peak.load(), after) << "threads started and exited mid-pass";
+  const int cores =
+      options.cluster.num_nodes * options.cluster.cores_per_node;
+  EXPECT_LE(peak.load() - before, cores)
+      << "before " << before << ", peak " << peak.load();
 }
 
 }  // namespace

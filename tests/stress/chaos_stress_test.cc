@@ -9,8 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cluster/executor.h"
@@ -180,6 +182,14 @@ TEST(ChaosStressTest, SeededStormNeverHangsOrCorruptsQueries) {
   int64_t activations_before = CounterValue("fault.activations");
 
   injector.Arm();
+  // The 24 queries can finish before the storm's first window opens: start
+  // them once it is live.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (CounterValue("fault.activations") == activations_before &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   int succeeded = RunClosedLoopUnderChaos(&tc, 24);
   injector.Disarm();
   tc.cluster->AttachFaultInjector(nullptr);

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <random>
 #include <set>
 #include <thread>
@@ -185,6 +186,72 @@ TEST(ElasticLifecycleStress, ShrinkBlockingRacesDrainToCompletion) {
     shrinker.join();
     EXPECT_EQ(values, ExpectedValues(600)) << "round " << round;
     it.Close();
+  }
+}
+
+TEST(ElasticLifecycleStress, TwoIteratorsChurnOneSharedPark) {
+  // Both iterators' workers come from the one process-wide thread park, so
+  // a worker shrunk out of one is the likeliest thread for the other's next
+  // Expand. One iterator drains under churn while the other is abandoned
+  // and closed mid-stream; both must lose nothing they delivered, and Close
+  // must leave no task running on either's child.
+  constexpr int kRounds = 6;
+  constexpr int kBlocks = 120;
+  constexpr int kRows = 4;
+  for (int round = 0; round < kRounds; ++round) {
+    ElasticIterator::Options opts;
+    opts.initial_parallelism = 2;
+    opts.max_parallelism = 6;
+    opts.buffer_capacity_blocks = 4;
+    ElasticIterator drained(
+        std::make_unique<SlowPassThrough>(
+            std::make_unique<CountingSource>(kBlocks, kRows), /*cost_us=*/50),
+        opts);
+    ElasticIterator abandoned(
+        std::make_unique<CountingSource>(100000, kRows, /*delay_us=*/20),
+        opts);
+    WorkerContext ctx;
+    ASSERT_EQ(drained.Open(&ctx), NextResult::kSuccess);
+    ASSERT_EQ(abandoned.Open(&ctx), NextResult::kSuccess);
+
+    std::atomic<bool> done{false};
+    std::vector<std::thread> mutators;
+    for (ElasticIterator* it : {&drained, &abandoned}) {
+      mutators.emplace_back([&, it] {
+        std::mt19937 rng(static_cast<unsigned>(round * 13) +
+                         (it == &drained ? 0u : 1u));
+        while (!done.load(std::memory_order_acquire)) {
+          switch (rng() % 3) {
+            case 0: it->Expand(static_cast<int>(rng() % 6)); break;
+            case 1: it->Shrink(); break;
+            default: it->ShrinkBlocking(); break;
+          }
+          std::this_thread::yield();
+        }
+      });
+    }
+
+    std::thread quitter([&] {
+      WorkerContext qctx;
+      BlockPtr block;
+      for (int i = 0; i < 10; ++i) abandoned.Next(&qctx, &block);
+      abandoned.Close();
+    });
+    Schema schema = OneInt64Schema();
+    std::multiset<int64_t> values;
+    BlockPtr block;
+    while (drained.Next(&ctx, &block) == NextResult::kSuccess) {
+      for (int r = 0; r < block->num_rows(); ++r) {
+        values.insert(schema.GetInt64(block->RowAt(r), 0));
+      }
+    }
+    drained.Close();
+    quitter.join();
+    done.store(true, std::memory_order_release);
+    for (auto& t : mutators) t.join();
+    EXPECT_EQ(values, ExpectedValues(kBlocks * kRows)) << "round " << round;
+    EXPECT_FALSE(abandoned.Expand(0));
+    EXPECT_FALSE(drained.Expand(0));
   }
 }
 

@@ -242,6 +242,10 @@ TEST(MetricSamplerStressTest, ReadersRaceSamplerAndAnomalyIncidents) {
           EXPECT_EQ(sampler.ToText("", 60'000'000'000).find("timeseries"), 0u);
           sampler.Annotate("stress.marker", true);
         }
+        // Two readers re-taking the sampler mutex back to back can starve
+        // the writer for seconds (the mutex is not fair); a pause between
+        // renders keeps the race without the starvation.
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
       }
     });
   }

@@ -183,9 +183,18 @@ TEST_F(WlmStressTest, ShutdownWithInflightAndQueuedWork) {
       sub.label = "r" + std::to_string(round) + "-q" + std::to_string(i);
       handles.push_back(service->Submit(SlowPlan(), sub));
     }
-    // Let a couple of queries get off the queue, then tear the service down
-    // under them. cancel_pending=true must cancel queued AND running work.
-    std::this_thread::sleep_for(std::chrono::milliseconds(20 * round));
+    // Let `round` queries finish and others get off the queue, then tear the
+    // service down under them. cancel_pending=true must cancel queued AND
+    // running work. Completions, not a fixed sleep, set the moment: how long
+    // a query runs depends on the machine.
+    for (int i = 0; i < round; ++i) handles[i]->Wait();
+    std::vector<QueryHandle*> running;
+    while (running.empty()) {
+      for (auto& h : handles) {
+        if (h->state() == QueryState::kRunning) running.push_back(h.get());
+      }
+      std::this_thread::yield();
+    }
     service->Shutdown(/*cancel_pending=*/true);
     for (auto& h : handles) {
       ASSERT_EQ(h->state(), QueryState::kDone) << h->label();
@@ -193,9 +202,15 @@ TEST_F(WlmStressTest, ShutdownWithInflightAndQueuedWork) {
                   h->status().code() == StatusCode::kCancelled)
           << h->label() << ": " << h->status().ToString();
     }
-    // Handles legitimately outlive the service.
+    bool running_cancelled = false;
+    for (QueryHandle* h : running) {
+      running_cancelled |= h->status().code() == StatusCode::kCancelled;
+    }
+    EXPECT_TRUE(running_cancelled) << "round " << round;
+    // Handles legitimately outlive the service. The last one was still
+    // queued when the service shut down.
     service.reset();
-    EXPECT_FALSE(handles.front()->status().ok());
+    EXPECT_EQ(handles.back()->status().code(), StatusCode::kCancelled);
   }
 }
 
