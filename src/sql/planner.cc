@@ -1,14 +1,19 @@
 #include "sql/planner.h"
 
 #include <algorithm>
+#include <optional>
 #include <set>
 
 #include "common/string_util.h"
+#include "exec/expr/batch_expr.h"
 #include "sql/parser.h"
 
 namespace claims {
 
 namespace {
+
+/// Rows per relation in the selectivity sample (a storage-order prefix).
+constexpr int64_t kSampleRows = 20000;
 
 /// Clones a bound expression, substituting (a) subtrees structurally equal to
 /// a GROUP BY expression with a synthetic column reference, and (b) aggregate
@@ -113,7 +118,7 @@ class Planner::Impl {
 
   Status Prepare() {
     const int nrel = static_cast<int>(query_.relations.size());
-    rel_filters_.resize(static_cast<size_t>(nrel));
+    std::vector<std::vector<BExprPtr>> rel_filters(static_cast<size_t>(nrel));
     for (const BExprPtr& conjunct : query_.conjuncts) {
       std::vector<int> cols;
       CollectColumns(*conjunct, &cols);
@@ -121,7 +126,7 @@ class Planner::Impl {
       for (int c : cols) rels.insert(query_.relation_of(c));
       if (rels.size() <= 1) {
         int rel = rels.empty() ? 0 : *rels.begin();
-        rel_filters_[static_cast<size_t>(rel)].push_back(conjunct);
+        rel_filters[static_cast<size_t>(rel)].push_back(conjunct);
         continue;
       }
       if (rels.size() == 2 && conjunct->kind == BExpr::Kind::kCompare &&
@@ -144,36 +149,45 @@ class Planner::Impl {
     for (const BExprPtr& e : select_exprs_) collect(e);
     collect(having_);
 
-    // Effective sizes (post-filter) per relation.
-    eff_rows_.resize(static_cast<size_t>(nrel));
+    // Lower each relation's filters once, onto its own schema (the scan's
+    // or the derived table's merger's): the selectivity sample and
+    // StartRelation's pushed-down filter share the result.
+    rel_preds_.resize(static_cast<size_t>(nrel));
     for (int r = 0; r < nrel; ++r) {
       const BoundRelation& rel = query_.relations[static_cast<size_t>(r)];
-      double selectivity = 1.0;
-      if (rel.table != nullptr &&
-          !rel_filters_[static_cast<size_t>(r)].empty()) {
-        // Lower the relation's filters onto its base schema and sample.
-        std::map<int, int> identity;
-        for (int c = 0; c < rel.schema.num_columns(); ++c) {
-          identity[rel.virtual_base + c] = c;
-        }
-        std::vector<ExprPtr> lowered;
-        for (const BExprPtr& f : rel_filters_[static_cast<size_t>(r)]) {
-          auto e = LowerBExpr(*f, identity, nullptr, rel.schema);
-          if (e.ok()) lowered.push_back(std::move(*e));
-        }
-        ExprPtr pred = AndFold(std::move(lowered));
-        if (pred != nullptr) {
-          selectivity = catalog_->EstimateSelectivity(
-              *rel.table,
-              [&](const char* row) { return pred->EvalBool(rel.schema, row); },
-              options_.sample_limit);
-        }
+      std::map<int, int> identity;
+      for (int c = 0; c < rel.schema.num_columns(); ++c) {
+        identity[rel.virtual_base + c] = c;
       }
-      eff_rows_[static_cast<size_t>(r)] = std::max<int64_t>(
+      std::vector<ExprPtr> lowered;
+      for (const BExprPtr& f : rel_filters[static_cast<size_t>(r)]) {
+        CLAIMS_ASSIGN_OR_RETURN(ExprPtr e,
+                                LowerBExpr(*f, identity, nullptr, rel.schema));
+        lowered.push_back(std::move(e));
+      }
+      rel_preds_[static_cast<size_t>(r)] = AndFold(std::move(lowered));
+    }
+    eff_rows_.assign(static_cast<size_t>(nrel), std::nullopt);
+    return Status::OK();
+  }
+
+  /// Estimated post-filter rows of relation `r`. A base table's filter is
+  /// sampled on first read, so a plan that compares no relations (a
+  /// single-relation query) samples nothing.
+  int64_t EffRows(int r) {
+    std::optional<int64_t>& memo = eff_rows_[static_cast<size_t>(r)];
+    if (!memo.has_value()) {
+      const BoundRelation& rel = query_.relations[static_cast<size_t>(r)];
+      const ExprPtr& pred = rel_preds_[static_cast<size_t>(r)];
+      const double selectivity =
+          rel.table != nullptr && pred != nullptr
+              ? SampleSelectivity(*rel.table, pred).fraction()
+              : 1.0;
+      memo = std::max<int64_t>(
           1, static_cast<int64_t>(
                  static_cast<double>(rel.estimated_rows) * selectivity));
     }
-    return Status::OK();
+    return *memo;
   }
 
   // --- expression lowering -----------------------------------------------------
@@ -283,8 +297,9 @@ class Planner::Impl {
       }
       p.partition_virt.insert(rel.virtual_base + 0);
     }
-    CLAIMS_RETURN_IF_ERROR(
-        ApplyFilters(&p, rel_filters_[static_cast<size_t>(rel_index)]));
+    if (const ExprPtr& pred = rel_preds_[static_cast<size_t>(rel_index)]) {
+      p.root = MakeFilterOp(std::move(p.root), pred);
+    }
     CLAIMS_RETURN_IF_ERROR(ApplyCoveredResiduals(&p));
     return p;
   }
@@ -298,10 +313,7 @@ class Planner::Impl {
     std::vector<bool> joined(static_cast<size_t>(nrel), false);
     int start = 0;
     for (int r = 1; r < nrel; ++r) {
-      if (eff_rows_[static_cast<size_t>(r)] >
-          eff_rows_[static_cast<size_t>(start)]) {
-        start = r;
-      }
+      if (EffRows(r) > EffRows(start)) start = r;
     }
     CLAIMS_ASSIGN_OR_RETURN(Pipeline pipeline, StartRelation(start));
     joined[static_cast<size_t>(start)] = true;
@@ -322,9 +334,7 @@ class Planner::Impl {
             break;
           }
         }
-        if (connected &&
-            (next < 0 || eff_rows_[static_cast<size_t>(r)] <
-                             eff_rows_[static_cast<size_t>(next)])) {
+        if (connected && (next < 0 || EffRows(r) < EffRows(next))) {
           next = r;
         }
       }
@@ -381,8 +391,8 @@ class Planner::Impl {
       return cols;
     };
 
-    const bool small_build = eff_rows_[static_cast<size_t>(rel_index)] <=
-                             options_.broadcast_threshold_rows;
+    const bool small_build =
+        EffRows(rel_index) <= options_.broadcast_threshold_rows;
     const bool stream_partitioned_on_keys = [&] {
       if (pipeline->partition_virt.empty()) return false;
       // Every partition column must be among the probe keys (a superset of
@@ -810,12 +820,35 @@ class Planner::Impl {
 
   PhysicalPlan plan_;
   int next_exchange_ = 0;
-  std::vector<std::vector<BExprPtr>> rel_filters_;
+  /// Per relation: its pushed-down filters, lowered and AND-folded (null
+  /// when it has none).
+  std::vector<ExprPtr> rel_preds_;
   std::vector<JoinEdge> edges_;
   std::vector<BExprPtr> residuals_;
   std::vector<int> needed_cols_;
-  std::vector<int64_t> eff_rows_;
+  /// Per relation: estimated post-filter rows, memoized by EffRows.
+  std::vector<std::optional<int64_t>> eff_rows_;
 };
+
+SelectivitySample SampleSelectivity(const Table& table, const ExprPtr& pred) {
+  const std::unique_ptr<BatchPredicate> kernel =
+      BatchPredicate::Compile(table.schema(), pred);
+  SelectivitySample sample;
+  std::vector<int32_t> survivors;
+  for (int p = 0; p < table.num_partitions() && sample.rows < kSampleRows;
+       ++p) {
+    const TablePartition& part = table.partition(p);
+    for (int b = 0; b < part.num_blocks() && sample.rows < kSampleRows; ++b) {
+      const Block& block = *part.block(b);
+      const auto n = static_cast<int32_t>(
+          std::min<int64_t>(block.num_rows(), kSampleRows - sample.rows));
+      if (survivors.size() < static_cast<size_t>(n)) survivors.resize(n);
+      sample.hits += kernel->FilterBlock(block, nullptr, n, survivors.data());
+      sample.rows += n;
+    }
+  }
+  return sample;
+}
 
 Planner::Planner(Catalog* catalog, PlannerOptions options)
     : catalog_(catalog), options_(options) {}

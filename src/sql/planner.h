@@ -17,14 +17,28 @@ struct PlannerOptions {
   HashAggIterator::Mode agg_mode = HashAggIterator::Mode::kHybrid;
   /// Simulated NUMA sockets for scan striping.
   int numa_sockets = 1;
-  /// Rows sampled per relation for predicate selectivity estimation.
-  int64_t sample_limit = 20000;
 };
+
+/// The planner's selectivity sample of one relation's pushed-down filter:
+/// the first 20 000 rows of `table` in storage order (partition, then block,
+/// then row), and how many of them satisfy `pred`. Counted block by block
+/// with the batch filter kernels (`BatchPredicate`).
+struct SelectivitySample {
+  int64_t rows = 0;
+  int64_t hits = 0;
+
+  double fraction() const {
+    return rows == 0 ? 0.0 : static_cast<double>(hits) / rows;
+  }
+};
+
+SelectivitySample SampleSelectivity(const Table& table, const ExprPtr& pred);
 
 /// The master node's query optimizer / distributed planner: turns a bound
 /// query into a pipelined, fragment-decomposed physical plan (paper §2's
 /// master responsibilities). Techniques:
-///  * predicate pushdown onto base relations, with sampled selectivities;
+///  * predicate pushdown onto base relations, with sampled selectivities
+///    (sampled only for relations a join decision compares);
 ///  * greedy left-deep join ordering (largest filtered relation streams as
 ///    the probe; remaining relations join smallest-first along equi edges);
 ///  * locality-aware exchange placement: co-located joins when both sides

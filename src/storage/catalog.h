@@ -28,26 +28,6 @@ class Catalog {
   int64_t EstimateDistinct(const Table& table, int col,
                            int64_t sample_limit = 200000) const;
 
-  /// Fraction of sampled rows satisfying `pred(row)`; drives simulator
-  /// selectivities so experiments reflect actual data.
-  template <typename Pred>
-  double EstimateSelectivity(const Table& table, Pred pred,
-                             int64_t sample_limit = 200000) const {
-    int64_t seen = 0;
-    int64_t hit = 0;
-    for (int p = 0; p < table.num_partitions() && seen < sample_limit; ++p) {
-      const TablePartition& part = table.partition(p);
-      for (int b = 0; b < part.num_blocks() && seen < sample_limit; ++b) {
-        const Block& blk = *part.block(b);
-        for (int32_t r = 0; r < blk.num_rows() && seen < sample_limit; ++r) {
-          ++seen;
-          if (pred(blk.RowAt(r))) ++hit;
-        }
-      }
-    }
-    return seen == 0 ? 0.0 : static_cast<double>(hit) / seen;
-  }
-
  private:
   std::map<std::string, TablePtr, std::less<>> tables_;
 };

@@ -56,14 +56,5 @@ TEST(CatalogTest, EstimateDistinctHighCardinality) {
   EXPECT_NEAR(d, 10000, 500);
 }
 
-TEST(CatalogTest, EstimateSelectivity) {
-  Catalog c;
-  auto t = SmallTable("t", 10, 10000);
-  const Schema& s = t->schema();
-  double sel = c.EstimateSelectivity(
-      *t, [&](const char* row) { return s.GetInt32(row, 0) < 3; });
-  EXPECT_NEAR(sel, 0.3, 0.02);
-}
-
 }  // namespace
 }  // namespace claims

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <map>
+
+#include "common/string_util.h"
 #include "engine/workloads.h"
+#include "exec/expr/batch_expr.h"
 #include "sql/binder.h"
 #include "sql/lexer.h"
 #include "sql/parser.h"
@@ -338,6 +343,247 @@ TEST_F(PlannerTest, AllWorkloadQueriesPlan) {
   for (int q : SupportedTpchQueries()) {
     auto p = Plan(*TpchQuery(q));
     EXPECT_TRUE(p.ok()) << "Q" << q << ": " << p.status().ToString();
+  }
+}
+
+// --- Selectivity sample ---------------------------------------------------------
+
+/// The planner's fixed sample: a prefix of this many rows in storage order.
+constexpr int64_t kSampleRows = 20000;
+
+/// Row-at-a-time reference for SampleSelectivity: EvalBool over the first
+/// kSampleRows rows, partition by partition, block by block, row by row.
+SelectivitySample RowAtATimeSample(const Table& table, const Expr& pred) {
+  SelectivitySample sample;
+  for (int p = 0; p < table.num_partitions(); ++p) {
+    const TablePartition& part = table.partition(p);
+    for (int b = 0; b < part.num_blocks(); ++b) {
+      const Block& block = *part.block(b);
+      for (int32_t r = 0; r < block.num_rows(); ++r) {
+        if (sample.rows == kSampleRows) return sample;
+        ++sample.rows;
+        sample.hits += pred.EvalBool(table.schema(), block.RowAt(r));
+      }
+    }
+  }
+  return sample;
+}
+
+/// Appends the scans in `op`'s subtree that carry a pushed-down predicate.
+void CollectFilteredScans(const POp& op, std::vector<const POp*>* scans) {
+  if (op.kind == POp::Kind::kScan && op.predicate != nullptr) {
+    scans->push_back(&op);
+  }
+  for (const auto& child : op.children) CollectFilteredScans(*child, scans);
+}
+
+/// The data of the workload-sized planner tests: TPC-H SF 0.005 (lineitem
+/// holds about 30 000 rows in 2 partitions) and SSE with 40 000 trades and
+/// 20 000 securities, seed 1, two partitions each, planned for 2 nodes.
+class WorkloadDataTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    catalog_ = new Catalog;
+    TpchConfig tpch;
+    tpch.scale_factor = 0.005;
+    tpch.num_partitions = 2;
+    tpch.seed = 1;
+    ASSERT_TRUE(GenerateTpch(tpch, catalog_).ok());
+    SseConfig sse;
+    sse.trades_rows = 40000;
+    sse.securities_rows = 20000;
+    sse.num_partitions = 2;
+    sse.seed = 1;
+    ASSERT_TRUE(GenerateSse(sse, catalog_).ok());
+  }
+  static void TearDownTestSuite() { delete catalog_; }
+
+  static Result<PhysicalPlan> Plan(std::string_view sql) {
+    PlannerOptions opts;
+    opts.num_nodes = 2;
+    Planner planner(catalog_, opts);
+    return planner.PlanSql(sql);
+  }
+
+  /// The workload queries by name: the 11 TPC-H benchmark queries, then
+  /// SSE-Q6..Q9.
+  static std::vector<std::pair<std::string, std::string_view>>
+  WorkloadQueries() {
+    std::vector<std::pair<std::string, std::string_view>> queries;
+    for (int q : SupportedTpchQueries()) {
+      queries.emplace_back(StrFormat("TPC-H Q%d", q), *TpchQuery(q));
+    }
+    for (int q = 6; q <= 9; ++q) {
+      queries.emplace_back(StrFormat("SSE-Q%d", q), *SseQuery(q));
+    }
+    return queries;
+  }
+
+  /// The filter the planner pushes into `table`'s scan for `where`; null,
+  /// with a test failure, unless the plan has exactly one filtered scan.
+  static ExprPtr PushedDownFilter(const std::string& table,
+                                  const std::string& where) {
+    auto plan = Plan("SELECT count(*) FROM " + table + " WHERE " + where);
+    if (!plan.ok()) {
+      ADD_FAILURE() << where << ": " << plan.status().ToString();
+      return nullptr;
+    }
+    std::vector<const POp*> scans;
+    for (const auto& f : plan->fragments) {
+      CollectFilteredScans(*f->root, &scans);
+    }
+    if (scans.size() != 1) {
+      ADD_FAILURE() << where << ": " << scans.size() << " filtered scans";
+      return nullptr;
+    }
+    return scans[0]->predicate;
+  }
+
+  /// Checks SampleSelectivity against the row-at-a-time reference for the
+  /// filter the planner pushes into `table`'s scan for `where`.
+  static void ExpectExactSample(const std::string& table,
+                                const std::string& where) {
+    const ExprPtr pred = PushedDownFilter(table, where);
+    ASSERT_NE(pred, nullptr);
+    const Table& t = **catalog_->GetTable(table);
+    const SelectivitySample expected = RowAtATimeSample(t, *pred);
+    const SelectivitySample sample = SampleSelectivity(t, pred);
+    EXPECT_EQ(sample.rows, std::min<int64_t>(t.num_rows(), kSampleRows));
+    EXPECT_EQ(sample.rows, expected.rows) << where;
+    EXPECT_EQ(sample.hits, expected.hits) << where;
+    EXPECT_GT(expected.hits, 0) << where << ": pick a predicate rows pass";
+    EXPECT_LT(expected.hits, expected.rows) << where << ": and some fail";
+  }
+
+  static Catalog* catalog_;
+};
+
+Catalog* WorkloadDataTest::catalog_ = nullptr;
+
+class SelectivitySampleTest : public WorkloadDataTest {};
+
+TEST_F(SelectivitySampleTest, TenValueColumnLessThanThree) {
+  Schema s({ColumnDef::Int32("k"), ColumnDef::Int64("v")});
+  Table t("t", s, 1, {0});
+  for (int i = 0; i < 10000; ++i) {
+    t.AppendValues({Value::Int32(i % 10), Value::Int64(i)});
+  }
+  ExprPtr pred = MakeCompare(CompareOp::kLt, MakeColumnRef(0, DataType::kInt32),
+                             MakeLiteral(Value::Int32(3)));
+  EXPECT_NEAR(SampleSelectivity(t, pred).fraction(), 0.3, 0.02);
+}
+
+TEST_F(SelectivitySampleTest, EmptyTableSamplesZero) {
+  Schema s({ColumnDef::Int32("k")});
+  Table t("empty", s, 2, {0});
+  ExprPtr pred = MakeCompare(CompareOp::kLt, MakeColumnRef(0, DataType::kInt32),
+                             MakeLiteral(Value::Int32(3)));
+  const SelectivitySample sample = SampleSelectivity(t, pred);
+  EXPECT_EQ(sample.rows, 0);
+  EXPECT_EQ(sample.hits, 0);
+  EXPECT_EQ(sample.fraction(), 0.0);
+}
+
+TEST_F(SelectivitySampleTest, CutFallsMidBlockInPartitionOne) {
+  const Table& lineitem = **catalog_->GetTable("lineitem");
+  ASSERT_GT(lineitem.num_rows(), kSampleRows);
+  ASSERT_EQ(lineitem.num_partitions(), 2);
+  // The cut lies past partition 0 and strictly inside one of partition 1's
+  // blocks, so the last block is counted over a prefix of its rows.
+  int64_t before = lineitem.partition(0).num_rows();
+  ASSERT_LT(before, kSampleRows);
+  const TablePartition& part1 = lineitem.partition(1);
+  int b = 0;
+  while (before + part1.block(b)->num_rows() < kSampleRows) {
+    before += part1.block(b)->num_rows();
+    ++b;
+  }
+  EXPECT_GT(kSampleRows, before);
+  EXPECT_LT(kSampleRows, before + part1.block(b)->num_rows());
+  ExpectExactSample("lineitem", "l_quantity < 25");
+}
+
+TEST_F(SelectivitySampleTest, TableSmallerThanTheCut) {
+  ASSERT_LT((*catalog_->GetTable("orders"))->num_rows(), kSampleRows);
+  ExpectExactSample("orders", "o_orderdate < '1995-03-15'");
+}
+
+TEST_F(SelectivitySampleTest, ScalarFallbackNode) {
+  const std::string where = "CASE WHEN l_quantity < 10 THEN 1 ELSE 0 END = 1";
+  const ExprPtr pred = PushedDownFilter("lineitem", where);
+  ASSERT_NE(pred, nullptr);
+  const Schema& schema = (*catalog_->GetTable("lineitem"))->schema();
+  EXPECT_FALSE(BatchPredicate::Compile(schema, pred)->fully_compiled());
+  ExpectExactSample("lineitem", where);
+}
+
+TEST_F(SelectivitySampleTest, WorkloadPredicateShapes) {
+  // Q12: IN list plus column-column compares.
+  ExpectExactSample("lineitem",
+                    "l_shipmode IN ('MAIL', 'SHIP') "
+                    "AND l_commitdate < l_receiptdate "
+                    "AND l_shipdate < l_commitdate "
+                    "AND l_receiptdate >= '1994-01-01' "
+                    "AND l_receiptdate < '1995-01-01'");
+  // Q10: CHAR equality.
+  ExpectExactSample("lineitem", "l_returnflag = 'R'");
+  // Q9: LIKE.
+  ExpectExactSample("part", "p_name LIKE '%green%'");
+}
+
+TEST_F(SelectivitySampleTest, WorkloadScanPredicatesFullyCompile) {
+  // The sample runs every scan predicate through the batch kernels; a
+  // scalar fallback node would put per-row evaluation back into planning.
+  int checked = 0;
+  for (const auto& [name, sql] : WorkloadQueries()) {
+    auto plan = Plan(sql);
+    ASSERT_TRUE(plan.ok()) << name << ": " << plan.status().ToString();
+    std::vector<const POp*> scans;
+    for (const auto& f : plan->fragments) {
+      CollectFilteredScans(*f->root, &scans);
+    }
+    for (const POp* scan : scans) {
+      EXPECT_TRUE(BatchPredicate::Compile(scan->output_schema, scan->predicate)
+                      ->fully_compiled())
+          << name << ": " << scan->ToString();
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 0);
+}
+
+// --- Pinned plans ---------------------------------------------------------------
+
+/// Reads tests/data/pinned_plans.txt: lines before the first "== <query>"
+/// header are a preamble; each header starts that query's EXPLAIN text.
+std::map<std::string, std::string> ReadPinnedPlans() {
+  std::ifstream in(CLAIMS_PINNED_PLANS);
+  std::map<std::string, std::string> plans;
+  std::string line;
+  std::string* current = nullptr;
+  while (std::getline(in, line)) {
+    if (line.rfind("== ", 0) == 0) {
+      current = &plans[line.substr(3)];
+    } else if (current != nullptr) {
+      *current += line + "\n";
+    }
+  }
+  return plans;
+}
+
+class PlannerPinTest : public WorkloadDataTest {};
+
+TEST_F(PlannerPinTest, ExplainMatchesPinnedText) {
+  const std::map<std::string, std::string> pinned = ReadPinnedPlans();
+  const auto queries = WorkloadQueries();
+  ASSERT_EQ(pinned.size(), queries.size()) << CLAIMS_PINNED_PLANS;
+  for (const auto& [name, sql] : queries) {
+    auto plan = Plan(sql);
+    ASSERT_TRUE(plan.ok()) << name << ": " << plan.status().ToString();
+    auto it = pinned.find(name);
+    ASSERT_NE(it, pinned.end())
+        << name << " missing from " << CLAIMS_PINNED_PLANS;
+    EXPECT_EQ(plan->ToString(), it->second) << name;
   }
 }
 
