@@ -166,9 +166,11 @@ void BM_ElasticExpandShrink(benchmark::State& state) {
 }
 BENCHMARK(BM_ElasticExpandShrink)->Unit(benchmark::kMicrosecond)->Iterations(20);
 
-// --- Batch vs scalar kernels ----------------------------------------------------
+// --- Batch kernels vs row-at-a-time references ---------------------------------
 // Stable benchmark names: the CI perf-smoke job parses them by name and
-// asserts the batch variants beat their scalar twins by >= 2x.
+// asserts each Batch variant beats its Scalar twin by >= 2x. The Scalar twins
+// are row-at-a-time reference loops written here (Expr::Eval per row); the
+// engine's operators no longer have such a loop.
 
 /// One 64 KB block of {k: i%100, v: i, f: (i%7)*1.5}.
 BlockPtr FillKVFBlock(const Schema& s) {
@@ -253,40 +255,18 @@ class BlocksIterator : public Iterator {
   std::atomic<size_t> cursor_{0};
 };
 
-void RunHashAggFold(benchmark::State& state, KernelMode mode) {
-  // A TPC-H Q1-shaped fold: CHAR group keys and a computed aggregate
-  // argument — the workload where the scalar path boxes a Value (with a
-  // string allocation per group column) per row.
-  KernelMode saved = CurrentKernelMode();
-  SetKernelMode(mode);
-  Schema s({ColumnDef::Char("rf", 1), ColumnDef::Char("ls", 1),
-            ColumnDef::Float64("qty"), ColumnDef::Float64("price"),
-            ColumnDef::Float64("disc")});
-  const char* flags[] = {"A", "N", "R"};
-  const char* status[] = {"F", "O"};
+/// A TPC-H Q1-shaped fold: CHAR group keys and a computed aggregate argument,
+/// the workload where a row-at-a-time fold boxes a Value (with a string
+/// allocation per group column) per row.
+struct Q1Fold {
+  Schema schema{{ColumnDef::Char("rf", 1), ColumnDef::Char("ls", 1),
+                 ColumnDef::Float64("qty"), ColumnDef::Float64("price"),
+                 ColumnDef::Float64("disc")}};
   std::vector<BlockPtr> blocks;
   int64_t rows = 0;
-  for (int i = 0; i < 16; ++i) {
-    auto b = MakeBlock(s.row_size());
-    const int32_t cap = b->capacity_rows();
-    for (int32_t r = 0; r < cap; ++r) {
-      char* row = b->AppendRow();
-      s.SetString(row, 0, flags[r % 3]);
-      s.SetString(row, 1, status[r % 2]);
-      s.SetFloat64(row, 2, (r % 50) + 1.0);
-      s.SetFloat64(row, 3, 900.0 + (r % 1000));
-      s.SetFloat64(row, 4, (r % 11) / 100.0);
-    }
-    b->set_sequence_number(i);
-    rows += cap;
-    blocks.push_back(std::move(b));
-  }
-  HashAggIterator::Spec spec;
-  spec.input_schema = &s;
-  spec.group_exprs = {MakeColumnRef(0, DataType::kChar, "rf"),
-                      MakeColumnRef(1, DataType::kChar, "ls")};
-  spec.group_names = {"rf", "ls"};
-  spec.aggregates = {
+  std::vector<ExprPtr> group_exprs = {MakeColumnRef(0, DataType::kChar, "rf"),
+                                      MakeColumnRef(1, DataType::kChar, "ls")};
+  std::vector<HashAggIterator::Aggregate> aggregates = {
       {AggFn::kSum, MakeColumnRef(2, DataType::kFloat64, "qty"), "sum_qty"},
       {AggFn::kSum,
        MakeArith(ArithOp::kMul, MakeColumnRef(3, DataType::kFloat64, "price"),
@@ -296,11 +276,76 @@ void RunHashAggFold(benchmark::State& state, KernelMode mode) {
       {AggFn::kAvg, MakeColumnRef(4, DataType::kFloat64, "disc"), "avg_disc"},
       {AggFn::kCount, nullptr, "cnt"},
   };
+
+  Q1Fold() {
+    const char* flags[] = {"A", "N", "R"};
+    const char* status[] = {"F", "O"};
+    for (int i = 0; i < 16; ++i) {
+      auto b = MakeBlock(schema.row_size());
+      const int32_t cap = b->capacity_rows();
+      for (int32_t r = 0; r < cap; ++r) {
+        char* row = b->AppendRow();
+        schema.SetString(row, 0, flags[r % 3]);
+        schema.SetString(row, 1, status[r % 2]);
+        schema.SetFloat64(row, 2, (r % 50) + 1.0);
+        schema.SetFloat64(row, 3, 900.0 + (r % 1000));
+        schema.SetFloat64(row, 4, (r % 11) / 100.0);
+      }
+      b->set_sequence_number(i);
+      rows += cap;
+      blocks.push_back(std::move(b));
+    }
+  }
+};
+
+// Reference fold: Eval per group expression and per argument, boxed through
+// Value, then a locked AggHashTable::Update per row. Input comes through the
+// same BlocksIterator as the batch twin, so the ratio compares fold loops.
+void BM_HashAggFoldScalar(benchmark::State& state) {
+  const Q1Fold q;
+  const Schema group({ColumnDef::Char("rf", 1), ColumnDef::Char("ls", 1)});
+  std::vector<AggFn> fns;
+  for (const auto& a : q.aggregates) fns.push_back(a.fn);
+  std::vector<char> group_row(group.row_size());
+  std::vector<double> values(fns.size());
+  std::vector<int64_t> weights(fns.size(), 1);
+  for (auto _ : state) {
+    AggHashTable table(group, static_cast<int>(fns.size()), 1 << 14);
+    BlocksIterator input(&q.blocks);
+    WorkerContext ctx;
+    BlockPtr b;
+    while (input.Next(&ctx, &b) == NextResult::kSuccess) {
+      for (int32_t r = 0; r < b->num_rows(); ++r) {
+        const char* row = b->RowAt(r);
+        for (size_t g = 0; g < q.group_exprs.size(); ++g) {
+          group.SetValue(group_row.data(), static_cast<int>(g),
+                         q.group_exprs[g]->Eval(q.schema, row));
+        }
+        for (size_t a = 0; a < fns.size(); ++a) {
+          const ExprPtr& arg = q.aggregates[a].arg;
+          values[a] = arg != nullptr ? arg->Eval(q.schema, row).ToDouble() : 0;
+        }
+        table.Update(group_row.data(), fns, values.data(), weights.data());
+      }
+    }
+    benchmark::DoNotOptimize(table.size());
+  }
+  state.SetItemsProcessed(state.iterations() * q.rows);
+}
+BENCHMARK(BM_HashAggFoldScalar);
+
+void BM_HashAggFoldBatch(benchmark::State& state) {
+  const Q1Fold q;
+  HashAggIterator::Spec spec;
+  spec.input_schema = &q.schema;
+  spec.group_exprs = q.group_exprs;
+  spec.group_names = {"rf", "ls"};
+  spec.aggregates = q.aggregates;
   // kHybrid — the planner's default: workers fold into private tables, which
-  // lets the batch path take the exclusive (lock-free) update fast path.
+  // lets the fold take the exclusive (lock-free) update path.
   spec.mode = HashAggIterator::Mode::kHybrid;
   for (auto _ : state) {
-    HashAggIterator agg(std::make_unique<BlocksIterator>(&blocks), spec);
+    HashAggIterator agg(std::make_unique<BlocksIterator>(&q.blocks), spec);
     WorkerContext ctx;
     agg.Open(&ctx);
     BlockPtr b;
@@ -309,23 +354,11 @@ void RunHashAggFold(benchmark::State& state, KernelMode mode) {
     benchmark::DoNotOptimize(groups);
     agg.Close();
   }
-  state.SetItemsProcessed(state.iterations() * rows);
-  SetKernelMode(saved);
-}
-
-void BM_HashAggFoldScalar(benchmark::State& state) {
-  RunHashAggFold(state, KernelMode::kScalar);
-}
-BENCHMARK(BM_HashAggFoldScalar);
-
-void BM_HashAggFoldBatch(benchmark::State& state) {
-  RunHashAggFold(state, KernelMode::kBatch);
+  state.SetItemsProcessed(state.iterations() * q.rows);
 }
 BENCHMARK(BM_HashAggFoldBatch);
 
-void RunHashJoinProbe(benchmark::State& state, KernelMode mode) {
-  KernelMode saved = CurrentKernelMode();
-  SetKernelMode(mode);
+void BM_HashJoinProbeBatch(benchmark::State& state) {
   Schema s({ColumnDef::Int32("k"), ColumnDef::Int64("v"),
             ColumnDef::Float64("f")});
   // Build: unique keys; probe: the kvf blocks (k in 0..99, all matching).
@@ -365,16 +398,6 @@ void RunHashJoinProbe(benchmark::State& state, KernelMode mode) {
     join.Close();
   }
   state.SetItemsProcessed(state.iterations() * rows);
-  SetKernelMode(saved);
-}
-
-void BM_HashJoinProbeScalar(benchmark::State& state) {
-  RunHashJoinProbe(state, KernelMode::kScalar);
-}
-BENCHMARK(BM_HashJoinProbeScalar);
-
-void BM_HashJoinProbeBatch(benchmark::State& state) {
-  RunHashJoinProbe(state, KernelMode::kBatch);
 }
 BENCHMARK(BM_HashJoinProbeBatch);
 

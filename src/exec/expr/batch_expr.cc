@@ -1,7 +1,5 @@
 #include "exec/expr/batch_expr.h"
 
-#include <atomic>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <string_view>
@@ -12,29 +10,6 @@
 #include "storage/value.h"
 
 namespace claims {
-
-// --- Kernel mode ------------------------------------------------------------
-
-namespace {
-// -1 = unresolved (read CLAIMS_SCALAR_KERNELS on first use).
-std::atomic<int> g_kernel_mode{-1};
-}  // namespace
-
-KernelMode CurrentKernelMode() {
-  int m = g_kernel_mode.load(std::memory_order_relaxed);
-  if (m < 0) {
-    const char* env = std::getenv("CLAIMS_SCALAR_KERNELS");
-    m = static_cast<int>(env != nullptr && env[0] != '\0' && env[0] != '0'
-                             ? KernelMode::kScalar
-                             : KernelMode::kBatch);
-    g_kernel_mode.store(m, std::memory_order_relaxed);
-  }
-  return static_cast<KernelMode>(m);
-}
-
-void SetKernelMode(KernelMode mode) {
-  g_kernel_mode.store(static_cast<int>(mode), std::memory_order_relaxed);
-}
 
 namespace {
 
@@ -622,7 +597,9 @@ struct BatchCompute::Impl {
     const Expr* scalar = nullptr;
   };
 
-  Schema schema;
+  /// The caller's schema (see Compile), not a copy: a copy per compiled
+  /// projection column raised the engine's peak RSS.
+  const Schema* schema = nullptr;
   ExprPtr expr;
   std::vector<Node> nodes;
   int root = -1;
@@ -662,9 +639,9 @@ struct BatchCompute::Impl {
     ExprShape s = e->Shape();
     switch (s.kind) {
       case ExprShape::Kind::kColumnRef: {
-        const ColumnDef& c = schema.column(s.column);
+        const ColumnDef& c = schema->column(s.column);
         Node n;
-        n.off = schema.offset(s.column);
+        n.off = schema->offset(s.column);
         if (IsIntFamily(c.type)) {
           n.op = Node::Op::kColInt;
           n.is32 = c.type != DataType::kInt64;
@@ -693,11 +670,11 @@ struct BatchCompute::Impl {
       }
       case ExprShape::Kind::kYear: {
         int col = AsColumnRef(*s.child);
-        if (col >= 0 && (schema.column(col).type == DataType::kDate ||
-                         schema.column(col).type == DataType::kInt32)) {
+        if (col >= 0 && (schema->column(col).type == DataType::kDate ||
+                         schema->column(col).type == DataType::kInt32)) {
           Node n;
           n.op = Node::Op::kYear;
-          n.off = schema.offset(col);
+          n.off = schema->offset(col);
           return Add(std::move(n));
         }
         return AddScalar(e);
@@ -778,7 +755,7 @@ struct BatchCompute::Impl {
       default:  // kScalarInt (and any int-typed fallback)
         for (int32_t i = 0; i < n; ++i) {
           int32_t r = sel != nullptr ? sel[i] : i;
-          out[i] = node.scalar->Eval(schema, row_ptr(r)).AsInt64();
+          out[i] = node.scalar->Eval(*schema, row_ptr(r)).AsInt64();
         }
         break;
     }
@@ -828,12 +805,12 @@ struct BatchCompute::Impl {
       case Node::Op::kScalarF64:
         for (int32_t i = 0; i < n; ++i) {
           int32_t r = sel != nullptr ? sel[i] : i;
-          out[i] = node.scalar->Eval(schema, row_ptr(r)).ToDouble();
+          out[i] = node.scalar->Eval(*schema, row_ptr(r)).ToDouble();
         }
         break;
       default: {
         // Int-lane node widened: evaluate exactly, then cast — identical to
-        // Value::ToDouble on the scalar path.
+        // `Eval(...).ToDouble()`.
         std::vector<int64_t> tmp(n);
         EvalI64(idx, block, sel, n, tmp.data());
         for (int32_t i = 0; i < n; ++i) out[i] = static_cast<double>(tmp[i]);
@@ -849,7 +826,7 @@ BatchCompute::~BatchCompute() = default;
 std::unique_ptr<BatchCompute> BatchCompute::Compile(const Schema& schema,
                                                     ExprPtr expr) {
   std::unique_ptr<BatchCompute> c(new BatchCompute);
-  c->impl_->schema = schema;
+  c->impl_->schema = &schema;
   c->impl_->expr = std::move(expr);
   c->impl_->root_column = AsColumnRef(*c->impl_->expr);
   c->impl_->root = c->impl_->CompileNum(c->impl_->expr.get());
@@ -874,11 +851,11 @@ void BatchCompute::Materialize(const Block& block, const int32_t* sel,
   // the SetString invariant (payload NUL-padded to declared width), so the
   // raw bytes equal what strip-then-SetValue would write.
   if (impl_->root_column >= 0) {
-    const ColumnDef& src = impl_->schema.column(impl_->root_column);
+    const ColumnDef& src = impl_->schema->column(impl_->root_column);
     if (src.type == dst.type && src.char_width == dst.char_width) {
       const int32_t w = TypeWidth(src.type, src.char_width);
       const char* in_base =
-          block.RowAt(0) + impl_->schema.offset(impl_->root_column);
+          block.RowAt(0) + impl_->schema->offset(impl_->root_column);
       const int32_t in_stride = block.row_size();
       for (int32_t i = 0; i < n; ++i) {
         int32_t r = sel != nullptr ? sel[i] : i;
@@ -890,7 +867,7 @@ void BatchCompute::Materialize(const Block& block, const int32_t* sel,
   }
 
   // Typed lanes for numeric destinations; full scalar fallback otherwise
-  // (conversion handled by SetValue, exactly like the row-at-a-time path).
+  // (conversion handled by SetValue, as in per-row `SetValue(Eval)`).
   const Expr* e = impl_->expr.get();
   if (impl_->fully_compiled && IsIntFamily(dst.type) &&
       impl_->IsIntLane(impl_->root)) {
@@ -920,7 +897,7 @@ void BatchCompute::Materialize(const Block& block, const int32_t* sel,
   for (int32_t i = 0; i < n; ++i) {
     int32_t r = sel != nullptr ? sel[i] : i;
     out_schema.SetValue(out_rows + static_cast<size_t>(i) * out_stride,
-                        out_col, e->Eval(impl_->schema, block.RowAt(r)));
+                        out_col, e->Eval(*impl_->schema, block.RowAt(r)));
   }
 }
 

@@ -10,24 +10,12 @@
 
 namespace claims {
 
-/// Which inner loop the hot operators run. kBatch (the default) compiles
-/// predicates and computed columns into non-virtual column kernels over
-/// selection vectors; kScalar forces the row-at-a-time `Expr::Eval` path
-/// everywhere. The two paths are block-for-block equivalent (enforced by
-/// tests/batch_kernel_test.cc) — the switch exists for benchmarking the
-/// speedup and as an escape hatch, selectable with CLAIMS_SCALAR_KERNELS=1.
-enum class KernelMode { kBatch, kScalar };
-
-/// Process-wide kernel mode; first call resolves CLAIMS_SCALAR_KERNELS.
-KernelMode CurrentKernelMode();
-void SetKernelMode(KernelMode mode);
-
 /// A boolean `Expr` tree compiled into selection-vector kernels. Supported
 /// shapes (column compare against literal or column, YEAR(date) compare,
 /// LIKE over a CHAR column, IN lists, AND/OR/NOT combinations) become tight
 /// typed loops; any other subtree is wrapped in a scalar node that calls
 /// `Expr::EvalBool` per surviving row, so compilation never fails and the
-/// result is always exactly equivalent to the scalar path.
+/// result is always exactly what a row-at-a-time `EvalBool` loop selects.
 ///
 /// Thread-safe after construction: `FilterBlock` is const and keeps no
 /// mutable state, matching the iterator contract of concurrent `Next` calls.
@@ -62,11 +50,14 @@ class BatchPredicate {
 /// column loads, literal splats, and int64/double arithmetic lanes that
 /// mirror `ArithExpr::Eval` exactly (pure-int stays exact int64, any float or
 /// division widens to double, divide-by-zero yields 0). Used by the
-/// aggregation fold for argument vectors and group-key materialization.
+/// aggregation fold for argument vectors and group-key materialization, and
+/// by projection for every output column.
 class BatchCompute {
  public:
   ~BatchCompute();
 
+  /// Compiles `expr` over rows of `schema`, which must outlive the result
+  /// (operators pass their input schema, which outlives the iterator).
   static std::unique_ptr<BatchCompute> Compile(const Schema& schema,
                                                ExprPtr expr);
 

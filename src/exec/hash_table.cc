@@ -246,24 +246,10 @@ AggHashTable::Entry* AggHashTable::FindOrCreate(const char* group_row,
 
 bool AggHashTable::Update(const char* group_row, const std::vector<AggFn>& fns,
                           const double* values, const int64_t* count_weights) {
-  return Update(group_row,
-                HashRowKeys(group_schema_, group_row, all_group_cols_), fns,
-                values, count_weights);
-}
-
-bool AggHashTable::Update(const char* group_row, uint64_t hash,
-                          const std::vector<AggFn>& fns, const double* values,
-                          const int64_t* count_weights, bool exclusive) {
-  Entry* entry = FindOrCreate(group_row, hash);
+  Entry* entry = FindOrCreate(
+      group_row, HashRowKeys(group_schema_, group_row, all_group_cols_));
   if (entry == nullptr) return false;
   AggState* states = entry->states(group_row_size_, num_aggs_);
-  if (exclusive) {
-    // Worker-private table: the caller is the only thread folding into it.
-    for (int i = 0; i < num_aggs_; ++i) {
-      FoldAgg(fns[i], values[i], count_weights[i], &states[i]);
-    }
-    return true;
-  }
   // Per-entry spinlock: the contention point of shared aggregation.
   while (entry->lock.test_and_set(std::memory_order_acquire)) {
   }
@@ -332,8 +318,7 @@ Status AggHashTable::MergeSerialized(const char* data, size_t bytes,
   std::memcpy(&group_row_size, data, sizeof(group_row_size));
   std::memcpy(&num_aggs, data + sizeof(int32_t), sizeof(num_aggs));
   std::memcpy(&count, data + sizeof(int32_t) * 2, sizeof(count));
-  if (group_row_size != into->group_row_size_ || num_aggs != into->num_aggs_ ||
-      num_aggs > 16) {
+  if (group_row_size != into->group_row_size_ || num_aggs != into->num_aggs_) {
     return Status::Internal("spill run layout mismatch");
   }
   const size_t entry_bytes =
@@ -341,8 +326,8 @@ Status AggHashTable::MergeSerialized(const char* data, size_t bytes,
       sizeof(AggState) * static_cast<size_t>(num_aggs);
   const char* p = data + sizeof(int32_t) * 2 + sizeof(int64_t);
   const char* end = data + bytes;
-  double values[16];
-  int64_t weights[16];
+  std::vector<double> values(static_cast<size_t>(num_aggs));
+  std::vector<int64_t> weights(static_cast<size_t>(num_aggs));
   for (int64_t i = 0; i < count; ++i) {
     if (p + entry_bytes > end) {
       return Status::Internal("spill run truncated entry");
@@ -358,7 +343,7 @@ Status AggHashTable::MergeSerialized(const char* data, size_t bytes,
       values[a] = st.sum;
       weights[a] = st.count;
     }
-    if (!into->Update(group_row, fns, values, weights)) {
+    if (!into->Update(group_row, fns, values.data(), weights.data())) {
       return Status::ResourceExhausted("agg table over budget during restore");
     }
     p += entry_bytes;

@@ -193,23 +193,18 @@ class AggHashTable {
   bool Update(const char* group_row, const std::vector<AggFn>& fns,
               const double* values, const int64_t* count_weights);
 
-  /// Same, with the group-key hash precomputed (batch fold path hashes the
-  /// materialized group rows column-at-a-time). Must be the HashRowKeys hash
-  /// over all group columns. `exclusive` skips the per-entry spinlock; pass
-  /// true only when the caller is the sole thread touching this table (a
-  /// worker-private table of independent/hybrid aggregation).
-  bool Update(const char* group_row, uint64_t hash,
-              const std::vector<AggFn>& fns, const double* values,
-              const int64_t* count_weights, bool exclusive = false);
-
   /// Batch fold: folds rows `[0..n)` of a packed group-row buffer
-  /// (`group_rows + i * stride`) with precomputed hashes. `arg_cols[a]` is a
-  /// per-row value vector, or null to fold 0.0 (COUNT(*)); every fold carries
-  /// count weight 1. Equivalent to n Update calls, with the per-row call and
-  /// argument-marshalling overhead hoisted out of the loop. Stops and returns
-  /// false at the first row whose group cannot be allocated; rows before it
-  /// are folded (re-folding the block after a spill would double-count —
-  /// callers spill-and-retry with `resume` = rows already folded).
+  /// (`group_rows + i * stride`) with precomputed hashes (the HashRowKeys
+  /// hash over all group columns). `arg_cols[a]` is a per-row value vector,
+  /// or null to fold 0.0 (COUNT(*)); every fold carries count weight 1.
+  /// Equivalent to n Update calls, with the per-row call and
+  /// argument-marshalling overhead hoisted out of the loop. `exclusive` skips
+  /// the per-entry spinlock; pass true only when the caller is the sole
+  /// thread touching this table (a worker-private table of independent/hybrid
+  /// aggregation). Stops and returns false at the first row whose group
+  /// cannot be allocated; rows before it are folded (re-folding the block
+  /// after a spill would double-count — callers spill-and-retry with
+  /// `resume` = rows already folded).
   bool UpdateBatch(const char* group_rows, int32_t stride,
                    const uint64_t* hashes, int32_t n,
                    const std::vector<AggFn>& fns, const double* const* arg_cols,

@@ -8,12 +8,9 @@ namespace claims {
 
 FilterIterator::FilterIterator(std::unique_ptr<Iterator> child,
                                const Schema* schema, ExprPtr predicate)
-    : child_(std::move(child)), schema_(schema),
-      predicate_(std::move(predicate)) {
-  if (CurrentKernelMode() == KernelMode::kBatch) {
-    batch_pred_ = BatchPredicate::Compile(*schema_, predicate_);
-  }
-}
+    : child_(std::move(child)),
+      schema_(schema),
+      batch_pred_(BatchPredicate::Compile(*schema, std::move(predicate))) {}
 
 NextResult FilterIterator::Open(WorkerContext* ctx) {
   bool already_open = open_barrier_.Register();
@@ -24,7 +21,7 @@ NextResult FilterIterator::Open(WorkerContext* ctx) {
     if (!already_open) open_barrier_.Deregister();
     return r;
   }
-  // The predicate reference is set at construction; first arrival is a no-op
+  // The predicate is compiled at construction; first arrival is a no-op
   // but the election + barrier mirror the appendix structure.
   init_gate_.TryClaim();
   open_barrier_.Arrive();
@@ -41,18 +38,9 @@ NextResult FilterIterator::Next(WorkerContext* ctx, BlockPtr* out) {
   auto output = MakeBlock(
       schema_->row_size(),
       std::max<int32_t>(kDefaultBlockBytes, n * schema_->row_size()));
-  if (batch_pred_ != nullptr) {
-    Scratch<int32_t> sel(BlockPool::Global(), n);
-    int32_t k = batch_pred_->FilterBlock(*input, nullptr, n, sel.data());
-    output->AppendGather(*input, sel.data(), k);
-  } else {
-    for (int32_t i = 0; i < n; ++i) {
-      const char* row = input->RowAt(i);
-      if (predicate_->EvalBool(*schema_, row)) {
-        output->AppendRowCopy(row);
-      }
-    }
-  }
+  Scratch<int32_t> sel(BlockPool::Global(), n);
+  int32_t k = batch_pred_->FilterBlock(*input, nullptr, n, sel.data());
+  output->AppendGather(*input, sel.data(), k);
   // A fully filtered block is emitted empty, sequence number intact, as the
   // downstream watermark — never silently dropped.
   output->set_sequence_number(input->sequence_number());
@@ -67,18 +55,10 @@ ProjectIterator::ProjectIterator(std::unique_ptr<Iterator> child,
                                  const Schema* input_schema,
                                  Schema output_schema,
                                  std::vector<ExprPtr> exprs)
-    : child_(std::move(child)),
-      input_schema_(input_schema),
-      output_schema_(std::move(output_schema)),
-      exprs_(std::move(exprs)) {
-  all_plain_ = true;
-  for (const ExprPtr& e : exprs_) {
-    int col = AsColumnRef(*e);
-    if (col < 0) {
-      all_plain_ = false;
-      break;
-    }
-    plain_cols_.push_back(col);
+    : child_(std::move(child)), output_schema_(std::move(output_schema)) {
+  columns_.reserve(exprs.size());
+  for (ExprPtr& e : exprs) {
+    columns_.push_back(BatchCompute::Compile(*input_schema, std::move(e)));
   }
 }
 
@@ -90,27 +70,18 @@ NextResult ProjectIterator::Next(WorkerContext* ctx, BlockPtr* out) {
   BlockPtr input;
   NextResult r = child_->Next(ctx, &input);
   if (r != NextResult::kSuccess) return r;
+  const int32_t n = input->num_rows();
   // Size the output for the worst case (wider output rows than input rows),
   // so a whole input block always projects into one output block and Next
   // stays stateless across concurrent workers.
-  int32_t capacity = std::max<int32_t>(
-      kDefaultBlockBytes, input->num_rows() * output_schema_.row_size());
-  auto output = MakeBlock(output_schema_.row_size(), capacity);
-  for (int i = 0; i < input->num_rows(); ++i) {
-    const char* row = input->RowAt(i);
-    char* slot = output->AppendRow();
-    if (all_plain_) {
-      for (size_t c = 0; c < plain_cols_.size(); ++c) {
-        output_schema_.SetValue(
-            slot, static_cast<int>(c),
-            input_schema_->GetValue(row, plain_cols_[c]));
-      }
-    } else {
-      for (size_t c = 0; c < exprs_.size(); ++c) {
-        output_schema_.SetValue(slot, static_cast<int>(c),
-                                exprs_[c]->Eval(*input_schema_, row));
-      }
-    }
+  auto output = MakeBlock(
+      output_schema_.row_size(),
+      std::max<int32_t>(kDefaultBlockBytes, n * output_schema_.row_size()));
+  for (int32_t i = 0; i < n; ++i) output->AppendRow();
+  char* rows = output->MutableRowAt(0);
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    columns_[c]->Materialize(*input, nullptr, n, output_schema_,
+                             static_cast<int>(c), rows);
   }
   output->set_sequence_number(input->sequence_number());
   output->set_visit_rate(input->visit_rate());

@@ -21,9 +21,8 @@ namespace claims {
 /// low selectivity (the elastic worker converts it to a watermark advance
 /// instead of enqueuing it).
 ///
-/// In batch kernel mode (the default) the predicate is compiled once into
-/// selection-vector kernels (see docs/VECTORIZATION.md); survivors are
-/// gathered with one memcpy per row instead of a virtual Eval per row.
+/// The predicate is compiled once into selection-vector kernels (see
+/// docs/VECTORIZATION.md); survivors are gathered with one memcpy per row.
 class FilterIterator : public Iterator {
  public:
   FilterIterator(std::unique_ptr<Iterator> child, const Schema* schema,
@@ -37,14 +36,15 @@ class FilterIterator : public Iterator {
  private:
   std::unique_ptr<Iterator> child_;
   const Schema* schema_;
-  ExprPtr predicate_;
-  std::unique_ptr<BatchPredicate> batch_pred_;  ///< null in scalar mode
+  std::unique_ptr<BatchPredicate> batch_pred_;
   DynamicBarrier open_barrier_;
   FirstCallerGate init_gate_;
 };
 
 /// Projection: computes `exprs` over input rows into rows of `output_schema`.
-/// Non-blocking and stateless like filter.
+/// Non-blocking and stateless like filter. Each expression is compiled once
+/// into a `BatchCompute`, which writes its output column for a whole block
+/// (a bare column reference of matching type is a strided copy).
 class ProjectIterator : public Iterator {
  public:
   ProjectIterator(std::unique_ptr<Iterator> child, const Schema* input_schema,
@@ -59,12 +59,8 @@ class ProjectIterator : public Iterator {
 
  private:
   std::unique_ptr<Iterator> child_;
-  const Schema* input_schema_;
   Schema output_schema_;
-  std::vector<ExprPtr> exprs_;
-  /// Fast path: column indexes when every expr is a bare column ref.
-  std::vector<int> plain_cols_;
-  bool all_plain_ = false;
+  std::vector<std::unique_ptr<BatchCompute>> columns_;  ///< per output column
 };
 
 }  // namespace claims

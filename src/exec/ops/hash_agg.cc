@@ -1,7 +1,6 @@
 #include "exec/ops/hash_agg.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstring>
 
 #include "mem/scratch.h"
@@ -53,38 +52,16 @@ HashAggIterator::HashAggIterator(std::unique_ptr<Iterator> child, Spec spec)
       context_pool_(ContextMode::kCore) {
   fns_.reserve(spec_.aggregates.size());
   for (const Aggregate& a : spec_.aggregates) fns_.push_back(a.fn);
-  // FoldRow uses fixed stack arrays; the planner never emits this many.
-  assert(spec_.aggregates.size() <= 16);
   all_group_cols_.resize(group_schema_.num_columns());
   for (int i = 0; i < group_schema_.num_columns(); ++i) all_group_cols_[i] = i;
-  batch_ = CurrentKernelMode() == KernelMode::kBatch;
-  if (batch_) {
-    for (const ExprPtr& e : spec_.group_exprs) {
-      group_computes_.push_back(BatchCompute::Compile(*spec_.input_schema, e));
-    }
-    for (const Aggregate& a : spec_.aggregates) {
-      agg_computes_.push_back(
-          a.arg != nullptr ? BatchCompute::Compile(*spec_.input_schema, a.arg)
-                           : nullptr);
-    }
+  for (const ExprPtr& e : spec_.group_exprs) {
+    group_computes_.push_back(BatchCompute::Compile(*spec_.input_schema, e));
   }
-}
-
-bool HashAggIterator::FoldRow(const char* row, AggHashTable* table,
-                              char* group_scratch) {
-  const Schema& in = *spec_.input_schema;
-  for (size_t g = 0; g < spec_.group_exprs.size(); ++g) {
-    group_schema_.SetValue(group_scratch, static_cast<int>(g),
-                           spec_.group_exprs[g]->Eval(in, row));
+  for (const Aggregate& a : spec_.aggregates) {
+    agg_computes_.push_back(
+        a.arg != nullptr ? BatchCompute::Compile(*spec_.input_schema, a.arg)
+                         : nullptr);
   }
-  double values[16];
-  int64_t weights[16];
-  for (size_t a = 0; a < spec_.aggregates.size(); ++a) {
-    const Aggregate& agg = spec_.aggregates[a];
-    values[a] = agg.arg != nullptr ? agg.arg->Eval(in, row).ToDouble() : 0.0;
-    weights[a] = 1;
-  }
-  return table->Update(group_scratch, fns_, values, weights);
 }
 
 bool HashAggIterator::FoldBlock(const Block& block, AggHashTable* table,
@@ -110,26 +87,23 @@ bool HashAggIterator::FoldBlock(const Block& block, AggHashTable* table,
   HashRowKeysBatch(group_schema_, group_rows.data(), group_size,
                    all_group_cols_, nullptr, n, hashes.data());
 
-  // (3) Evaluate every aggregate argument as a value vector.
-  std::vector<std::unique_ptr<Scratch<double>>> arg_values(
-      agg_computes_.size());
-  for (size_t a = 0; a < agg_computes_.size(); ++a) {
-    if (agg_computes_[a] == nullptr) continue;  // COUNT(*)
-    arg_values[a] =
-        std::make_unique<Scratch<double>>(spec_.pool, static_cast<size_t>(n));
-    agg_computes_[a]->EvalDouble(block, nullptr, n, arg_values[a]->data());
+  // (3) Evaluate every aggregate argument as a value vector, one column of
+  // `args` per aggregate; COUNT(*) has none and folds 0.0.
+  Scratch<double> args(spec_.pool, static_cast<size_t>(n) * fns_.size());
+  std::vector<const double*> arg_cols(fns_.size(), nullptr);
+  for (size_t a = 0; a < fns_.size(); ++a) {
+    if (agg_computes_[a] == nullptr) continue;
+    double* col = args.data() + a * static_cast<size_t>(n);
+    agg_computes_[a]->EvalDouble(block, nullptr, n, col);
+    arg_cols[a] = col + start;
   }
 
   // (4) Grouped update with the precomputed hashes, one batched call over
   // the resumable sub-range.
-  const double* arg_cols[16];
-  for (size_t a = 0; a < fns_.size(); ++a) {
-    arg_cols[a] =
-        agg_computes_[a] != nullptr ? arg_values[a]->data() + start : nullptr;
-  }
   return table->UpdateBatch(
       group_rows.data() + static_cast<size_t>(start) * group_size, group_size,
-      hashes.data() + start, n - start, fns_, arg_cols, exclusive, folded);
+      hashes.data() + start, n - start, fns_, arg_cols.data(), exclusive,
+      folded);
 }
 
 bool HashAggIterator::SpillPrivate(PrivateAggContext* priv) {
@@ -152,35 +126,23 @@ bool HashAggIterator::SpillPrivate(PrivateAggContext* priv) {
 }
 
 bool HashAggIterator::ConsumeBlock(const Block& block, PrivateAggContext* priv,
-                                   AggHashTable** sink, bool privately,
-                                   char* group_scratch) {
-  if (batch_) {
-    int32_t start = 0;
-    const int32_t n = block.num_rows();
-    bool spilled_without_progress = false;
-    while (start < n) {
-      int32_t folded = 0;
-      if (FoldBlock(block, *sink, privately, start, &folded)) return true;
-      // Ledger refused a group mid-block: rows [start, start+folded) landed.
-      if (!privately) return false;  // the shared table cannot spill
-      // Progress guard: a fresh table that cannot hold even one row means
-      // the budget is below a single arena chunk — spilling again would
-      // loop forever, so give up and let the executor reject the query.
-      if (folded == 0 && spilled_without_progress) return false;
-      spilled_without_progress = folded == 0;
-      start += folded;
-      if (!SpillPrivate(priv)) return false;
-      *sink = priv->table.get();
-    }
-    return true;
-  }
-  for (int32_t i = 0; i < block.num_rows(); ++i) {
-    if (FoldRow(block.RowAt(i), *sink, group_scratch)) continue;
-    if (!privately) return false;
+                                   AggHashTable** sink, bool privately) {
+  int32_t start = 0;
+  const int32_t n = block.num_rows();
+  bool spilled_without_progress = false;
+  while (start < n) {
+    int32_t folded = 0;
+    if (FoldBlock(block, *sink, privately, start, &folded)) return true;
+    // Ledger refused a group mid-block: rows [start, start+folded) landed.
+    if (!privately) return false;  // the shared table cannot spill
+    // Progress guard: a fresh table that cannot hold even one row means the
+    // budget is below a single arena chunk — spilling again would loop
+    // forever, so give up and let the executor reject the query.
+    if (folded == 0 && spilled_without_progress) return false;
+    spilled_without_progress = folded == 0;
+    start += folded;
     if (!SpillPrivate(priv)) return false;
     *sink = priv->table.get();
-    // A fresh empty table refusing the very first row is terminal.
-    if (!FoldRow(block.RowAt(i), *sink, group_scratch)) return false;
   }
   return true;
 }
@@ -194,15 +156,17 @@ void HashAggIterator::ObserveVisitRate(const Block& block) {
 
 bool HashAggIterator::MergeInto(const AggHashTable& src) {
   bool ok = true;
+  std::vector<double> values(fns_.size());
+  std::vector<int64_t> weights(fns_.size());
   src.ForEach([&](const char* group_row, const AggHashTable::AggState* states) {
     if (!ok) return;  // ForEach cannot early-stop; skip the remainder
-    double values[16];
-    int64_t weights[16];
     for (size_t a = 0; a < fns_.size(); ++a) {
       values[a] = states[a].sum;
       weights[a] = states[a].count;
     }
-    if (!global_.Update(group_row, fns_, values, weights)) ok = false;
+    if (!global_.Update(group_row, fns_, values.data(), weights.data())) {
+      ok = false;
+    }
   });
   return ok;
 }
@@ -242,7 +206,6 @@ NextResult HashAggIterator::Open(WorkerContext* ctx) {
     return NextResult::kError;
   };
 
-  std::vector<char> group_scratch(std::max(1, group_schema_.row_size()));
   while (true) {
     BlockPtr block;
     NextResult r = child_->Next(ctx, &block);
@@ -252,8 +215,7 @@ NextResult HashAggIterator::Open(WorkerContext* ctx) {
       if (r == NextResult::kSuccess) {
         // Finish the in-flight block before unwinding — no tuple is lost.
         ObserveVisitRate(*block);
-        if (!ConsumeBlock(*block, priv.get(), &sink, privately,
-                          group_scratch.data())) {
+        if (!ConsumeBlock(*block, priv.get(), &sink, privately)) {
           return fail_build();
         }
       }
@@ -267,8 +229,7 @@ NextResult HashAggIterator::Open(WorkerContext* ctx) {
                                      : NextResult::kTerminated;
     }
     ObserveVisitRate(*block);
-    if (!ConsumeBlock(*block, priv.get(), &sink, privately,
-                      group_scratch.data())) {
+    if (!ConsumeBlock(*block, priv.get(), &sink, privately)) {
       return fail_build();
     }
     if (spec_.mode == Mode::kHybrid &&

@@ -86,15 +86,9 @@ class HashAggIterator : public Iterator {
     std::unique_ptr<AggHashTable> table;
   };
 
-  /// Computes the group row + aggregate inputs of `row` and folds them into
-  /// `table`. false when the table could not allocate the group (ledger
-  /// refusal) — nothing was folded.
-  bool FoldRow(const char* row, AggHashTable* table, char* group_scratch);
-
-  /// Batch fold (kernel mode kBatch): materializes all group rows of `block`,
-  /// hashes them column-at-a-time, evaluates every aggregate argument as a
-  /// double vector, then updates the table once per row with the precomputed
-  /// hash — no per-row virtual Eval, no per-row HashRowKeys. `exclusive`
+  /// Materializes all group rows of `block`, hashes them column-at-a-time,
+  /// evaluates every aggregate argument as a double vector, then updates the
+  /// table once per row with the precomputed hash. `exclusive`
   /// means `table` is private to the calling worker, so the per-entry
   /// spinlock is skipped. Folds rows `[start..n)`; on a ledger refusal
   /// returns false with `*folded` = rows folded past `start` (the caller
@@ -109,7 +103,7 @@ class HashAggIterator : public Iterator {
   /// fresh empty table refused, or the spill itself failed) — the build must
   /// fail.
   bool ConsumeBlock(const Block& block, PrivateAggContext* priv,
-                    AggHashTable** sink, bool privately, char* group_scratch);
+                    AggHashTable** sink, bool privately);
 
   /// Serializes `priv`'s table into a cold SpillRun (charged bytes refunded
   /// by the retired arena) and replaces it with a fresh empty table.
@@ -134,11 +128,10 @@ class HashAggIterator : public Iterator {
   Schema output_schema_;
   std::vector<AggFn> fns_;
   std::vector<int> all_group_cols_;  ///< 0..num_groups-1, for batch hashing
-  /// Batch-compiled group-key and aggregate-argument expressions (empty in
-  /// scalar kernel mode; agg entry is null for COUNT(*)).
+  /// Batch-compiled group-key and aggregate-argument expressions (agg entry
+  /// is null for COUNT(*)).
   std::vector<std::unique_ptr<BatchCompute>> group_computes_;
   std::vector<std::unique_ptr<BatchCompute>> agg_computes_;
-  bool batch_ = false;
   AggHashTable global_;
   ContextPool context_pool_;
   DynamicBarrier build_barrier_;

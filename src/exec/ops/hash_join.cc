@@ -28,8 +28,7 @@ HashJoinIterator::HashJoinIterator(std::unique_ptr<Iterator> build_child,
       table_(spec.build_schema, spec.build_keys, spec.num_buckets,
              MemSource{spec.pool, spec.memory, spec.budget}),
       probe_cmp_(spec_.build_schema, spec_.build_keys, spec_.probe_schema,
-                 spec_.probe_keys),
-      batch_(CurrentKernelMode() == KernelMode::kBatch) {}
+                 spec_.probe_keys) {}
 
 NextResult HashJoinIterator::Open(WorkerContext* ctx) {
   bool already_open = build_barrier_.Register();
@@ -49,30 +48,18 @@ NextResult HashJoinIterator::Open(WorkerContext* ctx) {
       if (!already_open) build_barrier_.Deregister();
       return r;
     }
+    // Hash the whole build block column-at-a-time, then link each row with
+    // its precomputed hash.
     const int32_t nb = block->num_rows();
-    bool inserted = true;
-    if (batch_ && nb > 0) {
-      // Hash the whole build block column-at-a-time, then link each row with
-      // its precomputed hash.
-      Scratch<uint64_t> hashes(spec_.pool, nb);
-      HashRowKeysBatch(*spec_.build_schema, block->RowAt(0),
-                       block->row_size(), spec_.build_keys, nullptr, nb,
-                       hashes.data());
-      for (int32_t i = 0; i < nb; ++i) {
-        if (!table_.Insert(block->RowAt(i), hashes[i])) {
-          inserted = false;
-          break;
-        }
-      }
-    } else {
-      for (int32_t i = 0; i < nb; ++i) {
-        if (!table_.Insert(block->RowAt(i))) {
-          inserted = false;
-          break;
-        }
-      }
+    Scratch<uint64_t> hashes(spec_.pool, nb);
+    HashRowKeysBatch(*spec_.build_schema, block->RowAt(0), block->row_size(),
+                     spec_.build_keys, nullptr, nb, hashes.data());
+    int32_t inserted = 0;
+    while (inserted < nb &&
+           table_.Insert(block->RowAt(inserted), hashes[inserted])) {
+      ++inserted;
     }
-    if (!inserted) {
+    if (inserted < nb) {
       // The query's ledger refused the build row even after the shrink hook
       // ran. The shared build table cannot spill (every worker holds row
       // pointers into it), so this is the last rung: latch rejected and fail
@@ -118,26 +105,16 @@ NextResult HashJoinIterator::Next(WorkerContext* ctx, BlockPtr* out) {
     std::memcpy(slot, build_row, build_size);
     std::memcpy(slot + build_size, probe_row, probe_size);
   };
-  if (batch_ && n > 0) {
-    // Vectorized probe: one column-at-a-time hash pass over the block, then
-    // chain walks with the hoisted comparator.
-    Scratch<uint64_t> hashes(spec_.pool, n);
-    HashRowKeysBatch(*spec_.probe_schema, input->RowAt(0), input->row_size(),
-                     spec_.probe_keys, nullptr, n, hashes.data());
-    for (int32_t i = 0; i < n; ++i) {
-      const char* probe_row = input->RowAt(i);
-      table_.ForEachMatchHashed(
-          hashes[i], probe_cmp_, probe_row,
-          [&](const char* build_row) { emit(probe_row, build_row); });
-    }
-  } else {
-    for (int32_t i = 0; i < n; ++i) {
-      const char* probe_row = input->RowAt(i);
-      table_.ForEachMatchHashed(
-          HashRowKeys(*spec_.probe_schema, probe_row, spec_.probe_keys),
-          probe_cmp_, probe_row,
-          [&](const char* build_row) { emit(probe_row, build_row); });
-    }
+  // One column-at-a-time hash pass over the block, then chain walks with the
+  // hoisted comparator.
+  Scratch<uint64_t> hashes(spec_.pool, n);
+  HashRowKeysBatch(*spec_.probe_schema, input->RowAt(0), input->row_size(),
+                   spec_.probe_keys, nullptr, n, hashes.data());
+  for (int32_t i = 0; i < n; ++i) {
+    const char* probe_row = input->RowAt(i);
+    table_.ForEachMatchHashed(
+        hashes[i], probe_cmp_, probe_row,
+        [&](const char* build_row) { emit(probe_row, build_row); });
   }
   // A probe block with no matches still emits (empty): its sequence number
   // is the watermark the order-preserving merge is waiting for.

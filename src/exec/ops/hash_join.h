@@ -31,7 +31,7 @@ class HashJoinIterator : public Iterator {
     const Schema* probe_schema = nullptr;
     std::vector<int> build_keys;
     std::vector<int> probe_keys;
-    /// Bucket count; 0 → sized from build-side estimate at first use.
+    /// Bucket count, rounded up to a power of two (0 counts as 1).
     size_t num_buckets = 1 << 16;
     MemoryTracker* memory = nullptr;
     /// Block pool + binding query ledger the build arena draws from. A build
@@ -61,12 +61,9 @@ class HashJoinIterator : public Iterator {
   Spec spec_;
   Schema output_schema_;
   JoinHashTable table_;
-  /// Hoisted build-vs-probe key comparator: constructing one per probe row
-  /// (two vector copies each) dominated the scalar probe loop.
+  /// Build-vs-probe key comparator, built once: constructing one per probe
+  /// row costs two vector copies.
   KeyComparator probe_cmp_;
-  /// Batch kernels on (the default; off under CLAIMS_SCALAR_KERNELS=1):
-  /// build and probe blocks are hashed column-at-a-time in one pass.
-  bool batch_;
   DynamicBarrier build_barrier_;
 };
 

@@ -14,8 +14,7 @@ ScanIterator::ScanIterator(const TablePartition* partition,
   for (int s = 0; s < options_.num_sockets; ++s) {
     cursors_.push_back(std::make_unique<std::atomic<int>>(0));
   }
-  if (options_.predicate != nullptr &&
-      CurrentKernelMode() == KernelMode::kBatch) {
+  if (options_.predicate != nullptr) {
     batch_pred_ = BatchPredicate::Compile(*schema_, options_.predicate);
   }
 }
@@ -71,13 +70,6 @@ NextResult ScanIterator::Next(WorkerContext* ctx, BlockPtr* out) {
     Scratch<int32_t> sel(BlockPool::Global(), n);
     int32_t k = batch_pred_->FilterBlock(src, nullptr, n, sel.data());
     block->AppendGather(src, sel.data(), k);
-  } else if (options_.predicate != nullptr) {
-    for (int32_t i = 0; i < n; ++i) {
-      const char* row = src.RowAt(i);
-      if (options_.predicate->EvalBool(*schema_, row)) {
-        block->AppendRowCopy(row);
-      }
-    }
   } else {
     for (int32_t i = 0; i < n; ++i) block->AppendRow();
     std::memcpy(block->MutableRowAt(0), src.RowAt(0),

@@ -445,5 +445,55 @@ TEST(SpillRunTest, AggTableSpillRestoreRoundTrip) {
   EXPECT_EQ(want, got);
 }
 
+TEST(SpillRunTest, SeventeenAggregateRoundTrip) {
+  // More aggregate slots than the 16 the merge paths once assumed: every
+  // state of every slot must survive SerializeTo + MergeSerialized.
+  constexpr int kAggs = 17;
+  const AggFn cycle[] = {AggFn::kSum, AggFn::kCount, AggFn::kMin, AggFn::kMax,
+                         AggFn::kAvg};
+  std::vector<AggFn> fns;
+  for (int a = 0; a < kAggs; ++a) fns.push_back(cycle[a % 5]);
+  Schema group({ColumnDef::Int32("g")});
+  AggHashTable table(group, kAggs, 64);
+  std::vector<char> grow(group.row_size());
+  for (int i = 0; i < 500; ++i) {
+    group.SetInt32(grow.data(), 0, i % 7);
+    double values[kAggs];
+    int64_t weights[kAggs];
+    for (int a = 0; a < kAggs; ++a) {
+      values[a] = static_cast<double>((i * (a + 3)) % 101) - 50;
+      weights[a] = 1;
+    }
+    ASSERT_TRUE(table.Update(grow.data(), fns, values, weights));
+  }
+
+  auto run = SpillRun::Create();
+  ASSERT_NE(run, nullptr);
+  ASSERT_TRUE(table.SerializeTo(run.get()).ok());
+  ASSERT_TRUE(run->Finish().ok());
+  std::vector<char> bytes;
+  ASSERT_TRUE(run->ReadAll(&bytes).ok());
+  AggHashTable restored(group, kAggs, 64);
+  ASSERT_TRUE(AggHashTable::MergeSerialized(bytes.data(), bytes.size(), fns,
+                                            &restored)
+                  .ok());
+  ASSERT_EQ(restored.size(), table.size());
+
+  using States = std::vector<std::pair<double, int64_t>>;
+  std::map<int32_t, States> want, got;
+  auto collect = [&](std::map<int32_t, States>* into) {
+    return [into, &group](const char* row,
+                          const AggHashTable::AggState* states) {
+      States& out = (*into)[group.GetInt32(row, 0)];
+      for (int a = 0; a < kAggs; ++a) {
+        out.emplace_back(states[a].sum, states[a].count);
+      }
+    };
+  };
+  table.ForEach(collect(&want));
+  restored.ForEach(collect(&got));
+  EXPECT_EQ(want, got);
+}
+
 }  // namespace
 }  // namespace claims

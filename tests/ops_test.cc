@@ -3,13 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <numeric>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "core/elastic_iterator.h"
-#include "exec/expr/batch_expr.h"
 #include "exec/ops/filter.h"
 #include "exec/ops/hash_agg.h"
 #include "exec/ops/hash_join.h"
@@ -391,24 +393,20 @@ TEST(HashJoinTest, ParallelBuildCorrect) {
   it.Close();
 }
 
-// Joins one build block with one probe block on column 0 in kernel mode
-// `mode`, hashing through `pool`; returns the single output block.
-BlockPtr JoinOneProbeBlock(KernelMode mode, const Schema& bs,
-                           const Schema& ps, BlockPtr build, BlockPtr probe,
-                           BlockPool* pool) {
+// Joins one build block with one probe block on column 0, hashing through
+// `pool`; returns the single output block.
+BlockPtr JoinOneProbeBlock(const Schema& bs, const Schema& ps, BlockPtr build,
+                           BlockPtr probe, BlockPool* pool) {
   HashJoinIterator::Spec spec;
   spec.build_schema = &bs;
   spec.probe_schema = &ps;
   spec.build_keys = {0};
   spec.probe_keys = {0};
   spec.pool = pool;
-  const KernelMode saved = CurrentKernelMode();
-  SetKernelMode(mode);  // the join latches its mode at construction
   HashJoinIterator join(
       std::make_unique<BlocksIterator>(std::vector<BlockPtr>{std::move(build)}),
       std::make_unique<BlocksIterator>(std::vector<BlockPtr>{std::move(probe)}),
       spec);
-  SetKernelMode(saved);
   WorkerContext ctx;
   EXPECT_EQ(join.Open(&ctx), NextResult::kSuccess);
   BlockPtr out;
@@ -425,22 +423,20 @@ TEST(HashJoinTest, NoMatchProbeBlockEmitsEmptyWatermark) {
   Schema bs({ColumnDef::Int32("k"), ColumnDef::Int64("v")});
   Schema ps({ColumnDef::Int32("k"), ColumnDef::Int64("v")});
   BlockPool pool;
-  for (KernelMode mode : {KernelMode::kBatch, KernelMode::kScalar}) {
-    auto build = MakeKVBlock(bs, 10, 10);       // keys 0..9
-    auto probe = MakeKVBlock(ps, 20, 20);       // keys 0..19
-    for (int i = 0; i < probe->num_rows(); ++i) {
-      ps.SetInt32(probe->MutableRowAt(i), 0, 100 + i);  // no hits
-    }
-    probe->set_sequence_number(5);
-    BlockPtr out = JoinOneProbeBlock(mode, bs, ps, std::move(build),
-                                     std::move(probe), &pool);
-    ASSERT_NE(out, nullptr);
-    EXPECT_EQ(out->num_rows(), 0);
-    EXPECT_EQ(out->sequence_number(), 5u);
+  auto build = MakeKVBlock(bs, 10, 10);       // keys 0..9
+  auto probe = MakeKVBlock(ps, 20, 20);       // keys 0..19
+  for (int i = 0; i < probe->num_rows(); ++i) {
+    ps.SetInt32(probe->MutableRowAt(i), 0, 100 + i);  // no hits
   }
+  probe->set_sequence_number(5);
+  BlockPtr out =
+      JoinOneProbeBlock(bs, ps, std::move(build), std::move(probe), &pool);
+  ASSERT_NE(out, nullptr);
+  EXPECT_EQ(out->num_rows(), 0);
+  EXPECT_EQ(out->sequence_number(), 5u);
 }
 
-TEST(HashJoinTest, HighFanOutGrowsTheOutputBlockAndMatchesScalar) {
+TEST(HashJoinTest, HighFanOutGrowsTheOutputBlockAndMatchesNestedLoop) {
   // Every probe key matches 64 build rows: 256 probe rows emit 16384 rows,
   // six times a default block, all into the one output block of this probe
   // block, which must double through the pool past 4 x 64 KiB.
@@ -450,29 +446,35 @@ TEST(HashJoinTest, HighFanOutGrowsTheOutputBlockAndMatchesScalar) {
   Schema bs({ColumnDef::Int32("k"), ColumnDef::Int64("v")});
   Schema ps({ColumnDef::Int32("k"), ColumnDef::Int64("v")});
   BlockPool pool;
-  auto run = [&](KernelMode mode) {
-    auto probe = MakeKVBlock(ps, kProbeRows, kKeys);
-    probe->set_sequence_number(9);
-    return JoinOneProbeBlock(mode, bs, ps,
-                             MakeKVBlock(bs, kKeys * kFanOut, kKeys),
-                             std::move(probe), &pool);
-  };
-  BlockPtr batch = run(KernelMode::kBatch);
-  BlockPtr scalar = run(KernelMode::kScalar);
-  ASSERT_NE(batch, nullptr);
-  ASSERT_NE(scalar, nullptr);
-  EXPECT_GT(batch->capacity_bytes(), 4 * kDefaultBlockBytes);
-  EXPECT_EQ(batch->sequence_number(), 9u);
-  ASSERT_EQ(batch->num_rows(), kProbeRows * kFanOut);
-  ASSERT_EQ(scalar->num_rows(), kProbeRows * kFanOut);
-  const Schema out = JoinOutputSchema(bs, ps);
-  for (int r = 0; r < batch->num_rows(); ++r) {
-    ASSERT_EQ(std::memcmp(batch->RowAt(r), scalar->RowAt(r), out.row_size()),
-              0)
-        << "row " << r;
-    EXPECT_EQ(out.GetInt32(batch->RowAt(r), 0),
-              out.GetInt32(batch->RowAt(r), 2));
+  BlockPtr build = MakeKVBlock(bs, kKeys * kFanOut, kKeys);
+  BlockPtr probe = MakeKVBlock(ps, kProbeRows, kKeys);
+  probe->set_sequence_number(9);
+  BlockPtr out = JoinOneProbeBlock(bs, ps, build, probe, &pool);
+  ASSERT_NE(out, nullptr);
+  EXPECT_GT(out->capacity_bytes(), 4 * kDefaultBlockBytes);
+  EXPECT_EQ(out->sequence_number(), 9u);
+
+  // Nested-loop reference: every (build, probe) pair with equal keys, as
+  // [build row | probe row], compared as a multiset.
+  std::vector<std::string> want;
+  for (int p = 0; p < probe->num_rows(); ++p) {
+    for (int b = 0; b < build->num_rows(); ++b) {
+      if (bs.GetInt32(build->RowAt(b), 0) != ps.GetInt32(probe->RowAt(p), 0)) {
+        continue;
+      }
+      want.push_back(std::string(build->RowAt(b), bs.row_size()) +
+                     std::string(probe->RowAt(p), ps.row_size()));
+    }
   }
+  const Schema out_schema = JoinOutputSchema(bs, ps);
+  std::vector<std::string> got;
+  for (int r = 0; r < out->num_rows(); ++r) {
+    got.emplace_back(out->RowAt(r), out_schema.row_size());
+  }
+  ASSERT_EQ(want.size(), static_cast<size_t>(kProbeRows * kFanOut));
+  std::sort(want.begin(), want.end());
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, want);
 }
 
 // --- Hash aggregation -----------------------------------------------------------

@@ -134,6 +134,71 @@ TEST_F(SqlExecTest, GroupByMatchesOracle) {
   }
 }
 
+TEST_F(SqlExecTest, SeventeenScalarAggregateSlotsMatchOracle) {
+  // Scalar aggregation splits each AVG into SUM + COUNT partial slots, so
+  // count(*) plus eight AVGs fold 17 slots per row.
+  TablePtr lineitem = *db_->catalog()->GetTable("lineitem");
+  const Schema& s = lineitem->schema();
+  const int qty = s.FindColumn("l_quantity");
+  const int price = s.FindColumn("l_extendedprice");
+  const int disc = s.FindColumn("l_discount");
+  const int tax = s.FindColumn("l_tax");
+  const int line = s.FindColumn("l_linenumber");
+  double sums[8] = {};
+  int64_t count = 0;
+  ForEachRow(*lineitem, [&](const char* row) {
+    const double q = s.GetFloat64(row, qty), p = s.GetFloat64(row, price),
+                 d = s.GetFloat64(row, disc), t = s.GetFloat64(row, tax);
+    const double terms[8] = {q, p, d, t, static_cast<double>(s.GetInt32(row, line)),
+                             q * d, p * (1 - d), q + t};
+    for (int i = 0; i < 8; ++i) sums[i] += terms[i];
+    ++count;
+  });
+  ResultSet r = Run(
+      "SELECT count(*), avg(l_quantity), avg(l_extendedprice), "
+      "avg(l_discount), avg(l_tax), avg(l_linenumber), "
+      "avg(l_quantity * l_discount), avg(l_extendedprice * (1 - l_discount)), "
+      "avg(l_quantity + l_tax) FROM lineitem");
+  ASSERT_EQ(r.num_rows(), 1);
+  ASSERT_GT(count, 0);
+  EXPECT_EQ(r.Get(0, 0).AsInt64(), count);
+  for (int i = 0; i < 8; ++i) {
+    const double want = sums[i] / count;
+    EXPECT_NEAR(r.Get(0, 1 + i).AsFloat64(), want, 1e-9 * std::fabs(want))
+        << "avg term " << i;
+  }
+}
+
+TEST_F(SqlExecTest, SeventeenGroupedSumsMatchOracle) {
+  // 17 aggregate slots in a grouped aggregation: sum(l_quantity + k) for
+  // k = 1..17 is sum(l_quantity) + k * count per group.
+  TablePtr lineitem = *db_->catalog()->GetTable("lineitem");
+  const Schema& s = lineitem->schema();
+  const int rf = s.FindColumn("l_returnflag");
+  const int qty = s.FindColumn("l_quantity");
+  std::map<std::string, std::pair<double, int64_t>> oracle;
+  ForEachRow(*lineitem, [&](const char* row) {
+    auto& agg = oracle[std::string(s.GetString(row, rf))];
+    agg.first += s.GetFloat64(row, qty);
+    agg.second += 1;
+  });
+  std::string sql = "SELECT l_returnflag";
+  for (int k = 1; k <= 17; ++k) sql += StrFormat(", sum(l_quantity + %d)", k);
+  sql += " FROM lineitem GROUP BY l_returnflag ORDER BY l_returnflag";
+  ResultSet r = Run(sql);
+  ASSERT_EQ(r.num_rows(), static_cast<int64_t>(oracle.size()));
+  int64_t i = 0;
+  for (const auto& [flag, agg] : oracle) {  // map iterates sorted
+    EXPECT_EQ(r.Get(i, 0).AsString(), flag);
+    for (int k = 1; k <= 17; ++k) {
+      const double want = agg.first + static_cast<double>(k) * agg.second;
+      EXPECT_NEAR(r.Get(i, k).ToDouble(), want, 1e-9 * want)
+          << flag << " k=" << k;
+    }
+    ++i;
+  }
+}
+
 TEST_F(SqlExecTest, RepartitionJoinMatchesOracle) {
   // SSE-Q6: count matching (trades ⋈ securities on acct_id) pairs.
   TablePtr trades = *db_->catalog()->GetTable("trades");
