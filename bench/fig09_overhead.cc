@@ -6,12 +6,20 @@
 //  (b) shrinkage delay vs segment composition (deeper/heavier active stages
 //      take longer to finish the in-flight block).
 
+// Each delay is the median over repeated expand/shrink trials, with the
+// quartiles beside it.
+//
 // Also reports the cost of the live introspection plane itself: the same
-// pipeline timed with monitoring off, with the causal query profiler armed
-// but unscraped (spans recorded, never served — the acceptance bar is < 3%),
-// with the monitor endpoint + flight recorder armed but idle, and with a
-// scraper hammering /metrics and flight-recorder dumps mid-query. The
-// paper's elasticity machinery only pays off if watching it is ~free.
+// pipeline timed with monitoring off, with the event recorder armed but
+// unscraped (records stored in the flight-recorder ring, never served — the
+// acceptance bar is < 3%), with the 1 s time-series sampler, with the
+// monitor endpoint up over the armed recorder, and with a scraper hammering
+// /metrics and flight-recorder dumps mid-query. The configs run in
+// kRounds interleaved rounds, rotating the order each round; each config's
+// overhead is paired with the same round's monitoring-off time, and the
+// median and quartiles of those paired overheads are reported, so one noisy
+// stretch of the machine cannot decide the result. The paper's elasticity
+// machinery only pays off if watching it is ~free.
 //
 // --json prints the introspection-overhead section alone as one JSON object
 // (and skips the slow Fig. 9(a)/(b) sweeps) — the CI build artifact.
@@ -21,7 +29,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <numeric>
 #include <thread>
 
 #include "bench/bench_util.h"
@@ -34,9 +41,8 @@
 #include "exec/ops/scan.h"
 #include "net/socket_util.h"
 #include "obs/monitor_server.h"
-#include "obs/profile/profiler.h"
+#include "obs/recorder.h"
 #include "obs/timeseries/timeseries.h"
-#include "obs/trace.h"
 #include "storage/table.h"
 
 namespace claims {
@@ -72,22 +78,21 @@ ExprPtr Col(const Schema& s, int i) {
   return MakeColumnRef(i, s.column(i).type, s.column(i).name);
 }
 
-/// Builds scan → (num_filters × LIKE-filter) over `big`. A non-zero
-/// `profile_qid` wraps every operator in a ProfilingIterator exactly the way
-/// the executor does when the causal profiler is armed, so the armed config
-/// below pays the real per-operator hook cost.
+/// Builds scan → (num_filters × LIKE-filter) over `big`. A non-null `owner`
+/// wraps every operator in a ProfilingIterator exactly the way the executor
+/// does while the recorder is on, so the armed configs below pay the real
+/// per-operator hook cost.
 std::unique_ptr<Iterator> FilterChain(const Table& big, int num_filters,
-                                      uint64_t profile_qid = 0) {
+                                      const RecordOwner* owner = nullptr) {
   const Schema* s = &big.schema();
   // Ids by depth from the chain root (the outermost filter), so parent links
   // point consumer-ward as the assembler expects; built deepest-first.
   int depth = num_filters;
   auto wrap = [&](std::unique_ptr<Iterator> it, const char* name) {
-    if (profile_qid == 0) return it;
+    if (owner == nullptr) return it;
     ProfilingIterator::Identity id;
-    id.query_id = profile_qid;
+    id.owner = *owner;
     id.op_name = name;
-    id.segment = "bench";
     id.op_id = depth;
     id.parent_op = depth - 1;  // -1 at the root
     --depth;
@@ -146,9 +151,32 @@ std::unique_ptr<Iterator> Composition(
   return it;
 }
 
+/// Median and quartiles of a sample, in the sample's unit.
+struct Spread {
+  double median = 0;
+  double q1 = 0;
+  double q3 = 0;
+};
+
+Spread SpreadOf(std::vector<double> v) {
+  if (v.empty()) return {};
+  std::sort(v.begin(), v.end());
+  auto at = [&](double q) {
+    double pos = q * static_cast<double>(v.size() - 1);
+    size_t lo = static_cast<size_t>(pos);
+    size_t hi = std::min(lo + 1, v.size() - 1);
+    return v[lo] + (v[hi] - v[lo]) * (pos - static_cast<double>(lo));
+  };
+  return Spread{at(0.5), at(0.25), at(0.75)};
+}
+
+std::string Show(const Spread& s) {
+  return StrFormat("%.3f (%.3f-%.3f)", s.median, s.q1, s.q3);
+}
+
 struct Delays {
-  double expand_ms = 0;
-  double shrink_ms = 0;
+  Spread expand_ms;
+  Spread shrink_ms;
   int iterators = 0;
 };
 
@@ -168,36 +196,30 @@ Delays Measure(std::unique_ptr<Iterator> ops, int trials) {
     }
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  std::vector<int64_t> expands;
-  std::vector<int64_t> shrinks;
+  std::vector<double> expands;
+  std::vector<double> shrinks;
   for (int t = 0; t < trials && !it.finished(); ++t) {
     int64_t e = it.ExpandMeasured(4 + t);
-    if (e >= 0) expands.push_back(e);
+    if (e >= 0) expands.push_back(e / 1e6);
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
     int64_t s = it.ShrinkBlocking();
-    if (s >= 0) shrinks.push_back(s);
+    if (s >= 0) shrinks.push_back(s / 1e6);
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   it.Close();
   consumer.join();
-  auto mean = [](const std::vector<int64_t>& v) {
-    return v.empty() ? 0.0
-                     : std::accumulate(v.begin(), v.end(), 0.0) / v.size() /
-                           1e6;
-  };
-  d.expand_ms = mean(expands);
-  d.shrink_ms = mean(shrinks);
+  d.expand_ms = SpreadOf(std::move(expands));
+  d.shrink_ms = SpreadOf(std::move(shrinks));
   return d;
 }
 
 /// Runs the pipeline to completion under an elastic iterator and returns
 /// wall milliseconds. The work is identical across monitoring configs; only
 /// the observers differ.
-double RunToCompletion(std::unique_ptr<Iterator> ops,
-                       uint64_t profile_qid = 0) {
+double RunToCompletion(std::unique_ptr<Iterator> ops, SegmentStats* stats) {
   ElasticIterator::Options opts;
   opts.initial_parallelism = 3;
-  opts.query_id = profile_qid;
+  opts.stats = stats;
   ElasticIterator it(std::move(ops), opts);
   WorkerContext ctx;
   auto start = std::chrono::steady_clock::now();
@@ -212,25 +234,22 @@ double RunToCompletion(std::unique_ptr<Iterator> ops,
 
 struct MonitoringConfig {
   const char* name;
-  bool serve;    // monitor endpoint up, flight recorder armed
-  bool scrape;   // a client hammering /metrics + dumps during the run
-  bool profile;  // causal profiler armed, spans recorded but never served
-  bool sample;   // time-series sampler walking the registry at 1 s cadence
+  bool record;  // event recorder on (flight-recorder ring), never served
+  bool serve;   // monitor endpoint up
+  bool scrape;  // a client hammering /metrics + dumps during the run
+  bool sample;  // time-series sampler walking the registry at 1 s cadence
 };
 
+/// One timed run of the pipeline under `cfg`'s observers.
 double MeasureMonitored(const Table& big, const MonitoringConfig& cfg,
-                        int reps) {
+                        uint64_t query_id) {
   MonitorServer server{[&] {
     MonitorOptions mopts;
     mopts.enabled = cfg.serve;
     return mopts;
   }()};
-  if (cfg.serve) {
-    TraceCollector::Global()->ConfigureFlightRecorder(1 << 16);
-    TraceCollector::Global()->Enable();
-    if (!server.Start().ok()) return -1;
-  }
-  if (cfg.profile) QueryProfiler::Global()->Arm();
+  if (cfg.serve && !server.Start().ok()) return -1;
+  if (cfg.record) EventRecorder::Global()->Enable();
   std::unique_ptr<MetricSampler> sampler;
   if (cfg.sample) {
     // Production cadence (1 s), published as the process default exactly as
@@ -253,33 +272,59 @@ double MeasureMonitored(const Table& big, const MonitoringConfig& cfg,
       }
     });
   }
-  // One untimed warmup so the first config doesn't absorb the cold page
-  // cache / allocator and skew the baseline all others compare against.
-  RunToCompletion(FilterChain(big, 1));
-  double total = 0;
-  for (int r = 0; r < reps; ++r) {
-    const uint64_t qid = cfg.profile ? static_cast<uint64_t>(r + 1) : 0;
-    total += RunToCompletion(FilterChain(big, 1, qid), qid);
-    if (qid != 0) {
-      // Drain between reps exactly as the executor does at query end, so
-      // every rep pays the steady-state cost (record into empty shards), not
-      // an overflowing-shard discount.
-      QueryProfiler::Global()->TakeQuery(qid);
-    }
-  }
+  SegmentStats stats;
+  stats.owner = RecordOwner{query_id, "bench", 0};
+  const double ms = RunToCompletion(
+      FilterChain(big, 1, cfg.record ? &stats.owner : nullptr), &stats);
   stop.store(true);
   if (scraper.joinable()) scraper.join();
   if (sampler) {
     MetricSampler::SetDefault(nullptr);
     sampler->Stop();
   }
-  if (cfg.profile) QueryProfiler::Global()->Disarm();
-  if (cfg.serve) {
-    server.Stop();
-    TraceCollector::Global()->Disable();
-    TraceCollector::Global()->ConfigureFlightRecorder(0);
+  if (cfg.record) EventRecorder::Global()->Disable();
+  if (cfg.serve) server.Stop();
+  return ms;
+}
+
+struct ConfigResult {
+  Spread pipeline_ms;
+  Spread overhead_pct;  ///< paired with the same round's monitoring-off run
+};
+
+/// Runs every config once per round for `rounds` rounds, rotating the order
+/// each round; configs[0] is the monitoring-off baseline.
+std::vector<ConfigResult> InterleavedOverhead(
+    const Table& big, const std::vector<MonitoringConfig>& configs,
+    int rounds) {
+  // The armed configs record into a 64 K flight-recorder ring sized once up
+  // front, so every round pays the steady-state cost (overwriting a full
+  // ring), not first-touch allocation.
+  EventRecorder::Global()->ConfigureRing(1 << 16);
+  SegmentStats warm;
+  RunToCompletion(FilterChain(big, 1), &warm);  // cold caches, untimed
+  const size_t n = configs.size();
+  std::vector<std::vector<double>> ms(n);
+  std::vector<std::vector<double>> pct(n);
+  uint64_t query_id = 0;
+  for (int r = 0; r < rounds; ++r) {
+    std::vector<double> round(n);
+    for (size_t k = 0; k < n; ++k) {
+      const size_t c = (k + static_cast<size_t>(r)) % n;
+      round[c] = MeasureMonitored(big, configs[c], ++query_id);
+    }
+    for (size_t c = 0; c < n; ++c) {
+      ms[c].push_back(round[c]);
+      pct[c].push_back(100.0 * (round[c] - round[0]) / round[0]);
+    }
   }
-  return total / reps;
+  EventRecorder::Global()->ConfigureRing(0);
+  std::vector<ConfigResult> out(n);
+  for (size_t c = 0; c < n; ++c) {
+    out[c].pipeline_ms = SpreadOf(ms[c]);
+    out[c].overhead_pct = SpreadOf(pct[c]);
+  }
+  return out;
 }
 
 }  // namespace
@@ -293,31 +338,33 @@ int main(int argc, char** argv) {
     if (!std::strcmp(argv[i], "--json")) json = true;
   }
   const int kTrials = 12;
+  const int kRounds = 15;
   auto big = MakeBig(json ? 500'000 : 2'000'000);
 
-  const MonitoringConfig configs[] = {
+  const std::vector<MonitoringConfig> configs = {
       {"monitoring off", false, false, false, false},
-      {"causal profiler armed (unscraped)", false, false, true, false},
+      {"event recorder armed (unscraped)", true, false, false, false},
       {"timeseries sampler armed (1s)", false, false, false, true},
-      {"endpoint + flight recorder armed", true, false, false, false},
-      {"scraper hammering /metrics + dumps", true, true, false, false},
+      {"endpoint + flight recorder armed", true, true, false, false},
+      {"scraper hammering /metrics + dumps", true, true, true, false},
   };
 
   if (json) {
     // CI artifact mode: only the overhead comparison, as one JSON object.
-    // The acceptance bar is the profiler row staying under 3%.
-    const int kReps = 5;
-    std::string out = "{\"bench\":\"fig09_overhead\",\"configs\":[";
-    double baseline = 0;
-    bool first = true;
-    for (const MonitoringConfig& cfg : configs) {
-      double ms = MeasureMonitored(*big, cfg, kReps);
-      if (baseline == 0) baseline = ms;
-      if (!first) out.push_back(',');
-      first = false;
+    // The acceptance bar is the median of the armed-recorder and sampler
+    // rows staying under 3%.
+    std::vector<ConfigResult> results =
+        InterleavedOverhead(*big, configs, kRounds);
+    std::string out = StrFormat(
+        "{\"bench\":\"fig09_overhead\",\"rounds\":%d,\"configs\":[", kRounds);
+    for (size_t c = 0; c < configs.size(); ++c) {
+      const ConfigResult& r = results[c];
+      if (c > 0) out.push_back(',');
       out += StrFormat(
-          "{\"name\":\"%s\",\"pipeline_ms\":%.2f,\"overhead_pct\":%.2f}",
-          cfg.name, ms, 100.0 * (ms - baseline) / baseline);
+          "{\"name\":\"%s\",\"pipeline_ms\":%.2f,\"overhead_median_pct\":%.2f,"
+          "\"overhead_q1_pct\":%.2f,\"overhead_q3_pct\":%.2f}",
+          configs[c].name, r.pipeline_ms.median, r.overhead_pct.median,
+          r.overhead_pct.q1, r.overhead_pct.q3);
     }
     out += "]}";
     std::printf("%s\n", out.c_str());
@@ -325,6 +372,7 @@ int main(int argc, char** argv) {
   }
 
   std::printf("Figure 9: expansion / shrinkage overhead (real engine)\n");
+  std::printf("delays: median (q1-q3) over %d trials\n", kTrials);
 
   bench::Title("Fig 9(a) expansion delay vs #iterators in the segment");
   {
@@ -332,8 +380,7 @@ int main(int argc, char** argv) {
     table.Header({"iterators", "expansion delay (ms)"});
     for (int n = 1; n <= 5; ++n) {
       Delays d = Measure(FilterChain(*big, n - 1), kTrials);
-      table.Row({StrFormat("%d", d.iterators),
-                 StrFormat("%.3f", d.expand_ms)});
+      table.Row({StrFormat("%d", d.iterators), Show(d.expand_ms)});
     }
     table.Print();
   }
@@ -360,23 +407,24 @@ int main(int argc, char** argv) {
       const Schema* out = nullptr;
       auto ops = Composition(*big, comp.joins, comp.agg, &smalls, &out);
       Delays d = Measure(std::move(ops), kTrials);
-      table.Row({comp.name, StrFormat("%.3f", d.shrink_ms),
-                 StrFormat("%.3f", d.expand_ms)});
+      table.Row({comp.name, Show(d.shrink_ms), Show(d.expand_ms)});
     }
     table.Print();
   }
 
   bench::Title("Introspection overhead: same pipeline, monitoring off/on");
   {
-    const int kReps = 3;
+    std::vector<ConfigResult> results =
+        InterleavedOverhead(*big, configs, kRounds);
     bench::TablePrinter table(csv);
-    table.Header({"config", "pipeline time (ms)", "overhead (%)"});
-    double baseline = 0;
-    for (const MonitoringConfig& cfg : configs) {
-      double ms = MeasureMonitored(*big, cfg, kReps);
-      if (baseline == 0) baseline = ms;
-      table.Row({cfg.name, StrFormat("%.1f", ms),
-                 StrFormat("%+.2f", 100.0 * (ms - baseline) / baseline)});
+    table.Header({"config", "pipeline time (ms)", "overhead (%)",
+                  "overhead q1-q3 (%)"});
+    for (size_t c = 0; c < configs.size(); ++c) {
+      const ConfigResult& r = results[c];
+      table.Row({configs[c].name, StrFormat("%.1f", r.pipeline_ms.median),
+                 StrFormat("%+.2f", r.overhead_pct.median),
+                 StrFormat("%+.2f..%+.2f", r.overhead_pct.q1,
+                           r.overhead_pct.q3)});
     }
     table.Print();
   }

@@ -24,10 +24,12 @@
 // some succeeded — typed failures through a killed node are the scenario,
 // not a bug.
 //
-// --profile arms the causal query profiler for the whole run and, after the
-// workload drains, prints the slowest profiled query's critical path and
-// timeline (docs/OBSERVABILITY.md). With --monitor-port, every profile is
-// also live at GET /profile/<id> under the same ids /queries shows.
+// --profile turns the event recorder on for the whole run (bounded to a
+// 64 K-record ring unless the monitor or a CLAIMS_TRACE capture already
+// sized it) and, after the workload drains, prints the slowest profiled
+// query's critical path and timeline (docs/OBSERVABILITY.md). With
+// --monitor-port, every profile is also live at GET /profile/<id> under the
+// same ids /queries shows.
 //
 // --monitor-port starts the live introspection plane (HTTP monitoring
 // endpoint + flight recorder + watchdog) on 127.0.0.1:P (0 = ephemeral; the
@@ -51,8 +53,7 @@
 #include "fault/fault_plan.h"
 #include "fault/injector.h"
 #include "obs/profile/assembler.h"
-#include "obs/profile/profiler.h"
-#include "obs/trace.h"
+#include "obs/recorder.h"
 #include "wlm/driver/workload_driver.h"
 #include "wlm/introspection.h"
 #include "wlm/query_service.h"
@@ -214,7 +215,13 @@ int main(int argc, char** argv) {
   };
   wopts.priority_of = [](int seq) { return seq % 3; };
 
-  if (profile) QueryProfiler::Global()->Arm();
+  if (profile) {
+    EventRecorder* recorder = EventRecorder::Global();
+    if (recorder->ring_capacity() == 0 && !trace_scope.active()) {
+      recorder->ConfigureRing(1 << 16);
+    }
+    recorder->Enable();
+  }
   if (injector) injector->Arm();
 
   WorkloadDriver driver(&service, wopts);
@@ -236,7 +243,7 @@ int main(int argc, char** argv) {
     // id; show the one that hurt most. (The ring keeps the last 64, which
     // covers any CI-sized run; size bigger workloads accordingly.)
     std::shared_ptr<const QueryProfile> slowest;
-    for (const auto& p : QueryProfiler::Global()->ListProfiles()) {
+    for (const auto& p : EventRecorder::Global()->ListProfiles()) {
       if (slowest == nullptr || p->wall_ns() > slowest->wall_ns()) slowest = p;
     }
     if (slowest != nullptr) {
@@ -251,7 +258,6 @@ int main(int argc, char** argv) {
     std::this_thread::sleep_for(
         std::chrono::milliseconds(static_cast<int64_t>(linger_sec * 1000)));
   }
-  if (profile) QueryProfiler::Global()->Disarm();
   if (plane) plane->Stop();
   const int terminated = report.succeeded + report.failed + report.cancelled +
                          report.deadline_exceeded;

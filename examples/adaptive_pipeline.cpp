@@ -12,7 +12,7 @@
 #include "exec/ops/filter.h"
 #include "exec/ops/hash_agg.h"
 #include "exec/ops/scan.h"
-#include "obs/trace.h"
+#include "obs/recorder.h"
 #include "storage/table.h"
 
 using namespace claims;
@@ -52,7 +52,7 @@ int main() {
   ElasticIterator::Options opts;
   opts.initial_parallelism = 1;
   opts.stats = &stats;
-  opts.trace_label = "pipeline";
+  stats.owner.segment = "pipeline";  // names this pipeline's records
   ElasticIterator elastic(std::move(agg), opts);
 
   WorkerContext ctx;

@@ -9,16 +9,17 @@
 // Writes trace_tour.json (override with CLAIMS_TRACE=<path>), prints the
 // query's EXPLAIN-ANALYZE report and the metrics snapshot. Load the JSON in
 // https://ui.perfetto.dev: the real nodes appear as processes 0-1, the
-// simulated nodes as 1000-1002; look for "tick" instants with lambda/R_i
-// args, Expand/Shrink decision markers, "send"/"recv"/"xfer" block events,
-// and the per-segment "parallelism:*" counter tracks.
+// simulated nodes as 1000-1002; look for "tick" instants with lambda args,
+// Expand/Shrink decision markers (the audit's action as reason),
+// "send"/"recv"/"xfer" wire-batch spans joined by flow arrows, and the
+// per-segment "parallelism:*" counter tracks.
 
 #include <cstdio>
 #include <cstdlib>
 
 #include "cluster/executor.h"
 #include "obs/metrics_registry.h"
-#include "obs/trace.h"
+#include "obs/recorder.h"
 #include "sim/specs.h"
 
 using namespace claims;
@@ -76,8 +77,8 @@ int main() {
   const char* env = std::getenv("CLAIMS_TRACE");
   std::string path = env != nullptr && env[0] != '\0' ? env
                                                       : "trace_tour.json";
-  TraceCollector* tc = TraceCollector::Global();
-  tc->Enable();
+  EventRecorder* rec = EventRecorder::Global();
+  rec->Enable();
 
   // ---- 1. Real engine: 2-node EP query ------------------------------------
   Catalog catalog;
@@ -145,12 +146,12 @@ int main() {
   std::printf("=== metrics ===\n%s\n",
               MetricsRegistry::Global()->TextSnapshot().c_str());
 
-  Status s = tc->WriteChromeJson(path);
+  Status s = rec->WriteChromeJson(path);
   if (!s.ok()) {
     std::fprintf(stderr, "trace write failed: %s\n", s.ToString().c_str());
     return 1;
   }
-  std::printf("wrote %zu trace events to %s — open in ui.perfetto.dev\n",
-              tc->size(), path.c_str());
+  std::printf("wrote %zu records to %s — open in ui.perfetto.dev\n",
+              rec->size(), path.c_str());
   return 0;
 }

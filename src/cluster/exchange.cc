@@ -1,61 +1,47 @@
 #include "cluster/exchange.h"
 
-#include "obs/profile/profiler.h"
+#include "obs/recorder.h"
 #include "storage/partition.h"
 
 namespace claims {
 
 MergerIterator::MergerIterator(BlockChannel* channel, SegmentStats* stats,
                                Clock* clock, int64_t poll_ns)
-    : MergerIterator(channel, stats, clock, poll_ns, ProfileInfo()) {}
-
-MergerIterator::MergerIterator(BlockChannel* channel, SegmentStats* stats,
-                               Clock* clock, int64_t poll_ns,
-                               ProfileInfo profile)
     : channel_(channel),
       stats_(stats),
       visit_rates_(stats),
       clock_(clock != nullptr ? clock : SteadyClock::Default()),
-      poll_ns_(poll_ns),
-      profile_(std::move(profile)) {}
+      poll_ns_(poll_ns) {}
 
-MergerIterator::~MergerIterator() {
-  // A merger torn down while starved (cancellation, shrink-to-zero) must not
-  // leak its open blocked-input span.
-  uint64_t token = blocked_token_.exchange(0, std::memory_order_acq_rel);
-  if (token != 0) QueryProfiler::Global()->AbortOpen(token);
-}
+// A merger torn down while starved (cancellation, shrink-to-zero) must not
+// leak its open blocked-input span.
+MergerIterator::~MergerIterator() { AbortStarved(); }
 
 void MergerIterator::NoteStarved(int64_t t0) {
-  if (profile_.query_id == 0) return;
-  QueryProfiler* profiler = QueryProfiler::Global();
-  if (!profiler->armed()) return;
+  EventRecorder* rec = EventRecorder::Global();
+  if (!rec->enabled()) return;
   if (blocked_token_.load(std::memory_order_acquire) != 0) return;
-  ProfSpan span;
-  span.query_id = profile_.query_id;
-  span.kind = SpanKind::kBlockedInput;
-  span.name = "starved";
-  span.segment = profile_.segment;
-  span.node = profile_.node;
-  span.start_ns = t0;
-  span.exchange_id = profile_.exchange_id;
-  span.to_node = profile_.node;
-  uint64_t token = profiler->BeginOpen(span);
+  EventRecord wait(EventKind::kBlockedInput, OwnerOf(stats_), t0, t0);
+  wait.name = "starved";
+  uint64_t token = rec->BeginOpen(std::move(wait));
   if (token == 0) return;
   uint64_t expected = 0;
   if (!blocked_token_.compare_exchange_strong(expected, token,
                                               std::memory_order_acq_rel)) {
-    profiler->AbortOpen(token);  // another worker opened one first
+    rec->AbortOpen(token);  // another worker opened one first
   }
 }
 
-void MergerIterator::ResolveStarved(int64_t end_ns, uint64_t wire_seq,
-                                    int from_node) {
+void MergerIterator::ResolveStarved(int64_t end_ns, const LinkKey& link) {
   uint64_t token = blocked_token_.exchange(0, std::memory_order_acq_rel);
-  if (token == 0) return;
-  // Kept even when short: the resolved (wire_seq, from_node) is the causal
-  // link the assembler follows from this wait to the producing segment.
-  QueryProfiler::Global()->EndOpen(token, end_ns, wire_seq, from_node);
+  // Kept even when short: the resolving link key is the causal edge the
+  // assembler follows from this wait to the producing segment.
+  EventRecorder::Global()->EndOpen(token, end_ns, &link);
+}
+
+void MergerIterator::AbortStarved() {
+  uint64_t token = blocked_token_.exchange(0, std::memory_order_acq_rel);
+  EventRecorder::Global()->AbortOpen(token);
 }
 
 NextResult MergerIterator::Open(WorkerContext* ctx) {
@@ -77,27 +63,18 @@ NextResult MergerIterator::Next(WorkerContext* ctx, BlockPtr* out) {
                                        std::memory_order_relaxed);
         visit_rates_.Observe(nb.from_node, nb.block->visit_rate());
       }
-      if (profile_.query_id != 0) {
-        QueryProfiler* profiler = QueryProfiler::Global();
-        if (profiler->armed()) {
-          const int64_t t1 = clock_->NowNanos();
-          ResolveStarved(t1, nb.wire_seq + 1, nb.from_node);
-          ProfSpan span;
-          span.query_id = profile_.query_id;
-          span.kind = SpanKind::kNetRecv;
-          span.name = "recv";
-          span.segment = profile_.segment;
-          span.node = profile_.node;
-          span.start_ns = t0;
-          span.end_ns = t1;
-          span.tuples = nb.block->num_rows();
-          span.bytes = nb.block->payload_bytes();
-          span.exchange_id = profile_.exchange_id;
-          span.from_node = nb.from_node;
-          span.to_node = profile_.node;
-          span.wire_seq = nb.wire_seq + 1;  // 1-based, matching the send span
-          profiler->EmitComplete(std::move(span));
-        }
+      EventRecorder* rec = EventRecorder::Global();
+      if (rec->enabled()) {
+        const int64_t t1 = clock_->NowNanos();
+        EventRecord recv(EventKind::kNetRecv, OwnerOf(stats_), t0, t1);
+        recv.name = "recv";
+        recv.tuples = nb.block->num_rows();
+        recv.bytes = nb.block->payload_bytes();
+        // Link seqs are 1-based, matching the send record; 0 = unlinked.
+        recv.link = LinkKey{nb.exchange_id, nb.from_node, nb.to_node,
+                            nb.wire_seq + 1};
+        ResolveStarved(t1, recv.link);
+        rec->Record(std::move(recv));
       }
       // Re-number: the merger is this segment's stage beginner.
       nb.block->set_sequence_number(
@@ -111,8 +88,7 @@ NextResult MergerIterator::Next(WorkerContext* ctx, BlockPtr* out) {
     if (status == ChannelStatus::kClosed) {
       // End-of-stream: any open wait was for data that will never come —
       // attribute nothing (drop it) rather than fabricate a causal edge.
-      uint64_t token = blocked_token_.exchange(0, std::memory_order_acq_rel);
-      if (token != 0) QueryProfiler::Global()->AbortOpen(token);
+      AbortStarved();
       return NextResult::kEndOfFile;
     }
     // Timeout: starved — record the wait so the scheduler can tell.
@@ -124,10 +100,7 @@ NextResult MergerIterator::Next(WorkerContext* ctx, BlockPtr* out) {
   }
 }
 
-void MergerIterator::Close() {
-  uint64_t token = blocked_token_.exchange(0, std::memory_order_acq_rel);
-  if (token != 0) QueryProfiler::Global()->AbortOpen(token);
-}
+void MergerIterator::Close() { AbortStarved(); }
 
 SenderPump::SenderPump(Spec spec)
     : spec_(std::move(spec)), sent_tuples_(spec_.consumer_nodes.size()) {}
@@ -163,38 +136,26 @@ bool SenderPump::SendBlock(int dest_index, BlockPtr block,
       static_cast<size_t>(dest_index) < spec_.consumer_placement.size()
           ? spec_.consumer_placement[dest_index]
           : route.to_logical;
-  QueryProfiler* profiler = QueryProfiler::Global();
-  const bool profiled = spec_.query_id != 0 && profiler->armed();
-  Clock* clock = nullptr;
-  int64_t t0 = 0;
-  int64_t bytes = 0;
-  if (profiled) {
-    clock = spec_.clock != nullptr ? spec_.clock : SteadyClock::Default();
-    t0 = clock->NowNanos();
-    bytes = block->payload_bytes();
-  }
+  EventRecorder* rec = EventRecorder::Global();
+  const bool recording = rec->enabled();
+  Clock* clock = spec_.clock != nullptr ? spec_.clock : SteadyClock::Default();
+  const int64_t t0 = recording ? clock->NowNanos() : 0;
+  const int64_t bytes = recording ? block->payload_bytes() : 0;
   uint64_t wire_seq = 0;
   SendOutcome outcome =
       spec_.network->SendRoute(route, std::move(block), cancel, &wire_seq);
-  if (profiled && outcome == SendOutcome::kOk) {
+  if (recording && outcome == SendOutcome::kOk) {
     // The span covers retries and NIC throttle waits too: that *is* the time
     // this block spent getting onto the wire, and the critical path should
     // charge it to the exchange when the consumer was waiting on it.
-    ProfSpan span;
-    span.query_id = spec_.query_id;
-    span.kind = SpanKind::kNetSend;
-    span.name = "send";
-    span.segment = spec_.segment_label;
-    span.node = spec_.from_node;
-    span.start_ns = t0;
-    span.end_ns = clock->NowNanos();
-    span.tuples = rows;
-    span.bytes = bytes;
-    span.exchange_id = spec_.exchange_id;
-    span.from_node = route.from_logical;
-    span.to_node = route.to_logical;
-    span.wire_seq = wire_seq + 1;  // span seqs are 1-based; 0 = unlinked
-    profiler->EmitComplete(std::move(span));
+    EventRecord send(EventKind::kNetSend, OwnerOf(spec_.stats), t0,
+                     clock->NowNanos());
+    send.name = "send";
+    send.tuples = rows;
+    send.bytes = bytes;
+    send.link = LinkKey{spec_.exchange_id, route.from_logical,
+                        route.to_logical, wire_seq + 1};
+    rec->Record(std::move(send));
   }
   if (outcome == SendOutcome::kUnavailable) {
     send_unavailable_.store(true, std::memory_order_release);

@@ -23,21 +23,10 @@ namespace claims {
 /// into the segment's V_i (paper §4.3, Fig. 7) — no extra control messages.
 class MergerIterator : public Iterator {
  public:
-  /// Identity for the causal profiler's receive-side spans. query_id == 0
-  /// (the default) keeps the merger span-silent even when the global
-  /// QueryProfiler is armed.
-  struct ProfileInfo {
-    uint64_t query_id = 0;
-    int exchange_id = 0;   ///< namespaced id (plan id + exchange_id_base)
-    int node = 0;          ///< consumer's logical node
-    std::string segment;   ///< owning segment label, e.g. "S2@n1"
-  };
-
-  /// `poll_ns`: receive timeout between terminate-flag checks.
+  /// `poll_ns`: receive timeout between terminate-flag checks. Records
+  /// carry `stats`'s owner (anonymous when null).
   MergerIterator(BlockChannel* channel, SegmentStats* stats, Clock* clock,
                  int64_t poll_ns = 1'000'000);
-  MergerIterator(BlockChannel* channel, SegmentStats* stats, Clock* clock,
-                 int64_t poll_ns, ProfileInfo profile);
   ~MergerIterator() override;
 
   NextResult Open(WorkerContext* ctx) override;
@@ -47,17 +36,18 @@ class MergerIterator : public Iterator {
  private:
   /// Opens a blocked-input span on the first starved poll (CAS keeps a single
   /// open span even when several elastic workers drive this merger); arriving
-  /// data resolves it with the block's (wire_seq, from_node) so the assembler
-  /// can causally link the wait to the producing segment's send.
+  /// data resolves it with the block's link key so the assembler can
+  /// causally link the wait to the producing segment's send.
   void NoteStarved(int64_t t0);
-  void ResolveStarved(int64_t end_ns, uint64_t wire_seq, int from_node);
+  void ResolveStarved(int64_t end_ns, const LinkKey& link);
+  /// Drops the open blocked-input span, if any.
+  void AbortStarved();
 
   BlockChannel* channel_;
   SegmentStats* stats_;
   VisitRateAggregator visit_rates_;
   Clock* clock_;
   int64_t poll_ns_;
-  ProfileInfo profile_;
   std::atomic<uint64_t> next_sequence_{0};
   /// Open blocked-input span token (0 = none); see NoteStarved.
   std::atomic<uint64_t> blocked_token_{0};
@@ -94,11 +84,8 @@ class SenderPump {
     /// consumer_nodes). Channel addressing stays logical (see net::Route).
     int from_node_physical = -1;
     std::vector<int> consumer_placement;
-    /// Causal-profiler identity: owning query (0 = span-silent) and segment
-    /// label for kNetSend span attribution. Timestamps come from `clock`
-    /// (nullptr = SteadyClock).
-    uint64_t query_id = 0;
-    std::string segment_label;
+    /// Timestamps of the send records (nullptr = SteadyClock); the records
+    /// carry `stats`'s owner.
     Clock* clock = nullptr;
   };
 

@@ -12,7 +12,6 @@
 #include "exec/ops/scan.h"
 #include "mem/block_pool.h"
 #include "obs/profile/assembler.h"
-#include "obs/profile/profiler.h"
 
 namespace claims {
 
@@ -32,9 +31,9 @@ std::string POpName(const POp& op) {
   return "op";
 }
 
-/// Process-unique profiler query ids for callers that did not bring one
-/// (benches, single-query tools). Starts high so workload-manager handle ids
-/// (small integers) never collide.
+/// Process-unique query ids for callers that did not bring one (benches,
+/// single-query tools). Starts high so workload-manager handle ids (small
+/// integers) never collide.
 uint64_t NextAutoQueryId() {
   static std::atomic<uint64_t> next{1u << 30};
   return next.fetch_add(1, std::memory_order_relaxed);
@@ -55,19 +54,17 @@ Executor::Executor(Cluster* cluster) : cluster_(cluster) {}
 
 Result<std::unique_ptr<Iterator>> Executor::BuildIterator(
     const POp& op, int node, SegmentStats* stats, const ExecOptions& opts,
-    ProfileBuild* prof, int parent_op) {
+    int* op_ids, int parent_op) {
   // Pre-order id: assigned before the children recurse, so parents number
   // lower than their whole subtree.
-  const int my_op = prof != nullptr ? prof->next_op_id++ : -1;
+  const int my_op = op_ids != nullptr ? (*op_ids)++ : -1;
   CLAIMS_ASSIGN_OR_RETURN(
       std::unique_ptr<Iterator> it,
-      BuildIteratorInner(op, node, stats, opts, prof, my_op));
-  if (prof == nullptr) return std::move(it);
+      BuildIteratorInner(op, node, stats, opts, op_ids, my_op));
+  if (op_ids == nullptr) return std::move(it);
   ProfilingIterator::Identity ident;
-  ident.query_id = prof->query_id;
+  ident.owner = stats->owner;
   ident.op_name = POpName(op);
-  ident.segment = prof->segment;
-  ident.node = prof->node;
   ident.op_id = my_op;
   ident.parent_op = parent_op;
   return std::unique_ptr<Iterator>(
@@ -76,7 +73,7 @@ Result<std::unique_ptr<Iterator>> Executor::BuildIterator(
 
 Result<std::unique_ptr<Iterator>> Executor::BuildIteratorInner(
     const POp& op, int node, SegmentStats* stats, const ExecOptions& opts,
-    ProfileBuild* prof, int my_op) {
+    int* op_ids, int my_op) {
   switch (op.kind) {
     case POp::Kind::kScan: {
       CLAIMS_ASSIGN_OR_RETURN(TablePtr table,
@@ -103,28 +100,20 @@ Result<std::unique_ptr<Iterator>> Executor::BuildIteratorInner(
             StrFormat("no channel for exchange %d at node %d", op.exchange_id,
                       node));
       }
-      MergerIterator::ProfileInfo pinfo;
-      if (prof != nullptr) {
-        pinfo.query_id = prof->query_id;
-        pinfo.exchange_id = op.exchange_id + opts.exchange_id_base;
-        pinfo.node = node;
-        pinfo.segment = prof->segment;
-      }
       return std::unique_ptr<Iterator>(std::make_unique<MergerIterator>(
-          channel, stats, SteadyClock::Default(), /*poll_ns=*/1'000'000,
-          std::move(pinfo)));
+          channel, stats, SteadyClock::Default()));
     }
     case POp::Kind::kFilter: {
       CLAIMS_ASSIGN_OR_RETURN(
           std::unique_ptr<Iterator> child,
-          BuildIterator(*op.children[0], node, stats, opts, prof, my_op));
+          BuildIterator(*op.children[0], node, stats, opts, op_ids, my_op));
       return std::unique_ptr<Iterator>(std::make_unique<FilterIterator>(
           std::move(child), &op.children[0]->output_schema, op.predicate));
     }
     case POp::Kind::kProject: {
       CLAIMS_ASSIGN_OR_RETURN(
           std::unique_ptr<Iterator> child,
-          BuildIterator(*op.children[0], node, stats, opts, prof, my_op));
+          BuildIterator(*op.children[0], node, stats, opts, op_ids, my_op));
       return std::unique_ptr<Iterator>(std::make_unique<ProjectIterator>(
           std::move(child), &op.children[0]->output_schema, op.output_schema,
           op.project_exprs));
@@ -132,10 +121,10 @@ Result<std::unique_ptr<Iterator>> Executor::BuildIteratorInner(
     case POp::Kind::kHashJoin: {
       CLAIMS_ASSIGN_OR_RETURN(
           std::unique_ptr<Iterator> build,
-          BuildIterator(*op.children[0], node, stats, opts, prof, my_op));
+          BuildIterator(*op.children[0], node, stats, opts, op_ids, my_op));
       CLAIMS_ASSIGN_OR_RETURN(
           std::unique_ptr<Iterator> probe,
-          BuildIterator(*op.children[1], node, stats, opts, prof, my_op));
+          BuildIterator(*op.children[1], node, stats, opts, op_ids, my_op));
       HashJoinIterator::Spec spec;
       spec.build_schema = &op.children[0]->output_schema;
       spec.probe_schema = &op.children[1]->output_schema;
@@ -150,7 +139,7 @@ Result<std::unique_ptr<Iterator>> Executor::BuildIteratorInner(
     case POp::Kind::kHashAgg: {
       CLAIMS_ASSIGN_OR_RETURN(
           std::unique_ptr<Iterator> child,
-          BuildIterator(*op.children[0], node, stats, opts, prof, my_op));
+          BuildIterator(*op.children[0], node, stats, opts, op_ids, my_op));
       HashAggIterator::Spec spec;
       spec.input_schema = &op.children[0]->output_schema;
       spec.group_exprs = op.group_exprs;
@@ -166,7 +155,7 @@ Result<std::unique_ptr<Iterator>> Executor::BuildIteratorInner(
     case POp::Kind::kSort: {
       CLAIMS_ASSIGN_OR_RETURN(
           std::unique_ptr<Iterator> child,
-          BuildIterator(*op.children[0], node, stats, opts, prof, my_op));
+          BuildIterator(*op.children[0], node, stats, opts, op_ids, my_op));
       return std::unique_ptr<Iterator>(std::make_unique<SortIterator>(
           std::move(child), &op.output_schema, op.sort_keys));
     }
@@ -283,18 +272,13 @@ Result<ResultSet> Executor::Execute(const PhysicalPlan& plan,
                : alive[logical % static_cast<int>(alive.size())];
   };
 
-  // Causal-profiler identity: resolved once per execution. Disarmed runs get
-  // id 0, which turns every span hook below into a dead relaxed-load branch.
-  QueryProfiler* profiler = QueryProfiler::Global();
-  const uint64_t profile_qid =
-      profiler->armed()
-          ? (opts.query_id != 0 ? opts.query_id : NextAutoQueryId())
-          : 0;
-  ScopeGuard drain_spans([&] {
-    // Paths that bail without assembling (cancel, node loss, broken stream)
-    // must not leave this query's spans pinned in the shards.
-    if (profile_qid != 0) QueryProfiler::Global()->TakeQuery(profile_qid);
-  });
+  // Every execution has an id, so the scheduler audit can be sliced per
+  // query whether or not the recorder is on. The recorder gate is read once:
+  // a run that starts recorded inserts operator wrappers and assembles a
+  // profile at the end.
+  const uint64_t qid = opts.query_id != 0 ? opts.query_id : NextAutoQueryId();
+  EventRecorder* recorder = EventRecorder::Global();
+  const bool recording = recorder->enabled();
 
   // 1. Declare exchanges (ME materializes: unbounded channels). Ids are
   // namespaced per execution so overlapping queries never share a channel.
@@ -324,23 +308,18 @@ Result<ResultSet> Executor::Execute(const PhysicalPlan& plan,
       const std::string seg_name =
           host == node ? StrFormat("S%d@n%d", f.id, node)
                        : StrFormat("S%d@n%d->n%d", f.id, node, host);
-      // Operator wrapping only exists on profiled runs; a disarmed run
-      // builds the exact tree it always did.
-      ProfileBuild prof;
-      prof.query_id = profile_qid;
-      prof.segment = seg_name;
-      prof.node = host;
+      stats->owner = RecordOwner{qid, seg_name, host};
+      // Operator wrapping only exists on recorded runs; otherwise the tree
+      // is exactly the bare one.
+      int op_ids = 0;
       // The iterator tree is built for the *logical* node: scans read the
       // logical partition, mergers consume the logical channel. Only the
       // hosting (scheduler, NIC) side moves on re-dispatch.
       CLAIMS_ASSIGN_OR_RETURN(
           std::unique_ptr<Iterator> ops,
           BuildIterator(*f.root, node, stats.get(), opts,
-                        profile_qid != 0 ? &prof : nullptr,
-                        /*parent_op=*/-1));
+                        recording ? &op_ids : nullptr, /*parent_op=*/-1));
       Segment::Config config;
-      config.name = seg_name;
-      config.node_id = host;
       config.stats = stats.get();
       config.clock = clock;
       config.max_parallelism =
@@ -366,7 +345,6 @@ Result<ResultSet> Executor::Execute(const PhysicalPlan& plan,
       config.elastic.buffer_capacity_blocks = opts.buffer_capacity_blocks;
       config.elastic.memory = cluster_->memory();
       config.elastic.budget = budget_.get();
-      config.elastic.query_id = profile_qid;
       if (opts.mode != ExecMode::kElastic) {
         // SP/ME: parallelism fixed at compile time.
         config.elastic.min_parallelism = config.elastic.initial_parallelism;
@@ -560,8 +538,17 @@ Result<ResultSet> Executor::Execute(const PhysicalPlan& plan,
   stats_.remote_bytes = cluster_->network()->total_remote_bytes() - remote0;
 
   // EXPLAIN-ANALYZE report: segment rows copied from the very SegmentStats
-  // the scheduler sampled, so report totals reconcile with the counters.
-  TraceCollector* tc = TraceCollector::Global();
+  // the scheduler sampled, so report totals reconcile with the counters;
+  // parallelism timelines come from the schedulers' audit of this query.
+  std::vector<SchedTickAudit> audit;
+  if (opts.mode == ExecMode::kElastic) {
+    for (int n = 0; n < cluster_->num_nodes(); ++n) {
+      std::vector<SchedTickAudit> ticks =
+          cluster_->scheduler(n)->AuditLogForQuery(qid);
+      audit.insert(audit.end(), std::make_move_iterator(ticks.begin()),
+                   std::make_move_iterator(ticks.end()));
+    }
+  }
   report_ = ExecutionReport{};
   report_.mode = ExecModeName(opts.mode);
   report_.elapsed_ns = stats_.elapsed_ns;
@@ -569,14 +556,6 @@ Result<ResultSet> Executor::Execute(const PhysicalPlan& plan,
   report_.peak_memory_bytes = stats_.peak_memory_bytes;
   report_.remote_bytes = stats_.remote_bytes;
   report_.result_tuples = result.num_rows();
-  std::vector<TraceEvent> trace;
-  if (tc->enabled()) {
-    trace = tc->Snapshot();
-    tc->Complete(t0, t1 - t0, /*pid=*/0, "query",
-                 StrFormat("query (%s)", ExecModeName(opts.mode)),
-                 {{"result_tuples", result.num_rows()},
-                  {"remote_bytes", stats_.remote_bytes}});
-  }
   for (size_t i = 0; i < segments_.size(); ++i) {
     const Segment& seg = *segments_[i];
     const SegmentStats& st = *stats_own_[i];
@@ -593,54 +572,39 @@ Result<ResultSet> Executor::Execute(const PhysicalPlan& plan,
     sr.lifetime_ns = seg.lifetime_ns();
     sr.final_parallelism = seg.final_parallelism();
     sr.peak_parallelism = segments_[i]->elastic()->peak_parallelism();
-    sr.parallelism_timeline =
-        ExtractCounterTimeline(trace, "parallelism:" + seg.name(), t0, t1);
+    sr.parallelism_timeline = ParallelismTimeline(
+        audit, seg.name(), seg.start_ns(), seg.launch_width(), t0, t1);
     report_.segments.push_back(std::move(sr));
   }
 
-  // Causal profile: stitch this run's spans + the schedulers' decision audit
-  // into one DAG, store it in the profiler's ring (GET /profile/<id>), and
-  // surface the digest through EXPLAIN ANALYZE.
-  if (profile_qid != 0) {
-    ProfSpan qspan;
-    qspan.query_id = profile_qid;
-    qspan.kind = SpanKind::kQuery;
-    qspan.name = StrFormat("query (%s)", ExecModeName(opts.mode));
-    qspan.node = 0;
-    qspan.start_ns = t0;
-    qspan.end_ns = t1;
-    qspan.tuples = result.num_rows();
-    qspan.bytes = stats_.remote_bytes;
-    profiler->EmitComplete(std::move(qspan));
+  // Causal profile: this run's records plus the schedulers' decision audit,
+  // stitched into one DAG, stored in the profile ring (GET /profile/<id>),
+  // and digested into EXPLAIN ANALYZE.
+  if (recording) {
+    const std::string label = StrFormat("query (%s)", ExecModeName(opts.mode));
+    EventRecord query(EventKind::kQuery, RecordOwner{qid, "", 0}, t0, t1);
+    query.name = label;
+    query.tuples = result.num_rows();
+    query.bytes = stats_.remote_bytes;
+    recorder->Record(std::move(query));
     if (opts.queue_wait_ns > 0) {
-      ProfSpan wait;
-      wait.query_id = profile_qid;
-      wait.kind = SpanKind::kSchedulerWait;
+      EventRecord wait(EventKind::kSchedulerWait, RecordOwner{qid, "", 0},
+                       t0 - opts.queue_wait_ns, t0);
       wait.name = "admission-queue";
-      wait.node = 0;
-      wait.start_ns = t0 - opts.queue_wait_ns;
-      wait.end_ns = t0;
-      profiler->EmitComplete(std::move(wait));
+      recorder->Record(std::move(wait));
     }
     AssembleInput in;
-    in.query_id = profile_qid;
-    in.label = StrFormat("query (%s)", ExecModeName(opts.mode));
+    in.query_id = qid;
+    in.label = label;
     in.start_ns = t0;
     in.end_ns = t1;
-    in.spans = profiler->TakeQuery(profile_qid);
-    in.dropped_spans = profiler->dropped_spans();
-    for (int n = 0; n < cluster_->num_nodes(); ++n) {
-      std::vector<SchedTickAudit> ticks =
-          cluster_->scheduler(n)->AuditLogForQuery(profile_qid);
-      in.audit.insert(in.audit.end(),
-                      std::make_move_iterator(ticks.begin()),
-                      std::make_move_iterator(ticks.end()));
-    }
+    in.records = recorder->SelectQuery(qid, &in.overwritten_records);
+    in.audit = std::move(audit);
     std::shared_ptr<const QueryProfile> profile =
         AssembleQueryProfile(std::move(in));
-    profiler->StoreProfile(profile);
+    recorder->StoreProfile(profile);
     report_.profile_summary = profile->Summary();
-    report_.profile_query_id = profile_qid;
+    report_.profile_query_id = qid;
   }
   return result;
 }

@@ -58,11 +58,10 @@ struct ExecOptions {
   /// copied into the ExecutionReport so EXPLAIN ANALYZE splits queue-wait
   /// from run-time. Filled by the workload manager; 0 when unqueued.
   int64_t queue_wait_ns = 0;
-  /// Causal-profiler identity for this execution. With the global
-  /// QueryProfiler armed, 0 auto-assigns a process-unique id (single-query
-  /// callers, benches); the workload manager passes its own handle id so
-  /// /profile/<id> matches /queries. With the profiler disarmed the value is
-  /// carried but every span hook stays a dead branch.
+  /// Identity of this execution in the scheduler audit and the recorder.
+  /// 0 auto-assigns a process-unique id (single-query callers, benches); the
+  /// workload manager passes its own handle id so /profile/<id> matches
+  /// /queries.
   uint64_t query_id = 0;
   /// Binding per-query memory budget in bytes; 0 disables (no ledger is
   /// created and allocation behaves as before). When set, every arena chunk
@@ -121,8 +120,8 @@ class Executor {
 
   /// EXPLAIN-ANALYZE summary of the most recent Execute. Per-segment numbers
   /// are copied from the segments' SegmentStats, so they reconcile exactly
-  /// with what the scheduler sampled; parallelism timelines are filled from
-  /// the trace when tracing was on during the run.
+  /// with what the scheduler sampled; parallelism timelines come from the
+  /// launch widths and the scheduler's decision audit.
   const ExecutionReport& report() const { return report_; }
 
   /// Live segments of the most recent Execute (valid during execution; used
@@ -137,29 +136,19 @@ class Executor {
   QueryBudget* budget() const { return budget_.get(); }
 
  private:
-  /// Per-segment profiling context threaded through BuildIterator when the
-  /// causal profiler is armed; nullptr builds the bare tree (disarmed hot
-  /// path — no wrapper, no virtual hop).
-  struct ProfileBuild {
-    uint64_t query_id = 0;
-    std::string segment;  ///< owning segment label ("S1@n0")
-    int node = 0;
-    int next_op_id = 0;  ///< pre-order operator numbering within the segment
-  };
-
   /// Builds the iterator tree of `op` for the instance on `node`. With
-  /// `prof` set, every operator is wrapped in a ProfilingIterator carrying
-  /// its pre-order (op_id, parent_op) so the assembler can telescope
-  /// exclusive times.
+  /// `op_ids` set (recording on), every operator is wrapped in a
+  /// ProfilingIterator carrying `stats`'s owner and its pre-order
+  /// (op_id, parent_op), numbered from *op_ids, so the assembler can
+  /// telescope exclusive times.
   Result<std::unique_ptr<Iterator>> BuildIterator(const POp& op, int node,
                                                   SegmentStats* stats,
                                                   const ExecOptions& opts,
-                                                  ProfileBuild* prof,
-                                                  int parent_op);
+                                                  int* op_ids, int parent_op);
   /// The unwrapped per-kind construction; recurses via BuildIterator.
   Result<std::unique_ptr<Iterator>> BuildIteratorInner(
       const POp& op, int node, SegmentStats* stats, const ExecOptions& opts,
-      ProfileBuild* prof, int my_op);
+      int* op_ids, int my_op);
 
   /// Latches the cancel reason and aborts every registered live segment.
   /// Called from Cancel() (user thread) and the deadline watchdog.

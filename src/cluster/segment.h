@@ -21,12 +21,11 @@ namespace claims {
 class Segment : public SchedulableSegment {
  public:
   struct Config {
-    std::string name;
-    int node_id = 0;
     SenderPump::Spec sender;        ///< stats wired in by the constructor
     ElasticIterator::Options elastic;  ///< stats/clock wired in
     /// Shared segment counters, owned by the executor (the iterator tree
-    /// below captures the same pointer).
+    /// below captures the same pointer). Required: its owner is the
+    /// segment's identity — name, hosting node and query.
     SegmentStats* stats = nullptr;
     Clock* clock = nullptr;
     int max_parallelism = 24;
@@ -49,18 +48,24 @@ class Segment : public SchedulableSegment {
 
   // --- SchedulableSegment ----------------------------------------------------
 
-  const std::string& name() const override { return config_.name; }
+  const std::string& name() const override {
+    return config_.stats->owner.segment;
+  }
   bool active() const override;
-  uint64_t query_id() const override { return config_.elastic.query_id; }
+  uint64_t query_id() const override { return config_.stats->owner.query_id; }
   int parallelism() const override { return elastic_->parallelism(); }
   SegmentStats* stats() override { return config_.stats; }
   ScalabilityVector* scalability() override { return &scalability_; }
   bool Expand(int core_id) override { return elastic_->Expand(core_id); }
   bool Shrink() override { return elastic_->Shrink(); }
 
-  int node_id() const { return config_.node_id; }
+  int node_id() const { return config_.stats->owner.node; }
   ElasticIterator* elastic() { return elastic_.get(); }
 
+  /// Workers the segment launched with.
+  int launch_width() const { return config_.elastic.initial_parallelism; }
+  /// Clock time the driver started; 0 before Start().
+  int64_t start_ns() const { return start_ns_.load(std::memory_order_acquire); }
   /// Driver start → drained, for ExecutionReport; 0 until the driver exits.
   int64_t lifetime_ns() const {
     return lifetime_ns_.load(std::memory_order_acquire);
@@ -94,6 +99,7 @@ class Segment : public SchedulableSegment {
   std::atomic<bool> cancel_{false};
   std::atomic<bool> done_{false};
   std::atomic<bool> failed_{false};
+  std::atomic<int64_t> start_ns_{0};
   std::atomic<int64_t> lifetime_ns_{0};
   std::atomic<int> final_parallelism_{0};
   /// Atomic: Start() runs on the executor thread while active() and Cancel()

@@ -2,41 +2,7 @@
 
 #include <algorithm>
 
-#include "common/clock.h"
-#include "obs/profile/profiler.h"
-
 namespace claims {
-namespace {
-
-/// Opens a blocked-output span when an Insert is about to block (the caller
-/// checked the full condition under the buffer lock; the profiler mutex is a
-/// leaf lock, safe to take here). Returns 0 when disarmed.
-uint64_t BeginBlockedOutputSpan(const DataBuffer::Options& options,
-                                int64_t start_ns) {
-  QueryProfiler* profiler = QueryProfiler::Global();
-  if (!profiler->armed()) return 0;
-  ProfSpan span;
-  span.query_id = options.profile.query_id;
-  span.kind = SpanKind::kBlockedOutput;
-  span.name = "buffer-insert";
-  span.segment = options.profile.label;
-  span.node = options.profile.node;
-  span.start_ns = start_ns;
-  return profiler->BeginOpen(span);
-}
-
-void EndBlockedOutputSpan(uint64_t token, int64_t start_ns) {
-  if (token == 0) return;
-  QueryProfiler* profiler = QueryProfiler::Global();
-  const int64_t end_ns = SteadyClock::Default()->NowNanos();
-  if (end_ns - start_ns < QueryProfiler::kMinBlockedSpanNs) {
-    profiler->AbortOpen(token);  // too short to matter; fold into counters
-  } else {
-    profiler->EndOpen(token, end_ns);
-  }
-}
-
-}  // namespace
 
 void DataBuffer::AddProducer(int producer_id) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -91,13 +57,10 @@ bool DataBuffer::Insert(int producer_id, BlockPtr block) {
     // bound only applies once it has data queued (worst case: capacity + P).
     if (!cancelled_ && total_blocks_ >= options_.capacity_blocks &&
         !q.blocks.empty()) {
-      const int64_t start_ns = SteadyClock::Default()->NowNanos();
-      uint64_t token = BeginBlockedOutputSpan(options_, start_ns);
       not_full_.wait(lock, [&] {
         return cancelled_ || total_blocks_ < options_.capacity_blocks ||
                q.blocks.empty();
       });
-      EndBlockedOutputSpan(token, start_ns);
     }
     if (cancelled_) {
       if (charge > 0) options_.budget->Release(charge);
@@ -108,12 +71,9 @@ bool DataBuffer::Insert(int producer_id, BlockPtr block) {
     q.blocks.push_back(std::move(block));
   } else {
     if (!cancelled_ && total_blocks_ >= options_.capacity_blocks) {
-      const int64_t start_ns = SteadyClock::Default()->NowNanos();
-      uint64_t token = BeginBlockedOutputSpan(options_, start_ns);
       not_full_.wait(lock, [&] {
         return cancelled_ || total_blocks_ < options_.capacity_blocks;
       });
-      EndBlockedOutputSpan(token, start_ns);
     }
     if (cancelled_) {
       if (charge > 0) options_.budget->Release(charge);

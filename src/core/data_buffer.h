@@ -41,19 +41,6 @@ class DataBuffer {
     /// cycle with the cancel path — see docs/CONCURRENCY.md) and a refused
     /// charge fails the Insert with resource_exhausted() latched.
     QueryBudget* budget = nullptr;
-    /// Profiler identity of the segment this buffer belongs to. When the
-    /// global QueryProfiler is armed, an Insert that actually blocks on
-    /// capacity registers an open blocked-output span under this identity —
-    /// so a stalled pipeline's watchdog incident names the segment wedged on
-    /// backpressure, and sufficiently long waits become spans in the query
-    /// profile. All-defaults (query_id 0) still records under an anonymous
-    /// identity; the assembler simply has no query to attach it to.
-    struct ProfileContext {
-      uint64_t query_id = 0;
-      std::string label;  ///< segment instance, e.g. "S1@n0"
-      int node = 0;
-    };
-    ProfileContext profile;
   };
 
   explicit DataBuffer(Options options) : options_(options) {}

@@ -4,8 +4,7 @@
 #include <thread>
 
 #include "common/logging.h"
-#include "obs/profile/profiler.h"
-#include "obs/trace.h"
+#include "obs/recorder.h"
 
 namespace claims {
 namespace {
@@ -16,9 +15,6 @@ DataBuffer::Options BufferOptions(const ElasticIterator::Options& options) {
   buf.order_preserving = options.order_preserving;
   buf.memory = options.memory;
   buf.budget = options.budget;
-  buf.profile.query_id = options.query_id;
-  buf.profile.label = options.trace_label;
-  buf.profile.node = options.trace_pid;
   return buf;
 }
 
@@ -36,9 +32,9 @@ ElasticIterator::ElasticIterator(std::unique_ptr<Iterator> child,
   shrink_metric_ = reg->counter("elastic.shrinks");
   expand_latency_metric_ = reg->histogram("elastic.expand_latency_ns");
   shrink_latency_metric_ = reg->histogram("elastic.shrink_latency_ns");
-  buffer_peak_metric_ = reg->gauge(
-      "buffer.peak:" +
-      (options_.trace_label.empty() ? std::string("?") : options_.trace_label));
+  const std::string& segment = OwnerOf(options_.stats).segment;
+  buffer_peak_metric_ =
+      reg->gauge("buffer.peak:" + (segment.empty() ? "?" : segment));
 }
 
 ElasticIterator::~ElasticIterator() { Close(); }
@@ -111,23 +107,23 @@ void ElasticIterator::WorkerMain(Worker* worker) {
   ctx.processing_started = &worker->ready;
   ctx.stats = options_.stats;
 
-  TraceCollector* tc = TraceCollector::Global();
-  const bool traced = tc->enabled() && !options_.trace_label.empty();
-  QueryProfiler* profiler = QueryProfiler::Global();
-  const bool profiled = profiler->armed() && options_.query_id != 0;
-  const int64_t span_start = (traced || profiled) ? clock_->NowNanos() : 0;
+  EventRecorder* rec = EventRecorder::Global();
+  const bool recording = rec->enabled();
+  const RecordOwner& owner = OwnerOf(options_.stats);
+  const int64_t span_start = recording ? clock_->NowNanos() : 0;
 
   bool via_eof = false;
   NextResult open_status = child_->Open(&ctx);
   if (open_status == NextResult::kError) LatchError();
   if (open_status == NextResult::kSuccess) {
     worker->ready.store(true, std::memory_order_release);
-    if (traced) {
+    if (recording) {
       // S1/S2 → S3 marker: state construction done, data production begins.
-      tc->Instant(clock_->NowNanos(), options_.trace_pid, "elastic",
-                  "worker-ready",
-                  {{"segment", options_.trace_label},
-                   {"worker", static_cast<int64_t>(worker->worker_id)}});
+      const int64_t now = clock_->NowNanos();
+      EventRecord ev(EventKind::kInstant, owner, now, now);
+      ev.name = "worker-ready";
+      ev.AddArg("worker", worker->worker_id);
+      rec->Record(std::move(ev));
     }
     // Algorithm 2: pull blocks from the child and feed the joint buffer.
     while (true) {
@@ -146,10 +142,27 @@ void ElasticIterator::WorkerMain(Worker* worker) {
         }
         int32_t rows = block->num_rows();
         int64_t t0 = clock_->NowNanos();
+        // A full buffer is about to block this worker: register the wait as
+        // an open span, so a watchdog incident names the segment wedged on
+        // backpressure; waits long enough to matter stay in the profile.
+        uint64_t blocked_token = 0;
+        if (recording && buffer_.size() >= options_.buffer_capacity_blocks) {
+          EventRecord wait(EventKind::kBlockedOutput, owner, t0, t0);
+          wait.name = "buffer-insert";
+          blocked_token = rec->BeginOpen(std::move(wait));
+        }
         bool inserted = buffer_.Insert(worker->worker_id, std::move(block));
+        const int64_t t1 = clock_->NowNanos();
+        if (blocked_token != 0) {
+          if (t1 - t0 < EventRecorder::kMinBlockedSpanNs) {
+            rec->AbortOpen(blocked_token);
+          } else {
+            rec->EndOpen(blocked_token, t1);
+          }
+        }
         if (options_.stats != nullptr) {
           options_.stats->blocked_output_ns.fetch_add(
-              clock_->NowNanos() - t0, std::memory_order_relaxed);
+              t1 - t0, std::memory_order_relaxed);
           if (inserted) {
             options_.stats->output_tuples.fetch_add(rows,
                                                     std::memory_order_relaxed);
@@ -158,9 +171,11 @@ void ElasticIterator::WorkerMain(Worker* worker) {
         if (inserted) {
           double depth = static_cast<double>(buffer_.size());
           buffer_peak_metric_->UpdateMax(depth);
-          if (traced) {
-            tc->Counter(clock_->NowNanos(), options_.trace_pid,
-                        "buffer:" + options_.trace_label, depth);
+          if (recording) {
+            EventRecord sample(EventKind::kCounter, owner, t1, t1);
+            sample.name = "buffer";
+            sample.AddArg("value", depth);
+            rec->Record(std::move(sample));
           }
         } else if (buffer_.resource_exhausted()) {
           // The query's memory ledger refused the block even after the
@@ -182,23 +197,13 @@ void ElasticIterator::WorkerMain(Worker* worker) {
     }
   }
   worker->ready.store(true, std::memory_order_release);
-  if (traced) {
-    int64_t end = clock_->NowNanos();
-    tc->Complete(span_start, end - span_start, options_.trace_pid, "elastic",
-                 "worker " + options_.trace_label,
-                 {{"worker", static_cast<int64_t>(worker->worker_id)},
-                  {"exhausted_input", via_eof ? 1.0 : 0.0}});
-  }
-  if (profiled) {
-    ProfSpan span;
-    span.query_id = options_.query_id;
-    span.kind = SpanKind::kWorker;
-    span.name = "worker-" + std::to_string(worker->worker_id);
-    span.segment = options_.trace_label;
-    span.node = options_.trace_pid;
-    span.start_ns = span_start;
-    span.end_ns = clock_->NowNanos();
-    profiler->EmitComplete(std::move(span));
+  if (recording) {
+    EventRecord span(EventKind::kWorker, owner, span_start,
+                     clock_->NowNanos());
+    span.name = "worker";
+    span.AddArg("worker", worker->worker_id);
+    span.AddArg("exhausted_input", via_eof ? 1 : 0);
+    rec->Record(std::move(span));
   }
 
   // Update liveness counters before leaving the buffer, so that a consumer

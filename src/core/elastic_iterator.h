@@ -46,7 +46,8 @@ class ElasticIterator : public Iterator {
     int max_parallelism = 256;
     size_t buffer_capacity_blocks = 64;
     bool order_preserving = false;
-    /// Shared segment counters; optional (unit tests may omit).
+    /// Shared segment counters, and the owner stamped on this iterator's
+    /// records; optional (unit tests may omit).
     SegmentStats* stats = nullptr;
     /// Memory accounting for the buffer (Table 4).
     MemoryTracker* memory = nullptr;
@@ -58,13 +59,6 @@ class ElasticIterator : public Iterator {
     /// Simulated cores-per-socket used to derive socket ids from core ids for
     /// the context-reuse pool (paper hardware: 12 cores / socket).
     int cores_per_socket = 12;
-    /// Trace identity: segment label ("S1@n0") and trace pid (node id). An
-    /// empty label disables per-iterator trace events; metrics still count.
-    std::string trace_label;
-    int trace_pid = 0;
-    /// Owning query for the causal profiler; 0 disables worker/blocked span
-    /// emission even when the global QueryProfiler is armed.
-    uint64_t query_id = 0;
   };
 
   ElasticIterator(std::unique_ptr<Iterator> child, Options options);

@@ -2,6 +2,11 @@
 
 namespace claims {
 
+const RecordOwner& OwnerOf(const SegmentStats* stats) {
+  static const RecordOwner kAnonymous;
+  return stats != nullptr ? stats->owner : kAnonymous;
+}
+
 void VisitRateAggregator::Observe(int producer_id, double tail_visit_rate) {
   // Invariant: stats_->visit_rate is written ONLY here, under mu_, as one
   // store of a value derived entirely from mu_-guarded state (the incremental

@@ -7,6 +7,7 @@
 #include <mutex>
 
 #include "common/clock.h"
+#include "obs/recorder.h"
 
 namespace claims {
 
@@ -16,6 +17,10 @@ namespace claims {
 /// simulator updates the identical structure with virtual nanoseconds, so
 /// the scheduler code is substrate-agnostic.
 struct SegmentStats {
+  /// Identity stamped on every record the segment's components store
+  /// (query id, segment label, node). Set once, before the segment runs;
+  /// read-only afterwards.
+  RecordOwner owner;
   /// Tuples consumed at the stage beginner (scan/merger) — the basis of the
   /// processing rate T_i.
   std::atomic<int64_t> input_tuples{0};
@@ -37,6 +42,10 @@ struct SegmentStats {
     return in == 0 ? 1.0 : static_cast<double>(out) / static_cast<double>(in);
   }
 };
+
+/// `stats`'s owner, or an anonymous one for components run without segment
+/// counters (unit tests, benches).
+const RecordOwner& OwnerOf(const SegmentStats* stats);
 
 /// Aggregates the visit-rate contributions carried in input block tails: a
 /// segment's V_i is the sum of the latest contribution from each producer

@@ -4,11 +4,7 @@
 #include <cmath>
 #include <limits>
 
-#include <cstdio>
-#include <cstdlib>
-
 #include "common/logging.h"
-#include "obs/profile/profiler.h"
 
 namespace claims {
 
@@ -88,52 +84,26 @@ double DynamicScheduler::NormalizedRate(
   return std::numeric_limits<double>::quiet_NaN();
 }
 
-SchedulerSnapshot DynamicScheduler::Snapshot() const {
+std::shared_ptr<const SchedTickAudit> DynamicScheduler::LastAudit() const {
   std::lock_guard<std::mutex> lock(mu_);
-  SchedulerSnapshot snap;
-  snap.node_id = node_id_;
-  snap.num_cores = options_.num_cores;
-  snap.ticks = tick_count_.load(std::memory_order_relaxed);
-  snap.last_tick_ns = last_tick_ns_;
-  snap.last_lambda_local = last_lambda_local_;
-  snap.last_global_lambda = last_global_lambda_;
-  snap.segments.reserve(records_.size());
-  for (const auto& r : records_) {
-    SegmentSnapshot s;
-    s.name = r->segment->name();
-    s.active = r->segment->active();
-    s.parallelism = r->segment->parallelism();
-    s.normalized_rate = r->last_normalized;
-    s.rate = r->last_rate;
-    s.blocked_in_fraction = r->blocked_in_fraction;
-    s.blocked_out_fraction = r->blocked_out_fraction;
-    s.has_sample = r->has_sample;
-    if (s.active) snap.cores_in_use += s.parallelism;
-    snap.segments.push_back(std::move(s));
-  }
-  return snap;
-}
-
-std::vector<SchedTickAudit> DynamicScheduler::AuditLog() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return {audit_.begin(), audit_.end()};
+  return audit_.empty() ? nullptr : audit_.back();
 }
 
 std::vector<SchedTickAudit> DynamicScheduler::AuditLogForQuery(
     uint64_t query_id) const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<SchedTickAudit> out;
-  for (const SchedTickAudit& tick : audit_) {
+  for (const auto& tick : audit_) {
     SchedTickAudit filtered;
-    for (const SchedTickAudit::Segment& s : tick.segments) {
+    for (const SchedTickAudit::Segment& s : tick->segments) {
       if (s.query_id == query_id) filtered.segments.push_back(s);
     }
     if (filtered.segments.empty()) continue;
-    filtered.tick = tick.tick;
-    filtered.ts_ns = tick.ts_ns;
-    filtered.node = tick.node;
-    filtered.lambda_local = tick.lambda_local;
-    filtered.lambda_global = tick.lambda_global;
+    filtered.tick = tick->tick;
+    filtered.ts_ns = tick->ts_ns;
+    filtered.node = tick->node;
+    filtered.lambda_local = tick->lambda_local;
+    filtered.lambda_global = tick->lambda_global;
     out.push_back(std::move(filtered));
   }
   return out;
@@ -188,9 +158,6 @@ std::vector<SchedulerAction> DynamicScheduler::TickLocked() {
   const double thr = options_.blocked_fraction_threshold;
   ticks_metric_->Add();
   tick_count_.fetch_add(1, std::memory_order_relaxed);
-  last_tick_ns_ = now;
-  TraceCollector* tc = TraceCollector::Global();
-  const bool traced = tc->enabled();
 
   // ---- 1. Sample metrics -----------------------------------------------------
   struct Classified {
@@ -250,42 +217,6 @@ std::vector<SchedulerAction> DynamicScheduler::TickLocked() {
   }
   board_->PublishLocal(node_id_, lambda_local);
   const double lambda = board_->GlobalLambda();
-  last_lambda_local_ = std::isinf(lambda_local) ? -1.0 : lambda_local;
-  last_global_lambda_ = std::isinf(lambda) ? -1.0 : lambda;
-  if (traced) {
-    // One tick instant carrying λ plus a counter series per live segment —
-    // Perfetto renders the parallelism/R_i time lines Figs. 10-12 plot.
-    const double lambda_arg = std::isinf(lambda) ? -1.0 : lambda;
-    tc->Instant(now, trace_pid_, "sched", "tick",
-                {{"lambda", lambda_arg},
-                 {"cores_used", cores_used},
-                 {"free_cores", options_.num_cores - cores_used},
-                 {"segments", static_cast<int>(live.size())}});
-    for (const Classified& c : live) {
-      // Series names are cached on the record: building them fresh each
-      // traced tick put two string concatenations on the control loop.
-      if (c.rec->trace_parallelism_name.empty()) {
-        const std::string& seg = c.rec->segment->name();
-        c.rec->trace_parallelism_name = "parallelism:" + seg;
-        c.rec->trace_rate_name = "R:" + seg;
-      }
-      tc->Counter(now, trace_pid_, c.rec->trace_parallelism_name,
-                  c.rec->segment->parallelism());
-      tc->Counter(now, trace_pid_, c.rec->trace_rate_name,
-                  c.rec->last_normalized);
-    }
-  }
-  if (std::getenv("CLAIMS_SCHED_DEBUG") != nullptr && node_id_ == 0) {
-    std::fprintf(stderr, "[tick t=%.2f lambda=%.0f]", now / 1e9, lambda);
-    for (const Classified& c : live) {
-      std::fprintf(stderr, " %s(p=%d R=%.0f bi=%.2f bo=%.2f%s%s)",
-                   c.rec->segment->name().c_str(),
-                   c.rec->segment->parallelism(), c.rec->last_normalized,
-                   c.rec->blocked_in_fraction, c.rec->blocked_out_fraction,
-                   c.starved ? " ST" : "", c.out_blocked ? " OB" : "");
-    }
-    std::fprintf(stderr, "\n");
-  }
   auto estimate_rate = [&](SegmentRecord* rec, int p) -> double {
     auto est = rec->segment->scalability()->Estimate(p, now,
                                                      options_.freshness_ns);
@@ -295,19 +226,21 @@ std::vector<SchedulerAction> DynamicScheduler::TickLocked() {
     return rec->last_rate * static_cast<double>(p) / cur;
   };
 
-  // Decision audit: recorded only while the profiler is armed (one relaxed
-  // load otherwise), pairing this tick's measurements and actions with the
-  // prediction the previous tick left behind — so the assembled profile can
-  // show estimated vs. realized rates per decision.
-  std::map<SegmentRecord*, std::string> action_of;
+  // Decision audit, kept on every tick: this tick's measurements and
+  // actions, paired with the prediction the previous tick left behind so
+  // estimated vs. realized rates show per decision. With the recorder on,
+  // the same entry becomes a tick record — the trace's tick/Expand/Shrink
+  // instants and parallelism/R counters are rendered from it.
+  std::map<SegmentRecord*, const char*> action_of;
   auto record_audit = [&]() {
-    if (!QueryProfiler::Global()->armed()) return;
-    SchedTickAudit audit;
-    audit.tick = tick_count_.load(std::memory_order_relaxed);
-    audit.ts_ns = now;
-    audit.node = node_id_;
-    audit.lambda_local = last_lambda_local_;
-    audit.lambda_global = last_global_lambda_;
+    auto audit = std::make_shared<SchedTickAudit>();
+    audit->tick = tick_count_.load(std::memory_order_relaxed);
+    audit->ts_ns = now;
+    audit->node = node_id_;
+    // Infinity (no trustworthy sample yet) does not survive JSON.
+    audit->lambda_local = std::isinf(lambda_local) ? -1.0 : lambda_local;
+    audit->lambda_global = std::isinf(lambda) ? -1.0 : lambda;
+    audit->segments.reserve(live.size());
     for (const Classified& c : live) {
       SchedTickAudit::Segment s;
       s.name = c.rec->segment->name();
@@ -325,13 +258,22 @@ std::vector<SchedulerAction> DynamicScheduler::TickLocked() {
         s.action = c.starved ? "hold(starved)"
                              : c.out_blocked ? "hold(out-blocked)" : "hold";
       }
-      audit.segments.push_back(std::move(s));
+      audit->segments.push_back(std::move(s));
       // Predict next tick's realized rate at the post-action parallelism.
       c.rec->pending_prediction = estimate_rate(
           c.rec, std::max(1, c.rec->segment->parallelism()));
     }
-    audit_.push_back(std::move(audit));
+    audit_.push_back(audit);
     while (audit_.size() > kAuditCap) audit_.pop_front();
+    EventRecorder* rec = EventRecorder::Global();
+    if (rec->enabled()) {
+      EventRecord ev;
+      ev.kind = EventKind::kTick;
+      ev.node = trace_pid_;
+      ev.start_ns = ev.end_ns = now;
+      ev.tick = std::move(audit);
+      rec->Record(std::move(ev));
+    }
   };
 
   if (live.empty() || std::isinf(lambda)) {
@@ -371,15 +313,7 @@ std::vector<SchedulerAction> DynamicScheduler::TickLocked() {
       if (best == nullptr || !best->rec->segment->Expand(cores_used)) break;
       ++cores_used;
       expand_metric_->Add();
-      if (traced) {
-        // Decision context of Algorithm 1 at the moment the core moved: the
-        // segment was in the U set (R_i ≤ λ(1+ε)) and a free core existed.
-        tc->Instant(now, trace_pid_, "sched", "Expand",
-                    {{"segment", best->rec->segment->name()},
-                     {"reason", "free-core:U-set"},
-                     {"lambda", lambda},
-                     {"R_i", best->rec->last_normalized}});
-      }
+      // The segment was in the U set (R_i ≤ λ(1+ε)) and a free core existed.
       action_of[best->rec] = "expand+1(free)";
       actions.push_back(SchedulerAction{SchedulerAction::Kind::kExpandFree,
                                         best->rec->segment->name(), ""});
@@ -412,8 +346,9 @@ std::vector<SchedulerAction> DynamicScheduler::TickLocked() {
         // The receiver refused the core (finished or hit its own max since
         // classification). The donor already gave one worker up — without
         // compensation the core vanishes from every segment until some later
-        // tick notices the free-pool surplus. Give it straight back, and
-        // record nothing: no shrink, no expansion, no pair move happened.
+        // tick notices the free-pool surplus. Give it straight back: no
+        // shrink, no expansion, no pair move happened.
+        action_of[best_u->rec] = "hold(pair-aborted)";
         if (!best_o->rec->segment->Expand(cores_used)) {
           // Donor finished too; the core genuinely returns to the free pool.
           CLAIMS_LOG(Warning)
@@ -421,31 +356,14 @@ std::vector<SchedulerAction> DynamicScheduler::TickLocked() {
               << best_u->rec->segment->name() << " and donor "
               << best_o->rec->segment->name()
               << " both refused the core; returning it to the free pool";
-        } else if (traced) {
-          tc->Instant(now, trace_pid_, "sched", "PairMoveAborted",
-                      {{"receiver", best_u->rec->segment->name()},
-                       {"donor", best_o->rec->segment->name()},
-                       {"reason", "receiver-refused:compensated"}});
         }
       } else {
         move_metric_->Add();
         expand_metric_->Add();
         shrink_metric_->Add();
-        if (traced) {
-          // Algorithm-1 pair move: donor from the O set (R_i ≥ λ·over), the
-          // receiver from the U set (R_i ≤ λ(1+ε)); both what-if rates
-          // cleared λ+Δ.
-          tc->Instant(now, trace_pid_, "sched", "Expand",
-                      {{"segment", best_u->rec->segment->name()},
-                       {"reason", "pair-move:U-set"},
-                       {"lambda", lambda},
-                       {"R_i", best_u->rec->last_normalized}});
-          tc->Instant(now, trace_pid_, "sched", "Shrink",
-                      {{"segment", best_o->rec->segment->name()},
-                       {"reason", "pair-move:O-set"},
-                       {"lambda", lambda},
-                       {"R_i", best_o->rec->last_normalized}});
-        }
+        // Algorithm-1 pair move: donor from the O set (R_i ≥ λ·over), the
+        // receiver from the U set (R_i ≤ λ(1+ε)); both what-if rates
+        // cleared λ+Δ.
         action_of[best_u->rec] = "expand+1(pair)";
         action_of[best_o->rec] = "shrink-1(pair)";
         actions.push_back(SchedulerAction{SchedulerAction::Kind::kMovePair,
@@ -461,13 +379,6 @@ std::vector<SchedulerAction> DynamicScheduler::TickLocked() {
     if (c.starved && p > options_.starved_parallelism) {
       if (c.rec->segment->Shrink()) {
         shrink_metric_->Add();
-        if (traced) {
-          tc->Instant(now, trace_pid_, "sched", "Shrink",
-                      {{"segment", c.rec->segment->name()},
-                       {"reason", "starved"},
-                       {"blocked_in_fraction", c.rec->blocked_in_fraction},
-                       {"R_i", c.rec->last_normalized}});
-        }
         action_of[c.rec] = "shrink-1(starved)";
         actions.push_back(SchedulerAction{
             SchedulerAction::Kind::kShrinkStarved, "", c.rec->segment->name()});
@@ -479,13 +390,6 @@ std::vector<SchedulerAction> DynamicScheduler::TickLocked() {
       // avoids oscillation around the matched parallelism).
       if (c.rec->segment->Shrink()) {
         shrink_metric_->Add();
-        if (traced) {
-          tc->Instant(now, trace_pid_, "sched", "Shrink",
-                      {{"segment", c.rec->segment->name()},
-                       {"reason", "over-producing"},
-                       {"blocked_out_fraction", c.rec->blocked_out_fraction},
-                       {"R_i", c.rec->last_normalized}});
-        }
         action_of[c.rec] = "shrink-1(over-producing)";
         actions.push_back(SchedulerAction{
             SchedulerAction::Kind::kShrinkOverproducing, "",

@@ -16,8 +16,7 @@
 #include "core/metrics.h"
 #include "core/scalability_vector.h"
 #include "obs/metrics_registry.h"
-#include "obs/profile/span.h"
-#include "obs/trace.h"
+#include "obs/recorder.h"
 
 namespace claims {
 
@@ -86,9 +85,9 @@ struct SchedulerOptions {
   /// Free-pool cores handed out per tick (pair moves stay one per tick, as
   /// in Algorithm 1).
   int max_free_expansions = 2;
-  /// Trace "process" id for this scheduler's events; -1 uses the node id.
-  /// The virtual-time simulator sets 1000+node so one capture can hold both
-  /// substrates without track collisions (see obs/trace.h).
+  /// Trace "process" id for this scheduler's tick records; -1 uses the node
+  /// id. The virtual-time simulator sets 1000+node so one capture can hold
+  /// both substrates without track collisions (see obs/recorder.h).
   int trace_pid = -1;
 };
 
@@ -98,34 +97,6 @@ struct SchedulerAction {
   Kind kind;
   std::string expanded;  // segment names (empty when n/a)
   std::string shrunk;
-};
-
-/// Point-in-time view of one scheduled segment (monitoring /scheduler).
-struct SegmentSnapshot {
-  std::string name;
-  bool active = false;
-  int parallelism = 0;
-  double normalized_rate = 0.0;  ///< last sampled R_i (0 before first sample)
-  double rate = 0.0;             ///< last sampled T_i, tuples/sec
-  double blocked_in_fraction = 0.0;
-  double blocked_out_fraction = 0.0;
-  bool has_sample = false;
-};
-
-/// Point-in-time view of one node's DynamicScheduler, cheap enough to take
-/// on every monitoring scrape (one mutex, no segment callbacks beyond
-/// active()/parallelism()).
-struct SchedulerSnapshot {
-  int node_id = 0;
-  int num_cores = 0;
-  int cores_in_use = 0;
-  int64_t ticks = 0;          ///< Tick() invocations since construction
-  int64_t last_tick_ns = 0;   ///< clock time of the most recent tick (0: none)
-  /// λ values published/read on the most recent tick; negative when the node
-  /// had no trustworthy sample (infinity does not survive JSON).
-  double last_lambda_local = -1.0;
-  double last_global_lambda = -1.0;
-  std::vector<SegmentSnapshot> segments;
 };
 
 /// The per-node dynamic scheduler (paper §4, Fig. 6; Algorithm 1). Runs as an
@@ -187,20 +158,21 @@ class DynamicScheduler {
   /// unknown.
   double NormalizedRate(const SchedulableSegment* segment) const;
 
-  /// Live view for the monitoring endpoint (/scheduler) and the watchdog's
-  /// tick-progress probe.
-  SchedulerSnapshot Snapshot() const;
   /// Ticks executed so far (lock-free; watchdog progress probe).
   int64_t tick_count() const {
     return tick_count_.load(std::memory_order_relaxed);
   }
 
-  /// Decision audit (oldest first): recorded per tick while the global
-  /// QueryProfiler is armed, bounded to the most recent kAuditCap ticks.
-  /// Each entry pairs what the tick measured (rate, R_i, blocked fractions)
-  /// with what it decided (action) and what the *previous* tick predicted
-  /// this one would measure — estimated vs. realized λ per decision.
-  std::vector<SchedTickAudit> AuditLog() const;
+  /// Decision audit: recorded on every tick, bounded to the most recent
+  /// kAuditCap ticks, and the only record of what each tick decided (with
+  /// the recorder on, the same entry is also stored as a tick record). Each
+  /// entry pairs what the tick measured (rate, R_i, blocked fractions) with
+  /// what it decided (action) and what the *previous* tick predicted this
+  /// one would measure — estimated vs. realized λ per decision.
+  ///
+  /// The most recent entry, the live view behind GET /scheduler; nullptr
+  /// before the first tick.
+  std::shared_ptr<const SchedTickAudit> LastAudit() const;
   /// Entries restricted to `query_id`'s segments; ticks that saw none of the
   /// query's segments are omitted.
   std::vector<SchedTickAudit> AuditLogForQuery(uint64_t query_id) const;
@@ -221,9 +193,6 @@ class DynamicScheduler {
     /// parallelism; -1 before the first estimate. Consumed by the next
     /// tick's audit entry as predicted_rate.
     double pending_prediction = -1.0;
-    /// Trace counter-series names, built once instead of per traced tick.
-    std::string trace_parallelism_name;
-    std::string trace_rate_name;
   };
 
   static constexpr size_t kAuditCap = 512;
@@ -236,8 +205,8 @@ class DynamicScheduler {
   Clock* clock_;
   GlobalThroughputBoard* board_;
 
-  // Observability (near-zero cost when tracing is off; metric updates are
-  // single relaxed atomics). Pointers resolved once at construction.
+  // Observability (metric updates are single relaxed atomics). Pointers
+  // resolved once at construction.
   int trace_pid_;
   MetricCounter* ticks_metric_;
   MetricCounter* expand_metric_;
@@ -253,10 +222,8 @@ class DynamicScheduler {
   std::condition_variable loop_cv_;
   bool halted_ = false;    ///< guarded by mu_
   bool shutdown_ = false;  ///< guarded by mu_
-  std::deque<SchedTickAudit> audit_;   ///< guarded by mu_
-  int64_t last_tick_ns_ = 0;           ///< guarded by mu_
-  double last_lambda_local_ = -1.0;    ///< guarded by mu_
-  double last_global_lambda_ = -1.0;   ///< guarded by mu_
+  /// Shared with the tick records the recorder stores.
+  std::deque<std::shared_ptr<const SchedTickAudit>> audit_;  ///< guarded by mu_
   std::atomic<int64_t> tick_count_{0};
   std::atomic<bool> enabled_{true};
 };

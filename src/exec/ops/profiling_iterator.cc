@@ -1,7 +1,6 @@
 #include "exec/ops/profiling_iterator.h"
 
 #include "common/clock.h"
-#include "obs/profile/profiler.h"
 
 namespace claims {
 
@@ -48,23 +47,19 @@ void ProfilingIterator::Close() {
 
 void ProfilingIterator::EmitSpan() {
   if (emitted_.exchange(true, std::memory_order_acq_rel)) return;
-  QueryProfiler* profiler = QueryProfiler::Global();
-  if (!profiler->armed()) return;
-  ProfSpan span;
-  span.query_id = identity_.query_id;
-  span.kind = SpanKind::kOperator;
+  EventRecorder* rec = EventRecorder::Global();
+  if (!rec->enabled()) return;
+  const int64_t first = first_start_ns_.load(std::memory_order_relaxed);
+  EventRecord span(EventKind::kOperator, identity_.owner,
+                   first == INT64_MAX ? 0 : first,
+                   last_end_ns_.load(std::memory_order_relaxed));
   span.name = identity_.op_name;
-  span.segment = identity_.segment;
-  span.node = identity_.node;
   span.op_id = identity_.op_id;
   span.parent_op = identity_.parent_op;
-  const int64_t first = first_start_ns_.load(std::memory_order_relaxed);
-  span.start_ns = first == INT64_MAX ? 0 : first;
-  span.end_ns = last_end_ns_.load(std::memory_order_relaxed);
   span.busy_ns = busy_ns_.load(std::memory_order_relaxed);
   span.tuples = rows_.load(std::memory_order_relaxed);
   span.bytes = calls_.load(std::memory_order_relaxed);  // Next() call count
-  profiler->EmitComplete(std::move(span));
+  rec->Record(std::move(span));
 }
 
 }  // namespace claims

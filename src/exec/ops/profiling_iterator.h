@@ -8,14 +8,15 @@
 
 #include "common/macros.h"
 #include "core/iterator.h"
+#include "obs/recorder.h"
 
 namespace claims {
 
 /// Transparent per-operator time attribution: wraps one Iterator and
 /// accumulates the wall time every elastic worker spends inside its
-/// Open/Next/Close calls, emitting a single kOperator span at Close. The
-/// Executor inserts one wrapper per plan operator **only when the global
-/// QueryProfiler is armed** — the disarmed hot path has no wrapper at all,
+/// Open/Next/Close calls, recording a single kOperator span at Close. The
+/// Executor inserts one wrapper per plan operator **only while the
+/// EventRecorder is on** — with recording off there is no wrapper at all,
 /// no virtual-call overhead, nothing (the fig09 branch-cheapness claim is
 /// about the armed-but-unscraped path, which costs two clock reads and a few
 /// relaxed atomics per Next).
@@ -28,10 +29,8 @@ namespace claims {
 class ProfilingIterator : public Iterator {
  public:
   struct Identity {
-    uint64_t query_id = 0;
+    RecordOwner owner;    ///< owning query, segment instance and node
     std::string op_name;  ///< e.g. "scan(lineitem)", "hash-join"
-    std::string segment;  ///< owning segment instance, e.g. "S1@n0"
-    int node = 0;
     /// Pre-order position in the segment's operator tree; parent_op = -1
     /// marks the segment root.
     int op_id = -1;
@@ -57,7 +56,7 @@ class ProfilingIterator : public Iterator {
  private:
   /// CAS-min/max over concurrent workers.
   void NoteInterval(int64_t start_ns, int64_t end_ns);
-  /// Emits the kOperator span exactly once (Close, or destructor fallback).
+  /// Records the kOperator span exactly once (Close, or destructor fallback).
   void EmitSpan();
 
   std::unique_ptr<Iterator> child_;

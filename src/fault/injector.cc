@@ -6,7 +6,7 @@
 #include "common/string_util.h"
 #include "mem/block_pool.h"
 #include "obs/timeseries/timeseries.h"
-#include "obs/trace.h"
+#include "obs/recorder.h"
 
 namespace claims {
 namespace {
@@ -118,7 +118,7 @@ int FaultInjector::PollOnce() {
 
 int FaultInjector::ApplyTransitionsLocked(
     int64_t t, std::vector<std::function<void()>>* actuations) {
-  TraceCollector* tc = TraceCollector::Global();
+  EventRecorder* rec = EventRecorder::Global();
   int applied = 0;
   for (Window& w : windows_) {
     const FaultSpec& spec = w.spec;
@@ -166,12 +166,9 @@ int FaultInjector::ApplyTransitionsLocked(
           active_windows_.fetch_add(1, std::memory_order_release);
           break;
       }
-      if (tc->enabled()) {
-        tc->Instant(clock_->NowNanos(), std::max(0, spec.node), "fault",
-                    "activate",
-                    {{"kind", std::string(FaultKindName(spec.kind))},
-                     {"at_ns", spec.at_ns}});
-      }
+      rec->Instant(clock_->NowNanos(), std::max(0, spec.node), "fault-activate",
+                   {{"kind", 0, FaultKindName(spec.kind)},
+                    {"at_ns", static_cast<double>(spec.at_ns)}});
       AnnotateTimeline(spec, /*begin=*/true);
       if ((spec.kind == FaultKind::kDegradeNic ||
            spec.kind == FaultKind::kMemPressure) &&
@@ -198,12 +195,10 @@ int FaultInjector::ApplyTransitionsLocked(
       } else {
         active_windows_.fetch_sub(1, std::memory_order_release);
       }
-      if (tc->enabled()) {
-        tc->Instant(clock_->NowNanos(), std::max(0, spec.node), "fault",
-                    "restore",
-                    {{"kind", std::string(FaultKindName(spec.kind))},
-                     {"at_ns", spec.at_ns + spec.duration_ns}});
-      }
+      rec->Instant(
+          clock_->NowNanos(), std::max(0, spec.node), "fault-restore",
+          {{"kind", 0, FaultKindName(spec.kind)},
+           {"at_ns", static_cast<double>(spec.at_ns + spec.duration_ns)}});
       AnnotateTimeline(spec, /*begin=*/false);
     }
   }

@@ -3,21 +3,12 @@
 #include <atomic>
 #include <chrono>
 
-#include "obs/trace.h"
-
 namespace claims {
 
 BlockChannel::BlockChannel(int num_producers, int capacity_blocks,
                            MemoryTracker* memory)
     : capacity_(capacity_blocks), memory_(memory),
       open_producers_(num_producers) {}
-
-void BlockChannel::SetTraceInfo(int exchange_id, int consumer_node,
-                                Clock* clock) {
-  trace_exchange_ = exchange_id;
-  trace_node_ = consumer_node;
-  trace_clock_ = clock;
-}
 
 bool BlockChannel::Enqueue(NetBlock block, const std::atomic<bool>* cancel,
                            bool assign_seq, uint64_t* assigned_seq) {
@@ -88,14 +79,6 @@ ChannelStatus BlockChannel::Receive(NetBlock* out, int64_t timeout_ns) {
       sequence_gaps_ += static_cast<int64_t>(block.wire_seq - expected);
     }
     expected = block.wire_seq + 1;
-    TraceCollector* tc = TraceCollector::Global();
-    if (trace_clock_ != nullptr && tc->enabled()) {
-      tc->Instant(trace_clock_->NowNanos(), trace_node_, "net", "recv",
-                  {{"exchange", static_cast<int64_t>(trace_exchange_)},
-                   {"from", static_cast<int64_t>(block.from_node)},
-                   {"bytes", bytes},
-                   {"queued", static_cast<int64_t>(queue_.size())}});
-    }
     *out = std::move(block);
     return ChannelStatus::kOk;
   }

@@ -6,7 +6,6 @@
 #include <map>
 #include <mutex>
 
-#include "common/clock.h"
 #include "common/macros.h"
 #include "common/memory_tracker.h"
 #include "storage/block.h"
@@ -17,11 +16,14 @@ namespace claims {
 /// aggregate per-producer visit-rate contributions (paper §4.3, Fig. 7).
 /// `wire_seq` is the per-(producer, channel) wire sequence number Send
 /// assigns; Receive uses it to suppress duplicated deliveries and detect
-/// losses (docs/FAULTS.md).
+/// losses (docs/FAULTS.md). With the exchange id and logical consumer node
+/// it forms the batch's causal link key, which the receiver records.
 struct NetBlock {
   BlockPtr block;
   int from_node = 0;
   uint64_t wire_seq = 0;
+  int exchange_id = -1;
+  int to_node = -1;
 };
 
 /// Receive outcomes; kTimeout lets mergers poll their terminate flag while
@@ -40,11 +42,6 @@ class BlockChannel {
   BlockChannel(int num_producers, int capacity_blocks,
                MemoryTracker* memory = nullptr);
   CLAIMS_DISALLOW_COPY_AND_ASSIGN(BlockChannel);
-
-  /// Identifies this endpoint for trace events ("recv" instants on the
-  /// consumer node's track). Called once by Network when the exchange is
-  /// declared; without it the channel stays silent even when tracing is on.
-  void SetTraceInfo(int exchange_id, int consumer_node, Clock* clock);
 
   /// Blocks while full; false when cancelled. Assigns the block the next
   /// wire sequence number of its producer (keyed by `from_node`); the
@@ -84,9 +81,6 @@ class BlockChannel {
  private:
   int capacity_;
   MemoryTracker* memory_;
-  int trace_exchange_ = -1;
-  int trace_node_ = 0;
-  Clock* trace_clock_ = nullptr;
   mutable std::mutex mu_;
   std::condition_variable not_full_;
   std::condition_variable not_empty_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "obs/trace.h"
 
 namespace claims {
 
@@ -47,7 +46,6 @@ void Network::CreateExchange(int exchange_id, int num_producers,
   for (int node : consumer_nodes) {
     auto channel =
         std::make_unique<BlockChannel>(num_producers, capacity, memory_);
-    channel->SetTraceInfo(exchange_id, node, clock_);
     channels_[{exchange_id, node}] = std::move(channel);
   }
   exchange_consumers_[exchange_id] = consumer_nodes;
@@ -152,7 +150,8 @@ SendOutcome Network::SendRoute(const Route& route, BlockPtr block,
     // NetBlock carries the logical producer id: mergers key visit-rate
     // aggregation and wire sequencing on the plan-level endpoint.
     uint64_t seq = 0;
-    NetBlock net_block{block, route.from_logical, 0};
+    NetBlock net_block{block, route.from_logical, 0, route.exchange_id,
+                       route.to_logical};
     if (!channel->Send(std::move(net_block), cancel, &seq)) {
       return SendOutcome::kCancelled;
     }
@@ -160,20 +159,14 @@ SendOutcome Network::SendRoute(const Route& route, BlockPtr block,
     if (decision.fate == SendDecision::Fate::kDuplicate) {
       // Second copy under the same wire sequence; the receiver's duplicate
       // suppression drops it. Best-effort: a cancelled duplicate is no loss.
-      channel->SendDuplicate(NetBlock{block, route.from_logical, seq}, cancel);
+      channel->SendDuplicate(NetBlock{block, route.from_logical, seq,
+                                      route.exchange_id, route.to_logical},
+                             cancel);
     }
     blocks_sent_metric_->Add();
     bytes_sent_metric_->Add(bytes);
     sent_metric_->Add();
     sent_per_node_[route.from_physical]->Add();
-    TraceCollector* tc = TraceCollector::Global();
-    if (tc->enabled()) {
-      tc->Instant(clock_->NowNanos(), route.from_physical, "net", "send",
-                  {{"exchange", static_cast<int64_t>(route.exchange_id)},
-                   {"to", static_cast<int64_t>(route.to_physical)},
-                   {"bytes", bytes},
-                   {"queued", static_cast<int64_t>(channel->size())}});
-    }
     return SendOutcome::kOk;
   }
 }

@@ -22,8 +22,8 @@ struct NetworkOptions {
   int64_t bandwidth_bytes_per_sec = 0;
   /// Per-channel buffer depth; <= 0 means unbounded (materialized execution).
   int capacity_blocks = 64;
-  /// Timestamp source for trace events; nullptr uses SteadyClock, the
-  /// virtual-time simulator passes its SimClock.
+  /// Time source of the NIC token buckets and the retry backoff; nullptr
+  /// uses SteadyClock, the virtual-time simulator passes its SimClock.
   Clock* clock = nullptr;
   /// Send retry policy, exercised only when a fault injector drops blocks
   /// (the fault-free fabric never NACKs). Backoff is exponential with
@@ -88,8 +88,8 @@ class Network {
   /// jitter up to `max_send_attempts`, fast-fails kUnavailable when either
   /// physical endpoint is dead, and charges the *physical* NIC budgets while
   /// addressing the *logical* channel. On kOk, `wire_seq` (when non-null)
-  /// receives the wire sequence number the channel assigned — the causal
-  /// profiler keys its send↔receive links on it (a fabric-dropped attempt is
+  /// receives the wire sequence number the channel assigned — the recorder
+  /// keys its send↔receive links on it (a fabric-dropped attempt is
   /// never enqueued, so each delivered block has exactly one sequence).
   SendOutcome SendRoute(const Route& route, BlockPtr block,
                         const std::atomic<bool>* cancel = nullptr,

@@ -11,11 +11,10 @@
 #include "obs/metrics_registry.h"
 #include "obs/process_stats.h"
 #include "obs/profile/assembler.h"
-#include "obs/profile/profiler.h"
 #include "obs/prometheus.h"
 #include "obs/timeseries/dashboard_html.h"
 #include "obs/timeseries/timeseries.h"
-#include "obs/trace.h"
+#include "obs/recorder.h"
 
 namespace claims {
 namespace {
@@ -156,7 +155,7 @@ void MonitorServer::RegisterBuiltinRoutes() {
   AddHandler("GET", "/profile", [](const HttpRequest&) {
     std::string body = "{\"profiles\":[";
     bool first = true;
-    for (const auto& p : QueryProfiler::Global()->ListProfiles()) {
+    for (const auto& p : EventRecorder::Global()->ListProfiles()) {
       if (!first) body.push_back(',');
       first = false;
       body += StrFormat(
@@ -177,7 +176,7 @@ void MonitorServer::RegisterBuiltinRoutes() {
       return HttpResponse{400, "text/plain; charset=utf-8",
                           "bad query id: " + id_text + "\n"};
     }
-    auto profile = QueryProfiler::Global()->GetProfile(id);
+    auto profile = EventRecorder::Global()->GetProfile(id);
     if (profile == nullptr) {
       return HttpResponse::NotFound("no profile for query " + id_text + "\n");
     }
@@ -191,8 +190,7 @@ void MonitorServer::RegisterBuiltinRoutes() {
     return HttpResponse::Json(profile->ToJson());
   });
   AddHandler("POST", "/flight-recorder/dump", [](const HttpRequest&) {
-    TraceCollector* tc = TraceCollector::Global();
-    return HttpResponse::Json(tc->ToChromeJson());
+    return HttpResponse::Json(EventRecorder::Global()->ToChromeJson());
   });
   AddHandler("GET", "/", [this](const HttpRequest&) {
     std::string body = "claims monitor\n\nroutes:\n";

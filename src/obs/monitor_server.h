@@ -68,7 +68,7 @@ struct MonitorOptions {
 ///   GET  /metrics               MetricsRegistry in Prometheus exposition
 ///   GET  /timeseries            metric history rings (MetricSampler::Default)
 ///   GET  /dash                  self-contained live dashboard polling the above
-///   POST /flight-recorder/dump  TraceCollector snapshot as Chrome JSON
+///   POST /flight-recorder/dump  EventRecorder contents as Chrome JSON
 ///
 /// and subsystems register their own routes (AddHandler) — the workload
 /// manager's /queries and /scheduler live in wlm/introspection.h, keeping

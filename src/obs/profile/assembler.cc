@@ -6,7 +6,6 @@
 #include <unordered_map>
 
 #include "common/string_util.h"
-#include "obs/profile/profiler.h"
 
 namespace claims {
 namespace {
@@ -53,37 +52,38 @@ std::shared_ptr<const QueryProfile> AssembleQueryProfile(AssembleInput input) {
   p->label = std::move(input.label);
   p->start_ns = input.start_ns;
   p->end_ns = std::max(input.end_ns, input.start_ns + 1);
-  p->spans = std::move(input.spans);
+  p->records = std::move(input.records);
   p->audit = std::move(input.audit);
-  p->dropped_spans = input.dropped_spans;
-  std::sort(p->spans.begin(), p->spans.end(),
-            [](const ProfSpan& a, const ProfSpan& b) {
+  p->overwritten_records = input.overwritten_records;
+  std::sort(p->records.begin(), p->records.end(),
+            [](const EventRecord& a, const EventRecord& b) {
               return a.start_ns != b.start_ns ? a.start_ns < b.start_ns
                                               : a.end_ns < b.end_ns;
             });
 
   // --- indexes --------------------------------------------------------------
-  std::map<std::string, const ProfSpan*> seg_spans;
-  std::map<std::string, std::vector<const ProfSpan*>> blocked_in;
+  std::map<std::string, const EventRecord*> seg_spans;
+  std::map<std::string, std::vector<const EventRecord*>> blocked_in;
   std::map<std::string, std::vector<std::pair<int64_t, int64_t>>> blocked_out;
-  std::map<SendKey, const ProfSpan*> sends;
-  for (const ProfSpan& s : p->spans) {
+  std::map<SendKey, const EventRecord*> sends;
+  for (const EventRecord& s : p->records) {
     switch (s.kind) {
-      case SpanKind::kSegment: {
-        const ProfSpan*& slot = seg_spans[s.segment];
+      case EventKind::kSegment: {
+        const EventRecord*& slot = seg_spans[s.segment];
         if (slot == nullptr || s.dur_ns() > slot->dur_ns()) slot = &s;
         break;
       }
-      case SpanKind::kBlockedInput:
+      case EventKind::kBlockedInput:
         blocked_in[s.segment].push_back(&s);
         break;
-      case SpanKind::kBlockedOutput:
+      case EventKind::kBlockedOutput:
         blocked_out[s.segment].emplace_back(s.start_ns, s.end_ns);
         break;
-      case SpanKind::kNetSend:
-        sends[{s.exchange_id, s.from_node, s.to_node, s.wire_seq}] = &s;
+      case EventKind::kNetSend:
+        sends[{s.link.exchange_id, s.link.from_node, s.link.to_node,
+               s.link.wire_seq}] = &s;
         break;
-      case SpanKind::kNetRecv:
+      case EventKind::kNetRecv:
         ++p->total_recv_spans;
         break;
       default:
@@ -92,21 +92,22 @@ std::shared_ptr<const QueryProfile> AssembleQueryProfile(AssembleInput input) {
   }
   for (auto& [seg, spans] : blocked_in) {
     std::sort(spans.begin(), spans.end(),
-              [](const ProfSpan* a, const ProfSpan* b) {
+              [](const EventRecord* a, const EventRecord* b) {
                 return a->end_ns < b->end_ns;
               });
   }
-  for (const ProfSpan& s : p->spans) {
-    if (s.kind == SpanKind::kNetRecv &&
-        sends.count({s.exchange_id, s.from_node, s.to_node, s.wire_seq})) {
+  for (const EventRecord& s : p->records) {
+    if (s.kind == EventKind::kNetRecv &&
+        sends.count({s.link.exchange_id, s.link.from_node, s.link.to_node,
+                     s.link.wire_seq})) {
       ++p->linked_recv_spans;
     }
   }
 
   // --- per-operator inclusive/exclusive attribution -------------------------
   std::map<std::pair<std::string, int>, ProfOperatorStat> ops;
-  for (const ProfSpan& s : p->spans) {
-    if (s.kind != SpanKind::kOperator || s.op_id < 0) continue;
+  for (const EventRecord& s : p->records) {
+    if (s.kind != EventKind::kOperator || s.op_id < 0) continue;
     ProfOperatorStat& st = ops[{s.segment, s.op_id}];
     st.name = s.name;
     st.segment = s.segment;
@@ -162,7 +163,7 @@ std::shared_ptr<const QueryProfile> AssembleQueryProfile(AssembleInput input) {
     return StrFormat("backpressured %.0f%% of interval", frac * 100);
   };
 
-  const ProfSpan* cur = nullptr;
+  const EventRecord* cur = nullptr;
   for (const auto& [seg, span] : seg_spans) {
     if (cur == nullptr || span->end_ns > cur->end_ns) cur = span;
   }
@@ -171,7 +172,7 @@ std::shared_ptr<const QueryProfile> AssembleQueryProfile(AssembleInput input) {
     add_step("result-gather", cur->segment, "", t, q1);
     for (int guard = 0; guard < 512 && cur != nullptr; ++guard) {
       // Latest starvation wait of this segment ending at or before t.
-      const ProfSpan* b = nullptr;
+      const EventRecord* b = nullptr;
       auto bit = blocked_in.find(cur->segment);
       if (bit != blocked_in.end()) {
         for (auto rit = bit->second.rbegin(); rit != bit->second.rend();
@@ -191,17 +192,17 @@ std::shared_ptr<const QueryProfile> AssembleQueryProfile(AssembleInput input) {
       }
       add_step("compute", cur->segment,
                compute_detail(cur->segment, b->end_ns, t), b->end_ns, t);
-      const ProfSpan* send = nullptr;
-      if (b->wire_seq != 0) {
-        auto sit = sends.find(
-            {b->exchange_id, b->from_node, b->node, b->wire_seq});
+      const EventRecord* send = nullptr;
+      if (b->link.wire_seq != 0) {
+        auto sit = sends.find({b->link.exchange_id, b->link.from_node,
+                               b->link.to_node, b->link.wire_seq});
         if (sit != sends.end()) send = sit->second;
       }
       if (send != nullptr && send->start_ns < b->end_ns) {
         add_step("exchange", send->segment + "->" + cur->segment,
                  StrFormat("exchange %lld, seq %llu",
-                           static_cast<long long>(b->exchange_id),
-                           static_cast<unsigned long long>(b->wire_seq)),
+                           static_cast<long long>(b->link.exchange_id),
+                           static_cast<unsigned long long>(b->link.wire_seq)),
                  send->start_ns, b->end_ns);
         auto pit = seg_spans.find(send->segment);
         if (pit == seg_spans.end()) {
@@ -213,7 +214,7 @@ std::shared_ptr<const QueryProfile> AssembleQueryProfile(AssembleInput input) {
       } else {
         add_step("blocked-input", cur->segment,
                  StrFormat("exchange %lld, unresolved",
-                           static_cast<long long>(b->exchange_id)),
+                           static_cast<long long>(b->link.exchange_id)),
                  b->start_ns, b->end_ns);
         t = b->start_ns;
       }
@@ -236,14 +237,14 @@ namespace {
 /// One timeline row per segment instance: '#' running, '.' starved,
 /// 'o' backpressured, ' ' outside the segment's lifetime.
 std::string AsciiTimeline(const QueryProfile& p, int width) {
-  std::map<std::string, const ProfSpan*> segs;
-  std::map<std::string, std::vector<const ProfSpan*>> waits;
-  for (const ProfSpan& s : p.spans) {
-    if (s.kind == SpanKind::kSegment) {
-      const ProfSpan*& slot = segs[s.segment];
+  std::map<std::string, const EventRecord*> segs;
+  std::map<std::string, std::vector<const EventRecord*>> waits;
+  for (const EventRecord& s : p.records) {
+    if (s.kind == EventKind::kSegment) {
+      const EventRecord*& slot = segs[s.segment];
       if (slot == nullptr || s.dur_ns() > slot->dur_ns()) slot = &s;
-    } else if (s.kind == SpanKind::kBlockedInput ||
-               s.kind == SpanKind::kBlockedOutput) {
+    } else if (s.kind == EventKind::kBlockedInput ||
+               s.kind == EventKind::kBlockedOutput) {
       waits[s.segment].push_back(&s);
     }
   }
@@ -265,8 +266,8 @@ std::string AsciiTimeline(const QueryProfile& p, int width) {
     }
     auto wit = waits.find(name);
     if (wit != waits.end()) {
-      for (const ProfSpan* w : wit->second) {
-        char mark = w->kind == SpanKind::kBlockedInput ? '.' : 'o';
+      for (const EventRecord* w : wit->second) {
+        char mark = w->kind == EventKind::kBlockedInput ? '.' : 'o';
         for (int c = col(w->start_ns); c <= col(w->end_ns - 1); ++c) {
           row[static_cast<size_t>(c)] = mark;
         }
@@ -281,10 +282,10 @@ std::string AsciiTimeline(const QueryProfile& p, int width) {
 
 std::string QueryProfile::ToText() const {
   std::string out = StrFormat(
-      "profile q%llu (%s): wall %.3f ms, %zu spans (%lld dropped), "
+      "profile q%llu (%s): wall %.3f ms, %zu records (%lld overwritten), "
       "critical path %.1f%% of wall\n",
       static_cast<unsigned long long>(query_id), label.c_str(), Ms(wall_ns()),
-      spans.size(), static_cast<long long>(dropped_spans),
+      records.size(), static_cast<long long>(overwritten_records),
       critical_path_coverage * 100);
   out += "critical path (backward from completion):\n";
   for (const ProfPathStep& s : critical_path) {
@@ -325,7 +326,7 @@ std::string QueryProfile::ToText() const {
             s.name.c_str(), s.parallelism, JsonNum(s.rate).c_str(),
             JsonNum(s.normalized_rate).c_str(),
             JsonNum(s.predicted_rate).c_str(), s.blocked_in * 100,
-            s.blocked_out * 100, s.action.c_str());
+            s.blocked_out * 100, s.action);
       }
     }
   }
@@ -363,13 +364,13 @@ std::string QueryProfile::ToJson() const {
   AppendJsonStr(&out, label);
   out += StrFormat(
       ",\"start_ns\":%lld,\"end_ns\":%lld,\"wall_ns\":%lld,"
-      "\"span_count\":%zu,\"dropped_spans\":%lld,"
+      "\"record_count\":%zu,\"overwritten_records\":%lld,"
       "\"linked_recv_spans\":%lld,\"total_recv_spans\":%lld,"
       "\"operator_total_ns\":%lld,\"operator_exclusive_sum_ns\":%lld,"
       "\"critical_path\":{\"coverage\":%s,\"steps\":[",
       static_cast<long long>(start_ns), static_cast<long long>(end_ns),
-      static_cast<long long>(wall_ns()), spans.size(),
-      static_cast<long long>(dropped_spans),
+      static_cast<long long>(wall_ns()), records.size(),
+      static_cast<long long>(overwritten_records),
       static_cast<long long>(linked_recv_spans),
       static_cast<long long>(total_recv_spans),
       static_cast<long long>(operator_total_ns),
@@ -443,89 +444,7 @@ std::string QueryProfile::ToJson() const {
 }
 
 std::string QueryProfile::ToPerfettoJson() const {
-  // Track layout: pid = node; tid 0 holds the query/segment spans, each
-  // operator gets its own sub-track (operators overlap each other across
-  // workers, so same-track nesting would lie), waits go on a per-segment
-  // "waits" track, wire batches on a per-node "net" track.
-  std::map<std::string, int> seg_track;
-  for (const ProfSpan& s : spans) {
-    if (!s.segment.empty() && !seg_track.count(s.segment)) {
-      int next = static_cast<int>(seg_track.size()) + 1;
-      seg_track[s.segment] = next * 1000;
-    }
-  }
-  auto track_of = [&](const ProfSpan& s) -> int64_t {
-    if (s.kind == SpanKind::kQuery) return 0;
-    auto it = seg_track.find(s.segment);
-    int base = it == seg_track.end() ? 900000 : it->second;
-    switch (s.kind) {
-      case SpanKind::kSegment: return base;
-      case SpanKind::kWorker: return base + 500 + (s.tid % 100);
-      case SpanKind::kOperator: return base + 1 + std::max(s.op_id, 0);
-      case SpanKind::kBlockedInput:
-      case SpanKind::kBlockedOutput: return base + 200;
-      case SpanKind::kNetSend:
-      case SpanKind::kNetRecv: return 999;
-      default: return base + 300;
-    }
-  };
-  std::string out = "{\"traceEvents\":[";
-  bool first = true;
-  auto emit = [&](const std::string& body) {
-    if (!first) out.push_back(',');
-    first = false;
-    out += body;
-  };
-  std::map<SendKey, std::pair<const ProfSpan*, const ProfSpan*>> flows;
-  for (const ProfSpan& s : spans) {
-    std::string ev = "{\"name\":";
-    AppendJsonStr(&ev, s.name.empty() ? SpanKindName(s.kind) : s.name);
-    ev += StrFormat(
-        ",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,"
-        "\"pid\":%d,\"tid\":%lld,\"args\":{\"segment\":",
-        SpanKindName(s.kind), static_cast<double>(s.start_ns) / 1000.0,
-        static_cast<double>(std::max<int64_t>(s.dur_ns(), 1)) / 1000.0,
-        s.node, static_cast<long long>(track_of(s)));
-    AppendJsonStr(&ev, s.segment);
-    ev += StrFormat(",\"tuples\":%lld,\"wire_seq\":%llu}}",
-                    static_cast<long long>(s.tuples),
-                    static_cast<unsigned long long>(s.wire_seq));
-    emit(ev);
-    if (s.kind == SpanKind::kNetSend || s.kind == SpanKind::kNetRecv) {
-      SendKey key{s.exchange_id, s.from_node, s.to_node, s.wire_seq};
-      auto& pair = flows[key];
-      (s.kind == SpanKind::kNetSend ? pair.first : pair.second) = &s;
-    }
-  }
-  // Flow arrows for matched send/recv pairs, bounded so a huge scan fan-out
-  // does not drown the renderer; dropped flows are counted in metadata.
-  constexpr size_t kMaxFlows = 512;
-  size_t flow_id = 0, dropped_flows = 0;
-  for (const auto& [key, pair] : flows) {
-    const ProfSpan* send = pair.first;
-    const ProfSpan* recv = pair.second;
-    if (send == nullptr || recv == nullptr) continue;
-    if (flow_id >= kMaxFlows) {
-      ++dropped_flows;
-      continue;
-    }
-    ++flow_id;
-    emit(StrFormat(
-        "{\"name\":\"xfer\",\"cat\":\"net\",\"ph\":\"s\",\"id\":%zu,"
-        "\"ts\":%.3f,\"pid\":%d,\"tid\":%lld}",
-        flow_id, static_cast<double>(send->end_ns - 1) / 1000.0, send->node,
-        static_cast<long long>(track_of(*send))));
-    emit(StrFormat(
-        "{\"name\":\"xfer\",\"cat\":\"net\",\"ph\":\"f\",\"bp\":\"e\","
-        "\"id\":%zu,\"ts\":%.3f,\"pid\":%d,\"tid\":%lld}",
-        flow_id, static_cast<double>(recv->start_ns) / 1000.0, recv->node,
-        static_cast<long long>(track_of(*recv))));
-  }
-  out += StrFormat("],\"metadata\":{\"query_id\":%llu,\"flows\":%zu,"
-                   "\"dropped_flows\":%zu}}",
-                   static_cast<unsigned long long>(query_id), flow_id,
-                   dropped_flows);
-  return out;
+  return ChromeTraceJson(records);
 }
 
 }  // namespace claims

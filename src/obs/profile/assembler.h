@@ -6,7 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "obs/profile/span.h"
+#include "obs/recorder.h"
 
 namespace claims {
 
@@ -44,10 +44,11 @@ struct ProfPathStep {
   int64_t dur_ns() const { return end_ns - start_ns; }
 };
 
-/// The stitched per-query DAG: every span the distributed execution emitted,
-/// reduced to per-operator attribution, a critical path, and the scheduler's
-/// decision audit for the segments involved. Immutable once assembled;
-/// shared between the /profile endpoint, ExecutionReport, and exports.
+/// The stitched per-query DAG: every record the distributed execution stored
+/// under the query's id, reduced to per-operator attribution, a critical
+/// path, and the scheduler's decision audit for the segments involved.
+/// Immutable once assembled; shared between the /profile endpoint,
+/// ExecutionReport, and exports.
 struct QueryProfile {
   uint64_t query_id = 0;
   std::string label;
@@ -55,7 +56,7 @@ struct QueryProfile {
   int64_t end_ns = 0;
   int64_t wall_ns() const { return end_ns - start_ns; }
 
-  std::vector<ProfSpan> spans;  ///< sorted by (start, end)
+  std::vector<EventRecord> records;  ///< sorted by (start, end)
   std::vector<ProfOperatorStat> operators;
   std::vector<ProfPathStep> critical_path;
   /// Fraction of wall time the critical path accounts for.
@@ -63,18 +64,21 @@ struct QueryProfile {
   /// Σ root-operator inclusive time across segment instances.
   int64_t operator_total_ns = 0;
   int64_t operator_exclusive_sum_ns = 0;
-  /// Matched kNetSend→kNetRecv pairs / total kNetRecv spans.
+  /// Matched kNetSend→kNetRecv pairs / total kNetRecv records.
   int64_t linked_recv_spans = 0;
   int64_t total_recv_spans = 0;
   std::vector<SchedTickAudit> audit;
-  int64_t dropped_spans = 0;
+  /// Records of this query the flight-recorder ring overwrote before the
+  /// profile was assembled (0 for an unbounded capture).
+  int64_t overwritten_records = 0;
 
   /// Machine view for GET /profile/<id>.
   std::string ToJson() const;
   /// Human view: critical path, ASCII timeline, operator table, audit tail.
   std::string ToText() const;
-  /// Chrome trace_event JSON with flow arrows ("s"/"f" phases) across
-  /// exchanges — drop into ui.perfetto.dev.
+  /// The query's records through the one Chrome trace writer
+  /// (ChromeTraceJson), flow arrows across exchanges included — drop into
+  /// ui.perfetto.dev.
   std::string ToPerfettoJson() const;
   /// Short block appended to ExecutionReport::ToString.
   std::string Summary() const;
@@ -83,19 +87,19 @@ struct QueryProfile {
 struct AssembleInput {
   uint64_t query_id = 0;
   std::string label;
-  int64_t start_ns = 0;  ///< execution start (profiler clock domain)
+  int64_t start_ns = 0;  ///< execution start (recorder clock domain)
   int64_t end_ns = 0;    ///< result drained
-  std::vector<ProfSpan> spans;
+  std::vector<EventRecord> records;
   std::vector<SchedTickAudit> audit;
-  int64_t dropped_spans = 0;
+  int64_t overwritten_records = 0;
 };
 
-/// Stitches the per-node span logs of one query into a QueryProfile:
+/// Stitches the per-node records of one query into a QueryProfile:
 /// computes operator inclusive/exclusive attribution, walks the critical
 /// path backward from completion (jumping producer-ward across exchanges via
 /// the {exchange, from, to, wire_seq} link keys), and retains the decision
 /// audit. Pure function of its input — callers typically feed it
-/// QueryProfiler::TakeQuery(id) plus the schedulers' audit logs.
+/// EventRecorder::SelectQuery(id) plus the schedulers' audit logs.
 std::shared_ptr<const QueryProfile> AssembleQueryProfile(AssembleInput input);
 
 }  // namespace claims

@@ -64,18 +64,20 @@ std::string ExecutionReport::ToString() const {
   return out;
 }
 
-std::vector<std::pair<int64_t, int>> ExtractCounterTimeline(
-    const std::vector<TraceEvent>& events, const std::string& counter_name,
-    int64_t t0_ns, int64_t t1_ns) {
+std::vector<std::pair<int64_t, int>> ParallelismTimeline(
+    const std::vector<SchedTickAudit>& audit, const std::string& segment,
+    int64_t start_ns, int launch_width, int64_t t0_ns, int64_t t1_ns) {
   std::vector<std::pair<int64_t, int>> timeline;
-  for (const TraceEvent& ev : events) {
-    if (ev.phase != TraceEvent::Phase::kCounter || ev.name != counter_name) {
-      continue;
+  auto add = [&](int64_t ts, int value) {
+    if (ts < t0_ns || ts > t1_ns) return;
+    if (!timeline.empty() && timeline.back().second == value) return;
+    timeline.emplace_back(ts, value);
+  };
+  add(start_ns, launch_width);
+  for (const SchedTickAudit& tick : audit) {
+    for (const SchedTickAudit::Segment& s : tick.segments) {
+      if (s.name == segment) add(tick.ts_ns, s.parallelism);
     }
-    if (ev.ts_ns < t0_ns || ev.ts_ns > t1_ns) continue;
-    int value = ev.num_args > 0 ? static_cast<int>(ev.args[0].num) : 0;
-    if (!timeline.empty() && timeline.back().second == value) continue;
-    timeline.emplace_back(ev.ts_ns, value);
   }
   return timeline;
 }

@@ -6,7 +6,7 @@
 #include <utility>
 #include <vector>
 
-#include "obs/trace.h"
+#include "obs/recorder.h"
 
 namespace claims {
 
@@ -27,8 +27,8 @@ struct SegmentReport {
   int final_parallelism = 0;
   int peak_parallelism = 0;
   /// (ts_ns, workers) samples: the launch width at segment start, then the
-  /// scheduler's per-tick counter events; empty when tracing was off during
-  /// the run.
+  /// parallelism after each scheduler tick that audited the segment
+  /// (ParallelismTimeline).
   std::vector<std::pair<int64_t, int>> parallelism_timeline;
 };
 
@@ -49,9 +49,9 @@ struct ExecutionReport {
   int64_t result_tuples = 0;
   std::vector<SegmentReport> segments;
 
-  /// Causal-profiler digest (critical-path coverage + top contributors) when
-  /// the QueryProfiler was armed during the run; empty otherwise. The full
-  /// profile lives in the profiler's ring (GET /profile/<query_id>).
+  /// Causal-profile digest (critical-path coverage + top contributors) when
+  /// the EventRecorder was on during the run; empty otherwise. The full
+  /// profile lives in the recorder's profile ring (GET /profile/<query_id>).
   std::string profile_summary;
   /// Query id the profile was stored under (0 = unprofiled run).
   uint64_t profile_query_id = 0;
@@ -63,11 +63,14 @@ struct ExecutionReport {
   std::string ToString() const;
 };
 
-/// Extracts one counter series ("parallelism:S1@n0") from a trace snapshot,
-/// restricted to [t0_ns, t1_ns]; consecutive duplicate values are collapsed.
-std::vector<std::pair<int64_t, int>> ExtractCounterTimeline(
-    const std::vector<TraceEvent>& events, const std::string& counter_name,
-    int64_t t0_ns, int64_t t1_ns);
+/// Parallelism timeline of `segment`: `launch_width` at `start_ns`, then
+/// the post-action parallelism of every tick in `audit` that saw the
+/// segment, restricted to [t0_ns, t1_ns]; consecutive duplicate values are
+/// collapsed. `audit` is one query's slice (DynamicScheduler::
+/// AuditLogForQuery), so the timeline needs no trace.
+std::vector<std::pair<int64_t, int>> ParallelismTimeline(
+    const std::vector<SchedTickAudit>& audit, const std::string& segment,
+    int64_t start_ns, int launch_width, int64_t t0_ns, int64_t t1_ns);
 
 }  // namespace claims
 

@@ -7,7 +7,7 @@
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "obs/metrics_registry.h"
-#include "obs/trace.h"
+#include "obs/recorder.h"
 
 namespace claims {
 
@@ -144,11 +144,11 @@ void StallWatchdog::RaiseIncident(const std::string& probe,
   const std::string base =
       StrFormat("%s/incident-%lld", options_.incident_dir.c_str(),
                 static_cast<long long>(id));
-  TraceCollector* tc = TraceCollector::Global();
+  EventRecorder* rec = EventRecorder::Global();
   std::string trace_path;
-  if (options_.dump_flight_recorder && tc->enabled()) {
+  if (options_.dump_flight_recorder && rec->enabled()) {
     trace_path = base + ".trace.json";
-    if (Status s = tc->WriteChromeJson(trace_path); !s.ok()) {
+    if (Status s = rec->WriteChromeJson(trace_path); !s.ok()) {
       CLAIMS_LOG(Warning) << "watchdog: " << s.ToString();
       trace_path.clear();
     }
@@ -160,11 +160,11 @@ void StallWatchdog::RaiseIncident(const std::string& probe,
   report += StrFormat("time_ns: %lld\n", static_cast<long long>(now_ns));
   report += "probe: " + probe + "\n";
   report += "detail: " + detail + "\n";
-  report += StrFormat("flight_recorder: %s (events=%zu dropped=%lld)\n",
+  report += StrFormat("flight_recorder: %s (records=%zu overwritten=%lld)\n",
                       trace_path.empty() ? "<not captured>"
                                          : trace_path.c_str(),
-                      tc->size(),
-                      static_cast<long long>(tc->dropped_events()));
+                      rec->size(),
+                      static_cast<long long>(rec->overwritten()));
   for (const ContextProvider& provider : context_providers_) {
     std::string context = provider.fn();
     if (context.empty()) continue;

@@ -30,8 +30,8 @@ struct WatchdogOptions {
   int64_t incident_cooldown_ns = 10'000'000'000;  // 10 s
   /// Where incident reports (and flight-recorder dumps) are written.
   std::string incident_dir = ".";
-  /// Also dump the TraceCollector (Chrome JSON) with each incident when
-  /// tracing / flight recording is enabled.
+  /// Also dump the EventRecorder (Chrome JSON) with each incident when
+  /// recording is on.
   bool dump_flight_recorder = true;
 };
 

@@ -8,8 +8,7 @@
 
 #include "common/random.h"
 #include "common/string_util.h"
-#include "obs/profile/profiler.h"
-#include "obs/trace.h"
+#include "obs/recorder.h"
 
 namespace claims {
 
@@ -96,7 +95,7 @@ class SimRun::Impl {
     NodeState* node = nullptr;
 
     int stage = 0;
-    int64_t start_vns = -1;  ///< virtual time the instance started (profiler)
+    int64_t start_vns = -1;  ///< virtual time the instance started
     int64_t source_remaining = 0;
     int64_t stage_input_total = 0;
     int64_t stage_input_consumed = 0;
@@ -134,6 +133,7 @@ class SimRun::Impl {
       }
       return live;
     }
+    uint64_t query_id() const override { return seg_stats.owner.query_id; }
     SegmentStats* stats() override { return &seg_stats; }
     ScalabilityVector* scalability() override { return &scal; }
     bool Expand(int core_id) override { return impl->ExpandInstance(this, core_id); }
@@ -165,14 +165,9 @@ class SimRun::Impl {
  private:
   int64_t Now() const { return events_.now(); }
 
-  /// True when the causal profiler should see this run's spans.
-  bool Profiled() const {
-    return opt_.profile_query_id != 0 && QueryProfiler::Global()->armed();
-  }
-  /// Segment-instance label matching the real engine's convention.
-  std::string SegLabel(const Instance* inst) const {
-    return StrFormat("%s@n%d", inst->spec->name.c_str(), inst->node_id);
-  }
+  /// Simulated nodes record under pid 1000+node so one capture can hold
+  /// both the real engine (pids = node ids) and the simulator.
+  static int SimPid(int node) { return 1000 + node; }
 
   Channel* GetChannel(int exchange, int node) {
     auto it = channels_.find({exchange, node});
@@ -852,34 +847,19 @@ void SimRun::Impl::PumpOutbox(Instance* inst) {
     int64_t arrive = std::max(from->egress_free, to->ingress_free);
     to->ingress_free = arrive + dt;
     network_bytes_ += bytes;
-    TraceCollector* tc = TraceCollector::Global();
-    if (tc->enabled()) {
-      tc->Instant(depart, 1000 + from->id, "net", "xfer",
-                  {{"exchange", static_cast<int64_t>(ch->exchange)},
-                   {"to", static_cast<int64_t>(ch->node)},
-                   {"bytes", bytes},
-                   {"link_ns", dt}});
-    }
+    EventRecorder* rec = EventRecorder::Global();
     uint64_t seq = 0;
-    if (Profiled()) {
-      // Same 1-based link key the real fabric's spans use, so the assembler
-      // stitches virtual-time profiles identically.
+    if (rec->enabled()) {
+      // Same 1-based link key the real fabric's records use, so profiles and
+      // flow arrows stitch virtual-time runs identically.
       seq = ++wire_seq_[{ch->exchange, from->id, ch->node}];
-      ProfSpan span;
-      span.query_id = opt_.profile_query_id;
-      span.kind = SpanKind::kNetSend;
-      span.name = "send";
-      span.segment = SegLabel(inst);
-      span.node = from->id;
-      span.start_ns = depart;
-      span.end_ns = depart + dt;
-      span.tuples = block.tuples;
-      span.bytes = bytes;
-      span.exchange_id = ch->exchange;
-      span.from_node = from->id;
-      span.to_node = ch->node;
-      span.wire_seq = seq;
-      QueryProfiler::Global()->EmitComplete(std::move(span));
+      EventRecord xfer(EventKind::kNetSend, inst->seg_stats.owner, depart,
+                       depart + dt);
+      xfer.name = "xfer";
+      xfer.tuples = block.tuples;
+      xfer.bytes = bytes;
+      xfer.link = LinkKey{ch->exchange, from->id, ch->node, seq};
+      rec->Record(std::move(xfer));
     }
     inst->outbox_sending = true;
     MemSub(block.bytes());
@@ -887,21 +867,16 @@ void SimRun::Impl::PumpOutbox(Instance* inst) {
     SimBlock b = block;
     const int from_id = from->id;
     events_.Schedule(depart + dt, [this, inst, target, b, seq, from_id] {
-      if (seq != 0 && Profiled()) {
-        ProfSpan span;
-        span.query_id = opt_.profile_query_id;
-        span.kind = SpanKind::kNetRecv;
-        span.name = "recv";
-        span.node = target->node;
-        span.start_ns = Now();
-        span.end_ns = Now();
-        span.tuples = b.tuples;
-        span.bytes = b.bytes();
-        span.exchange_id = target->exchange;
-        span.from_node = from_id;
-        span.to_node = target->node;
-        span.wire_seq = seq;
-        QueryProfiler::Global()->EmitComplete(std::move(span));
+      if (seq != 0) {
+        EventRecord recv(EventKind::kNetRecv,
+                         RecordOwner{inst->seg_stats.owner.query_id, "",
+                                     SimPid(target->node)},
+                         Now(), Now());
+        recv.name = "recv";
+        recv.tuples = b.tuples;
+        recv.bytes = b.bytes();
+        recv.link = LinkKey{target->exchange, from_id, target->node, seq};
+        EventRecorder::Global()->Record(std::move(recv));
       }
       PushBlock(target, b);
       inst->outbox_sending = false;
@@ -1023,11 +998,13 @@ void SimRun::Impl::AdvanceStage(Instance* inst) {
   }
   ++inst->stage;
   if (inst->first_stage_switch_ns < 0) inst->first_stage_switch_ns = Now();
-  TraceCollector* tc = TraceCollector::Global();
-  if (tc->enabled()) {
-    tc->Instant(Now(), 1000 + inst->node_id, "segment", "stage",
-                {{"segment", inst->spec->name},
-                 {"stage", static_cast<int64_t>(inst->stage)}});
+  EventRecorder* rec = EventRecorder::Global();
+  if (rec->enabled()) {
+    EventRecord stage(EventKind::kInstant, inst->seg_stats.owner, Now(),
+                      Now());
+    stage.name = "stage";
+    stage.AddArg("stage", inst->stage);
+    rec->Record(std::move(stage));
   }
   // New stage, new scalability profile (paper §4.4).
   inst->scal.Invalidate();
@@ -1055,23 +1032,13 @@ void SimRun::Impl::FinishInstance(Instance* inst) {
 
 void SimRun::Impl::CompleteFinish(Instance* inst) {
   inst->finished_flag = true;
-  TraceCollector* tc = TraceCollector::Global();
-  if (tc->enabled()) {
-    tc->Instant(Now(), 1000 + inst->node_id, "segment", "segment-finish",
-                {{"segment", inst->spec->name}});
-  }
-  if (Profiled()) {
-    ProfSpan span;
-    span.query_id = opt_.profile_query_id;
-    span.kind = SpanKind::kSegment;
-    span.name = SegLabel(inst);
-    span.segment = SegLabel(inst);
-    span.node = inst->node_id;
-    span.start_ns = inst->start_vns >= 0 ? inst->start_vns : 0;
-    span.end_ns = Now();
+  EventRecorder* rec = EventRecorder::Global();
+  if (rec->enabled()) {
+    EventRecord span(EventKind::kSegment, inst->seg_stats.owner,
+                     inst->start_vns >= 0 ? inst->start_vns : 0, Now());
     span.tuples =
         inst->seg_stats.output_tuples.load(std::memory_order_relaxed);
-    QueryProfiler::Global()->EmitComplete(std::move(span));
+    rec->Record(std::move(span));
   }
   // Release the iterator state.
   MemSub(inst->state_bytes);
@@ -1107,16 +1074,13 @@ void SimRun::Impl::CompleteFinish(Instance* inst) {
   if (finished_instances_ == static_cast<int>(instances_.size())) {
     done_ = true;
     done_at_ = Now();
-    if (Profiled()) {
-      ProfSpan span;
-      span.query_id = opt_.profile_query_id;
-      span.kind = SpanKind::kQuery;
-      span.name = StrFormat("sim (%s)", SimPolicyName(opt_.policy));
-      span.node = 0;
-      span.start_ns = 0;
-      span.end_ns = done_at_;
-      span.bytes = network_bytes_;
-      QueryProfiler::Global()->EmitComplete(std::move(span));
+    if (rec->enabled()) {
+      EventRecord query(EventKind::kQuery,
+                        RecordOwner{opt_.profile_query_id, "", SimPid(0)}, 0,
+                        done_at_);
+      query.name = StrFormat("sim (%s)", SimPolicyName(opt_.policy));
+      query.bytes = network_bytes_;
+      rec->Record(std::move(query));
     }
     for (auto& node : nodes_) WakeIdlePool(node.get());
   }
@@ -1238,9 +1202,7 @@ Result<SimMetrics> SimRun::Impl::Run() {
     if (opt_.policy == SimPolicy::kElastic) {
       SchedulerOptions so = opt_.scheduler;
       so.num_cores = hw.logical_cores;
-      // Simulated nodes trace under pid 1000+n so one capture can hold both
-      // the real engine (pids = node ids) and the simulator.
-      so.trace_pid = 1000 + n;
+      so.trace_pid = SimPid(n);
       node->scheduler = std::make_unique<DynamicScheduler>(
           n, so, events_.clock(), &board_);
     }
@@ -1278,6 +1240,9 @@ Result<SimMetrics> SimRun::Impl::Run() {
       inst->spec_index = static_cast<int>(s);
       inst->node_id = n;
       inst->node = nodes_[static_cast<size_t>(n)].get();
+      inst->seg_stats.owner =
+          RecordOwner{opt_.profile_query_id,
+                      StrFormat("%s@n%d", seg.name.c_str(), n), SimPid(n)};
       const SimStageSpec& first = seg.stages[0];
       inst->source_remaining =
           first.input_exchange < 0 ? first.source_tuples_per_node : 0;

@@ -103,11 +103,11 @@ struct SimOptions {
   /// High-utilization threshold θ_u (§5.4).
   double high_utilization_threshold = 0.95;
   uint64_t seed = 7;
-  /// Causal-profiler identity: with the global QueryProfiler armed and this
-  /// non-zero, the simulator emits kSegment/kNetSend/kNetRecv spans at
-  /// virtual time under this query id, with the same
-  /// {exchange, from, to, wire_seq} link keys as the real fabric — profiles
-  /// assemble identically from either substrate. 0 (default) emits nothing.
+  /// Query id of this run's records: with the EventRecorder on, the
+  /// simulator stores segment, query and wire-batch records at virtual time
+  /// (pid 1000+node) with the same {exchange, from, to, wire_seq} link keys
+  /// as the real fabric, so profiles assemble identically from either
+  /// substrate.
   uint64_t profile_query_id = 0;
   /// Chaos schedule rendered in virtual time. The simulator's lossless
   /// fabric has no retransmission model, so only the capacity faults apply:

@@ -6,8 +6,7 @@
 #include "common/clock.h"
 #include "common/string_util.h"
 #include "fault/injector.h"
-#include "obs/profile/profiler.h"
-#include "obs/trace.h"
+#include "obs/recorder.h"
 
 namespace claims {
 namespace {
@@ -61,9 +60,9 @@ IntrospectionPlane::~IntrospectionPlane() { Stop(); }
 
 Status IntrospectionPlane::Start() {
   if (options_.flight_recorder_capacity > 0) {
-    TraceCollector* tc = TraceCollector::Global();
-    tc->ConfigureFlightRecorder(options_.flight_recorder_capacity);
-    tc->Enable();
+    EventRecorder* rec = EventRecorder::Global();
+    rec->ConfigureRing(options_.flight_recorder_capacity);
+    rec->Enable();
   }
   CLAIMS_RETURN_IF_ERROR(monitor_.Start());
   if (options_.enable_watchdog) watchdog_.Start();
@@ -156,12 +155,12 @@ void IntrospectionPlane::RegisterProbes() {
     return injector->DescribeActiveFaults();
   });
 
-  // Incident context: the causal profiler's open spans say what every wedged
+  // Incident context: the recorder's open spans say what every wedged
   // segment was blocked on at the moment the stall fired — starved on which
-  // exchange, backpressured into which buffer. Empty when the profiler is
-  // disarmed or nothing is mid-wait.
-  watchdog_.AddContextProvider("profiler.open_spans", []() {
-    return QueryProfiler::Global()->OpenSpansText();
+  // exchange, backpressured into which buffer. Empty when recording is off
+  // or nothing is mid-wait.
+  watchdog_.AddContextProvider("recorder.open_spans", []() {
+    return EventRecorder::Global()->OpenSpansText();
   });
 
   // Incident context: the last two minutes of every metric series, so ANY
@@ -231,34 +230,32 @@ std::string IntrospectionPlane::SchedulerJson() const {
   std::string out = "{\"nodes\":[";
   double global_lambda = -1.0;
   for (int node = 0; node < cluster->num_nodes(); ++node) {
-    SchedulerSnapshot snap = cluster->scheduler(node)->Snapshot();
-    if (snap.last_global_lambda >= 0) {
-      global_lambda = snap.last_global_lambda;
-    }
+    DynamicScheduler* sched = cluster->scheduler(node);
+    // The live view is the node's latest decision audit.
+    std::shared_ptr<const SchedTickAudit> last = sched->LastAudit();
+    const SchedTickAudit audit = last != nullptr ? *last : SchedTickAudit{};
+    if (audit.lambda_global >= 0) global_lambda = audit.lambda_global;
     if (node > 0) out.push_back(',');
     out += StrFormat(
         "{\"node\":%d,\"num_cores\":%d,\"cores_in_use\":%d,\"ticks\":%lld,"
         "\"last_tick_ns\":%lld,\"lambda_local\":%s,\"segments\":[",
-        snap.node_id, snap.num_cores, snap.cores_in_use,
-        static_cast<long long>(snap.ticks),
-        static_cast<long long>(snap.last_tick_ns),
-        JsonNumber(snap.last_lambda_local).c_str());
+        node, sched->options().num_cores, sched->cores_in_use(),
+        static_cast<long long>(sched->tick_count()),
+        static_cast<long long>(audit.ts_ns),
+        JsonNumber(audit.lambda_local).c_str());
     bool first = true;
-    for (const SegmentSnapshot& seg : snap.segments) {
+    for (const SchedTickAudit::Segment& seg : audit.segments) {
       if (!first) out.push_back(',');
       first = false;
       out += "{\"name\":";
       AppendJsonString(&out, seg.name);
       out += StrFormat(
-          ",\"active\":%s,\"parallelism\":%d,\"normalized_rate\":%s,"
-          "\"rate\":%s,\"blocked_in\":%s,\"blocked_out\":%s,"
-          "\"has_sample\":%s}",
-          seg.active ? "true" : "false", seg.parallelism,
+          ",\"query_id\":%llu,\"parallelism\":%d,\"normalized_rate\":%s,"
+          "\"rate\":%s,\"blocked_in\":%s,\"blocked_out\":%s,\"action\":\"%s\"}",
+          static_cast<unsigned long long>(seg.query_id), seg.parallelism,
           JsonNumber(seg.normalized_rate).c_str(),
-          JsonNumber(seg.rate).c_str(),
-          JsonNumber(seg.blocked_in_fraction).c_str(),
-          JsonNumber(seg.blocked_out_fraction).c_str(),
-          seg.has_sample ? "true" : "false");
+          JsonNumber(seg.rate).c_str(), JsonNumber(seg.blocked_in).c_str(),
+          JsonNumber(seg.blocked_out).c_str(), seg.action);
     }
     out += "]}";
   }

@@ -24,9 +24,9 @@ struct IntrospectionOptions {
   /// Start the stall watchdog alongside the monitor.
   bool enable_watchdog = false;
   WatchdogOptions watchdog;
-  /// When > 0: put the global TraceCollector into flight-recorder mode with
-  /// this many ring slots and enable it, so /flight-recorder/dump and
-  /// watchdog incidents always have a bounded recent-events window.
+  /// When > 0: bound the global EventRecorder to a ring of this many records
+  /// (the flight recorder) and turn it on, so /flight-recorder/dump and
+  /// watchdog incidents always have a bounded recent-records window.
   size_t flight_recorder_capacity = 0;
   /// Start the metric time-series sampler alongside the monitor and publish
   /// it as MetricSampler::Default — this is what puts data behind

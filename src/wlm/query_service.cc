@@ -6,7 +6,6 @@
 
 #include "common/clock.h"
 #include "common/string_util.h"
-#include "obs/trace.h"
 
 namespace claims {
 namespace {
@@ -399,7 +398,7 @@ void QueryService::RunQuery(const QueryHandlePtr& handle) {
         admission_.options().memory_budget_bytes > 0) {
       exec.memory_budget_bytes = handle->reservation_.memory_bytes;
     }
-    // Profile under the handle's id so GET /profile/<id> lines up with
+    // Record under the handle's id so GET /profile/<id> lines up with
     // /queries; a retry re-stores under the same id (latest attempt wins).
     exec.query_id = handle->id_;
     // Disjoint exchange-id namespace per (query, attempt): a retried query
@@ -459,12 +458,6 @@ void QueryService::RunQuery(const QueryHandlePtr& handle) {
   }
 
   const int64_t done_ns = clock->NowNanos();
-  TraceCollector* tc = TraceCollector::Global();
-  if (tc->enabled() && queue_wait_ns > 0) {
-    tc->Complete(handle->submit_ns_, queue_wait_ns, /*pid=*/0, "wlm",
-                 StrFormat("queued %s", handle->label_.c_str()),
-                 {{"priority", static_cast<double>(handle->priority())}});
-  }
   // Release BEFORE waking waiters: a handle that reports done must imply
   // its admission reservation is already back in the pool, so a caller that
   // Wait()s on the last handle observes running() == 0. Releasing through

@@ -7,7 +7,7 @@
 
 #include "net/socket_util.h"
 #include "obs/metrics_registry.h"
-#include "obs/trace.h"
+#include "obs/recorder.h"
 
 namespace claims {
 namespace {
@@ -95,13 +95,13 @@ TEST_F(MonitorServerTest, UnknownPathIs404KnownPathWrongMethodIs405) {
 }
 
 TEST_F(MonitorServerTest, FlightRecorderDumpIsChromeJson) {
-  TraceCollector* tc = TraceCollector::Global();
-  tc->Clear();
-  tc->Enable();
-  tc->Instant(123, 0, "test", "hello-from-monitor-test");
+  EventRecorder* rec = EventRecorder::Global();
+  rec->Clear();
+  rec->Enable();
+  rec->Instant(123, 0, "hello-from-monitor-test");
   int status = 0;
   std::string body = Fetch(server_, "POST", "/flight-recorder/dump", &status);
-  tc->Disable();
+  rec->Disable();
   EXPECT_EQ(status, 200);
   EXPECT_EQ(body.find("{\"traceEvents\":["), 0u);
   EXPECT_NE(body.find("hello-from-monitor-test"), std::string::npos);

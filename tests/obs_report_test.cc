@@ -1,12 +1,12 @@
 // ExecutionReport tests: after a 2-node cluster query the report's
 // per-segment numbers must reconcile exactly with the SegmentStats the
 // scheduler sampled during the run, and the parallelism timelines must come
-// from the trace when tracing is on.
+// from launch widths and the scheduler's decision audit, recorder on or off.
 
 #include <gtest/gtest.h>
 
 #include "cluster/executor.h"
-#include "obs/trace.h"
+#include "obs/recorder.h"
 
 namespace claims {
 namespace {
@@ -152,7 +152,7 @@ TEST_F(ObsReportTest, ReportReconcilesWithSegmentStats) {
   EXPECT_NE(text.find("S1@n1"), std::string::npos);
 }
 
-TEST_F(ObsReportTest, TimelinesFilledWhenTracingEnabled) {
+TEST_F(ObsReportTest, RecordedRunHoldsQuerySpanAndOneTickRecordPerTick) {
   auto total_ticks = [] {
     int64_t ticks = 0;
     for (int n = 0; n < kNodes; ++n) {
@@ -160,23 +160,20 @@ TEST_F(ObsReportTest, TimelinesFilledWhenTracingEnabled) {
     }
     return ticks;
   };
-  TraceCollector* tc = TraceCollector::Global();
-  tc->Clear();
+  EventRecorder* rec = EventRecorder::Global();
+  rec->Clear();
   const int64_t ticks_before = total_ticks();
-  tc->Enable();
+  rec->Enable();
   PhysicalPlan plan = JoinAggPlan();
   Executor exec(cluster_);
   ExecOptions opts;
   opts.mode = ExecMode::kElastic;
   opts.parallelism = 1;
   auto result = exec.Execute(plan, opts);
-  tc->Disable();
+  rec->Disable();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   const int64_t ticks = total_ticks() - ticks_before;
 
-  // Every segment's series starts at its launch width and gains a point per
-  // scheduler tick, so each segment has a timeline however few ticks the
-  // query spanned.
   for (const SegmentReport& sr : exec.report().segments) {
     EXPECT_FALSE(sr.parallelism_timeline.empty()) << sr.name;
     for (const auto& [ts, p] : sr.parallelism_timeline) {
@@ -185,55 +182,162 @@ TEST_F(ObsReportTest, TimelinesFilledWhenTracingEnabled) {
     }
   }
 
-  // The capture holds the query span and one tick instant per tick the
+  // The capture holds the query span and one tick record per tick the
   // schedulers took: they tick only while the query's segments are
-  // registered, all of it inside the traced window.
+  // registered, all of it inside the recorded window.
   bool saw_query = false;
-  int64_t tick_events = 0;
-  for (const TraceEvent& ev : tc->Snapshot()) {
-    if (ev.phase == TraceEvent::Phase::kComplete &&
-        ev.name.rfind("query", 0) == 0) {
-      saw_query = true;
-    }
-    if (ev.name == "tick") ++tick_events;
+  int64_t tick_records = 0;
+  for (const EventRecord& ev : rec->Snapshot()) {
+    if (ev.kind == EventKind::kQuery) saw_query = true;
+    if (ev.kind == EventKind::kTick) ++tick_records;
   }
   EXPECT_TRUE(saw_query);
-  EXPECT_EQ(tick_events, ticks);
-  tc->Clear();
+  EXPECT_EQ(tick_records, ticks);
+  rec->Clear();
 }
 
-TEST_F(ObsReportTest, TimelinesEmptyWhenTracingDisabled) {
-  ASSERT_FALSE(TraceCollector::Global()->enabled());
+TEST_F(ObsReportTest, TimelinesFilledWithRecordingOff) {
+  ASSERT_FALSE(EventRecorder::Global()->enabled());
   PhysicalPlan plan = JoinAggPlan();
   Executor exec(cluster_);
   ExecOptions opts;
   opts.mode = ExecMode::kStatic;
   opts.parallelism = 2;
   ASSERT_TRUE(exec.Execute(plan, opts).ok());
-  for (const SegmentReport& sr : exec.report().segments) {
-    EXPECT_TRUE(sr.parallelism_timeline.empty());
+  // SP never registers with the scheduler: each timeline is exactly the
+  // launch width, stamped when the segment's driver started.
+  ASSERT_EQ(exec.report().segments.size(), exec.segments().size());
+  for (size_t i = 0; i < exec.segments().size(); ++i) {
+    const SegmentReport& sr = exec.report().segments[i];
+    ASSERT_EQ(sr.parallelism_timeline.size(), 1u) << sr.name;
+    EXPECT_EQ(sr.parallelism_timeline[0],
+              (std::pair<int64_t, int>{exec.segments()[i]->start_ns(), 2}));
     EXPECT_EQ(sr.peak_parallelism, 2);
   }
   EXPECT_EQ(exec.report().mode, "SP");
+  EXPECT_EQ(exec.report().ToString().find("(no samples)"), std::string::npos);
 }
 
-TEST(ExtractCounterTimelineTest, FiltersAndCollapses) {
-  std::vector<TraceEvent> events;
-  auto counter = [](int64_t ts, const char* name, double v) {
-    TraceEvent ev;
-    ev.name = name;
-    ev.phase = TraceEvent::Phase::kCounter;
-    ev.ts_ns = ts;
-    ev.AddArg(TraceArg("value", v));
-    return ev;
-  };
-  events.push_back(counter(5, "parallelism:S1", 1));
-  events.push_back(counter(10, "parallelism:S1", 1));  // duplicate: collapsed
-  events.push_back(counter(15, "parallelism:S2", 9));  // other series
-  events.push_back(counter(20, "parallelism:S1", 3));
-  events.push_back(counter(99, "parallelism:S1", 4));  // outside window
+TEST(ObsReportAuditTest, ElasticTimelinesFollowTheQueryAudit) {
+  // Its own cluster: a 5 ms scheduler period and a join long enough for the
+  // schedulers to audit the query several times.
+  Catalog catalog;
+  {
+    Schema s({ColumnDef::Int32("k"), ColumnDef::Int64("v")});
+    auto t = std::make_shared<Table>("kv1", s, kNodes, std::vector<int>{});
+    for (int i = 0; i < 200000; ++i) {
+      t->AppendValues({Value::Int32(i % 100), Value::Int64(i)});
+    }
+    ASSERT_TRUE(catalog.RegisterTable(std::move(t)).ok());
+  }
+  {
+    Schema s({ColumnDef::Int32("k"), ColumnDef::Int64("w")});
+    auto t = std::make_shared<Table>("kv2", s, kNodes, std::vector<int>{0});
+    for (int i = 0; i < 100; ++i) {
+      t->AppendValues({Value::Int32(i), Value::Int64(i * 10)});
+    }
+    ASSERT_TRUE(catalog.RegisterTable(std::move(t)).ok());
+  }
+  ClusterOptions copts;
+  copts.num_nodes = kNodes;
+  copts.cores_per_node = 4;
+  copts.scheduler_period_ms = 5;
+  Cluster cluster(copts, &catalog);
+  ASSERT_FALSE(EventRecorder::Global()->enabled());
 
-  auto timeline = ExtractCounterTimeline(events, "parallelism:S1", 0, 50);
+  TablePtr kv1 = *catalog.GetTable("kv1");
+  TablePtr kv2 = *catalog.GetTable("kv2");
+  PhysicalPlan plan;
+  auto f0 = std::make_unique<Fragment>();
+  f0->id = 0;
+  f0->root = MakeScanOp(*kv1);
+  f0->nodes = {0, 1};
+  f0->out_exchange_id = 0;
+  f0->partitioning = Partitioning::kHash;
+  f0->hash_cols = {0};
+  f0->consumer_nodes = {0, 1};
+  auto f1 = std::make_unique<Fragment>();
+  f1->id = 1;
+  auto join = MakeHashJoinOp(MakeMergerOp(0, f0->root->output_schema),
+                             MakeScanOp(*kv2), {0}, {0});
+  const Schema join_schema = join->output_schema;
+  f1->root = MakeHashAggOp(std::move(join), {Col(join_schema, "k")}, {"k"},
+                           {{AggFn::kCount, nullptr, "cnt"}},
+                           HashAggIterator::Mode::kShared);
+  f1->nodes = {0, 1};
+  f1->out_exchange_id = 1;
+  f1->partitioning = Partitioning::kToOne;
+  f1->consumer_nodes = {0};
+  plan.result_schema = f1->root->output_schema;
+  plan.result_exchange_id = 1;
+  plan.fragments.push_back(std::move(f0));
+  plan.fragments.push_back(std::move(f1));
+
+  Executor exec(&cluster);
+  ExecOptions opts;
+  opts.mode = ExecMode::kElastic;
+  opts.parallelism = 1;
+  opts.query_id = 4242;
+  ASSERT_TRUE(exec.Execute(plan, opts).ok());
+
+  std::vector<SchedTickAudit> audit;
+  for (int n = 0; n < kNodes; ++n) {
+    for (SchedTickAudit& tick :
+         cluster.scheduler(n)->AuditLogForQuery(opts.query_id)) {
+      audit.push_back(std::move(tick));
+    }
+  }
+  for (size_t i = 0; i < exec.segments().size(); ++i) {
+    const SegmentReport& sr = exec.report().segments[i];
+    ASSERT_FALSE(sr.parallelism_timeline.empty()) << sr.name;
+    // Starts at the launch width...
+    EXPECT_EQ(sr.parallelism_timeline[0],
+              (std::pair<int64_t, int>{exec.segments()[i]->start_ns(), 1}));
+    // ...and every later point is one of this query's audit entries for the
+    // segment: same tick time, same post-action parallelism.
+    for (size_t k = 1; k < sr.parallelism_timeline.size(); ++k) {
+      const auto& [ts, p] = sr.parallelism_timeline[k];
+      bool found = false;
+      for (const SchedTickAudit& tick : audit) {
+        for (const SchedTickAudit::Segment& seg : tick.segments) {
+          if (seg.name == sr.name && tick.ts_ns == ts && seg.parallelism == p) {
+            found = true;
+          }
+        }
+      }
+      EXPECT_TRUE(found) << sr.name << " point " << k;
+    }
+    // The last audited parallelism is where the timeline ends.
+    int last = sr.parallelism_timeline[0].second;
+    for (const SchedTickAudit& tick : audit) {
+      for (const SchedTickAudit::Segment& seg : tick.segments) {
+        if (seg.name == sr.name) last = seg.parallelism;
+      }
+    }
+    EXPECT_EQ(sr.parallelism_timeline.back().second, last) << sr.name;
+  }
+  EXPECT_FALSE(audit.empty()) << "the schedulers never audited the query";
+}
+
+TEST(ParallelismTimelineTest, CollapsesDuplicatesAndClipsToWindow) {
+  auto tick = [](int64_t ts, const char* seg, int p) {
+    SchedTickAudit a;
+    a.ts_ns = ts;
+    SchedTickAudit::Segment s;
+    s.name = seg;
+    s.parallelism = p;
+    a.segments.push_back(s);
+    return a;
+  };
+  std::vector<SchedTickAudit> audit = {
+      tick(10, "S1", 1),  // same as the launch width: collapsed
+      tick(15, "S2", 9),  // other segment
+      tick(20, "S1", 3),
+      tick(30, "S1", 3),  // duplicate: collapsed
+      tick(99, "S1", 4),  // outside window
+  };
+  auto timeline = ParallelismTimeline(audit, "S1", /*start_ns=*/5,
+                                      /*launch_width=*/1, 0, 50);
   ASSERT_EQ(timeline.size(), 2u);
   EXPECT_EQ(timeline[0], (std::pair<int64_t, int>{5, 1}));
   EXPECT_EQ(timeline[1], (std::pair<int64_t, int>{20, 3}));

@@ -1,8 +1,11 @@
-// Causal query profiler tests: assembler attribution and critical-path
-// stitching on synthetic span logs, the open-span registry lifecycle, and
-// end-to-end profiles of real multi-segment executions — including span
-// propagation under drop/duplicate/retry faults (no leaked open spans, no
-// double-counted receives, no mislinked exchange jumps).
+// Causal query profile tests: assembler attribution and critical-path
+// stitching on synthetic records, the recorder's open-span registry
+// lifecycle, end-to-end profiles of real multi-segment executions —
+// including link propagation under drop/duplicate/retry faults (no leaked
+// open spans, no double-counted receives, no mislinked exchange jumps) — and
+// the recorder's retention semantics: unbounded captures keep every query,
+// the ring stays bounded and reports what it overwrote, and the flight
+// recorder dump and /profile/<id>?format=perfetto come from one writer.
 
 #include <gtest/gtest.h>
 
@@ -11,24 +14,35 @@
 
 #include "cluster/executor.h"
 #include "fault/injector.h"
+#include "net/socket_util.h"
+#include "obs/monitor_server.h"
 #include "obs/profile/assembler.h"
-#include "obs/profile/profiler.h"
+#include "obs/recorder.h"
 
 namespace claims {
 namespace {
 
 constexpr int64_t kMs = 1'000'000;
 
-ProfSpan MakeSpan(uint64_t qid, SpanKind kind, const char* segment,
-                  int64_t start_ms, int64_t end_ms) {
-  ProfSpan s;
-  s.query_id = qid;
-  s.kind = kind;
-  s.segment = segment;
-  s.start_ns = start_ms * kMs;
-  s.end_ns = end_ms * kMs;
-  return s;
+EventRecord MakeSpan(uint64_t qid, EventKind kind, const char* segment,
+                     int64_t start_ms, int64_t end_ms) {
+  return EventRecord(kind, RecordOwner{qid, segment, 0}, start_ms * kMs,
+                     end_ms * kMs);
 }
+
+/// Turns the global recorder on for a scope, on a clean store.
+class RecorderOn {
+ public:
+  explicit RecorderOn(size_t ring = 0) {
+    EventRecorder::Global()->ConfigureRing(ring);
+    EventRecorder::Global()->Enable();
+  }
+  ~RecorderOn() {
+    EventRecorder::Global()->Disable();
+    EventRecorder::Global()->ConfigureRing(0);
+  }
+  CLAIMS_DISALLOW_COPY_AND_ASSIGN(RecorderOn);
+};
 
 // --- assembler: operator attribution ---------------------------------------------
 
@@ -39,12 +53,12 @@ TEST(AssemblerTest, OperatorExclusiveTimesTelescope) {
   in.start_ns = 0;
   in.end_ns = 100 * kMs;
   auto op = [&](int id, int parent, const char* name, int64_t busy_ms) {
-    ProfSpan s = MakeSpan(1, SpanKind::kOperator, "S0@n0", 0, 100);
+    EventRecord s = MakeSpan(1, EventKind::kOperator, "S0@n0", 0, 100);
     s.name = name;
     s.op_id = id;
     s.parent_op = parent;
     s.busy_ns = busy_ms * kMs;
-    in.spans.push_back(std::move(s));
+    in.records.push_back(std::move(s));
   };
   op(0, -1, "hash-agg", 100);
   op(1, 0, "hash-join", 60);
@@ -73,33 +87,24 @@ AssembleInput TwoSegmentInput(uint64_t resolved_seq) {
   in.start_ns = 0;
   in.end_ns = 100 * kMs;
 
-  ProfSpan prod = MakeSpan(2, SpanKind::kSegment, "S0@n1", 0, 50);
+  EventRecord prod = MakeSpan(2, EventKind::kSegment, "S0@n1", 0, 50);
   prod.node = 1;
-  in.spans.push_back(prod);
-  ProfSpan cons = MakeSpan(2, SpanKind::kSegment, "S1@n0", 0, 100);
-  in.spans.push_back(cons);
+  in.records.push_back(prod);
+  EventRecord cons = MakeSpan(2, EventKind::kSegment, "S1@n0", 0, 100);
+  in.records.push_back(cons);
 
-  ProfSpan send = MakeSpan(2, SpanKind::kNetSend, "S0@n1", 45, 46);
+  EventRecord send = MakeSpan(2, EventKind::kNetSend, "S0@n1", 45, 46);
   send.node = 1;
-  send.exchange_id = 5;
-  send.from_node = 1;
-  send.to_node = 0;
-  send.wire_seq = 7;
-  in.spans.push_back(send);
+  send.link = LinkKey{5, 1, 0, 7};
+  in.records.push_back(send);
 
-  ProfSpan recv = MakeSpan(2, SpanKind::kNetRecv, "S1@n0", 46, 46);
-  recv.exchange_id = 5;
-  recv.from_node = 1;
-  recv.to_node = 0;
-  recv.wire_seq = 7;
-  in.spans.push_back(recv);
+  EventRecord recv = MakeSpan(2, EventKind::kNetRecv, "S1@n0", 46, 46);
+  recv.link = LinkKey{5, 1, 0, 7};
+  in.records.push_back(recv);
 
-  ProfSpan wait = MakeSpan(2, SpanKind::kBlockedInput, "S1@n0", 10, 46);
-  wait.exchange_id = 5;
-  wait.from_node = 1;
-  wait.to_node = 0;
-  wait.wire_seq = resolved_seq;
-  in.spans.push_back(wait);
+  EventRecord wait = MakeSpan(2, EventKind::kBlockedInput, "S1@n0", 10, 46);
+  wait.link = LinkKey{5, 1, 0, resolved_seq};
+  in.records.push_back(wait);
   return in;
 }
 
@@ -155,41 +160,51 @@ TEST(AssemblerTest, RendersAllThreeViews) {
 
 // --- open-span registry ----------------------------------------------------------
 
-TEST(ProfilerTest, OpenSpanLifecycleAndDoubleCloseSafety) {
-  QueryProfiler* prof = QueryProfiler::Global();
-  prof->Clear();
-  ProfilerArmScope armed;
+TEST(RecorderOpenSpanTest, LifecycleAndDoubleCloseSafety) {
+  EventRecorder* rec = EventRecorder::Global();
+  RecorderOn on;
 
-  ProfSpan s = MakeSpan(91, SpanKind::kBlockedInput, "S1@n0", 1, 0);
-  s.exchange_id = 3;
-  uint64_t token = prof->BeginOpen(s);
+  EventRecord s = MakeSpan(91, EventKind::kBlockedInput, "S1@n0", 1, 0);
+  uint64_t token = rec->BeginOpen(s);
   ASSERT_NE(token, 0u);
-  EXPECT_EQ(prof->open_span_count(), 1u);
-  EXPECT_NE(prof->OpenSpansText().find("S1@n0"), std::string::npos);
+  EXPECT_EQ(rec->open_span_count(), 1u);
+  EXPECT_NE(rec->OpenSpansText().find("S1@n0"), std::string::npos);
 
-  prof->EndOpen(token, 5 * kMs, /*resolved_wire_seq=*/9,
-                /*resolved_from_node=*/2);
-  EXPECT_EQ(prof->open_span_count(), 0u);
-  prof->EndOpen(token, 9 * kMs);  // double close: ignored, no second span
-  prof->AbortOpen(token);         // ditto
+  const LinkKey resolved{3, 2, 0, 9};
+  rec->EndOpen(token, 5 * kMs, &resolved);
+  EXPECT_EQ(rec->open_span_count(), 0u);
+  rec->EndOpen(token, 9 * kMs);  // double close: ignored, no second span
+  rec->AbortOpen(token);         // ditto
 
-  std::vector<ProfSpan> taken = prof->TakeQuery(91);
+  int64_t lost = -1;
+  std::vector<EventRecord> taken = rec->SelectQuery(91, &lost);
   ASSERT_EQ(taken.size(), 1u);
+  EXPECT_EQ(lost, 0);
   EXPECT_EQ(taken[0].end_ns, 5 * kMs);
-  EXPECT_EQ(taken[0].wire_seq, 9u);  // link key stamped at resolution
-  EXPECT_EQ(taken[0].from_node, 2);
+  EXPECT_EQ(taken[0].link.wire_seq, 9u);  // link key stamped at resolution
+  EXPECT_EQ(taken[0].link.from_node, 2);
+  EXPECT_EQ(taken[0].link.exchange_id, 3);
 
-  uint64_t t2 = prof->BeginOpen(s);
+  uint64_t t2 = rec->BeginOpen(s);
   ASSERT_NE(t2, 0u);
-  prof->AbortOpen(t2);
-  EXPECT_EQ(prof->open_span_count(), 0u);
-  EXPECT_TRUE(prof->TakeQuery(91).empty());  // aborted spans leave no trace
-  EXPECT_TRUE(prof->OpenSpansText().empty());
+  rec->AbortOpen(t2);
+  EXPECT_EQ(rec->open_span_count(), 0u);
+  EXPECT_EQ(rec->SelectQuery(91, &lost).size(), 1u);  // aborted: no record
+  EXPECT_TRUE(rec->OpenSpansText().empty());
+}
+
+TEST(RecorderOpenSpanTest, DisabledRecorderOpensNothing) {
+  EventRecorder* rec = EventRecorder::Global();
+  ASSERT_FALSE(rec->enabled());
+  EXPECT_EQ(rec->BeginOpen(MakeSpan(92, EventKind::kBlockedOutput, "S0@n0",
+                                    1, 0)),
+            0u);
+  rec->EndOpen(0, 5 * kMs);  // token 0 is "not registered": a no-op
+  EXPECT_EQ(rec->open_span_count(), 0u);
 }
 
 // --- end-to-end on the real executor ---------------------------------------------
 
-constexpr int kNodes = 3;
 
 ExprPtr Col(const Schema& s, const char* name) {
   int i = s.FindColumn(name);
@@ -201,10 +216,10 @@ ExprPtr Col(const Schema& s, const char* name) {
 /// k for the build side), kvb hash-partitioned on k (co-located probe side),
 /// so the join result is deterministic: (rows/300)² matches per key.
 struct ProfiledCluster {
-  explicit ProfiledCluster(int rows = 24000) {
+  explicit ProfiledCluster(int rows = 24000, int nodes = 3) : nodes(nodes) {
     {
       Schema s({ColumnDef::Int32("k"), ColumnDef::Int64("v")});
-      auto t = std::make_shared<Table>("kva", s, kNodes, std::vector<int>{});
+      auto t = std::make_shared<Table>("kva", s, nodes, std::vector<int>{});
       for (int i = 0; i < rows; ++i) {
         t->AppendValues({Value::Int32(i % 300), Value::Int64(i)});
       }
@@ -212,14 +227,14 @@ struct ProfiledCluster {
     }
     {
       Schema s({ColumnDef::Int32("k"), ColumnDef::Int64("w")});
-      auto t = std::make_shared<Table>("kvb", s, kNodes, std::vector<int>{0});
+      auto t = std::make_shared<Table>("kvb", s, nodes, std::vector<int>{0});
       for (int i = 0; i < rows; ++i) {
         t->AppendValues({Value::Int32(i % 300), Value::Int64(i)});
       }
       EXPECT_TRUE(catalog.RegisterTable(std::move(t)).ok());
     }
     ClusterOptions copts;
-    copts.num_nodes = kNodes;
+    copts.num_nodes = nodes;
     copts.cores_per_node = 4;
     copts.scheduler_period_ms = 5;  // many audit ticks within a short query
     cluster = std::make_unique<Cluster>(copts, &catalog);
@@ -231,15 +246,17 @@ struct ProfiledCluster {
   PhysicalPlan JoinPlan() {
     TablePtr kva = *catalog.GetTable("kva");
     TablePtr kvb = *catalog.GetTable("kvb");
+    std::vector<int> all;
+    for (int n = 0; n < nodes; ++n) all.push_back(n);
     PhysicalPlan plan;
     auto f0 = std::make_unique<Fragment>();
     f0->id = 0;
     f0->root = MakeScanOp(*kva);
-    f0->nodes = {0, 1, 2};
+    f0->nodes = all;
     f0->out_exchange_id = 0;
     f0->partitioning = Partitioning::kHash;
     f0->hash_cols = {0};
-    f0->consumer_nodes = {0, 1, 2};
+    f0->consumer_nodes = all;
 
     auto f1 = std::make_unique<Fragment>();
     f1->id = 1;
@@ -250,7 +267,7 @@ struct ProfiledCluster {
     f1->root = MakeHashAggOp(std::move(join), {Col(join_schema, "k")}, {"k"},
                              {{AggFn::kCount, nullptr, "cnt"}},
                              HashAggIterator::Mode::kShared);
-    f1->nodes = {0, 1, 2};
+    f1->nodes = all;
     f1->out_exchange_id = 1;
     f1->partitioning = Partitioning::kToOne;
     f1->consumer_nodes = {0};
@@ -262,15 +279,15 @@ struct ProfiledCluster {
     return plan;
   }
 
+  int nodes;
   Catalog catalog;
   std::unique_ptr<Cluster> cluster;
 };
 
 TEST(ProfileEndToEndTest, MultiSegmentQueryMeetsAttributionBars) {
-  QueryProfiler* prof = QueryProfiler::Global();
-  prof->Clear();
+  EventRecorder* rec = EventRecorder::Global();
   ProfiledCluster pc;
-  ProfilerArmScope armed;
+  RecorderOn on;
 
   Executor exec(pc.cluster.get());
   ExecOptions opts;
@@ -280,11 +297,10 @@ TEST(ProfileEndToEndTest, MultiSegmentQueryMeetsAttributionBars) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->num_rows(), 300);
 
-  // Nothing left mid-flight, and the assembler drained the span log.
-  EXPECT_EQ(prof->open_span_count(), 0u);
-  EXPECT_TRUE(prof->TakeQuery(77).empty());
+  // Nothing left mid-flight.
+  EXPECT_EQ(rec->open_span_count(), 0u);
 
-  auto p = prof->GetProfile(77);
+  auto p = rec->GetProfile(77);
   ASSERT_NE(p, nullptr);
   EXPECT_EQ(p->query_id, 77u);
   EXPECT_GT(p->wall_ns(), 0);
@@ -299,7 +315,7 @@ TEST(ProfileEndToEndTest, MultiSegmentQueryMeetsAttributionBars) {
               0.1 * static_cast<double>(p->operator_total_ns));
 
   // Cross-exchange causality: every receive links to a profiled send (both
-  // sides of both exchanges ran under the same armed profiler).
+  // sides of both exchanges ran with the recorder on).
   EXPECT_GT(p->total_recv_spans, 0);
   EXPECT_EQ(p->linked_recv_spans, p->total_recv_spans);
 
@@ -322,9 +338,9 @@ TEST(ProfileEndToEndTest, MultiSegmentQueryMeetsAttributionBars) {
   EXPECT_NE(exec.report().ToString().find("profile"), std::string::npos);
 }
 
-TEST(ProfileEndToEndTest, DisarmedRunEmitsNothingAndStoresNoProfile) {
-  QueryProfiler* prof = QueryProfiler::Global();
-  prof->Clear();
+TEST(ProfileEndToEndTest, UnrecordedRunStoresNothingAndNoProfile) {
+  EventRecorder* rec = EventRecorder::Global();
+  rec->Clear();
   ProfiledCluster pc(6000);
   Executor exec(pc.cluster.get());
   ExecOptions opts;
@@ -332,16 +348,16 @@ TEST(ProfileEndToEndTest, DisarmedRunEmitsNothingAndStoresNoProfile) {
   opts.query_id = 78;
   auto result = exec.Execute(pc.JoinPlan(), opts);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(prof->size(), 0u);
-  EXPECT_EQ(prof->open_span_count(), 0u);
-  EXPECT_EQ(prof->GetProfile(78), nullptr);
+  EXPECT_EQ(rec->size(), 0u);
+  EXPECT_EQ(rec->open_span_count(), 0u);
+  EXPECT_EQ(rec->GetProfile(78), nullptr);
   EXPECT_EQ(exec.report().profile_query_id, 0u);
 }
 
-/// Satellite (c): span propagation under drop (with fabric retry) and
-/// duplicate faults. Retried sends must yield exactly one send span keyed by
-/// the delivered sequence; suppressed duplicate deliveries must not produce
-/// a second receive span; teardown must not leak open spans.
+/// Link propagation under drop (with fabric retry) and duplicate faults.
+/// Retried sends must yield exactly one send record keyed by the delivered
+/// sequence; suppressed duplicate deliveries must not produce a second
+/// receive record; teardown must not leak open spans.
 TEST(ProfileEndToEndTest, SpanLinksSurviveDropDupRetryFaults) {
   // Seeded plan: drops force retries for ~10% of sends (exhaustion odds per
   // block ≈ 1e-5 with 5 attempts), duplicates hit half the deliveries.
@@ -351,13 +367,12 @@ TEST(ProfileEndToEndTest, SpanLinksSurviveDropDupRetryFaults) {
       "at=0ns kind=dup dur=10s p=0.5\n");
   ASSERT_TRUE(plan.ok());
 
-  QueryProfiler* prof = QueryProfiler::Global();
-  prof->Clear();
+  EventRecorder* rec = EventRecorder::Global();
   ProfiledCluster pc;
   FaultInjector injector(*plan);
   pc.cluster->AttachFaultInjector(&injector);
   injector.Arm();
-  ProfilerArmScope armed;
+  RecorderOn on;
 
   Executor exec(pc.cluster.get());
   ExecOptions opts;
@@ -368,30 +383,126 @@ TEST(ProfileEndToEndTest, SpanLinksSurviveDropDupRetryFaults) {
   injector.Disarm();
   pc.cluster->AttachFaultInjector(nullptr);
 
-  // No leaked open spans and no stranded per-query spans, even if the storm
-  // (astronomically unlikely) exhausted the retries and failed the query.
-  EXPECT_EQ(prof->open_span_count(), 0u);
-  EXPECT_TRUE(prof->TakeQuery(79).empty());
+  // No leaked open spans, even if the storm (astronomically unlikely)
+  // exhausted the retries and failed the query.
+  EXPECT_EQ(rec->open_span_count(), 0u);
 
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->num_rows(), 300);
-  auto p = prof->GetProfile(79);
+  auto p = rec->GetProfile(79);
   ASSERT_NE(p, nullptr);
 
   // Every receive still links to exactly one send: retries reuse the send
-  // span of the delivered attempt, duplicate deliveries are suppressed
-  // before span emission.
+  // record of the delivered attempt, duplicate deliveries are suppressed
+  // before anything is recorded.
   EXPECT_GT(p->total_recv_spans, 0);
   EXPECT_EQ(p->linked_recv_spans, p->total_recv_spans);
   std::set<std::tuple<int64_t, int, int, uint64_t>> recv_keys;
-  for (const ProfSpan& s : p->spans) {
-    if (s.kind != SpanKind::kNetRecv) continue;
-    auto key = std::make_tuple(s.exchange_id, s.from_node, s.to_node,
-                               s.wire_seq);
+  for (const EventRecord& s : p->records) {
+    if (s.kind != EventKind::kNetRecv) continue;
+    auto key = std::make_tuple(s.link.exchange_id, s.link.from_node,
+                               s.link.to_node, s.link.wire_seq);
     EXPECT_TRUE(recv_keys.insert(key).second)
         << "duplicate receive span for one wire batch";
   }
   EXPECT_GE(p->critical_path_coverage, 0.9) << p->ToText();
+}
+
+// --- retention -------------------------------------------------------------------
+
+/// Runs the 2-node join as query `qid` and returns its stored profile.
+std::shared_ptr<const QueryProfile> RunProfiled(ProfiledCluster* pc,
+                                                uint64_t qid) {
+  Executor exec(pc->cluster.get());
+  ExecOptions opts;
+  opts.parallelism = 1;
+  opts.query_id = qid;
+  auto result = exec.Execute(pc->JoinPlan(), opts);
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  return EventRecorder::Global()->GetProfile(qid);
+}
+
+bool HoldsQuery(const std::vector<EventRecord>& records, uint64_t qid) {
+  for (const EventRecord& ev : records) {
+    if (ev.query_id == qid && ev.kind == EventKind::kQuery) return true;
+  }
+  return false;
+}
+
+TEST(RetentionTest, UnboundedCaptureKeepsEveryQueryAfterAssembly) {
+  ProfiledCluster pc(6000, /*nodes=*/2);
+  RecorderOn on;
+  ASSERT_NE(RunProfiled(&pc, 101), nullptr);
+  ASSERT_NE(RunProfiled(&pc, 102), nullptr);
+  // Assembling a profile copies its records out; the capture keeps them.
+  std::vector<EventRecord> all = EventRecorder::Global()->Snapshot();
+  EXPECT_TRUE(HoldsQuery(all, 101));
+  EXPECT_TRUE(HoldsQuery(all, 102));
+  EXPECT_EQ(EventRecorder::Global()->overwritten(), 0);
+}
+
+TEST(RetentionTest, RingProfilesMatchUnboundedUntilTheRingWraps) {
+  ProfiledCluster pc(6000, /*nodes=*/2);
+  int64_t unbounded_linked[2] = {0, 0};
+  {
+    RecorderOn on;
+    for (int i = 0; i < 2; ++i) {
+      auto p = RunProfiled(&pc, 111 + i);
+      ASSERT_NE(p, nullptr);
+      EXPECT_EQ(p->overwritten_records, 0);
+      unbounded_linked[i] = p->linked_recv_spans;
+      EXPECT_GT(unbounded_linked[i], 0);
+    }
+  }
+  {
+    // Large enough that nothing is overwritten: back-to-back queries both
+    // assemble the same causal links an unbounded capture gives them.
+    RecorderOn on(/*ring=*/1 << 20);
+    for (int i = 0; i < 2; ++i) {
+      auto p = RunProfiled(&pc, 121 + i);
+      ASSERT_NE(p, nullptr);
+      EXPECT_EQ(p->overwritten_records, 0);
+      EXPECT_EQ(p->linked_recv_spans, unbounded_linked[i]);
+    }
+    EXPECT_EQ(EventRecorder::Global()->overwritten(), 0);
+  }
+  {
+    // Small enough to wrap: the store stays bounded and the profile says
+    // how many of its records it lost.
+    RecorderOn on(/*ring=*/64);
+    auto p = RunProfiled(&pc, 131);
+    ASSERT_NE(p, nullptr);
+    EXPECT_GT(p->overwritten_records, 0);
+    EXPECT_LE(EventRecorder::Global()->size(), 64u);
+  }
+}
+
+TEST(RetentionTest, FlightRecorderDumpAndPerfettoProfileShareFlowArrows) {
+  ProfiledCluster pc(6000, /*nodes=*/2);
+  MonitorOptions mopts;
+  mopts.enabled = true;
+  mopts.port = 0;
+  MonitorServer server(mopts);
+  ASSERT_TRUE(server.Start().ok());
+  RecorderOn on(/*ring=*/1 << 16);
+  ASSERT_NE(RunProfiled(&pc, 141), nullptr);
+
+  auto fetch = [&](const char* method, const std::string& target) {
+    Result<std::string> raw =
+        HttpRoundTrip("127.0.0.1", server.port(), method, target);
+    EXPECT_TRUE(raw.ok()) << raw.status().ToString();
+    std::string body;
+    EXPECT_EQ(ParseHttpResponse(raw.ok() ? raw.value() : "", &body), 200);
+    return body;
+  };
+  for (const std::string& body :
+       {fetch("POST", "/flight-recorder/dump"),
+        fetch("GET", "/profile/141?format=perfetto")}) {
+    EXPECT_EQ(body.find("{\"traceEvents\":["), 0u);
+    EXPECT_NE(body.find("\"ph\":\"s\""), std::string::npos);
+    EXPECT_NE(body.find("\"ph\":\"f\""), std::string::npos);
+  }
+  server.Stop();
 }
 
 }  // namespace

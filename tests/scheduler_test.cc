@@ -318,40 +318,39 @@ TEST(DynamicSchedulerTest, LastSegmentLeavingWithdrawsNodeLambda) {
   EXPECT_NEAR(board.GlobalLambda(), 300.0, 1.0);
 }
 
-TEST(DynamicSchedulerTest, SnapshotReflectsTicksLambdaAndSegments) {
+TEST(DynamicSchedulerTest, LastAuditIsTheLiveViewEvenWithRecordingOff) {
   FakeClock clock;
   GlobalThroughputBoard board;
   DynamicScheduler sched(3, TestOptions(8), &clock, &board);
+  ASSERT_FALSE(EventRecorder::Global()->enabled());
 
-  // Before any tick: empty but well-formed.
-  SchedulerSnapshot snap = sched.Snapshot();
-  EXPECT_EQ(snap.node_id, 3);
-  EXPECT_EQ(snap.num_cores, 8);
-  EXPECT_EQ(snap.ticks, 0);
-  EXPECT_EQ(snap.last_tick_ns, 0);
-  EXPECT_EQ(snap.last_global_lambda, -1.0);  // no λ published yet
-  EXPECT_TRUE(snap.segments.empty());
+  // Before any tick: nothing decided yet.
+  EXPECT_EQ(sched.LastAudit(), nullptr);
+  EXPECT_EQ(sched.tick_count(), 0);
 
   FakeSegment seg("probe", 2);
   sched.AddSegment(&seg);
-  sched.Tick();  // prime
+  sched.Tick();  // prime: audited, but no segment has a sample yet
+  ASSERT_NE(sched.LastAudit(), nullptr);
+  EXPECT_TRUE(sched.LastAudit()->segments.empty());
+  EXPECT_EQ(sched.LastAudit()->lambda_global, -1.0);  // no λ published yet
   clock.Advance(kSec);
   seg.Work(kSec, 500.0);
   sched.Tick();
 
-  snap = sched.Snapshot();
-  EXPECT_EQ(snap.ticks, 2);
+  std::shared_ptr<const SchedTickAudit> last = sched.LastAudit();
+  ASSERT_NE(last, nullptr);
   EXPECT_EQ(sched.tick_count(), 2);
-  EXPECT_EQ(snap.last_tick_ns, clock.NowNanos());
-  EXPECT_NEAR(snap.last_global_lambda, 500.0, 1.0);
-  EXPECT_NEAR(snap.last_lambda_local, 500.0, 1.0);
-  ASSERT_EQ(snap.segments.size(), 1u);
-  EXPECT_EQ(snap.segments[0].name, "probe");
-  EXPECT_TRUE(snap.segments[0].active);
-  EXPECT_TRUE(snap.segments[0].has_sample);
-  EXPECT_NEAR(snap.segments[0].rate, 500.0, 1.0);
-  EXPECT_GE(snap.segments[0].parallelism, 2);
-  EXPECT_EQ(snap.cores_in_use, snap.segments[0].parallelism);
+  EXPECT_EQ(last->tick, 2);
+  EXPECT_EQ(last->node, 3);
+  EXPECT_EQ(last->ts_ns, clock.NowNanos());
+  EXPECT_NEAR(last->lambda_global, 500.0, 1.0);
+  EXPECT_NEAR(last->lambda_local, 500.0, 1.0);
+  ASSERT_EQ(last->segments.size(), 1u);
+  EXPECT_EQ(last->segments[0].name, "probe");
+  EXPECT_NEAR(last->segments[0].rate, 500.0, 1.0);
+  EXPECT_GE(last->segments[0].parallelism, 2);
+  EXPECT_EQ(sched.cores_in_use(), last->segments[0].parallelism);
 }
 
 }  // namespace

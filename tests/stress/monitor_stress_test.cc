@@ -20,7 +20,7 @@
 #include "net/socket_util.h"
 #include "obs/metrics_registry.h"
 #include "obs/timeseries/timeseries.h"
-#include "obs/trace.h"
+#include "obs/recorder.h"
 #include "wlm/introspection.h"
 #include "wlm/query_service.h"
 
@@ -54,8 +54,8 @@ class MonitorStressTest : public ::testing::Test {
   static void TearDownTestSuite() {
     delete cluster_;
     delete catalog_;
-    TraceCollector::Global()->ConfigureFlightRecorder(0);
-    TraceCollector::Global()->Disable();
+    EventRecorder::Global()->ConfigureRing(0);
+    EventRecorder::Global()->Disable();
   }
 
   /// Scan kv → filter → gather; a few ms per run.
@@ -270,29 +270,29 @@ TEST(MetricSamplerStressTest, ReadersRaceSamplerAndAnomalyIncidents) {
 }
 
 TEST_F(MonitorStressTest, FlightRecorderReconfigureRacesWriters) {
-  TraceCollector tc;
-  tc.ConfigureFlightRecorder(1024);
-  tc.Enable();
+  EventRecorder rec;
+  rec.ConfigureRing(1024);
+  rec.Enable();
   std::atomic<bool> stop{false};
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&tc, &stop, t] {
+    threads.emplace_back([&rec, &stop, t] {
       int64_t i = 0;
       while (!stop.load(std::memory_order_relaxed)) {
-        tc.Instant(++i, t, "stress", "w");
+        rec.Instant(++i, t, "w");
       }
     });
   }
   // Reader + reconfigurer racing the writers.
   for (int round = 0; round < 30; ++round) {
-    std::string json = tc.ToChromeJson();
+    std::string json = rec.ToChromeJson();
     EXPECT_EQ(json.find("{\"traceEvents\":["), 0u);
-    tc.ConfigureFlightRecorder(round % 2 == 0 ? 256 : 1024);
+    rec.ConfigureRing(round % 2 == 0 ? 256 : 1024);
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   stop.store(true);
   for (auto& th : threads) th.join();
-  EXPECT_LE(tc.size(), 1024u);
+  EXPECT_LE(rec.size(), 1024u);
 }
 
 }  // namespace

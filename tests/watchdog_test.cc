@@ -7,7 +7,7 @@
 #include <string>
 
 #include "common/clock.h"
-#include "obs/trace.h"
+#include "obs/recorder.h"
 
 namespace claims {
 namespace {
@@ -156,15 +156,15 @@ TEST(StallWatchdogTest, DumpsFlightRecorderWhenEnabled) {
   WatchdogOptions options = TestOptions();
   options.dump_flight_recorder = true;
   StallWatchdog watchdog(options, &clock);
-  TraceCollector* tc = TraceCollector::Global();
-  tc->Clear();
-  tc->Enable();
-  tc->Instant(1, 0, "test", "pre-incident-event");
+  EventRecorder* rec = EventRecorder::Global();
+  rec->Clear();
+  rec->Enable();
+  rec->Instant(1, 0, "pre-incident-event");
   watchdog.AddProgressProbe("ticks", [] { return int64_t{1}; });
   watchdog.PollOnce();
   clock.Advance(2'000'000'000);
   EXPECT_EQ(watchdog.PollOnce(), 1);
-  tc->Disable();
+  rec->Disable();
   // Two artifacts: the text report and the trace dump.
   ASSERT_EQ(watchdog.incident_files().size(), 2u);
   std::string trace_path;

@@ -532,20 +532,24 @@ TEST_F(WlmTest, IntrospectionEndpointsServeLiveJson) {
   service.Shutdown();
 }
 
-TEST_F(WlmTest, SchedulerSnapshotSeesRunningSegments) {
+TEST_F(WlmTest, SchedulerLastAuditSeesRunningSegments) {
   QueryService service(db_->cluster(), {});
   QueryHandlePtr h = service.Submit(SlowPlan(), SlowOptions());
   while (h->state() == QueryState::kQueued) std::this_thread::yield();
 
-  // Within a few scheduler periods a snapshot shows live segments and ticks.
+  // Within a few scheduler periods the latest audit shows the query's live
+  // segments, recorder off: every execution carries its query id.
   bool saw_segments = false;
   for (int attempt = 0; attempt < 200 && !saw_segments; ++attempt) {
     for (int node = 0; node < db_->cluster()->num_nodes(); ++node) {
-      SchedulerSnapshot snap = db_->cluster()->scheduler(node)->Snapshot();
-      if (!snap.segments.empty() && snap.ticks > 0) {
+      DynamicScheduler* sched = db_->cluster()->scheduler(node);
+      std::shared_ptr<const SchedTickAudit> last = sched->LastAudit();
+      if (last != nullptr && !last->segments.empty()) {
         saw_segments = true;
-        EXPECT_GE(snap.cores_in_use, 0);
-        EXPECT_LE(snap.cores_in_use, snap.num_cores);
+        EXPECT_GT(sched->tick_count(), 0);
+        EXPECT_GE(sched->cores_in_use(), 0);
+        EXPECT_LE(sched->cores_in_use(), sched->options().num_cores);
+        EXPECT_EQ(last->segments[0].query_id, h->id());
       }
     }
     if (h->state() == QueryState::kDone) break;
