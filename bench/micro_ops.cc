@@ -358,6 +358,42 @@ void BM_HashAggFoldBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_HashAggFoldBatch);
 
+// One aggregation instance over a small input (300 rows, 4 groups, one
+// worker, kHybrid): the fixed cost every grouped query pays per HashAgg on
+// session-sized data. Table set-up, the merge into the global table and the
+// snapshot walk dominate here, not the fold.
+void BM_HashAggSmallInput(benchmark::State& state) {
+  Schema s({ColumnDef::Int32("k"), ColumnDef::Float64("v")});
+  auto block = MakeBlock(s.row_size());
+  for (int32_t r = 0; r < 300; ++r) {
+    char* row = block->AppendRow();
+    s.SetInt32(row, 0, r % 4);
+    s.SetFloat64(row, 1, r);
+  }
+  const std::vector<BlockPtr> blocks = {std::move(block)};
+  HashAggIterator::Spec spec;
+  spec.input_schema = &s;
+  spec.group_exprs = {MakeColumnRef(0, DataType::kInt32, "k")};
+  spec.group_names = {"k"};
+  spec.aggregates = {
+      {AggFn::kSum, MakeColumnRef(1, DataType::kFloat64, "v"), "sum_v"},
+      {AggFn::kCount, nullptr, "cnt"}};
+  spec.mode = HashAggIterator::Mode::kHybrid;
+  spec.pool = BlockPool::Global();
+  for (auto _ : state) {
+    HashAggIterator agg(std::make_unique<BlocksIterator>(&blocks), spec);
+    WorkerContext ctx;
+    agg.Open(&ctx);
+    BlockPtr b;
+    int64_t groups = 0;
+    while (agg.Next(&ctx, &b) == NextResult::kSuccess) groups += b->num_rows();
+    benchmark::DoNotOptimize(groups);
+    agg.Close();
+  }
+  state.SetItemsProcessed(state.iterations() * 300);
+}
+BENCHMARK(BM_HashAggSmallInput);
+
 void BM_HashJoinProbeBatch(benchmark::State& state) {
   Schema s({ColumnDef::Int32("k"), ColumnDef::Int64("v"),
             ColumnDef::Float64("f")});

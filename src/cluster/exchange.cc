@@ -167,6 +167,7 @@ bool SenderPump::Pump(Iterator* source, WorkerContext* ctx,
                       const std::atomic<bool>* cancel) {
   const int ncons = static_cast<int>(spec_.consumer_nodes.size());
   std::vector<BlockPtr> pending(static_cast<size_t>(ncons));
+  std::vector<uint64_t> hashes;  // kHash: one block's row hashes
   bool ok = true;
   while (ok) {
     BlockPtr block;
@@ -193,10 +194,15 @@ bool SenderPump::Pump(Iterator* source, WorkerContext* ctx,
         break;
       case Partitioning::kHash: {
         const Schema& schema = *spec_.schema;
-        for (int i = 0; i < block->num_rows() && ok; ++i) {
+        const int32_t n = block->num_rows();
+        hashes.resize(static_cast<size_t>(n));
+        if (n > 0) {
+          HashRowKeysBatch(schema, block->RowAt(0), block->row_size(),
+                           spec_.hash_cols, nullptr, n, hashes.data());
+        }
+        for (int i = 0; i < n && ok; ++i) {
           const char* row = block->RowAt(i);
-          int d = PartitionOf(HashRowKeys(schema, row, spec_.hash_cols),
-                              ncons);
+          int d = PartitionOf(hashes[static_cast<size_t>(i)], ncons);
           BlockPtr& dst = pending[d];
           if (dst == nullptr) dst = MakeBlock(schema.row_size());
           dst->AppendRowCopy(row);

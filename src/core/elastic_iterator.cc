@@ -74,7 +74,11 @@ void ElasticIterator::Close() {
   // bookkeeping, so joining under the lock would deadlock. No new workers can
   // appear — Expand refuses once closed_ is set.
   JoinAllWorkers();
+  // Every worker is joined, so nothing reads the subtree again: free its
+  // operator state (hash tables, arenas, sort buffers) now rather than when
+  // the segment shell dies, which a retained query report may delay.
   child_->Close();
+  child_.reset();
 }
 
 ElasticIterator::Worker* ElasticIterator::StartWorkerLocked(int core_id) {

@@ -78,10 +78,13 @@ class ElasticIterator : public Iterator {
   /// wrong empty/partial end-of-file.
   NextResult Next(WorkerContext* ctx, BlockPtr* out) override;
 
-  /// Terminates all workers, drains them, closes the child subtree.
+  /// Terminates all workers, drains them, closes the child subtree and
+  /// destroys it (child() is null afterwards).
   void Close() override;
 
-  int SubtreeSize() const override { return 1 + child_->SubtreeSize(); }
+  int SubtreeSize() const override {
+    return 1 + (child_ != nullptr ? child_->SubtreeSize() : 0);
+  }
 
   // --- Elasticity (called by the dynamic scheduler) -------------------------
 

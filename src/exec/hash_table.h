@@ -1,8 +1,10 @@
 #ifndef CLAIMS_EXEC_HASH_TABLE_H_
 #define CLAIMS_EXEC_HASH_TABLE_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -43,10 +45,29 @@ class Arena {
   /// (query over budget / pool pressure cap) — never throws, never blocks.
   char* Allocate(size_t bytes);
 
+  /// Allocate for a caller that is the arena's only user: the bump path
+  /// takes no atomic read-modify-write. Refills go through Allocate.
+  char* AllocateExclusive(size_t bytes);
+
   /// Returns every chunk to the memory source (pool recycling instead of
   /// global-allocator churn) and rewinds to empty. NOT thread-safe: caller
   /// must be the exclusive owner with no outstanding pointers into the arena.
   void Reset();
+
+  /// Exchanges every chunk (and the source they return to) with `other`.
+  /// NOT thread-safe: the caller owns both arenas.
+  void Swap(Arena* other);
+
+  /// Calls fn(begin, end) over the bytes handed out of each chunk, oldest
+  /// chunk first. NOT thread-safe: no allocation may run concurrently.
+  template <typename Fn>
+  void ForEachChunk(Fn&& fn) const {
+    for (const auto& c : chunks_) {
+      // An allocation that overshot the chunk moved the cursor past limit.
+      fn(c->handle.data,
+         std::min(c->cursor.load(std::memory_order_relaxed), c->limit));
+    }
+  }
 
   int64_t allocated_bytes() const {
     return allocated_.load(std::memory_order_relaxed);
@@ -170,10 +191,19 @@ const char* AggFnName(AggFn fn);
 /// lock-free lookup. With few groups, all threads hammer the same entry
 /// locks — precisely the contention that makes shared aggregation scale
 /// poorly on low-cardinality group-bys (paper Fig. 8b, S-Q3).
+///
+/// Shared inserts never resize the bucket array (lookups walk it without a
+/// lock). An exclusive insert — the caller is the table's only writer:
+/// UpdateBatch or MergeFrom with `exclusive`, MergeSerialized — doubles it
+/// once the groups fill an eighth of the buckets (half, past 16 K buckets),
+/// so a table may start small and its fixed cost follows its group count
+/// instead of a worst-case guess.
 class AggHashTable {
  public:
   /// `group_schema` describes the key columns layout (a row holding just the
   /// group-by columns); `num_aggs` accumulator pairs (sum, count) follow.
+  /// `num_buckets` is the starting bucket count (rounded up to a power of
+  /// two); only exclusive inserts grow it.
   AggHashTable(Schema group_schema, int num_aggs, size_t num_buckets,
                MemoryTracker* memory = nullptr);
   AggHashTable(Schema group_schema, int num_aggs, size_t num_buckets,
@@ -210,15 +240,30 @@ class AggHashTable {
                    const std::vector<AggFn>& fns, const double* const* arg_cols,
                    bool exclusive, int32_t* folded = nullptr);
 
-  /// Iterates all groups: fn(const char* group_row, const AggState* states).
+  /// Folds every group of `src` (a table of partial states with the same
+  /// layout) into this one with the merge fold rules: partial sums / running
+  /// min-max as values, partial counts as weights, reusing `src`'s stored
+  /// hashes. `exclusive` as in UpdateBatch: the caller is this table's only
+  /// writer, no lock is taken and the table grows with its groups; otherwise
+  /// merges may run concurrently with each other and with shared updates.
+  /// Stops and returns false at the first group that cannot be allocated
+  /// (over budget) — the groups before it are folded.
+  bool MergeFrom(const AggHashTable& src, const std::vector<AggFn>& fns,
+                 bool exclusive);
+
+  /// Exchanges the groups (bucket array, entries, count) of two tables of
+  /// the same layout. Merging a table into an empty one is this swap. The
+  /// caller is the only thread touching either table.
+  void SwapGroups(AggHashTable* other);
+
+  /// Iterates all groups in the order they were created: fn(const char*
+  /// group_row, const AggState* states). No insert may run concurrently.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    for (const auto& bucket : buckets_) {
-      for (const Entry* e = bucket.head.load(std::memory_order_acquire);
-           e != nullptr; e = e->next) {
-        fn(e->row(group_row_size_), e->states(group_row_size_, num_aggs_));
-      }
-    }
+    ForEachEntry([&](const Entry* e) {
+      fn(e->row(group_row_size_), e->states(group_row_size_, num_aggs_));
+      return true;
+    });
   }
 
   /// Serializes every group into a cold-tier run:
@@ -229,15 +274,16 @@ class AggHashTable {
   Status SerializeTo(SpillRun* run) const;
 
   /// Merges a serialized run (SpillRun::ReadAll bytes) into `into` with the
-  /// same fold rules as a live merge: values = partial sums / running
-  /// min-max, weights = partial counts. kResourceExhausted when `into`
-  /// cannot allocate a group; kInternal on a malformed run.
+  /// same fold rules as MergeFrom; the caller must be `into`'s only writer.
+  /// kResourceExhausted when `into` cannot allocate a group; kInternal on a
+  /// malformed run.
   static Status MergeSerialized(const char* data, size_t bytes,
                                 const std::vector<AggFn>& fns,
                                 AggHashTable* into);
 
   int64_t size() const { return size_.load(std::memory_order_relaxed); }
   int64_t bytes() const { return arena_.allocated_bytes(); }
+  size_t bucket_count() const { return bucket_mask_ + 1; }
   const Schema& group_schema() const { return group_schema_; }
   int num_aggs() const { return num_aggs_; }
 
@@ -273,7 +319,55 @@ class AggHashTable {
 
   /// nullptr when the arena refused the entry (over budget); the bucket
   /// insert lock is released before returning, so other threads proceed.
-  Entry* FindOrCreate(const char* group_row, uint64_t hash);
+  /// `exclusive` (sole writer) skips the insert lock and may Grow.
+  Entry* FindOrCreate(const char* group_row, uint64_t hash, bool exclusive);
+
+  /// Merges one partial group (see MergeFrom).
+  bool MergeGroup(const char* group_row, uint64_t hash, const AggState* states,
+                  const std::vector<AggFn>& fns, bool exclusive);
+
+  /// Calls fn(Entry*) for every group in creation order until fn returns
+  /// false; false when stopped. Every entry of a table has the same size, so
+  /// this is a sequential walk of the arena instead of a pointer chase
+  /// through the chains. No insert may run concurrently (an entry in flight
+  /// could be half-written).
+  template <typename Fn>
+  bool ForEachEntry(Fn&& fn) const {
+    bool more = true;
+    arena_.ForEachChunk([&](char* begin, char* end) {
+      for (char* p = begin; more && p + entry_bytes_ <= end;
+           p += entry_bytes_) {
+        more = fn(reinterpret_cast<Entry*>(p));
+      }
+    });
+    return more;
+  }
+
+  /// Doubles the bucket array and relinks every entry. Sole writer only.
+  void Grow();
+
+  bool KeysEqual(const char* a, const char* b) const {
+    if (!bytewise_keys_) return group_cmp_.Equal(a, b);
+    if (group_row_size_ == 4) {  // one INT32 / DATE key: the common case
+      uint32_t x, y;
+      std::memcpy(&x, a, sizeof(x));
+      std::memcpy(&y, b, sizeof(y));
+      return x == y;
+    }
+    return std::memcmp(a, b, group_row_size_) == 0;
+  }
+
+  /// The lock-free lookup of FindOrCreate, inlined into the batch fold.
+  Entry* Find(const char* group_row, uint64_t hash) const {
+    for (Entry* e = buckets_[hash & bucket_mask_].head.load(
+             std::memory_order_acquire);
+         e != nullptr; e = e->next) {
+      if (e->hash == hash && KeysEqual(e->row(group_row_size_), group_row)) {
+        return e;
+      }
+    }
+    return nullptr;
+  }
 
   Schema group_schema_;
   std::vector<int> all_group_cols_;
@@ -281,10 +375,18 @@ class AggHashTable {
   /// vector copies each) dominated low-cardinality folds.
   KeyComparator group_cmp_;
   int group_row_size_;
+  /// Every group column is an integer or a date: rows are packed, so two
+  /// group rows are equal exactly when their bytes are (no call into the
+  /// comparator per lookup).
+  bool bytewise_keys_;
   int num_aggs_;
+  /// Arena bytes of one entry: header, group row, AggState x num_aggs.
+  size_t entry_bytes_;
   /// Power-of-two sized (rounded up in the constructor): bucket selection is
-  /// a mask, not a division. Drawn from the source's pool.
-  PooledArray<Bucket> buckets_;
+  /// a mask, not a division. Drawn from the source's pool; Grow replaces it.
+  BlockPool* bucket_pool_;
+  std::unique_ptr<PooledArray<Bucket>> bucket_store_;
+  Bucket* buckets_;  ///< bucket_store_'s bucket_mask_ + 1 elements
   size_t bucket_mask_;
   Arena arena_;
   std::atomic<int64_t> size_{0};

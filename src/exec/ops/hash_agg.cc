@@ -7,6 +7,14 @@
 
 namespace claims {
 
+namespace {
+
+/// Starting bucket count of a grouped table that grows: one 4 KiB pool size
+/// class of buckets.
+constexpr size_t kGrowableBuckets = 256;
+
+}  // namespace
+
 DataType AggOutputType(AggFn fn, DataType arg_type) {
   if (fn == AggFn::kCount) return DataType::kInt64;
   if (fn == AggFn::kAvg) return DataType::kFloat64;
@@ -46,8 +54,12 @@ HashAggIterator::HashAggIterator(std::unique_ptr<Iterator> child, Spec spec)
         }
         return Schema(std::move(cols));
       }()),
+      initial_buckets_(group_schema_.num_columns() == 0 ? 1
+                                                        : kGrowableBuckets),
       global_(group_schema_, static_cast<int>(spec_.aggregates.size()),
-              spec_.num_buckets,
+              spec_.mode == Mode::kShared && group_schema_.num_columns() > 0
+                  ? spec_.num_buckets
+                  : initial_buckets_,
               MemSource{spec_.pool, spec_.memory, spec_.budget}),
       context_pool_(ContextMode::kCore) {
   fns_.reserve(spec_.aggregates.size());
@@ -119,10 +131,14 @@ bool HashAggIterator::SpillPrivate(PrivateAggContext* priv) {
   if (spec_.budget != nullptr) spec_.budget->AddSpilledBytes(run_bytes);
   // Retiring the old table refunds its arena's ledger charges — that refund
   // is the headroom the fresh table folds into.
-  priv->table = std::make_unique<AggHashTable>(
-      group_schema_, static_cast<int>(fns_.size()), spec_.num_buckets,
-      MemSource{spec_.pool, spec_.memory, spec_.budget});
+  priv->table = NewTable(initial_buckets_);
   return true;
+}
+
+std::unique_ptr<AggHashTable> HashAggIterator::NewTable(size_t buckets) const {
+  return std::make_unique<AggHashTable>(
+      group_schema_, static_cast<int>(fns_.size()), buckets,
+      MemSource{spec_.pool, spec_.memory, spec_.budget});
 }
 
 bool HashAggIterator::ConsumeBlock(const Block& block, PrivateAggContext* priv,
@@ -154,21 +170,24 @@ void HashAggIterator::ObserveVisitRate(const Block& block) {
   rate_rows_ += block.num_rows();
 }
 
-bool HashAggIterator::MergeInto(const AggHashTable& src) {
-  bool ok = true;
-  std::vector<double> values(fns_.size());
-  std::vector<int64_t> weights(fns_.size());
-  src.ForEach([&](const char* group_row, const AggHashTable::AggState* states) {
-    if (!ok) return;  // ForEach cannot early-stop; skip the remainder
-    for (size_t a = 0; a < fns_.size(); ++a) {
-      values[a] = states[a].sum;
-      weights[a] = states[a].count;
+bool HashAggIterator::MergeInto(AggHashTable* src) {
+  {
+    // The bucket count cannot change under the shared lock, and `src` adds
+    // at most src->size() groups: if they all fit one per bucket, merge in
+    // parallel without growing. An empty global table takes the swap below.
+    std::shared_lock<std::shared_mutex> lock(merge_mu_);
+    const int64_t groups = global_.size();
+    if (groups > 0 && groups + src->size() <=
+                          static_cast<int64_t>(global_.bucket_count())) {
+      return global_.MergeFrom(*src, fns_, /*exclusive=*/false);
     }
-    if (!global_.Update(group_row, fns_, values.data(), weights.data())) {
-      ok = false;
-    }
-  });
-  return ok;
+  }
+  std::lock_guard<std::shared_mutex> lock(merge_mu_);
+  if (global_.size() == 0) {
+    global_.SwapGroups(src);
+    return true;
+  }
+  return global_.MergeFrom(*src, fns_, /*exclusive=*/true);
 }
 
 NextResult HashAggIterator::Open(WorkerContext* ctx) {
@@ -189,9 +208,7 @@ NextResult HashAggIterator::Open(WorkerContext* ctx) {
       priv.reset(static_cast<PrivateAggContext*>(reused.release()));
     } else {
       priv = std::make_unique<PrivateAggContext>();
-      priv->table = std::make_unique<AggHashTable>(
-          group_schema_, static_cast<int>(fns_.size()), spec_.num_buckets,
-          MemSource{spec_.pool, spec_.memory, spec_.budget});
+      priv->table = NewTable(initial_buckets_);
     }
   }
   AggHashTable* sink = privately ? priv->table.get() : &global_;
@@ -234,16 +251,17 @@ NextResult HashAggIterator::Open(WorkerContext* ctx) {
     }
     if (spec_.mode == Mode::kHybrid &&
         sink->size() > static_cast<int64_t>(spec_.hybrid_max_groups)) {
-      if (!MergeInto(*sink)) return fail_build();
-      priv->table = std::make_unique<AggHashTable>(
-          group_schema_, static_cast<int>(fns_.size()), spec_.num_buckets,
-          MemSource{spec_.pool, spec_.memory, spec_.budget});
+      // The flushed table's size is this worker's cardinality: start the
+      // next one there instead of regrowing from the minimum.
+      const size_t buckets = sink->bucket_count();
+      if (!MergeInto(sink)) return fail_build();
+      priv->table = NewTable(buckets);
       sink = priv->table.get();
     }
   }
 
   if (privately) {
-    if (!MergeInto(*priv->table)) return fail_build();
+    if (!MergeInto(priv->table.get())) return fail_build();
   }
   build_barrier_.Arrive();
   // Parked partial tables (terminated workers') are folded in by the
@@ -263,7 +281,7 @@ void HashAggIterator::SnapshotGroups() {
   // one place it cannot race the emit path.
   for (auto& parked : context_pool_.TakeAll()) {
     auto* p = static_cast<PrivateAggContext*>(parked.get());
-    if (!MergeInto(*p->table)) {
+    if (!MergeInto(p->table.get())) {
       if (spec_.budget != nullptr) spec_.budget->MarkRejected();
       restore_failed_.store(true, std::memory_order_release);
       return;
@@ -276,6 +294,7 @@ void HashAggIterator::SnapshotGroups() {
     std::lock_guard<std::mutex> spill_lock(spill_mu_);
     runs.swap(spill_runs_);
   }
+  std::lock_guard<std::shared_mutex> merge_lock(merge_mu_);
   for (const auto& run : runs) {
     std::vector<char> data;
     Status s = run->ReadAll(&data);

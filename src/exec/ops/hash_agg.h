@@ -4,6 +4,7 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <shared_mutex>
 #include <vector>
 
 #include "core/barrier.h"
@@ -50,8 +51,17 @@ class HashAggIterator : public Iterator {
     std::vector<std::string> group_names;
     std::vector<Aggregate> aggregates;
     Mode mode = Mode::kShared;
+    /// Bucket count of the kShared table: every worker writes it at once, so
+    /// it cannot grow. Worker-private tables and the global table they merge
+    /// into (kIndependent / kHybrid) start at 256 buckets and grow with their
+    /// groups (MergeInto). A group-less (scalar) aggregation holds one group
+    /// and gets one bucket in every mode.
     size_t num_buckets = 1 << 14;
-    size_t hybrid_max_groups = 1 << 14;
+    /// kHybrid's flush point: at most this many groups (~3 MiB of entries
+    /// plus buckets) per private table. Each flush merges every group of the
+    /// table into the global one, so a worker with a few more groups than
+    /// this merges most of them twice.
+    size_t hybrid_max_groups = 1 << 16;
     MemoryTracker* memory = nullptr;
     /// Block pool + binding query ledger the table arenas draw from. When the
     /// ledger refuses a fold into a worker-*private* table, that table is
@@ -109,15 +119,23 @@ class HashAggIterator : public Iterator {
   /// by the retired arena) and replaces it with a fresh empty table.
   bool SpillPrivate(PrivateAggContext* priv);
 
+  /// A fresh empty table of this aggregation's layout with `buckets`
+  /// starting buckets.
+  std::unique_ptr<AggHashTable> NewTable(size_t buckets) const;
+
   /// Folds `block`'s visit rate into the running row-weighted average that
   /// emitted blocks carry (the downstream scalability-vector estimate must
   /// not see the default 1.0 after an aggregation).
   void ObserveVisitRate(const Block& block);
 
-  /// Merges every (group, state) of `src` into the global table. false when
-  /// the global table refused a group — terminal: ForEach cannot resume, and
-  /// re-merging a partially folded source would double-count.
-  bool MergeInto(const AggHashTable& src);
+  /// Merges every (group, state) of `src` into the global table: alongside
+  /// other mergers while the global table has a bucket for every group the
+  /// merge could add, otherwise alone (merge_mu_ held exclusively), growing
+  /// the table. The first table merged into an empty global table is
+  /// swapped in whole, leaving `src` empty — with one worker, the only
+  /// merge costs nothing. false when the global table refused a group —
+  /// terminal: re-merging a partially folded source would double-count.
+  bool MergeInto(AggHashTable* src);
 
   /// Builds the sorted snapshot emitted by Next (first caller only).
   void SnapshotGroups();
@@ -132,7 +150,15 @@ class HashAggIterator : public Iterator {
   /// is null for COUNT(*)).
   std::vector<std::unique_ptr<BatchCompute>> group_computes_;
   std::vector<std::unique_ptr<BatchCompute>> agg_computes_;
+  /// Starting bucket count of private tables (and, unless kShared, of
+  /// global_).
+  size_t initial_buckets_;
   AggHashTable global_;
+  /// Guards global_'s bucket array outside kShared mode: concurrent merges
+  /// hold it shared, a merge that may grow the table and the snapshot
+  /// builder (restore of spilled runs, the snapshot walk) hold it
+  /// exclusively.
+  std::shared_mutex merge_mu_;
   ContextPool context_pool_;
   DynamicBarrier build_barrier_;
 

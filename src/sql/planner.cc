@@ -56,8 +56,6 @@ class Planner::Impl {
       : catalog_(catalog),
         options_(options),
         query_(query),
-        group_by_(query.group_by),
-        aggregates_(query.aggregates),
         select_exprs_(query.select_exprs),
         having_(query.having) {}
 
@@ -144,8 +142,8 @@ class Planner::Impl {
       if (e != nullptr) CollectColumns(*e, &needed_cols_);
     };
     for (const BExprPtr& e : query_.conjuncts) collect(e);
-    for (const BExprPtr& e : group_by_) collect(e);
-    for (const BoundAggregate& a : aggregates_) collect(a.arg);
+    for (const BExprPtr& e : query_.group_by) collect(e);
+    for (const BoundAggregate& a : query_.aggregates) collect(a.arg);
     for (const BExprPtr& e : select_exprs_) collect(e);
     collect(having_);
 
@@ -493,245 +491,123 @@ class Planner::Impl {
   /// Synthetic id of agg-output stream position j.
   int SynthId(int j) const { return query_.num_virtual_columns() + j; }
 
-  Result<Pipeline> PlanAggregation(Pipeline pipeline) {
-    const int ngroup = static_cast<int>(group_by_.size());
-    const int naggs = static_cast<int>(aggregates_.size());
-    // Capture the original group expression texts before PreAggShuffle
-    // rewrites them — post-aggregation SELECT/HAVING expressions refer to
-    // the *original* shapes.
-    std::vector<std::string> orig_group_texts;
-    for (const BExprPtr& g : group_by_) {
-      orig_group_texts.push_back(g->ToString());
-    }
-
-    const bool local_correct = [&] {
-      if (ngroup == 0) return false;  // scalar: needs a final combine anyway
-      if (pipeline.partition_virt.empty()) return false;
-      for (int v : pipeline.partition_virt) {
-        bool in_group = false;
-        for (const BExprPtr& g : group_by_) {
-          if (g->kind == BExpr::Kind::kColumn && g->column == v) {
-            in_group = true;
-            break;
-          }
-        }
-        if (!in_group) return false;
+  /// True when every partition column of the stream is a plain GROUP BY
+  /// column, so each group already lives on one node.
+  bool PartitionedOnGroupKeys(const Pipeline& pipeline) const {
+    if (pipeline.partition_virt.empty()) return false;
+    for (int v : pipeline.partition_virt) {
+      if (std::none_of(query_.group_by.begin(), query_.group_by.end(),
+                       [v](const BExprPtr& g) {
+                         return g->kind == BExpr::Kind::kColumn &&
+                                g->column == v;
+                       })) {
+        return false;
       }
-      return true;
-    }();
-
-    if (ngroup > 0 && !local_correct) {
-      // Paper Fig. 1: materialize the group keys, repartition on them, then
-      // aggregate in a single phase on the receiving segments.
-      CLAIMS_RETURN_IF_ERROR(PreAggShuffle(&pipeline));
     }
+    return true;
+  }
 
-    if (ngroup == 0) {
-      return PlanScalarAggregation(std::move(pipeline));
-    }
-
-    // Single-phase grouped aggregation on the (now co-grouped) stream.
+  /// A grouped stream already partitioned on its group keys aggregates in
+  /// one local HashAgg. Every other aggregation runs in two phases: a
+  /// partial HashAgg where the stream lives (AVG split into SUM and COUNT),
+  /// an exchange (hash on the group columns; a gather to the master when
+  /// there are none), and a final HashAgg merging the partial states (COUNT
+  /// and SUM by SUM, MIN/MAX kept). Only partial rows cross the network.
+  Result<Pipeline> PlanAggregation(Pipeline pipeline) {
+    const int ngroup = static_cast<int>(query_.group_by.size());
+    const bool local = ngroup > 0 && PartitionedOnGroupKeys(pipeline);
     std::vector<ExprPtr> group_exprs;
     std::vector<std::string> group_names;
+    std::vector<int> hash_cols;
     for (int g = 0; g < ngroup; ++g) {
-      CLAIMS_ASSIGN_OR_RETURN(ExprPtr e, Lower(*group_by_[g], pipeline));
+      CLAIMS_ASSIGN_OR_RETURN(ExprPtr e, Lower(*query_.group_by[g], pipeline));
       group_exprs.push_back(std::move(e));
       group_names.push_back(StrFormat("g%d", g));
+      hash_cols.push_back(g);
     }
+    // Aggregate a's value is output column ngroup + value_col[a]; a split
+    // AVG's count is column ngroup + count_col[a] (-1: not split).
     std::vector<HashAggIterator::Aggregate> aggs;
-    for (int a = 0; a < naggs; ++a) {
-      const BoundAggregate& agg = aggregates_[static_cast<size_t>(a)];
+    std::vector<AggFn> merge_fns;
+    std::vector<int> value_col;
+    std::vector<int> count_col;
+    auto add = [&](AggFn fn, ExprPtr arg, std::string name) {
+      merge_fns.push_back(fn == AggFn::kCount ? AggFn::kSum : fn);
+      aggs.push_back({fn, std::move(arg), std::move(name)});
+      return static_cast<int>(aggs.size()) - 1;
+    };
+    for (const BoundAggregate& agg : query_.aggregates) {
       ExprPtr arg;
       if (agg.arg != nullptr) {
         CLAIMS_ASSIGN_OR_RETURN(arg, Lower(*agg.arg, pipeline));
       }
-      aggs.push_back(
-          HashAggIterator::Aggregate{agg.fn, std::move(arg), agg.name});
+      if (!local && agg.fn == AggFn::kAvg) {
+        value_col.push_back(
+            add(AggFn::kSum, std::move(arg), agg.name + "_sum"));
+        count_col.push_back(add(AggFn::kCount, nullptr, agg.name + "_cnt"));
+      } else {
+        value_col.push_back(add(agg.fn, std::move(arg), agg.name));
+        count_col.push_back(-1);
+      }
     }
     pipeline.root =
         MakeHashAggOp(std::move(pipeline.root), std::move(group_exprs),
-                      std::move(group_names), std::move(aggs),
-                      options_.agg_mode);
+                      group_names, std::move(aggs), options_.agg_mode);
+
+    if (!local) {
+      const Schema partial = pipeline.root->output_schema;
+      std::vector<int> nodes = ngroup > 0 ? AllNodes() : std::vector<int>{0};
+      const int exchange = ClosePipeline(
+          std::move(pipeline),
+          ngroup > 0 ? Partitioning::kHash : Partitioning::kToOne,
+          std::move(hash_cols), nodes);
+      std::vector<ExprPtr> keys;
+      std::vector<HashAggIterator::Aggregate> merges;
+      for (int c = 0; c < partial.num_columns(); ++c) {
+        const ColumnDef& col = partial.column(c);
+        ExprPtr ref = MakeColumnRef(c, col.type, col.name);
+        if (c < ngroup) {
+          keys.push_back(std::move(ref));
+        } else {
+          merges.push_back({merge_fns[c - ngroup], std::move(ref), col.name});
+        }
+      }
+      pipeline = Pipeline{};
+      pipeline.root = MakeHashAggOp(
+          MakeMergerOp(exchange, partial), std::move(keys),
+          std::move(group_names), std::move(merges),
+          ngroup > 0 ? options_.agg_mode : HashAggIterator::Mode::kShared);
+      pipeline.nodes = std::move(nodes);
+    }
 
     // Rebase post-aggregation expressions: group expr g ↦ output col g,
-    // slot a ↦ output col ngroup + a.
+    // aggregate a ↦ its value column (a split AVG: value / count).
+    const Schema& out = pipeline.root->output_schema;
     std::vector<std::pair<std::string, BExprPtr>> group_subs;
     std::map<int, int> new_map;
     for (int g = 0; g < ngroup; ++g) {
-      const BExpr& ge = *group_by_[g];
-      BExprPtr sub = BColumn(SynthId(g), ge.type, ge.char_width);
-      group_subs.emplace_back(orig_group_texts[static_cast<size_t>(g)], sub);
+      const BExpr& ge = *query_.group_by[g];
+      group_subs.emplace_back(ge.ToString(),
+                              BColumn(SynthId(g), ge.type, ge.char_width));
       new_map[SynthId(g)] = g;
       if (ge.kind == BExpr::Kind::kColumn) new_map[ge.column] = g;
     }
+    auto column = [&](int c) {
+      new_map[SynthId(ngroup + c)] = ngroup + c;
+      return BColumn(SynthId(ngroup + c), out.column(ngroup + c).type);
+    };
     std::vector<BExprPtr> slot_exprs;
-    for (int a = 0; a < naggs; ++a) {
-      DataType t = pipeline.root->output_schema.column(ngroup + a).type;
-      slot_exprs.push_back(BColumn(SynthId(ngroup + a), t));
-      new_map[SynthId(ngroup + a)] = ngroup + a;
+    for (size_t a = 0; a < value_col.size(); ++a) {
+      BExprPtr value = column(value_col[a]);
+      slot_exprs.push_back(count_col[a] < 0 ? std::move(value)
+                                            : BArith(ArithOp::kDiv,
+                                                     std::move(value),
+                                                     column(count_col[a])));
     }
     pipeline.virt2stream = std::move(new_map);
     RewritePostAgg(group_subs, slot_exprs);
     pipeline.partition_virt.clear();
-    return std::move(pipeline);
-  }
-
-  /// Projects group keys + aggregate inputs, then shuffles on the group keys.
-  Status PreAggShuffle(Pipeline* pipeline) {
-    const int ngroup = static_cast<int>(group_by_.size());
-    const Schema& schema = pipeline->root->output_schema;
-    std::vector<ExprPtr> exprs;
-    std::vector<std::string> names;
-    std::map<int, int> new_map;
-    // Group expressions become materialized columns 0..ngroup-1.
-    for (int g = 0; g < ngroup; ++g) {
-      CLAIMS_ASSIGN_OR_RETURN(ExprPtr e, Lower(*group_by_[g], *pipeline));
-      exprs.push_back(std::move(e));
-      names.push_back(StrFormat("g%d", g));
-    }
-    // Aggregate inputs keep their source columns.
-    std::vector<int> arg_virt;
-    for (const BoundAggregate& a : aggregates_) {
-      if (a.arg != nullptr) CollectColumns(*a.arg, &arg_virt);
-    }
-    int pos = ngroup;
-    for (int v : arg_virt) {
-      if (new_map.count(v)) continue;
-      int stream = pipeline->virt2stream.at(v);
-      exprs.push_back(MakeColumnRef(stream, schema.column(stream).type,
-                                    schema.column(stream).name));
-      names.push_back(schema.column(stream).name);
-      new_map[v] = pos++;
-    }
-    pipeline->root = MakeProjectOp(std::move(pipeline->root), std::move(exprs),
-                                   std::move(names));
-    // Rewrite the group expressions to the materialized columns so the
-    // post-shuffle aggregation groups by plain column references.
-    for (int g = 0; g < ngroup; ++g) {
-      const BExpr& ge = *group_by_[g];
-      int gv = SynthGroupInputId(g);
-      if (ge.kind == BExpr::Kind::kColumn) {
-        // Plain column: just remap it.
-        new_map[ge.column] = g;
-      } else {
-        group_by_[static_cast<size_t>(g)] =
-            BColumn(gv, ge.type, ge.char_width);
-        new_map[gv] = g;
-        // Aggregate args never reference the rewritten group expr (they were
-        // collected above), so no further rewriting is needed.
-      }
-    }
-    pipeline->virt2stream = std::move(new_map);
-
-    Schema shuffled = pipeline->root->output_schema;
-    std::map<int, int> map_copy = pipeline->virt2stream;
-    std::vector<int> hash_cols;
-    for (int g = 0; g < ngroup; ++g) hash_cols.push_back(g);
-    std::vector<int> nodes = AllNodes();
-    Pipeline closed = std::move(*pipeline);
-    int exchange = ClosePipeline(std::move(closed), Partitioning::kHash,
-                                 std::move(hash_cols), nodes);
-    pipeline->root = MakeMergerOp(exchange, std::move(shuffled));
-    pipeline->nodes = std::move(nodes);
-    pipeline->virt2stream = std::move(map_copy);
-    pipeline->partition_virt.clear();
-    for (int g = 0; g < ngroup; ++g) {
-      const BExpr& ge = *group_by_[g];
-      pipeline->partition_virt.insert(
-          ge.kind == BExpr::Kind::kColumn ? ge.column : SynthGroupInputId(g));
-    }
-    return Status::OK();
-  }
-
-  /// Synthetic id for a materialized (non-column) group input expression.
-  int SynthGroupInputId(int g) const {
-    return query_.num_virtual_columns() + 1000 + g;
-  }
-
-  /// Scalar aggregates: local partials on the stream, gather, final combine
-  /// on the master.
-  Result<Pipeline> PlanScalarAggregation(Pipeline pipeline) {
-    const int naggs = static_cast<int>(aggregates_.size());
-    // Partial slots: AVG expands into (sum, count).
-    std::vector<HashAggIterator::Aggregate> partials;
-    struct SlotMap {
-      int first;        // partial/final column of the primary state
-      int second = -1;  // count column for AVG
-      AggFn fn;
-    };
-    std::vector<SlotMap> slots;
-    for (int a = 0; a < naggs; ++a) {
-      const BoundAggregate& agg = aggregates_[static_cast<size_t>(a)];
-      ExprPtr arg;
-      if (agg.arg != nullptr) {
-        CLAIMS_ASSIGN_OR_RETURN(arg, Lower(*agg.arg, pipeline));
-      }
-      SlotMap sm;
-      sm.fn = agg.fn;
-      sm.first = static_cast<int>(partials.size());
-      if (agg.fn == AggFn::kAvg) {
-        partials.push_back(HashAggIterator::Aggregate{
-            AggFn::kSum, arg, agg.name + "_sum"});
-        sm.second = static_cast<int>(partials.size());
-        partials.push_back(
-            HashAggIterator::Aggregate{AggFn::kCount, nullptr,
-                                       agg.name + "_cnt"});
-      } else {
-        partials.push_back(
-            HashAggIterator::Aggregate{agg.fn, std::move(arg), agg.name});
-      }
-      slots.push_back(sm);
-    }
-    pipeline.root = MakeHashAggOp(std::move(pipeline.root), {}, {},
-                                  std::move(partials), options_.agg_mode);
-
-    // Gather partial rows to the master.
-    Schema partial_schema = pipeline.root->output_schema;
-    Pipeline closed = std::move(pipeline);
-    int exchange = ClosePipeline(std::move(closed), Partitioning::kToOne, {},
-                                 {0});
-    Pipeline master;
-    master.root = MakeMergerOp(exchange, partial_schema);
-    master.nodes = {0};
-
-    // Final combine: COUNT partials merge by SUM; SUM by SUM; MIN/MAX keep.
-    std::vector<HashAggIterator::Aggregate> finals;
-    for (int c = 0; c < partial_schema.num_columns(); ++c) {
-      const ColumnDef& col = partial_schema.column(c);
-      AggFn fn = AggFn::kSum;
-      // Identify MIN/MAX partials by their original function.
-      for (const SlotMap& sm : slots) {
-        if (sm.first == c && (sm.fn == AggFn::kMin || sm.fn == AggFn::kMax)) {
-          fn = sm.fn;
-        }
-      }
-      finals.push_back(HashAggIterator::Aggregate{
-          fn, MakeColumnRef(c, col.type, col.name), col.name});
-    }
-    master.root = MakeHashAggOp(std::move(master.root), {}, {},
-                                std::move(finals), HashAggIterator::Mode::kShared);
-
-    // Slot substitutions for the final SELECT expressions.
-    std::vector<BExprPtr> slot_exprs;
-    std::map<int, int> new_map;
-    const Schema& final_schema = master.root->output_schema;
-    for (int c = 0; c < final_schema.num_columns(); ++c) {
-      new_map[SynthId(c)] = c;
-    }
-    for (const SlotMap& sm : slots) {
-      if (sm.fn == AggFn::kAvg) {
-        slot_exprs.push_back(BArith(
-            ArithOp::kDiv,
-            BColumn(SynthId(sm.first), final_schema.column(sm.first).type),
-            BColumn(SynthId(sm.second), DataType::kInt64)));
-      } else {
-        slot_exprs.push_back(
-            BColumn(SynthId(sm.first), final_schema.column(sm.first).type));
-      }
-    }
-    master.virt2stream = std::move(new_map);
-    RewritePostAgg({}, slot_exprs);
-    return std::move(master);
+    return pipeline;
   }
 
   void RewritePostAgg(
@@ -812,9 +688,7 @@ class Planner::Impl {
   Catalog* catalog_;
   const PlannerOptions& options_;
   const BoundQuery& query_;
-  // Mutable working copies (rewritten during aggregation planning).
-  std::vector<BExprPtr> group_by_;
-  std::vector<BoundAggregate> aggregates_;
+  // Mutable working copies (rebased onto the aggregation output).
   std::vector<BExprPtr> select_exprs_;
   BExprPtr having_;
 

@@ -44,10 +44,12 @@ SelectivitySample SampleSelectivity(const Table& table, const ExprPtr& pred);
 ///  * locality-aware exchange placement: co-located joins when both sides
 ///    are partitioned on the join key, broadcast of small build sides,
 ///    repartition (shuffle) joins otherwise — the paper's Fig. 1/3 shapes;
-///  * single-phase repartitioned aggregation (Fig. 1: repartition on the
-///    group key, aggregate), local aggregation when the stream is already
-///    partitioned by a subset of the group keys, and two-phase partial/final
-///    aggregation for scalar (group-less) aggregates;
+///  * local aggregation when the stream is already partitioned by a subset
+///    of the group keys, and two-phase aggregation otherwise: a partial
+///    HashAgg where the stream lives, an exchange of the partial rows (hash
+///    on the group keys, or a gather for scalar aggregates), and a final
+///    HashAgg merging the partial states — where the paper's Fig. 1 ships
+///    every input row to its group's node and aggregates once there;
 ///  * projection pushdown in front of shuffles (only needed columns cross
 ///    the network);
 ///  * global sort at the master for ORDER BY.

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 #include <set>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 namespace claims {
@@ -262,6 +264,252 @@ TEST(AggHashTableTest, CompositeGroupKeysWithStrings) {
   EXPECT_EQ(table.size(), 4);
   table.ForEach([&](const char*, const AggHashTable::AggState* s) {
     EXPECT_EQ(s[0].count, 10);
+  });
+}
+
+TEST(AggHashTableTest, ExclusiveFoldsGrowWithGroups) {
+  Schema group({ColumnDef::Int32("g")});
+  const std::vector<AggFn> fns = {AggFn::kSum};
+  constexpr int32_t kGroups = 5000;
+  std::vector<char> rows(static_cast<size_t>(kGroups) * group.row_size());
+  std::vector<double> values(kGroups);
+  for (int32_t i = 0; i < kGroups; ++i) {
+    group.SetInt32(&rows[static_cast<size_t>(i) * group.row_size()], 0, i);
+    values[i] = i;
+  }
+  std::vector<uint64_t> hashes(kGroups);
+  HashRowKeysBatch(group, rows.data(), group.row_size(), {0}, nullptr,
+                   kGroups, hashes.data());
+  const double* args[1] = {values.data()};
+
+  // A shared table keeps its bucket array: concurrent readers walk it.
+  AggHashTable shared(group, 1, 4);
+  ASSERT_TRUE(shared.UpdateBatch(rows.data(), group.row_size(), hashes.data(),
+                                 kGroups, fns, args, /*exclusive=*/false));
+  EXPECT_EQ(shared.bucket_count(), 4u);
+
+  // A sole writer's table doubles until its groups fill at most half of it.
+  AggHashTable table(group, 1, 4);
+  for (int pass = 0; pass < 2; ++pass) {
+    ASSERT_TRUE(table.UpdateBatch(rows.data(), group.row_size(),
+                                  hashes.data(), kGroups, fns, args,
+                                  /*exclusive=*/true));
+  }
+  EXPECT_EQ(table.size(), kGroups);
+  EXPECT_GE(table.bucket_count(), 2u * kGroups);
+  EXPECT_LT(table.bucket_count(), 4u * kGroups);
+  int64_t seen = 0;
+  table.ForEach([&](const char* row, const AggHashTable::AggState* states) {
+    EXPECT_DOUBLE_EQ(states[0].sum, 2.0 * group.GetInt32(row, 0));
+    EXPECT_EQ(states[0].count, 2);
+    ++seen;
+  });
+  EXPECT_EQ(seen, kGroups);
+}
+
+TEST(AggHashTableTest, OneGroupKeepsOneBucket) {
+  // A scalar aggregation's table: no group columns, so every row is the one
+  // group, and exclusive folds never grow it.
+  Schema group(std::vector<ColumnDef>{});
+  AggHashTable table(group, 1, 1);
+  const std::vector<AggFn> fns = {AggFn::kCount};
+  const char row = 0;  // zero-width group rows, read with stride 0
+  const uint64_t hashes[3] = {7, 7, 7};
+  const double* args[1] = {nullptr};
+  ASSERT_TRUE(table.UpdateBatch(&row, 0, hashes, 3, fns, args,
+                                /*exclusive=*/true));
+  EXPECT_EQ(table.size(), 1);
+  EXPECT_EQ(table.bucket_count(), 1u);
+}
+
+TEST(AggHashTableTest, MergeFromFoldsPartialStates) {
+  Schema group({ColumnDef::Int32("g")});
+  const std::vector<AggFn> fns = {AggFn::kSum, AggFn::kMin, AggFn::kMax};
+  std::vector<char> grow(group.row_size());
+  const int64_t weights[3] = {1, 1, 1};
+  // Two partial tables over overlapping groups 0..999 and 500..1499.
+  AggHashTable left(group, 3, 1 << 10);
+  AggHashTable right(group, 3, 1 << 10);
+  for (int32_t g = 0; g < 1500; ++g) {
+    group.SetInt32(grow.data(), 0, g);
+    const double v = g;
+    const double values[3] = {v, v, v};
+    if (g < 1000) left.Update(grow.data(), fns, values, weights);
+    if (g >= 500) {
+      const double shifted[3] = {v, v - 1, v + 1};
+      right.Update(grow.data(), fns, shifted, weights);
+    }
+  }
+  // The exclusive merge grows the table; the shared one (which may run
+  // beside other mergers) leaves the bucket array alone.
+  AggHashTable merged(group, 3, 1);
+  ASSERT_TRUE(merged.MergeFrom(left, fns, /*exclusive=*/true));
+  const size_t buckets = merged.bucket_count();
+  EXPECT_GE(buckets, 2000u);
+  ASSERT_TRUE(merged.MergeFrom(right, fns, /*exclusive=*/false));
+  EXPECT_EQ(merged.bucket_count(), buckets);
+  EXPECT_EQ(merged.size(), 1500);
+  merged.ForEach([&](const char* row, const AggHashTable::AggState* s) {
+    const int32_t g = group.GetInt32(row, 0);
+    const bool both = g >= 500 && g < 1000;
+    EXPECT_DOUBLE_EQ(s[0].sum, both ? 2.0 * g : g);
+    EXPECT_EQ(s[0].count, both ? 2 : 1);
+    EXPECT_DOUBLE_EQ(s[1].sum, g >= 500 ? g - 1 : g);
+    EXPECT_DOUBLE_EQ(s[2].sum, g >= 500 ? g + 1 : g);
+  });
+}
+
+TEST(AggHashTableTest, ConcurrentSharedMergesExact) {
+  // Four partial tables over the same 300 groups merge into one table at
+  // once through the shared path (entry locks, no growth).
+  Schema group({ColumnDef::Int32("g")});
+  const std::vector<AggFn> fns = {AggFn::kSum, AggFn::kCount};
+  constexpr int kThreads = 4;
+  constexpr int32_t kGroups = 300;
+  std::vector<std::unique_ptr<AggHashTable>> partials;
+  const int64_t weights[2] = {1, 1};
+  std::vector<char> grow(group.row_size());
+  for (int t = 0; t < kThreads; ++t) {
+    partials.push_back(std::make_unique<AggHashTable>(group, 2, 64));
+    for (int32_t g = 0; g < kGroups; ++g) {
+      group.SetInt32(grow.data(), 0, g);
+      const double values[2] = {1.0, 0};
+      for (int rep = 0; rep <= t; ++rep) {
+        partials.back()->Update(grow.data(), fns, values, weights);
+      }
+    }
+  }
+  AggHashTable merged(group, 2, 1024);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      EXPECT_TRUE(merged.MergeFrom(*partials[t], fns, /*exclusive=*/false));
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(merged.size(), kGroups);
+  EXPECT_EQ(merged.bucket_count(), 1024u);
+  // Partial t folded each group t + 1 times: 1 + 2 + 3 + 4 = 10 rows.
+  merged.ForEach([&](const char*, const AggHashTable::AggState* s) {
+    EXPECT_DOUBLE_EQ(s[0].sum, 10.0);
+    EXPECT_EQ(s[1].count, 10);
+  });
+}
+
+TEST(AggHashTableTest, KeysCompareWhenHashesCollide) {
+  // Every row carries the same hash, so each lookup walks one chain and the
+  // group rows decide: integer keys compare bytewise, CHAR keys by value.
+  const std::vector<AggFn> fns = {AggFn::kCount};
+  const double* args[1] = {nullptr};
+  Schema ints({ColumnDef::Int32("a"), ColumnDef::Int64("b"),
+               ColumnDef::Date("c")});
+  const int32_t a[] = {1, 1, 2, 1, 1, 2};
+  const int64_t b[] = {10, 11, 10, 10, 11, 10};
+  const int32_t c[] = {5, 5, 5, 5, 5, 6};
+  std::vector<char> rows(6 * static_cast<size_t>(ints.row_size()));
+  for (int i = 0; i < 6; ++i) {
+    char* row = &rows[static_cast<size_t>(i) * ints.row_size()];
+    ints.SetInt32(row, 0, a[i]);
+    ints.SetInt64(row, 1, b[i]);
+    ints.SetInt32(row, 2, c[i]);
+  }
+  const std::vector<uint64_t> same(6, 42);
+  AggHashTable by_bytes(ints, 1, 8);
+  ASSERT_TRUE(by_bytes.UpdateBatch(rows.data(), ints.row_size(), same.data(),
+                                   6, fns, args, /*exclusive=*/true));
+  std::map<std::tuple<int32_t, int64_t, int32_t>, int64_t> counts;
+  by_bytes.ForEach([&](const char* row, const AggHashTable::AggState* s) {
+    counts[{ints.GetInt32(row, 0), ints.GetInt64(row, 1),
+            ints.GetInt32(row, 2)}] = s[0].count;
+  });
+  const std::map<std::tuple<int32_t, int64_t, int32_t>, int64_t> want = {
+      {{1, 10, 5}, 2}, {{1, 11, 5}, 2}, {{2, 10, 5}, 1}, {{2, 10, 6}, 1}};
+  EXPECT_EQ(counts, want);
+
+  // CHAR keys equal up to their NUL padding are one group even when the
+  // bytes after the terminator differ.
+  Schema chars({ColumnDef::Char("s", 8)});
+  std::vector<char> crow(3 * 8, 'x');
+  std::memcpy(&crow[0], "ab\0xxxxx", 8);
+  std::memcpy(&crow[8], "ab\0yyyyy", 8);
+  std::memcpy(&crow[16], "abc\0zzzz", 8);
+  AggHashTable by_value(chars, 1, 8);
+  ASSERT_TRUE(by_value.UpdateBatch(crow.data(), 8, same.data(), 3, fns, args,
+                                   /*exclusive=*/true));
+  EXPECT_EQ(by_value.size(), 2);
+}
+
+TEST(AggHashTableTest, ForEachFollowsCreationOrder) {
+  // Enough groups for several arena chunks and bucket-array doublings: the
+  // walk visits every group once, in the order the groups first appeared.
+  Schema group({ColumnDef::Int32("g")});
+  const std::vector<AggFn> fns = {AggFn::kSum};
+  constexpr int32_t kGroups = 20000;
+  std::vector<int32_t> order(kGroups);
+  for (int32_t i = 0; i < kGroups; ++i) order[i] = (i * 7919) % kGroups;
+  std::vector<char> rows(static_cast<size_t>(kGroups) * group.row_size());
+  std::vector<double> values(kGroups, 1.0);
+  for (int32_t i = 0; i < kGroups; ++i) {
+    group.SetInt32(&rows[static_cast<size_t>(i) * group.row_size()], 0,
+                   order[i]);
+  }
+  std::vector<uint64_t> hashes(kGroups);
+  HashRowKeysBatch(group, rows.data(), group.row_size(), {0}, nullptr,
+                   kGroups, hashes.data());
+  const double* args[1] = {values.data()};
+  AggHashTable table(group, 1, 4);
+  ASSERT_TRUE(table.UpdateBatch(rows.data(), group.row_size(), hashes.data(),
+                                kGroups, fns, args, /*exclusive=*/true));
+  ASSERT_GT(table.bytes(), 1 << 18);  // more than one arena chunk
+  std::vector<int32_t> seen;
+  table.ForEach([&](const char* row, const AggHashTable::AggState*) {
+    seen.push_back(group.GetInt32(row, 0));
+  });
+  EXPECT_EQ(seen, order);
+}
+
+TEST(AggHashTableTest, SwapGroupsExchangesTables) {
+  Schema group({ColumnDef::Int32("g")});
+  const std::vector<AggFn> fns = {AggFn::kSum};
+  const int64_t weights[1] = {1};
+  std::vector<char> grow(group.row_size());
+  AggHashTable full(group, 1, 4);
+  for (int rep = 0; rep < 2; ++rep) {
+    for (int32_t g = 0; g < 3000; ++g) {
+      group.SetInt32(grow.data(), 0, g);
+      const double v = g;
+      ASSERT_TRUE(full.Update(grow.data(), fns, &v, weights));
+    }
+  }
+  AggHashTable empty(group, 1, 1);
+  const int64_t bytes = full.bytes();
+  const size_t buckets = full.bucket_count();
+  empty.SwapGroups(&full);
+  EXPECT_EQ(full.size(), 0);
+  EXPECT_EQ(full.bytes(), 0);
+  EXPECT_EQ(full.bucket_count(), 1u);
+  EXPECT_EQ(empty.size(), 3000);
+  EXPECT_EQ(empty.bytes(), bytes);
+  EXPECT_EQ(empty.bucket_count(), buckets);
+
+  // Both tables stay usable: the swapped-in groups keep folding and growing,
+  // the emptied table takes new groups.
+  for (int32_t g = 2000; g < 6000; ++g) {
+    group.SetInt32(grow.data(), 0, g);
+    const uint64_t hash = HashRowKeys(group, grow.data(), {0});
+    const double v = g;
+    const double* args[1] = {&v};
+    ASSERT_TRUE(empty.UpdateBatch(grow.data(), group.row_size(), &hash, 1,
+                                  fns, args, /*exclusive=*/true));
+    ASSERT_TRUE(full.UpdateBatch(grow.data(), group.row_size(), &hash, 1, fns,
+                                 args, /*exclusive=*/true));
+  }
+  EXPECT_EQ(empty.size(), 6000);
+  EXPECT_EQ(full.size(), 4000);
+  empty.ForEach([&](const char* row, const AggHashTable::AggState* s) {
+    const int32_t g = group.GetInt32(row, 0);
+    const double want = (g < 3000 ? 2.0 * g : 0.0) + (g >= 2000 ? g : 0.0);
+    EXPECT_DOUBLE_EQ(s[0].sum, want) << g;
   });
 }
 

@@ -547,6 +547,25 @@ TEST(HashAggTest, LargeCardinality) {
   EXPECT_EQ(rows.size(), static_cast<size_t>(kN));
 }
 
+TEST(HashAggTest, HybridFlushesFoldExactly) {
+  // More groups than a private table may hold: one worker's first flush
+  // hands its table to the empty global table, later flushes merge into it;
+  // with three workers the merges also run side by side.
+  const int kN = 30000;
+  const int kMod = 3000;
+  auto table = MakeKV(kN, kMod);
+  const Schema& s = table->schema();
+  for (int workers : {1, 3}) {
+    auto spec = AggSpec(s, HashAggIterator::Mode::kHybrid);
+    spec.hybrid_max_groups = 512;
+    auto agg = std::make_unique<HashAggIterator>(
+        std::make_unique<ScanIterator>(&table->partition(0), &s), spec);
+    Schema out = agg->output_schema();
+    SCOPED_TRACE(workers);
+    CheckAggResult(RunElastic(std::move(agg), out, workers), kMod, kN);
+  }
+}
+
 TEST(HashAggTest, ShrinkMidAggregationLosesNothing) {
   const int kN = 50000;
   const int kMod = 5;

@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -59,6 +61,17 @@ class SqlExecTest : public ::testing::Test {
     auto r = db_->Query(sql, opts);
     EXPECT_TRUE(r.ok()) << sql << "\n" << r.status().ToString();
     return r.ok() ? std::move(*r) : ResultSet();
+  }
+
+  /// Runs `sql` under EP, SP p=4 and ME and hands each result to `check`.
+  template <typename Check>
+  static void ForEachMode(std::string_view sql, Check&& check) {
+    for (auto [mode, parallelism] : {std::pair{ExecMode::kElastic, 1},
+                                     std::pair{ExecMode::kStatic, 4},
+                                     std::pair{ExecMode::kMaterialized, 2}}) {
+      SCOPED_TRACE(StrFormat("%s p=%d", ExecModeName(mode), parallelism));
+      check(Run(sql, mode, parallelism));
+    }
   }
 
   static Database* db_;
@@ -132,6 +145,118 @@ TEST_F(SqlExecTest, GroupByMatchesOracle) {
     EXPECT_EQ(r.Get(i, 2).AsInt64(), agg.second);
     ++i;
   }
+}
+
+TEST_F(SqlExecTest, TwoPhaseGroupedAggregatesMatchOracle) {
+  // Neither grouping below is co-located with its table's partitioning, so
+  // each runs as partial HashAgg -> shuffle on the group keys -> final merge.
+  TablePtr lineitem = *db_->catalog()->GetTable("lineitem");
+  const Schema& ls = lineitem->schema();
+  const int supp = ls.FindColumn("l_suppkey");
+  const int qty = ls.FindColumn("l_quantity");
+  const int price = ls.FindColumn("l_extendedprice");
+  const int disc = ls.FindColumn("l_discount");
+  struct Supp {
+    double qty = 0, disc = 0, min_price = 1e300, max_price = -1e300;
+    int64_t count = 0;
+  };
+  std::map<int64_t, Supp> by_supp;
+  ForEachRow(*lineitem, [&](const char* row) {
+    Supp& g = by_supp[ls.GetInt32(row, supp)];
+    g.qty += ls.GetFloat64(row, qty);
+    g.disc += ls.GetFloat64(row, disc);
+    g.min_price = std::min(g.min_price, ls.GetFloat64(row, price));
+    g.max_price = std::max(g.max_price, ls.GetFloat64(row, price));
+    ++g.count;
+  });
+  ForEachMode(
+      "SELECT l_suppkey, avg(l_quantity), min(l_extendedprice), "
+      "max(l_extendedprice), count(*), sum(l_discount) FROM lineitem "
+      "GROUP BY l_suppkey",
+      [&](const ResultSet& r) {
+        auto rows = r.Rows(/*sorted=*/true);
+        ASSERT_EQ(rows.size(), by_supp.size());
+        size_t i = 0;
+        for (const auto& [key, g] : by_supp) {
+          EXPECT_EQ(rows[i][0].AsInt64(), key);
+          EXPECT_NEAR(rows[i][1].AsFloat64(), g.qty / g.count,
+                      1e-9 * g.qty / g.count);
+          EXPECT_EQ(rows[i][2].ToDouble(), g.min_price);
+          EXPECT_EQ(rows[i][3].ToDouble(), g.max_price);
+          EXPECT_EQ(rows[i][4].AsInt64(), g.count);
+          EXPECT_NEAR(rows[i][5].ToDouble(), g.disc, 1e-9 * g.disc);
+          ++i;
+        }
+      });
+
+  // A YEAR() group expression, a CHAR key, and MIN/MAX of a DATE.
+  TablePtr orders = *db_->catalog()->GetTable("orders");
+  const Schema& os = orders->schema();
+  const int date = os.FindColumn("o_orderdate");
+  const int prio = os.FindColumn("o_orderpriority");
+  struct Span {
+    int32_t first = INT32_MAX, last = INT32_MIN;
+    int64_t count = 0;
+  };
+  std::map<std::pair<int64_t, std::string>, Span> by_year;
+  ForEachRow(*orders, [&](const char* row) {
+    const int32_t d = os.GetInt32(row, date);
+    int y, m, day;
+    CivilFromDays(d, &y, &m, &day);
+    Span& g = by_year[{y, std::string(os.GetString(row, prio))}];
+    g.first = std::min(g.first, d);
+    g.last = std::max(g.last, d);
+    ++g.count;
+  });
+  ForEachMode(
+      "SELECT YEAR(o_orderdate), o_orderpriority, min(o_orderdate), "
+      "max(o_orderdate), count(*) FROM orders "
+      "GROUP BY YEAR(o_orderdate), o_orderpriority ORDER BY 1, 2",
+      [&](const ResultSet& r) {
+        ASSERT_EQ(r.num_rows(), static_cast<int64_t>(by_year.size()));
+        ASSERT_EQ(r.schema().column(2).type, DataType::kDate);
+        int64_t i = 0;
+        for (const auto& [key, g] : by_year) {  // map iterates sorted
+          EXPECT_EQ(r.Get(i, 0).AsInt64(), key.first);
+          EXPECT_EQ(r.Get(i, 1).AsString(), key.second);
+          EXPECT_EQ(r.Get(i, 2).AsInt64(), g.first);
+          EXPECT_EQ(r.Get(i, 3).AsInt64(), g.last);
+          EXPECT_EQ(r.Get(i, 4).AsInt64(), g.count);
+          ++i;
+        }
+      });
+
+  // HAVING on an AVG, ORDER BY an aggregate. l_quantity holds whole
+  // numbers, so each part's sum is exact in any fold order and equal
+  // averages tie exactly: the order, ties broken by key, is deterministic.
+  const int part = ls.FindColumn("l_partkey");
+  std::map<int64_t, std::pair<double, int64_t>> by_part;
+  ForEachRow(*lineitem, [&](const char* row) {
+    auto& g = by_part[ls.GetInt32(row, part)];
+    g.first += ls.GetFloat64(row, qty);
+    ++g.second;
+  });
+  std::vector<std::pair<double, int64_t>> want;  // (avg, partkey)
+  for (const auto& [key, g] : by_part) {
+    const double avg = g.first / g.second;
+    if (avg > 30) want.emplace_back(avg, key);
+  }
+  std::sort(want.begin(), want.end(), [](const auto& a, const auto& b) {
+    return a.first != b.first ? a.first > b.first : a.second < b.second;
+  });
+  ASSERT_GT(want.size(), 0u);
+  ASSERT_LT(want.size(), by_part.size());
+  ForEachMode(
+      "SELECT l_partkey, avg(l_quantity) AS aq FROM lineitem "
+      "GROUP BY l_partkey HAVING avg(l_quantity) > 30 ORDER BY aq DESC, 1",
+      [&](const ResultSet& r) {
+        ASSERT_EQ(r.num_rows(), static_cast<int64_t>(want.size()));
+        for (size_t i = 0; i < want.size(); ++i) {
+          EXPECT_EQ(r.Get(i, 0).AsInt64(), want[i].second) << "row " << i;
+          EXPECT_DOUBLE_EQ(r.Get(i, 1).AsFloat64(), want[i].first)
+              << "row " << i;
+        }
+      });
 }
 
 TEST_F(SqlExecTest, SeventeenScalarAggregateSlotsMatchOracle) {
@@ -348,6 +473,53 @@ TEST_F(SqlExecTest, DerivedTableJoin) {
     expected += count_at[{acct, price}];
   }
   EXPECT_EQ(r.Get(0, 0).AsInt64(), expected);
+}
+
+// --- Aggregation traffic -----------------------------------------------------
+
+/// Remote bytes of grouped aggregation `sql` on `db` against what a
+/// two-phase plan may ship: every node's partial rows (one per group it saw)
+/// into the hash exchange, then the final rows to the master. Block payloads
+/// are counted as rows x row size, so these two terms are the whole
+/// allowance.
+void ExpectPartialRowTraffic(Database* db, std::string_view sql) {
+  auto plan = db->Plan(sql);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  int64_t shuffled_row = 0;
+  for (const auto& f : plan->fragments) {
+    if (f->partitioning == Partitioning::kHash) {
+      shuffled_row = std::max<int64_t>(shuffled_row,
+                                       f->root->output_schema.row_size());
+    }
+  }
+  ASSERT_GT(shuffled_row, 0) << plan->ToString();
+  auto r = db->Query(sql);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const int64_t groups = r->num_rows();
+  ASSERT_GT(groups, 0);
+  const int64_t nodes = db->options().cluster.num_nodes;
+  const int64_t allowance =
+      nodes * groups * shuffled_row + groups * r->schema().row_size();
+  const int64_t remote = db->executor()->report().remote_bytes;
+  EXPECT_GT(remote, 0) << sql;
+  EXPECT_LE(remote, allowance) << sql;
+}
+
+TEST(AggregationTrafficTest, OnlyPartialRowsCrossTheNetwork) {
+  DatabaseOptions options;
+  options.cluster.num_nodes = 2;
+  options.cluster.cores_per_node = 2;
+  Database db(options);
+  TpchConfig tpch;
+  tpch.scale_factor = 0.002;
+  ASSERT_TRUE(db.LoadTpch(tpch).ok());
+  SseConfig sse;
+  sse.securities_rows = 4000;
+  sse.trades_rows = 6000;
+  sse.num_accounts = 300;
+  ASSERT_TRUE(db.LoadSse(sse).ok());
+  ExpectPartialRowTraffic(&db, *TpchQuery(1));
+  ExpectPartialRowTraffic(&db, *SseQuery(7));
 }
 
 // --- Cross-mode / cross-parallelism consistency over the full workload ---------

@@ -319,6 +319,66 @@ TEST_F(PlannerTest, ScalarAggTwoPhase) {
   EXPECT_NE(text.find("HashAgg", first + 1), std::string::npos);
 }
 
+/// The first operator of `kind` in `op`'s subtree (pre-order), or null.
+const POp* FindOp(const POp& op, POp::Kind kind) {
+  if (op.kind == kind) return &op;
+  for (const auto& child : op.children) {
+    if (const POp* found = FindOp(*child, kind)) return found;
+  }
+  return nullptr;
+}
+
+std::vector<AggFn> AggFns(const POp& agg) {
+  std::vector<AggFn> fns;
+  for (const auto& a : agg.aggregates) fns.push_back(a.fn);
+  return fns;
+}
+
+TEST_F(PlannerTest, GroupedAggTwoPhase) {
+  // lineitem is partitioned on l_orderkey, so grouping by l_suppkey needs
+  // an exchange: only partial states cross it.
+  auto p = Plan("SELECT l_suppkey, avg(l_quantity), min(l_shipdate), "
+                "count(*) FROM lineitem GROUP BY l_suppkey");
+  ASSERT_TRUE(p.ok()) << p.status().ToString();
+  ASSERT_EQ(p->fragments.size(), 2u) << p->ToString();
+  // Partial: AVG splits into SUM and COUNT, below a hash exchange on the
+  // group column.
+  const Fragment& partial = *p->fragments[0];
+  ASSERT_EQ(partial.root->kind, POp::Kind::kHashAgg) << p->ToString();
+  EXPECT_EQ(partial.root->group_exprs.size(), 1u);
+  EXPECT_EQ(AggFns(*partial.root),
+            (std::vector<AggFn>{AggFn::kSum, AggFn::kCount, AggFn::kMin,
+                                AggFn::kCount}));
+  EXPECT_EQ(partial.partitioning, Partitioning::kHash);
+  EXPECT_EQ(partial.hash_cols, std::vector<int>{0});
+  EXPECT_EQ(partial.consumer_nodes, (std::vector<int>{0, 1}));
+  // Final: merges the partial columns on every node (COUNT and SUM by SUM,
+  // MIN kept), straight off the exchange.
+  const POp* final_agg = FindOp(*p->fragments[1]->root, POp::Kind::kHashAgg);
+  ASSERT_NE(final_agg, nullptr) << p->ToString();
+  EXPECT_EQ(AggFns(*final_agg),
+            (std::vector<AggFn>{AggFn::kSum, AggFn::kSum, AggFn::kMin,
+                                AggFn::kSum}));
+  ASSERT_EQ(final_agg->children.size(), 1u);
+  EXPECT_EQ(final_agg->children[0]->kind, POp::Kind::kMerger);
+  EXPECT_EQ(p->fragments[1]->nodes, (std::vector<int>{0, 1}));
+  EXPECT_EQ(p->result_schema.column(1).type, DataType::kFloat64);
+}
+
+TEST_F(PlannerTest, CoLocatedGroupByAggregatesLocally) {
+  // Grouping on lineitem's partition key: one local HashAgg, no exchange
+  // below the result gather.
+  auto p = Plan("SELECT l_orderkey, sum(l_quantity), avg(l_discount) "
+                "FROM lineitem GROUP BY l_orderkey");
+  ASSERT_TRUE(p.ok()) << p.status().ToString();
+  ASSERT_EQ(p->fragments.size(), 1u) << p->ToString();
+  const POp* agg = FindOp(*p->fragments[0]->root, POp::Kind::kHashAgg);
+  ASSERT_NE(agg, nullptr) << p->ToString();
+  EXPECT_EQ(AggFns(*agg), (std::vector<AggFn>{AggFn::kSum, AggFn::kAvg}));
+  EXPECT_EQ(FindOp(*agg, POp::Kind::kMerger), nullptr) << p->ToString();
+  EXPECT_EQ(p->ToString().find("hash on"), std::string::npos);
+}
+
 TEST_F(PlannerTest, OrderByAddsMasterSortFragment) {
   auto p = Plan("SELECT o_orderkey FROM orders ORDER BY o_orderkey LIMIT 5");
   ASSERT_TRUE(p.ok()) << p.status().ToString();

@@ -16,6 +16,7 @@
 #include "engine/database.h"
 #include "engine/workloads.h"
 #include "fault/injector.h"
+#include "mem/block_pool.h"
 #include "net/socket_util.h"
 #include "wlm/driver/workload_driver.h"
 #include "wlm/introspection.h"
@@ -122,11 +123,15 @@ class WlmTest : public ::testing::Test {
   }
 
   /// A query that keeps the cluster busy for a while at low parallelism
-  /// (lineitem self-join: ~0.5 s at parallelism 1 on this fixture).
+  /// (lineitem self-join on the supplier key, ~18 M joined rows: 0.25-0.35 s
+  /// at parallelism 1 on this fixture). The tests below must still see it
+  /// running after 50 ms and across scheduler ticks, even with every other
+  /// test binary competing for the cores.
   static PhysicalPlan SlowPlan() {
     return PlanSql(
-        "SELECT a.l_partkey, count(*) FROM lineitem a, lineitem b "
-        "WHERE a.l_partkey = b.l_partkey GROUP BY a.l_partkey");
+        "SELECT a.l_suppkey, count(*) FROM lineitem a, lineitem b "
+        "WHERE a.l_suppkey = b.l_suppkey AND b.l_linenumber = 1 "
+        "GROUP BY a.l_suppkey");
   }
   static SubmitOptions SlowOptions() {
     SubmitOptions s;
@@ -614,6 +619,38 @@ TEST_F(WlmTest, WatchdogQuietWhileStaticQueryLeavesLoopsParked) {
   EXPECT_GT(h->latency_ns(), 3 * options.watchdog.stall_window_ns);
   EXPECT_EQ(plane.watchdog()->incident_count(), 0);
   plane.Stop();
+  service.Shutdown();
+}
+
+TEST_F(WlmTest, RetainedHandlesHoldResultsNotOperatorState) {
+  // The service keeps its recent handles, and each handle its Executor with
+  // the segments the report reads. A drained segment must already have freed
+  // its operator state (hash tables, arenas, bucket arrays): holding N
+  // finished handles may keep N results in the pool, not N queries' tables.
+  QueryService service(db_->cluster(), {});
+  auto run = [&] {
+    QueryHandlePtr h = service.Submit(
+        PlanSql("SELECT l_partkey, count(*), sum(l_quantity) FROM lineitem "
+                "GROUP BY l_partkey"));
+    h->Wait();
+    EXPECT_TRUE(h->status().ok()) << h->status().ToString();
+    return h;
+  };
+  std::vector<QueryHandlePtr> held = {run()};  // warm-up
+  const int64_t before = BlockPool::Global()->GetStats().live_bytes;
+  int64_t result_bytes = 0;
+  for (int i = 0; i < 6; ++i) {
+    held.push_back(run());
+    for (const BlockPtr& b : held.back()->result().blocks()) {
+      result_bytes += b->capacity_bytes();
+    }
+  }
+  ASSERT_GT(result_bytes, 0);
+  const int64_t growth = BlockPool::Global()->GetStats().live_bytes - before;
+  // Size-class rounding at most doubles a result block's footprint.
+  EXPECT_LE(growth, 2 * result_bytes)
+      << "live pool bytes grew " << growth << " for " << result_bytes
+      << " bytes of held results";
   service.Shutdown();
 }
 
