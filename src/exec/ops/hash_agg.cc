@@ -340,22 +340,33 @@ NextResult HashAggIterator::Next(WorkerContext* ctx, BlockPtr* out) {
     std::memcpy(slot, groups_[i].first, group_schema_.row_size());
     for (size_t a = 0; a < fns_.size(); ++a) {
       const AggHashTable::AggState& st = *(groups_[i].second + a);
-      int col = ngroup + static_cast<int>(a);
-      Value v;
+      const int col = ngroup + static_cast<int>(a);
+      // Typed stores, no boxed Value per cell: COUNT is INT64, AVG FLOAT64,
+      // and SUM/MIN/MAX keep their argument's type (AggOutputType).
       switch (fns_[a]) {
         case AggFn::kCount:
-          v = Value::Int64(st.count);
+          output_schema_.SetInt64(slot, col, st.count);
           break;
         case AggFn::kAvg:
-          v = Value::Float64(st.count == 0 ? 0 : st.sum / st.count);
+          output_schema_.SetFloat64(slot, col,
+                                    st.count == 0 ? 0 : st.sum / st.count);
           break;
         default:
-          v = output_schema_.column(col).type == DataType::kFloat64
-                  ? Value::Float64(st.sum)
-                  : Value::Int64(static_cast<int64_t>(st.sum));
+          switch (output_schema_.column(col).type) {
+            case DataType::kFloat64:
+              output_schema_.SetFloat64(slot, col, st.sum);
+              break;
+            case DataType::kInt64:
+              output_schema_.SetInt64(slot, col, static_cast<int64_t>(st.sum));
+              break;
+            default:  // kInt32 / kDate
+              output_schema_.SetInt32(
+                  slot, col,
+                  static_cast<int32_t>(static_cast<int64_t>(st.sum)));
+              break;
+          }
           break;
       }
-      output_schema_.SetValue(slot, col, v);
     }
   }
   block->set_sequence_number(start / rows_per_block);
