@@ -68,7 +68,7 @@ int64_t RunQ1Agg(BlockPool* pool, int reps, int rows) {
   const int64_t start = NowNs();
   for (int rep = 0; rep < reps; ++rep) {
     AggHashTable table(group, static_cast<int>(fns.size()), 64,
-                       MemSource{pool, nullptr, nullptr});
+                       MemSource{pool, nullptr});
     std::vector<char> grow(group.row_size());
     for (int i = 0; i < rows; ++i) {
       group.SetInt32(grow.data(), 0, i % 4);  // Q1: 4 (flag, status) groups

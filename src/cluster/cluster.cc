@@ -11,7 +11,7 @@ Cluster::Cluster(ClusterOptions options, Catalog* catalog)
   NetworkOptions net;
   net.bandwidth_bytes_per_sec = options_.bandwidth_bytes_per_sec;
   net.capacity_blocks = options_.channel_capacity_blocks;
-  network_ = std::make_unique<Network>(options_.num_nodes, net, &memory_);
+  network_ = std::make_unique<Network>(options_.num_nodes, net);
   SchedulerOptions sched = options_.scheduler;
   sched.num_cores = options_.cores_per_node;
   for (int n = 0; n < options_.num_nodes; ++n) {

@@ -7,7 +7,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/memory_tracker.h"
 #include "core/scheduler.h"
 #include "fault/injector.h"
 #include "net/network.h"
@@ -46,7 +45,6 @@ class Cluster {
   Network* network() { return network_.get(); }
   GlobalThroughputBoard* board() { return &board_; }
   DynamicScheduler* scheduler(int node) { return schedulers_[node].get(); }
-  MemoryTracker* memory() { return &memory_; }
 
   /// Each node's scheduler runs one control loop (DynamicScheduler::RunLoop)
   /// from construction to destruction, parked while the node has no segment
@@ -86,7 +84,6 @@ class Cluster {
  private:
   ClusterOptions options_;
   Catalog* catalog_;
-  MemoryTracker memory_{"cluster"};
   std::unique_ptr<Network> network_;
   GlobalThroughputBoard board_;
   std::vector<std::unique_ptr<DynamicScheduler>> schedulers_;

@@ -130,7 +130,6 @@ Result<std::unique_ptr<Iterator>> Executor::BuildIteratorInner(
       spec.probe_schema = &op.children[1]->output_schema;
       spec.build_keys = op.build_keys;
       spec.probe_keys = op.probe_keys;
-      spec.memory = cluster_->memory();
       spec.pool = BlockPool::Global();
       spec.budget = budget_.get();
       return std::unique_ptr<Iterator>(std::make_unique<HashJoinIterator>(
@@ -146,7 +145,6 @@ Result<std::unique_ptr<Iterator>> Executor::BuildIteratorInner(
       spec.group_names = op.group_names;
       spec.aggregates = op.aggregates;
       spec.mode = op.agg_mode;
-      spec.memory = cluster_->memory();
       spec.pool = BlockPool::Global();
       spec.budget = budget_.get();
       return std::unique_ptr<Iterator>(
@@ -178,11 +176,9 @@ ExecProgress Executor::Progress() const {
   }
   // budget_ only changes between runs, and live_segments_ is non-empty here,
   // so the ledger is stable for the duration of this sample.
-  if (budget_ != nullptr) {
-    p.mem_charged_bytes = budget_->charged_bytes();
-    p.mem_budget_bytes = budget_->budget_bytes();
-    p.mem_spilled_bytes = budget_->spilled_bytes();
-  }
+  p.mem_charged_bytes = budget_->charged_bytes();
+  p.mem_budget_bytes = budget_->budget_bytes();
+  p.mem_spilled_bytes = budget_->spilled_bytes();
   return p;
 }
 
@@ -232,28 +228,26 @@ Result<ResultSet> Executor::Execute(const PhysicalPlan& plan,
                                     const ExecOptions& opts) {
   Clock* clock = SteadyClock::Default();
   int64_t t0 = clock->NowNanos();
-  if (cancel_requested_.load(std::memory_order_acquire)) {
-    return Status::Cancelled("query cancelled before execution started");
-  }
-  // Free the previous query's segments (and their tracked arenas) *before*
-  // resetting the tracker, or their releases would underflow the counter —
-  // and before replacing the ledger they refund into.
+  // Free the previous query's segments before replacing the ledger they
+  // refund into.
   segments_.clear();
   stats_own_.clear();
-  budget_.reset();
+  budget_ = std::make_unique<QueryBudget>(opts.memory_budget_bytes);
   if (opts.memory_budget_bytes > 0) {
-    budget_ = std::make_unique<QueryBudget>(
-        StrFormat("q%llu",
-                  static_cast<unsigned long long>(
-                      opts.query_id != 0 ? opts.query_id : 0)),
-        opts.memory_budget_bytes);
     // First rung of the degradation ladder: a refused charge asks the
     // dynamic scheduler's domain to give memory back before operators spill.
     budget_->SetShrinkHook([this] { return ShrinkForMemory(); });
   }
-  // Concurrent queries share the tracker; only an exclusive owner may zero
-  // it (peak memory is then per-query instead of cluster-wide).
-  if (opts.exclusive_cluster) cluster_->memory()->Reset();
+  stats_ = ExecStats{};
+  report_ = ExecutionReport{};
+  // Every exit path, failures included, reports this run's ledger peak.
+  ScopeGuard record_peak([this] {
+    stats_.peak_memory_bytes = budget_->peak_charged_bytes();
+    report_.peak_memory_bytes = stats_.peak_memory_bytes;
+  });
+  if (cancel_requested_.load(std::memory_order_acquire)) {
+    return Status::Cancelled("query cancelled before execution started");
+  }
   int64_t remote0 = cluster_->network()->total_remote_bytes();
 
   // Placement: plans address *logical* nodes (which partition to scan, which
@@ -287,7 +281,7 @@ Result<ResultSet> Executor::Execute(const PhysicalPlan& plan,
     cluster_->network()->CreateExchange(
         f->out_exchange_id + xbase, static_cast<int>(f->nodes.size()),
         f->consumer_nodes,
-        opts.mode == ExecMode::kMaterialized ? -1 : 0);
+        opts.mode == ExecMode::kMaterialized ? -1 : 0, budget_.get());
   }
   ScopeGuard destroy_exchanges([&] {
     // All producers/consumers are joined (or were never started) on every
@@ -343,7 +337,6 @@ Result<ResultSet> Executor::Execute(const PhysicalPlan& plan,
                                            : f.initial_parallelism);
       config.elastic.order_preserving = f.order_preserving;
       config.elastic.buffer_capacity_blocks = opts.buffer_capacity_blocks;
-      config.elastic.memory = cluster_->memory();
       config.elastic.budget = budget_.get();
       if (opts.mode != ExecMode::kElastic) {
         // SP/ME: parallelism fixed at compile time.
@@ -377,11 +370,9 @@ Result<ResultSet> Executor::Execute(const PhysicalPlan& plan,
       final_p.tuples_emitted +=
           st->output_tuples.load(std::memory_order_relaxed);
     }
-    if (budget_ != nullptr) {
-      final_p.mem_charged_bytes = budget_->peak_charged_bytes();
-      final_p.mem_budget_bytes = budget_->budget_bytes();
-      final_p.mem_spilled_bytes = budget_->spilled_bytes();
-    }
+    final_p.mem_charged_bytes = budget_->peak_charged_bytes();
+    final_p.mem_budget_bytes = budget_->budget_bytes();
+    final_p.mem_spilled_bytes = budget_->spilled_bytes();
     latched_progress_ = final_p;
     live_segments_.clear();
   });
@@ -518,7 +509,7 @@ Result<ResultSet> Executor::Execute(const PhysicalPlan& plan,
       // Budget rejection outranks kInternal: the ledger latches rejected()
       // only when the whole degradation ladder (shrink, then spill) failed
       // to fit the query, and the segment error is that refusal surfacing.
-      if (budget_ != nullptr && budget_->rejected()) {
+      if (budget_->rejected()) {
         return Status::ResourceExhausted(StrFormat(
             "query exceeded its memory budget (%lld bytes charged peak of "
             "%lld budget, %lld spilled) after shrink and spill degradation",
@@ -534,7 +525,6 @@ Result<ResultSet> Executor::Execute(const PhysicalPlan& plan,
 
   int64_t t1 = clock->NowNanos();
   stats_.elapsed_ns = t1 - t0;
-  stats_.peak_memory_bytes = cluster_->memory()->peak_bytes();
   stats_.remote_bytes = cluster_->network()->total_remote_bytes() - remote0;
 
   // EXPLAIN-ANALYZE report: segment rows copied from the very SegmentStats
@@ -549,11 +539,9 @@ Result<ResultSet> Executor::Execute(const PhysicalPlan& plan,
                    std::make_move_iterator(ticks.end()));
     }
   }
-  report_ = ExecutionReport{};
   report_.mode = ExecModeName(opts.mode);
   report_.elapsed_ns = stats_.elapsed_ns;
   report_.queue_wait_ns = opts.queue_wait_ns;
-  report_.peak_memory_bytes = stats_.peak_memory_bytes;
   report_.remote_bytes = stats_.remote_bytes;
   report_.result_tuples = result.num_rows();
   for (size_t i = 0; i < segments_.size(); ++i) {

@@ -48,12 +48,6 @@ struct ExecOptions {
   /// collide in the shared network fabric; the workload manager allocates a
   /// distinct base per running query. Single-query callers keep 0.
   int exchange_id_base = 0;
-  /// True when this query owns the cluster for its whole run (the classic
-  /// serial path): the cluster memory tracker is reset at query start so
-  /// peak_memory_bytes is per-query. The workload manager clears this for
-  /// concurrent queries; peak memory then reports the cluster-wide
-  /// high-watermark across everything in flight.
-  bool exclusive_cluster = true;
   /// Time this query waited in the admission queue before Execute began;
   /// copied into the ExecutionReport so EXPLAIN ANALYZE splits queue-wait
   /// from run-time. Filled by the workload manager; 0 when unqueued.
@@ -63,17 +57,19 @@ struct ExecOptions {
   /// workload manager passes its own handle id so /profile/<id> matches
   /// /queries.
   uint64_t query_id = 0;
-  /// Binding per-query memory budget in bytes; 0 disables (no ledger is
-  /// created and allocation behaves as before). When set, every arena chunk
-  /// and buffered block of this query charges a QueryBudget; on pressure the
-  /// ladder runs shrink → spill → kResourceExhausted (docs/MEMORY.md). The
-  /// workload manager passes the admitted reservation here, making the WLM
-  /// estimate binding rather than advisory.
+  /// Binding per-query memory budget in bytes; 0 leaves the query's ledger
+  /// unbounded. Every execution charges its arena chunks, buffered blocks
+  /// and exchange-channel blocks to one QueryBudget, whose peak is
+  /// ExecStats::peak_memory_bytes. With a budget the ledger refuses past it
+  /// and the ladder runs shrink → spill → kResourceExhausted
+  /// (docs/MEMORY.md). The workload manager passes the admitted reservation
+  /// here, making the WLM estimate binding rather than advisory.
   int64_t memory_budget_bytes = 0;
 };
 
 struct ExecStats {
   int64_t elapsed_ns = 0;
+  /// The ledger's peak charge; set on every exit path, failures included.
   int64_t peak_memory_bytes = 0;
   int64_t remote_bytes = 0;
 };
@@ -85,18 +81,18 @@ struct ExecProgress {
   int live_segments = 0;   ///< 0 once the run finished (totals stay latched)
   int64_t tuples_consumed = 0;  ///< Σ input_tuples over the query's segments
   int64_t tuples_emitted = 0;   ///< Σ output_tuples — the progress counter
-  // Memory ledger, all 0 when the query runs without a budget.
-  int64_t mem_charged_bytes = 0;  ///< live ledger charge
-  int64_t mem_budget_bytes = 0;   ///< admitted budget
+  // Memory ledger (every query has one).
+  int64_t mem_charged_bytes = 0;  ///< live ledger charge; the peak once done
+  int64_t mem_budget_bytes = 0;   ///< admitted budget; 0 = unbounded
   int64_t mem_spilled_bytes = 0;  ///< bytes evicted to the cold tier
 };
 
 /// Deploys a PhysicalPlan on the cluster and gathers the result at the
 /// master. One Executor per query execution. Many executors may run
 /// concurrently over one Cluster when each execution namespaces its
-/// exchange ids (ExecOptions::exchange_id_base) and leaves the shared
-/// trackers alone (ExecOptions::exclusive_cluster = false) — the workload
-/// manager (src/wlm) is the layer that arranges this.
+/// exchange ids (ExecOptions::exchange_id_base) — the workload manager
+/// (src/wlm) is the layer that arranges this. Memory is accounted per
+/// execution, so concurrent queries never see each other's bytes.
 class Executor {
  public:
   explicit Executor(Cluster* cluster);
@@ -130,11 +126,6 @@ class Executor {
     return segments_;
   }
 
-  /// The query's memory ledger; nullptr when running without a budget
-  /// (ExecOptions::memory_budget_bytes == 0). Valid until the next Execute;
-  /// the workload manager reads peak/spilled bytes for release accounting.
-  QueryBudget* budget() const { return budget_.get(); }
-
  private:
   /// Builds the iterator tree of `op` for the instance on `node`. With
   /// `op_ids` set (recording on), every operator is wrapped in a
@@ -162,8 +153,9 @@ class Executor {
   bool ShrinkForMemory();
 
   Cluster* cluster_;
-  /// Declared before segments_: segment teardown refunds arena charges into
-  /// the ledger, so the ledger must be destroyed after the segments.
+  /// The current execution's ledger. Declared before segments_: segment
+  /// teardown refunds arena and buffer charges into it, so it must be
+  /// destroyed after the segments.
   std::unique_ptr<QueryBudget> budget_;
   std::vector<std::unique_ptr<Segment>> segments_;
   std::vector<std::unique_ptr<SegmentStats>> stats_own_;

@@ -38,14 +38,18 @@ DataBuffer::~DataBuffer() {
 }
 
 bool DataBuffer::Insert(int producer_id, BlockPtr block) {
-  // Charge the binding ledger before taking mu_: the refused-charge path runs
-  // the executor's shrink hook, which takes live-segment and scheduler locks;
-  // under mu_ that would deadlock against TriggerCancel's lock order
-  // (live_mu_ -> elastic mu_ -> buffer mu_). See docs/CONCURRENCY.md.
-  const int64_t charge =
-      options_.budget != nullptr ? block->payload_bytes() : 0;
-  if (charge > 0 && !options_.budget->Charge(charge)) {
-    options_.budget->MarkRejected();
+  QueryBudget* budget = options_.budget;
+  const int64_t bytes = budget != nullptr ? block->payload_bytes() : 0;
+  // A bounded ledger is charged before taking mu_: the refused-charge path
+  // runs the executor's shrink hook, which takes live-segment and scheduler
+  // locks; under mu_ that would deadlock against TriggerCancel's lock order
+  // (live_mu_ -> elastic mu_ -> buffer mu_). See docs/CONCURRENCY.md. An
+  // unbounded ledger never refuses and never runs the hook, so it is charged
+  // under mu_ once the block is queued: a producer still waiting for room
+  // holds no charge, and the peak is what the buffer held.
+  const bool charge_first = bytes > 0 && budget->budget_bytes() > 0;
+  if (charge_first && !budget->Charge(bytes)) {
+    budget->MarkRejected();
     resource_exhausted_.store(true, std::memory_order_release);
     return false;
   }
@@ -63,11 +67,10 @@ bool DataBuffer::Insert(int producer_id, BlockPtr block) {
       });
     }
     if (cancelled_) {
-      if (charge > 0) options_.budget->Release(charge);
+      if (charge_first) budget->Release(bytes);
       return false;
     }
     q.watermark = std::max(q.watermark, block->sequence_number());
-    if (options_.memory != nullptr) options_.memory->Allocate(block->payload_bytes());
     q.blocks.push_back(std::move(block));
   } else {
     if (!cancelled_ && total_blocks_ >= options_.capacity_blocks) {
@@ -76,12 +79,12 @@ bool DataBuffer::Insert(int producer_id, BlockPtr block) {
       });
     }
     if (cancelled_) {
-      if (charge > 0) options_.budget->Release(charge);
+      if (charge_first) budget->Release(bytes);
       return false;
     }
-    if (options_.memory != nullptr) options_.memory->Allocate(block->payload_bytes());
     fifo_.push_back(std::move(block));
   }
+  if (bytes > 0 && !charge_first) budget->TryCharge(bytes);  // never refuses
   ++total_blocks_;
   not_empty_.notify_one();
   return true;
@@ -151,7 +154,6 @@ NextResult DataBuffer::Pop(BlockPtr* out) {
     fifo_.pop_front();
   }
   --total_blocks_;
-  if (options_.memory != nullptr) options_.memory->Release((*out)->payload_bytes());
   if (options_.budget != nullptr) options_.budget->Release((*out)->payload_bytes());
   // notify_all, not notify_one: a pop can simultaneously free a capacity slot
   // for one producer and enable the empty-queue bypass of another; waking the

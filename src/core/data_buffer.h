@@ -9,7 +9,6 @@
 #include <mutex>
 
 #include "common/macros.h"
-#include "common/memory_tracker.h"
 #include "core/iterator.h"
 #include "mem/query_budget.h"
 #include "storage/block.h"
@@ -33,13 +32,12 @@ class DataBuffer {
   struct Options {
     size_t capacity_blocks = 64;
     bool order_preserving = false;
-    /// Optional accounting sink for Table 4 memory measurements.
-    MemoryTracker* memory = nullptr;
-    /// Owning query's binding memory ledger. When set, Insert charges the
-    /// block's payload bytes *before* taking the buffer lock (the budget's
-    /// shrink hook reaches into scheduler locks; calling it under mu_ would
-    /// cycle with the cancel path — see docs/CONCURRENCY.md) and a refused
-    /// charge fails the Insert with resource_exhausted() latched.
+    /// Owning query's memory ledger; every queued block holds its payload
+    /// bytes on it. A bounded ledger is charged *before* the buffer lock
+    /// (the budget's shrink hook reaches into scheduler locks; calling it
+    /// under mu_ would cycle with the cancel path — see docs/CONCURRENCY.md)
+    /// and a refused charge fails the Insert with resource_exhausted()
+    /// latched. An unbounded one is charged once the block is queued.
     QueryBudget* budget = nullptr;
   };
 

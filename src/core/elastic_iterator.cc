@@ -13,7 +13,6 @@ DataBuffer::Options BufferOptions(const ElasticIterator::Options& options) {
   DataBuffer::Options buf;
   buf.capacity_blocks = options.buffer_capacity_blocks;
   buf.order_preserving = options.order_preserving;
-  buf.memory = options.memory;
   buf.budget = options.budget;
   return buf;
 }

@@ -49,11 +49,9 @@ class ElasticIterator : public Iterator {
     /// Shared segment counters, and the owner stamped on this iterator's
     /// records; optional (unit tests may omit).
     SegmentStats* stats = nullptr;
-    /// Memory accounting for the buffer (Table 4).
-    MemoryTracker* memory = nullptr;
-    /// Owning query's binding memory ledger (passed through to the joint
-    /// buffer); a refused block charge latches a segment error that the
-    /// executor maps to kResourceExhausted.
+    /// Owning query's memory ledger (passed through to the joint buffer); a
+    /// refused block charge latches a segment error that the executor maps
+    /// to kResourceExhausted.
     QueryBudget* budget = nullptr;
     Clock* clock = nullptr;  ///< defaults to SteadyClock
     /// Simulated cores-per-socket used to derive socket ids from core ids for

@@ -172,12 +172,6 @@ bool KeyComparator::Equal(const char* left_row, const char* right_row) const {
 
 JoinHashTable::JoinHashTable(const Schema* build_schema,
                              std::vector<int> build_keys, size_t num_buckets,
-                             MemoryTracker* memory)
-    : JoinHashTable(build_schema, std::move(build_keys), num_buckets,
-                    MemSource{nullptr, memory, nullptr}) {}
-
-JoinHashTable::JoinHashTable(const Schema* build_schema,
-                             std::vector<int> build_keys, size_t num_buckets,
                              MemSource source)
     : build_schema_(build_schema),
       build_keys_(std::move(build_keys)),
@@ -218,11 +212,6 @@ const char* AggFnName(AggFn fn) {
   }
   return "?";
 }
-
-AggHashTable::AggHashTable(Schema group_schema, int num_aggs,
-                           size_t num_buckets, MemoryTracker* memory)
-    : AggHashTable(std::move(group_schema), num_aggs, num_buckets,
-                   MemSource{nullptr, memory, nullptr}) {}
 
 AggHashTable::AggHashTable(Schema group_schema, int num_aggs,
                            size_t num_buckets, MemSource source)

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/macros.h"
-#include "common/memory_tracker.h"
 #include "common/status.h"
 #include "mem/mem_source.h"
 #include "mem/scratch.h"
@@ -34,9 +33,7 @@ class SpillRun;
 /// insert so the operator can run the degradation ladder (docs/MEMORY.md).
 class Arena {
  public:
-  explicit Arena(size_t chunk_bytes = 1 << 20, MemoryTracker* memory = nullptr)
-      : Arena(chunk_bytes, MemSource{nullptr, memory, nullptr}) {}
-  Arena(size_t chunk_bytes, MemSource source)
+  explicit Arena(size_t chunk_bytes = 1 << 20, MemSource source = {})
       : chunk_bytes_(chunk_bytes), source_(source) {}
   ~Arena();
   CLAIMS_DISALLOW_COPY_AND_ASSIGN(Arena);
@@ -121,9 +118,7 @@ class KeyComparator {
 class JoinHashTable {
  public:
   JoinHashTable(const Schema* build_schema, std::vector<int> build_keys,
-                size_t num_buckets, MemoryTracker* memory = nullptr);
-  JoinHashTable(const Schema* build_schema, std::vector<int> build_keys,
-                size_t num_buckets, MemSource source);
+                size_t num_buckets, MemSource source = {});
   CLAIMS_DISALLOW_COPY_AND_ASSIGN(JoinHashTable);
 
   /// Copies `row` into the arena and links it; thread-safe. false when the
@@ -205,9 +200,7 @@ class AggHashTable {
   /// `num_buckets` is the starting bucket count (rounded up to a power of
   /// two); only exclusive inserts grow it.
   AggHashTable(Schema group_schema, int num_aggs, size_t num_buckets,
-               MemoryTracker* memory = nullptr);
-  AggHashTable(Schema group_schema, int num_aggs, size_t num_buckets,
-               MemSource source);
+               MemSource source = {});
   CLAIMS_DISALLOW_COPY_AND_ASSIGN(AggHashTable);
 
   struct AggState {

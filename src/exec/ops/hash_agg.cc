@@ -60,7 +60,7 @@ HashAggIterator::HashAggIterator(std::unique_ptr<Iterator> child, Spec spec)
               spec_.mode == Mode::kShared && group_schema_.num_columns() > 0
                   ? spec_.num_buckets
                   : initial_buckets_,
-              MemSource{spec_.pool, spec_.memory, spec_.budget}),
+              MemSource{spec_.pool, spec_.budget}),
       context_pool_(ContextMode::kCore) {
   fns_.reserve(spec_.aggregates.size());
   for (const Aggregate& a : spec_.aggregates) fns_.push_back(a.fn);
@@ -138,7 +138,7 @@ bool HashAggIterator::SpillPrivate(PrivateAggContext* priv) {
 std::unique_ptr<AggHashTable> HashAggIterator::NewTable(size_t buckets) const {
   return std::make_unique<AggHashTable>(
       group_schema_, static_cast<int>(fns_.size()), buckets,
-      MemSource{spec_.pool, spec_.memory, spec_.budget});
+      MemSource{spec_.pool, spec_.budget});
 }
 
 bool HashAggIterator::ConsumeBlock(const Block& block, PrivateAggContext* priv,

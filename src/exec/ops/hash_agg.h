@@ -62,8 +62,7 @@ class HashAggIterator : public Iterator {
     /// table into the global one, so a worker with a few more groups than
     /// this merges most of them twice.
     size_t hybrid_max_groups = 1 << 16;
-    MemoryTracker* memory = nullptr;
-    /// Block pool + binding query ledger the table arenas draw from. When the
+    /// Block pool + the query's ledger the table arenas draw from. When the
     /// ledger refuses a fold into a worker-*private* table, that table is
     /// spilled to a cold SpillRun and the fold retried against a fresh table
     /// (degradation ladder, docs/MEMORY.md); spilled runs are merged back in

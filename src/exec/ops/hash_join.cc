@@ -26,7 +26,7 @@ HashJoinIterator::HashJoinIterator(std::unique_ptr<Iterator> build_child,
       spec_(spec),
       output_schema_(JoinOutputSchema(*spec.build_schema, *spec.probe_schema)),
       table_(spec.build_schema, spec.build_keys, spec.num_buckets,
-             MemSource{spec.pool, spec.memory, spec.budget}),
+             MemSource{spec.pool, spec.budget}),
       probe_cmp_(spec_.build_schema, spec_.build_keys, spec_.probe_schema,
                  spec_.probe_keys) {}
 

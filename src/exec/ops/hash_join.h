@@ -33,8 +33,7 @@ class HashJoinIterator : public Iterator {
     std::vector<int> probe_keys;
     /// Bucket count, rounded up to a power of two (0 counts as 1).
     size_t num_buckets = 1 << 16;
-    MemoryTracker* memory = nullptr;
-    /// Block pool + binding query ledger the build arena draws from. A build
+    /// Block pool + the query's ledger the build arena draws from. A build
     /// insert the ledger refuses fails the build with kError and rejected()
     /// latched — join builds do not spill (docs/MEMORY.md); the executor
     /// surfaces kResourceExhausted.

@@ -1,6 +1,5 @@
 #include "mem/mem_source.h"
 
-#include "common/memory_tracker.h"
 #include "mem/query_budget.h"
 #include "obs/metrics_registry.h"
 
@@ -9,13 +8,15 @@ namespace claims {
 PoolAlloc MemSource::AllocateChunk(size_t min_bytes) const {
   PoolAlloc alloc;
   if (pool != nullptr) {
-    // Budget-backed allocations are strict: the pool's pressure cap refuses
-    // them so the degradation ladder engages instead of silently growing.
-    alloc = pool->Allocate(min_bytes, /*strict=*/budget != nullptr);
+    // Allocations under a bounded ledger are strict: the pool's pressure cap
+    // refuses them so the degradation ladder engages instead of silently
+    // growing. Everything else never fails (counted as pressure fallbacks).
+    const bool strict = budget != nullptr && budget->budget_bytes() > 0;
+    alloc = pool->Allocate(min_bytes, strict);
     if (!alloc) {
-      if (budget != nullptr) budget->NotePressure();
+      budget->NotePressure();
       // One retry after the shrink hook had its chance to free capacity.
-      alloc = pool->Allocate(min_bytes, /*strict=*/budget != nullptr);
+      alloc = pool->Allocate(min_bytes, strict);
       if (!alloc) return {};
     }
   } else {
@@ -30,17 +31,11 @@ PoolAlloc MemSource::AllocateChunk(size_t min_bytes) const {
     }
     return {};
   }
-  if (tracker != nullptr) {
-    tracker->Allocate(static_cast<int64_t>(alloc.bytes));
-  }
   return alloc;
 }
 
 void MemSource::ReleaseChunk(PoolAlloc alloc, bool recycled) const {
   if (alloc.data == nullptr) return;
-  if (tracker != nullptr) {
-    tracker->Release(static_cast<int64_t>(alloc.bytes));
-  }
   if (budget != nullptr) {
     budget->Release(static_cast<int64_t>(alloc.bytes));
   }

@@ -8,29 +8,27 @@
 
 namespace claims {
 
-class MemoryTracker;
 class QueryBudget;
 
 /// Where a component's big allocations come from and who pays for them:
-/// a BlockPool (nullptr = legacy direct new[]), a MemoryTracker category
-/// (nullptr = untracked), and the owning query's QueryBudget (nullptr =
-/// unbudgeted). Small value type, passed by copy through operator specs.
+/// a BlockPool (nullptr = direct new[], the global-allocator twin) and the
+/// owning query's ledger (nullptr = uncharged, for standalone structures).
+/// Small value type, passed by copy through operator specs.
 ///
 /// AllocateChunk is the one place the degradation handshake lives:
-///   pool alloc (strict iff budgeted) -> budget charge -> tracker charge.
+///   pool alloc (strict iff the ledger is bounded) -> ledger charge.
 /// A pool refusal notifies the budget (NotePressure -> shrink hook) before
 /// reporting failure; a budget refusal returns the chunk to the pool. The
 /// caller never sees a chunk whose actual bytes are not already charged.
 struct MemSource {
   BlockPool* pool = nullptr;
-  MemoryTracker* tracker = nullptr;
   QueryBudget* budget = nullptr;
 
   /// Returns an empty PoolAlloc when the budget (or a strict pool cap)
   /// refuses; the caller runs the next rung of the degradation ladder.
   PoolAlloc AllocateChunk(size_t min_bytes) const;
 
-  /// Releases the chunk and refunds every ledger AllocateChunk charged.
+  /// Releases the chunk and refunds what AllocateChunk charged.
   /// `recycled` distinguishes Arena reuse (arena.recycled_bytes) from final
   /// teardown in the counter it bumps.
   void ReleaseChunk(PoolAlloc alloc, bool recycled = false) const;

@@ -24,9 +24,8 @@ void PublishTotals() {
 }
 }  // namespace
 
-QueryBudget::QueryBudget(std::string label, int64_t budget_bytes)
-    : label_(std::move(label)),
-      budget_bytes_(budget_bytes > 0 ? budget_bytes : 0),
+QueryBudget::QueryBudget(int64_t budget_bytes)
+    : budget_bytes_(budget_bytes > 0 ? budget_bytes : 0),
       shrinks_metric_(MetricsRegistry::Global()->counter("mem.degrade.shrinks")),
       rejects_metric_(MetricsRegistry::Global()->counter("mem.degrade.rejects")) {
   g_total_budget.fetch_add(budget_bytes_, std::memory_order_relaxed);
@@ -34,8 +33,6 @@ QueryBudget::QueryBudget(std::string label, int64_t budget_bytes)
 }
 
 QueryBudget::~QueryBudget() {
-  g_total_charged.fetch_sub(charged_.load(std::memory_order_relaxed),
-                            std::memory_order_relaxed);
   g_total_budget.fetch_sub(budget_bytes_, std::memory_order_relaxed);
   PublishTotals();
 }

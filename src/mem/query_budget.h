@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
-#include <string>
 
 #include "common/macros.h"
 
@@ -14,11 +13,12 @@ namespace claims {
 class MetricCounter;
 class MetricGauge;
 
-/// Per-query memory ledger that makes the admission budget binding. Every
-/// pool-backed allocation owned by a query charges its actual rounded-up
-/// bytes here before the memory is used; Charge refuses to let `charged`
-/// exceed `budget` — that is the ledger invariant the mempressure stress
-/// test samples every millisecond.
+/// The per-query memory ledger: every execution owns exactly one. Arena
+/// chunks, elastic-buffer blocks and exchange-channel blocks owned by the
+/// query charge their bytes here before the memory is used, so the ledger's
+/// peak is the query's peak memory (ExecutionReport, the paper's Table 4).
+/// With a budget, Charge refuses to let `charged` exceed it — that is the
+/// ledger invariant the mempressure stress test samples every millisecond.
 ///
 /// Degradation ladder (docs/MEMORY.md): a refused charge first invokes the
 /// shrink hook (the executor asks DynamicScheduler to cut the widest live
@@ -35,7 +35,9 @@ class QueryBudget {
  public:
   /// budget_bytes <= 0 means unbounded (charges always succeed); the ledger
   /// still tracks charged/peak so reports stay uniform.
-  QueryBudget(std::string label, int64_t budget_bytes);
+  explicit QueryBudget(int64_t budget_bytes);
+  /// A ledger dies balanced: everything that charged it refunds first.
+  /// Leftover charge is a leak and stays in TotalChargedBytes.
   ~QueryBudget();
 
   CLAIMS_DISALLOW_COPY_AND_ASSIGN(QueryBudget);
@@ -77,16 +79,14 @@ class QueryBudget {
   int64_t spilled_bytes() const {
     return spilled_.load(std::memory_order_relaxed);
   }
-  const std::string& label() const { return label_; }
 
-  /// Sum of charged bytes across all live QueryBudgets (process aggregate
-  /// behind the mem.charged_bytes gauge).
+  /// Sum of charged bytes across every ledger in the process (the aggregate
+  /// behind the mem.charged_bytes gauge); 0 whenever no query holds memory.
   static int64_t TotalChargedBytes();
 
  private:
   bool RunShrinkHook();
 
-  const std::string label_;
   const int64_t budget_bytes_;
   std::atomic<int64_t> charged_{0};
   std::atomic<int64_t> peak_{0};

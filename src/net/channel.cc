@@ -3,30 +3,60 @@
 #include <atomic>
 #include <chrono>
 
+#include "mem/query_budget.h"
+
 namespace claims {
 
 BlockChannel::BlockChannel(int num_producers, int capacity_blocks,
-                           MemoryTracker* memory)
-    : capacity_(capacity_blocks), memory_(memory),
+                           QueryBudget* budget)
+    : capacity_(capacity_blocks), budget_(budget),
       open_producers_(num_producers) {}
+
+BlockChannel::~BlockChannel() {
+  // A cancelled or failed query can tear its exchanges down with blocks
+  // still queued; their charges go back so the ledger balances.
+  std::lock_guard<std::mutex> lock(mu_);
+  DropQueuedLocked();
+}
+
+void BlockChannel::DropQueuedLocked() {
+  int64_t charged = 0;
+  for (const Queued& q : queue_) charged += q.charged;
+  if (charged > 0) budget_->Release(charged);
+  queue_.clear();
+}
 
 bool BlockChannel::Enqueue(NetBlock block, const std::atomic<bool>* cancel,
                            bool assign_seq, uint64_t* assigned_seq) {
+  const int64_t bytes = budget_ != nullptr ? block.block->payload_bytes() : 0;
+  // A bounded ledger is charged before taking mu_: a refused charge runs the
+  // executor's shrink hook, which takes live-segment and scheduler locks
+  // (docs/CONCURRENCY.md). An unbounded ledger never refuses and never runs
+  // the hook, so it is charged under mu_ once the block is queued, and a
+  // sender still waiting for room holds no charge.
+  const bool charge_first = bytes > 0 && budget_->budget_bytes() > 0;
+  if (charge_first && !budget_->Charge(bytes)) {
+    budget_->MarkRejected();
+    return false;
+  }
+  // A block that never lands hands its charge back.
+  auto give_up = [&] {
+    if (charge_first) budget_->Release(bytes);
+    return false;
+  };
   std::unique_lock<std::mutex> lock(mu_);
   while (capacity_ > 0 && static_cast<int>(queue_.size()) >= capacity_ &&
          !cancelled_) {
     if (cancel != nullptr && cancel->load(std::memory_order_acquire)) {
-      return false;
+      return give_up();
     }
     not_full_.wait_for(lock, std::chrono::milliseconds(1));
   }
-  if (cancelled_) return false;
+  if (cancelled_) return give_up();
   if (assign_seq) block.wire_seq = next_send_seq_[block.from_node]++;
   if (assigned_seq != nullptr) *assigned_seq = block.wire_seq;
-  int64_t bytes = block.block->payload_bytes();
-  buffered_bytes_ += bytes;
-  if (memory_ != nullptr) memory_->Allocate(bytes);
-  queue_.push_back(std::move(block));
+  if (bytes > 0 && !charge_first) budget_->TryCharge(bytes);  // never refuses
+  queue_.push_back(Queued{std::move(block), bytes});
   ++total_sent_;
   not_empty_.notify_one();
   return true;
@@ -58,11 +88,9 @@ ChannelStatus BlockChannel::Receive(NetBlock* out, int64_t timeout_ns) {
   }
   if (cancelled_) return ChannelStatus::kClosed;
   while (!queue_.empty()) {
-    NetBlock block = std::move(queue_.front());
+    NetBlock block = std::move(queue_.front().block);
+    if (queue_.front().charged > 0) budget_->Release(queue_.front().charged);
     queue_.pop_front();
-    int64_t bytes = block.block->payload_bytes();
-    buffered_bytes_ -= bytes;
-    if (memory_ != nullptr) memory_->Release(bytes);
     not_full_.notify_all();
     uint64_t& expected = next_recv_seq_[block.from_node];
     if (block.wire_seq < expected) {
@@ -89,9 +117,7 @@ ChannelStatus BlockChannel::Receive(NetBlock* out, int64_t timeout_ns) {
 void BlockChannel::Cancel() {
   std::lock_guard<std::mutex> lock(mu_);
   cancelled_ = true;
-  if (memory_ != nullptr) memory_->Release(buffered_bytes_);
-  buffered_bytes_ = 0;
-  queue_.clear();
+  DropQueuedLocked();
   not_full_.notify_all();
   not_empty_.notify_all();
 }
@@ -104,11 +130,6 @@ size_t BlockChannel::size() const {
 int64_t BlockChannel::total_blocks_sent() const {
   std::lock_guard<std::mutex> lock(mu_);
   return total_sent_;
-}
-
-int64_t BlockChannel::buffered_bytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return buffered_bytes_;
 }
 
 int64_t BlockChannel::duplicates_suppressed() const {

@@ -7,10 +7,11 @@
 #include <mutex>
 
 #include "common/macros.h"
-#include "common/memory_tracker.h"
 #include "storage/block.h"
 
 namespace claims {
+
+class QueryBudget;
 
 /// A block with its origin — mergers need the producer's identity to
 /// aggregate per-producer visit-rate contributions (paper §4.3, Fig. 7).
@@ -34,17 +35,29 @@ enum class ChannelStatus { kOk, kTimeout, kClosed };
 /// segments of the exchange send into it; the consumer segment's worker
 /// threads receive from it. Capacity bounds give end-to-end backpressure from
 /// a slow consumer back into the producers' elastic buffers.
+///
+/// With a ledger, every queued block (duplicates included) holds its payload
+/// bytes on the owning query's QueryBudget, refunded when the block is
+/// received, when the channel is cancelled, and when it is destroyed with
+/// blocks still queued. A bounded ledger is charged before the channel lock
+/// is taken (a refused charge runs the shrink hook, which takes executor and
+/// scheduler locks); an unbounded one, which never refuses, once the block
+/// is queued.
 class BlockChannel {
  public:
   /// `num_producers` senders must call CloseProducer before the channel
   /// drains to end-of-stream. `capacity_blocks <= 0` means unbounded (used by
   /// materialized execution, where the channel *is* the materialization).
+  /// `budget` (nullable) must outlive the channel.
   BlockChannel(int num_producers, int capacity_blocks,
-               MemoryTracker* memory = nullptr);
+               QueryBudget* budget = nullptr);
+  ~BlockChannel();
   CLAIMS_DISALLOW_COPY_AND_ASSIGN(BlockChannel);
 
-  /// Blocks while full; false when cancelled. Assigns the block the next
-  /// wire sequence number of its producer (keyed by `from_node`); the
+  /// Blocks while full; false when cancelled, or when the ledger refused the
+  /// block even after its shrink hook ran (the ledger is then latched
+  /// rejected(), so the query ends kResourceExhausted). Assigns the block the
+  /// next wire sequence number of its producer (keyed by `from_node`); the
   /// assigned value is written to `assigned_seq` when non-null (the fault
   /// injector's duplication path re-sends under the same sequence).
   bool Send(NetBlock block, const std::atomic<bool>* cancel = nullptr,
@@ -75,18 +88,27 @@ class BlockChannel {
   void Cancel();
 
   size_t size() const;
-  int64_t buffered_bytes() const;
   int64_t total_blocks_sent() const;
 
  private:
+  struct Queued {
+    NetBlock block;
+    /// Bytes this entry holds on the ledger. Kept apart from the block: a
+    /// duplicate shares its Block with the copy already delivered, which
+    /// the consumer may change.
+    int64_t charged;
+  };
+
+  /// Refunds every queued block and empties the queue; caller holds mu_.
+  void DropQueuedLocked();
+
   int capacity_;
-  MemoryTracker* memory_;
+  QueryBudget* budget_;
   mutable std::mutex mu_;
   std::condition_variable not_full_;
   std::condition_variable not_empty_;
-  std::deque<NetBlock> queue_;
+  std::deque<Queued> queue_;
   int open_producers_;
-  int64_t buffered_bytes_ = 0;
   int64_t total_sent_ = 0;
   bool cancelled_ = false;
   /// Per-producer wire sequencing (keyed by from_node): next seq to assign

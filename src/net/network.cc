@@ -6,8 +6,8 @@
 
 namespace claims {
 
-Network::Network(int num_nodes, NetworkOptions options, MemoryTracker* memory)
-    : num_nodes_(num_nodes), options_(options), memory_(memory),
+Network::Network(int num_nodes, NetworkOptions options)
+    : num_nodes_(num_nodes), options_(options),
       clock_(options.clock != nullptr ? options.clock
                                       : SteadyClock::Default()) {
   MetricsRegistry* reg = MetricsRegistry::Global();
@@ -38,15 +38,14 @@ Network::Network(int num_nodes, NetworkOptions options, MemoryTracker* memory)
 
 void Network::CreateExchange(int exchange_id, int num_producers,
                              const std::vector<int>& consumer_nodes,
-                             int capacity_override) {
+                             int capacity_override, QueryBudget* budget) {
   std::lock_guard<std::mutex> lock(mu_);
   int capacity = options_.capacity_blocks;
   if (capacity_override > 0) capacity = capacity_override;
   if (capacity_override < 0) capacity = 0;  // unbounded
   for (int node : consumer_nodes) {
-    auto channel =
-        std::make_unique<BlockChannel>(num_producers, capacity, memory_);
-    channels_[{exchange_id, node}] = std::move(channel);
+    channels_[{exchange_id, node}] =
+        std::make_unique<BlockChannel>(num_producers, capacity, budget);
   }
   exchange_consumers_[exchange_id] = consumer_nodes;
 }

@@ -8,7 +8,6 @@
 
 #include "common/clock.h"
 #include "common/macros.h"
-#include "common/memory_tracker.h"
 #include "fault/injector.h"
 #include "net/channel.h"
 #include "net/token_bucket.h"
@@ -37,7 +36,7 @@ struct NetworkOptions {
 /// Terminal result of a (possibly retried) fabric send.
 enum class SendOutcome {
   kOk,
-  kCancelled,    ///< the caller's cancel flag tripped mid-send
+  kCancelled,    ///< cancelled mid-send, or the query's ledger refused it
   kUnavailable,  ///< endpoint node dead, or drops exhausted every retry
 };
 
@@ -63,8 +62,7 @@ struct Route {
 /// short-circuit every distributed engine applies to local exchanges).
 class Network {
  public:
-  Network(int num_nodes, NetworkOptions options,
-          MemoryTracker* memory = nullptr);
+  Network(int num_nodes, NetworkOptions options);
   CLAIMS_DISALLOW_COPY_AND_ASSIGN(Network);
 
   int num_nodes() const { return num_nodes_; }
@@ -72,10 +70,13 @@ class Network {
   /// Declares an exchange: `num_producers` producer segments will send to
   /// each of `consumer_nodes`. Must be called before Send/OpenChannel.
   /// `capacity_override` > 0 replaces the default channel depth; < 0 makes
-  /// the exchange unbounded (ME materialization).
+  /// the exchange unbounded (ME materialization). Every channel charges
+  /// its queued blocks to `budget`, the owning execution's ledger (nullable;
+  /// it must outlive the exchange).
   void CreateExchange(int exchange_id, int num_producers,
                       const std::vector<int>& consumer_nodes,
-                      int capacity_override = 0);
+                      int capacity_override = 0,
+                      QueryBudget* budget = nullptr);
 
   /// Sends `block` from node `from` to the exchange's channel at node `to`,
   /// charging NIC budgets. False when cancelled or unavailable. Equivalent
@@ -133,7 +134,6 @@ class Network {
 
   int num_nodes_;
   NetworkOptions options_;
-  MemoryTracker* memory_;
   Clock* clock_;
   MetricCounter* blocks_sent_metric_;
   MetricCounter* bytes_sent_metric_;

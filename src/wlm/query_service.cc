@@ -386,7 +386,6 @@ void QueryService::RunQuery(const QueryHandlePtr& handle) {
       break;
     }
     ExecOptions exec = handle->options_.exec;
-    exec.exclusive_cluster = false;
     exec.queue_wait_ns = queue_wait_ns;
     // With a cluster memory budget configured, the admitted reservation
     // becomes the query's *binding* ledger: the executor charges actual
@@ -461,17 +460,13 @@ void QueryService::RunQuery(const QueryHandlePtr& handle) {
   // Release BEFORE waking waiters: a handle that reports done must imply
   // its admission reservation is already back in the pool, so a caller that
   // Wait()s on the last handle observes running() == 0. Releasing through
-  // the receipt returns exactly what admission booked; the actual peak feeds
-  // the wlm.mem_estimate_error histogram (ledger peak when the query ran
-  // with a budget — truly per-query — else the tracker's high-watermark).
+  // the receipt returns exactly what admission booked; the actual peak (the
+  // query's own ledger peak) feeds the wlm.mem_estimate_error histogram.
   int64_t actual_peak_bytes = -1;
   {
     std::lock_guard<std::mutex> lock(handle->mu_);
     if (handle->executor_ != nullptr) {
-      QueryBudget* budget = handle->executor_->budget();
-      actual_peak_bytes = budget != nullptr
-                              ? budget->peak_charged_bytes()
-                              : handle->executor_->stats().peak_memory_bytes;
+      actual_peak_bytes = handle->executor_->stats().peak_memory_bytes;
     }
   }
   admission_.ReleaseWithActual(&handle->reservation_, actual_peak_bytes);

@@ -42,8 +42,8 @@ struct RetryPolicy {
 /// Per-submission options layered on top of the executor's.
 struct SubmitOptions {
   /// Execution options for the query. The service overrides the concurrency
-  /// plumbing fields (exchange_id_base, exclusive_cluster, queue_wait_ns,
-  /// deadline_ns); everything else passes through.
+  /// plumbing fields (exchange_id_base, queue_wait_ns, deadline_ns,
+  /// query_id); everything else passes through.
   ExecOptions exec;
   /// Higher runs first. Equal priorities dispatch in submission order.
   int priority = 0;
@@ -163,7 +163,8 @@ struct QueryInfo {
   int64_t tuples_emitted = 0;
   int64_t tuples_consumed = 0;
   int live_segments = 0;
-  // Memory ledger sample; all 0 for queries running without a budget.
+  // Memory ledger sample: charged bytes (the peak once done); budget 0 =
+  // unbounded.
   int64_t mem_charged_bytes = 0;
   int64_t mem_budget_bytes = 0;
   int64_t mem_spilled_bytes = 0;

@@ -169,25 +169,26 @@ INSTANTIATE_TEST_SUITE_P(AllModes, ClusterExecModeTest,
                            return ExecModeName(info.param);
                          });
 
-TEST_F(ClusterExecTest, MaterializedUsesMoreMemoryThanPipelined) {
-  // Dedicated cluster with tight pipeline buffers and a shuffle large enough
-  // that full materialization dominates (paper Table 4's effect).
-  Catalog catalog;
-  {
+/// A cluster with tight pipeline buffers and one 300 K-row table, "big",
+/// whose shuffle on k is large enough that full materialization dominates
+/// (paper Table 4's effect).
+struct BigShuffle {
+  BigShuffle() {
     Schema s({ColumnDef::Int32("k"), ColumnDef::Int64("v")});
     auto t = std::make_shared<Table>("big", s, kNodes, std::vector<int>{});
     for (int i = 0; i < 300000; ++i) {
       t->AppendValues({Value::Int32(i % 500), Value::Int64(i)});
     }
-    ASSERT_TRUE(catalog.RegisterTable(std::move(t)).ok());
+    EXPECT_TRUE(catalog.RegisterTable(std::move(t)).ok());
+    ClusterOptions copts;
+    copts.num_nodes = kNodes;
+    copts.cores_per_node = 4;
+    copts.channel_capacity_blocks = 2;
+    cluster = std::make_unique<Cluster>(copts, &catalog);
   }
-  ClusterOptions copts;
-  copts.num_nodes = kNodes;
-  copts.cores_per_node = 4;
-  copts.channel_capacity_blocks = 2;
-  Cluster cluster(copts, &catalog);
 
-  auto make_plan = [&]() {
+  /// scan big → hash exchange on k → shared count per key → gather.
+  PhysicalPlan Plan() const {
     TablePtr big = *catalog.GetTable("big");
     PhysicalPlan plan;
     auto f0 = std::make_unique<Fragment>();
@@ -214,21 +215,27 @@ TEST_F(ClusterExecTest, MaterializedUsesMoreMemoryThanPipelined) {
     plan.fragments.push_back(std::move(f0));
     plan.fragments.push_back(std::move(f1));
     return plan;
-  };
+  }
 
-  Executor exec(&cluster);
+  Catalog catalog;
+  std::unique_ptr<Cluster> cluster;
+};
+
+TEST_F(ClusterExecTest, MaterializedUsesMoreMemoryThanPipelined) {
+  BigShuffle big;
+  Executor exec(big.cluster.get());
   ExecOptions opts;
   opts.parallelism = 2;
   opts.buffer_capacity_blocks = 2;
   opts.mode = ExecMode::kStatic;
-  PhysicalPlan sp_plan = make_plan();
+  PhysicalPlan sp_plan = big.Plan();
   auto sp = exec.Execute(sp_plan, opts);
   ASSERT_TRUE(sp.ok());
   EXPECT_EQ(sp->num_rows(), 500);
   int64_t sp_peak = exec.stats().peak_memory_bytes;
 
   opts.mode = ExecMode::kMaterialized;
-  PhysicalPlan me_plan = make_plan();
+  PhysicalPlan me_plan = big.Plan();
   auto me = exec.Execute(me_plan, opts);
   ASSERT_TRUE(me.ok());
   EXPECT_EQ(me->num_rows(), 500);
@@ -236,6 +243,36 @@ TEST_F(ClusterExecTest, MaterializedUsesMoreMemoryThanPipelined) {
   // ME buffers the whole 3.6 MB shuffle; SP streams it through 2-block
   // channels/buffers.
   EXPECT_GT(me_peak, 2 * sp_peak);
+}
+
+// The exchange channels charge the query's ledger, so a budget smaller than
+// what ME materializes refuses a send: the query ends kResourceExhausted
+// instead of hanging or overshooting, and every charge is handed back.
+TEST_F(ClusterExecTest, MaterializationOverItsBudgetIsRejected) {
+  BigShuffle big;
+  ExecOptions opts;
+  opts.mode = ExecMode::kMaterialized;
+  opts.parallelism = 2;
+  opts.buffer_capacity_blocks = 2;
+  const PhysicalPlan plan = big.Plan();
+  {
+    Executor exec(big.cluster.get());
+    auto unbudgeted = exec.Execute(plan, opts);
+    ASSERT_TRUE(unbudgeted.ok()) << unbudgeted.status().ToString();
+    EXPECT_EQ(unbudgeted->num_rows(), 500);
+    EXPECT_GT(exec.stats().peak_memory_bytes, 3 << 20);
+  }
+  {
+    Executor exec(big.cluster.get());
+    opts.memory_budget_bytes = 1 << 20;
+    auto rejected = exec.Execute(plan, opts);
+    ASSERT_FALSE(rejected.ok());
+    EXPECT_EQ(rejected.status().code(), StatusCode::kResourceExhausted)
+        << rejected.status().ToString();
+    EXPECT_GT(exec.stats().peak_memory_bytes, 0);
+    EXPECT_LE(exec.stats().peak_memory_bytes, opts.memory_budget_bytes);
+  }
+  EXPECT_EQ(QueryBudget::TotalChargedBytes(), 0);
 }
 
 TEST_F(ClusterExecTest, RemoteBytesOnlyForCrossNodeTraffic) {
@@ -338,20 +375,28 @@ Cluster* ClusterCancelTest::cluster_ = nullptr;
 
 TEST_F(ClusterCancelTest, CancelMidStreamReturnsCancelled) {
   PhysicalPlan plan = SlowJoinPlan();
-  Executor exec(cluster_);
-  ExecOptions opts;
-  opts.mode = ExecMode::kElastic;
-  opts.parallelism = 1;
-  opts.buffer_capacity_blocks = 2;
-  std::thread canceller([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    exec.Cancel();
-  });
-  auto result = exec.Execute(plan, opts);
-  canceller.join();
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kCancelled)
-      << result.status().ToString();
+  {
+    Executor exec(cluster_);
+    ExecOptions opts;
+    opts.mode = ExecMode::kElastic;
+    opts.parallelism = 1;
+    opts.buffer_capacity_blocks = 2;
+    std::thread canceller([&] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(30));
+      exec.Cancel();
+    });
+    auto result = exec.Execute(plan, opts);
+    canceller.join();
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kCancelled)
+        << result.status().ToString();
+    // A failed run still reports what its ledger peaked at.
+    EXPECT_GT(exec.stats().peak_memory_bytes, 0);
+    EXPECT_EQ(exec.report().peak_memory_bytes,
+              exec.stats().peak_memory_bytes);
+  }
+  // Buffers, channels and arenas the cancel left behind all refunded.
+  EXPECT_EQ(QueryBudget::TotalChargedBytes(), 0);
 }
 
 TEST_F(ClusterCancelTest, CancelBeforeExecuteIsSticky) {

@@ -88,18 +88,40 @@ TEST(DataBufferTest, ConsumerBlocksUntilInsert) {
 }
 
 TEST(DataBufferTest, MemoryAccounting) {
-  MemoryTracker mem("buf");
+  QueryBudget ledger(/*budget_bytes=*/0);
   DataBuffer buf({.capacity_blocks = 8, .order_preserving = false,
-                  .memory = &mem});
+                  .budget = &ledger});
   buf.AddProducer(0);
   BlockPtr b = SeqBlock(1);
   int64_t bytes = b->payload_bytes();
   ASSERT_TRUE(buf.Insert(0, std::move(b)));
-  EXPECT_EQ(mem.current_bytes(), bytes);
+  EXPECT_EQ(ledger.charged_bytes(), bytes);
   BlockPtr out;
   ASSERT_EQ(buf.Pop(&out), NextResult::kSuccess);
-  EXPECT_EQ(mem.current_bytes(), 0);
-  EXPECT_EQ(mem.peak_bytes(), bytes);
+  EXPECT_EQ(ledger.charged_bytes(), 0);
+  EXPECT_EQ(ledger.peak_charged_bytes(), bytes);
+}
+
+// An unbounded ledger (every query without a budget) is charged once a block
+// is queued: a producer waiting for room adds nothing to the peak.
+TEST(DataBufferTest, WaitingProducerHoldsNoChargeOnAnUnboundedLedger) {
+  QueryBudget ledger(/*budget_bytes=*/0);
+  DataBuffer buf({.capacity_blocks = 1, .order_preserving = false,
+                  .budget = &ledger});
+  buf.AddProducer(0);
+  BlockPtr first = SeqBlock(1);
+  const int64_t bytes = first->payload_bytes();
+  ASSERT_TRUE(buf.Insert(0, std::move(first)));
+  std::thread producer([&] { EXPECT_TRUE(buf.Insert(0, SeqBlock(2))); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(ledger.charged_bytes(), bytes);
+  BlockPtr out;
+  ASSERT_EQ(buf.Pop(&out), NextResult::kSuccess);
+  producer.join();
+  EXPECT_EQ(ledger.charged_bytes(), bytes);
+  EXPECT_EQ(ledger.peak_charged_bytes(), bytes);
+  ASSERT_EQ(buf.Pop(&out), NextResult::kSuccess);
+  EXPECT_EQ(ledger.charged_bytes(), 0);
 }
 
 TEST(DataBufferTest, TerminatedProducersDontSignalEof) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "mem/query_budget.h"
+
 #include <cstring>
 #include <map>
 #include <set>
@@ -60,14 +62,14 @@ TEST(ArenaTest, ConcurrentAllocationsDoNotOverlap) {
   EXPECT_EQ(all.size(), static_cast<size_t>(kThreads * kAllocs));
 }
 
-TEST(ArenaTest, MemoryTrackerSeesChunks) {
-  MemoryTracker mem("arena");
+TEST(ArenaTest, LedgerSeesChunks) {
+  QueryBudget ledger(/*budget_bytes=*/0);
   {
-    Arena arena(1024, &mem);
+    Arena arena(1024, MemSource{nullptr, &ledger});
     arena.Allocate(100);
-    EXPECT_GE(mem.current_bytes(), 1024);
+    EXPECT_GE(ledger.charged_bytes(), 1024);
   }
-  EXPECT_EQ(mem.current_bytes(), 0);  // released on destruction
+  EXPECT_EQ(ledger.charged_bytes(), 0);  // refunded on destruction
 }
 
 Schema TwoColSchema() {

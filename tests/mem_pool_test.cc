@@ -228,7 +228,7 @@ TEST(BlockPoolTest, ThreadOutlivingAPoolSkipsItAtExit) {
 // --- QueryBudget ledger ---------------------------------------------------------
 
 TEST(QueryBudgetTest, ChargeReleaseIsExact) {
-  QueryBudget budget("q-test", 1 << 20);
+  QueryBudget budget(1 << 20);
   EXPECT_TRUE(budget.TryCharge(512 << 10));
   EXPECT_EQ(budget.charged_bytes(), 512 << 10);
   EXPECT_TRUE(budget.TryCharge(512 << 10));
@@ -245,7 +245,7 @@ TEST(QueryBudgetTest, ChargeReleaseIsExact) {
 }
 
 TEST(QueryBudgetTest, ChargeInvokesShrinkHookAndRetries) {
-  QueryBudget budget("q-shrink", 1024);
+  QueryBudget budget(1024);
   ASSERT_TRUE(budget.TryCharge(1024));
   int shrinks = 0;
   budget.SetShrinkHook([&] {
@@ -268,7 +268,7 @@ TEST(QueryBudgetTest, ChargeInvokesShrinkHookAndRetries) {
 
 TEST(QueryBudgetTest, ConcurrentChargesNeverExceedBudget) {
   const int64_t kBudget = 1 << 20;
-  QueryBudget budget("q-conc", kBudget);
+  QueryBudget budget(kBudget);
   std::atomic<bool> stop{false};
   std::atomic<int64_t> violations{0};
 
@@ -298,12 +298,30 @@ TEST(QueryBudgetTest, ConcurrentChargesNeverExceedBudget) {
   EXPECT_LE(budget.peak_charged_bytes(), kBudget);
 }
 
+// Racing charges on one unbounded ledger: the lock-free peak update converges
+// to the true maximum, here the total every thread added.
+TEST(QueryBudgetTest, ConcurrentPeakIsAtLeastSteadyState) {
+  QueryBudget budget(/*budget_bytes=*/0);
+  const int kThreads = 8;
+  const int kIters = 2000;
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&budget] {
+      for (int j = 0; j < kIters; ++j) budget.Charge(10);
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(budget.charged_bytes(), kThreads * kIters * 10);
+  EXPECT_EQ(budget.peak_charged_bytes(), kThreads * kIters * 10);
+  budget.Release(budget.charged_bytes());
+}
+
 // --- MemSource: pool + budget handshake -----------------------------------------
 
 TEST(MemSourceTest, ChunkChargesActualBytesAndRefundsOnRelease) {
   BlockPool pool;
-  QueryBudget budget("q-src", 1 << 20);
-  MemSource source{&pool, nullptr, &budget};
+  QueryBudget budget(1 << 20);
+  MemSource source{&pool, &budget};
 
   PoolAlloc a = source.AllocateChunk(10'000);  // rounds up to 16 KiB
   ASSERT_TRUE(a);
@@ -317,8 +335,8 @@ TEST(MemSourceTest, ChunkChargesActualBytesAndRefundsOnRelease) {
 
 TEST(MemSourceTest, BudgetRefusalReturnsChunkToPool) {
   BlockPool pool;
-  QueryBudget budget("q-tiny", 4096);
-  MemSource source{&pool, nullptr, &budget};
+  QueryBudget budget(4096);
+  MemSource source{&pool, &budget};
 
   PoolAlloc a = source.AllocateChunk(64 << 10);  // over budget
   EXPECT_FALSE(a);
@@ -326,12 +344,36 @@ TEST(MemSourceTest, BudgetRefusalReturnsChunkToPool) {
   EXPECT_EQ(pool.GetStats().live_bytes, 0);  // refused chunk went back
 }
 
+// Only a bounded ledger makes pool allocation strict: an unbounded one (every
+// query without a budget) falls through the pressure cap and still charges.
+TEST(MemSourceTest, UnboundedLedgerAllocatesPastThePressureCap) {
+  BlockPool pool;
+  pool.SetPressureCapBytes(16 << 10);
+  QueryBudget unbounded(/*budget_bytes=*/0);
+  QueryBudget bounded(1 << 20);
+  MemSource loose{&pool, &unbounded};
+  MemSource strict{&pool, &bounded};
+
+  PoolAlloc first = loose.AllocateChunk(16 << 10);
+  ASSERT_TRUE(first);
+  EXPECT_FALSE(strict.AllocateChunk(16 << 10));  // refused by the cap
+  PoolAlloc second = loose.AllocateChunk(16 << 10);
+  ASSERT_TRUE(second);
+  EXPECT_EQ(unbounded.charged_bytes(), 32 << 10);
+  EXPECT_EQ(bounded.charged_bytes(), 0);
+
+  loose.ReleaseChunk(first);
+  loose.ReleaseChunk(second);
+  EXPECT_EQ(unbounded.charged_bytes(), 0);
+  EXPECT_EQ(pool.GetStats().live_bytes, 0);
+}
+
 // --- Arena recycling ------------------------------------------------------------
 
 TEST(ArenaPoolTest, ResetReturnsChunksToThePool) {
   BlockPool pool;
-  QueryBudget budget("q-arena", 8 << 20);
-  Arena arena(64 << 10, MemSource{&pool, nullptr, &budget});
+  QueryBudget budget(8 << 20);
+  Arena arena(64 << 10, MemSource{&pool, &budget});
   for (int i = 0; i < 32; ++i) arena.Allocate(16 << 10);
   EXPECT_GT(budget.charged_bytes(), 0);
   int64_t live_before = pool.GetStats().live_bytes;
@@ -369,7 +411,7 @@ TEST(PooledArrayTest, HashTablesReuseTheirPredecessorsBuckets) {
   std::vector<AggFn> fns = {AggFn::kCount};
   std::vector<char> grow(group.row_size());
   for (int round = 0; round < 4; ++round) {
-    AggHashTable table(group, 1, 1 << 14, MemSource{&pool, nullptr, nullptr});
+    AggHashTable table(group, 1, 1 << 14, MemSource{&pool, nullptr});
     for (int i = 0; i < 100; ++i) {
       group.SetInt32(grow.data(), 0, round * 1000 + i % 10);
       double values[1] = {0};

@@ -2,6 +2,7 @@
 
 #include <thread>
 
+#include "mem/query_budget.h"
 #include "net/network.h"
 
 namespace claims {
@@ -160,6 +161,109 @@ TEST(BlockChannelTest, CancelUnblocksEverybody) {
   sender.join();
   NetBlock nb;
   EXPECT_EQ(channel.Receive(&nb, 1'000'000), ChannelStatus::kClosed);
+}
+
+// --- Ledger: a queued block holds its payload bytes on the query's budget ----
+
+TEST(BlockChannelLedgerTest, ChargesOnSendRefundsOnReceive) {
+  QueryBudget ledger(/*budget_bytes=*/0);
+  BlockChannel channel(1, 8, &ledger);
+  BlockPtr block = RowBlock(4);
+  const int64_t bytes = block->payload_bytes();
+  uint64_t seq = 0;
+  ASSERT_TRUE(channel.Send({block, 0}, nullptr, &seq));
+  EXPECT_EQ(ledger.charged_bytes(), bytes);
+  // A duplicate delivery is queued too: charged on enqueue, refunded when
+  // the receiver drops it.
+  ASSERT_TRUE(channel.SendDuplicate({block, 0, seq}));
+  EXPECT_EQ(ledger.charged_bytes(), 2 * bytes);
+  NetBlock nb;
+  ASSERT_EQ(channel.Receive(&nb, 1'000'000), ChannelStatus::kOk);
+  EXPECT_EQ(ledger.charged_bytes(), bytes);
+  channel.CloseProducer();
+  EXPECT_EQ(channel.Receive(&nb, 1'000'000), ChannelStatus::kClosed);
+  EXPECT_EQ(channel.duplicates_suppressed(), 1);
+  EXPECT_EQ(ledger.charged_bytes(), 0);
+  EXPECT_EQ(ledger.peak_charged_bytes(), 2 * bytes);
+}
+
+TEST(BlockChannelLedgerTest, CancelRefundsQueuedBlocks) {
+  QueryBudget ledger(/*budget_bytes=*/0);
+  BlockChannel channel(1, 0, &ledger);
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(channel.Send({RowBlock(4), 0}));
+  EXPECT_EQ(ledger.charged_bytes(), 5 * 32);
+  channel.Cancel();
+  EXPECT_EQ(ledger.charged_bytes(), 0);
+  // A send into the cancelled channel hands its charge straight back.
+  EXPECT_FALSE(channel.Send({RowBlock(4), 0}));
+  EXPECT_EQ(ledger.charged_bytes(), 0);
+}
+
+TEST(BlockChannelLedgerTest, DestructionRefundsQueuedBlocks) {
+  QueryBudget ledger(/*budget_bytes=*/0);
+  {
+    BlockChannel channel(1, 0, &ledger);
+    ASSERT_TRUE(channel.Send({RowBlock(4), 0}));
+    ASSERT_TRUE(channel.Send({RowBlock(4), 0}));
+    EXPECT_EQ(ledger.charged_bytes(), 64);
+  }
+  EXPECT_EQ(ledger.charged_bytes(), 0);
+}
+
+TEST(BlockChannelLedgerTest, BoundedSenderCancelledWhileFullRefunds) {
+  QueryBudget ledger(1 << 20);
+  BlockChannel channel(1, 1, &ledger);
+  ASSERT_TRUE(channel.Send({RowBlock(4), 0}));
+  std::atomic<bool> cancel{false};
+  std::thread sender(
+      [&] { EXPECT_FALSE(channel.Send({RowBlock(4), 0}, &cancel)); });
+  // A bounded ledger is charged before the sender waits for room.
+  while (ledger.charged_bytes() < 64) std::this_thread::yield();
+  cancel.store(true);
+  sender.join();
+  EXPECT_EQ(ledger.charged_bytes(), 32);
+  EXPECT_EQ(channel.size(), 1u);
+}
+
+TEST(BlockChannelLedgerTest, UnboundedLedgerChargesQueuedBlocksOnly) {
+  QueryBudget ledger(/*budget_bytes=*/0);
+  BlockChannel channel(1, 1, &ledger);
+  ASSERT_TRUE(channel.Send({RowBlock(4), 0}));
+  std::atomic<bool> sent{false};
+  std::thread sender([&] {
+    EXPECT_TRUE(channel.Send({RowBlock(4), 0}));
+    sent.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(sent.load());
+  EXPECT_EQ(ledger.charged_bytes(), 32);  // the waiting block is not queued
+  NetBlock nb;
+  ASSERT_EQ(channel.Receive(&nb, 1'000'000), ChannelStatus::kOk);
+  sender.join();
+  EXPECT_EQ(ledger.charged_bytes(), 32);
+  EXPECT_EQ(ledger.peak_charged_bytes(), 32);
+}
+
+TEST(BlockChannelLedgerTest, RefusedChargeFailsTheSendAndLatchesRejection) {
+  QueryBudget ledger(48);  // room for one 32-byte block
+  BlockChannel channel(1, 0, &ledger);
+  ASSERT_TRUE(channel.Send({RowBlock(4), 0}));
+  EXPECT_FALSE(ledger.rejected());
+  EXPECT_FALSE(channel.Send({RowBlock(4), 0}));
+  EXPECT_TRUE(ledger.rejected());
+  EXPECT_EQ(ledger.charged_bytes(), 32);
+  EXPECT_EQ(channel.size(), 1u);
+}
+
+TEST(NetworkTest, ExchangeChargesItsChannelsToTheLedger) {
+  QueryBudget ledger(/*budget_bytes=*/0);
+  Network net(2, NetworkOptions{0, 8});
+  net.CreateExchange(1, 1, {0, 1}, /*capacity_override=*/0, &ledger);
+  ASSERT_TRUE(net.Send(1, 0, 0, RowBlock(4)));
+  ASSERT_TRUE(net.Send(1, 0, 1, RowBlock(4)));
+  EXPECT_EQ(ledger.charged_bytes(), 64);
+  net.DestroyExchange(1);
+  EXPECT_EQ(ledger.charged_bytes(), 0);
 }
 
 TEST(NetworkTest, ExchangeRouting) {

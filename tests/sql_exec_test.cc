@@ -545,10 +545,15 @@ TEST_P(WorkloadConsistencyTest, AllModesAgree) {
   }
   ResultSet baseline = Run(sql, ExecMode::kStatic, 1);
   auto expect = baseline.Rows(/*sorted=*/true);
+  // Ledger balance: a finished query has handed back every byte its arenas,
+  // buffers and exchange channels charged.
+  EXPECT_EQ(QueryBudget::TotalChargedBytes(), 0);
   for (ModeParam mp : {ModeParam{ExecMode::kStatic, 4},
                        ModeParam{ExecMode::kMaterialized, 2},
                        ModeParam{ExecMode::kElastic, 1}}) {
     ResultSet r = Run(sql, mp.mode, mp.parallelism);
+    EXPECT_EQ(QueryBudget::TotalChargedBytes(), 0)
+        << ExecModeName(mp.mode) << " p=" << mp.parallelism;
     auto rows = r.Rows(/*sorted=*/true);
     ASSERT_EQ(rows.size(), expect.size())
         << ExecModeName(mp.mode) << " p=" << mp.parallelism;

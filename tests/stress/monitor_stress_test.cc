@@ -214,17 +214,32 @@ TEST_F(MonitorStressTest, ScrapersRaceQueriesCancellationAndShutdown) {
   service.reset();
 }
 
+/// Manual clock readable from any thread; only the writer advances it.
+class AtomicClock : public Clock {
+ public:
+  int64_t NowNanos() const override {
+    return now_.load(std::memory_order_acquire);
+  }
+  void Advance(int64_t ns) { now_.fetch_add(ns, std::memory_order_acq_rel); }
+
+ private:
+  std::atomic<int64_t> now_{0};
+};
+
 TEST(MetricSamplerStressTest, ReadersRaceSamplerAndAnomalyIncidents) {
   // A writer thread drives SampleOnce through a deterministic collapse (20
   // warm-up samples at 100 qps, then 10 at 100000) while reader threads
   // hammer ToJson/ToText/Annotate — the ring-append vs render race plus the
   // incident callback firing mid-contention. Under TSan this is the sampler
-  // counterpart of the scraper test above.
+  // counterpart of the scraper test above. The series runs on a manual clock
+  // that advances exactly 1 ms per sample, so the rates (and the episode
+  // the detector sees) do not depend on how long the real pauses took.
   MetricsRegistry registry;
   MetricCounter* c = registry.counter("wlm.driver.completed");
   TimeseriesOptions opts;
   opts.anomaly_watch = "wlm.driver.completed";
-  MetricSampler sampler(opts, nullptr, &registry);
+  AtomicClock clock;
+  MetricSampler sampler(opts, &clock, &registry);
   std::atomic<int> incidents{0};
   sampler.SetIncidentCallback([&](const AnomalyIncident& inc) {
     incidents.fetch_add(1);
@@ -250,21 +265,19 @@ TEST(MetricSamplerStressTest, ReadersRaceSamplerAndAnomalyIncidents) {
     });
   }
 
+  // The real 1 ms pauses only keep the readers racing across the episode.
+  auto sample = [&](int64_t add) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    c->Add(add);
+    clock.Advance(1'000'000);
+    sampler.SampleOnce();
+  };
   sampler.SampleOnce();  // counter baseline
-  for (int i = 0; i < 20; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    c->Add(100);
-    sampler.SampleOnce();
-  }
-  for (int i = 0; i < 10; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    c->Add(100000);
-    sampler.SampleOnce();
-  }
+  for (int i = 0; i < 20; ++i) sample(100);
+  for (int i = 0; i < 10; ++i) sample(100000);
   stop.store(true);
   for (auto& th : readers) th.join();
-  // Rates vary with real sleep jitter but the x1000 spike dwarfs it: the
-  // detector must page exactly once for the sustained episode.
+  // The detector must page exactly once for the sustained x1000 episode.
   EXPECT_EQ(incidents.load(), 1);
   EXPECT_EQ(registry.counter("timeseries.anomalies")->value(), 1);
 }

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <thread>
 
 #include "common/string_util.h"
@@ -651,6 +652,101 @@ TEST_F(WlmTest, RetainedHandlesHoldResultsNotOperatorState) {
   EXPECT_LE(growth, 2 * result_bytes)
       << "live pool bytes grew " << growth << " for " << result_bytes
       << " bytes of held results";
+  service.Shutdown();
+}
+
+// --- per-query memory under the service ------------------------------------------
+
+/// TPC-H SF 0.05 on 2 nodes x 2 cores, with the solo peak range of Q6 (small:
+/// scan, filter, scalar aggregate) and Q9 (several MB of join state) taken
+/// from serial Database::Query runs on the same cluster.
+class WlmPeakMemoryTest : public ::testing::Test {
+ protected:
+  struct Range {
+    int64_t lo = INT64_MAX;
+    int64_t hi = 0;
+  };
+
+  static void SetUpTestSuite() {
+    DatabaseOptions options;
+    options.cluster.num_nodes = 2;
+    options.cluster.cores_per_node = 2;
+    db_ = new Database(options);
+    ASSERT_TRUE(db_->LoadTpch({.scale_factor = 0.05}).ok());
+    for (int q : {6, 9}) {
+      Range& range = q == 6 ? q6_ : q9_;
+      for (int run = 0; run < 3; ++run) {
+        ASSERT_TRUE(db_->Query(*TpchQuery(q)).ok());
+        const int64_t peak = db_->last_stats().peak_memory_bytes;
+        range.lo = std::min(range.lo, peak);
+        range.hi = std::max(range.hi, peak);
+      }
+    }
+  }
+  static void TearDownTestSuite() {
+    delete db_;
+    db_ = nullptr;
+  }
+
+  static PhysicalPlan Plan(int q) {
+    auto plan = db_->Plan(*TpchQuery(q));
+    EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+    return std::move(plan).value();
+  }
+
+  /// The solo run-to-run range, widened 2x each way for scheduling noise
+  /// (a block more or less in flight). Reading another query's bytes
+  /// overshoots it by an order of magnitude: a cluster-wide figure put
+  /// Q6 at 5.96 MB against 0.50 MB solo.
+  static void ExpectWithinSolo(const QueryHandlePtr& h, const Range& solo,
+                               const char* label) {
+    ASSERT_TRUE(h->status().ok()) << label << ": " << h->status().ToString();
+    const int64_t peak = h->report().peak_memory_bytes;
+    EXPECT_GE(peak, solo.lo / 2) << label;
+    EXPECT_LE(peak, 2 * solo.hi)
+        << label << " solo range [" << solo.lo << ", " << solo.hi << "]";
+  }
+
+  static Database* db_;
+  static Range q6_;
+  static Range q9_;
+};
+
+Database* WlmPeakMemoryTest::db_ = nullptr;
+WlmPeakMemoryTest::Range WlmPeakMemoryTest::q6_;
+WlmPeakMemoryTest::Range WlmPeakMemoryTest::q9_;
+
+TEST_F(WlmPeakMemoryTest, QueryAfterAnotherReportsItsOwnPeak) {
+  ASSERT_GT(q9_.lo, 4 * q6_.hi);  // the two are told apart
+  QueryService service(db_->cluster(), {});
+  QueryHandlePtr q9 = service.Submit(Plan(9));
+  q9->Wait();
+  QueryHandlePtr q6 = service.Submit(Plan(6));
+  q6->Wait();
+  ExpectWithinSolo(q9, q9_, "Q9");
+  ExpectWithinSolo(q6, q6_, "Q6");
+  // /queries reports the same ledger for a finished query: its peak.
+  bool listed = false;
+  for (const QueryInfo& info : service.ListQueries()) {
+    if (info.id != q6->id()) continue;
+    listed = true;
+    EXPECT_EQ(info.mem_charged_bytes, q6->report().peak_memory_bytes);
+    EXPECT_EQ(info.mem_budget_bytes, 0);  // unbounded
+  }
+  EXPECT_TRUE(listed);
+  service.Shutdown();
+}
+
+TEST_F(WlmPeakMemoryTest, ConcurrentQueriesReportTheirOwnPeaks) {
+  QueryServiceOptions opts;
+  opts.admission.max_concurrent = 2;
+  QueryService service(db_->cluster(), opts);
+  QueryHandlePtr q9 = service.Submit(Plan(9));
+  QueryHandlePtr q6 = service.Submit(Plan(6));
+  q9->Wait();
+  q6->Wait();
+  ExpectWithinSolo(q9, q9_, "Q9");
+  ExpectWithinSolo(q6, q6_, "Q6");
   service.Shutdown();
 }
 
