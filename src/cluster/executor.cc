@@ -67,6 +67,7 @@ Result<std::unique_ptr<Iterator>> Executor::BuildIterator(
   ident.op_name = POpName(op);
   ident.op_id = my_op;
   ident.parent_op = parent_op;
+  ident.est_rows = op.est_rows;
   return std::unique_ptr<Iterator>(
       std::make_unique<ProfilingIterator>(std::move(it), std::move(ident)));
 }

@@ -53,6 +53,12 @@ struct POp {
   // kSort
   std::vector<SortKey> sort_keys;
 
+  /// The planner's estimate of this operator's output rows, summed over its
+  /// node instances: a scan's filtered rows or a hash join's running join
+  /// estimate. -1 when no planner decision computed one. Not part of
+  /// EXPLAIN; the profile prints it beside the actual rows.
+  int64_t est_rows = -1;
+
   /// Indented EXPLAIN rendering.
   std::string ToString(int indent = 0) const;
 };

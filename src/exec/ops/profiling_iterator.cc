@@ -59,6 +59,9 @@ void ProfilingIterator::EmitSpan() {
   span.busy_ns = busy_ns_.load(std::memory_order_relaxed);
   span.tuples = rows_.load(std::memory_order_relaxed);
   span.bytes = calls_.load(std::memory_order_relaxed);  // Next() call count
+  if (identity_.est_rows >= 0) {
+    span.AddArg("est_rows", static_cast<double>(identity_.est_rows));
+  }
   rec->Record(std::move(span));
 }
 

@@ -35,6 +35,9 @@ class ProfilingIterator : public Iterator {
     /// marks the segment root.
     int op_id = -1;
     int parent_op = -1;
+    /// The planner's output-row estimate for the operator (POp::est_rows),
+    /// recorded as the span's "est_rows" arg; -1 records none.
+    int64_t est_rows = -1;
   };
 
   ProfilingIterator(std::unique_ptr<Iterator> child, Identity identity)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <string_view>
 #include <tuple>
 #include <unordered_map>
 
@@ -25,6 +26,11 @@ std::string JsonNum(double v) {
 
 double Ms(int64_t ns) { return static_cast<double>(ns) / 1e6; }
 
+/// "S1" of a segment instance name such as "S1@n0" or "S1@n0->n2".
+std::string_view FragmentOf(std::string_view segment) {
+  return segment.substr(0, segment.find('@'));
+}
+
 /// Total overlap of [s, e) with the union of the given intervals (sorted by
 /// start, possibly overlapping each other).
 int64_t UnionOverlap(const std::vector<std::pair<int64_t, int64_t>>& ivals,
@@ -44,6 +50,23 @@ int64_t UnionOverlap(const std::vector<std::pair<int64_t, int64_t>>& ivals,
 }
 
 }  // namespace
+
+double QError(int64_t est_rows, int64_t actual_rows) {
+  const double est = static_cast<double>(std::max<int64_t>(est_rows, 1));
+  const double act = static_cast<double>(std::max<int64_t>(actual_rows, 1));
+  return std::max(est / act, act / est);
+}
+
+int64_t QueryProfile::ActualRows(const ProfOperatorStat& op) const {
+  int64_t rows = 0;
+  for (const ProfOperatorStat& other : operators) {
+    if (other.op_id == op.op_id &&
+        FragmentOf(other.segment) == FragmentOf(op.segment)) {
+      rows += other.rows;
+    }
+  }
+  return rows;
+}
 
 std::shared_ptr<const QueryProfile> AssembleQueryProfile(AssembleInput input) {
   auto profile = std::make_shared<QueryProfile>();
@@ -117,6 +140,11 @@ std::shared_ptr<const QueryProfile> AssembleQueryProfile(AssembleInput input) {
     st.inclusive_ns += s.busy_ns > 0 ? s.busy_ns : s.dur_ns();
     st.calls += s.bytes;  // kOperator spans carry the Next() call count here
     st.rows += s.tuples;
+    for (int a = 0; a < s.num_args; ++a) {
+      if (std::string_view(s.args[a].key) == "est_rows") {
+        st.est_rows = static_cast<int64_t>(s.args[a].num);
+      }
+    }
   }
   std::map<std::pair<std::string, int>, int64_t> child_sum;
   for (const auto& [key, st] : ops) {
@@ -234,6 +262,14 @@ std::shared_ptr<const QueryProfile> AssembleQueryProfile(AssembleInput input) {
 
 namespace {
 
+/// `value` right-aligned in `width` columns, or an en dash (one column,
+/// three bytes) where the planner computed no estimate.
+std::string EstimateCell(int64_t est_rows, const std::string& value,
+                         int width) {
+  if (est_rows < 0) return std::string(width - 1, ' ') + "\u2013";
+  return StrFormat("%*s", width, value.c_str());
+}
+
 /// One timeline row per segment instance: '#' running, '.' starved,
 /// 'o' backpressured, ' ' outside the segment's lifetime.
 std::string AsciiTimeline(const QueryProfile& p, int width) {
@@ -300,13 +336,22 @@ std::string QueryProfile::ToText() const {
         "operators (Σ exclusive %.3f ms of %.3f ms total operator time):\n",
         Ms(operator_exclusive_sum_ns), Ms(operator_total_ns));
     out += "  segment    op  parent  name                incl-ms   excl-ms"
-           "      calls       rows\n";
+           "      calls       rows   est-rows   act-rows    q-err\n";
     for (const ProfOperatorStat& op : operators) {
-      out += StrFormat("  %-9s %3d  %6d  %-18s %9.3f %9.3f %10lld %10lld\n",
-                       op.segment.c_str(), op.op_id, op.parent_op,
-                       op.name.c_str(), Ms(op.inclusive_ns),
-                       Ms(op.exclusive_ns), static_cast<long long>(op.calls),
-                       static_cast<long long>(op.rows));
+      const int64_t act = ActualRows(op);
+      out += StrFormat(
+          "  %-9s %3d  %6d  %-18s %9.3f %9.3f %10lld %10lld %s %10lld %s\n",
+          op.segment.c_str(), op.op_id, op.parent_op, op.name.c_str(),
+          Ms(op.inclusive_ns), Ms(op.exclusive_ns),
+          static_cast<long long>(op.calls), static_cast<long long>(op.rows),
+          EstimateCell(op.est_rows, StrFormat("%lld", static_cast<long long>(
+                                                          op.est_rows)),
+                       10)
+              .c_str(),
+          static_cast<long long>(act),
+          EstimateCell(op.est_rows,
+                       StrFormat("%.2f", QError(op.est_rows, act)), 8)
+              .c_str());
     }
   }
   if (!audit.empty()) {
@@ -399,13 +444,20 @@ std::string QueryProfile::ToJson() const {
     AppendJsonStr(&out, op.segment);
     out += ",\"name\":";
     AppendJsonStr(&out, op.name);
+    const int64_t act = ActualRows(op);
     out += StrFormat(
         ",\"node\":%d,\"op_id\":%d,\"parent_op\":%d,\"inclusive_ns\":%lld,"
-        "\"exclusive_ns\":%lld,\"calls\":%lld,\"rows\":%lld}",
+        "\"exclusive_ns\":%lld,\"calls\":%lld,\"rows\":%lld,"
+        "\"est_rows\":%s,\"act_rows\":%lld,\"q_error\":%s}",
         op.node, op.op_id, op.parent_op,
         static_cast<long long>(op.inclusive_ns),
         static_cast<long long>(op.exclusive_ns),
-        static_cast<long long>(op.calls), static_cast<long long>(op.rows));
+        static_cast<long long>(op.calls), static_cast<long long>(op.rows),
+        op.est_rows < 0
+            ? "null"
+            : StrFormat("%lld", static_cast<long long>(op.est_rows)).c_str(),
+        static_cast<long long>(act),
+        op.est_rows < 0 ? "null" : JsonNum(QError(op.est_rows, act)).c_str());
   }
   out += "],\"audit\":[";
   first = true;

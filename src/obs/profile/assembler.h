@@ -24,7 +24,15 @@ struct ProfOperatorStat {
   int64_t exclusive_ns = 0;
   int64_t calls = 0;
   int64_t rows = 0;
+  /// The planner's estimate of the operator's output rows over all its node
+  /// instances (the span's "est_rows" arg); -1 when the planner computed
+  /// none.
+  int64_t est_rows = -1;
 };
+
+/// Cardinality q-error: max(est/act, act/est), each side floored at one
+/// row, so an exact estimate reads 1.
+double QError(int64_t est_rows, int64_t actual_rows);
 
 /// One step of the critical path: a half-open wall-clock interval attributed
 /// to a segment's compute, an exchange transfer, an unresolved input wait,
@@ -72,9 +80,15 @@ struct QueryProfile {
   /// profile was assembled (0 for an unbounded capture).
   int64_t overwritten_records = 0;
 
+  /// Output rows of `op` summed over its node instances: every operator
+  /// with the same op id in a segment instance of the same fragment.
+  int64_t ActualRows(const ProfOperatorStat& op) const;
+
   /// Machine view for GET /profile/<id>.
   std::string ToJson() const;
-  /// Human view: critical path, ASCII timeline, operator table, audit tail.
+  /// Human view: critical path, ASCII timeline, operator table (with the
+  /// planner's estimated rows, the actual rows and their q-error), audit
+  /// tail.
   std::string ToText() const;
   /// The query's records through the one Chrome trace writer
   /// (ChromeTraceJson), flow arrows across exchanges included — drop into

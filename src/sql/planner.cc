@@ -1,6 +1,7 @@
 #include "sql/planner.h"
 
 #include <algorithm>
+#include <cmath>
 #include <optional>
 #include <set>
 
@@ -106,6 +107,14 @@ class Planner::Impl {
     bool used = false;
   };
 
+  /// One step of the join order: the relation it adds to the stream, and
+  /// the estimated stream rows after it (the first step: the streamed
+  /// relation's filtered rows). Unset when no decision computed one.
+  struct JoinStep {
+    int rel;
+    std::optional<double> est_rows;
+  };
+
   std::vector<int> AllNodes() const {
     std::vector<int> nodes;
     for (int i = 0; i < options_.num_nodes; ++i) nodes.push_back(i);
@@ -186,6 +195,57 @@ class Planner::Impl {
                  static_cast<double>(rel.estimated_rows) * selectivity));
     }
     return *memo;
+  }
+
+  /// Distinct values of virtual column `v`: an exact count over its base
+  /// table, memoized by the catalog. A derived table's columns count as
+  /// distinct up to its estimated rows.
+  double Distinct(int v) const {
+    const BoundRelation& rel =
+        query_.relations[static_cast<size_t>(query_.relation_of(v))];
+    return static_cast<double>(
+        rel.table == nullptr
+            ? rel.estimated_rows
+            : catalog_->DistinctCount(*rel.table, v - rel.virtual_base));
+  }
+
+  /// True when `e` joins relation `r` to a relation marked in `set`; then
+  /// `*own` is r's column and `*other` the set's.
+  bool EdgeJoins(const JoinEdge& e, int r, const std::vector<bool>& set,
+                 int* own, int* other) const {
+    const int rl = query_.relation_of(e.left_virt);
+    const int rr = query_.relation_of(e.right_virt);
+    if (rl == r && set[static_cast<size_t>(rr)]) {
+      *own = e.left_virt;
+      *other = e.right_virt;
+      return true;
+    }
+    if (rr == r && set[static_cast<size_t>(rl)]) {
+      *own = e.right_virt;
+      *other = e.left_virt;
+      return true;
+    }
+    return false;
+  }
+
+  /// Estimated rows of joining relation `r` to a stream of `cur` rows over
+  /// the relations marked in `stream`: cur × EffRows(r) / K. K is the
+  /// largest, over the edges joining `r` to the stream, of
+  /// max(min(V(r.col), EffRows(r)), min(V(stream.col), cur)), V a column's
+  /// distinct count. Only the most selective edge counts: the product over
+  /// edges would treat correlated keys such as (ps_partkey, ps_suppkey) as
+  /// independent.
+  double JoinOutput(double cur, int r, const std::vector<bool>& stream) {
+    const double rows = static_cast<double>(EffRows(r));
+    double k = 1;
+    int own = -1;
+    int other = -1;
+    for (const JoinEdge& e : edges_) {
+      if (!EdgeJoins(e, r, stream, &own, &other)) continue;
+      k = std::max({k, std::min(Distinct(own), rows),
+                    std::min(Distinct(other), cur)});
+    }
+    return cur * (rows / k);
   }
 
   // --- expression lowering -----------------------------------------------------
@@ -298,52 +358,80 @@ class Planner::Impl {
     if (const ExprPtr& pred = rel_preds_[static_cast<size_t>(rel_index)]) {
       p.root = MakeFilterOp(std::move(p.root), pred);
     }
+    if (const auto& rows = eff_rows_[static_cast<size_t>(rel_index)]) {
+      p.root->est_rows = *rows;
+    }
     CLAIMS_RETURN_IF_ERROR(ApplyCoveredResiduals(&p));
     return p;
   }
 
   // --- join pipeline ---------------------------------------------------------------
 
-  Result<Pipeline> BuildJoinPipeline() {
+  /// Greedy left-deep join order. The largest filtered relation streams;
+  /// each next relation is the connected one with the smallest estimated
+  /// join output (JoinOutput), ties to the smaller relation. A decision with
+  /// one candidate estimates nothing, so a query whose decisions never
+  /// compare two relations reads no distinct count; the running estimate
+  /// catches up over such steps at the next decision that does.
+  Result<std::vector<JoinStep>> JoinOrder() {
     const int nrel = static_cast<int>(query_.relations.size());
-    // Greedy left-deep order: stream the largest relation, then join the
-    // smallest connected relation first.
-    std::vector<bool> joined(static_cast<size_t>(nrel), false);
+    if (nrel == 1) return std::vector<JoinStep>{{0, std::nullopt}};
     int start = 0;
     for (int r = 1; r < nrel; ++r) {
       if (EffRows(r) > EffRows(start)) start = r;
     }
-    CLAIMS_ASSIGN_OR_RETURN(Pipeline pipeline, StartRelation(start));
+    std::vector<JoinStep> order{{start, static_cast<double>(EffRows(start))}};
+    std::vector<bool> joined(static_cast<size_t>(nrel), false);
     joined[static_cast<size_t>(start)] = true;
-    int remaining = nrel - 1;
-
-    while (remaining > 0) {
-      // Next: smallest relation connected by an unused edge to the set.
-      int next = -1;
+    int own = -1;
+    int other = -1;
+    while (static_cast<int>(order.size()) < nrel) {
+      std::vector<int> candidates;
       for (int r = 0; r < nrel; ++r) {
-        if (joined[static_cast<size_t>(r)]) continue;
-        bool connected = false;
-        for (const JoinEdge& e : edges_) {
-          int rl = query_.relation_of(e.left_virt);
-          int rr = query_.relation_of(e.right_virt);
-          if ((rl == r && joined[static_cast<size_t>(rr)]) ||
-              (rr == r && joined[static_cast<size_t>(rl)])) {
-            connected = true;
-            break;
-          }
-        }
-        if (connected && (next < 0 || EffRows(r) < EffRows(next))) {
-          next = r;
+        if (!joined[static_cast<size_t>(r)] &&
+            std::any_of(edges_.begin(), edges_.end(), [&](const JoinEdge& e) {
+              return EdgeJoins(e, r, joined, &own, &other);
+            })) {
+          candidates.push_back(r);
         }
       }
-      if (next < 0) {
+      if (candidates.empty()) {
         return Status::PlanError(
             "query requires a cross join (no join predicate connects all "
             "relations)");
       }
-      CLAIMS_RETURN_IF_ERROR(JoinRelation(&pipeline, next, joined));
-      joined[static_cast<size_t>(next)] = true;
-      --remaining;
+      JoinStep next{candidates[0], std::nullopt};
+      if (candidates.size() > 1) {
+        std::vector<bool> stream(static_cast<size_t>(nrel), false);
+        for (size_t i = 0; i < order.size(); ++i) {
+          if (!order[i].est_rows.has_value()) {
+            order[i].est_rows =
+                JoinOutput(*order[i - 1].est_rows, order[i].rel, stream);
+          }
+          stream[static_cast<size_t>(order[i].rel)] = true;
+        }
+        for (int r : candidates) {
+          const double est = JoinOutput(*order.back().est_rows, r, joined);
+          if (!next.est_rows.has_value() || est < *next.est_rows ||
+              (est == *next.est_rows && EffRows(r) < EffRows(next.rel))) {
+            next = JoinStep{r, est};
+          }
+        }
+      }
+      order.push_back(next);
+      joined[static_cast<size_t>(next.rel)] = true;
+    }
+    return order;
+  }
+
+  Result<Pipeline> BuildJoinPipeline() {
+    CLAIMS_ASSIGN_OR_RETURN(const std::vector<JoinStep> order, JoinOrder());
+    CLAIMS_ASSIGN_OR_RETURN(Pipeline pipeline, StartRelation(order[0].rel));
+    std::vector<bool> joined(query_.relations.size(), false);
+    joined[static_cast<size_t>(order[0].rel)] = true;
+    for (size_t i = 1; i < order.size(); ++i) {
+      CLAIMS_RETURN_IF_ERROR(JoinRelation(&pipeline, order[i], joined));
+      joined[static_cast<size_t>(order[i].rel)] = true;
     }
     CLAIMS_RETURN_IF_ERROR(ApplyCoveredResiduals(&pipeline));
     if (!residuals_.empty()) {
@@ -352,26 +440,21 @@ class Planner::Impl {
     return pipeline;
   }
 
-  Status JoinRelation(Pipeline* pipeline, int rel_index,
+  Status JoinRelation(Pipeline* pipeline, const JoinStep& step,
                       const std::vector<bool>& joined) {
+    const int rel_index = step.rel;
     const BoundRelation& rel =
         query_.relations[static_cast<size_t>(rel_index)];
     // Join keys: all unused edges between `rel` and the joined set.
     std::vector<int> stream_key_virt;  // probe-side (current pipeline)
     std::vector<int> build_key_virt;   // build-side (new relation)
+    int own = -1;
+    int other = -1;
     for (JoinEdge& e : edges_) {
-      if (e.used) continue;
-      int rl = query_.relation_of(e.left_virt);
-      int rr = query_.relation_of(e.right_virt);
-      if (rl == rel_index && joined[static_cast<size_t>(rr)]) {
-        build_key_virt.push_back(e.left_virt);
-        stream_key_virt.push_back(e.right_virt);
-        e.used = true;
-      } else if (rr == rel_index && joined[static_cast<size_t>(rl)]) {
-        build_key_virt.push_back(e.right_virt);
-        stream_key_virt.push_back(e.left_virt);
-        e.used = true;
-      }
+      if (e.used || !EdgeJoins(e, rel_index, joined, &own, &other)) continue;
+      build_key_virt.push_back(own);
+      stream_key_virt.push_back(other);
+      e.used = true;
     }
     if (build_key_virt.empty()) {
       return Status::PlanError("join step without keys");
@@ -471,6 +554,9 @@ class Planner::Impl {
     pipeline->root =
         MakeHashJoinOp(std::move(build_source), std::move(pipeline->root),
                        std::move(build_keys), std::move(probe_keys));
+    if (step.est_rows.has_value()) {
+      pipeline->root->est_rows = std::llround(*step.est_rows);
+    }
     std::map<int, int> new_map;
     for (const auto& [v, c] : build_map) new_map[v] = c;
     for (const auto& [v, c] : pipeline->virt2stream) {

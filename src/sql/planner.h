@@ -39,8 +39,12 @@ SelectivitySample SampleSelectivity(const Table& table, const ExprPtr& pred);
 /// master responsibilities). Techniques:
 ///  * predicate pushdown onto base relations, with sampled selectivities
 ///    (sampled only for relations a join decision compares);
-///  * greedy left-deep join ordering (largest filtered relation streams as
-///    the probe; remaining relations join smallest-first along equi edges);
+///  * greedy left-deep join ordering: the largest filtered relation streams
+///    as the probe, and each next relation is the connected one with the
+///    smallest estimated join output, from per-column distinct counts
+///    (Catalog::DistinctCount) over the most selective equi edge; ties go
+///    to the smaller relation, and a decision with one candidate reads no
+///    distinct count;
 ///  * locality-aware exchange placement: co-located joins when both sides
 ///    are partitioned on the join key, broadcast of small build sides,
 ///    repartition (shuffle) joins otherwise — the paper's Fig. 1/3 shapes;

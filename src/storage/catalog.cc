@@ -1,6 +1,8 @@
 #include "storage/catalog.h"
 
-#include <set>
+#include <cstring>
+#include <string_view>
+#include <unordered_set>
 
 #include "common/string_util.h"
 
@@ -36,42 +38,40 @@ std::vector<std::string> Catalog::TableNames() const {
   return names;
 }
 
-int64_t Catalog::EstimateDistinct(const Table& table, int col,
-                                  int64_t sample_limit) const {
+int64_t Catalog::DistinctCount(const Table& table, int col) const {
+  const auto registered = tables_.find(ToLower(table.name()));
+  const bool memoize =
+      registered != tables_.end() && registered->second.get() == &table;
+  const std::pair<const Table*, int> key{&table, col};
+  if (memoize) {
+    std::lock_guard<std::mutex> lock(distinct_mu_);
+    auto it = distinct_.find(key);
+    if (it != distinct_.end()) return it->second;
+  }
+  // Counted outside the lock: two planners racing on one column count it
+  // twice and store the same number.
   const Schema& schema = table.schema();
-  std::set<std::string> seen_str;
-  std::set<int64_t> seen_int;
-  std::set<double> seen_dbl;
-  bool is_str = schema.column(col).type == DataType::kChar;
-  bool is_dbl = schema.column(col).type == DataType::kFloat64;
-  int64_t seen = 0;
-  for (int p = 0; p < table.num_partitions() && seen < sample_limit; ++p) {
-    const TablePartition& part = table.partition(p);
-    for (int b = 0; b < part.num_blocks() && seen < sample_limit; ++b) {
-      const Block& blk = *part.block(b);
-      for (int32_t r = 0; r < blk.num_rows() && seen < sample_limit; ++r) {
-        const char* row = blk.RowAt(r);
-        if (is_str) {
-          seen_str.emplace(schema.GetString(row, col));
-        } else if (is_dbl) {
-          seen_dbl.insert(schema.GetFloat64(row, col));
-        } else if (schema.column(col).type == DataType::kInt64) {
-          seen_int.insert(schema.GetInt64(row, col));
+  const DataType type = schema.column(col).type;
+  std::unordered_set<uint64_t> fixed;
+  std::unordered_set<std::string_view> chars;
+  for (int p = 0; p < table.num_partitions(); ++p) {
+    for (const BlockPtr& block : table.partition(p).blocks()) {
+      for (int32_t r = 0; r < block->num_rows(); ++r) {
+        const char* row = block->RowAt(r);
+        if (type == DataType::kChar) {
+          chars.insert(schema.GetString(row, col));
         } else {
-          seen_int.insert(schema.GetInt32(row, col));
+          uint64_t bits = 0;
+          std::memcpy(&bits, row + schema.offset(col), TypeWidth(type, 0));
+          fixed.insert(bits);
         }
-        ++seen;
       }
     }
   }
-  int64_t distinct = static_cast<int64_t>(seen_str.size() + seen_int.size() +
-                                          seen_dbl.size());
-  if (seen == 0) return 0;
-  // If the sample saturated, extrapolate linearly unless the column looks
-  // low-cardinality (distinct plateaued well under the sample size).
-  int64_t total = table.num_rows();
-  if (seen < total && distinct > seen / 2) {
-    distinct = distinct * total / seen;
+  const auto distinct = static_cast<int64_t>(fixed.size() + chars.size());
+  if (memoize) {
+    std::lock_guard<std::mutex> lock(distinct_mu_);
+    distinct_.emplace(key, distinct);
   }
   return distinct;
 }

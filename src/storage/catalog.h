@@ -3,7 +3,9 @@
 
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -22,14 +24,18 @@ class Catalog {
   bool HasTable(std::string_view name) const;
   std::vector<std::string> TableNames() const;
 
-  /// Estimated distinct-value count of one column (exact count over a sample
-  /// capped at `sample_limit` rows, scaled). Used by the optimizer for
-  /// group-by cardinality and join selectivity estimates.
-  int64_t EstimateDistinct(const Table& table, int col,
-                           int64_t sample_limit = 200000) const;
+  /// Exact number of distinct values in column `col` of `table`, counted
+  /// with a hash set over every partition. Nothing is counted at load time:
+  /// the first call counts, and for a table registered here the count is
+  /// memoized per (table, column). Safe to call from concurrent planners.
+  /// The optimizer reads it for join-output estimates.
+  int64_t DistinctCount(const Table& table, int col) const;
 
  private:
   std::map<std::string, TablePtr, std::less<>> tables_;
+  /// Guards distinct_, the only state a planner writes.
+  mutable std::mutex distinct_mu_;
+  mutable std::map<std::pair<const Table*, int>, int64_t> distinct_;
 };
 
 }  // namespace claims

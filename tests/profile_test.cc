@@ -76,6 +76,65 @@ TEST(AssemblerTest, OperatorExclusiveTimesTelescope) {
   }
 }
 
+TEST(AssemblerTest, EstimatedRowsBesideActualRowsSummedOverNodes) {
+  // One join estimated at 300 rows runs on two nodes (S1@n0, S1@n1) and
+  // emits 100 + 500; the scan below it carries no estimate.
+  AssembleInput in;
+  in.query_id = 3;
+  in.start_ns = 0;
+  in.end_ns = 100 * kMs;
+  auto op = [&](const char* segment, int id, int parent, const char* name,
+                int64_t rows, int64_t est) {
+    EventRecord s = MakeSpan(3, EventKind::kOperator, segment, 0, 100);
+    s.name = name;
+    s.op_id = id;
+    s.parent_op = parent;
+    s.tuples = rows;
+    if (est >= 0) s.AddArg("est_rows", static_cast<double>(est));
+    in.records.push_back(std::move(s));
+  };
+  op("S1@n0", 0, -1, "hash-join", 100, 300);
+  op("S1@n0", 1, 0, "scan(t)", 400, -1);
+  op("S1@n1", 0, -1, "hash-join", 500, 300);
+  op("S1@n1", 1, 0, "scan(t)", 600, -1);
+  // Another fragment's op 0 is a different operator.
+  op("S2@n0", 0, -1, "hash-agg", 7, -1);
+  auto p = AssembleQueryProfile(std::move(in));
+
+  ASSERT_EQ(p->operators.size(), 5u);
+  for (const ProfOperatorStat& st : p->operators) {
+    if (st.name == "hash-join") {
+      EXPECT_EQ(st.est_rows, 300);
+      EXPECT_EQ(p->ActualRows(st), 600);
+    } else if (st.name == "scan(t)") {
+      EXPECT_EQ(st.est_rows, -1);
+      EXPECT_EQ(p->ActualRows(st), 1000);
+    } else {
+      EXPECT_EQ(p->ActualRows(st), 7);
+    }
+  }
+  EXPECT_DOUBLE_EQ(QError(300, 600), 2.0);
+  EXPECT_DOUBLE_EQ(QError(600, 300), 2.0);
+  EXPECT_DOUBLE_EQ(QError(0, 0), 1.0);
+
+  const std::string text = p->ToText();
+  EXPECT_NE(text.find("est-rows   act-rows    q-err"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("       300        600     2.00"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("         \u2013       1000        \u2013"),
+            std::string::npos)
+      << text;
+  const std::string json = p->ToJson();
+  EXPECT_NE(json.find("\"est_rows\":300,\"act_rows\":600,\"q_error\":2"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(
+      json.find("\"est_rows\":null,\"act_rows\":1000,\"q_error\":null"),
+      std::string::npos)
+      << json;
+}
+
 // --- assembler: critical path ----------------------------------------------------
 
 /// Producer S0@n1 runs [0,50) and ships batch (exchange 5, seq 7) at

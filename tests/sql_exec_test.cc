@@ -18,6 +18,8 @@
 #include "common/string_util.h"
 #include "engine/database.h"
 #include "engine/workloads.h"
+#include "obs/profile/assembler.h"
+#include "obs/recorder.h"
 
 namespace claims {
 namespace {
@@ -473,6 +475,62 @@ TEST_F(SqlExecTest, DerivedTableJoin) {
     expected += count_at[{acct, price}];
   }
   EXPECT_EQ(r.Get(0, 0).AsInt64(), expected);
+}
+
+// --- Join order: bounded intermediate rows -------------------------------------
+
+/// Runs `sql` with the event recorder on and returns its assembled profile.
+std::shared_ptr<const QueryProfile> ProfiledRun(Database* db,
+                                                std::string_view sql) {
+  EventRecorder* recorder = EventRecorder::Global();
+  recorder->Clear();
+  recorder->Enable();
+  auto r = db->Query(sql);
+  recorder->Disable();
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  auto profile = recorder->GetProfile(db->executor()->report().profile_query_id);
+  recorder->Clear();
+  return profile;
+}
+
+TEST_F(SqlExecTest, JoinsStreamAtMostLineitemRows) {
+  // Q5 and Q9 join five relations into the lineitem stream. Joining the
+  // selective relations first keeps every intermediate result below
+  // lineitem; joining customer on c_nationkey = s_nationkey (25 values)
+  // before orders made Q5's customer join alone emit more rows than
+  // lineitem holds.
+  const int64_t lineitem = (*db_->catalog()->GetTable("lineitem"))->num_rows();
+  for (int q : {5, 9}) {
+    SCOPED_TRACE(StrFormat("Q%d", q));
+    auto profile = ProfiledRun(db_, *TpchQuery(q));
+    ASSERT_NE(profile, nullptr);
+    int64_t joined = 0;
+    int joins = 0;
+    for (const ProfOperatorStat& op : profile->operators) {
+      if (op.name != "hash-join") continue;
+      joined += op.rows;
+      ++joins;
+    }
+    EXPECT_GE(joins, 5);
+    EXPECT_LE(joined, lineitem) << profile->ToText();
+  }
+  // The first join of Q5, lineitem with a year of orders: the operator whose
+  // children include the lineitem scan. Its estimate is within 2x of the
+  // rows it produced over all nodes.
+  auto profile = ProfiledRun(db_, *TpchQuery(5));
+  ASSERT_NE(profile, nullptr);
+  const ProfOperatorStat* first = nullptr;
+  for (const ProfOperatorStat& scan : profile->operators) {
+    if (scan.name != "scan(lineitem)") continue;
+    for (const ProfOperatorStat& op : profile->operators) {
+      if (op.segment == scan.segment && op.op_id == scan.parent_op) first = &op;
+    }
+  }
+  ASSERT_NE(first, nullptr) << profile->ToText();
+  ASSERT_EQ(first->name, "hash-join") << profile->ToText();
+  ASSERT_GE(first->est_rows, 0) << profile->ToText();
+  EXPECT_LE(QError(first->est_rows, profile->ActualRows(*first)), 2.0)
+      << profile->ToText();
 }
 
 // --- Aggregation traffic -----------------------------------------------------

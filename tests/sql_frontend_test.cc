@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <map>
+#include <thread>
 
 #include "common/string_util.h"
 #include "engine/workloads.h"
@@ -610,6 +612,160 @@ TEST_F(SelectivitySampleTest, WorkloadScanPredicatesFullyCompile) {
     }
   }
   EXPECT_GT(checked, 0);
+}
+
+// --- Join order -----------------------------------------------------------------
+
+/// Base tables in the order `op`'s left-deep join tree adds them to the
+/// stream: the probe side first, then the build side; a merger continues in
+/// the fragment feeding its exchange.
+std::vector<std::string> JoinedTables(const PhysicalPlan& plan,
+                                      const POp& op) {
+  switch (op.kind) {
+    case POp::Kind::kScan:
+      return {op.table_name};
+    case POp::Kind::kMerger:
+      for (const auto& f : plan.fragments) {
+        if (f->out_exchange_id == op.exchange_id) {
+          return JoinedTables(plan, *f->root);
+        }
+      }
+      return {};
+    case POp::Kind::kHashJoin: {
+      std::vector<std::string> tables = JoinedTables(plan, *op.children[1]);
+      for (std::string& t : JoinedTables(plan, *op.children[0])) {
+        tables.push_back(std::move(t));
+      }
+      return tables;
+    }
+    default:
+      return JoinedTables(plan, *op.children[0]);
+  }
+}
+
+/// The plan's join order: the longest JoinedTables over its fragments.
+std::vector<std::string> JoinOrder(const PhysicalPlan& plan) {
+  std::vector<std::string> longest;
+  for (const auto& f : plan.fragments) {
+    std::vector<std::string> tables = JoinedTables(plan, *f->root);
+    if (tables.size() > longest.size()) longest = std::move(tables);
+  }
+  return longest;
+}
+
+/// Appends the hash joins in `op`'s subtree, pre-order.
+void CollectJoins(const POp& op, std::vector<const POp*>* joins) {
+  if (op.kind == POp::Kind::kHashJoin) joins->push_back(&op);
+  for (const auto& child : op.children) CollectJoins(*child, joins);
+}
+
+std::vector<const POp*> Joins(const PhysicalPlan& plan) {
+  std::vector<const POp*> joins;
+  for (const auto& f : plan.fragments) CollectJoins(*f->root, &joins);
+  return joins;
+}
+
+size_t IndexOf(const std::vector<std::string>& order, const std::string& t) {
+  return static_cast<size_t>(std::find(order.begin(), order.end(), t) -
+                             order.begin());
+}
+
+class JoinOrderTest : public WorkloadDataTest {};
+
+TEST_F(JoinOrderTest, ForeignKeyChainJoinsTheSelectiveRelationFirst) {
+  // Q5: orders, filtered to one year, shrinks the lineitem stream to about
+  // a seventh; supplier and customer keep it whole. The parent order joined
+  // customer on c_nationkey = s_nationkey (25 values) before orders.
+  auto plan = Plan(*TpchQuery(5));
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  const std::vector<std::string> order = JoinOrder(*plan);
+  ASSERT_EQ(order.size(), 6u) << plan->ToString();
+  EXPECT_EQ(order[0], "lineitem");
+  EXPECT_EQ(order[1], "orders");
+  EXPECT_LT(IndexOf(order, "orders"), IndexOf(order, "supplier"));
+  EXPECT_LT(IndexOf(order, "orders"), IndexOf(order, "customer"));
+}
+
+TEST_F(JoinOrderTest, SingleCandidateDecisionsEstimateNothing) {
+  // Every decision of Q3 (lineitem, then orders, then customer) and of the
+  // two-relation SSE-Q9 has one candidate: no join carries an estimate,
+  // while the scans carry their filtered rows.
+  for (std::string_view sql : {*TpchQuery(3), *SseQuery(9)}) {
+    auto plan = Plan(sql);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    for (const POp* join : Joins(*plan)) {
+      EXPECT_EQ(join->est_rows, -1) << plan->ToString();
+    }
+    std::vector<const POp*> scans;
+    for (const auto& f : plan->fragments) CollectFilteredScans(*f->root, &scans);
+    ASSERT_FALSE(scans.empty());
+    for (const POp* scan : scans) EXPECT_GT(scan->est_rows, 0);
+  }
+  // Q5 compares candidates until customer is the last one left.
+  auto q5 = Plan(*TpchQuery(5));
+  ASSERT_TRUE(q5.ok()) << q5.status().ToString();
+  int estimated = 0;
+  for (const POp* join : Joins(*q5)) estimated += join->est_rows >= 0;
+  EXPECT_EQ(estimated, 4) << q5->ToString();
+}
+
+TEST_F(JoinOrderTest, ConcurrentPlannersShareTheDistinctCounts) {
+  // Distinct counts are memoized in the shared catalog on first read; plans
+  // made concurrently from a cold catalog agree with one made alone.
+  Catalog catalog;
+  for (const std::string& name : catalog_->TableNames()) {
+    ASSERT_TRUE(catalog.RegisterTable(*catalog_->GetTable(name)).ok());
+  }
+  const std::string expected = Plan(*TpchQuery(9))->ToString();
+  std::vector<std::string> plans(4);
+  std::vector<std::thread> threads;
+  for (size_t i = 0; i < plans.size(); ++i) {
+    threads.emplace_back([&, i] {
+      PlannerOptions opts;
+      opts.num_nodes = 2;
+      Planner planner(&catalog, opts);
+      auto plan = planner.PlanSql(*TpchQuery(i % 2 == 0 ? 9 : 5));
+      if (plan.ok()) plans[i] = plan->ToString();
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (size_t i = 0; i < plans.size(); i += 2) EXPECT_EQ(plans[i], expected);
+  EXPECT_EQ(plans[1], Plan(*TpchQuery(5))->ToString());
+}
+
+/// TPC-H SF 0.1 in two partitions, for the estimates whose choice only
+/// flips at that scale.
+class JoinOrderSf01Test : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    catalog_ = new Catalog;
+    TpchConfig tpch;
+    tpch.scale_factor = 0.1;
+    tpch.num_partitions = 2;
+    tpch.seed = 1;
+    ASSERT_TRUE(GenerateTpch(tpch, catalog_).ok());
+  }
+  static void TearDownTestSuite() { delete catalog_; }
+  static Catalog* catalog_;
+};
+
+Catalog* JoinOrderSf01Test::catalog_ = nullptr;
+
+TEST_F(JoinOrderSf01Test, TwoEdgeRelationIsEstimatedByItsMostSelectiveEdge) {
+  // partsupp joins lineitem on ps_partkey and ps_suppkey. Its most selective
+  // edge (partkey, 20 000 values) keeps 4 rows per stream row, so it joins
+  // last. Dividing by both edges' distinct counts would estimate 0.004 of
+  // lineitem and shuffle every lineitem row to partsupp first.
+  PlannerOptions opts;
+  opts.num_nodes = 2;
+  Planner planner(catalog_, opts);
+  auto plan = planner.PlanSql(*TpchQuery(9));
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  const std::vector<std::string> order = JoinOrder(*plan);
+  ASSERT_EQ(order.size(), 6u) << plan->ToString();
+  EXPECT_EQ(order[0], "lineitem");
+  EXPECT_EQ(order[1], "part") << plan->ToString();
+  EXPECT_EQ(order.back(), "partsupp") << plan->ToString();
 }
 
 // --- Pinned plans ---------------------------------------------------------------
