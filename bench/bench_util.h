@@ -2,8 +2,10 @@
 #define CLAIMS_BENCH_BENCH_UTIL_H_
 
 // Shared helpers for the figure/table reproduction binaries: aligned text
-// tables (the paper's rows/series) with an optional --csv mode.
+// tables (the paper's rows/series) with an optional --csv mode, and the
+// median and quartiles of repeated measurements.
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -66,6 +68,25 @@ inline std::string Gb(int64_t bytes) {
 }
 
 inline void Title(const char* text) { std::printf("\n=== %s ===\n", text); }
+
+/// Median and quartiles of a sample, in the sample's unit.
+struct Spread {
+  double median = 0;
+  double q1 = 0;
+  double q3 = 0;
+};
+
+inline Spread SpreadOf(std::vector<double> v) {
+  if (v.empty()) return {};
+  std::sort(v.begin(), v.end());
+  auto at = [&](double q) {
+    double pos = q * static_cast<double>(v.size() - 1);
+    size_t lo = static_cast<size_t>(pos);
+    size_t hi = std::min(lo + 1, v.size() - 1);
+    return v[lo] + (v[hi] - v[lo]) * (pos - static_cast<double>(lo));
+  };
+  return Spread{at(0.5), at(0.25), at(0.75)};
+}
 
 }  // namespace bench
 }  // namespace claims

@@ -151,24 +151,8 @@ std::unique_ptr<Iterator> Composition(
   return it;
 }
 
-/// Median and quartiles of a sample, in the sample's unit.
-struct Spread {
-  double median = 0;
-  double q1 = 0;
-  double q3 = 0;
-};
-
-Spread SpreadOf(std::vector<double> v) {
-  if (v.empty()) return {};
-  std::sort(v.begin(), v.end());
-  auto at = [&](double q) {
-    double pos = q * static_cast<double>(v.size() - 1);
-    size_t lo = static_cast<size_t>(pos);
-    size_t hi = std::min(lo + 1, v.size() - 1);
-    return v[lo] + (v[hi] - v[lo]) * (pos - static_cast<double>(lo));
-  };
-  return Spread{at(0.5), at(0.25), at(0.75)};
-}
+using bench::Spread;
+using bench::SpreadOf;
 
 std::string Show(const Spread& s) {
   return StrFormat("%.3f (%.3f-%.3f)", s.median, s.q1, s.q3);

@@ -7,8 +7,10 @@
 //   q1agg  — a TPC-H Q1-shaped aggregation (4 groups, 4 accumulators, wide
 //            scans) rebuilt per rep, so the arena chunks churn through the
 //            pool the way repeated queries churn them through a server.
-// `--json` emits a machine-readable summary; CI's mem-smoke job asserts
-// ratio >= threshold and uploads the JSON as an artifact.
+// The twins alternate over kRounds rounds; each round's global/pool time
+// ratio is one sample, and the median and quartiles of those samples are
+// reported. `--json` emits a machine-readable summary; CI's mem-smoke job
+// asserts the median ratio >= threshold and uploads the JSON as an artifact.
 
 #include <algorithm>
 #include <chrono>
@@ -81,13 +83,29 @@ int64_t RunQ1Agg(BlockPool* pool, int reps, int rows) {
   return NowNs() - start;
 }
 
+/// One workload's paired rounds.
 struct Twin {
+  explicit Twin(const char* workload) : name(workload) {}
+
   const char* name;
-  int64_t pool_ns = 0;
-  int64_t global_ns = 0;
-  /// > 1 means the pool twin was faster.
-  double ratio() const {
-    return pool_ns > 0 ? static_cast<double>(global_ns) / pool_ns : 0;
+  std::vector<double> pool_ms;
+  std::vector<double> global_ms;
+  /// Per round, global time / pool time: > 1 means the pool twin was faster.
+  std::vector<double> ratios;
+
+  /// Runs `run(pooled)` for both twins back to back, the pool twin first
+  /// on even rounds and second on odd ones, and records the pair.
+  template <typename Run>
+  void RunRound(int round, Run run) {
+    const bool pool_first = round % 2 == 0;
+    const int64_t first = run(pool_first);
+    const int64_t second = run(!pool_first);
+    const int64_t pool_ns = pool_first ? first : second;
+    const int64_t global_ns = pool_first ? second : first;
+    pool_ms.push_back(pool_ns / 1e6);
+    global_ms.push_back(global_ns / 1e6);
+    ratios.push_back(static_cast<double>(global_ns) /
+                     static_cast<double>(std::max<int64_t>(1, pool_ns)));
   }
 };
 
@@ -116,47 +134,55 @@ int main(int argc, char** argv) {
   RunQ1Agg(&pool, 2, kAggRows);
   RunQ1Agg(nullptr, 2, kAggRows);
 
-  // Interleave the twins over several rounds and keep each side's best time:
-  // min-of-N strips scheduler/frequency noise that a single back-to-back pair
-  // is at the mercy of, and interleaving keeps a slow patch of wall time from
-  // landing entirely on one twin.
-  constexpr int kRounds = 3;
+  // Each round runs both twins back to back, alternating which goes first,
+  // and yields one paired ratio: a slow patch of wall time lands on both
+  // sides of a pair. The median over the rounds, with its quartiles, does
+  // not hang on any single run.
+  constexpr int kRounds = 15;
   Twin churn{"churn"};
   Twin q1{"q1agg"};
-  churn.pool_ns = q1.pool_ns = churn.global_ns = q1.global_ns = INT64_MAX;
   for (int r = 0; r < kRounds; ++r) {
-    churn.pool_ns =
-        std::min(churn.pool_ns, RunChurn(&pool, kThreads, kChurnIters));
-    churn.global_ns =
-        std::min(churn.global_ns, RunChurn(nullptr, kThreads, kChurnIters));
-    q1.pool_ns = std::min(q1.pool_ns, RunQ1Agg(&pool, kAggReps, kAggRows));
-    q1.global_ns =
-        std::min(q1.global_ns, RunQ1Agg(nullptr, kAggReps, kAggRows));
+    churn.RunRound(r, [&](bool pooled) {
+      return RunChurn(pooled ? &pool : nullptr, kThreads, kChurnIters);
+    });
+    q1.RunRound(r, [&](bool pooled) {
+      return RunQ1Agg(pooled ? &pool : nullptr, kAggReps, kAggRows);
+    });
   }
 
   BlockPool::Stats stats = pool.GetStats();
   if (json) {
-    std::printf(
-        "{\"churn\":{\"pool_ns\":%lld,\"global_ns\":%lld,\"ratio\":%.4f},"
-        "\"q1agg\":{\"pool_ns\":%lld,\"global_ns\":%lld,\"ratio\":%.4f},"
-        "\"pool\":{\"hits\":%lld,\"misses\":%lld,\"recycled_bytes\":%lld}}\n",
-        static_cast<long long>(churn.pool_ns),
-        static_cast<long long>(churn.global_ns), churn.ratio(),
-        static_cast<long long>(q1.pool_ns),
-        static_cast<long long>(q1.global_ns), q1.ratio(),
+    std::string out = StrFormat("{\"rounds\":%d", kRounds);
+    for (const Twin* t : {&churn, &q1}) {
+      const bench::Spread ratio = bench::SpreadOf(t->ratios);
+      out += StrFormat(
+          ",\"%s\":{\"ratio_median\":%.4f,\"ratio_q1\":%.4f,"
+          "\"ratio_q3\":%.4f,\"pool_ms_median\":%.3f,"
+          "\"global_ms_median\":%.3f}",
+          t->name, ratio.median, ratio.q1, ratio.q3,
+          bench::SpreadOf(t->pool_ms).median,
+          bench::SpreadOf(t->global_ms).median);
+    }
+    out += StrFormat(
+        ",\"pool\":{\"hits\":%lld,\"misses\":%lld,\"recycled_bytes\":%lld}}",
         static_cast<long long>(stats.hits),
         static_cast<long long>(stats.misses),
         static_cast<long long>(stats.recycled_bytes));
+    std::printf("%s\n", out.c_str());
     return 0;
   }
 
   bench::Title("micro_alloc: BlockPool vs global allocator");
+  std::printf("medians over %d paired rounds; speedup as median (q1-q3)\n",
+              kRounds);
   bench::TablePrinter table(bench::CsvMode(argc, argv));
   table.Header({"workload", "pool_ms", "global_ms", "speedup"});
-  for (const Twin& t : {churn, q1}) {
-    table.Row({t.name, StrFormat("%.1f", t.pool_ns / 1e6),
-               StrFormat("%.1f", t.global_ns / 1e6),
-               StrFormat("%.2fx", t.ratio())});
+  for (const Twin* t : {&churn, &q1}) {
+    const bench::Spread ratio = bench::SpreadOf(t->ratios);
+    table.Row({t->name, StrFormat("%.1f", bench::SpreadOf(t->pool_ms).median),
+               StrFormat("%.1f", bench::SpreadOf(t->global_ms).median),
+               StrFormat("%.2fx (%.2f-%.2f)", ratio.median, ratio.q1,
+                         ratio.q3)});
   }
   table.Print();
   std::printf("pool: %lld hits, %lld misses, %.1f MiB recycled\n",

@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
           return 1;
         }
         row.push_back(StrFormat(
-            "%.1f", db.last_stats().peak_memory_bytes / 1048576.0));
+            "%.1f", db.executor()->report().peak_memory_bytes / 1048576.0));
       }
       table.Row(std::move(row));
     }

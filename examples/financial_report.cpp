@@ -46,11 +46,12 @@ int main(int argc, char** argv) {
                    result.status().ToString().c_str());
       return 1;
     }
+    const ExecutionReport& report = db.executor()->report();
     std::printf("SSE-Q%d: %lld rows in %.1f ms (network %s, peak memory %s)\n",
                 q, static_cast<long long>(result->num_rows()),
-                db.last_stats().elapsed_ns / 1e6,
-                HumanBytes(db.last_stats().remote_bytes).c_str(),
-                HumanBytes(db.last_stats().peak_memory_bytes).c_str());
+                report.elapsed_ns / 1e6,
+                HumanBytes(report.remote_bytes).c_str(),
+                HumanBytes(report.peak_memory_bytes).c_str());
     if (q == 6) std::printf("%s", result->ToString(3).c_str());
   }
   return 0;

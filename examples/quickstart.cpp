@@ -54,9 +54,10 @@ int main(int argc, char** argv) {
                    result.status().ToString().c_str());
       return 1;
     }
+    const ExecutionReport& report = db.executor()->report();
     std::printf("--- %s: %.1f ms, peak memory %s ---\n", ExecModeName(mode),
-                db.last_stats().elapsed_ns / 1e6,
-                HumanBytes(db.last_stats().peak_memory_bytes).c_str());
+                report.elapsed_ns / 1e6,
+                HumanBytes(report.peak_memory_bytes).c_str());
     std::printf("%s\n", result->ToString().c_str());
   }
 

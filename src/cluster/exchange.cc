@@ -140,10 +140,16 @@ bool SenderPump::SendBlock(int dest_index, BlockPtr block,
   const bool recording = rec->enabled();
   Clock* clock = spec_.clock != nullptr ? spec_.clock : SteadyClock::Default();
   const int64_t t0 = recording ? clock->NowNanos() : 0;
-  const int64_t bytes = recording ? block->payload_bytes() : 0;
+  const int64_t bytes = block->payload_bytes();
   uint64_t wire_seq = 0;
   SendOutcome outcome =
       spec_.network->SendRoute(route, std::move(block), cancel, &wire_seq);
+  // Counted here, per query, rather than read off the fabric's total, which
+  // every concurrent query adds to.
+  if (outcome == SendOutcome::kOk && spec_.stats != nullptr &&
+      route.from_physical != route.to_physical) {
+    spec_.stats->remote_bytes.fetch_add(bytes, std::memory_order_relaxed);
+  }
   if (recording && outcome == SendOutcome::kOk) {
     // The span covers retries and NIC throttle waits too: that *is* the time
     // this block spent getting onto the wire, and the critical path should

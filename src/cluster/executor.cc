@@ -86,7 +86,6 @@ Result<std::unique_ptr<Iterator>> Executor::BuildIteratorInner(
                       op.table_name.c_str(), node, table->num_partitions()));
       }
       ScanIterator::Options so;
-      so.num_sockets = op.numa_sockets;
       so.predicate = op.predicate;  // fused filter (predicate pushdown)
       // The iterator must reference storage that outlives it: the table's
       // own schema (the plan and catalog outlive the execution).
@@ -211,6 +210,13 @@ void Executor::TriggerCancel(bool deadline) {
   for (Segment* s : live_segments_) s->Cancel();
 }
 
+void Executor::CancelAfterFailure() {
+  std::lock_guard<std::mutex> lock(live_mu_);
+  for (Segment* s : live_segments_) {
+    if (!s->failed()) s->Cancel();
+  }
+}
+
 namespace {
 /// Runs a cleanup functor on scope exit (early error returns included).
 template <typename F>
@@ -239,17 +245,13 @@ Result<ResultSet> Executor::Execute(const PhysicalPlan& plan,
     // dynamic scheduler's domain to give memory back before operators spill.
     budget_->SetShrinkHook([this] { return ShrinkForMemory(); });
   }
-  stats_ = ExecStats{};
   report_ = ExecutionReport{};
   // Every exit path, failures included, reports this run's ledger peak.
-  ScopeGuard record_peak([this] {
-    stats_.peak_memory_bytes = budget_->peak_charged_bytes();
-    report_.peak_memory_bytes = stats_.peak_memory_bytes;
-  });
+  ScopeGuard record_peak(
+      [this] { report_.peak_memory_bytes = budget_->peak_charged_bytes(); });
   if (cancel_requested_.load(std::memory_order_acquire)) {
     return Status::Cancelled("query cancelled before execution started");
   }
-  int64_t remote0 = cluster_->network()->total_remote_bytes();
 
   // Placement: plans address *logical* nodes (which partition to scan, which
   // channel to consume); this execution maps each logical node onto a live
@@ -317,6 +319,7 @@ Result<ResultSet> Executor::Execute(const PhysicalPlan& plan,
       Segment::Config config;
       config.stats = stats.get();
       config.clock = clock;
+      config.on_failure = [this] { CancelAfterFailure(); };
       config.max_parallelism =
           f.max_parallelism > 0
               ? std::min(f.max_parallelism, cluster_->options().cores_per_node)
@@ -497,7 +500,9 @@ Result<ResultSet> Executor::Execute(const PhysicalPlan& plan,
   // Fail the query if any segment's stream broke mid-pump (child operator
   // error / aborted send): the blocks drained above are incomplete and must
   // not be returned as a clean result. Producers close their exchanges even
-  // on failure, so downstream segments drained and joined normally above.
+  // on failure, so downstream segments drained normally above, and the
+  // first failure cancelled every other segment (CancelAfterFailure), so
+  // upstream producers blocked on the broken consumer joined too.
   // Infrastructure failures (dead endpoint, fault storm outlasting retries)
   // surface as kUnavailable — retryable; logic errors stay kInternal.
   for (auto& segment : segments_) {
@@ -525,8 +530,6 @@ Result<ResultSet> Executor::Execute(const PhysicalPlan& plan,
   }
 
   int64_t t1 = clock->NowNanos();
-  stats_.elapsed_ns = t1 - t0;
-  stats_.remote_bytes = cluster_->network()->total_remote_bytes() - remote0;
 
   // EXPLAIN-ANALYZE report: segment rows copied from the very SegmentStats
   // the scheduler sampled, so report totals reconcile with the counters;
@@ -541,13 +544,13 @@ Result<ResultSet> Executor::Execute(const PhysicalPlan& plan,
     }
   }
   report_.mode = ExecModeName(opts.mode);
-  report_.elapsed_ns = stats_.elapsed_ns;
+  report_.elapsed_ns = t1 - t0;
   report_.queue_wait_ns = opts.queue_wait_ns;
-  report_.remote_bytes = stats_.remote_bytes;
   report_.result_tuples = result.num_rows();
   for (size_t i = 0; i < segments_.size(); ++i) {
     const Segment& seg = *segments_[i];
     const SegmentStats& st = *stats_own_[i];
+    report_.remote_bytes += st.remote_bytes.load(std::memory_order_relaxed);
     SegmentReport sr;
     sr.name = seg.name();
     sr.node_id = seg.node_id();
@@ -574,7 +577,7 @@ Result<ResultSet> Executor::Execute(const PhysicalPlan& plan,
     EventRecord query(EventKind::kQuery, RecordOwner{qid, "", 0}, t0, t1);
     query.name = label;
     query.tuples = result.num_rows();
-    query.bytes = stats_.remote_bytes;
+    query.bytes = report_.remote_bytes;
     recorder->Record(std::move(query));
     if (opts.queue_wait_ns > 0) {
       EventRecord wait(EventKind::kSchedulerWait, RecordOwner{qid, "", 0},

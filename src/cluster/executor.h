@@ -60,18 +60,11 @@ struct ExecOptions {
   /// Binding per-query memory budget in bytes; 0 leaves the query's ledger
   /// unbounded. Every execution charges its arena chunks, buffered blocks
   /// and exchange-channel blocks to one QueryBudget, whose peak is
-  /// ExecStats::peak_memory_bytes. With a budget the ledger refuses past it
-  /// and the ladder runs shrink → spill → kResourceExhausted
+  /// ExecutionReport::peak_memory_bytes. With a budget the ledger refuses
+  /// past it and the ladder runs shrink → spill → kResourceExhausted
   /// (docs/MEMORY.md). The workload manager passes the admitted reservation
   /// here, making the WLM estimate binding rather than advisory.
   int64_t memory_budget_bytes = 0;
-};
-
-struct ExecStats {
-  int64_t elapsed_ns = 0;
-  /// The ledger's peak charge; set on every exit path, failures included.
-  int64_t peak_memory_bytes = 0;
-  int64_t remote_bytes = 0;
 };
 
 /// Coarse liveness of one execution, cheap enough to sample from another
@@ -106,8 +99,6 @@ class Executor {
   /// cancelled (one executor per query execution).
   void Cancel();
 
-  const ExecStats& stats() const { return stats_; }
-
   /// Live progress while Execute runs; after completion the final totals
   /// stay latched (with executing=false). Callable from any thread — the
   /// workload manager's /queries endpoint and the stall watchdog's
@@ -117,7 +108,8 @@ class Executor {
   /// EXPLAIN-ANALYZE summary of the most recent Execute. Per-segment numbers
   /// are copied from the segments' SegmentStats, so they reconcile exactly
   /// with what the scheduler sampled; parallelism timelines come from the
-  /// launch widths and the scheduler's decision audit.
+  /// launch widths and the scheduler's decision audit. The ledger peak is
+  /// set on every exit path, failures included.
   const ExecutionReport& report() const { return report_; }
 
   /// Live segments of the most recent Execute (valid during execution; used
@@ -145,6 +137,13 @@ class Executor {
   /// Called from Cancel() (user thread) and the deadline watchdog.
   void TriggerCancel(bool deadline);
 
+  /// A segment's stream broke: aborts every registered segment that has not
+  /// failed itself, so producers blocked on the broken consumer's full
+  /// channel unwind and Execute can join them. Latches no cancel reason —
+  /// Execute reports the failure's own status. Called from the failing
+  /// segment's driver thread.
+  void CancelAfterFailure();
+
   /// First rung of the degradation ladder, installed as the ledger's shrink
   /// hook: release memory headroom by shrinking the widest live segment's
   /// elastic parallelism (one fewer worker = one fewer private table /
@@ -159,7 +158,6 @@ class Executor {
   std::unique_ptr<QueryBudget> budget_;
   std::vector<std::unique_ptr<Segment>> segments_;
   std::vector<std::unique_ptr<SegmentStats>> stats_own_;
-  ExecStats stats_;
   ExecutionReport report_;
 
   /// Cancel reasons are atomics so Execute's hot paths read them lock-free;

@@ -80,11 +80,10 @@ std::string POp::ToString(int indent) const {
   return out;
 }
 
-std::unique_ptr<POp> MakeScanOp(const Table& table, int numa_sockets) {
+std::unique_ptr<POp> MakeScanOp(const Table& table) {
   auto op = std::make_unique<POp>();
   op->kind = POp::Kind::kScan;
   op->table_name = table.name();
-  op->numa_sockets = numa_sockets;
   op->output_schema = table.schema();
   return op;
 }

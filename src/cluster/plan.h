@@ -34,7 +34,6 @@ struct POp {
 
   // kScan
   std::string table_name;
-  int numa_sockets = 1;
   // kMerger: input exchange fed by a child fragment.
   int exchange_id = -1;
   // kFilter — also set on a kScan when a filter over it was fused in
@@ -65,7 +64,7 @@ struct POp {
 
 // --- POp factories (output schemas computed here) ---------------------------------
 
-std::unique_ptr<POp> MakeScanOp(const Table& table, int numa_sockets = 1);
+std::unique_ptr<POp> MakeScanOp(const Table& table);
 std::unique_ptr<POp> MakeMergerOp(int exchange_id, Schema schema);
 std::unique_ptr<POp> MakeFilterOp(std::unique_ptr<POp> child, ExprPtr pred);
 std::unique_ptr<POp> MakeProjectOp(std::unique_ptr<POp> child,

@@ -61,6 +61,7 @@ void Segment::DriverMain() {
   // the executor can distinguish "drained" from "gave up mid-stream".
   if (!pump_ok && !cancel_.load(std::memory_order_acquire)) {
     failed_.store(true, std::memory_order_release);
+    if (config_.on_failure) config_.on_failure();
   }
   final_parallelism_.store(elastic_->parallelism(), std::memory_order_release);
   done_.store(true, std::memory_order_release);

@@ -1,6 +1,7 @@
 #ifndef CLAIMS_CLUSTER_SEGMENT_H_
 #define CLAIMS_CLUSTER_SEGMENT_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -29,6 +30,9 @@ class Segment : public SchedulableSegment {
     SegmentStats* stats = nullptr;
     Clock* clock = nullptr;
     int max_parallelism = 24;
+    /// Called once, from the driver thread, when the stream breaks (see
+    /// failed()); the executor cancels the query's other segments.
+    std::function<void()> on_failure;
   };
 
   /// `ops_root` is the operator tree below the elastic iterator.

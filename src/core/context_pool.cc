@@ -3,29 +3,15 @@
 namespace claims {
 
 void ContextPool::Release(std::unique_ptr<IteratorContext> context,
-                          int core_id, int socket_id) {
+                          int core_id) {
   std::lock_guard<std::mutex> lock(mu_);
-  entries_.push_back(Entry{std::move(context), core_id, socket_id});
+  entries_.push_back(Entry{std::move(context), core_id});
 }
 
-std::unique_ptr<IteratorContext> ContextPool::Acquire(int core_id,
-                                                      int socket_id) {
+std::unique_ptr<IteratorContext> ContextPool::Acquire(int core_id) {
   std::lock_guard<std::mutex> lock(mu_);
   for (size_t i = 0; i < entries_.size(); ++i) {
-    const Entry& e = entries_[i];
-    bool match = false;
-    switch (mode_) {
-      case ContextMode::kVoid:
-        match = true;
-        break;
-      case ContextMode::kProcessor:
-        match = e.socket_id == socket_id;
-        break;
-      case ContextMode::kCore:
-        match = e.core_id == core_id;
-        break;
-    }
-    if (match) {
+    if (entries_[i].core_id == core_id) {
       std::unique_ptr<IteratorContext> out = std::move(entries_[i].context);
       entries_.erase(entries_.begin() + static_cast<ptrdiff_t>(i));
       ++reuse_count_;

@@ -16,36 +16,28 @@ class IteratorContext {
   virtual ~IteratorContext() = default;
 };
 
-/// Context-reuse locality policy (paper §3.2(1)):
-///  * kVoid      — any worker may reuse any parked context;
-///  * kProcessor — only workers on the same NUMA socket may reuse it (the
-///                 context may still sit in that socket's LLC / local memory);
-///  * kCore      — only workers on the same core may reuse it (private-cache
-///                 residency).
-/// Iterators pick a mode by the storage footprint of their context.
-enum class ContextMode { kVoid = 0, kProcessor = 1, kCore = 2 };
-
 /// Parking lot for worker contexts across shrink/expand cycles. When a worker
 /// terminates it parks its context here instead of destroying it; a later
-/// expansion reuses a compatible context and skips the (potentially
+/// expansion on the same core reuses it and skips the (potentially
 /// expensive) initialization — the key to the paper's millisecond-level
 /// parallelism adjustments under frequent expand/shrink.
+///
+/// Reuse is the paper's core mode (§3.2(1)): a context goes only to a worker
+/// on the core that built it, where it may still sit in that core's private
+/// caches. The paper's void and processor modes trade that locality for
+/// more reuse across the sockets of its 2-socket servers; the real engine
+/// runs on one socket, so they are not modelled.
 class ContextPool {
  public:
-  explicit ContextPool(ContextMode mode) : mode_(mode) {}
+  ContextPool() = default;
   CLAIMS_DISALLOW_COPY_AND_ASSIGN(ContextPool);
 
-  ContextMode mode() const { return mode_; }
+  /// Parks a context created on `core_id`.
+  void Release(std::unique_ptr<IteratorContext> context, int core_id);
 
-  /// Parks a context created on (core_id, socket_id).
-  void Release(std::unique_ptr<IteratorContext> context, int core_id,
-               int socket_id);
-
-  /// Takes a context compatible with the caller's placement under the pool's
-  /// mode, or nullptr when none is parked (the caller then builds a fresh
-  /// one). kVoid matches anything; kProcessor matches socket; kCore matches
-  /// core.
-  std::unique_ptr<IteratorContext> Acquire(int core_id, int socket_id);
+  /// Takes a context parked from `core_id`, or nullptr when none is (the
+  /// caller then builds a fresh one).
+  std::unique_ptr<IteratorContext> Acquire(int core_id);
 
   /// Drains every parked context (used by blocking iterators that must fold
   /// all partial states into the global one at the end of construction).
@@ -61,10 +53,8 @@ class ContextPool {
   struct Entry {
     std::unique_ptr<IteratorContext> context;
     int core_id;
-    int socket_id;
   };
 
-  ContextMode mode_;
   mutable std::mutex mu_;
   std::vector<Entry> entries_;
   int64_t reuse_count_ = 0;

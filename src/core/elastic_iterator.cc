@@ -103,9 +103,6 @@ void ElasticIterator::WorkerMain(Worker* worker) {
   WorkerContext ctx;
   ctx.worker_id = worker->worker_id;
   ctx.core_id = worker->core_id;
-  ctx.socket_id = options_.cores_per_socket > 0
-                      ? worker->core_id / options_.cores_per_socket
-                      : 0;
   ctx.terminate_requested = &worker->terminate;
   ctx.processing_started = &worker->ready;
   ctx.stats = options_.stats;

@@ -54,9 +54,6 @@ class ElasticIterator : public Iterator {
     /// to kResourceExhausted.
     QueryBudget* budget = nullptr;
     Clock* clock = nullptr;  ///< defaults to SteadyClock
-    /// Simulated cores-per-socket used to derive socket ids from core ids for
-    /// the context-reuse pool (paper hardware: 12 cores / socket).
-    int cores_per_socket = 12;
   };
 
   ElasticIterator(std::unique_ptr<Iterator> child, Options options);

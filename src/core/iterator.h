@@ -27,15 +27,14 @@ enum class NextResult {
 
 /// Per-worker-thread execution context threaded through every Open/Next call.
 /// It carries the terminate flag polled by `DetectedTerminateRequest()` (the
-/// appendix's termination checks), the worker's simulated core placement used
-/// by the context-reuse pool (§3.2), and the segment's shared statistics
-/// counters read by the dynamic scheduler.
+/// appendix's termination checks), the worker's bookkeeping core used by the
+/// context-reuse pool (§3.2), and the segment's shared statistics counters
+/// read by the dynamic scheduler.
 struct WorkerContext {
   int worker_id = 0;
-  /// Simulated core / NUMA-socket placement (threads are not pinned; ids feed
-  /// the context pool's core/processor reuse modes).
+  /// Bookkeeping core the scheduler assigned (threads are not pinned); the
+  /// context pool reuses a parked context only on the same core.
   int core_id = 0;
-  int socket_id = 0;
 
   /// Set by ElasticIterator::Shrink; checked at block boundaries.
   std::atomic<bool>* terminate_requested = nullptr;

@@ -35,6 +35,9 @@ struct SegmentStats {
   std::atomic<int64_t> blocked_output_ns{0};
   /// Average visit rate V_i aggregated from input block tails (§4.3).
   std::atomic<double> visit_rate{1.0};
+  /// Payload bytes the segment's sender delivered to another host; the
+  /// query's remote bytes are the sum over its segments.
+  std::atomic<int64_t> remote_bytes{0};
 
   double selectivity() const {
     int64_t in = input_tuples.load(std::memory_order_relaxed);

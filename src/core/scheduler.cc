@@ -146,14 +146,13 @@ void DynamicScheduler::Shutdown() {
   loop_cv_.notify_one();
 }
 
-std::vector<SchedulerAction> DynamicScheduler::Tick() {
+void DynamicScheduler::Tick() {
   std::lock_guard<std::mutex> lock(mu_);
-  return TickLocked();
+  TickLocked();
 }
 
-std::vector<SchedulerAction> DynamicScheduler::TickLocked() {
-  if (!enabled_.load(std::memory_order_acquire)) return {};
-  std::vector<SchedulerAction> actions;
+void DynamicScheduler::TickLocked() {
+  if (!enabled_.load(std::memory_order_acquire)) return;
   const int64_t now = clock_->NowNanos();
   const double thr = options_.blocked_fraction_threshold;
   ticks_metric_->Add();
@@ -278,7 +277,7 @@ std::vector<SchedulerAction> DynamicScheduler::TickLocked() {
 
   if (live.empty() || std::isinf(lambda)) {
     record_audit();
-    return actions;
+    return;
   }
   const double delta = std::max(lambda * options_.delta_fraction, 1e-9);
 
@@ -315,8 +314,6 @@ std::vector<SchedulerAction> DynamicScheduler::TickLocked() {
       expand_metric_->Add();
       // The segment was in the U set (R_i ≤ λ(1+ε)) and a free core existed.
       action_of[best->rec] = "expand+1(free)";
-      actions.push_back(SchedulerAction{SchedulerAction::Kind::kExpandFree,
-                                        best->rec->segment->name(), ""});
     }
   } else if (!under.empty() && !over.empty()) {
     // ---- 5. Algorithm 1 pair evaluation (lines 5-11) -------------------------
@@ -366,9 +363,6 @@ std::vector<SchedulerAction> DynamicScheduler::TickLocked() {
         // cleared λ+Δ.
         action_of[best_u->rec] = "expand+1(pair)";
         action_of[best_o->rec] = "shrink-1(pair)";
-        actions.push_back(SchedulerAction{SchedulerAction::Kind::kMovePair,
-                                          best_u->rec->segment->name(),
-                                          best_o->rec->segment->name()});
       }
     }
   }
@@ -380,8 +374,6 @@ std::vector<SchedulerAction> DynamicScheduler::TickLocked() {
       if (c.rec->segment->Shrink()) {
         shrink_metric_->Add();
         action_of[c.rec] = "shrink-1(starved)";
-        actions.push_back(SchedulerAction{
-            SchedulerAction::Kind::kShrinkStarved, "", c.rec->segment->name()});
       }
     } else if (c.out_blocked && p > 1 &&
                c.rec->blocked_out_fraction > 1.4 * thr) {
@@ -391,14 +383,10 @@ std::vector<SchedulerAction> DynamicScheduler::TickLocked() {
       if (c.rec->segment->Shrink()) {
         shrink_metric_->Add();
         action_of[c.rec] = "shrink-1(over-producing)";
-        actions.push_back(SchedulerAction{
-            SchedulerAction::Kind::kShrinkOverproducing, "",
-            c.rec->segment->name()});
       }
     }
   }
   record_audit();
-  return actions;
 }
 
 }  // namespace claims

@@ -91,14 +91,6 @@ struct SchedulerOptions {
   int trace_pid = -1;
 };
 
-/// Per-tick decision record, for tests / Fig. 10-13 traces.
-struct SchedulerAction {
-  enum class Kind { kExpandFree, kMovePair, kShrinkStarved, kShrinkOverproducing };
-  Kind kind;
-  std::string expanded;  // segment names (empty when n/a)
-  std::string shrunk;
-};
-
 /// The per-node dynamic scheduler (paper §4, Fig. 6; Algorithm 1). Runs as an
 /// independent control loop; each Tick() it
 ///  1. samples every local segment's processing rate T_i and visit rate V_i,
@@ -146,8 +138,8 @@ class DynamicScheduler {
   void SetEnabled(bool enabled);
   bool enabled() const { return enabled_.load(std::memory_order_acquire); }
 
-  /// One scheduling round; returns the actions taken.
-  std::vector<SchedulerAction> Tick();
+  /// One scheduling round; LastAudit() records what it decided.
+  void Tick();
 
   /// Cores currently assigned to local segments.
   int cores_in_use() const;
@@ -198,7 +190,7 @@ class DynamicScheduler {
   static constexpr size_t kAuditCap = 512;
 
   /// One scheduling round; the caller holds mu_.
-  std::vector<SchedulerAction> TickLocked();
+  void TickLocked();
 
   int node_id_;
   SchedulerOptions options_;

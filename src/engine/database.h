@@ -54,8 +54,8 @@ class Database {
   /// Plan without executing (for benches that instrument execution).
   Result<PhysicalPlan> Plan(std::string_view sql);
 
-  /// Execution metrics of the most recent Query call.
-  const ExecStats& last_stats() const { return executor_->stats(); }
+  /// The executor of every Query call; its report() describes the most
+  /// recent one.
   Executor* executor() { return executor_.get(); }
 
  private:

@@ -60,8 +60,7 @@ HashAggIterator::HashAggIterator(std::unique_ptr<Iterator> child, Spec spec)
               spec_.mode == Mode::kShared && group_schema_.num_columns() > 0
                   ? spec_.num_buckets
                   : initial_buckets_,
-              MemSource{spec_.pool, spec_.budget}),
-      context_pool_(ContextMode::kCore) {
+              MemSource{spec_.pool, spec_.budget}) {
   fns_.reserve(spec_.aggregates.size());
   for (const Aggregate& a : spec_.aggregates) fns_.push_back(a.fn);
   all_group_cols_.resize(group_schema_.num_columns());
@@ -203,7 +202,7 @@ NextResult HashAggIterator::Open(WorkerContext* ctx) {
   std::unique_ptr<PrivateAggContext> priv;
   if (privately) {
     // Try to reuse a parked private table allocated by this core (§3.2(1)).
-    auto reused = context_pool_.Acquire(ctx->core_id, ctx->socket_id);
+    auto reused = context_pool_.Acquire(ctx->core_id);
     if (reused != nullptr) {
       priv.reset(static_cast<PrivateAggContext*>(reused.release()));
     } else {
@@ -238,7 +237,7 @@ NextResult HashAggIterator::Open(WorkerContext* ctx) {
       }
       if (privately) {
         // Park the partial table for reuse; flushed by the last finisher.
-        context_pool_.Release(std::move(priv), ctx->core_id, ctx->socket_id);
+        context_pool_.Release(std::move(priv), ctx->core_id);
       }
       if (!already_open) build_barrier_.Deregister();
       // kError re-raises (broken stream); everything else unwinds as a shrink.

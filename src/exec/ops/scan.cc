@@ -10,10 +10,6 @@ namespace claims {
 ScanIterator::ScanIterator(const TablePartition* partition,
                            const Schema* schema, Options options)
     : partition_(partition), schema_(schema), options_(std::move(options)) {
-  if (options_.num_sockets < 1) options_.num_sockets = 1;
-  for (int s = 0; s < options_.num_sockets; ++s) {
-    cursors_.push_back(std::make_unique<std::atomic<int>>(0));
-  }
   if (options_.predicate != nullptr) {
     batch_pred_ = BatchPredicate::Compile(*schema_, options_.predicate);
   }
@@ -25,37 +21,17 @@ NextResult ScanIterator::Open(WorkerContext* ctx) {
     if (!already_open) open_barrier_.Deregister();
     return NextResult::kTerminated;
   }
-  // The read cursors are members initialized at construction; the first
+  // The read cursor is a member initialized at construction; the first
   // worker has nothing heavy to do, matching the appendix's instant open.
   init_gate_.TryClaim();
   open_barrier_.Arrive();
   return NextResult::kSuccess;
 }
 
-int ScanIterator::ClaimFrom(int socket) {
-  const int stride = options_.num_sockets;
-  const int num_blocks = partition_->num_blocks();
-  while (true) {
-    int pos = cursors_[socket]->load(std::memory_order_relaxed);
-    int index = socket + pos * stride;
-    if (index >= num_blocks) return -1;
-    if (cursors_[socket]->compare_exchange_weak(pos, pos + 1,
-                                                std::memory_order_relaxed)) {
-      return index;
-    }
-  }
-}
-
 NextResult ScanIterator::Next(WorkerContext* ctx, BlockPtr* out) {
   if (ctx->DetectedTerminateRequest()) return NextResult::kTerminated;
-  // Prefer the worker's own socket slice, then steal round-robin.
-  int home = options_.num_sockets > 0 ? ctx->socket_id % options_.num_sockets
-                                      : 0;
-  int index = -1;
-  for (int i = 0; i < options_.num_sockets && index < 0; ++i) {
-    index = ClaimFrom((home + i) % options_.num_sockets);
-  }
-  if (index < 0) return NextResult::kEndOfFile;
+  const int index = cursor_.fetch_add(1, std::memory_order_relaxed);
+  if (index >= partition_->num_blocks()) return NextResult::kEndOfFile;
 
   const Block& src = *partition_->block(index);
   // Copy out of immutable storage so downstream stages own their blocks

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <memory>
-#include <vector>
 
 #include "core/barrier.h"
 #include "core/iterator.h"
@@ -22,15 +21,9 @@ namespace claims {
 /// immutable) tagged with dense sequence numbers in storage order — the
 /// numbering that order-preserving elastic iterators merge on (§3.2) — and
 /// with the visit-rate tail of an input-group segment (V = 1, §4.3).
-///
-/// In the NUMA-aware variant the table partition is conceptually split into
-/// per-socket slices; a worker prefers blocks of its own socket's slice and
-/// steals from other slices only when its own is exhausted.
 class ScanIterator : public Iterator {
  public:
   struct Options {
-    /// Simulated NUMA sockets the partition is striped over (1 = flat).
-    int num_sockets = 1;
     /// Optional pushed-down predicate: rows are filtered during the
     /// copy-out of the storage block (one pass, no intermediate block).
     /// A fully filtered storage block still emits an empty watermark block
@@ -48,15 +41,12 @@ class ScanIterator : public Iterator {
   void Close() override;
 
  private:
-  /// Claims the next unread block index on `socket`, or -1 when exhausted.
-  int ClaimFrom(int socket);
-
   const TablePartition* partition_;
   const Schema* schema_;
   Options options_;
   std::unique_ptr<BatchPredicate> batch_pred_;  ///< compiled pushdown filter
-  /// Per-socket cursors over an interleaved striping of the block list.
-  std::vector<std::unique_ptr<std::atomic<int>>> cursors_;
+  /// Next unread block index, shared by every worker.
+  std::atomic<int> cursor_{0};
   DynamicBarrier open_barrier_;
   FirstCallerGate init_gate_;
 };

@@ -27,8 +27,8 @@ PoolRegistry& Registry() {
 }
 }  // namespace
 
-/// One free list per (size class, simulated node). Its own mutex, so
-/// different classes and nodes never contend with each other.
+/// One free list per size class. Its own mutex, so different classes never
+/// contend with each other.
 struct BlockPool::CentralList {
   std::mutex mu;
   std::vector<char*> blocks;
@@ -38,7 +38,6 @@ struct BlockPool::CentralList {
 /// only by the owning thread, its exit included. The pool owns the storage,
 /// so a pool destroyed while the thread still runs frees it.
 struct BlockPool::ThreadCache {
-  int node = 0;
   std::vector<char*> magazines[kNumSizeClasses];
 };
 
@@ -67,12 +66,8 @@ BlockPool::BlockPool() : BlockPool(Options()) {}
 
 BlockPool::BlockPool(Options options)
     : options_(std::move(options)),
-      serial_(g_pool_serial.fetch_add(1, std::memory_order_relaxed)) {
-  const int nodes = std::max(1, options_.num_nodes);
-  central_.reserve(static_cast<size_t>(kNumSizeClasses) * nodes);
-  for (int i = 0; i < kNumSizeClasses * nodes; ++i) {
-    central_.push_back(std::make_unique<CentralList>());
-  }
+      serial_(g_pool_serial.fetch_add(1, std::memory_order_relaxed)),
+      central_(std::make_unique<CentralList[]>(kNumSizeClasses)) {
   if (!options_.metric_prefix.empty()) {
     MetricsRegistry* reg = MetricsRegistry::Global();
     const std::string& p = options_.metric_prefix;
@@ -86,7 +81,6 @@ BlockPool::BlockPool(Options options)
     released_os_metric_ = reg->counter(p + ".released_to_os_bytes");
     pressure_rejects_metric_ = reg->counter(p + ".pressure_rejects");
     pressure_fallbacks_metric_ = reg->counter(p + ".pressure_fallbacks");
-    numa_remote_metric_ = reg->counter(p + ".numa_remote");
   }
   PoolRegistry& registry = Registry();
   std::lock_guard<std::mutex> lock(registry.mu);
@@ -109,8 +103,8 @@ BlockPool::~BlockPool() {
       for (char* b : mag) delete[] b;
     }
   }
-  for (auto& list : central_) {
-    for (char* b : list->blocks) delete[] b;
+  for (int cls = 0; cls < kNumSizeClasses; ++cls) {
+    for (char* b : central_[cls].blocks) delete[] b;
   }
 }
 
@@ -142,8 +136,6 @@ BlockPool::ThreadCache* BlockPool::LocalCache() {
   ThreadCache* cache = owned.get();
   {
     std::lock_guard<std::mutex> lock(caches_mu_);
-    cache->node = next_node_;
-    next_node_ = (next_node_ + 1) % std::max(1, options_.num_nodes);
     caches_.push_back(std::move(owned));
   }
   caches.by_pool.emplace(serial_, cache);
@@ -152,7 +144,7 @@ BlockPool::ThreadCache* BlockPool::LocalCache() {
 
 void BlockPool::RetireCache(ThreadCache* cache) {
   for (int cls = 0; cls < kNumSizeClasses; ++cls) {
-    for (char* b : cache->magazines[cls]) PushCentral(cls, cache->node, b);
+    for (char* b : cache->magazines[cls]) PushCentral(cls, b);
   }
   {
     std::lock_guard<std::mutex> lock(caches_mu_);
@@ -164,10 +156,8 @@ void BlockPool::RetireCache(ThreadCache* cache) {
   PublishGauges();
 }
 
-char* BlockPool::PopCentral(int cls, int node) {
-  CentralList& list =
-      *central_[static_cast<size_t>(cls) * std::max(1, options_.num_nodes) +
-                node];
+char* BlockPool::PopCentral(int cls) {
+  CentralList& list = central_[cls];
   std::lock_guard<std::mutex> lock(list.mu);
   if (list.blocks.empty()) return nullptr;
   char* b = list.blocks.back();
@@ -177,7 +167,7 @@ char* BlockPool::PopCentral(int cls, int node) {
   return b;
 }
 
-void BlockPool::PushCentral(int cls, int node, char* data) {
+void BlockPool::PushCentral(int cls, char* data) {
   const int64_t bytes = static_cast<int64_t>(SizeClassBytes(cls));
   if (central_bytes_.load(std::memory_order_relaxed) + bytes >
       static_cast<int64_t>(options_.max_central_bytes)) {
@@ -186,9 +176,7 @@ void BlockPool::PushCentral(int cls, int node, char* data) {
     if (released_os_metric_ != nullptr) released_os_metric_->Add(bytes);
     return;
   }
-  CentralList& list =
-      *central_[static_cast<size_t>(cls) * std::max(1, options_.num_nodes) +
-                node];
+  CentralList& list = central_[cls];
   std::lock_guard<std::mutex> lock(list.mu);
   list.blocks.push_back(data);
   central_bytes_.fetch_add(bytes, std::memory_order_relaxed);
@@ -215,32 +203,21 @@ PoolAlloc BlockPool::Allocate(size_t min_bytes, bool strict) {
     }
   }
 
-  ThreadCache* cache = LocalCache();
   char* data = nullptr;
   bool recycled = false;
   if (cls >= 0) {
-    std::vector<char*>& mag = cache->magazines[cls];
+    std::vector<char*>& mag = LocalCache()->magazines[cls];
     if (!mag.empty()) {
       data = mag.back();
       mag.pop_back();
       recycled = true;
     } else {
-      // Refill half a magazine from the central tier: home node first, then
-      // steal from the other nodes (counted, so remote traffic is visible).
-      const int nodes = std::max(1, options_.num_nodes);
+      // Refill half a magazine from the class's central free list.
       const int want = std::max(1, options_.magazine_capacity / 2);
-      for (int step = 0; step < nodes && static_cast<int>(mag.size()) < want;
-           ++step) {
-        const int node = (cache->node + step) % nodes;
-        while (static_cast<int>(mag.size()) < want) {
-          char* b = PopCentral(cls, node);
-          if (b == nullptr) break;
-          if (step != 0) {
-            numa_remote_.fetch_add(1, std::memory_order_relaxed);
-            if (numa_remote_metric_ != nullptr) numa_remote_metric_->Add();
-          }
-          mag.push_back(b);
-        }
+      while (static_cast<int>(mag.size()) < want) {
+        char* b = PopCentral(cls);
+        if (b == nullptr) break;
+        mag.push_back(b);
       }
       if (!mag.empty()) {
         data = mag.back();
@@ -277,7 +254,6 @@ PoolAlloc BlockPool::Allocate(size_t min_bytes, bool strict) {
   out.data = data;
   out.bytes = bytes;
   out.size_class = cls;
-  out.numa_node = cache->node;
   return out;
 }
 
@@ -297,13 +273,7 @@ void BlockPool::Release(PoolAlloc alloc) {
     return;
   }
 
-  ThreadCache* cache = LocalCache();
-  if (alloc.numa_node >= 0 && alloc.numa_node != cache->node) {
-    // The chunk re-homes to the releasing thread's node; count the migration.
-    numa_remote_.fetch_add(1, std::memory_order_relaxed);
-    if (numa_remote_metric_ != nullptr) numa_remote_metric_->Add();
-  }
-  std::vector<char*>& mag = cache->magazines[alloc.size_class];
+  std::vector<char*>& mag = LocalCache()->magazines[alloc.size_class];
   mag.push_back(alloc.data);
   if (static_cast<int>(mag.size()) > options_.magazine_capacity) {
     // Magazine overflow: exchange the older half with the central tier.
@@ -311,7 +281,7 @@ void BlockPool::Release(PoolAlloc alloc) {
     while (static_cast<int>(mag.size()) > keep) {
       char* b = mag.front();
       mag.erase(mag.begin());
-      PushCentral(alloc.size_class, cache->node, b);
+      PushCentral(alloc.size_class, b);
     }
   }
   PublishGauges();
@@ -334,19 +304,17 @@ BlockPool::Stats BlockPool::GetStats() const {
       released_to_os_bytes_.load(std::memory_order_relaxed);
   s.pressure_rejects = pressure_rejects_.load(std::memory_order_relaxed);
   s.pressure_fallbacks = pressure_fallbacks_.load(std::memory_order_relaxed);
-  s.numa_remote = numa_remote_.load(std::memory_order_relaxed);
   return s;
 }
 
 void BlockPool::TrimCaches() {
-  for (size_t i = 0; i < central_.size(); ++i) {
-    CentralList& list = *central_[i];
+  for (int cls = 0; cls < kNumSizeClasses; ++cls) {
+    CentralList& list = central_[cls];
     std::vector<char*> drained;
     {
       std::lock_guard<std::mutex> lock(list.mu);
       drained.swap(list.blocks);
     }
-    const int cls = static_cast<int>(i / std::max(1, options_.num_nodes));
     const int64_t bytes =
         static_cast<int64_t>(SizeClassBytes(cls)) * drained.size();
     central_bytes_.fetch_sub(bytes, std::memory_order_relaxed);

@@ -25,18 +25,13 @@ struct PoolAlloc {
   size_t bytes = 0;
   /// Size class the chunk belongs to; -1 for oversized direct allocations.
   int size_class = -1;
-  /// Simulated NUMA node the chunk is tagged with (the allocating thread's
-  /// home node). Observability only on a one-socket box, but it makes
-  /// placement visible in /metrics and keeps the plumbing honest for real
-  /// NUMA later.
-  int numa_node = -1;
 
   explicit operator bool() const { return data != nullptr; }
 };
 
 /// Recycling block pool with power-of-two size classes (mem/size_class.h),
-/// thread-local magazines, and a shared central tier of per-(class, node)
-/// free lists. Modelled on the size-classed schemes Durner et al. show are
+/// thread-local magazines, and a shared central tier of one free list per
+/// size class. Modelled on the size-classed schemes Durner et al. show are
 /// worth >2x on in-memory query processing: the hot path (magazine hit) is
 /// a thread-local pop with no atomics; misses exchange half a magazine with
 /// the central tier under a short mutex.
@@ -54,8 +49,6 @@ struct PoolAlloc {
 class BlockPool {
  public:
   struct Options {
-    /// Simulated NUMA nodes; thread caches are assigned round-robin.
-    int num_nodes = 2;
     /// Per-class magazine capacity of each thread cache. Half a magazine is
     /// exchanged with the central tier on miss/overflow.
     int magazine_capacity = 8;
@@ -106,7 +99,6 @@ class BlockPool {
     int64_t released_to_os_bytes = 0;
     int64_t pressure_rejects = 0;    ///< strict allocations refused by cap
     int64_t pressure_fallbacks = 0;  ///< non-strict allocations under cap
-    int64_t numa_remote = 0;  ///< releases landing on a foreign node's list
   };
   Stats GetStats() const;
 
@@ -134,8 +126,8 @@ class BlockPool {
   /// magazines to the central tier and frees the cache. Runs under the
   /// live-pool registry lock, so the pool cannot be destroyed meanwhile.
   void RetireCache(ThreadCache* cache);
-  char* PopCentral(int cls, int node);
-  void PushCentral(int cls, int node, char* data);
+  char* PopCentral(int cls);
+  void PushCentral(int cls, char* data);
   void PublishGauges();
 
   const Options options_;
@@ -151,18 +143,16 @@ class BlockPool {
   std::atomic<int64_t> released_to_os_bytes_{0};
   std::atomic<int64_t> pressure_rejects_{0};
   std::atomic<int64_t> pressure_fallbacks_{0};
-  std::atomic<int64_t> numa_remote_{0};
 
-  /// Central tier: one free list per (size class, simulated node), each under
-  /// its own mutex so classes don't contend with each other.
-  std::vector<std::unique_ptr<CentralList>> central_;
+  /// Central tier: one free list per size class, each under its own mutex so
+  /// classes don't contend with each other.
+  std::unique_ptr<CentralList[]> central_;
 
   /// The cache of every running thread that has used this pool. A thread's
   /// exit (or RetireCallingThreadCaches) retires its cache; the destructor
   /// frees those of threads still running (threads may outlive the pool).
   std::mutex caches_mu_;
   std::vector<std::unique_ptr<ThreadCache>> caches_;
-  int next_node_ = 0;
 
   /// Registered once when metric_prefix is set; nullptr otherwise.
   MetricGauge* live_gauge_ = nullptr;
@@ -175,7 +165,6 @@ class BlockPool {
   MetricCounter* released_os_metric_ = nullptr;
   MetricCounter* pressure_rejects_metric_ = nullptr;
   MetricCounter* pressure_fallbacks_metric_ = nullptr;
-  MetricCounter* numa_remote_metric_ = nullptr;
 };
 
 }  // namespace claims

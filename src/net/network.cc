@@ -198,11 +198,6 @@ BlockChannel* Network::GetChannel(int exchange_id, int node) {
   return it == channels_.end() ? nullptr : it->second.get();
 }
 
-void Network::CancelAll() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [key, channel] : channels_) channel->Cancel();
-}
-
 int64_t Network::total_remote_bytes() const {
   return remote_bytes_.load(std::memory_order_relaxed);
 }

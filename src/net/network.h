@@ -118,13 +118,11 @@ class Network {
   /// The consumer-side endpoint at node `node`.
   BlockChannel* GetChannel(int exchange_id, int node);
 
-  /// Cancels every channel (query abort).
-  void CancelAll();
-
   TokenBucket* egress(int node) { return egress_[node].get(); }
   TokenBucket* ingress(int node) { return ingress_[node].get(); }
 
-  /// Aggregate bytes sent across node boundaries (network utilization).
+  /// Aggregate bytes sent across node boundaries by every query (network
+  /// utilization). A query's own share is ExecutionReport::remote_bytes.
   int64_t total_remote_bytes() const;
 
  private:

@@ -45,6 +45,8 @@ struct ExecutionReport {
   /// Run time: Execute start → result drained.
   int64_t elapsed_ns = 0;
   int64_t peak_memory_bytes = 0;
+  /// Payload bytes this query's senders delivered across hosts, counted per
+  /// segment, so concurrent queries never see each other's traffic.
   int64_t remote_bytes = 0;
   int64_t result_tuples = 0;
   std::vector<SegmentReport> segments;

@@ -332,7 +332,7 @@ class Planner::Impl {
         query_.relations[static_cast<size_t>(rel_index)];
     Pipeline p;
     if (rel.table != nullptr) {
-      p.root = MakeScanOp(*rel.table, options_.numa_sockets);
+      p.root = MakeScanOp(*rel.table);
       for (int n = 0; n < rel.table->num_partitions(); ++n) {
         p.nodes.push_back(n);
       }
@@ -638,7 +638,8 @@ class Planner::Impl {
     }
     pipeline.root =
         MakeHashAggOp(std::move(pipeline.root), std::move(group_exprs),
-                      group_names, std::move(aggs), options_.agg_mode);
+                      group_names, std::move(aggs),
+                      HashAggIterator::Mode::kHybrid);
 
     if (!local) {
       const Schema partial = pipeline.root->output_schema;
@@ -662,7 +663,8 @@ class Planner::Impl {
       pipeline.root = MakeHashAggOp(
           MakeMergerOp(exchange, partial), std::move(keys),
           std::move(group_names), std::move(merges),
-          ngroup > 0 ? options_.agg_mode : HashAggIterator::Mode::kShared);
+          ngroup > 0 ? HashAggIterator::Mode::kHybrid
+                     : HashAggIterator::Mode::kShared);
       pipeline.nodes = std::move(nodes);
     }
 

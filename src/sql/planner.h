@@ -14,9 +14,6 @@ struct PlannerOptions {
   /// Build sides at or below this many (estimated, post-filter) rows are
   /// broadcast instead of repartitioned.
   int64_t broadcast_threshold_rows = 20000;
-  HashAggIterator::Mode agg_mode = HashAggIterator::Mode::kHybrid;
-  /// Simulated NUMA sockets for scan striping.
-  int numa_sockets = 1;
 };
 
 /// The planner's selectivity sample of one relation's pushed-down filter:

@@ -38,8 +38,8 @@ namespace {
 /// The ledger clamps each reservation at the budget: an oversized query
 /// admitted into an idle system books the whole budget (excluding everyone
 /// else while it runs) rather than breaking the `in-flight <= budget`
-/// invariant the rest of the system monitors. Release applies the same
-/// clamp, so the books balance.
+/// invariant the rest of the system monitors. The receipt records the
+/// clamped values, so Release returns exactly them.
 int64_t Clamped(int64_t demand, int64_t budget) {
   return budget > 0 ? std::min(demand, budget) : demand;
 }
@@ -75,17 +75,11 @@ bool AdmissionController::TryAdmit(const QueryDemand& demand,
   cores_gauge_->Set(cores_);
   memory_gauge_->Set(static_cast<double>(memory_));
   admitted_metric_->Add();
-  if (reservation != nullptr) {
-    reservation->cores = booked_cores;
-    reservation->memory_bytes = booked_memory;
-    reservation->estimate_bytes = demand.memory_bytes;
-    reservation->active = true;
-  }
+  reservation->cores = booked_cores;
+  reservation->memory_bytes = booked_memory;
+  reservation->estimate_bytes = demand.memory_bytes;
+  reservation->active = true;
   return true;
-}
-
-bool AdmissionController::TryAdmit(const QueryDemand& demand) {
-  return TryAdmit(demand, nullptr);
 }
 
 void AdmissionController::ReleaseBookedLocked(int cores,
@@ -116,13 +110,6 @@ void AdmissionController::ReleaseWithActual(AdmissionReservation* reservation,
         std::abs(reservation->estimate_bytes - actual_peak_bytes)));
   }
   Release(reservation);
-}
-
-void AdmissionController::Release(const QueryDemand& demand) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ReleaseBookedLocked(
-      static_cast<int>(Clamped(demand.cores, options_.core_budget)),
-      Clamped(demand.memory_bytes, options_.memory_budget_bytes));
 }
 
 int AdmissionController::running() const {

@@ -72,12 +72,9 @@ class AdmissionController {
   const AdmissionOptions& options() const { return options_; }
 
   /// Atomically reserves the demand if every budget holds; false otherwise.
-  /// On success `*reservation` records what was actually booked — release
-  /// through it, not through the demand.
+  /// On success `*reservation` (required) records what was actually booked,
+  /// which is what Release returns.
   bool TryAdmit(const QueryDemand& demand, AdmissionReservation* reservation);
-
-  /// Legacy form without a receipt (tests); books the same clamped values.
-  bool TryAdmit(const QueryDemand& demand);
 
   /// Returns a reservation to the pool (query finished, failed, or
   /// cancelled), subtracting exactly the booked amounts. Idempotent: the
@@ -91,11 +88,6 @@ class AdmissionController {
   /// usable peak, e.g. it never started).
   void ReleaseWithActual(AdmissionReservation* reservation,
                          int64_t actual_peak_bytes);
-
-  /// Legacy release from a demand estimate (tests). Symmetric with the
-  /// legacy TryAdmit only while options stay fixed — new code should hold
-  /// the AdmissionReservation receipt instead.
-  void Release(const QueryDemand& demand);
 
   int running() const;
   int cores_in_flight() const;

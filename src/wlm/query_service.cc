@@ -466,7 +466,7 @@ void QueryService::RunQuery(const QueryHandlePtr& handle) {
   {
     std::lock_guard<std::mutex> lock(handle->mu_);
     if (handle->executor_ != nullptr) {
-      actual_peak_bytes = handle->executor_->stats().peak_memory_bytes;
+      actual_peak_bytes = handle->executor_->report().peak_memory_bytes;
     }
   }
   admission_.ReleaseWithActual(&handle->reservation_, actual_peak_bytes);

@@ -10,53 +10,38 @@ struct TestContext : IteratorContext {
   int tag;
 };
 
-TEST(ContextPoolTest, VoidModeReusesAnything) {
-  ContextPool pool(ContextMode::kVoid);
-  pool.Release(std::make_unique<TestContext>(1), /*core=*/3, /*socket=*/0);
-  auto ctx = pool.Acquire(/*core=*/9, /*socket=*/1);
+TEST(ContextPoolTest, MatchesCoreOnly) {
+  ContextPool pool;
+  pool.Release(std::make_unique<TestContext>(1), /*core=*/3);
+  EXPECT_EQ(pool.Acquire(/*core=*/4), nullptr);
+  EXPECT_EQ(pool.reuse_count(), 0);
+  auto ctx = pool.Acquire(/*core=*/3);
   ASSERT_NE(ctx, nullptr);
   EXPECT_EQ(static_cast<TestContext*>(ctx.get())->tag, 1);
   EXPECT_EQ(pool.size(), 0u);
   EXPECT_EQ(pool.reuse_count(), 1);
 }
 
-TEST(ContextPoolTest, ProcessorModeMatchesSocket) {
-  ContextPool pool(ContextMode::kProcessor);
-  pool.Release(std::make_unique<TestContext>(1), 3, /*socket=*/0);
-  EXPECT_EQ(pool.Acquire(5, /*socket=*/1), nullptr);
-  EXPECT_EQ(pool.size(), 1u);
-  auto ctx = pool.Acquire(7, /*socket=*/0);  // same socket, different core
-  ASSERT_NE(ctx, nullptr);
-}
-
-TEST(ContextPoolTest, CoreModeMatchesCoreOnly) {
-  ContextPool pool(ContextMode::kCore);
-  pool.Release(std::make_unique<TestContext>(1), /*core=*/3, 0);
-  EXPECT_EQ(pool.Acquire(/*core=*/4, 0), nullptr);
-  auto ctx = pool.Acquire(/*core=*/3, 0);
-  ASSERT_NE(ctx, nullptr);
-}
-
 TEST(ContextPoolTest, AcquireFromEmptyReturnsNull) {
-  ContextPool pool(ContextMode::kVoid);
-  EXPECT_EQ(pool.Acquire(0, 0), nullptr);
+  ContextPool pool;
+  EXPECT_EQ(pool.Acquire(0), nullptr);
   EXPECT_EQ(pool.reuse_count(), 0);
 }
 
 TEST(ContextPoolTest, TakeAllDrains) {
-  ContextPool pool(ContextMode::kCore);
-  pool.Release(std::make_unique<TestContext>(1), 0, 0);
-  pool.Release(std::make_unique<TestContext>(2), 1, 0);
+  ContextPool pool;
+  pool.Release(std::make_unique<TestContext>(1), 0);
+  pool.Release(std::make_unique<TestContext>(2), 1);
   auto all = pool.TakeAll();
   EXPECT_EQ(all.size(), 2u);
   EXPECT_EQ(pool.size(), 0u);
 }
 
 TEST(ContextPoolTest, MultipleEntriesPickMatching) {
-  ContextPool pool(ContextMode::kCore);
-  pool.Release(std::make_unique<TestContext>(10), /*core=*/0, 0);
-  pool.Release(std::make_unique<TestContext>(20), /*core=*/1, 0);
-  auto ctx = pool.Acquire(/*core=*/1, 0);
+  ContextPool pool;
+  pool.Release(std::make_unique<TestContext>(10), /*core=*/0);
+  pool.Release(std::make_unique<TestContext>(20), /*core=*/1);
+  auto ctx = pool.Acquire(/*core=*/1);
   ASSERT_NE(ctx, nullptr);
   EXPECT_EQ(static_cast<TestContext*>(ctx.get())->tag, 20);
   EXPECT_EQ(pool.size(), 1u);

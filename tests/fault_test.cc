@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -18,6 +19,7 @@
 #include "cluster/executor.h"
 #include "fault/injector.h"
 #include "mem/block_pool.h"
+#include "mem/query_budget.h"
 #include "net/network.h"
 #include "wlm/query_service.h"
 
@@ -479,7 +481,10 @@ constexpr int kNodes = 3;
 ///         the node holding kvb's k rows — every key joins, making the join
 ///         result deterministic: (rows/300)² matches per key.
 struct TestCluster {
-  explicit TestCluster(int rows = 24000) : rows_per_key(rows / 300) {
+  explicit TestCluster(
+      int rows = 24000,
+      int channel_capacity_blocks = ClusterOptions().channel_capacity_blocks)
+      : rows_per_key(rows / 300) {
     {
       Schema s({ColumnDef::Int32("k"), ColumnDef::Int64("v")});
       auto t = std::make_shared<Table>("kva", s, kNodes, std::vector<int>{});
@@ -499,6 +504,7 @@ struct TestCluster {
     ClusterOptions copts;
     copts.num_nodes = kNodes;
     copts.cores_per_node = 4;
+    copts.channel_capacity_blocks = channel_capacity_blocks;
     cluster = std::make_unique<Cluster>(copts, &catalog);
   }
 
@@ -546,6 +552,35 @@ struct TestCluster {
     f1->root = MakeHashAggOp(std::move(join), {Col(join_schema, "k")}, {"k"},
                              {{AggFn::kCount, nullptr, "cnt"}},
                              HashAggIterator::Mode::kShared);
+    f1->nodes = {0, 1, 2};
+    f1->out_exchange_id = 1;
+    f1->partitioning = Partitioning::kToOne;
+    f1->consumer_nodes = {0};
+
+    plan.result_schema = f1->root->output_schema;
+    plan.result_exchange_id = 1;
+    plan.fragments.push_back(std::move(f0));
+    plan.fragments.push_back(std::move(f1));
+    return plan;
+  }
+
+  /// Scan kva, shuffle it on k (exchange 0), and gather the shuffled rows
+  /// untouched to the master (exchange 1).
+  PhysicalPlan ShuffleGatherPlan() {
+    TablePtr kva = *catalog.GetTable("kva");
+    PhysicalPlan plan;
+    auto f0 = std::make_unique<Fragment>();
+    f0->id = 0;
+    f0->root = MakeScanOp(*kva);
+    f0->nodes = {0, 1, 2};
+    f0->out_exchange_id = 0;
+    f0->partitioning = Partitioning::kHash;
+    f0->hash_cols = {0};
+    f0->consumer_nodes = {0, 1, 2};
+
+    auto f1 = std::make_unique<Fragment>();
+    f1->id = 1;
+    f1->root = MakeMergerOp(0, f0->root->output_schema);
     f1->nodes = {0, 1, 2};
     f1->out_exchange_id = 1;
     f1->partitioning = Partitioning::kToOne;
@@ -645,6 +680,44 @@ TEST(ClusterFaultTest, StarvationAccountingUnderInjectedSlowSender) {
   }
   EXPECT_GT(consumer_blocked, 5'000'000) << "merger never starved";
   EXPECT_GT(CounterValue("fault.delays"), 0);
+
+  injector.Disarm();
+  tc.cluster->AttachFaultInjector(nullptr);
+}
+
+TEST(ClusterFaultTest, FailedConsumerCancelsTheProducersFeedingIt) {
+  // The gather link is severed, so every consumer segment's send to the
+  // master exhausts its retries and the segment fails, no longer draining
+  // the shuffle. Its producers sit on one-block channels: unless the failure
+  // cancels them, Execute waits on them forever.
+  TestCluster tc(240000, /*channel_capacity_blocks=*/1);
+  auto plan = ParseFaultPlan("at=0ns kind=disconnect exchange=1\n");
+  ASSERT_TRUE(plan.ok());
+  FaultInjector injector(*plan);
+  tc.cluster->AttachFaultInjector(&injector);
+  injector.Arm();
+
+  ExecOptions opts;
+  opts.parallelism = 1;
+  opts.buffer_capacity_blocks = 1;
+  const PhysicalPlan shuffle = tc.ShuffleGatherPlan();
+  {
+    Executor exec(tc.cluster.get());
+    std::promise<Status> finished;
+    std::future<Status> status = finished.get_future();
+    std::thread runner(
+        [&] { finished.set_value(exec.Execute(shuffle, opts).status()); });
+    const bool returned = status.wait_for(std::chrono::seconds(10)) ==
+                          std::future_status::ready;
+    // A hang must fail the test, not the suite: cancelling unblocks it.
+    if (!returned) exec.Cancel();
+    runner.join();
+    ASSERT_TRUE(returned) << "Execute had not returned after 10 s";
+    const Status s = status.get();
+    EXPECT_EQ(s.code(), StatusCode::kUnavailable) << s.ToString();
+  }
+  // Channels, buffers and arenas the failure left behind all refunded.
+  EXPECT_EQ(QueryBudget::TotalChargedBytes(), 0);
 
   injector.Disarm();
   tc.cluster->AttachFaultInjector(nullptr);

@@ -102,6 +102,7 @@ TEST_F(ObsReportTest, ReportReconcilesWithSegmentStats) {
   ExecOptions opts;
   opts.mode = ExecMode::kElastic;
   opts.parallelism = 1;
+  const int64_t fabric_before = cluster_->network()->total_remote_bytes();
   auto result = exec.Execute(plan, opts);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_EQ(result->num_rows(), 100);
@@ -109,9 +110,13 @@ TEST_F(ObsReportTest, ReportReconcilesWithSegmentStats) {
   const ExecutionReport& report = exec.report();
   EXPECT_EQ(report.mode, "EP");
   EXPECT_EQ(report.result_tuples, 100);
-  EXPECT_EQ(report.elapsed_ns, exec.stats().elapsed_ns);
-  EXPECT_EQ(report.remote_bytes, exec.stats().remote_bytes);
-  EXPECT_EQ(report.peak_memory_bytes, exec.stats().peak_memory_bytes);
+  EXPECT_GT(report.elapsed_ns, 0);
+  EXPECT_GT(report.peak_memory_bytes, 0);
+  // Alone on the cluster, the bytes the query's senders counted are exactly
+  // what crossed the fabric.
+  EXPECT_GT(report.remote_bytes, 0);
+  EXPECT_EQ(report.remote_bytes,
+            cluster_->network()->total_remote_bytes() - fabric_before);
 
   // One report row per segment instance: 2 fragments × 2 nodes.
   ASSERT_EQ(report.segments.size(), 4u);

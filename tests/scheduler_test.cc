@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <string>
 
 namespace claims {
 namespace {
@@ -70,6 +72,17 @@ SchedulerOptions TestOptions(int cores) {
   return o;
 }
 
+/// The action the latest tick's audit records for segment `name` ("hold",
+/// "expand+1(free)", ...); empty when that tick did not see the segment.
+std::string ActionOf(const DynamicScheduler& sched, const std::string& name) {
+  std::shared_ptr<const SchedTickAudit> audit = sched.LastAudit();
+  if (audit == nullptr) return "";
+  for (const SchedTickAudit::Segment& s : audit->segments) {
+    if (s.name == name) return s.action;
+  }
+  return "";
+}
+
 TEST(GlobalThroughputBoardTest, MinOverNodes) {
   GlobalThroughputBoard board;
   EXPECT_TRUE(std::isinf(board.GlobalLambda()));
@@ -93,13 +106,12 @@ TEST(DynamicSchedulerTest, ExpandsBottleneckWithFreeCores) {
   sched.Tick();  // prime
   clock.Advance(kSec);
   seg.Work(kSec, 1000.0);
-  auto actions = sched.Tick();
+  sched.Tick();
+  EXPECT_EQ(ActionOf(sched, "s1"), "expand+1(free)");
   // Up to max_free_expansions (default 2) free-pool cores per tick.
-  ASSERT_GE(actions.size(), 1u);
-  ASSERT_LE(actions.size(),
-            static_cast<size_t>(sched.options().max_free_expansions));
-  EXPECT_EQ(actions[0].kind, SchedulerAction::Kind::kExpandFree);
-  EXPECT_EQ(seg.parallelism(), 1 + static_cast<int>(actions.size()));
+  EXPECT_GT(seg.parallelism(), 1);
+  EXPECT_LE(seg.parallelism(), 1 + sched.options().max_free_expansions);
+  EXPECT_EQ(sched.LastAudit()->segments[0].parallelism, seg.parallelism());
 }
 
 TEST(DynamicSchedulerTest, MovesCoreFromOverToUnderPerformer) {
@@ -116,11 +128,12 @@ TEST(DynamicSchedulerTest, MovesCoreFromOverToUnderPerformer) {
     clock.Advance(kSec);
     slow.Work(kSec, 100.0);
     fast.Work(kSec, 1000.0);
-    auto actions = sched.Tick();
-    if (!actions.empty()) {
-      EXPECT_EQ(actions[0].kind, SchedulerAction::Kind::kMovePair);
-      EXPECT_EQ(actions[0].expanded, "slow");
-      EXPECT_EQ(actions[0].shrunk, "fast");
+    sched.Tick();
+    const std::string slow_action = ActionOf(sched, "slow");
+    const std::string fast_action = ActionOf(sched, "fast");
+    if (slow_action != "hold" || fast_action != "hold") {
+      EXPECT_EQ(slow_action, "expand+1(pair)");
+      EXPECT_EQ(fast_action, "shrink-1(pair)");
       break;
     }
   }
@@ -132,7 +145,7 @@ TEST(DynamicSchedulerTest, AbortedPairMoveReExpandsDonor) {
   // Regression: receiver Expand failing after the donor's Shrink succeeded
   // used to leak the core (donor down a worker, receiver unchanged, free
   // pool unaware) and still counted a shrink. The donor must get the core
-  // back and no kMovePair action may be reported.
+  // back and the audit may record no pair move.
   FakeClock clock;
   GlobalThroughputBoard board;
   DynamicScheduler sched(0, TestOptions(8), &clock, &board);
@@ -146,10 +159,9 @@ TEST(DynamicSchedulerTest, AbortedPairMoveReExpandsDonor) {
     clock.Advance(kSec);
     slow.Work(kSec, 100.0);
     fast.Work(kSec, 1000.0);
-    auto actions = sched.Tick();
-    for (const auto& a : actions) {
-      EXPECT_NE(a.kind, SchedulerAction::Kind::kMovePair);
-    }
+    sched.Tick();
+    EXPECT_NE(ActionOf(sched, "slow"), "expand+1(pair)");
+    EXPECT_NE(ActionOf(sched, "fast"), "shrink-1(pair)");
   }
   // Compensation restored every shrink the aborted moves took from the donor.
   EXPECT_EQ(fast.parallelism(), 4);
@@ -169,13 +181,8 @@ TEST(DynamicSchedulerTest, ShrinksStarvedSegment) {
   clock.Advance(kSec);
   producer.Work(kSec, 500.0);
   starved.Work(kSec, 1.0, /*blocked_in=*/0.9);  // waiting on input 90% of time
-  auto actions = sched.Tick();
-  bool saw_starved_shrink = false;
-  for (const auto& a : actions) {
-    if (a.kind == SchedulerAction::Kind::kShrinkStarved && a.shrunk == "starved")
-      saw_starved_shrink = true;
-  }
-  EXPECT_TRUE(saw_starved_shrink);
+  sched.Tick();
+  EXPECT_EQ(ActionOf(sched, "starved"), "shrink-1(starved)");
   EXPECT_EQ(starved.parallelism(), 3);
 }
 
@@ -191,15 +198,8 @@ TEST(DynamicSchedulerTest, ShrinksOverproducingSegment) {
   clock.Advance(kSec);
   normal.Work(kSec, 500.0);
   overprod.Work(kSec, 400.0, /*blocked_in=*/0, /*blocked_out=*/0.8);
-  auto actions = sched.Tick();
-  bool saw = false;
-  for (const auto& a : actions) {
-    if (a.kind == SchedulerAction::Kind::kShrinkOverproducing &&
-        a.shrunk == "overprod") {
-      saw = true;
-    }
-  }
-  EXPECT_TRUE(saw);
+  sched.Tick();
+  EXPECT_EQ(ActionOf(sched, "overprod"), "shrink-1(over-producing)");
 }
 
 TEST(DynamicSchedulerTest, BlockedRateNotRecordedInScalabilityVector) {
@@ -230,8 +230,9 @@ TEST(DynamicSchedulerTest, InactiveSegmentIgnored) {
   sched.AddSegment(&seg);
   sched.Tick();
   clock.Advance(kSec);
-  auto actions = sched.Tick();
-  EXPECT_TRUE(actions.empty());
+  sched.Tick();
+  ASSERT_NE(sched.LastAudit(), nullptr);
+  EXPECT_TRUE(sched.LastAudit()->segments.empty());
   EXPECT_EQ(sched.cores_in_use(), 0);
 }
 
@@ -244,12 +245,10 @@ TEST(DynamicSchedulerTest, RespectsCoreBudget) {
   sched.Tick();
   clock.Advance(kSec);
   seg.Work(kSec, 1000.0);
-  auto actions = sched.Tick();
+  sched.Tick();
   // Only one segment: no pair partner, no free cores → no expansion.
   EXPECT_EQ(seg.parallelism(), 4);
-  for (const auto& a : actions) {
-    EXPECT_NE(a.kind, SchedulerAction::Kind::kExpandFree);
-  }
+  EXPECT_EQ(ActionOf(sched, "s"), "hold");
 }
 
 TEST(DynamicSchedulerTest, NormalizedRateUsesVisitRate) {

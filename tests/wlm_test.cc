@@ -58,11 +58,13 @@ TEST(AdmissionTest, MplGate) {
   opts.max_concurrent = 2;
   AdmissionController ac(opts);
   QueryDemand d;
-  EXPECT_TRUE(ac.TryAdmit(d));
-  EXPECT_TRUE(ac.TryAdmit(d));
-  EXPECT_FALSE(ac.TryAdmit(d));
-  ac.Release(d);
-  EXPECT_TRUE(ac.TryAdmit(d));
+  AdmissionReservation r[4];
+  EXPECT_TRUE(ac.TryAdmit(d, &r[0]));
+  EXPECT_TRUE(ac.TryAdmit(d, &r[1]));
+  EXPECT_FALSE(ac.TryAdmit(d, &r[2]));
+  EXPECT_FALSE(r[2].active);
+  ac.Release(&r[0]);
+  EXPECT_TRUE(ac.TryAdmit(d, &r[3]));
   EXPECT_EQ(ac.running(), 2);
 }
 
@@ -75,15 +77,20 @@ TEST(AdmissionTest, CoreAndMemoryBudgets) {
   QueryDemand small{4, 400};
   QueryDemand big{8, 100};
   QueryDemand hungry{1, 700};
-  ASSERT_TRUE(ac.TryAdmit(small));
-  EXPECT_FALSE(ac.TryAdmit(big));     // 4+8 > 10 cores
-  EXPECT_FALSE(ac.TryAdmit(hungry));  // 400+700 > 1000 bytes
-  ASSERT_TRUE(ac.TryAdmit(small));    // 8 cores, 800 bytes: fits
+  AdmissionReservation first;
+  AdmissionReservation second;
+  AdmissionReservation refused;
+  ASSERT_TRUE(ac.TryAdmit(small, &first));
+  EXPECT_FALSE(ac.TryAdmit(big, &refused));     // 4+8 > 10 cores
+  EXPECT_FALSE(ac.TryAdmit(hungry, &refused));  // 400+700 > 1000 bytes
+  ASSERT_TRUE(ac.TryAdmit(small, &second));     // 8 cores, 800 bytes: fits
   EXPECT_EQ(ac.cores_in_flight(), 8);
   EXPECT_EQ(ac.memory_in_flight(), 800);
-  ac.Release(small);
-  ac.Release(small);
+  ac.Release(&first);
+  ac.Release(&second);
   EXPECT_EQ(ac.running(), 0);
+  EXPECT_EQ(ac.cores_in_flight(), 0);
+  EXPECT_EQ(ac.memory_in_flight(), 0);
 }
 
 TEST(AdmissionTest, IdleSystemAdmitsOversizedQuery) {
@@ -92,10 +99,14 @@ TEST(AdmissionTest, IdleSystemAdmitsOversizedQuery) {
   opts.core_budget = 2;
   AdmissionController ac(opts);
   QueryDemand whale{64, 0};
-  EXPECT_TRUE(ac.TryAdmit(whale));  // would starve otherwise
-  EXPECT_FALSE(ac.TryAdmit(whale));
-  ac.Release(whale);
-  EXPECT_TRUE(ac.TryAdmit(whale));
+  AdmissionReservation r;
+  AdmissionReservation refused;
+  EXPECT_TRUE(ac.TryAdmit(whale, &r));  // would starve otherwise
+  EXPECT_EQ(r.cores, 2);                // booked clamped at the budget
+  EXPECT_FALSE(ac.TryAdmit(whale, &refused));
+  ac.Release(&r);
+  EXPECT_EQ(ac.cores_in_flight(), 0);
+  EXPECT_TRUE(ac.TryAdmit(whale, &r));
 }
 
 // --- query service on a live cluster -------------------------------------------
@@ -182,10 +193,14 @@ TEST_F(WlmTest, PriorityOrdersQueuedDispatch) {
   EXPECT_EQ(q_low->state(), QueryState::kQueued);
 
   q_high->Wait();
-  // The high-priority query ran while the low one was still waiting behind
-  // it (MPL 1 serializes, priority picks the order).
-  EXPECT_NE(q_low->state(), QueryState::kDone);
   q_low->Wait();
+  // The high-priority query ran while the low one was still waiting behind
+  // it (MPL 1 serializes, priority picks the order): the low one was
+  // dispatched only once the high one had finished. Read off the handles'
+  // clocks, not off the low one's state when the high one's Wait returns:
+  // on a loaded machine the short low query can finish before that check.
+  EXPECT_GE(q_low->submit_ns() + q_low->queue_wait_ns(),
+            q_high->submit_ns() + q_high->latency_ns());
   blocker->Wait();
   EXPECT_TRUE(blocker->status().ok()) << blocker->status().ToString();
   EXPECT_TRUE(q_high->status().ok());
@@ -657,14 +672,18 @@ TEST_F(WlmTest, RetainedHandlesHoldResultsNotOperatorState) {
 
 // --- per-query memory under the service ------------------------------------------
 
-/// TPC-H SF 0.05 on 2 nodes x 2 cores, with the solo peak range of Q6 (small:
-/// scan, filter, scalar aggregate) and Q9 (several MB of join state) taken
-/// from serial Database::Query runs on the same cluster.
+/// TPC-H SF 0.05 on 2 nodes x 2 cores, with the solo peak range and remote
+/// bytes of Q6 (small: scan, filter, scalar aggregate) and Q9 (several MB of
+/// join state and shuffles) taken from serial Database::Query runs on the
+/// same cluster.
 class WlmPeakMemoryTest : public ::testing::Test {
  protected:
   struct Range {
     int64_t lo = INT64_MAX;
     int64_t hi = 0;
+    /// Bytes the query ships between nodes: fixed by the plan and the data,
+    /// so every solo run reports the same figure.
+    int64_t remote_bytes = -1;
   };
 
   static void SetUpTestSuite() {
@@ -677,9 +696,13 @@ class WlmPeakMemoryTest : public ::testing::Test {
       Range& range = q == 6 ? q6_ : q9_;
       for (int run = 0; run < 3; ++run) {
         ASSERT_TRUE(db_->Query(*TpchQuery(q)).ok());
-        const int64_t peak = db_->last_stats().peak_memory_bytes;
-        range.lo = std::min(range.lo, peak);
-        range.hi = std::max(range.hi, peak);
+        const ExecutionReport& report = db_->executor()->report();
+        range.lo = std::min(range.lo, report.peak_memory_bytes);
+        range.hi = std::max(range.hi, report.peak_memory_bytes);
+        if (run > 0) {
+          ASSERT_EQ(report.remote_bytes, range.remote_bytes);
+        }
+        range.remote_bytes = report.remote_bytes;
       }
     }
   }
@@ -694,10 +717,11 @@ class WlmPeakMemoryTest : public ::testing::Test {
     return std::move(plan).value();
   }
 
-  /// The solo run-to-run range, widened 2x each way for scheduling noise
-  /// (a block more or less in flight). Reading another query's bytes
-  /// overshoots it by an order of magnitude: a cluster-wide figure put
-  /// Q6 at 5.96 MB against 0.50 MB solo.
+  /// The peak within the solo run-to-run range, widened 2x each way for
+  /// scheduling noise (a block more or less in flight), and the remote bytes
+  /// exactly the solo figure. Reading another query's bytes overshoots both:
+  /// a cluster-wide peak put Q6 at 5.96 MB against 0.50 MB solo, and a
+  /// cluster-wide byte count put Q6 at 408 200 B against 8 B.
   static void ExpectWithinSolo(const QueryHandlePtr& h, const Range& solo,
                                const char* label) {
     ASSERT_TRUE(h->status().ok()) << label << ": " << h->status().ToString();
@@ -705,6 +729,7 @@ class WlmPeakMemoryTest : public ::testing::Test {
     EXPECT_GE(peak, solo.lo / 2) << label;
     EXPECT_LE(peak, 2 * solo.hi)
         << label << " solo range [" << solo.lo << ", " << solo.hi << "]";
+    EXPECT_EQ(h->report().remote_bytes, solo.remote_bytes) << label;
   }
 
   static Database* db_;
