@@ -9,8 +9,9 @@
 //            pool the way repeated queries churn them through a server.
 // The twins alternate over kRounds rounds; each round's global/pool time
 // ratio is one sample, and the median and quartiles of those samples are
-// reported. `--json` emits a machine-readable summary; CI's mem-smoke job
-// asserts the median ratio >= threshold and uploads the JSON as an artifact.
+// reported. `--json` emits a machine-readable summary, the pool's counts
+// included; CI's mem-smoke job asserts the median ratio >= threshold and a
+// live byte count of 0, and uploads the JSON as an artifact.
 
 #include <algorithm>
 #include <chrono>
@@ -163,11 +164,15 @@ int main(int argc, char** argv) {
           bench::SpreadOf(t->pool_ms).median,
           bench::SpreadOf(t->global_ms).median);
     }
+    // Every churn thread has joined and every chunk is back, so the
+    // per-thread live counts must sum to exactly 0.
     out += StrFormat(
-        ",\"pool\":{\"hits\":%lld,\"misses\":%lld,\"recycled_bytes\":%lld}}",
+        ",\"pool\":{\"hits\":%lld,\"misses\":%lld,\"recycled_bytes\":%lld,"
+        "\"live_bytes\":%lld}}",
         static_cast<long long>(stats.hits),
         static_cast<long long>(stats.misses),
-        static_cast<long long>(stats.recycled_bytes));
+        static_cast<long long>(stats.recycled_bytes),
+        static_cast<long long>(stats.live_bytes));
     std::printf("%s\n", out.c_str());
     return 0;
   }

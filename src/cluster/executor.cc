@@ -246,9 +246,12 @@ Result<ResultSet> Executor::Execute(const PhysicalPlan& plan,
     budget_->SetShrinkHook([this] { return ShrinkForMemory(); });
   }
   report_ = ExecutionReport{};
-  // Every exit path, failures included, reports this run's ledger peak.
-  ScopeGuard record_peak(
-      [this] { report_.peak_memory_bytes = budget_->peak_charged_bytes(); });
+  // Every exit path, failures included, reports this run's ledger peak and
+  // run time. A successful run timed itself before assembling its report.
+  ScopeGuard record_exit([this, clock, t0] {
+    report_.peak_memory_bytes = budget_->peak_charged_bytes();
+    if (report_.elapsed_ns == 0) report_.elapsed_ns = clock->NowNanos() - t0;
+  });
   if (cancel_requested_.load(std::memory_order_acquire)) {
     return Status::Cancelled("query cancelled before execution started");
   }

@@ -26,15 +26,22 @@ void DataBuffer::RemoveProducer(int producer_id, bool finished) {
 }
 
 DataBuffer::~DataBuffer() {
-  // Cancelled streams can leave queued blocks behind; refund their budget
-  // charges so the ledger balances for rejected/cancelled queries too.
-  if (options_.budget == nullptr) return;
-  for (const BlockPtr& b : fifo_) options_.budget->Release(b->payload_bytes());
-  for (const auto& [id, q] : producers_) {
-    for (const BlockPtr& b : q.blocks) {
-      options_.budget->Release(b->payload_bytes());
-    }
+  std::lock_guard<std::mutex> lock(mu_);
+  DropQueuedLocked();
+}
+
+void DataBuffer::DropQueuedLocked() {
+  // A torn-down or cancelled stream's queued blocks are never popped: refund
+  // their charges so the ledger balances as soon as the stream ends.
+  int64_t charged = 0;
+  for (const BlockPtr& b : fifo_) charged += b->payload_bytes();
+  fifo_.clear();
+  for (auto& [id, q] : producers_) {
+    for (const BlockPtr& b : q.blocks) charged += b->payload_bytes();
+    q.blocks.clear();
   }
+  total_blocks_ = 0;
+  if (options_.budget != nullptr) options_.budget->Release(charged);
 }
 
 bool DataBuffer::Insert(int producer_id, BlockPtr block) {
@@ -165,6 +172,7 @@ NextResult DataBuffer::Pop(BlockPtr* out) {
 void DataBuffer::Cancel() {
   std::lock_guard<std::mutex> lock(mu_);
   cancelled_ = true;
+  DropQueuedLocked();
   not_empty_.notify_all();
   not_full_.notify_all();
 }

@@ -83,7 +83,8 @@ class DataBuffer {
   /// Cancel. Cancellation also yields kEndOfFile.
   NextResult Pop(BlockPtr* out);
 
-  /// Wakes all waiters; subsequent Inserts fail and Pops drain then EOF.
+  /// Drops the queued blocks, refunding their ledger charge, and wakes all
+  /// waiters; subsequent Inserts fail and Pops return end-of-file.
   void Cancel();
 
   size_t size() const;
@@ -98,6 +99,7 @@ class DataBuffer {
   };
 
   // All guarded by mu_.
+  void DropQueuedLocked();
   bool PopReadyLocked() const;
   bool ExhaustedLocked() const;
   size_t TotalLocked() const { return total_blocks_; }

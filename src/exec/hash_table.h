@@ -39,7 +39,7 @@ class Arena {
   CLAIMS_DISALLOW_COPY_AND_ASSIGN(Arena);
 
   /// Thread-safe; 8-byte aligned. nullptr when the memory source refuses
-  /// (query over budget / pool pressure cap) — never throws, never blocks.
+  /// (query over budget / process cap) — never throws, never blocks.
   char* Allocate(size_t bytes);
 
   /// Allocate for a caller that is the arena's only user: the bump path

@@ -21,8 +21,8 @@ enum class FaultKind {
   kDegradeNic,      ///< rewrite the node's NIC budget to `bandwidth_bytes_per_sec`
   kCrashNode,       ///< the node dies: segments abort, cores leave the board
   kStraggleNode,    ///< the node turns straggler: `slowdown_factor` slower
-  kMemPressure,     ///< cap the block pool at `mem_cap_bytes`: strict
-                    ///< (budget-backed) allocations refuse, forcing the
+  kMemPressure,     ///< cap the bounded ledgers' total charge at
+                    ///< `mem_cap_bytes`: their charges refuse, forcing the
                     ///< shrink → spill → reject degradation ladder
 };
 
@@ -41,7 +41,7 @@ struct FaultSpec {
   int64_t delay_ns = 0;                  ///< kDelayBlock hold time
   int64_t bandwidth_bytes_per_sec = 0;   ///< kDegradeNic new budget
   double slowdown_factor = 1.0;          ///< kStraggleNode (>= 1)
-  int64_t mem_cap_bytes = 0;             ///< kMemPressure pool cap (0 = off)
+  int64_t mem_cap_bytes = 0;             ///< kMemPressure ledger cap (0 = off)
 
   /// Canonical one-line rendering, also the serialized form ParseFaultSpec
   /// accepts: "at=50ms kind=crash node=2".

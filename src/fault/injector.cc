@@ -4,7 +4,7 @@
 
 #include "common/logging.h"
 #include "common/string_util.h"
-#include "mem/block_pool.h"
+#include "mem/query_budget.h"
 #include "obs/timeseries/timeseries.h"
 #include "obs/recorder.h"
 
@@ -37,11 +37,9 @@ FaultInjector::FaultInjector(FaultPlan plan, Clock* clock)
   nic_rewrites_metric_ = reg->counter("fault.nic_rewrites");
   mem_pressure_metric_ = reg->counter("fault.mem_pressure");
   activations_metric_ = reg->counter("fault.activations");
-  // Out-of-the-box actuator: squeeze the process-wide pool. cap < 0 is the
-  // restore signal (window closed) and maps to "uncapped".
-  mem_pressure_handler_ = [](int64_t cap) {
-    BlockPool::Global()->SetPressureCapBytes(cap < 0 ? 0 : cap);
-  };
+  // Out-of-the-box actuator: cap what the bounded ledgers may charge in
+  // total. cap < 0 is the restore signal (window closed): uncapped.
+  mem_pressure_handler_ = QueryBudget::SetProcessCapBytes;
   windows_.reserve(plan_.faults.size());
   for (const FaultSpec& spec : plan_.faults) windows_.push_back(Window{spec});
   // Transition times sorted so PollOnce applies them in plan order and the

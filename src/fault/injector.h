@@ -53,9 +53,9 @@ class FaultInjector {
   void SetCrashHandler(std::function<void(int node)> handler);
 
   /// Applies/restores a memory-pressure cap: `cap_bytes` > 0 squeezes the
-  /// pool, < 0 restores the uncapped state. Defaults to
-  /// BlockPool::Global()->SetPressureCapBytes, so a mempressure fault works
-  /// with no substrate wiring; tests override it to observe actuations.
+  /// ledgers, < 0 restores the uncapped state. Defaults to
+  /// QueryBudget::SetProcessCapBytes, so a mempressure fault works with no
+  /// substrate wiring; tests override it to observe actuations.
   void SetMemPressureHandler(std::function<void(int64_t cap_bytes)> handler);
 
   /// Starts the clock (t=0 of the plan), applies the transitions due at

@@ -3,11 +3,19 @@
 #include <algorithm>
 #include <unordered_map>
 
+#include "mem/query_budget.h"
 #include "obs/metrics_registry.h"
 
 namespace claims {
 
 namespace {
+/// Per-class magazine capacity of each thread cache. Half a magazine is
+/// exchanged with the central tier on miss/overflow.
+constexpr size_t kMagazineCapacity = 8;
+/// Bound on idle bytes parked in the central tier (excess is returned to
+/// the OS). Thread magazines are small and not counted against this.
+constexpr int64_t kMaxCentralBytes = int64_t{256} << 20;  // 256 MiB
+
 /// Distinguishes pools inside the per-thread cache map. Monotone, never
 /// reused, so a stale map entry for a destroyed pool can never be looked up
 /// again (a new pool always carries a new serial).
@@ -25,6 +33,48 @@ PoolRegistry& Registry() {
   static PoolRegistry* registry = new PoolRegistry;
   return *registry;
 }
+
+/// Adds to a count only its owning thread writes: a plain load and store,
+/// no locked read-modify-write. Atomic only so GetStats may read it.
+void Bump(std::atomic<int64_t>& count, int64_t delta) {
+  count.store(count.load(std::memory_order_relaxed) + delta,
+              std::memory_order_relaxed);
+}
+
+/// Moves a registry counter up to `total`, a running total kept elsewhere.
+void AdvanceTo(MetricCounter* counter, int64_t total) {
+  const int64_t delta = total - counter->value();
+  if (delta > 0) counter->Add(delta);
+}
+
+/// Fills the mem.* metrics from the global pool's and the ledgers' totals
+/// whenever the registry is read, so no allocation or charge publishes.
+void RegisterMemoryMetrics(const BlockPool* pool) {
+  MetricsRegistry* reg = MetricsRegistry::Global();
+  MetricGauge* live = reg->gauge("mem.pool.live_bytes");
+  MetricGauge* cached = reg->gauge("mem.pool.cached_bytes");
+  MetricCounter* hits = reg->counter("mem.pool.hits");
+  MetricCounter* misses = reg->counter("mem.pool.misses");
+  MetricCounter* oversized = reg->counter("mem.pool.oversized");
+  MetricCounter* recycled = reg->counter("mem.pool.recycled_bytes");
+  MetricCounter* released = reg->counter("mem.pool.released_to_os_bytes");
+  MetricGauge* charged = reg->gauge("mem.charged_bytes");
+  MetricGauge* budget = reg->gauge("mem.budget_bytes");
+  MetricGauge* cap = reg->gauge("mem.process_cap_bytes");
+  reg->AddRefreshHook([=] {
+    const BlockPool::Stats s = pool->GetStats();
+    live->Set(static_cast<double>(s.live_bytes));
+    cached->Set(static_cast<double>(s.central_bytes));
+    AdvanceTo(hits, s.hits);
+    AdvanceTo(misses, s.misses);
+    AdvanceTo(oversized, s.oversized);
+    AdvanceTo(recycled, s.recycled_bytes);
+    AdvanceTo(released, s.released_to_os_bytes);
+    charged->Set(static_cast<double>(QueryBudget::TotalChargedBytes()));
+    budget->Set(static_cast<double>(QueryBudget::TotalBudgetBytes()));
+    cap->Set(static_cast<double>(QueryBudget::process_cap_bytes()));
+  });
+}
 }  // namespace
 
 /// One free list per size class. Its own mutex, so different classes never
@@ -34,11 +84,18 @@ struct BlockPool::CentralList {
   std::vector<char*> blocks;
 };
 
-/// Per-thread, per-pool cache: one bounded magazine per size class. Touched
-/// only by the owning thread, its exit included. The pool owns the storage,
-/// so a pool destroyed while the thread still runs frees it.
-struct BlockPool::ThreadCache {
+/// Per-thread, per-pool cache: one bounded magazine per size class, and the
+/// hot path's counts. Written only by the owning thread, its exit included;
+/// GetStats reads the counts under caches_mu_. The pool owns the storage, so
+/// a pool destroyed while the thread still runs frees it. Cache-line aligned
+/// so two threads' caches never share a line.
+struct alignas(64) BlockPool::ThreadCache {
   std::vector<char*> magazines[kNumSizeClasses];
+  std::atomic<int64_t> hits{0};
+  std::atomic<int64_t> recycled_bytes{0};
+  /// Allocated minus released by this thread; negative when it frees chunks
+  /// other threads allocated. Only the sum over all caches means anything.
+  std::atomic<int64_t> live_bytes{0};
 };
 
 /// The calling thread's caches, one per pool it has used. Retired when the
@@ -62,26 +119,9 @@ struct BlockPool::ThreadCacheSet {
   ~ThreadCacheSet() { RetireAll(); }
 };
 
-BlockPool::BlockPool() : BlockPool(Options()) {}
-
-BlockPool::BlockPool(Options options)
-    : options_(std::move(options)),
-      serial_(g_pool_serial.fetch_add(1, std::memory_order_relaxed)),
+BlockPool::BlockPool()
+    : serial_(g_pool_serial.fetch_add(1, std::memory_order_relaxed)),
       central_(std::make_unique<CentralList[]>(kNumSizeClasses)) {
-  if (!options_.metric_prefix.empty()) {
-    MetricsRegistry* reg = MetricsRegistry::Global();
-    const std::string& p = options_.metric_prefix;
-    live_gauge_ = reg->gauge(p + ".live_bytes");
-    central_gauge_ = reg->gauge(p + ".cached_bytes");
-    cap_gauge_ = reg->gauge(p + ".pressure_cap_bytes");
-    hits_metric_ = reg->counter(p + ".hits");
-    misses_metric_ = reg->counter(p + ".misses");
-    oversized_metric_ = reg->counter(p + ".oversized");
-    recycled_metric_ = reg->counter(p + ".recycled_bytes");
-    released_os_metric_ = reg->counter(p + ".released_to_os_bytes");
-    pressure_rejects_metric_ = reg->counter(p + ".pressure_rejects");
-    pressure_fallbacks_metric_ = reg->counter(p + ".pressure_fallbacks");
-  }
   PoolRegistry& registry = Registry();
   std::lock_guard<std::mutex> lock(registry.mu);
   registry.live.emplace(serial_, this);
@@ -112,9 +152,9 @@ BlockPool* BlockPool::Global() {
   // Leaked on purpose: worker threads and static destruction order must
   // never race a pool teardown.
   static BlockPool* pool = [] {
-    Options o;
-    o.metric_prefix = "mem.pool";
-    return new BlockPool(std::move(o));
+    auto* p = new BlockPool;
+    RegisterMemoryMetrics(p);
+    return p;
   }();
   return pool;
 }
@@ -146,14 +186,15 @@ void BlockPool::RetireCache(ThreadCache* cache) {
   for (int cls = 0; cls < kNumSizeClasses; ++cls) {
     for (char* b : cache->magazines[cls]) PushCentral(cls, b);
   }
-  {
-    std::lock_guard<std::mutex> lock(caches_mu_);
-    caches_.erase(std::find_if(caches_.begin(), caches_.end(),
-                               [cache](const std::unique_ptr<ThreadCache>& c) {
-                                 return c.get() == cache;
-                               }));
-  }
-  PublishGauges();
+  std::lock_guard<std::mutex> lock(caches_mu_);
+  retired_hits_ += cache->hits.load(std::memory_order_relaxed);
+  retired_recycled_bytes_ +=
+      cache->recycled_bytes.load(std::memory_order_relaxed);
+  retired_live_bytes_ += cache->live_bytes.load(std::memory_order_relaxed);
+  caches_.erase(std::find_if(caches_.begin(), caches_.end(),
+                             [cache](const std::unique_ptr<ThreadCache>& c) {
+                               return c.get() == cache;
+                             }));
 }
 
 char* BlockPool::PopCentral(int cls) {
@@ -170,10 +211,9 @@ char* BlockPool::PopCentral(int cls) {
 void BlockPool::PushCentral(int cls, char* data) {
   const int64_t bytes = static_cast<int64_t>(SizeClassBytes(cls));
   if (central_bytes_.load(std::memory_order_relaxed) + bytes >
-      static_cast<int64_t>(options_.max_central_bytes)) {
+      kMaxCentralBytes) {
     delete[] data;
     released_to_os_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-    if (released_os_metric_ != nullptr) released_os_metric_->Add(bytes);
     return;
   }
   CentralList& list = central_[cls];
@@ -182,128 +222,79 @@ void BlockPool::PushCentral(int cls, char* data) {
   central_bytes_.fetch_add(bytes, std::memory_order_relaxed);
 }
 
-PoolAlloc BlockPool::Allocate(size_t min_bytes, bool strict) {
+PoolAlloc BlockPool::Allocate(size_t min_bytes) {
   const int cls = SizeClassFor(min_bytes);
   const size_t bytes = cls >= 0 ? SizeClassBytes(cls) : min_bytes;
-
-  const int64_t cap = pressure_cap_bytes_.load(std::memory_order_relaxed);
-  if (cap > 0 && live_bytes_.load(std::memory_order_relaxed) +
-                         static_cast<int64_t>(bytes) >
-                     cap) {
-    if (strict) {
-      pressure_rejects_.fetch_add(1, std::memory_order_relaxed);
-      if (pressure_rejects_metric_ != nullptr) pressure_rejects_metric_->Add();
-      return {};
-    }
-    // Non-strict callers (transit blocks mid-pipeline) must never fail; the
-    // squeeze is made visible instead of being enforced.
-    pressure_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-    if (pressure_fallbacks_metric_ != nullptr) {
-      pressure_fallbacks_metric_->Add();
-    }
-  }
-
+  ThreadCache* cache = LocalCache();
   char* data = nullptr;
-  bool recycled = false;
   if (cls >= 0) {
-    std::vector<char*>& mag = LocalCache()->magazines[cls];
-    if (!mag.empty()) {
-      data = mag.back();
-      mag.pop_back();
-      recycled = true;
-    } else {
+    std::vector<char*>& mag = cache->magazines[cls];
+    if (mag.empty()) {
       // Refill half a magazine from the class's central free list.
-      const int want = std::max(1, options_.magazine_capacity / 2);
-      while (static_cast<int>(mag.size()) < want) {
+      while (mag.size() < kMagazineCapacity / 2) {
         char* b = PopCentral(cls);
         if (b == nullptr) break;
         mag.push_back(b);
       }
-      if (!mag.empty()) {
-        data = mag.back();
-        mag.pop_back();
-        recycled = true;
-      }
+    }
+    if (!mag.empty()) {
+      data = mag.back();
+      mag.pop_back();
+      Bump(cache->hits, 1);
+      Bump(cache->recycled_bytes, static_cast<int64_t>(bytes));
+    } else {
+      misses_.fetch_add(1, std::memory_order_relaxed);
     }
   } else {
     oversized_.fetch_add(1, std::memory_order_relaxed);
-    if (oversized_metric_ != nullptr) oversized_metric_->Add();
   }
-
-  if (recycled) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    if (hits_metric_ != nullptr) hits_metric_->Add();
-    recycled_bytes_.fetch_add(static_cast<int64_t>(bytes),
-                              std::memory_order_relaxed);
-    if (recycled_metric_ != nullptr) {
-      recycled_metric_->Add(static_cast<int64_t>(bytes));
-    }
-  } else {
-    data = new char[bytes];
-    if (cls >= 0) {
-      misses_.fetch_add(1, std::memory_order_relaxed);
-      if (misses_metric_ != nullptr) misses_metric_->Add();
-    }
-  }
-
-  live_bytes_.fetch_add(static_cast<int64_t>(bytes),
-                        std::memory_order_relaxed);
-  PublishGauges();
-
-  PoolAlloc out;
-  out.data = data;
-  out.bytes = bytes;
-  out.size_class = cls;
-  return out;
+  if (data == nullptr) data = new char[bytes];
+  Bump(cache->live_bytes, static_cast<int64_t>(bytes));
+  return PoolAlloc{data, bytes, cls};
 }
 
 void BlockPool::Release(PoolAlloc alloc) {
   if (alloc.data == nullptr) return;
-  live_bytes_.fetch_sub(static_cast<int64_t>(alloc.bytes),
-                        std::memory_order_relaxed);
+  ThreadCache* cache = LocalCache();
+  Bump(cache->live_bytes, -static_cast<int64_t>(alloc.bytes));
   if (alloc.size_class < 0) {
     // Oversized chunks are never cached.
     delete[] alloc.data;
     released_to_os_bytes_.fetch_add(static_cast<int64_t>(alloc.bytes),
                                     std::memory_order_relaxed);
-    if (released_os_metric_ != nullptr) {
-      released_os_metric_->Add(static_cast<int64_t>(alloc.bytes));
-    }
-    PublishGauges();
     return;
   }
-
-  std::vector<char*>& mag = LocalCache()->magazines[alloc.size_class];
+  std::vector<char*>& mag = cache->magazines[alloc.size_class];
   mag.push_back(alloc.data);
-  if (static_cast<int>(mag.size()) > options_.magazine_capacity) {
-    // Magazine overflow: exchange the older half with the central tier.
-    const int keep = std::max(1, options_.magazine_capacity / 2);
-    while (static_cast<int>(mag.size()) > keep) {
-      char* b = mag.front();
-      mag.erase(mag.begin());
-      PushCentral(alloc.size_class, b);
+  if (mag.size() > kMagazineCapacity) {
+    // Magazine overflow: hand the older half to the central tier.
+    const auto older = mag.end() - kMagazineCapacity / 2;
+    for (auto it = mag.begin(); it != older; ++it) {
+      PushCentral(alloc.size_class, *it);
     }
+    mag.erase(mag.begin(), older);
   }
-  PublishGauges();
-}
-
-void BlockPool::SetPressureCapBytes(int64_t cap) {
-  pressure_cap_bytes_.store(cap > 0 ? cap : 0, std::memory_order_relaxed);
-  if (cap_gauge_ != nullptr) cap_gauge_->Set(cap > 0 ? cap : 0);
 }
 
 BlockPool::Stats BlockPool::GetStats() const {
   Stats s;
-  s.live_bytes = live_bytes_.load(std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> lock(caches_mu_);
+    s.hits = retired_hits_;
+    s.recycled_bytes = retired_recycled_bytes_;
+    s.live_bytes = retired_live_bytes_;
+    for (const auto& cache : caches_) {
+      s.hits += cache->hits.load(std::memory_order_relaxed);
+      s.recycled_bytes +=
+          cache->recycled_bytes.load(std::memory_order_relaxed);
+      s.live_bytes += cache->live_bytes.load(std::memory_order_relaxed);
+    }
+  }
   s.central_bytes = central_bytes_.load(std::memory_order_relaxed);
-  s.hits = hits_.load(std::memory_order_relaxed);
   s.misses = misses_.load(std::memory_order_relaxed);
   s.oversized = oversized_.load(std::memory_order_relaxed);
-  s.recycled_bytes = recycled_bytes_.load(std::memory_order_relaxed);
   s.released_to_os_bytes =
       released_to_os_bytes_.load(std::memory_order_relaxed);
-  s.pressure_rejects = pressure_rejects_.load(std::memory_order_relaxed);
-  s.pressure_fallbacks = pressure_fallbacks_.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -319,18 +310,8 @@ void BlockPool::TrimCaches() {
         static_cast<int64_t>(SizeClassBytes(cls)) * drained.size();
     central_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
     released_to_os_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-    if (released_os_metric_ != nullptr) released_os_metric_->Add(bytes);
     for (char* b : drained) delete[] b;
   }
-  PublishGauges();
-}
-
-void BlockPool::PublishGauges() {
-  if (live_gauge_ == nullptr) return;
-  live_gauge_->Set(
-      static_cast<double>(live_bytes_.load(std::memory_order_relaxed)));
-  central_gauge_->Set(
-      static_cast<double>(central_bytes_.load(std::memory_order_relaxed)));
 }
 
 }  // namespace claims

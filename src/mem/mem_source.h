@@ -15,17 +15,16 @@ class QueryBudget;
 /// owning query's ledger (nullptr = uncharged, for standalone structures).
 /// Small value type, passed by copy through operator specs.
 ///
-/// AllocateChunk is the one place the degradation handshake lives:
-///   pool alloc (strict iff the ledger is bounded) -> ledger charge.
-/// A pool refusal notifies the budget (NotePressure -> shrink hook) before
-/// reporting failure; a budget refusal returns the chunk to the pool. The
-/// caller never sees a chunk whose actual bytes are not already charged.
+/// AllocateChunk is the one place the degradation handshake lives: allocate
+/// (the pool never refuses), then charge the ledger. A refused charge returns
+/// the chunk. The caller never sees a chunk whose actual bytes are not
+/// already charged.
 struct MemSource {
   BlockPool* pool = nullptr;
   QueryBudget* budget = nullptr;
 
-  /// Returns an empty PoolAlloc when the budget (or a strict pool cap)
-  /// refuses; the caller runs the next rung of the degradation ladder.
+  /// Returns an empty PoolAlloc when the ledger refuses (after its shrink
+  /// hook); the caller runs the next rung of the degradation ladder.
   PoolAlloc AllocateChunk(size_t min_bytes) const;
 
   /// Releases the chunk and refunds what AllocateChunk charged.

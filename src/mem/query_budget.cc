@@ -5,23 +5,13 @@
 namespace claims {
 
 namespace {
-/// Process-wide aggregates behind the /metrics gauges. Per-query gauges
-/// would be unbounded-cardinality at millions-of-users rates; per-query
-/// numbers are exposed through /queries instead (docs/MEMORY.md).
+/// Process-wide aggregates behind the /metrics gauges, which read them when
+/// the registry is read (mem/block_pool.cc). Per-query gauges would be
+/// unbounded-cardinality at millions-of-users rates; per-query numbers are
+/// exposed through /queries instead (docs/MEMORY.md).
 std::atomic<int64_t> g_total_charged{0};
 std::atomic<int64_t> g_total_budget{0};
-
-void PublishTotals() {
-  // Resolved once; registry lookup takes a mutex and this is the charge path.
-  static MetricGauge* charged_gauge =
-      MetricsRegistry::Global()->gauge("mem.charged_bytes");
-  static MetricGauge* budget_gauge =
-      MetricsRegistry::Global()->gauge("mem.budget_bytes");
-  charged_gauge->Set(
-      static_cast<double>(g_total_charged.load(std::memory_order_relaxed)));
-  budget_gauge->Set(
-      static_cast<double>(g_total_budget.load(std::memory_order_relaxed)));
-}
+std::atomic<int64_t> g_process_cap{0};
 }  // namespace
 
 QueryBudget::QueryBudget(int64_t budget_bytes)
@@ -29,16 +19,24 @@ QueryBudget::QueryBudget(int64_t budget_bytes)
       shrinks_metric_(MetricsRegistry::Global()->counter("mem.degrade.shrinks")),
       rejects_metric_(MetricsRegistry::Global()->counter("mem.degrade.rejects")) {
   g_total_budget.fetch_add(budget_bytes_, std::memory_order_relaxed);
-  PublishTotals();
 }
 
 QueryBudget::~QueryBudget() {
   g_total_budget.fetch_sub(budget_bytes_, std::memory_order_relaxed);
-  PublishTotals();
 }
 
 bool QueryBudget::TryCharge(int64_t bytes) {
   if (bytes <= 0) return true;
+  if (budget_bytes_ > 0) {
+    // Only a bounded ledger has a ladder to fall down, so only it honours
+    // the process cap. The check is not atomic with the add below: racing
+    // charges may overshoot the cap by one charge each.
+    const int64_t cap = g_process_cap.load(std::memory_order_relaxed);
+    if (cap > 0 &&
+        g_total_charged.load(std::memory_order_relaxed) + bytes > cap) {
+      return false;
+    }
+  }
   int64_t cur = charged_.load(std::memory_order_relaxed);
   while (true) {
     const int64_t next = cur + bytes;
@@ -54,7 +52,6 @@ bool QueryBudget::TryCharge(int64_t bytes) {
          !peak_.compare_exchange_weak(peak, now, std::memory_order_relaxed)) {
   }
   g_total_charged.fetch_add(bytes, std::memory_order_relaxed);
-  PublishTotals();
   return true;
 }
 
@@ -70,7 +67,6 @@ void QueryBudget::Release(int64_t bytes) {
   if (bytes <= 0) return;
   charged_.fetch_sub(bytes, std::memory_order_relaxed);
   g_total_charged.fetch_sub(bytes, std::memory_order_relaxed);
-  PublishTotals();
 }
 
 void QueryBudget::MarkRejected() {
@@ -78,8 +74,6 @@ void QueryBudget::MarkRejected() {
     rejects_metric_->Add();
   }
 }
-
-void QueryBudget::NotePressure() { RunShrinkHook(); }
 
 void QueryBudget::AddSpilledBytes(int64_t bytes) {
   if (bytes <= 0) return;
@@ -108,6 +102,18 @@ bool QueryBudget::RunShrinkHook() {
 
 int64_t QueryBudget::TotalChargedBytes() {
   return g_total_charged.load(std::memory_order_relaxed);
+}
+
+int64_t QueryBudget::TotalBudgetBytes() {
+  return g_total_budget.load(std::memory_order_relaxed);
+}
+
+void QueryBudget::SetProcessCapBytes(int64_t cap) {
+  g_process_cap.store(cap > 0 ? cap : 0, std::memory_order_relaxed);
+}
+
+int64_t QueryBudget::process_cap_bytes() {
+  return g_process_cap.load(std::memory_order_relaxed);
 }
 
 }  // namespace claims

@@ -11,7 +11,6 @@
 namespace claims {
 
 class MetricCounter;
-class MetricGauge;
 
 /// The per-query memory ledger: every execution owns exactly one. Arena
 /// chunks, elastic-buffer blocks and exchange-channel blocks owned by the
@@ -19,6 +18,12 @@ class MetricGauge;
 /// peak is the query's peak memory (ExecutionReport, the paper's Table 4).
 /// With a budget, Charge refuses to let `charged` exceed it — that is the
 /// ledger invariant the mempressure stress test samples every millisecond.
+///
+/// Process cap (SetProcessCapBytes, actuated by the mempressure fault): while
+/// set, a *bounded* ledger also refuses any charge that would take the sum
+/// over all ledgers (TotalChargedBytes) past it. Unbounded ledgers never
+/// refuse. This ledger is the only code in the process that refuses memory:
+/// BlockPool only recycles.
 ///
 /// Degradation ladder (docs/MEMORY.md): a refused charge first invokes the
 /// shrink hook (the executor asks DynamicScheduler to cut the widest live
@@ -33,8 +38,8 @@ class MetricGauge;
 /// later unrelated Internal error as ResourceExhausted.
 class QueryBudget {
  public:
-  /// budget_bytes <= 0 means unbounded (charges always succeed); the ledger
-  /// still tracks charged/peak so reports stay uniform.
+  /// budget_bytes <= 0 means unbounded (charges always succeed, process cap
+  /// or not); the ledger still tracks charged/peak so reports stay uniform.
   explicit QueryBudget(int64_t budget_bytes);
   /// A ledger dies balanced: everything that charged it refunds first.
   /// Leftover charge is a leak and stays in TotalChargedBytes.
@@ -42,7 +47,8 @@ class QueryBudget {
 
   CLAIMS_DISALLOW_COPY_AND_ASSIGN(QueryBudget);
 
-  /// Single CAS attempt; never exceeds the budget, never calls the hook.
+  /// Single CAS attempt; never exceeds the budget (nor, for a bounded
+  /// ledger, the process cap) and never calls the hook.
   bool TryCharge(int64_t bytes);
 
   /// TryCharge, and on failure: run the shrink hook (if any) and retry once.
@@ -57,10 +63,6 @@ class QueryBudget {
   bool rejected() const {
     return rejected_.load(std::memory_order_acquire);
   }
-
-  /// Pool-level squeeze (strict alloc refused by the pressure cap, not by
-  /// this ledger): gives the shrink hook a chance before the caller spills.
-  void NotePressure();
 
   void AddSpilledBytes(int64_t bytes);
 
@@ -83,6 +85,12 @@ class QueryBudget {
   /// Sum of charged bytes across every ledger in the process (the aggregate
   /// behind the mem.charged_bytes gauge); 0 whenever no query holds memory.
   static int64_t TotalChargedBytes();
+  /// Sum of every live ledger's budget (the mem.budget_bytes gauge).
+  static int64_t TotalBudgetBytes();
+
+  /// Caps TotalChargedBytes for bounded ledgers; <= 0 removes the cap.
+  static void SetProcessCapBytes(int64_t cap);
+  static int64_t process_cap_bytes();
 
  private:
   bool RunShrinkHook();

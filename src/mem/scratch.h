@@ -5,7 +5,7 @@
 #include <memory>
 
 #include "common/macros.h"
-#include "mem/block_pool.h"
+#include "mem/mem_source.h"
 
 namespace claims {
 
@@ -14,30 +14,18 @@ namespace claims {
 /// scratch is exactly the churn a recycling pool exists for — with a plain
 /// new[] fallback so operators built without a pool behave as before.
 ///
-/// Non-strict and unbudgeted on purpose: scratch is transient (lives for one
-/// block) and bounded by the block size, so it is not charged against the
-/// query ledger — only *state* (arenas, buffered blocks) binds the budget;
-/// see docs/MEMORY.md. T must be trivially destructible; contents start
+/// Unbudgeted on purpose: scratch is transient (lives for one block) and
+/// bounded by the block size, so it is not charged against the query ledger
+/// — only *state* (arenas, buffered blocks) binds the budget; see
+/// docs/MEMORY.md. T must be trivially destructible; contents start
 /// uninitialized (recycled chunks keep old bytes).
 template <typename T>
 class Scratch {
  public:
-  Scratch(BlockPool* pool, size_t count) : pool_(pool) {
-    const size_t bytes = count * sizeof(T);
-    if (pool_ != nullptr) {
-      alloc_ = pool_->Allocate(bytes);
-    } else {
-      alloc_.data = new char[bytes];
-      alloc_.bytes = bytes;
-    }
-  }
-  ~Scratch() {
-    if (pool_ != nullptr) {
-      pool_->Release(alloc_);
-    } else {
-      delete[] alloc_.data;
-    }
-  }
+  Scratch(BlockPool* pool, size_t count)
+      : source_{pool, nullptr},
+        alloc_(source_.AllocateChunk(count * sizeof(T))) {}
+  ~Scratch() { source_.ReleaseChunk(alloc_); }
   CLAIMS_DISALLOW_COPY_AND_ASSIGN(Scratch);
 
   T* data() { return reinterpret_cast<T*>(alloc_.data); }
@@ -45,7 +33,7 @@ class Scratch {
   T& operator[](size_t i) { return data()[i]; }
 
  private:
-  BlockPool* pool_;
+  MemSource source_;
   PoolAlloc alloc_;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/string_util.h"
+#include "obs/process_stats.h"
 
 namespace claims {
 
@@ -93,8 +94,22 @@ void MetricHistogram::Reset() {
 }
 
 MetricsRegistry* MetricsRegistry::Global() {
-  static MetricsRegistry* registry = new MetricsRegistry;
+  static MetricsRegistry* registry = [] {
+    auto* r = new MetricsRegistry;
+    r->AddRefreshHook(UpdateProcessGauges);
+    return r;
+  }();
   return registry;
+}
+
+void MetricsRegistry::AddRefreshHook(std::function<void()> hook) {
+  std::lock_guard<std::mutex> lock(hooks_mu_);
+  hooks_.push_back(std::move(hook));
+}
+
+void MetricsRegistry::RunRefreshHooks() const {
+  std::lock_guard<std::mutex> lock(hooks_mu_);
+  for (const auto& hook : hooks_) hook();
 }
 
 MetricCounter* MetricsRegistry::counter(const std::string& name) {
@@ -119,6 +134,7 @@ MetricHistogram* MetricsRegistry::histogram(const std::string& name) {
 }
 
 std::string MetricsRegistry::TextSnapshot() const {
+  RunRefreshHooks();
   std::lock_guard<std::mutex> lock(mu_);
   std::string out;
   for (const auto& [name, c] : counters_) {
@@ -149,6 +165,7 @@ void MetricsRegistry::Visit(
         on_gauge,
     const std::function<void(const std::string&, const MetricHistogram&)>&
         on_histogram) const {
+  RunRefreshHooks();
   std::lock_guard<std::mutex> lock(mu_);
   if (on_counter) {
     for (const auto& [name, c] : counters_) on_counter(name, *c);

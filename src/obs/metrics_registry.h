@@ -8,6 +8,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "common/macros.h"
 
@@ -99,9 +100,11 @@ class MetricHistogram {
 
 /// Process-wide registry of named metrics. Lookup takes a mutex — components
 /// resolve their metrics once at construction and hold the stable pointers;
-/// the update paths are pure atomics. Names use dotted lower-case
-/// ("scheduler.expansions", "net.bytes_sent"); instance-scoped metrics append
-/// a label after a colon ("buffer.peak:S1@n0").
+/// the update paths are pure atomics. Figures a component already keeps
+/// (pool and ledger totals, process usage) are not pushed on every change:
+/// a refresh hook copies them in whenever the registry is read. Names use
+/// dotted lower-case ("scheduler.expansions", "net.bytes_sent");
+/// instance-scoped metrics append a label after a colon ("buffer.peak:S1@n0").
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -114,6 +117,12 @@ class MetricsRegistry {
   MetricGauge* gauge(const std::string& name);
   MetricHistogram* histogram(const std::string& name);
 
+  /// Registers `hook`, which TextSnapshot and Visit run before they read.
+  /// Hooks run one at a time, outside the registry mutex, so a hook may look
+  /// metrics up; it must not register hooks. They live as long as the
+  /// registry. The global registry comes with one: UpdateProcessGauges.
+  void AddRefreshHook(std::function<void()> hook);
+
   /// Human-readable dump of every registered metric, sorted by name:
   ///   counter scheduler.expansions 42
   ///   gauge   buffer.peak:S1@n0 63
@@ -124,10 +133,11 @@ class MetricsRegistry {
   /// valid.
   void ResetAll();
 
-  /// Visits every registered metric, sorted by name within each kind, while
-  /// holding the registry mutex (callbacks must not call back into the
-  /// registry). The Prometheus exposition in obs/prometheus.h is built on
-  /// this; tests use it to enumerate without parsing TextSnapshot.
+  /// Runs the refresh hooks, then visits every registered metric, sorted by
+  /// name within each kind, while holding the registry mutex (callbacks must
+  /// not call back into the registry). The Prometheus exposition in
+  /// obs/prometheus.h is built on this; tests use it to enumerate without
+  /// parsing TextSnapshot.
   void Visit(
       const std::function<void(const std::string&, const MetricCounter&)>&
           on_counter,
@@ -137,6 +147,12 @@ class MetricsRegistry {
           on_histogram) const;
 
  private:
+  void RunRefreshHooks() const;
+
+  /// Taken before mu_, never under it. Serializing the hooks keeps a counter
+  /// that a hook advances to a running total from being advanced twice.
+  mutable std::mutex hooks_mu_;
+  std::vector<std::function<void()>> hooks_;
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<MetricCounter>> counters_;
   std::map<std::string, std::unique_ptr<MetricGauge>> gauges_;

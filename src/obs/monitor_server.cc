@@ -9,7 +9,6 @@
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "obs/metrics_registry.h"
-#include "obs/process_stats.h"
 #include "obs/profile/assembler.h"
 #include "obs/prometheus.h"
 #include "obs/timeseries/dashboard_html.h"
@@ -118,8 +117,6 @@ void MonitorServer::RegisterBuiltinRoutes() {
     return HttpResponse{200, "text/plain; charset=utf-8", "ok\n"};
   });
   AddHandler("GET", "/metrics", [this](const HttpRequest&) {
-    // Refresh process.* gauges per scrape: always current, no sampler thread.
-    UpdateProcessGauges();
     const int64_t t0 = SteadyClock::Default()->NowNanos();
     HttpResponse response;
     response.content_type = kPrometheusContentType;

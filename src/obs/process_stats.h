@@ -21,8 +21,9 @@ ProcessStats SampleProcessStats();
 
 /// Refreshes the process.* gauges in the global MetricsRegistry
 /// (process.rss_bytes, process.threads, process.open_fds,
-/// process.uptime_seconds). The /metrics handler calls this per scrape, so
-/// the gauges are always current without a background sampler thread.
+/// process.uptime_seconds). The global registry runs it as a refresh hook
+/// before every read, so the gauges are always current without a background
+/// sampler thread.
 void UpdateProcessGauges();
 
 }  // namespace claims

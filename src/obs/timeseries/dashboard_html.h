@@ -130,7 +130,7 @@ const PANELS = [
   { id: "latency", title: "Query latency p99", unit: "ms", color: "--series-2",
     pick: ["wlm.driver.latency_ns.p99"], scale: 1e-6 },
   { id: "memory", title: "Memory charged", unit: "MB", color: "--series-3",
-    pick: ["mem.pool.charged_bytes", "mem.charged_bytes", "process.rss_bytes"],
+    pick: ["mem.charged_bytes", "process.rss_bytes"],
     scale: 1 / (1024 * 1024) },
   { id: "scheduler", title: "Scheduler activity", unit: "/s", color: "--series-1",
     pick: ["scheduler.ticks", "scheduler.expansions", "elastic.expansions"],

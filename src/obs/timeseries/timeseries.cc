@@ -6,7 +6,6 @@
 #include <cstdlib>
 
 #include "common/string_util.h"
-#include "obs/process_stats.h"
 
 namespace claims {
 
@@ -85,13 +84,6 @@ void MetricSampler::ThreadMain() {
 
 int MetricSampler::SampleOnce() {
   const int64_t now = clock_->NowNanos();
-
-  // Process gauges (rss, threads, fds) are otherwise only refreshed by a
-  // /metrics scrape; the dashboard reads them from rings, so refresh here.
-  // Only for the global registry — test-local registries stay deterministic.
-  if (registry_ == MetricsRegistry::Global()) {
-    UpdateProcessGauges();
-  }
 
   // Collect outside our own mutex: Visit holds the registry mutex during
   // callbacks, and we never want registry_mu + sampler_mu held together.

@@ -24,8 +24,8 @@ inline constexpr int32_t kDefaultBlockBytes = 64 * 1024;
 class Block {
  public:
   /// Creates an empty block for rows of `row_size` bytes. The payload comes
-  /// from the shared BlockPool (non-strict: transit blocks must never fail
-  /// mid-pipeline; pool pressure surfaces as fallback counters instead).
+  /// from the shared BlockPool, which never refuses; a queued block is
+  /// charged to its query's ledger by the buffer or channel holding it.
   /// Recycled pool memory is not zeroed, so the payload is memset here —
   /// schema padding bytes must compare equal under memcmp-based row checks.
   explicit Block(int32_t row_size, int32_t capacity_bytes = kDefaultBlockBytes)

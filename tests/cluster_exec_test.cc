@@ -421,8 +421,11 @@ TEST_F(ClusterCancelTest, DeadlineCancelsMidStream) {
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded)
       << result.status().ToString();
-  // The watchdog fired roughly at the deadline, not after the full join.
+  // The watchdog fired roughly at the deadline, not after the full join, and
+  // the expired run still reports its run time.
   EXPECT_LT(SteadyClock::Default()->NowNanos() - start_ns, 2'000'000'000);
+  EXPECT_GT(exec.report().elapsed_ns, 0);
+  EXPECT_LT(exec.report().elapsed_ns, 2'000'000'000);
 }
 
 TEST_F(ClusterCancelTest, ExpiredDeadlineFailsFast) {

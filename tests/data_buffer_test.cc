@@ -124,6 +124,33 @@ TEST(DataBufferTest, WaitingProducerHoldsNoChargeOnAnUnboundedLedger) {
   EXPECT_EQ(ledger.charged_bytes(), 0);
 }
 
+// A failed or cancelled segment's buffer outlives the run until its executor
+// runs again: Cancel itself must hand the queued blocks' charge back, in both
+// buffer modes, and the consumer sees end-of-file, not the dropped blocks.
+TEST(DataBufferTest, CancelRefundsQueuedBlocks) {
+  for (bool ordered : {false, true}) {
+    SCOPED_TRACE(ordered ? "ordered" : "unordered");
+    QueryBudget ledger(/*budget_bytes=*/1 << 20);
+    DataBuffer buf({.capacity_blocks = 8, .order_preserving = ordered,
+                    .budget = &ledger});
+    buf.AddProducer(0);
+    buf.AddProducer(1);
+    ASSERT_TRUE(buf.Insert(0, SeqBlock(4)));
+    ASSERT_TRUE(buf.Insert(1, SeqBlock(5)));
+    ASSERT_TRUE(buf.Insert(0, SeqBlock(6)));
+    ASSERT_GT(ledger.charged_bytes(), 0);
+
+    buf.Cancel();
+    EXPECT_EQ(ledger.charged_bytes(), 0);
+    EXPECT_EQ(buf.size(), 0u);
+    BlockPtr out;
+    EXPECT_EQ(buf.Pop(&out), NextResult::kEndOfFile);
+    EXPECT_EQ(out, nullptr);
+    EXPECT_FALSE(buf.Insert(1, SeqBlock(7)));
+    EXPECT_EQ(ledger.charged_bytes(), 0);
+  }
+}
+
 TEST(DataBufferTest, TerminatedProducersDontSignalEof) {
   // Regression: all current producers shrinking away (terminated, not
   // finished) left active_producers_ == 0 && total_blocks_ == 0 — the old

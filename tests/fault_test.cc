@@ -18,7 +18,6 @@
 
 #include "cluster/executor.h"
 #include "fault/injector.h"
-#include "mem/block_pool.h"
 #include "mem/query_budget.h"
 #include "net/network.h"
 #include "wlm/query_service.h"
@@ -232,20 +231,30 @@ TEST(FaultInjectorTest, MemPressureActuatesCapAndRestores) {
   EXPECT_TRUE(injector.DescribeActiveFaults().empty());
 }
 
-TEST(FaultInjectorTest, MemPressureDefaultHandlerSqueezesGlobalPool) {
+TEST(FaultInjectorTest, MemPressureDefaultHandlerCapsTheLedgers) {
   auto plan = ParseFaultPlan(
       "at=1ms kind=mempressure dur=5ms bytes=131072\n");
   ASSERT_TRUE(plan.ok());
   ManualClock clock;
-  FaultInjector injector(*plan, &clock);  // default handler: global pool
+  FaultInjector injector(*plan, &clock);  // default handler: ledger cap
   injector.ArmManual();
 
   clock.Advance(2'000'000);
   injector.PollOnce();
-  EXPECT_EQ(BlockPool::Global()->pressure_cap_bytes(), 131'072);
+  EXPECT_EQ(QueryBudget::process_cap_bytes(), 131'072);
+  {
+    // The squeeze binds a bounded ledger, never an unbounded one.
+    QueryBudget bounded(1 << 20);
+    QueryBudget unbounded(/*budget_bytes=*/0);
+    EXPECT_TRUE(bounded.TryCharge(100'000));
+    EXPECT_FALSE(bounded.TryCharge(100'000));
+    EXPECT_TRUE(unbounded.TryCharge(100'000));
+    bounded.Release(bounded.charged_bytes());
+    unbounded.Release(unbounded.charged_bytes());
+  }
   clock.Advance(5'000'000);
   injector.PollOnce();
-  EXPECT_EQ(BlockPool::Global()->pressure_cap_bytes(), 0);  // uncapped
+  EXPECT_EQ(QueryBudget::process_cap_bytes(), 0);  // uncapped
 }
 
 TEST(FaultInjectorTest, ProbabilisticDrawsAreSeedDeterministic) {
@@ -715,8 +724,11 @@ TEST(ClusterFaultTest, FailedConsumerCancelsTheProducersFeedingIt) {
     ASSERT_TRUE(returned) << "Execute had not returned after 10 s";
     const Status s = status.get();
     EXPECT_EQ(s.code(), StatusCode::kUnavailable) << s.ToString();
+    // Channels, buffers and arenas the failure left behind are refunded as
+    // soon as Execute returns, while the executor still holds its segments.
+    EXPECT_EQ(QueryBudget::TotalChargedBytes(), 0);
+    EXPECT_GT(exec.report().elapsed_ns, 0);  // failed runs are timed too
   }
-  // Channels, buffers and arenas the failure left behind all refunded.
   EXPECT_EQ(QueryBudget::TotalChargedBytes(), 0);
 
   injector.Disarm();

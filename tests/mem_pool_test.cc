@@ -1,8 +1,8 @@
 // Memory-subsystem tests: size-class boundary behavior, pool recycling and
-// pressure caps, thread-local magazine exchange under multi-thread churn
+// per-thread counts, thread-local magazine exchange under multi-thread churn
 // (the TSan target for cross-thread chunk handoff), QueryBudget ledger
-// charge/release exactness, and the spill/restore round-trip the hash-agg
-// degradation ladder depends on (docs/MEMORY.md).
+// charge/release exactness and process cap, and the spill/restore round-trip
+// the hash-agg degradation ladder depends on (docs/MEMORY.md).
 
 #include <gtest/gtest.h>
 
@@ -23,6 +23,7 @@
 #include "mem/query_budget.h"
 #include "mem/size_class.h"
 #include "mem/spill.h"
+#include "obs/metrics_registry.h"
 
 namespace claims {
 namespace {
@@ -84,32 +85,65 @@ TEST(BlockPoolTest, ReleasedChunksAreRecycled) {
   pool.Release(b);
 }
 
-TEST(BlockPoolTest, PressureCapRefusesStrictAdmitsNonStrict) {
+// The hot-path counts live in each thread's cache: GetStats sums the caches
+// of running threads and of retired ones, so the totals are exact whether
+// or not the threads that made them are still alive.
+TEST(BlockPoolTest, StatsSumRunningAndRetiredThreadCaches) {
   BlockPool pool;
-  pool.SetPressureCapBytes(16 << 10);  // room for ~one 16 KiB chunk
+  std::mutex mu;
+  std::condition_variable cv;
+  bool allocated = false;
+  bool proceed = false;
+  PoolAlloc held;
+  std::thread worker([&] {
+    pool.Release(pool.Allocate(64 << 10));
+    PoolAlloc a = pool.Allocate(64 << 10);  // a magazine hit
+    std::unique_lock<std::mutex> lock(mu);
+    held = a;
+    allocated = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return proceed; });
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return allocated; });
+  }
+  BlockPool::Stats running = pool.GetStats();  // the worker's cache is live
+  EXPECT_EQ(running.hits, 1);
+  EXPECT_EQ(running.misses, 1);
+  EXPECT_EQ(running.recycled_bytes, 64 << 10);
+  EXPECT_EQ(running.live_bytes, 64 << 10);
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    proceed = true;
+  }
+  cv.notify_all();
+  worker.join();
 
-  PoolAlloc first = pool.Allocate(16 << 10, /*strict=*/true);
-  ASSERT_TRUE(first);
+  // Freed by another thread: the two caches' live counts cancel.
+  pool.Release(held);
+  BlockPool::Stats after = pool.GetStats();
+  EXPECT_EQ(after.hits, 1);
+  EXPECT_EQ(after.recycled_bytes, 64 << 10);
+  EXPECT_EQ(after.live_bytes, 0);
+}
 
-  // Over the cap: strict refuses, non-strict falls through (and is counted).
-  PoolAlloc refused = pool.Allocate(16 << 10, /*strict=*/true);
-  EXPECT_FALSE(refused);
-  PoolAlloc fallback = pool.Allocate(16 << 10, /*strict=*/false);
-  ASSERT_TRUE(fallback);
-
-  BlockPool::Stats stats = pool.GetStats();
-  EXPECT_GE(stats.pressure_rejects, 1);
-  EXPECT_GE(stats.pressure_fallbacks, 1);
-
-  // Uncapping restores strict service.
-  pool.SetPressureCapBytes(0);
-  PoolAlloc again = pool.Allocate(16 << 10, /*strict=*/true);
-  EXPECT_TRUE(again);
-
-  pool.Release(first);
-  pool.Release(fallback);
-  pool.Release(again);
-  EXPECT_EQ(pool.GetStats().live_bytes, 0);
+// The global pool's figures reach /metrics when the registry is read, not
+// on every allocation.
+TEST(BlockPoolTest, GlobalPoolMetricsAreFilledOnRead) {
+  BlockPool* pool = BlockPool::Global();
+  MetricsRegistry* reg = MetricsRegistry::Global();
+  PoolAlloc a = pool->Allocate(64 << 10);
+  reg->TextSnapshot();
+  EXPECT_EQ(reg->gauge("mem.pool.live_bytes")->value(),
+            static_cast<double>(pool->GetStats().live_bytes));
+  const int64_t hits = reg->counter("mem.pool.hits")->value();
+  pool->Release(a);
+  pool->Release(pool->Allocate(64 << 10));  // a magazine hit
+  EXPECT_EQ(reg->counter("mem.pool.hits")->value(), hits);  // not yet read
+  reg->TextSnapshot();
+  EXPECT_EQ(reg->counter("mem.pool.hits")->value(), pool->GetStats().hits);
+  EXPECT_GT(reg->counter("mem.pool.hits")->value(), hits);
 }
 
 // 8 threads hammer the pool through their thread-local magazines, half the
@@ -266,6 +300,42 @@ TEST(QueryBudgetTest, ChargeInvokesShrinkHookAndRetries) {
   EXPECT_EQ(budget.charged_bytes(), 768);
 }
 
+// The process cap (the mempressure fault's actuator) binds the sum over
+// every ledger, but only bounded ledgers honour it: an unbounded one has no
+// ladder to fall down.
+TEST(QueryBudgetTest, ProcessCapRefusesBoundedLedgersOnly) {
+  // Ledgers other tests left charged count against the cap too.
+  const int64_t base = QueryBudget::TotalChargedBytes();
+  QueryBudget unbounded(/*budget_bytes=*/0);
+  QueryBudget bounded(1 << 20);
+  ASSERT_TRUE(unbounded.TryCharge(48 << 10));
+  QueryBudget::SetProcessCapBytes(base + (64 << 10));
+  EXPECT_EQ(QueryBudget::process_cap_bytes(), base + (64 << 10));
+
+  EXPECT_TRUE(bounded.TryCharge(16 << 10));   // 64 KiB in total: at the cap
+  EXPECT_FALSE(bounded.TryCharge(1));         // over it
+  EXPECT_TRUE(unbounded.TryCharge(16 << 10));  // never refused
+  EXPECT_EQ(QueryBudget::TotalChargedBytes(), base + (80 << 10));
+  EXPECT_EQ(bounded.charged_bytes(), 16 << 10);
+
+  // A refusal runs the shrink hook and retries, like a budget refusal.
+  int shrinks = 0;
+  bounded.SetShrinkHook([&] {
+    ++shrinks;
+    unbounded.Release(32 << 10);
+    return true;
+  });
+  EXPECT_TRUE(bounded.Charge(16 << 10));
+  EXPECT_EQ(shrinks, 1);
+
+  QueryBudget::SetProcessCapBytes(-1);  // restore: uncapped
+  EXPECT_EQ(QueryBudget::process_cap_bytes(), 0);
+  EXPECT_TRUE(bounded.TryCharge(512 << 10));
+  bounded.Release(bounded.charged_bytes());
+  unbounded.Release(unbounded.charged_bytes());
+  EXPECT_EQ(QueryBudget::TotalChargedBytes(), base);
+}
+
 TEST(QueryBudgetTest, ConcurrentChargesNeverExceedBudget) {
   const int64_t kBudget = 1 << 20;
   QueryBudget budget(kBudget);
@@ -344,28 +414,30 @@ TEST(MemSourceTest, BudgetRefusalReturnsChunkToPool) {
   EXPECT_EQ(pool.GetStats().live_bytes, 0);  // refused chunk went back
 }
 
-// Only a bounded ledger makes pool allocation strict: an unbounded one (every
-// query without a budget) falls through the pressure cap and still charges.
-TEST(MemSourceTest, UnboundedLedgerAllocatesPastThePressureCap) {
+// Only a bounded ledger honours the process cap: an unbounded one (every
+// query without a budget) charges past it.
+TEST(MemSourceTest, UnboundedLedgerChargesPastTheProcessCap) {
   BlockPool pool;
-  pool.SetPressureCapBytes(16 << 10);
+  QueryBudget::SetProcessCapBytes(QueryBudget::TotalChargedBytes() +
+                                  (16 << 10));
   QueryBudget unbounded(/*budget_bytes=*/0);
   QueryBudget bounded(1 << 20);
   MemSource loose{&pool, &unbounded};
-  MemSource strict{&pool, &bounded};
+  MemSource capped{&pool, &bounded};
 
   PoolAlloc first = loose.AllocateChunk(16 << 10);
   ASSERT_TRUE(first);
-  EXPECT_FALSE(strict.AllocateChunk(16 << 10));  // refused by the cap
+  EXPECT_FALSE(capped.AllocateChunk(16 << 10));  // refused by the cap
   PoolAlloc second = loose.AllocateChunk(16 << 10);
   ASSERT_TRUE(second);
   EXPECT_EQ(unbounded.charged_bytes(), 32 << 10);
   EXPECT_EQ(bounded.charged_bytes(), 0);
+  QueryBudget::SetProcessCapBytes(0);
 
   loose.ReleaseChunk(first);
   loose.ReleaseChunk(second);
   EXPECT_EQ(unbounded.charged_bytes(), 0);
-  EXPECT_EQ(pool.GetStats().live_bytes, 0);
+  EXPECT_EQ(pool.GetStats().live_bytes, 0);  // the refused chunk went back
 }
 
 // --- Arena recycling ------------------------------------------------------------

@@ -284,5 +284,23 @@ TEST(MetricsRegistryTest, TextSnapshotEmptyHistogramMaxZero) {
   EXPECT_EQ(text.find("-9223372036854775808"), std::string::npos) << text;
 }
 
+// Figures kept elsewhere are copied in by a refresh hook just before each
+// read, so both read paths see the value current at the read.
+TEST(MetricsRegistryTest, RefreshHooksFillMetricsOnEveryRead) {
+  MetricsRegistry reg;
+  int64_t source = 7;
+  int runs = 0;
+  reg.AddRefreshHook([&] {
+    ++runs;
+    reg.gauge("filled.on_read")->Set(static_cast<double>(source));
+  });
+  EXPECT_EQ(runs, 0);  // registering does not run it
+  EXPECT_NE(reg.TextSnapshot().find("filled.on_read 7"), std::string::npos);
+  source = 9;
+  EXPECT_NE(PrometheusSnapshot(reg).find("filled_on_read 9"),
+            std::string::npos);
+  EXPECT_EQ(runs, 2);
+}
+
 }  // namespace
 }  // namespace claims

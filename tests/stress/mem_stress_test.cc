@@ -1,17 +1,18 @@
 // Memory-pressure stress: a 24-query storm over one shared cluster, every
 // query running under a binding per-query budget, while a mempressure fault
-// squeezes the global block pool mid-storm. The contract under the squeeze
-// (docs/MEMORY.md): every query ends correct — byte-equivalent to an
+// caps the ledgers' total charge for the whole storm. The contract under the
+// squeeze (docs/MEMORY.md): every query ends correct — byte-equivalent to an
 // unpressured reference run — or fails kResourceExhausted after the
 // shrink -> spill ladder; nothing hangs, nothing OOMs, and the ledger
 // invariant `charged <= budget` holds at every millisecond sample. Under
-// TSan this is the test that races pool squeeze/restore against charge,
-// spill, and refund on all workers at once.
+// TSan this is the test that races the squeeze and its restore against
+// charge, spill, and refund on all workers at once.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -22,6 +23,8 @@
 #include "cluster/executor.h"
 #include "fault/injector.h"
 #include "mem/block_pool.h"
+#include "mem/query_budget.h"
+#include "obs/metrics_registry.h"
 #include "wlm/query_service.h"
 
 namespace claims {
@@ -52,7 +55,7 @@ class MemStressTest : public ::testing::Test {
     cluster_ = new Cluster(copts, catalog_);
   }
   static void TearDownTestSuite() {
-    BlockPool::Global()->SetPressureCapBytes(0);  // never leak a cap
+    QueryBudget::SetProcessCapBytes(0);  // never leak a cap
     delete cluster_;
     delete catalog_;
   }
@@ -87,7 +90,7 @@ class MemStressTest : public ::testing::Test {
 Catalog* MemStressTest::catalog_ = nullptr;
 Cluster* MemStressTest::cluster_ = nullptr;
 
-TEST_F(MemStressTest, PoolSqueezeMidStormDegradesWithoutHangs) {
+TEST_F(MemStressTest, SqueezedStormDegradesWithoutHangs) {
   constexpr int kQueries = 24;
 
   // Reference results from an unpressured run, one per agg mode. Any storm
@@ -109,10 +112,15 @@ TEST_F(MemStressTest, PoolSqueezeMidStormDegradesWithoutHangs) {
     service.Shutdown();
   }
 
-  // The squeeze: a mempressure window opens 30 ms into the storm and caps
-  // the global pool for 250 ms through the injector's default actuator.
+  // The squeeze: a mempressure window opens before the first query and caps
+  // the ledgers' total charge at 1.75 MiB through the injector's default
+  // actuator, under what the admitted queries hold unsqueezed, so the ladder
+  // has to engage. At 8 MiB it never did, and at 2 MiB not in every run.
+  // At 1 to 1.5 MiB as few as one query in 24 completed (under TSan, where
+  // more of them overlap), close to the "some complete" floor asserted
+  // below.
   auto plan = ParseFaultPlan(
-      "at=30ms kind=mempressure dur=250ms bytes=8388608\n");
+      "at=0ns kind=mempressure dur=60s bytes=1835008\n");
   ASSERT_TRUE(plan.ok());
   FaultInjector injector(*plan);
 
@@ -138,6 +146,14 @@ TEST_F(MemStressTest, PoolSqueezeMidStormDegradesWithoutHangs) {
     }
   });
 
+  MetricsRegistry* reg = MetricsRegistry::Global();
+  auto ladder = [reg] {
+    return std::vector<int64_t>{
+        reg->counter("mem.degrade.shrinks")->value(),
+        reg->counter("mem.degrade.spills")->value(),
+        reg->counter("mem.degrade.rejects")->value()};
+  };
+  const std::vector<int64_t> ladder_before = ladder();
   injector.Arm();
   std::vector<QueryHandlePtr> handles;
   handles.reserve(kQueries);
@@ -156,7 +172,7 @@ TEST_F(MemStressTest, PoolSqueezeMidStormDegradesWithoutHangs) {
   }
 
   // Zero hangs: every query must terminate well within the suite timeout
-  // even with the pool capped. WaitFor bounds it explicitly.
+  // even with the ledgers capped. WaitFor bounds it explicitly.
   int ok = 0, exhausted = 0;
   for (int i = 0; i < kQueries; ++i) {
     ASSERT_TRUE(handles[i]->WaitFor(120'000'000'000))  // 120 s
@@ -174,7 +190,8 @@ TEST_F(MemStressTest, PoolSqueezeMidStormDegradesWithoutHangs) {
   }
   service.Shutdown();
   injector.Disarm();
-  BlockPool::Global()->SetPressureCapBytes(0);
+  QueryBudget::SetProcessCapBytes(0);
+  const std::vector<int64_t> ladder_after = ladder();
 
   stop_sampler.store(true, std::memory_order_release);
   sampler.join();
@@ -185,6 +202,18 @@ TEST_F(MemStressTest, PoolSqueezeMidStormDegradesWithoutHangs) {
   // relief valve, at least some queries complete correctly.
   EXPECT_GT(ok, 0) << ok << " ok / " << exhausted << " exhausted";
   EXPECT_EQ(ok + exhausted, kQueries);
+  // The squeeze landed: the ladder engaged during the storm. Each rung is
+  // printed; their sum is asserted, since a single rung (spills) rose by as
+  // little as 1 in a run.
+  const char* kRungs[] = {"shrinks", "spills", "rejects"};
+  int64_t rungs = 0;
+  for (int r = 0; r < 3; ++r) {
+    rungs += ladder_after[r] - ladder_before[r];
+    std::printf("mem.degrade.%s +%lld\n", kRungs[r],
+                static_cast<long long>(ladder_after[r] - ladder_before[r]));
+  }
+  std::printf("%d ok / %d exhausted\n", ok, exhausted);
+  EXPECT_GT(rungs, 0) << "the squeeze never engaged the ladder";
 }
 
 // Thread exits racing allocations: waves of short-lived threads come and go
