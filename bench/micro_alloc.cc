@@ -9,9 +9,12 @@
 //            pool the way repeated queries churn them through a server.
 // The twins alternate over kRounds rounds; each round's global/pool time
 // ratio is one sample, and the median and quartiles of those samples are
-// reported. `--json` emits a machine-readable summary, the pool's counts
-// included; CI's mem-smoke job asserts the median ratio >= threshold and a
-// live byte count of 0, and uploads the JSON as an artifact.
+// reported, with the pool hits and misses each workload's pool twin caused.
+// `--json` emits a machine-readable summary, the pool's totals included;
+// CI's mem-smoke job asserts churn's median ratio >= threshold, that the
+// q1agg twin's chunks recycled (its hits against its misses: q1agg's time
+// ratio ties within its noise) and a live byte count of 0, and uploads the
+// JSON as an artifact.
 
 #include <algorithm>
 #include <chrono>
@@ -93,14 +96,22 @@ struct Twin {
   std::vector<double> global_ms;
   /// Per round, global time / pool time: > 1 means the pool twin was faster.
   std::vector<double> ratios;
+  /// Pool hits and misses over this workload's pool runs.
+  int64_t pool_hits = 0;
+  int64_t pool_misses = 0;
 
   /// Runs `run(pooled)` for both twins back to back, the pool twin first
-  /// on even rounds and second on odd ones, and records the pair.
+  /// on even rounds and second on odd ones, and records the pair. Only the
+  /// pool twin touches `pool`, so its counts move by what that run caused.
   template <typename Run>
-  void RunRound(int round, Run run) {
+  void RunRound(int round, const BlockPool& pool, Run run) {
     const bool pool_first = round % 2 == 0;
+    const BlockPool::Stats before = pool.GetStats();
     const int64_t first = run(pool_first);
     const int64_t second = run(!pool_first);
+    const BlockPool::Stats after = pool.GetStats();
+    pool_hits += after.hits - before.hits;
+    pool_misses += after.misses - before.misses;
     const int64_t pool_ns = pool_first ? first : second;
     const int64_t global_ns = pool_first ? second : first;
     pool_ms.push_back(pool_ns / 1e6);
@@ -143,10 +154,10 @@ int main(int argc, char** argv) {
   Twin churn{"churn"};
   Twin q1{"q1agg"};
   for (int r = 0; r < kRounds; ++r) {
-    churn.RunRound(r, [&](bool pooled) {
+    churn.RunRound(r, pool, [&](bool pooled) {
       return RunChurn(pooled ? &pool : nullptr, kThreads, kChurnIters);
     });
-    q1.RunRound(r, [&](bool pooled) {
+    q1.RunRound(r, pool, [&](bool pooled) {
       return RunQ1Agg(pooled ? &pool : nullptr, kAggReps, kAggRows);
     });
   }
@@ -159,10 +170,13 @@ int main(int argc, char** argv) {
       out += StrFormat(
           ",\"%s\":{\"ratio_median\":%.4f,\"ratio_q1\":%.4f,"
           "\"ratio_q3\":%.4f,\"pool_ms_median\":%.3f,"
-          "\"global_ms_median\":%.3f}",
+          "\"global_ms_median\":%.3f,\"pool_hits\":%lld,"
+          "\"pool_misses\":%lld}",
           t->name, ratio.median, ratio.q1, ratio.q3,
           bench::SpreadOf(t->pool_ms).median,
-          bench::SpreadOf(t->global_ms).median);
+          bench::SpreadOf(t->global_ms).median,
+          static_cast<long long>(t->pool_hits),
+          static_cast<long long>(t->pool_misses));
     }
     // Every churn thread has joined and every chunk is back, so the
     // per-thread live counts must sum to exactly 0.
@@ -181,13 +195,16 @@ int main(int argc, char** argv) {
   std::printf("medians over %d paired rounds; speedup as median (q1-q3)\n",
               kRounds);
   bench::TablePrinter table(bench::CsvMode(argc, argv));
-  table.Header({"workload", "pool_ms", "global_ms", "speedup"});
+  table.Header(
+      {"workload", "pool_ms", "global_ms", "speedup", "hits", "misses"});
   for (const Twin* t : {&churn, &q1}) {
     const bench::Spread ratio = bench::SpreadOf(t->ratios);
     table.Row({t->name, StrFormat("%.1f", bench::SpreadOf(t->pool_ms).median),
                StrFormat("%.1f", bench::SpreadOf(t->global_ms).median),
                StrFormat("%.2fx (%.2f-%.2f)", ratio.median, ratio.q1,
-                         ratio.q3)});
+                         ratio.q3),
+               StrFormat("%lld", static_cast<long long>(t->pool_hits)),
+               StrFormat("%lld", static_cast<long long>(t->pool_misses))});
   }
   table.Print();
   std::printf("pool: %lld hits, %lld misses, %.1f MiB recycled\n",

@@ -173,7 +173,7 @@ BENCHMARK(BM_ElasticExpandShrink)->Unit(benchmark::kMicrosecond)->Iterations(20)
 // engine's operators no longer have such a loop.
 
 /// One 64 KB block of {k: i%100, v: i, f: (i%7)*1.5}.
-BlockPtr FillKVFBlock(const Schema& s) {
+std::shared_ptr<Block> FillKVFBlock(const Schema& s) {
   auto b = MakeBlock(s.row_size());
   const int32_t n = b->capacity_rows();
   for (int32_t i = 0; i < n; ++i) {
@@ -412,7 +412,7 @@ void BM_HashJoinProbeBatch(benchmark::State& state) {
   std::vector<BlockPtr> probe;
   int64_t rows = 0;
   for (int i = 0; i < 8; ++i) {
-    BlockPtr b = FillKVFBlock(s);
+    auto b = FillKVFBlock(s);
     b->set_sequence_number(i);
     rows += b->num_rows();
     probe.push_back(std::move(b));

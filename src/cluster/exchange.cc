@@ -4,14 +4,19 @@
 #include "storage/partition.h"
 
 namespace claims {
+namespace {
+
+/// How long a merger waits for a block between terminate-flag checks.
+constexpr int64_t kMergerPollNs = 1'000'000;
+
+}  // namespace
 
 MergerIterator::MergerIterator(BlockChannel* channel, SegmentStats* stats,
-                               Clock* clock, int64_t poll_ns)
+                               Clock* clock)
     : channel_(channel),
       stats_(stats),
       visit_rates_(stats),
-      clock_(clock != nullptr ? clock : SteadyClock::Default()),
-      poll_ns_(poll_ns) {}
+      clock_(clock != nullptr ? clock : SteadyClock::Default()) {}
 
 // A merger torn down while starved (cancellation, shrink-to-zero) must not
 // leak its open blocked-input span.
@@ -56,12 +61,12 @@ NextResult MergerIterator::Next(WorkerContext* ctx, BlockPtr* out) {
     if (ctx->DetectedTerminateRequest()) return NextResult::kTerminated;
     NetBlock nb;
     int64_t t0 = clock_->NowNanos();
-    ChannelStatus status = channel_->Receive(&nb, poll_ns_);
+    ChannelStatus status = channel_->Receive(&nb, kMergerPollNs);
     if (status == ChannelStatus::kOk) {
       if (stats_ != nullptr) {
         stats_->input_tuples.fetch_add(nb.block->num_rows(),
                                        std::memory_order_relaxed);
-        visit_rates_.Observe(nb.from_node, nb.block->visit_rate());
+        visit_rates_.Observe(nb.from_node, nb.visit_rate);
       }
       EventRecorder* rec = EventRecorder::Global();
       if (rec->enabled()) {
@@ -76,9 +81,6 @@ NextResult MergerIterator::Next(WorkerContext* ctx, BlockPtr* out) {
         ResolveStarved(t1, recv.link);
         rec->Record(std::move(recv));
       }
-      // Re-number: the merger is this segment's stage beginner.
-      nb.block->set_sequence_number(
-          next_sequence_.fetch_add(1, std::memory_order_relaxed));
       if (ctx->processing_started != nullptr) {
         ctx->processing_started->store(true, std::memory_order_release);
       }
@@ -125,7 +127,7 @@ bool SenderPump::SendBlock(int dest_index, BlockPtr block,
   }
   double fraction = static_cast<double>(dest_total) / static_cast<double>(total);
   if (spec_.partitioning == Partitioning::kBroadcast) fraction = 1.0;
-  block->set_visit_rate(v * selectivity * fraction);
+  const double tail = v * selectivity * fraction;
   Route route;
   route.exchange_id = spec_.exchange_id;
   route.from_logical = spec_.from_node;
@@ -142,8 +144,8 @@ bool SenderPump::SendBlock(int dest_index, BlockPtr block,
   const int64_t t0 = recording ? clock->NowNanos() : 0;
   const int64_t bytes = block->payload_bytes();
   uint64_t wire_seq = 0;
-  SendOutcome outcome =
-      spec_.network->SendRoute(route, std::move(block), cancel, &wire_seq);
+  SendOutcome outcome = spec_.network->SendRoute(route, std::move(block), tail,
+                                                 cancel, &wire_seq);
   // Counted here, per query, rather than read off the fabric's total, which
   // every concurrent query adds to.
   if (outcome == SendOutcome::kOk && spec_.stats != nullptr &&
@@ -172,7 +174,7 @@ bool SenderPump::SendBlock(int dest_index, BlockPtr block,
 bool SenderPump::Pump(Iterator* source, WorkerContext* ctx,
                       const std::atomic<bool>* cancel) {
   const int ncons = static_cast<int>(spec_.consumer_nodes.size());
-  std::vector<BlockPtr> pending(static_cast<size_t>(ncons));
+  std::vector<std::shared_ptr<Block>> pending(static_cast<size_t>(ncons));
   std::vector<uint64_t> hashes;  // kHash: one block's row hashes
   bool ok = true;
   while (ok) {
@@ -190,13 +192,8 @@ bool SenderPump::Pump(Iterator* source, WorkerContext* ctx,
         ok = SendBlock(0, std::move(block), cancel);
         break;
       case Partitioning::kBroadcast:
-        for (int d = 0; d < ncons && ok; ++d) {
-          // Copy per destination (the last one moves).
-          BlockPtr copy =
-              d + 1 == ncons ? std::move(block)
-                             : std::make_shared<Block>(*block);
-          ok = SendBlock(d, std::move(copy), cancel);
-        }
+        // Every consumer gets the same read-only block.
+        for (int d = 0; d < ncons && ok; ++d) ok = SendBlock(d, block, cancel);
         break;
       case Partitioning::kHash: {
         const Schema& schema = *spec_.schema;
@@ -209,7 +206,7 @@ bool SenderPump::Pump(Iterator* source, WorkerContext* ctx,
         for (int i = 0; i < n && ok; ++i) {
           const char* row = block->RowAt(i);
           int d = PartitionOf(hashes[static_cast<size_t>(i)], ncons);
-          BlockPtr& dst = pending[d];
+          std::shared_ptr<Block>& dst = pending[d];
           if (dst == nullptr) dst = MakeBlock(schema.row_size());
           dst->AppendRowCopy(row);
           if (dst->full()) {

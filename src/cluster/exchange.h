@@ -18,15 +18,15 @@ namespace claims {
 /// BlockChannel: it keeps receiving (buffering) sender traffic even while
 /// the segment's worker threads are all busy or shrunk away.
 ///
-/// Every received block's tail carries the producer's visit-rate
+/// Every received envelope (NetBlock) carries the producer's visit-rate
 /// contribution p_ij·δ_i·V_i; the merger folds the latest value per producer
 /// into the segment's V_i (paper §4.3, Fig. 7) — no extra control messages.
+/// Blocks pass through untouched, sequence numbers included: only the
+/// operator that creates a block numbers it.
 class MergerIterator : public Iterator {
  public:
-  /// `poll_ns`: receive timeout between terminate-flag checks. Records
-  /// carry `stats`'s owner (anonymous when null).
-  MergerIterator(BlockChannel* channel, SegmentStats* stats, Clock* clock,
-                 int64_t poll_ns = 1'000'000);
+  /// Records carry `stats`'s owner (anonymous when null).
+  MergerIterator(BlockChannel* channel, SegmentStats* stats, Clock* clock);
   ~MergerIterator() override;
 
   NextResult Open(WorkerContext* ctx) override;
@@ -47,8 +47,6 @@ class MergerIterator : public Iterator {
   SegmentStats* stats_;
   VisitRateAggregator visit_rates_;
   Clock* clock_;
-  int64_t poll_ns_;
-  std::atomic<uint64_t> next_sequence_{0};
   /// Open blocked-input span token (0 = none); see NoteStarved.
   std::atomic<uint64_t> blocked_token_{0};
 };
@@ -63,11 +61,12 @@ enum class Partitioning {
 
 /// Sender — the data-exchange transmitter at the top of a segment (appendix
 /// Alg. 4). Pump() drains the segment's elastic iterator and routes blocks
-/// into the network fabric, stamping outgoing visit-rate tails with
-/// V_i·δ_i·p_ij from live counters. Runs on the segment's driver thread;
-/// blocking inside Send (NIC throttle or full consumer channel) propagates
-/// as backpressure into the elastic buffer, which is how the dynamic
-/// scheduler sees "over-producing for the network".
+/// into the network fabric, each envelope carrying the visit-rate tail
+/// V_i·δ_i·p_ij from live counters; a broadcast sends the one block to every
+/// consumer. Runs on the segment's driver thread; blocking inside Send (NIC
+/// throttle or full consumer channel) propagates as backpressure into the
+/// elastic buffer, which is how the dynamic scheduler sees "over-producing
+/// for the network".
 class SenderPump {
  public:
   struct Spec {
@@ -115,10 +114,10 @@ class SenderPump {
                  const std::atomic<bool>* cancel);
 
   Spec spec_;
-  /// Tuples routed per destination / in total, for the p_ij fraction stamped
-  /// into outgoing visit-rate tails. Thread-safe: updated with relaxed
-  /// fetch_adds; SendBlock computes the fraction from its own post-add
-  /// snapshots, so concurrent senders only ever see complete sums.
+  /// Tuples routed per destination / in total, for the p_ij fraction of the
+  /// outgoing visit-rate tails. Thread-safe: updated with relaxed fetch_adds;
+  /// SendBlock computes the fraction from its own post-add snapshots, so
+  /// concurrent senders only ever see complete sums.
   std::vector<std::atomic<int64_t>> sent_tuples_;
   std::atomic<int64_t> total_sent_{0};
   std::atomic<bool> send_unavailable_{false};

@@ -323,10 +323,7 @@ Result<ResultSet> Executor::Execute(const PhysicalPlan& plan,
       config.stats = stats.get();
       config.clock = clock;
       config.on_failure = [this] { CancelAfterFailure(); };
-      config.max_parallelism =
-          f.max_parallelism > 0
-              ? std::min(f.max_parallelism, cluster_->options().cores_per_node)
-              : cluster_->options().cores_per_node;
+      config.max_parallelism = cluster_->options().cores_per_node;
       config.sender.exchange_id = f.out_exchange_id + xbase;
       config.sender.from_node = node;
       config.sender.from_node_physical = host;
@@ -339,9 +336,7 @@ Result<ResultSet> Executor::Execute(const PhysicalPlan& plan,
       }
       config.sender.schema = &f.root->output_schema;
       config.sender.network = cluster_->network();
-      config.elastic.initial_parallelism =
-          std::max(1, opts.parallelism > 0 ? opts.parallelism
-                                           : f.initial_parallelism);
+      config.elastic.initial_parallelism = std::max(1, opts.parallelism);
       config.elastic.order_preserving = f.order_preserving;
       config.elastic.buffer_capacity_blocks = opts.buffer_capacity_blocks;
       config.elastic.budget = budget_.get();

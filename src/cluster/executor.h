@@ -28,9 +28,8 @@ const char* ExecModeName(ExecMode mode);
 struct ExecOptions {
   /// Execution framework every segment of this query runs under.
   ExecMode mode = ExecMode::kElastic;
-  /// Worker threads per segment: EP's starting point (paper experiments
-  /// default to 1), SP/ME's fixed assignment. Overrides
-  /// Fragment::initial_parallelism when > 0.
+  /// Worker threads per segment (values below 1 mean 1): EP's starting
+  /// point (paper experiments default to 1), SP/ME's fixed assignment.
   int parallelism = 1;
   /// Master gathers result blocks into the returned ResultSet. Benches that
   /// only measure execution switch this off; arriving blocks are dropped.

@@ -95,11 +95,12 @@ struct Fragment {
   std::vector<int> hash_cols;        ///< indexes in root->output_schema
   std::vector<int> consumer_nodes;
 
-  bool order_preserving = false;
   /// ORDER BY / LIMIT style fragments keep output order; repartitioned ones
-  /// do not need it.
-  int initial_parallelism = 1;
-  int max_parallelism = 0;  ///< 0 → node core count
+  /// do not need it. An order-preserving segment merges on the sequence
+  /// numbers its own operators wrote (mergers pass blocks through unchanged),
+  /// so its root must number its output: the planner marks only the master
+  /// sort fragment, whose sort numbers blocks by output rank.
+  bool order_preserving = false;
 
   std::string ToString() const;
 };

@@ -59,8 +59,8 @@ class DynamicBarrier {
 };
 
 /// First-caller election helper: exactly one worker performs a light-weight
-/// initialization (scan cursor, filter predicate, merger thread) while the
-/// rest wait at the accompanying barrier (appendix: isFirstWorkerThread()).
+/// step (the sort's separator computation) while the rest wait at the
+/// accompanying barrier (appendix: isFirstWorkerThread()).
 class FirstCallerGate {
  public:
   FirstCallerGate() = default;

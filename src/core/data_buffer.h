@@ -23,10 +23,10 @@ namespace claims {
 /// scheduler uses to detect over-producing segments.
 ///
 /// In order-preserving mode (§3.2(2)) each producer's inserts must carry
-/// non-decreasing block sequence numbers (guaranteed by the stage-beginner
-/// numbering); Pop() then performs a streaming k-way merge, releasing the
-/// globally smallest sequence number only once no lagging producer can still
-/// insert a smaller one.
+/// non-decreasing block sequence numbers (the numbers the segment's own
+/// operators wrote; see ElasticIterator::Options); Pop() then performs a
+/// streaming k-way merge, releasing the globally smallest sequence number
+/// only once no lagging producer can still insert a smaller one.
 class DataBuffer {
  public:
   struct Options {

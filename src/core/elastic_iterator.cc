@@ -232,20 +232,15 @@ void ElasticIterator::LatchError() {
   }
 }
 
-bool ElasticIterator::Expand(int core_id) {
-  std::lock_guard<std::mutex> lock(mu_);
+bool ElasticIterator::CanExpandLocked() const {
   if (!opened_ || closed_) return false;
   if (error_.load(std::memory_order_acquire)) return false;  // failed
   if (finished_workers_ > 0 && live_workers_ == 0) return false;  // finished
-  if (live_workers_ >= options_.max_parallelism) return false;
-  StartWorkerLocked(core_id);
-  expand_metric_->Add();
-  return true;
+  return live_workers_ < options_.max_parallelism;
 }
 
-bool ElasticIterator::Shrink() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!opened_ || closed_) return false;
+ElasticIterator::Worker* ElasticIterator::ShrinkVictimLocked() const {
+  if (!opened_ || closed_) return nullptr;
   int shrinkable = 0;
   Worker* victim = nullptr;
   for (auto it = workers_.rbegin(); it != workers_.rend(); ++it) {
@@ -256,7 +251,21 @@ bool ElasticIterator::Shrink() {
       if (victim == nullptr) victim = w;
     }
   }
-  if (victim == nullptr || shrinkable <= options_.min_parallelism) return false;
+  return shrinkable > options_.min_parallelism ? victim : nullptr;
+}
+
+bool ElasticIterator::Expand(int core_id) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!CanExpandLocked()) return false;
+  StartWorkerLocked(core_id);
+  expand_metric_->Add();
+  return true;
+}
+
+bool ElasticIterator::Shrink() {
+  std::lock_guard<std::mutex> lock(mu_);
+  Worker* victim = ShrinkVictimLocked();
+  if (victim == nullptr) return false;
   victim->terminate.store(true, std::memory_order_release);
   shrink_metric_->Add();
   return true;
@@ -267,17 +276,8 @@ int64_t ElasticIterator::ShrinkBlocking() {
   int64_t t0 = clock_->NowNanos();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (!opened_ || closed_) return -1;
-    int shrinkable = 0;
-    for (auto it = workers_.rbegin(); it != workers_.rend(); ++it) {
-      Worker* w = it->get();
-      if (!w->done.load(std::memory_order_acquire) &&
-          !w->terminate.load(std::memory_order_acquire)) {
-        ++shrinkable;
-        if (victim == nullptr) victim = w;
-      }
-    }
-    if (victim == nullptr || shrinkable <= options_.min_parallelism) return -1;
+    victim = ShrinkVictimLocked();
+    if (victim == nullptr) return -1;
     victim->terminate.store(true, std::memory_order_release);
   }
   shrink_metric_->Add();
@@ -294,9 +294,7 @@ int64_t ElasticIterator::ExpandMeasured(int core_id) {
   int64_t t0 = clock_->NowNanos();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (!opened_ || closed_) return -1;
-    if (error_.load(std::memory_order_acquire)) return -1;
-    if (live_workers_ >= options_.max_parallelism) return -1;
+    if (!CanExpandLocked()) return -1;
     w = StartWorkerLocked(core_id);
   }
   expand_metric_->Add();

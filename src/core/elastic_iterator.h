@@ -45,6 +45,11 @@ class ElasticIterator : public Iterator {
     int min_parallelism = 1;
     int max_parallelism = 256;
     size_t buffer_capacity_blocks = 64;
+    /// The joint buffer releases blocks in sequence-number order (§3.2). The
+    /// numbers are the ones the child's operators wrote: each worker must
+    /// insert non-decreasing numbers, which a scan (storage index), a sort
+    /// (output rank) or an aggregation (emit index) yields, and filter,
+    /// project and join preserve. A merger does not renumber.
     bool order_preserving = false;
     /// Shared segment counters, and the owner stamped on this iterator's
     /// records; optional (unit tests may omit).
@@ -84,7 +89,7 @@ class ElasticIterator : public Iterator {
   // --- Elasticity (called by the dynamic scheduler) -------------------------
 
   /// Adds one worker on (bookkeeping) core `core_id`. False if the segment is
-  /// finished or at max parallelism.
+  /// not open, failed, finished or at max parallelism.
   bool Expand(int core_id);
 
   /// Asynchronously removes one worker. False if at min parallelism or
@@ -96,7 +101,8 @@ class ElasticIterator : public Iterator {
   int64_t ShrinkBlocking();
 
   /// Expand and wait until the new worker is ready to process data; returns
-  /// the expansion delay in nanoseconds, or -1 on failure (Fig. 9a).
+  /// the expansion delay in nanoseconds, or -1 where Expand would return
+  /// false (Fig. 9a).
   int64_t ExpandMeasured(int core_id);
 
   /// Number of live (non-terminated, non-finished) workers.
@@ -130,6 +136,11 @@ class ElasticIterator : public Iterator {
   /// Latches the first child error and cancels the buffer so the consumer
   /// and the remaining workers unwind promptly.
   void LatchError();
+  /// Whether Expand may add a worker; caller holds mu_.
+  bool CanExpandLocked() const;
+  /// The newest live worker, or nullptr when shrinking is refused (not open,
+  /// closed, or at min parallelism); caller holds mu_.
+  Worker* ShrinkVictimLocked() const;
   /// Starts a worker; caller holds mu_.
   Worker* StartWorkerLocked(int core_id);
   /// Joins all worker threads; must NOT hold mu_ (workers take it on exit).

@@ -59,12 +59,14 @@ struct WorkerContext {
 /// concurrently by all worker threads of a segment**:
 ///
 ///  * `Open` recursively constructs iterator state. Non-blocking iterators
-///    initialize once (first caller) behind a dynamic barrier; blocking
-///    iterators (hash join build, aggregation, sort) let every worker consume
-///    child blocks in parallel into a shared state. Returns kTerminated if
-///    the calling worker received a terminate request mid-construction.
-///  * `Next` produces one output block per call. Read-only iterators need no
-///    synchronization; state-updating iterators use atomics/CAS.
+///    (scan, filter, project) build theirs at construction and only forward
+///    Open; blocking iterators (hash join build, aggregation, sort) let every
+///    worker consume child blocks in parallel into a shared state behind a
+///    dynamic barrier. Returns kTerminated if the calling worker received a
+///    terminate request mid-construction.
+///  * `Next` produces one output block per call and never writes a block it
+///    received: emitted blocks are read-only (BlockPtr). Read-only iterators
+///    need no synchronization; state-updating iterators use atomics/CAS.
 ///  * `Close` tears down the subtree; called once after all workers exited.
 class Iterator {
  public:

@@ -50,10 +50,10 @@ struct SegmentStats {
 /// counters (unit tests, benches).
 const RecordOwner& OwnerOf(const SegmentStats* stats);
 
-/// Aggregates the visit-rate contributions carried in input block tails: a
+/// Aggregates the visit-rate contributions that exchange envelopes carry: a
 /// segment's V_i is the sum of the latest contribution from each producer
-/// (paper Fig. 7: V_j = Σ_i p_ij · δ_i · V_i). Stage beginners call Observe
-/// per input block; the running sum lands in SegmentStats::visit_rate.
+/// (paper Fig. 7: V_j = Σ_i p_ij · δ_i · V_i). The merger calls Observe per
+/// received block; the running sum lands in SegmentStats::visit_rate.
 class VisitRateAggregator {
  public:
   explicit VisitRateAggregator(SegmentStats* stats) : stats_(stats) {}

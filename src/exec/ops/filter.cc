@@ -13,19 +13,7 @@ FilterIterator::FilterIterator(std::unique_ptr<Iterator> child,
       batch_pred_(BatchPredicate::Compile(*schema, std::move(predicate))) {}
 
 NextResult FilterIterator::Open(WorkerContext* ctx) {
-  bool already_open = open_barrier_.Register();
-  NextResult r = child_->Open(ctx);
-  if (r != NextResult::kSuccess) {
-    // kTerminated (shrink) and kError (broken stream) both unwind here;
-    // deregistering keeps the barrier count honest for the surviving workers.
-    if (!already_open) open_barrier_.Deregister();
-    return r;
-  }
-  // The predicate is compiled at construction; first arrival is a no-op
-  // but the election + barrier mirror the appendix structure.
-  init_gate_.TryClaim();
-  open_barrier_.Arrive();
-  return NextResult::kSuccess;
+  return child_->Open(ctx);
 }
 
 NextResult FilterIterator::Next(WorkerContext* ctx, BlockPtr* out) {
@@ -44,7 +32,6 @@ NextResult FilterIterator::Next(WorkerContext* ctx, BlockPtr* out) {
   // A fully filtered block is emitted empty, sequence number intact, as the
   // downstream watermark — never silently dropped.
   output->set_sequence_number(input->sequence_number());
-  output->set_visit_rate(input->visit_rate());
   *out = std::move(output);
   return NextResult::kSuccess;
 }
@@ -84,7 +71,6 @@ NextResult ProjectIterator::Next(WorkerContext* ctx, BlockPtr* out) {
                              static_cast<int>(c), rows);
   }
   output->set_sequence_number(input->sequence_number());
-  output->set_visit_rate(input->visit_rate());
   *out = std::move(output);
   return NextResult::kSuccess;
 }

@@ -3,17 +3,16 @@
 
 #include <memory>
 
-#include "core/barrier.h"
 #include "core/iterator.h"
 #include "exec/expr/batch_expr.h"
 #include "exec/expr/expr.h"
 
 namespace claims {
 
-/// Predicate filter — a non-blocking iterator whose state (the predicate) is
-/// initialized by the first arriving worker (appendix A.2.3); Next is
-/// read-only on state and therefore needs no synchronization. Output blocks
-/// inherit the input block's sequence number and visit-rate tail.
+/// Predicate filter — a non-blocking iterator whose only state, the compiled
+/// predicate, is built at construction, so Open has nothing to initialize
+/// and Next, read-only on state, needs no synchronization. Output blocks
+/// inherit the input block's sequence number.
 ///
 /// A fully filtered input block still comes out: as an **empty watermark
 /// block** carrying the input's sequence number, so the order-preserving
@@ -37,8 +36,6 @@ class FilterIterator : public Iterator {
   std::unique_ptr<Iterator> child_;
   const Schema* schema_;
   std::unique_ptr<BatchPredicate> batch_pred_;
-  DynamicBarrier open_barrier_;
-  FirstCallerGate init_gate_;
 };
 
 /// Projection: computes `exprs` over input rows into rows of `output_schema`.

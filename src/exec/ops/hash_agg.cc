@@ -162,13 +162,6 @@ bool HashAggIterator::ConsumeBlock(const Block& block, PrivateAggContext* priv,
   return true;
 }
 
-void HashAggIterator::ObserveVisitRate(const Block& block) {
-  if (block.num_rows() == 0) return;
-  std::lock_guard<std::mutex> lock(rate_mu_);
-  rate_weighted_sum_ += block.visit_rate() * block.num_rows();
-  rate_rows_ += block.num_rows();
-}
-
 bool HashAggIterator::MergeInto(AggHashTable* src) {
   {
     // The bucket count cannot change under the shared lock, and `src` adds
@@ -230,7 +223,6 @@ NextResult HashAggIterator::Open(WorkerContext* ctx) {
         ctx->DetectedTerminateRequest()) {
       if (r == NextResult::kSuccess) {
         // Finish the in-flight block before unwinding — no tuple is lost.
-        ObserveVisitRate(*block);
         if (!ConsumeBlock(*block, priv.get(), &sink, privately)) {
           return fail_build();
         }
@@ -244,7 +236,6 @@ NextResult HashAggIterator::Open(WorkerContext* ctx) {
       return r == NextResult::kError ? NextResult::kError
                                      : NextResult::kTerminated;
     }
-    ObserveVisitRate(*block);
     if (!ConsumeBlock(*block, priv.get(), &sink, privately)) {
       return fail_build();
     }
@@ -369,14 +360,6 @@ NextResult HashAggIterator::Next(WorkerContext* ctx, BlockPtr* out) {
     }
   }
   block->set_sequence_number(start / rows_per_block);
-  {
-    // Propagate the consumed input's average visit rate onto emitted blocks;
-    // leaving the default 1.0 here fed stale rates into the downstream
-    // scalability-vector estimation (§4.3).
-    std::lock_guard<std::mutex> lock(rate_mu_);
-    block->set_visit_rate(rate_rows_ > 0 ? rate_weighted_sum_ / rate_rows_
-                                         : 1.0);
-  }
   *out = std::move(block);
   return NextResult::kSuccess;
 }

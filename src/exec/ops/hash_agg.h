@@ -81,14 +81,7 @@ class HashAggIterator : public Iterator {
   int SubtreeSize() const override { return 1 + child_->SubtreeSize(); }
 
   const Schema& output_schema() const { return output_schema_; }
-  int64_t num_groups() const { return global_.size(); }
   const ContextPool& context_pool() const { return context_pool_; }
-
-  /// Cold runs produced by pressure-driven spills and not yet restored.
-  size_t spill_run_count() {
-    std::lock_guard<std::mutex> lock(spill_mu_);
-    return spill_runs_.size();
-  }
 
  private:
   struct PrivateAggContext : IteratorContext {
@@ -121,11 +114,6 @@ class HashAggIterator : public Iterator {
   /// A fresh empty table of this aggregation's layout with `buckets`
   /// starting buckets.
   std::unique_ptr<AggHashTable> NewTable(size_t buckets) const;
-
-  /// Folds `block`'s visit rate into the running row-weighted average that
-  /// emitted blocks carry (the downstream scalability-vector estimate must
-  /// not see the default 1.0 after an aggregation).
-  void ObserveVisitRate(const Block& block);
 
   /// Merges every (group, state) of `src` into the global table: alongside
   /// other mergers while the global table has a bucket for every group the
@@ -160,12 +148,6 @@ class HashAggIterator : public Iterator {
   std::shared_mutex merge_mu_;
   ContextPool context_pool_;
   DynamicBarrier build_barrier_;
-
-  /// Row-weighted average visit rate of consumed input, stamped onto emitted
-  /// blocks (accumulated during the build, read by Next after the barrier).
-  std::mutex rate_mu_;
-  double rate_weighted_sum_ = 0;
-  int64_t rate_rows_ = 0;
 
   /// Cold tier: serialized private tables evicted under memory pressure.
   /// Merged back into global_ by the snapshot builder (transparent re-read).

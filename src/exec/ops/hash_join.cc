@@ -94,7 +94,7 @@ NextResult HashJoinIterator::Next(WorkerContext* ctx, BlockPtr* out) {
   // output block that doubles through the pool when it fills. Next stays
   // stateless for concurrent workers, and a selective join never zeroes an
   // input-sized block.
-  BlockPtr output = MakeBlock(output_schema_.row_size());
+  auto output = MakeBlock(output_schema_.row_size());
   Block& block = *output;
   auto emit = [&](const char* probe_row, const char* build_row) {
     char* slot = block.AppendRow();
@@ -119,7 +119,6 @@ NextResult HashJoinIterator::Next(WorkerContext* ctx, BlockPtr* out) {
   // A probe block with no matches still emits (empty): its sequence number
   // is the watermark the order-preserving merge is waiting for.
   output->set_sequence_number(input->sequence_number());
-  output->set_visit_rate(input->visit_rate());
   *out = std::move(output);
   return NextResult::kSuccess;
 }

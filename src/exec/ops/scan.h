@@ -4,7 +4,6 @@
 #include <atomic>
 #include <memory>
 
-#include "core/barrier.h"
 #include "core/iterator.h"
 #include "core/metrics.h"
 #include "exec/expr/batch_expr.h"
@@ -17,17 +16,19 @@ namespace claims {
 ///
 /// All worker threads share one read cursor advanced with an atomic
 /// fetch-add, so expansion/shrinkage needs no repartitioning of the input.
-/// Emitted blocks are fresh copies of the storage blocks (storage stays
-/// immutable) tagged with dense sequence numbers in storage order — the
-/// numbering that order-preserving elastic iterators merge on (§3.2) — and
-/// with the visit-rate tail of an input-group segment (V = 1, §4.3).
+/// Without a predicate the scan emits the storage blocks themselves: they
+/// are immutable and carry their storage index as sequence number, the
+/// numbering that order-preserving elastic iterators merge on (§3.2). Open
+/// has nothing to build: the cursor and the compiled predicate are members
+/// set up at construction.
 class ScanIterator : public Iterator {
  public:
   struct Options {
-    /// Optional pushed-down predicate: rows are filtered during the
-    /// copy-out of the storage block (one pass, no intermediate block).
-    /// A fully filtered storage block still emits an empty watermark block
-    /// so the order-preserving merge sees its sequence number.
+    /// Optional pushed-down predicate: survivors are gathered out of the
+    /// storage block into a fresh block numbered like it (one pass, no
+    /// intermediate block). A fully filtered storage block still emits an
+    /// empty watermark block so the order-preserving merge sees its
+    /// sequence number.
     ExprPtr predicate;
   };
 
@@ -47,8 +48,6 @@ class ScanIterator : public Iterator {
   std::unique_ptr<BatchPredicate> batch_pred_;  ///< compiled pushdown filter
   /// Next unread block index, shared by every worker.
   std::atomic<int> cursor_{0};
-  DynamicBarrier open_barrier_;
-  FirstCallerGate init_gate_;
 };
 
 }  // namespace claims

@@ -153,8 +153,8 @@ NextResult SortIterator::Open(WorkerContext* ctx) {
       rows.insert(rows.end(), begin, end);
     }
     std::sort(rows.begin(), rows.end(), comparator_);
-    std::vector<BlockPtr> blocks;
-    BlockPtr current;
+    std::vector<std::shared_ptr<Block>> blocks;
+    std::shared_ptr<Block> current;
     for (const char* row : rows) {
       if (current == nullptr || current->full()) {
         if (current != nullptr) blocks.push_back(std::move(current));
@@ -176,7 +176,7 @@ NextResult SortIterator::Next(WorkerContext* ctx, BlockPtr* out) {
     if (!emit_ready_) {
       uint64_t seq = 0;
       for (auto& range : range_blocks_) {
-        for (BlockPtr& b : range) {
+        for (std::shared_ptr<Block>& b : range) {
           b->set_sequence_number(seq++);
           emit_list_.push_back(std::move(b));
         }

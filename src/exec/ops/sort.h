@@ -76,7 +76,9 @@ class SortIterator : public Iterator {
   std::vector<BlockPtr> buffered_;                 // phase 1 input
   std::vector<std::vector<const char*>> runs_;     // phase 1 output
   std::vector<std::vector<char>> separators_;      // phase 2 output
-  std::vector<std::vector<BlockPtr>> range_blocks_;  // phase 3 output
+  /// Phase 3 output, still writable: Next numbers the blocks by output rank
+  /// once every range is merged.
+  std::vector<std::vector<std::shared_ptr<Block>>> range_blocks_;
 
   std::atomic<int> chunk_cursor_{0};
   std::atomic<int> range_cursor_{0};

@@ -20,9 +20,11 @@ BlockChannel::~BlockChannel() {
 }
 
 void BlockChannel::DropQueuedLocked() {
-  int64_t charged = 0;
-  for (const Queued& q : queue_) charged += q.charged;
-  if (charged > 0) budget_->Release(charged);
+  if (budget_ != nullptr) {
+    int64_t charged = 0;
+    for (const NetBlock& nb : queue_) charged += nb.block->payload_bytes();
+    if (charged > 0) budget_->Release(charged);
+  }
   queue_.clear();
 }
 
@@ -56,8 +58,7 @@ bool BlockChannel::Enqueue(NetBlock block, const std::atomic<bool>* cancel,
   if (assign_seq) block.wire_seq = next_send_seq_[block.from_node]++;
   if (assigned_seq != nullptr) *assigned_seq = block.wire_seq;
   if (bytes > 0 && !charge_first) budget_->TryCharge(bytes);  // never refuses
-  queue_.push_back(Queued{std::move(block), bytes});
-  ++total_sent_;
+  queue_.push_back(std::move(block));
   not_empty_.notify_one();
   return true;
 }
@@ -88,9 +89,10 @@ ChannelStatus BlockChannel::Receive(NetBlock* out, int64_t timeout_ns) {
   }
   if (cancelled_) return ChannelStatus::kClosed;
   while (!queue_.empty()) {
-    NetBlock block = std::move(queue_.front().block);
-    if (queue_.front().charged > 0) budget_->Release(queue_.front().charged);
+    NetBlock block = std::move(queue_.front());
     queue_.pop_front();
+    const int64_t bytes = block.block->payload_bytes();
+    if (budget_ != nullptr && bytes > 0) budget_->Release(bytes);
     not_full_.notify_all();
     uint64_t& expected = next_recv_seq_[block.from_node];
     if (block.wire_seq < expected) {
@@ -125,11 +127,6 @@ void BlockChannel::Cancel() {
 size_t BlockChannel::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return queue_.size();
-}
-
-int64_t BlockChannel::total_blocks_sent() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return total_sent_;
 }
 
 int64_t BlockChannel::duplicates_suppressed() const {

@@ -13,8 +13,11 @@ namespace claims {
 
 class QueryBudget;
 
-/// A block with its origin — mergers need the producer's identity to
-/// aggregate per-producer visit-rate contributions (paper §4.3, Fig. 7).
+/// The envelope a block crosses one exchange edge in. Mergers need the
+/// producer's identity and its visit-rate contribution V_i·δ_i·p_ij to fold
+/// the consumer segment's V_j (paper §4.3, Fig. 7): the contribution belongs
+/// to the edge, so it rides here while the block itself stays read-only and
+/// may be shared by several envelopes (broadcast, injected duplicates).
 /// `wire_seq` is the per-(producer, channel) wire sequence number Send
 /// assigns; Receive uses it to suppress duplicated deliveries and detect
 /// losses (docs/FAULTS.md). With the exchange id and logical consumer node
@@ -25,6 +28,7 @@ struct NetBlock {
   uint64_t wire_seq = 0;
   int exchange_id = -1;
   int to_node = -1;
+  double visit_rate = 1.0;
 };
 
 /// Receive outcomes; kTimeout lets mergers poll their terminate flag while
@@ -36,13 +40,14 @@ enum class ChannelStatus { kOk, kTimeout, kClosed };
 /// threads receive from it. Capacity bounds give end-to-end backpressure from
 /// a slow consumer back into the producers' elastic buffers.
 ///
-/// With a ledger, every queued block (duplicates included) holds its payload
-/// bytes on the owning query's QueryBudget, refunded when the block is
-/// received, when the channel is cancelled, and when it is destroyed with
-/// blocks still queued. A bounded ledger is charged before the channel lock
-/// is taken (a refused charge runs the shrink hook, which takes executor and
-/// scheduler locks); an unbounded one, which never refuses, once the block
-/// is queued.
+/// With a ledger, every queued block (duplicates and shared broadcast blocks
+/// included) holds its payload bytes on the owning query's QueryBudget,
+/// refunded when the block is received, when the channel is cancelled, and
+/// when it is destroyed with blocks still queued. A queued block is
+/// read-only, so the refund is its payload_bytes() again. A bounded ledger
+/// is charged before the channel lock is taken (a refused charge runs the
+/// shrink hook, which takes executor and scheduler locks); an unbounded one,
+/// which never refuses, once the block is queued.
 class BlockChannel {
  public:
   /// `num_producers` senders must call CloseProducer before the channel
@@ -88,17 +93,8 @@ class BlockChannel {
   void Cancel();
 
   size_t size() const;
-  int64_t total_blocks_sent() const;
 
  private:
-  struct Queued {
-    NetBlock block;
-    /// Bytes this entry holds on the ledger. Kept apart from the block: a
-    /// duplicate shares its Block with the copy already delivered, which
-    /// the consumer may change.
-    int64_t charged;
-  };
-
   /// Refunds every queued block and empties the queue; caller holds mu_.
   void DropQueuedLocked();
 
@@ -107,9 +103,8 @@ class BlockChannel {
   mutable std::mutex mu_;
   std::condition_variable not_full_;
   std::condition_variable not_empty_;
-  std::deque<Queued> queue_;
+  std::deque<NetBlock> queue_;
   int open_producers_;
-  int64_t total_sent_ = 0;
   bool cancelled_ = false;
   /// Per-producer wire sequencing (keyed by from_node): next seq to assign
   /// on the send side, next seq expected on the receive side.

@@ -11,7 +11,6 @@ Network::Network(int num_nodes, NetworkOptions options)
       clock_(options.clock != nullptr ? options.clock
                                       : SteadyClock::Default()) {
   MetricsRegistry* reg = MetricsRegistry::Global();
-  blocks_sent_metric_ = reg->counter("net.blocks_sent");
   bytes_sent_metric_ = reg->counter("net.bytes_sent");
   remote_bytes_metric_ = reg->counter("net.remote_bytes");
   sent_metric_ = reg->counter("net.sent");
@@ -56,7 +55,8 @@ bool Network::Send(int exchange_id, int from, int to, BlockPtr block,
   route.exchange_id = exchange_id;
   route.from_logical = route.from_physical = from;
   route.to_logical = route.to_physical = to;
-  return SendRoute(route, std::move(block), cancel) == SendOutcome::kOk;
+  return SendRoute(route, std::move(block), /*visit_rate=*/1.0, cancel) ==
+         SendOutcome::kOk;
 }
 
 void Network::SetFaultInjector(FaultInjector* injector) {
@@ -87,6 +87,7 @@ bool Network::SleepCancellable(int64_t delay_ns,
 }
 
 SendOutcome Network::SendRoute(const Route& route, BlockPtr block,
+                               double visit_rate,
                                const std::atomic<bool>* cancel,
                                uint64_t* wire_seq) {
   // Channels are addressed by *logical* endpoints: after re-dispatch the
@@ -148,21 +149,20 @@ SendOutcome Network::SendRoute(const Route& route, BlockPtr block,
     }
     // NetBlock carries the logical producer id: mergers key visit-rate
     // aggregation and wire sequencing on the plan-level endpoint.
-    uint64_t seq = 0;
     NetBlock net_block{block, route.from_logical, 0, route.exchange_id,
-                       route.to_logical};
-    if (!channel->Send(std::move(net_block), cancel, &seq)) {
+                       route.to_logical, visit_rate};
+    uint64_t seq = 0;
+    if (!channel->Send(net_block, cancel, &seq)) {
       return SendOutcome::kCancelled;
     }
     if (wire_seq != nullptr) *wire_seq = seq;
     if (decision.fate == SendDecision::Fate::kDuplicate) {
-      // Second copy under the same wire sequence; the receiver's duplicate
-      // suppression drops it. Best-effort: a cancelled duplicate is no loss.
-      channel->SendDuplicate(NetBlock{block, route.from_logical, seq,
-                                      route.exchange_id, route.to_logical},
-                             cancel);
+      // Second envelope under the same wire sequence, sharing the block; the
+      // receiver's duplicate suppression drops it. Best-effort: a cancelled
+      // duplicate is no loss.
+      net_block.wire_seq = seq;
+      channel->SendDuplicate(std::move(net_block), cancel);
     }
-    blocks_sent_metric_->Add();
     bytes_sent_metric_->Add(bytes);
     sent_metric_->Add();
     sent_per_node_[route.from_physical]->Add();

@@ -80,7 +80,8 @@ class Network {
 
   /// Sends `block` from node `from` to the exchange's channel at node `to`,
   /// charging NIC budgets. False when cancelled or unavailable. Equivalent
-  /// to SendRoute with logical == physical on both ends.
+  /// to SendRoute with logical == physical on both ends and a visit-rate
+  /// tail of 1.
   bool Send(int exchange_id, int from, int to, BlockPtr block,
             const std::atomic<bool>* cancel = nullptr);
 
@@ -88,11 +89,13 @@ class Network {
   /// duplicate fates), retries dropped blocks with exponential backoff +
   /// jitter up to `max_send_attempts`, fast-fails kUnavailable when either
   /// physical endpoint is dead, and charges the *physical* NIC budgets while
-  /// addressing the *logical* channel. On kOk, `wire_seq` (when non-null)
-  /// receives the wire sequence number the channel assigned — the recorder
-  /// keys its send↔receive links on it (a fabric-dropped attempt is
+  /// addressing the *logical* channel. `visit_rate` is the producer's
+  /// contribution V_i·δ_i·p_ij to the consumer's visit rate; it rides the
+  /// envelope (a duplicate carries the same). On kOk, `wire_seq` (when
+  /// non-null) receives the wire sequence number the channel assigned — the
+  /// recorder keys its send↔receive links on it (a fabric-dropped attempt is
   /// never enqueued, so each delivered block has exactly one sequence).
-  SendOutcome SendRoute(const Route& route, BlockPtr block,
+  SendOutcome SendRoute(const Route& route, BlockPtr block, double visit_rate,
                         const std::atomic<bool>* cancel = nullptr,
                         uint64_t* wire_seq = nullptr);
 
@@ -133,7 +136,6 @@ class Network {
   int num_nodes_;
   NetworkOptions options_;
   Clock* clock_;
-  MetricCounter* blocks_sent_metric_;
   MetricCounter* bytes_sent_metric_;
   MetricCounter* remote_bytes_metric_;
   MetricCounter* sent_metric_;

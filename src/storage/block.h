@@ -17,10 +17,15 @@ inline constexpr int32_t kDefaultBlockBytes = 64 * 1024;
 
 /// A fixed-capacity batch of fixed-width rows — the basic processing unit of
 /// the engine (block-at-a-time, paper §2.1). Besides the row payload a block
-/// carries the metadata "tail" of paper §4.3: a sequence number assigned at
-/// the stage beginner (order preservation, §3.2) and the instantaneous
-/// average visit rate of its tuples, updated as the block crosses segments so
-/// the scheduler needs no extra messaging.
+/// carries a sequence number (order preservation, §3.2), written by the
+/// operator that fills the block. The other half of the paper's §4.3 tail,
+/// the visit rate, belongs to one exchange edge and rides the envelope
+/// (NetBlock), not the block.
+///
+/// A block is written only by the operator that fills it, through the
+/// writable pointer MakeBlock returns. Once emitted it travels as a BlockPtr,
+/// a pointer to const, so buffers, channels, broadcast consumers and scans
+/// of the same storage block share it without copies or locks.
 class Block {
  public:
   /// Creates an empty block for rows of `row_size` bytes. The payload comes
@@ -36,15 +41,13 @@ class Block {
     std::memset(payload_.data, 0, data_size());
   }
 
-  /// Deep copy: several call sites clone blocks via
-  /// `std::make_shared<Block>(*block)` (exchange re-send, tests), so copying
-  /// must duplicate the pooled payload, not share or steal it.
+  /// Deep copy (tests clone blocks via `std::make_shared<Block>(*block)`):
+  /// duplicates the pooled payload, never shares or steals it.
   Block(const Block& other)
       : row_size_(other.row_size_),
         capacity_rows_(other.capacity_rows_),
         num_rows_(other.num_rows_),
         sequence_number_(other.sequence_number_),
-        visit_rate_(other.visit_rate_),
         payload_(BlockPool::Global()->Allocate(other.data_size())) {
     std::memset(payload_.data, 0, data_size());
     std::memcpy(payload_.data, other.payload_.data, other.data_size());
@@ -114,13 +117,11 @@ class Block {
 
   void Clear() { num_rows_ = 0; }
 
-  // --- Metadata tail (paper §3.2 order preservation, §4.3 visit rates) ------
-
+  /// Order-preservation tag (§3.2): a scan writes the storage index, a sort
+  /// the output rank, an aggregation the emit index; filter, project and
+  /// join copy their input's number onto their output.
   uint64_t sequence_number() const { return sequence_number_; }
   void set_sequence_number(uint64_t s) { sequence_number_ = s; }
-
-  double visit_rate() const { return visit_rate_; }
-  void set_visit_rate(double v) { visit_rate_ = v; }
 
  private:
   /// Logical payload size (what capacity_bytes reports and what is zeroed /
@@ -133,15 +134,16 @@ class Block {
   int32_t capacity_rows_;
   int32_t num_rows_ = 0;
   uint64_t sequence_number_ = 0;
-  double visit_rate_ = 1.0;
   PoolAlloc payload_;
 };
 
-using BlockPtr = std::shared_ptr<Block>;
+/// An emitted block: read-only, shared by every holder.
+using BlockPtr = std::shared_ptr<const Block>;
 
-/// Convenience factory.
-inline BlockPtr MakeBlock(int32_t row_size,
-                          int32_t capacity_bytes = kDefaultBlockBytes) {
+/// A fresh block for the calling operator to fill; it converts to a BlockPtr
+/// when emitted.
+inline std::shared_ptr<Block> MakeBlock(
+    int32_t row_size, int32_t capacity_bytes = kDefaultBlockBytes) {
   return std::make_shared<Block>(row_size, capacity_bytes);
 }
 

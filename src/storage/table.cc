@@ -5,11 +5,13 @@
 namespace claims {
 
 char* TablePartition::AppendRowSlot() {
-  if (blocks_.empty() || blocks_.back()->full()) {
-    blocks_.push_back(MakeBlock(schema_->row_size()));
+  if (tail_ == nullptr || tail_->full()) {
+    tail_ = MakeBlock(schema_->row_size());
+    tail_->set_sequence_number(blocks_.size());
+    blocks_.push_back(tail_);
   }
   ++num_rows_;
-  return blocks_.back()->AppendRow();
+  return tail_->AppendRow();
 }
 
 int64_t TablePartition::bytes() const {

@@ -13,7 +13,8 @@
 namespace claims {
 
 /// One horizontal partition of a table: a sequence of immutable 64 KB blocks
-/// resident on one cluster node.
+/// resident on one cluster node. Block i carries sequence number i, so an
+/// unfiltered scan emits the storage blocks themselves in merge order.
 class TablePartition {
  public:
   explicit TablePartition(const Schema* schema) : schema_(schema) {}
@@ -23,7 +24,9 @@ class TablePartition {
   const BlockPtr& block(int i) const { return blocks_[i]; }
   const std::vector<BlockPtr>& blocks() const { return blocks_; }
 
-  /// Reserves a row slot, opening a new block when the current one is full.
+  /// Reserves a row slot, opening (and numbering) a new block when the
+  /// current one is full. Loading only: rows must not be appended once a
+  /// query may scan the partition.
   char* AppendRowSlot();
 
   /// Total payload bytes across blocks.
@@ -32,6 +35,7 @@ class TablePartition {
  private:
   const Schema* schema_;
   std::vector<BlockPtr> blocks_;
+  std::shared_ptr<Block> tail_;  ///< the last block, still being filled
   int64_t num_rows_ = 0;
 };
 

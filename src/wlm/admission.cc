@@ -11,8 +11,7 @@ QueryDemand EstimateDemand(const PhysicalPlan& plan, const ExecOptions& exec) {
   QueryDemand demand;
   demand.cores = 0;
   for (const auto& f : plan.fragments) {
-    int per_instance = std::max(
-        1, exec.parallelism > 0 ? exec.parallelism : f->initial_parallelism);
+    const int per_instance = std::max(1, exec.parallelism);
     int instances = static_cast<int>(f->nodes.size());
     demand.cores += per_instance * instances;
     demand.memory_bytes += static_cast<int64_t>(instances) *

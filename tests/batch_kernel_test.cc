@@ -82,7 +82,7 @@ Schema RandomSchema(Gen& g) {
   return Schema(std::move(cols));
 }
 
-BlockPtr RandomBlock(Gen& g, const Schema& s, int rows) {
+std::shared_ptr<Block> RandomBlock(Gen& g, const Schema& s, int rows) {
   auto b = MakeBlock(s.row_size(),
                      std::max<int32_t>(kDefaultBlockBytes,
                                        (rows + 1) * s.row_size()));
@@ -426,17 +426,18 @@ TEST(BatchComputeProperty, MaterializeMatchesSetValueByteIdentical) {
 
 // --- Operators vs row-at-a-time references ------------------------------------
 
-/// Replays a fixed list of blocks; thread-safe like a stage beginner.
+/// Replays a fixed list of blocks, handed on read-only; thread-safe like a
+/// stage beginner.
 class BlocksIterator : public Iterator {
  public:
-  explicit BlocksIterator(std::vector<BlockPtr> blocks)
-      : blocks_(std::move(blocks)) {}
+  explicit BlocksIterator(const std::vector<std::shared_ptr<Block>>& blocks)
+      : blocks_(blocks.begin(), blocks.end()) {}
 
   NextResult Open(WorkerContext*) override { return NextResult::kSuccess; }
   NextResult Next(WorkerContext*, BlockPtr* out) override {
     size_t i = cursor_.fetch_add(1, std::memory_order_relaxed);
     if (i >= blocks_.size()) return NextResult::kEndOfFile;
-    *out = std::make_shared<Block>(*blocks_[i]);
+    *out = blocks_[i];
     return NextResult::kSuccess;
   }
   void Close() override {}
@@ -446,13 +447,14 @@ class BlocksIterator : public Iterator {
   std::atomic<size_t> cursor_{0};
 };
 
-/// Random blocks with dense sequence numbers; block 1 is always empty.
-std::vector<BlockPtr> RandomBlocks(Gen& g, const Schema& s, int nblocks) {
-  std::vector<BlockPtr> blocks;
+/// Random blocks with dense sequence numbers; block 1 is always empty. They
+/// stay writable until a BlocksIterator hands them on.
+std::vector<std::shared_ptr<Block>> RandomBlocks(Gen& g, const Schema& s,
+                                                 int nblocks) {
+  std::vector<std::shared_ptr<Block>> blocks;
   for (int i = 0; i < nblocks; ++i) {
-    BlockPtr b = RandomBlock(g, s, i == 1 ? 0 : g.I(0, 200));
+    auto b = RandomBlock(g, s, i == 1 ? 0 : g.I(0, 200));
     b->set_sequence_number(static_cast<uint64_t>(i));
-    b->set_visit_rate(1.0);
     blocks.push_back(std::move(b));
   }
   return blocks;
@@ -501,7 +503,7 @@ TEST(OperatorReference, FilterMatchesEvalBoolLoop) {
     ExprPtr pred = PredicateForSeed(g, s, seed);
 
     SeqRows want;
-    for (const BlockPtr& b : blocks) {
+    for (const auto& b : blocks) {
       want.emplace_back(b->sequence_number(), EvalBoolRows(*pred, s, *b));
     }
     FilterIterator f(std::make_unique<BlocksIterator>(blocks), &s, pred);
@@ -618,7 +620,7 @@ TEST(OperatorReference, ProjectMatchesSetValueEval) {
     const Schema out(cols);
 
     SeqRows want;
-    for (const BlockPtr& b : blocks) {
+    for (const auto& b : blocks) {
       std::string rows(static_cast<size_t>(out.row_size()) * b->num_rows(),
                        '\0');
       for (int32_t r = 0; r < b->num_rows(); ++r) {
@@ -670,13 +672,13 @@ TEST(OperatorReference, HashJoinMatchesNestedLoop) {
   for (uint32_t seed = 500; seed < 506; ++seed) {
     const Keys& keys = key_sets[seed % 2];
     Gen g(seed);
-    std::vector<BlockPtr> build = RandomBlocks(g, bs, 3);
-    std::vector<BlockPtr> probe = RandomBlocks(g, ps, 5);
+    auto build = RandomBlocks(g, bs, 3);
+    auto probe = RandomBlocks(g, ps, 5);
     for (auto* side : {&build, &probe}) {
       // Narrow the dates so (CHAR, DATE) keys collide often enough.
       const Schema& s = side == &build ? bs : ps;
       const int dcol = side == &build ? 2 : 0;
-      for (const BlockPtr& b : *side) {
+      for (const auto& b : *side) {
         for (int32_t r = 0; r < b->num_rows(); ++r) {
           s.SetInt32(b->MutableRowAt(r), dcol,
                      DaysFromCivil(1995, 1, 1) + g.I(0, 3));
@@ -687,10 +689,10 @@ TEST(OperatorReference, HashJoinMatchesNestedLoop) {
     // Nested loop per probe block: [build row | probe row] for every pair
     // with equal keys, as a sorted multiset.
     SeqRows want;
-    for (const BlockPtr& p : probe) {
+    for (const auto& p : probe) {
       std::vector<std::string> rows;
       for (int32_t pr = 0; pr < p->num_rows(); ++pr) {
-        for (const BlockPtr& b : build) {
+        for (const auto& b : build) {
           for (int32_t br = 0; br < b->num_rows(); ++br) {
             if (KeysEqual(bs, b->RowAt(br), keys.build, ps, p->RowAt(pr),
                           keys.probe)) {
@@ -757,7 +759,7 @@ TEST(OperatorReference, HashAggMatchesRowAtATimeFold) {
     // row's group prefix; per aggregate a running (sum-or-extreme, count).
     const size_t key_bytes = static_cast<size_t>(out.offset(ngroup));
     std::map<std::string, std::vector<std::pair<double, int64_t>>> groups;
-    for (const BlockPtr& b : blocks) {
+    for (const auto& b : blocks) {
       for (int32_t r = 0; r < b->num_rows(); ++r) {
         const char* row = b->RowAt(r);
         std::string key_row(static_cast<size_t>(out.row_size()), '\0');

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 namespace claims {
 namespace {
 
@@ -41,14 +43,17 @@ TEST(BlockTest, AppendRowCopy) {
   EXPECT_EQ(memcmp(b.RowAt(0), row, 8), 0);
 }
 
+// Emitted blocks are read-only: only MakeBlock's writable pointer fills one.
+static_assert(std::is_const_v<BlockPtr::element_type>,
+              "BlockPtr must point to a const Block");
+static_assert(!std::is_const_v<decltype(MakeBlock(8))::element_type>,
+              "MakeBlock must return a writable block");
+
 TEST(BlockTest, MetadataTail) {
   Block b(8);
   EXPECT_EQ(b.sequence_number(), 0u);
-  EXPECT_EQ(b.visit_rate(), 1.0);
   b.set_sequence_number(77);
-  b.set_visit_rate(0.25);
   EXPECT_EQ(b.sequence_number(), 77u);
-  EXPECT_EQ(b.visit_rate(), 0.25);
 }
 
 TEST(BlockTest, DoubleCapacityKeepsRowsAndZeroesTheTail) {

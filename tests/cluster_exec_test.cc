@@ -7,8 +7,11 @@
 #include <map>
 #include <thread>
 
+#include "cluster/exchange.h"
 #include "cluster/executor.h"
 #include "common/clock.h"
+#include "mem/query_budget.h"
+#include "storage/partition.h"
 
 namespace claims {
 namespace {
@@ -453,6 +456,179 @@ TEST_F(ClusterExecTest, PlanErrorOnBadScanPlacement) {
   Executor exec(cluster_);
   auto result = exec.Execute(plan, ExecOptions{});
   EXPECT_FALSE(result.ok());
+}
+
+// --- Exchange: visit-rate tails and shared broadcast blocks -------------------
+
+/// Replays fixed blocks in order: one producer segment's output.
+class ReplaySource : public Iterator {
+ public:
+  explicit ReplaySource(std::vector<BlockPtr> blocks)
+      : blocks_(std::move(blocks)) {}
+  NextResult Open(WorkerContext*) override { return NextResult::kSuccess; }
+  NextResult Next(WorkerContext*, BlockPtr* out) override {
+    if (next_ >= blocks_.size()) return NextResult::kEndOfFile;
+    *out = blocks_[next_++];
+    return NextResult::kSuccess;
+  }
+  void Close() override {}
+
+ private:
+  std::vector<BlockPtr> blocks_;
+  size_t next_ = 0;
+};
+
+/// One producer segment of a test exchange: its visit rate V_i, its
+/// counters (δ_i = output / input) and the blocks it emits.
+struct TailProducer {
+  double visit_rate;
+  int64_t input_tuples;
+  int64_t output_tuples;
+  std::vector<BlockPtr> blocks;
+};
+
+/// What one consumer's merger saw: its folded V_j and the blocks it got.
+struct TailConsumer {
+  double visit_rate = 0;
+  std::vector<BlockPtr> blocks;
+};
+
+/// Pumps producer i from node i into one exchange (SenderPump → Network),
+/// then drains each consumer's channel through a MergerIterator. The
+/// channels charge `budget` (nullable).
+std::vector<TailConsumer> RunExchange(Partitioning partitioning,
+                                      const std::vector<TailProducer>& producers,
+                                      int num_consumers, const Schema& schema,
+                                      QueryBudget* budget = nullptr) {
+  constexpr int kExchange = 7;
+  const int num_producers = static_cast<int>(producers.size());
+  Network net(std::max(num_producers, num_consumers), NetworkOptions{});
+  std::vector<int> consumer_nodes;
+  for (int j = 0; j < num_consumers; ++j) consumer_nodes.push_back(j);
+  net.CreateExchange(kExchange, num_producers, consumer_nodes,
+                     /*capacity_override=*/0, budget);
+  for (int i = 0; i < num_producers; ++i) {
+    SegmentStats stats;
+    stats.visit_rate.store(producers[i].visit_rate);
+    stats.input_tuples.store(producers[i].input_tuples);
+    stats.output_tuples.store(producers[i].output_tuples);
+    SenderPump::Spec spec;
+    spec.exchange_id = kExchange;
+    spec.from_node = i;
+    spec.partitioning = partitioning;
+    spec.hash_cols = {0};
+    spec.consumer_nodes = consumer_nodes;
+    spec.schema = &schema;
+    spec.network = &net;
+    spec.stats = &stats;
+    SenderPump pump(spec);
+    ReplaySource source(producers[i].blocks);
+    WorkerContext ctx;
+    EXPECT_TRUE(pump.Pump(&source, &ctx, nullptr));
+  }
+  std::vector<TailConsumer> consumers(num_consumers);
+  for (int j = 0; j < num_consumers; ++j) {
+    SegmentStats stats;
+    MergerIterator merger(net.GetChannel(kExchange, j), &stats, nullptr);
+    WorkerContext ctx;
+    EXPECT_EQ(merger.Open(&ctx), NextResult::kSuccess);
+    BlockPtr block;
+    while (merger.Next(&ctx, &block) == NextResult::kSuccess) {
+      consumers[j].blocks.push_back(block);
+    }
+    merger.Close();
+    consumers[j].visit_rate = stats.visit_rate.load();
+  }
+  return consumers;
+}
+
+Schema KeySchema() { return Schema({ColumnDef::Int64("k")}); }
+
+BlockPtr KeyBlock(const Schema& s, const std::vector<int64_t>& keys) {
+  auto b = MakeBlock(s.row_size());
+  for (int64_t k : keys) s.SetInt64(b->AppendRow(), 0, k);
+  return b;
+}
+
+/// `n` keys that the hash exchange routes to consumer `j` of `of`.
+std::vector<int64_t> KeysFor(const Schema& s, int j, int of, int n) {
+  std::vector<int64_t> keys;
+  std::vector<char> row(static_cast<size_t>(s.row_size()));
+  for (int64_t k = 0; static_cast<int>(keys.size()) < n; ++k) {
+    s.SetInt64(row.data(), 0, k);
+    if (PartitionOf(HashRowKeys(s, row.data(), {0}), of) == j) {
+      keys.push_back(k);
+    }
+  }
+  return keys;
+}
+
+int64_t RowsOf(const TailConsumer& c) {
+  int64_t rows = 0;
+  for (const BlockPtr& b : c.blocks) rows += b->num_rows();
+  return rows;
+}
+
+TEST(ExchangeTailTest, ToOneFoldsEveryProducersTail) {
+  // V_j = Σ_i V_i·δ_i·p_ij, and a gather sends everything (p_ij = 1).
+  const Schema s = KeySchema();
+  std::vector<TailProducer> producers = {
+      {1.0, 200, 100, {KeyBlock(s, {1, 2, 3}), KeyBlock(s, {4})}},
+      {0.5, 80, 20, {KeyBlock(s, {5, 6})}},
+  };
+  auto consumers = RunExchange(Partitioning::kToOne, producers, 1, s);
+  EXPECT_DOUBLE_EQ(consumers[0].visit_rate, 1.0 * 0.5 + 0.5 * 0.25);
+  EXPECT_EQ(RowsOf(consumers[0]), 6);
+}
+
+TEST(ExchangeTailTest, BroadcastFoldsWholeTailsAtEveryConsumer) {
+  // Every consumer of a broadcast sees all of each producer (p_ij = 1).
+  const Schema s = KeySchema();
+  std::vector<TailProducer> producers = {
+      {0.5, 100, 50, {KeyBlock(s, {1, 2})}},
+      {2.0, 10, 30, {KeyBlock(s, {3}), KeyBlock(s, {4, 5})}},
+  };
+  auto consumers = RunExchange(Partitioning::kBroadcast, producers, 3, s);
+  for (const TailConsumer& c : consumers) {
+    EXPECT_DOUBLE_EQ(c.visit_rate, 0.5 * 0.5 + 2.0 * 3.0);
+    EXPECT_EQ(RowsOf(c), 5);
+  }
+}
+
+TEST(ExchangeTailTest, HashFoldsEachProducersShare) {
+  // The sender's p_ij is producer i's share of the tuples it had sent when
+  // its block to j left. Each producer's keys hash to one consumer, where
+  // that share is exact: p_ij is 1 there and 0 at the other consumer, which
+  // gets no tail from it.
+  const Schema s = KeySchema();
+  std::vector<TailProducer> producers = {
+      {1.0, 200, 100, {KeyBlock(s, KeysFor(s, 0, 2, 40))}},
+      {0.5, 80, 20, {KeyBlock(s, KeysFor(s, 1, 2, 30))}},
+      {0.25, 10, 20, {KeyBlock(s, KeysFor(s, 0, 2, 5)),
+                      KeyBlock(s, KeysFor(s, 0, 2, 7))}},
+  };
+  auto consumers = RunExchange(Partitioning::kHash, producers, 2, s);
+  EXPECT_DOUBLE_EQ(consumers[0].visit_rate, 1.0 * 0.5 + 0.25 * 2.0);
+  EXPECT_DOUBLE_EQ(consumers[1].visit_rate, 0.5 * 0.25);
+  EXPECT_EQ(RowsOf(consumers[0]), 40 + 5 + 7);
+  EXPECT_EQ(RowsOf(consumers[1]), 30);
+}
+
+TEST(SenderPumpTest, BroadcastSendsOneBlockToEveryConsumer) {
+  // Emitted blocks are read-only, so a broadcast shares the block instead of
+  // copying it for each consumer. Each consumer's channel still charges the
+  // block while it holds it.
+  const Schema s = KeySchema();
+  BlockPtr block = KeyBlock(s, {1, 2, 3});
+  QueryBudget ledger(/*budget_bytes=*/0);
+  auto consumers = RunExchange(Partitioning::kBroadcast,
+                               {{1.0, 3, 3, {block}}}, 3, s, &ledger);
+  for (const TailConsumer& c : consumers) {
+    ASSERT_EQ(c.blocks.size(), 1u);
+    EXPECT_EQ(c.blocks[0].get(), block.get());
+  }
+  EXPECT_EQ(ledger.peak_charged_bytes(), 3 * block->payload_bytes());
+  EXPECT_EQ(ledger.charged_bytes(), 0);
 }
 
 }  // namespace

@@ -302,6 +302,18 @@ TEST(ElasticIteratorTest, ExpandRefusedAfterError) {
   it.Close();
 }
 
+TEST(ElasticIteratorTest, ExpandRefusedOnceFinished) {
+  // A drained segment takes no new worker, measured or not.
+  ElasticIterator it(std::make_unique<CountingSource>(5, 5), {});
+  WorkerContext ctx;
+  ASSERT_EQ(it.Open(&ctx), NextResult::kSuccess);
+  EXPECT_EQ(DrainValues(&it), ExpectedValues(25));
+  ASSERT_TRUE(it.finished());
+  EXPECT_FALSE(it.Expand(1));
+  EXPECT_EQ(it.ExpandMeasured(1), -1);
+  it.Close();
+}
+
 TEST(ElasticIteratorTest, DoubleCloseAndDestructorAreSafe) {
   ElasticIterator it(std::make_unique<CountingSource>(5, 5), {});
   WorkerContext ctx;

@@ -389,11 +389,12 @@ TEST(NetworkFaultTest, SendToDeadNodeFailsFast) {
   EXPECT_FALSE(net.NodeAlive(1));
   EXPECT_TRUE(net.NodeAlive(0));
   int64_t failures_before = CounterValue("net.send_failures");
-  EXPECT_EQ(net.SendRoute({1, 0, 0, 1, 1}, RowBlock()),
+  EXPECT_EQ(net.SendRoute({1, 0, 0, 1, 1}, RowBlock(), 1.0),
             SendOutcome::kUnavailable);
   EXPECT_EQ(CounterValue("net.send_failures"), failures_before + 1);
   // The other node keeps working.
-  EXPECT_EQ(net.SendRoute({1, 0, 0, 0, 0}, RowBlock()), SendOutcome::kOk);
+  EXPECT_EQ(net.SendRoute({1, 0, 0, 0, 0}, RowBlock(), 1.0),
+            SendOutcome::kOk);
 }
 
 TEST(NetworkFaultTest, DisconnectExhaustsRetriesThenFails) {
@@ -410,7 +411,7 @@ TEST(NetworkFaultTest, DisconnectExhaustsRetriesThenFails) {
   net.CreateExchange(1, 1, {0, 1});
   int64_t retries_before = CounterValue("net.retries");
   int64_t dropped_before = CounterValue("net.dropped:n0");
-  EXPECT_EQ(net.SendRoute({1, 0, 0, 1, 1}, RowBlock()),
+  EXPECT_EQ(net.SendRoute({1, 0, 0, 1, 1}, RowBlock(), 1.0),
             SendOutcome::kUnavailable);
   // 3 attempts: 2 retries after the first drop, then exhaustion.
   EXPECT_EQ(CounterValue("net.retries"), retries_before + 2);
@@ -439,7 +440,8 @@ TEST(NetworkFaultTest, RetriesRecoverOnceTheWindowCloses) {
   net.CreateExchange(1, 1, {0, 1});
   int64_t sent_before = CounterValue("net.sent:n0");
   for (int i = 0; i < 8; ++i) {
-    EXPECT_EQ(net.SendRoute({1, 0, 0, 1, 1}, RowBlock()), SendOutcome::kOk);
+    EXPECT_EQ(net.SendRoute({1, 0, 0, 1, 1}, RowBlock(), 1.0),
+              SendOutcome::kOk);
   }
   EXPECT_EQ(net.GetChannel(1, 1)->size(), 8u);
   EXPECT_EQ(CounterValue("net.sent:n0"), sent_before + 8);
@@ -459,11 +461,13 @@ TEST(NetworkFaultTest, DuplicatedDeliveryIsSuppressedAtReceive) {
   Network net(2, FastRetryOptions());
   net.SetFaultInjector(&injector);
   net.CreateExchange(1, 1, {0, 1});
-  EXPECT_EQ(net.SendRoute({1, 0, 0, 1, 1}, RowBlock()), SendOutcome::kOk);
+  EXPECT_EQ(net.SendRoute({1, 0, 0, 1, 1}, RowBlock(), 0.5),
+            SendOutcome::kOk);
   BlockChannel* ch = net.GetChannel(1, 1);
   EXPECT_EQ(ch->size(), 2u);  // both copies queued, same wire sequence
   NetBlock nb;
   ASSERT_EQ(ch->Receive(&nb, 1'000'000), ChannelStatus::kOk);
+  EXPECT_EQ(nb.visit_rate, 0.5);  // the tail rides the envelope
   EXPECT_EQ(ch->Receive(&nb, 0), ChannelStatus::kTimeout);
   EXPECT_EQ(ch->duplicates_suppressed(), 1);
   net.SetFaultInjector(nullptr);

@@ -28,6 +28,21 @@
 namespace claims {
 namespace {
 
+/// Fails the binary if any test leaves charge on the ledgers' process-wide
+/// total. A ledger destroyed while charged keeps its bytes in that total for
+/// every later test, whose process-cap arithmetic then starts from the wrong
+/// base.
+class LedgerBalanceCheck : public ::testing::Environment {
+ public:
+  void TearDown() override {
+    EXPECT_EQ(QueryBudget::TotalChargedBytes(), 0)
+        << "a test left ledger charge behind";
+  }
+};
+
+::testing::Environment* const kLedgerBalanceCheck =
+    ::testing::AddGlobalTestEnvironment(new LedgerBalanceCheck);
+
 // --- Size classes ---------------------------------------------------------------
 
 TEST(SizeClassTest, BoundariesRoundToTheRightClass) {
@@ -298,24 +313,25 @@ TEST(QueryBudgetTest, ChargeInvokesShrinkHookAndRetries) {
   EXPECT_FALSE(budget.Charge(1024));
   EXPECT_EQ(shrinks, 2);
   EXPECT_EQ(budget.charged_bytes(), 768);
+  budget.Release(768);
 }
 
 // The process cap (the mempressure fault's actuator) binds the sum over
 // every ledger, but only bounded ledgers honour it: an unbounded one has no
 // ladder to fall down.
 TEST(QueryBudgetTest, ProcessCapRefusesBoundedLedgersOnly) {
-  // Ledgers other tests left charged count against the cap too.
-  const int64_t base = QueryBudget::TotalChargedBytes();
+  // A ledger another test left charged would count against the cap too.
+  ASSERT_EQ(QueryBudget::TotalChargedBytes(), 0);
   QueryBudget unbounded(/*budget_bytes=*/0);
   QueryBudget bounded(1 << 20);
   ASSERT_TRUE(unbounded.TryCharge(48 << 10));
-  QueryBudget::SetProcessCapBytes(base + (64 << 10));
-  EXPECT_EQ(QueryBudget::process_cap_bytes(), base + (64 << 10));
+  QueryBudget::SetProcessCapBytes(64 << 10);
+  EXPECT_EQ(QueryBudget::process_cap_bytes(), 64 << 10);
 
   EXPECT_TRUE(bounded.TryCharge(16 << 10));   // 64 KiB in total: at the cap
   EXPECT_FALSE(bounded.TryCharge(1));         // over it
   EXPECT_TRUE(unbounded.TryCharge(16 << 10));  // never refused
-  EXPECT_EQ(QueryBudget::TotalChargedBytes(), base + (80 << 10));
+  EXPECT_EQ(QueryBudget::TotalChargedBytes(), 80 << 10);
   EXPECT_EQ(bounded.charged_bytes(), 16 << 10);
 
   // A refusal runs the shrink hook and retries, like a budget refusal.
@@ -333,7 +349,7 @@ TEST(QueryBudgetTest, ProcessCapRefusesBoundedLedgersOnly) {
   EXPECT_TRUE(bounded.TryCharge(512 << 10));
   bounded.Release(bounded.charged_bytes());
   unbounded.Release(unbounded.charged_bytes());
-  EXPECT_EQ(QueryBudget::TotalChargedBytes(), base);
+  EXPECT_EQ(QueryBudget::TotalChargedBytes(), 0);
 }
 
 TEST(QueryBudgetTest, ConcurrentChargesNeverExceedBudget) {
@@ -417,9 +433,9 @@ TEST(MemSourceTest, BudgetRefusalReturnsChunkToPool) {
 // Only a bounded ledger honours the process cap: an unbounded one (every
 // query without a budget) charges past it.
 TEST(MemSourceTest, UnboundedLedgerChargesPastTheProcessCap) {
+  ASSERT_EQ(QueryBudget::TotalChargedBytes(), 0);
   BlockPool pool;
-  QueryBudget::SetProcessCapBytes(QueryBudget::TotalChargedBytes() +
-                                  (16 << 10));
+  QueryBudget::SetProcessCapBytes(16 << 10);
   QueryBudget unbounded(/*budget_bytes=*/0);
   QueryBudget bounded(1 << 20);
   MemSource loose{&pool, &unbounded};

@@ -34,7 +34,8 @@ std::unique_ptr<Table> MakeKV(int rows, int mod, int partitions = 1) {
 }
 
 // Replays fixed blocks — for tests that need exact control over input block
-// boundaries, sequence numbers, and visit rates.
+// boundaries and sequence numbers. The blocks are read-only, so every
+// consumer shares them.
 class BlocksIterator : public Iterator {
  public:
   explicit BlocksIterator(std::vector<BlockPtr> blocks)
@@ -43,7 +44,7 @@ class BlocksIterator : public Iterator {
   NextResult Next(WorkerContext*, BlockPtr* out) override {
     size_t i = cursor_.fetch_add(1, std::memory_order_relaxed);
     if (i >= blocks_.size()) return NextResult::kEndOfFile;
-    *out = std::make_shared<Block>(*blocks_[i]);
+    *out = blocks_[i];
     return NextResult::kSuccess;
   }
   void Close() override {}
@@ -54,8 +55,8 @@ class BlocksIterator : public Iterator {
 };
 
 // One kv block holding `rows` rows (k = i % mod, v = i), sized to fit even
-// when `rows` exceeds the default block capacity.
-BlockPtr MakeKVBlock(const Schema& s, int rows, int mod) {
+// when `rows` exceeds the default block capacity; still writable.
+std::shared_ptr<Block> MakeKVBlock(const Schema& s, int rows, int mod) {
   auto b = MakeBlock(s.row_size(),
                      std::max<int32_t>(kDefaultBlockBytes,
                                        (rows + 1) * s.row_size()));
@@ -153,6 +154,25 @@ TEST(ScanTest, StatsCountInputTuples) {
   EXPECT_EQ(stats.input_tuples.load(), 5000);
 }
 
+TEST(ScanTest, UnfilteredScanEmitsTheStorageBlocks) {
+  // Storage blocks are read-only, so an unfiltered scan hands them on
+  // without a copy, numbered by their storage index.
+  auto table = MakeKV(50000, 7);
+  const TablePartition& part = table->partition(0);
+  ASSERT_GT(part.num_blocks(), 3);
+  ScanIterator scan(&part, &table->schema());
+  WorkerContext ctx;
+  ASSERT_EQ(scan.Open(&ctx), NextResult::kSuccess);
+  BlockPtr block;
+  for (int i = 0; i < part.num_blocks(); ++i) {
+    ASSERT_EQ(scan.Next(&ctx, &block), NextResult::kSuccess);
+    EXPECT_EQ(block.get(), part.block(i).get()) << "block " << i;
+    EXPECT_EQ(block->sequence_number(), static_cast<uint64_t>(i));
+  }
+  EXPECT_EQ(scan.Next(&ctx, &block), NextResult::kEndOfFile);
+  scan.Close();
+}
+
 TEST(ScanTest, FusedPredicateFiltersDuringCopyOut) {
   // Predicate pushdown: a filter fused into the scan (ScanIterator::Options
   // ::predicate) must behave exactly like a FilterIterator above it — rows
@@ -211,13 +231,12 @@ TEST(FilterTest, ZeroSelectivity) {
 
 TEST(FilterTest, FullyFilteredBlockEmitsEmptyWatermark) {
   // A block whose rows are all filtered must still come out — empty, with
-  // the input's sequence number and visit rate intact — so the
-  // order-preserving DataBuffer learns the sequence was consumed. The old
-  // behavior (pull until a non-empty output) silently dropped the sequence.
+  // the input's sequence number intact — so the order-preserving DataBuffer
+  // learns the sequence was consumed. The old behavior (pull until a
+  // non-empty output) silently dropped the sequence.
   Schema s({ColumnDef::Int32("k"), ColumnDef::Int64("v")});
   auto in = MakeKVBlock(s, 100, 10);
   in->set_sequence_number(7);
-  in->set_visit_rate(0.5);
   ExprPtr pred = MakeCompare(CompareOp::kEq, Col(s, "k"),
                              MakeLiteral(Value::Int32(99)));
   FilterIterator f(std::make_unique<BlocksIterator>(
@@ -229,7 +248,6 @@ TEST(FilterTest, FullyFilteredBlockEmitsEmptyWatermark) {
   ASSERT_EQ(f.Next(&ctx, &out), NextResult::kSuccess);
   EXPECT_EQ(out->num_rows(), 0);
   EXPECT_EQ(out->sequence_number(), 7u);
-  EXPECT_DOUBLE_EQ(out->visit_rate(), 0.5);
   EXPECT_EQ(f.Next(&ctx, &out), NextResult::kEndOfFile);
   f.Close();
 }
@@ -449,7 +467,7 @@ TEST(HashJoinTest, HighFanOutGrowsTheOutputBlockAndMatchesNestedLoop) {
   Schema ps({ColumnDef::Int32("k"), ColumnDef::Int64("v")});
   BlockPool pool;
   BlockPtr build = MakeKVBlock(bs, kKeys * kFanOut, kKeys);
-  BlockPtr probe = MakeKVBlock(ps, kProbeRows, kKeys);
+  auto probe = MakeKVBlock(ps, kProbeRows, kKeys);
   probe->set_sequence_number(9);
   BlockPtr out = JoinOneProbeBlock(bs, ps, build, probe, &pool);
   ASSERT_NE(out, nullptr);
@@ -612,30 +630,6 @@ TEST(HashAggTest, NoGroupByGlobalAggregate) {
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0][0].AsInt64(), 1000);
   EXPECT_EQ(rows[0][1].AsInt64(), 999 * 1000 / 2);
-}
-
-TEST(HashAggTest, PropagatesInputVisitRate) {
-  // Emitted blocks must carry the consumed input's (row-weighted) average
-  // visit rate, not the default 1.0 — the downstream scalability-vector
-  // estimation reads it (§4.3).
-  Schema s({ColumnDef::Int32("k"), ColumnDef::Int64("v")});
-  std::vector<BlockPtr> blocks;
-  for (int i = 0; i < 4; ++i) {
-    auto b = MakeKVBlock(s, 500, 8);
-    b->set_sequence_number(i);
-    b->set_visit_rate(0.25);
-    blocks.push_back(std::move(b));
-  }
-  HashAggIterator::Spec spec = AggSpec(s, HashAggIterator::Mode::kShared);
-  HashAggIterator agg(std::make_unique<BlocksIterator>(std::move(blocks)),
-                      spec);
-  WorkerContext ctx;
-  ASSERT_EQ(agg.Open(&ctx), NextResult::kSuccess);
-  BlockPtr out;
-  ASSERT_EQ(agg.Next(&ctx, &out), NextResult::kSuccess);
-  EXPECT_GT(out->num_rows(), 0);
-  EXPECT_DOUBLE_EQ(out->visit_rate(), 0.25);
-  agg.Close();
 }
 
 // --- Sort -----------------------------------------------------------------------
