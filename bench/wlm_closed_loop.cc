@@ -33,9 +33,10 @@
 //
 // --monitor-port starts the live introspection plane (HTTP monitoring
 // endpoint + flight recorder + watchdog) on 127.0.0.1:P (0 = ephemeral; the
-// bound port is printed). --linger keeps the process and the monitor alive
-// for SEC seconds after the workload drains so an external scraper (the CI
-// monitor-smoke job) can probe terminal state.
+// bound port is printed). --linger keeps the process and the monitor alive,
+// and a --chaos-seed injector armed, for SEC seconds after the workload
+// drains so an external scraper (the CI monitor-smoke job) can probe
+// terminal state and the fault timeline.
 
 #include <chrono>
 #include <cstdio>
@@ -146,7 +147,7 @@ int main(int argc, char** argv) {
       dopts.cluster.num_nodes * dopts.cluster.cores_per_node;
   // Constrained-memory scenario: an aggregate admission budget makes every
   // admitted query run under a binding per-query ledger (its clamped
-  // reservation), so the storm degrades by shrink/spill instead of growing
+  // reservation), so the storm degrades by spill/reject instead of growing
   // unbounded — the BENCH_wlm memory-pressure configuration.
   if (mem_budget_mb > 0) {
     sopts.admission.memory_budget_bytes = mem_budget_mb << 20;
@@ -178,9 +179,11 @@ int main(int argc, char** argv) {
   }
 
   // Seeded chaos: a windowed storm (drop/delay/dup/NIC) plus a scripted
-  // crash of node 3 one second into the run. Queries get a retry budget so
-  // most ride through the crash — the throughput curve dips and recovers
-  // instead of flatlining.
+  // crash of node 3, at plan times counted from Arm (the crash at 1 s).
+  // Queries get a retry budget so most ride through the faults that land
+  // while they run. A short run can end before the first window opens, so
+  // the injector stays armed until --linger ends: the faults still fire,
+  // and /faults and the time-series annotations show them either way.
   std::unique_ptr<FaultInjector> injector;
   if (chaos_seed >= 0) {
     FaultPlan storm = RandomFaultStorm(static_cast<uint64_t>(chaos_seed),
@@ -227,11 +230,6 @@ int main(int argc, char** argv) {
   WorkloadDriver driver(&service, wopts);
   WorkloadReport report = driver.Run();
 
-  if (injector) {
-    injector->Disarm();
-    db.cluster()->AttachFaultInjector(nullptr);
-  }
-
   if (json) {
     std::printf("%s\n", report.ToJson().c_str());
   } else {
@@ -257,6 +255,10 @@ int main(int argc, char** argv) {
   if (plane && linger_sec > 0) {
     std::this_thread::sleep_for(
         std::chrono::milliseconds(static_cast<int64_t>(linger_sec * 1000)));
+  }
+  if (injector) {
+    injector->Disarm();
+    db.cluster()->AttachFaultInjector(nullptr);
   }
   if (plane) plane->Stop();
   const int terminated = report.succeeded + report.failed + report.cancelled +

@@ -111,23 +111,21 @@ bool SenderPump::SendBlock(int dest_index, BlockPtr block,
                            const std::atomic<bool>* cancel) {
   if (block == nullptr || block->empty()) return true;
   const int64_t rows = block->num_rows();
-  // Post-add snapshots: with concurrent senders each caller still computes a
-  // fraction from complete sums (total ≥ dest ≥ rows ≥ 1, so no zero guard).
-  const int64_t dest_total =
+  // Outgoing tail = V_i · sent_ij / in_i, which is V_i·δ_i·p_ij (paper §4.3)
+  // once the stream ends. Both counts precede the send: sent_ij is added
+  // here, and the stage beginner counted in_i before it emitted the rows, so
+  // the tail never runs ahead of the data. A broadcast sends every row to
+  // each consumer, so its ratio is δ_i; a join's fan-out may exceed 1.
+  const int64_t sent =
       sent_tuples_[dest_index].fetch_add(rows, std::memory_order_relaxed) +
       rows;
-  const int64_t total =
-      total_sent_.fetch_add(rows, std::memory_order_relaxed) + rows;
-  // Outgoing tail = V_i · δ_i · p_ij (paper §4.3).
-  double v = 1.0;
-  double selectivity = 1.0;
+  double tail = 1.0;
   if (spec_.stats != nullptr) {
-    v = spec_.stats->visit_rate.load(std::memory_order_relaxed);
-    selectivity = spec_.stats->selectivity();
+    tail = spec_.stats->visit_rate.load(std::memory_order_relaxed);
+    const int64_t in =
+        spec_.stats->input_tuples.load(std::memory_order_relaxed);
+    if (in > 0) tail *= static_cast<double>(sent) / static_cast<double>(in);
   }
-  double fraction = static_cast<double>(dest_total) / static_cast<double>(total);
-  if (spec_.partitioning == Partitioning::kBroadcast) fraction = 1.0;
-  const double tail = v * selectivity * fraction;
   Route route;
   route.exchange_id = spec_.exchange_id;
   route.from_logical = spec_.from_node;

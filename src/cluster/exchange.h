@@ -62,7 +62,9 @@ enum class Partitioning {
 /// Sender — the data-exchange transmitter at the top of a segment (appendix
 /// Alg. 4). Pump() drains the segment's elastic iterator and routes blocks
 /// into the network fabric, each envelope carrying the visit-rate tail
-/// V_i·δ_i·p_ij from live counters; a broadcast sends the one block to every
+/// V_i·sent_ij/in_i: the tuples sent to consumer j so far over the tuples
+/// the segment's stage beginner took in, which is V_i·δ_i·p_ij once the
+/// stream ends. A broadcast sends the one block to every
 /// consumer. Runs on the segment's driver thread; blocking inside Send (NIC
 /// throttle or full consumer channel) propagates as backpressure into the
 /// elastic buffer, which is how the dynamic scheduler sees "over-producing
@@ -103,9 +105,9 @@ class SenderPump {
   /// must not be taken for a complete result).
   ///
   /// Pump itself runs on the segment's single driver thread, but the
-  /// distribution counters below are atomics so that SendBlock stays correct
+  /// per-consumer counters below are atomics so that SendBlock stays correct
   /// if a future layout fans the pump out across workers (the elastic
-  /// iterator's parallelism must never silently corrupt p_ij accounting).
+  /// iterator's parallelism must never silently corrupt sent_ij).
   bool Pump(Iterator* source, WorkerContext* ctx,
             const std::atomic<bool>* cancel);
 
@@ -114,12 +116,10 @@ class SenderPump {
                  const std::atomic<bool>* cancel);
 
   Spec spec_;
-  /// Tuples routed per destination / in total, for the p_ij fraction of the
-  /// outgoing visit-rate tails. Thread-safe: updated with relaxed fetch_adds;
-  /// SendBlock computes the fraction from its own post-add snapshots, so
-  /// concurrent senders only ever see complete sums.
+  /// Tuples routed per destination (sent_ij of the outgoing visit-rate
+  /// tails), counted before each send. Thread-safe: updated with relaxed
+  /// fetch_adds; SendBlock reads its own post-add snapshot.
   std::vector<std::atomic<int64_t>> sent_tuples_;
-  std::atomic<int64_t> total_sent_{0};
   std::atomic<bool> send_unavailable_{false};
 };
 

@@ -155,7 +155,7 @@ Result<std::unique_ptr<Iterator>> Executor::BuildIteratorInner(
           std::unique_ptr<Iterator> child,
           BuildIterator(*op.children[0], node, stats, opts, op_ids, my_op));
       return std::unique_ptr<Iterator>(std::make_unique<SortIterator>(
-          std::move(child), &op.output_schema, op.sort_keys));
+          std::move(child), &op.output_schema, op.sort_keys, budget_.get()));
     }
   }
   return Status::Internal("unknown operator kind");
@@ -180,25 +180,6 @@ ExecProgress Executor::Progress() const {
   p.mem_budget_bytes = budget_->budget_bytes();
   p.mem_spilled_bytes = budget_->spilled_bytes();
   return p;
-}
-
-bool Executor::ShrinkForMemory() {
-  std::lock_guard<std::mutex> lock(live_mu_);
-  // Widest-first: shrinking where parallelism is highest frees the most
-  // per-worker state (private agg tables, in-flight blocks) for the least
-  // throughput loss, and segments at min parallelism refuse anyway.
-  std::vector<std::pair<int, Segment*>> by_width;
-  for (Segment* s : live_segments_) {
-    int par = s->elastic()->parallelism();
-    if (par > 1) by_width.emplace_back(par, s);
-  }
-  std::sort(by_width.begin(), by_width.end(),
-            [](const auto& a, const auto& b) { return a.first > b.first; });
-  for (const auto& [par, seg] : by_width) {
-    (void)par;
-    if (seg->elastic()->Shrink()) return true;
-  }
-  return false;
 }
 
 void Executor::TriggerCancel(bool deadline) {
@@ -240,11 +221,6 @@ Result<ResultSet> Executor::Execute(const PhysicalPlan& plan,
   segments_.clear();
   stats_own_.clear();
   budget_ = std::make_unique<QueryBudget>(opts.memory_budget_bytes);
-  if (opts.memory_budget_bytes > 0) {
-    // First rung of the degradation ladder: a refused charge asks the
-    // dynamic scheduler's domain to give memory back before operators spill.
-    budget_->SetShrinkHook([this] { return ShrinkForMemory(); });
-  }
   report_ = ExecutionReport{};
   // Every exit path, failures included, reports this run's ledger peak and
   // run time. A successful run timed itself before assembling its report.
@@ -511,12 +487,12 @@ Result<ResultSet> Executor::Execute(const PhysicalPlan& plan,
                       segment->name().c_str()));
       }
       // Budget rejection outranks kInternal: the ledger latches rejected()
-      // only when the whole degradation ladder (shrink, then spill) failed
-      // to fit the query, and the segment error is that refusal surfacing.
+      // only when a refused charge could not be spilled away, and the
+      // segment error is that refusal surfacing.
       if (budget_->rejected()) {
         return Status::ResourceExhausted(StrFormat(
             "query exceeded its memory budget (%lld bytes charged peak of "
-            "%lld budget, %lld spilled) after shrink and spill degradation",
+            "%lld budget, %lld spilled) after spill degradation",
             static_cast<long long>(budget_->peak_charged_bytes()),
             static_cast<long long>(budget_->budget_bytes()),
             static_cast<long long>(budget_->spilled_bytes())));

@@ -60,7 +60,7 @@ struct ExecOptions {
   /// unbounded. Every execution charges its arena chunks, buffered blocks
   /// and exchange-channel blocks to one QueryBudget, whose peak is
   /// ExecutionReport::peak_memory_bytes. With a budget the ledger refuses
-  /// past it and the ladder runs shrink → spill → kResourceExhausted
+  /// past it and the ladder runs spill → kResourceExhausted
   /// (docs/MEMORY.md). The workload manager passes the admitted reservation
   /// here, making the WLM estimate binding rather than advisory.
   int64_t memory_budget_bytes = 0;
@@ -142,13 +142,6 @@ class Executor {
   /// Execute reports the failure's own status. Called from the failing
   /// segment's driver thread.
   void CancelAfterFailure();
-
-  /// First rung of the degradation ladder, installed as the ledger's shrink
-  /// hook: release memory headroom by shrinking the widest live segment's
-  /// elastic parallelism (one fewer worker = one fewer private table /
-  /// in-flight block). Never called with a buffer or arena lock held — the
-  /// chargers charge before locking (core/data_buffer.cc).
-  bool ShrinkForMemory();
 
   Cluster* cluster_;
   /// The current execution's ledger. Declared before segments_: segment

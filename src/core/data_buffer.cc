@@ -45,53 +45,39 @@ void DataBuffer::DropQueuedLocked() {
 }
 
 bool DataBuffer::Insert(int producer_id, BlockPtr block) {
-  QueryBudget* budget = options_.budget;
-  const int64_t bytes = budget != nullptr ? block->payload_bytes() : 0;
-  // A bounded ledger is charged before taking mu_: the refused-charge path
-  // runs the executor's shrink hook, which takes live-segment and scheduler
-  // locks; under mu_ that would deadlock against TriggerCancel's lock order
-  // (live_mu_ -> elastic mu_ -> buffer mu_). See docs/CONCURRENCY.md. An
-  // unbounded ledger never refuses and never runs the hook, so it is charged
-  // under mu_ once the block is queued: a producer still waiting for room
-  // holds no charge, and the peak is what the buffer held.
-  const bool charge_first = bytes > 0 && budget->budget_bytes() > 0;
-  if (charge_first && !budget->Charge(bytes)) {
-    budget->MarkRejected();
-    resource_exhausted_.store(true, std::memory_order_release);
-    return false;
-  }
   std::unique_lock<std::mutex> lock(mu_);
+  ProducerQueue* q = nullptr;
   if (options_.order_preserving) {
-    ProducerQueue& q = producers_.at(producer_id);
+    q = &producers_.at(producer_id);
     // A producer whose queue is empty may be the one gating the k-way merge;
     // refusing its insert at capacity would deadlock the pipeline, so the
     // bound only applies once it has data queued (worst case: capacity + P).
     if (!cancelled_ && total_blocks_ >= options_.capacity_blocks &&
-        !q.blocks.empty()) {
+        !q->blocks.empty()) {
       not_full_.wait(lock, [&] {
         return cancelled_ || total_blocks_ < options_.capacity_blocks ||
-               q.blocks.empty();
+               q->blocks.empty();
       });
     }
-    if (cancelled_) {
-      if (charge_first) budget->Release(bytes);
-      return false;
-    }
-    q.watermark = std::max(q.watermark, block->sequence_number());
-    q.blocks.push_back(std::move(block));
+  } else if (!cancelled_ && total_blocks_ >= options_.capacity_blocks) {
+    not_full_.wait(lock, [&] {
+      return cancelled_ || total_blocks_ < options_.capacity_blocks;
+    });
+  }
+  if (cancelled_) return false;
+  // Charged once the block has room, so the ledger holds what the buffer
+  // holds; a refusal queues nothing.
+  QueryBudget* budget = options_.budget;
+  if (budget != nullptr && !budget->TryCharge(block->payload_bytes())) {
+    budget->MarkRejected();
+    return false;
+  }
+  if (q != nullptr) {
+    q->watermark = std::max(q->watermark, block->sequence_number());
+    q->blocks.push_back(std::move(block));
   } else {
-    if (!cancelled_ && total_blocks_ >= options_.capacity_blocks) {
-      not_full_.wait(lock, [&] {
-        return cancelled_ || total_blocks_ < options_.capacity_blocks;
-      });
-    }
-    if (cancelled_) {
-      if (charge_first) budget->Release(bytes);
-      return false;
-    }
     fifo_.push_back(std::move(block));
   }
-  if (bytes > 0 && !charge_first) budget->TryCharge(bytes);  // never refuses
   ++total_blocks_;
   not_empty_.notify_one();
   return true;

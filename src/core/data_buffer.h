@@ -1,7 +1,6 @@
 #ifndef CLAIMS_CORE_DATA_BUFFER_H_
 #define CLAIMS_CORE_DATA_BUFFER_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -33,11 +32,9 @@ class DataBuffer {
     size_t capacity_blocks = 64;
     bool order_preserving = false;
     /// Owning query's memory ledger; every queued block holds its payload
-    /// bytes on it. A bounded ledger is charged *before* the buffer lock
-    /// (the budget's shrink hook reaches into scheduler locks; calling it
-    /// under mu_ would cycle with the cancel path — see docs/CONCURRENCY.md)
-    /// and a refused charge fails the Insert with resource_exhausted()
-    /// latched. An unbounded one is charged once the block is queued.
+    /// bytes on it. Insert charges under mu_ once the block has room, so a
+    /// producer waiting for room holds no charge; a refused charge queues
+    /// nothing, latches the ledger's rejected() and fails the Insert.
     QueryBudget* budget = nullptr;
   };
 
@@ -59,17 +56,9 @@ class DataBuffer {
   void RemoveProducer(int producer_id, bool finished = true);
 
   /// Inserts a block, blocking while the buffer is at capacity. Returns false
-  /// if the buffer was cancelled while waiting, or — with a budget attached —
-  /// when the query's memory ledger refused the block even after the shrink
-  /// hook ran (resource_exhausted() distinguishes the two).
+  /// if the buffer was cancelled while waiting, or when the query's memory
+  /// ledger refused the block (the ledger's rejected() tells the two apart).
   bool Insert(int producer_id, BlockPtr block);
-
-  /// True once an Insert failed on a refused budget charge. The elastic
-  /// iterator's worker turns this into a latched segment error instead of
-  /// treating the false return as a routine cancellation.
-  bool resource_exhausted() const {
-    return resource_exhausted_.load(std::memory_order_acquire);
-  }
 
   /// Order-preserving mode only: promises that `producer_id` will never
   /// insert a block with sequence number < `seq` again, unblocking the merge
@@ -115,7 +104,6 @@ class DataBuffer {
   bool ever_had_producer_ = false;  ///< any AddProducer happened
   bool any_finished_ = false;       ///< a producer left via end-of-file
   bool cancelled_ = false;
-  std::atomic<bool> resource_exhausted_{false};
 };
 
 }  // namespace claims

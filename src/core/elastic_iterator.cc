@@ -177,9 +177,9 @@ void ElasticIterator::WorkerMain(Worker* worker) {
             sample.AddArg("value", depth);
             rec->Record(std::move(sample));
           }
-        } else if (buffer_.resource_exhausted()) {
-          // The query's memory ledger refused the block even after the
-          // shrink hook ran: a real budget breach, not a routine cancel.
+        } else if (options_.budget != nullptr && options_.budget->rejected()) {
+          // The query's memory ledger refused a block: a real budget
+          // breach, not a routine cancel.
           LatchError();
           break;
         } else {

@@ -86,9 +86,9 @@ char* Arena::Allocate(size_t bytes) {
     size_t size = std::max(bytes, chunk_bytes_);
     PoolAlloc handle = source_.AllocateChunk(size);
     if (!handle) {
-      // Memory source refused (budget breach / pool pressure). The caller
-      // turns this into a fallible insert; the arena stays usable — a later
-      // attempt after shrink/spill may succeed.
+      // The query's ledger refused the chunk. The caller turns this into a
+      // fallible insert; the arena stays usable — a later attempt after a
+      // spill may succeed.
       return nullptr;
     }
     auto fresh = std::make_unique<Chunk>();

@@ -205,10 +205,10 @@ NextResult HashAggIterator::Open(WorkerContext* ctx) {
   }
   AggHashTable* sink = privately ? priv->table.get() : &global_;
 
-  // Degradation exhausted (shrink already ran via the ledger's hook, the
-  // spill rung could not absorb the fold): latch rejected and fail the
-  // segment. The private table is dropped, not parked — its destructor
-  // refunds the ledger, and the query is past saving anyway.
+  // Degradation exhausted (the spill rung could not absorb the fold): latch
+  // rejected and fail the segment. The private table is dropped, not
+  // parked — its destructor refunds the ledger, and the query is past saving
+  // anyway.
   auto fail_build = [&] {
     if (spec_.budget != nullptr) spec_.budget->MarkRejected();
     if (!already_open) build_barrier_.Deregister();

@@ -60,10 +60,10 @@ NextResult HashJoinIterator::Open(WorkerContext* ctx) {
       ++inserted;
     }
     if (inserted < nb) {
-      // The query's ledger refused the build row even after the shrink hook
-      // ran. The shared build table cannot spill (every worker holds row
-      // pointers into it), so this is the last rung: latch rejected and fail
-      // the segment — the executor maps it to kResourceExhausted.
+      // The query's ledger refused the build row. The shared build table
+      // cannot spill (every worker holds row pointers into it), so this is
+      // the last rung: latch rejected and fail the segment — the executor
+      // maps it to kResourceExhausted.
       if (spec_.budget != nullptr) spec_.budget->MarkRejected();
       if (!already_open) build_barrier_.Deregister();
       return NextResult::kError;

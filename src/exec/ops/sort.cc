@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "mem/query_budget.h"
+
 namespace claims {
 
 int RowComparator::Compare(const char* a, const char* b) const {
@@ -42,10 +44,11 @@ int RowComparator::Compare(const char* a, const char* b) const {
 
 SortIterator::SortIterator(std::unique_ptr<Iterator> child,
                            const Schema* schema, std::vector<SortKey> keys,
-                           int num_ranges)
+                           QueryBudget* budget, int num_ranges)
     : child_(std::move(child)),
       schema_(schema),
       comparator_(schema, std::move(keys)),
+      budget_(budget),
       num_ranges_(std::max(1, num_ranges)) {
   range_blocks_.resize(static_cast<size_t>(num_ranges_));
 }
@@ -54,6 +57,16 @@ void SortIterator::DeregisterAll() {
   barrier1_.Deregister();
   barrier2_.Deregister();
   barrier3_.Deregister();
+}
+
+bool SortIterator::Charge(int64_t bytes) {
+  if (budget_ == nullptr) return true;
+  if (!budget_->TryCharge(bytes)) {
+    budget_->MarkRejected();
+    return false;
+  }
+  charged_.fetch_add(bytes, std::memory_order_relaxed);
+  return true;
 }
 
 NextResult SortIterator::Open(WorkerContext* ctx) {
@@ -76,6 +89,7 @@ NextResult SortIterator::Open(WorkerContext* ctx) {
     NextResult r = child_->Next(ctx, &block);
     if (r == NextResult::kEndOfFile) break;
     if (r != NextResult::kSuccess) return bail(r);
+    if (!Charge(block->payload_bytes())) return bail(NextResult::kError);
     {
       std::lock_guard<std::mutex> lock(mu_);
       total_rows_.fetch_add(block->num_rows(), std::memory_order_relaxed);
@@ -100,6 +114,9 @@ NextResult SortIterator::Open(WorkerContext* ctx) {
       chunk_block = buffered_[static_cast<size_t>(chunk)];
     }
     const Block& block = *chunk_block;
+    if (!Charge(static_cast<int64_t>(sizeof(const char*)) * block.num_rows())) {
+      return bail(NextResult::kError);
+    }
     std::vector<const char*> run;
     run.reserve(static_cast<size_t>(block.num_rows()));
     for (int i = 0; i < block.num_rows(); ++i) run.push_back(block.RowAt(i));
@@ -155,14 +172,22 @@ NextResult SortIterator::Open(WorkerContext* ctx) {
     std::sort(rows.begin(), rows.end(), comparator_);
     std::vector<std::shared_ptr<Block>> blocks;
     std::shared_ptr<Block> current;
+    // Each output block is charged once it is complete.
+    auto keep_current = [&] {
+      if (!Charge(current->payload_bytes())) return false;
+      blocks.push_back(std::move(current));
+      return true;
+    };
     for (const char* row : rows) {
       if (current == nullptr || current->full()) {
-        if (current != nullptr) blocks.push_back(std::move(current));
+        if (current != nullptr && !keep_current()) {
+          return bail(NextResult::kError);
+        }
         current = MakeBlock(schema_->row_size());
       }
       current->AppendRowCopy(row);
     }
-    if (current != nullptr) blocks.push_back(std::move(current));
+    if (current != nullptr && !keep_current()) return bail(NextResult::kError);
     range_blocks_[static_cast<size_t>(range)] = std::move(blocks);
   }
   barrier3_.Arrive();
@@ -199,6 +224,9 @@ void SortIterator::Close() {
   buffered_.clear();
   runs_.clear();
   emit_list_.clear();
+  if (budget_ != nullptr) {
+    budget_->Release(charged_.exchange(0, std::memory_order_relaxed));
+  }
 }
 
 }  // namespace claims

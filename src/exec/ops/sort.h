@@ -11,6 +11,8 @@
 
 namespace claims {
 
+class QueryBudget;
+
 /// One ORDER BY key.
 struct SortKey {
   int column;
@@ -46,11 +48,18 @@ class RowComparator {
 ///     so an order-preserving elastic iterator keeps global order).
 /// Terminate requests are honoured between chunks and between ranges: a
 /// shrinking worker always completes its claimed unit, so no row is lost.
+///
+/// Everything the sort holds until Close is charged to the query's ledger:
+/// each buffered input block, 8 bytes per row for the runs, and each output
+/// block. A sort cannot spill, so a refused charge latches rejected() and
+/// fails the segment; Close refunds every charge.
 class SortIterator : public Iterator {
  public:
-  /// `num_ranges` is the merge granularity (work units of phase 3).
+  /// `budget` (nullable) is the owning query's ledger; `num_ranges` is the
+  /// merge granularity (work units of phase 3).
   SortIterator(std::unique_ptr<Iterator> child, const Schema* schema,
-               std::vector<SortKey> keys, int num_ranges = 16);
+               std::vector<SortKey> keys, QueryBudget* budget = nullptr,
+               int num_ranges = 16);
 
   NextResult Open(WorkerContext* ctx) override;
   NextResult Next(WorkerContext* ctx, BlockPtr* out) override;
@@ -61,11 +70,15 @@ class SortIterator : public Iterator {
 
  private:
   void DeregisterAll();
+  /// Charges `bytes` to the ledger; false (rejected() latched) on refusal.
+  bool Charge(int64_t bytes);
 
   std::unique_ptr<Iterator> child_;
   const Schema* schema_;
   RowComparator comparator_;
+  QueryBudget* budget_;
   int num_ranges_;
+  std::atomic<int64_t> charged_{0};  ///< refunded by Close
 
   DynamicBarrier barrier1_;
   DynamicBarrier barrier2_;

@@ -23,7 +23,7 @@ enum class FaultKind {
   kStraggleNode,    ///< the node turns straggler: `slowdown_factor` slower
   kMemPressure,     ///< cap the bounded ledgers' total charge at
                     ///< `mem_cap_bytes`: their charges refuse, forcing the
-                    ///< shrink → spill → reject degradation ladder
+                    ///< spill → reject degradation ladder
 };
 
 const char* FaultKindName(FaultKind kind);

@@ -13,7 +13,8 @@ PoolAlloc MemSource::AllocateChunk(size_t min_bytes) const {
     alloc.data = new char[min_bytes];
     alloc.bytes = min_bytes;
   }
-  if (budget != nullptr && !budget->Charge(static_cast<int64_t>(alloc.bytes))) {
+  if (budget != nullptr &&
+      !budget->TryCharge(static_cast<int64_t>(alloc.bytes))) {
     MemSource{pool, nullptr}.ReleaseChunk(alloc);  // never charged
     return {};
   }

@@ -23,8 +23,8 @@ struct MemSource {
   BlockPool* pool = nullptr;
   QueryBudget* budget = nullptr;
 
-  /// Returns an empty PoolAlloc when the ledger refuses (after its shrink
-  /// hook); the caller runs the next rung of the degradation ladder.
+  /// Returns an empty PoolAlloc when the ledger refuses; the caller runs the
+  /// next rung of the degradation ladder.
   PoolAlloc AllocateChunk(size_t min_bytes) const;
 
   /// Releases the chunk and refunds what AllocateChunk charged.

@@ -16,7 +16,6 @@ std::atomic<int64_t> g_process_cap{0};
 
 QueryBudget::QueryBudget(int64_t budget_bytes)
     : budget_bytes_(budget_bytes > 0 ? budget_bytes : 0),
-      shrinks_metric_(MetricsRegistry::Global()->counter("mem.degrade.shrinks")),
       rejects_metric_(MetricsRegistry::Global()->counter("mem.degrade.rejects")) {
   g_total_budget.fetch_add(budget_bytes_, std::memory_order_relaxed);
 }
@@ -55,14 +54,6 @@ bool QueryBudget::TryCharge(int64_t bytes) {
   return true;
 }
 
-bool QueryBudget::Charge(int64_t bytes) {
-  if (TryCharge(bytes)) return true;
-  // First rung of the ladder: trade cores for memory, exactly the inverse of
-  // the paper's Algorithm 1 trading memory-resident pipelines for cores.
-  RunShrinkHook();
-  return TryCharge(bytes);
-}
-
 void QueryBudget::Release(int64_t bytes) {
   if (bytes <= 0) return;
   charged_.fetch_sub(bytes, std::memory_order_relaxed);
@@ -81,23 +72,6 @@ void QueryBudget::AddSpilledBytes(int64_t bytes) {
   static MetricCounter* spills_metric =
       MetricsRegistry::Global()->counter("mem.degrade.spills");
   spills_metric->Add();
-}
-
-void QueryBudget::SetShrinkHook(std::function<bool()> hook) {
-  std::lock_guard<std::mutex> lock(hook_mu_);
-  shrink_hook_ = std::move(hook);
-}
-
-bool QueryBudget::RunShrinkHook() {
-  std::function<bool()> hook;
-  {
-    std::lock_guard<std::mutex> lock(hook_mu_);
-    hook = shrink_hook_;
-  }
-  if (!hook) return false;
-  const bool shrank = hook();
-  if (shrank) shrinks_metric_->Add();
-  return shrank;
 }
 
 int64_t QueryBudget::TotalChargedBytes() {

@@ -3,8 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
-#include <mutex>
 
 #include "common/macros.h"
 
@@ -16,7 +14,7 @@ class MetricCounter;
 /// chunks, elastic-buffer blocks and exchange-channel blocks owned by the
 /// query charge their bytes here before the memory is used, so the ledger's
 /// peak is the query's peak memory (ExecutionReport, the paper's Table 4).
-/// With a budget, Charge refuses to let `charged` exceed it — that is the
+/// With a budget, TryCharge refuses to let `charged` exceed it — that is the
 /// ledger invariant the mempressure stress test samples every millisecond.
 ///
 /// Process cap (SetProcessCapBytes, actuated by the mempressure fault): while
@@ -25,15 +23,13 @@ class MetricCounter;
 /// refuse. This ledger is the only code in the process that refuses memory:
 /// BlockPool only recycles.
 ///
-/// Degradation ladder (docs/MEMORY.md): a refused charge first invokes the
-/// shrink hook (the executor asks DynamicScheduler to cut the widest live
-/// segment's parallelism, releasing that worker's buffers) and retries once.
-/// If the charge still fails, the *call site* decides the next rung — the
-/// hash-agg build spills its largest private table to a cold SpillRun and
-/// retries; only when that is exhausted does the operator latch
-/// MarkRejected() and fail the query with kResourceExhausted.
+/// Degradation ladder (docs/MEMORY.md): a refused charge is final, and the
+/// ledger calls nothing. The *call site* decides what follows — the hash-agg
+/// build spills its largest private table to a cold SpillRun and retries;
+/// every other charger, and a spill that cannot absorb the fold, latches
+/// MarkRejected() and fails the query with kResourceExhausted.
 ///
-/// Charge deliberately does NOT latch rejected: a breach that spilling
+/// TryCharge deliberately does NOT latch rejected: a breach that spilling
 /// recovers from is not a failure, and a latched flag would misclassify a
 /// later unrelated Internal error as ResourceExhausted.
 class QueryBudget {
@@ -47,13 +43,10 @@ class QueryBudget {
 
   CLAIMS_DISALLOW_COPY_AND_ASSIGN(QueryBudget);
 
-  /// Single CAS attempt; never exceeds the budget (nor, for a bounded
-  /// ledger, the process cap) and never calls the hook.
+  /// The ledger's one charge call: a single CAS attempt that never exceeds
+  /// the budget (nor, for a bounded ledger, the process cap). Touches only
+  /// atomics, so it is safe under any caller's lock.
   bool TryCharge(int64_t bytes);
-
-  /// TryCharge, and on failure: run the shrink hook (if any) and retry once.
-  /// Returns false when the query is genuinely over budget after shrinking.
-  bool Charge(int64_t bytes);
 
   void Release(int64_t bytes);
 
@@ -65,11 +58,6 @@ class QueryBudget {
   }
 
   void AddSpilledBytes(int64_t bytes);
-
-  /// Installed by the executor before workers start (mutex-guarded; the hook
-  /// itself must not call back into this budget). Returns true if it managed
-  /// to shrink anything.
-  void SetShrinkHook(std::function<bool()> hook);
 
   int64_t budget_bytes() const { return budget_bytes_; }
   int64_t charged_bytes() const {
@@ -93,18 +81,12 @@ class QueryBudget {
   static int64_t process_cap_bytes();
 
  private:
-  bool RunShrinkHook();
-
   const int64_t budget_bytes_;
   std::atomic<int64_t> charged_{0};
   std::atomic<int64_t> peak_{0};
   std::atomic<int64_t> spilled_{0};
   std::atomic<bool> rejected_{false};
 
-  std::mutex hook_mu_;
-  std::function<bool()> shrink_hook_;
-
-  MetricCounter* shrinks_metric_;
   MetricCounter* rejects_metric_;
 };
 

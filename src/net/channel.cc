@@ -30,34 +30,23 @@ void BlockChannel::DropQueuedLocked() {
 
 bool BlockChannel::Enqueue(NetBlock block, const std::atomic<bool>* cancel,
                            bool assign_seq, uint64_t* assigned_seq) {
-  const int64_t bytes = budget_ != nullptr ? block.block->payload_bytes() : 0;
-  // A bounded ledger is charged before taking mu_: a refused charge runs the
-  // executor's shrink hook, which takes live-segment and scheduler locks
-  // (docs/CONCURRENCY.md). An unbounded ledger never refuses and never runs
-  // the hook, so it is charged under mu_ once the block is queued, and a
-  // sender still waiting for room holds no charge.
-  const bool charge_first = bytes > 0 && budget_->budget_bytes() > 0;
-  if (charge_first && !budget_->Charge(bytes)) {
-    budget_->MarkRejected();
-    return false;
-  }
-  // A block that never lands hands its charge back.
-  auto give_up = [&] {
-    if (charge_first) budget_->Release(bytes);
-    return false;
-  };
   std::unique_lock<std::mutex> lock(mu_);
   while (capacity_ > 0 && static_cast<int>(queue_.size()) >= capacity_ &&
          !cancelled_) {
     if (cancel != nullptr && cancel->load(std::memory_order_acquire)) {
-      return give_up();
+      return false;
     }
     not_full_.wait_for(lock, std::chrono::milliseconds(1));
   }
-  if (cancelled_) return give_up();
+  if (cancelled_) return false;
+  // Charged once the block has room, so a sender still waiting holds no
+  // charge; a refusal queues nothing and takes no wire sequence number.
+  if (budget_ != nullptr && !budget_->TryCharge(block.block->payload_bytes())) {
+    budget_->MarkRejected();
+    return false;
+  }
   if (assign_seq) block.wire_seq = next_send_seq_[block.from_node]++;
   if (assigned_seq != nullptr) *assigned_seq = block.wire_seq;
-  if (bytes > 0 && !charge_first) budget_->TryCharge(bytes);  // never refuses
   queue_.push_back(std::move(block));
   not_empty_.notify_one();
   return true;

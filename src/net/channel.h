@@ -44,10 +44,9 @@ enum class ChannelStatus { kOk, kTimeout, kClosed };
 /// included) holds its payload bytes on the owning query's QueryBudget,
 /// refunded when the block is received, when the channel is cancelled, and
 /// when it is destroyed with blocks still queued. A queued block is
-/// read-only, so the refund is its payload_bytes() again. A bounded ledger
-/// is charged before the channel lock is taken (a refused charge runs the
-/// shrink hook, which takes executor and scheduler locks); an unbounded one,
-/// which never refuses, once the block is queued.
+/// read-only, so the refund is its payload_bytes() again. The charge is
+/// taken under the channel lock once the block has room, so a sender waiting
+/// on a full channel holds none.
 class BlockChannel {
  public:
   /// `num_producers` senders must call CloseProducer before the channel
@@ -60,8 +59,8 @@ class BlockChannel {
   CLAIMS_DISALLOW_COPY_AND_ASSIGN(BlockChannel);
 
   /// Blocks while full; false when cancelled, or when the ledger refused the
-  /// block even after its shrink hook ran (the ledger is then latched
-  /// rejected(), so the query ends kResourceExhausted). Assigns the block the
+  /// block (the ledger is then latched rejected(), so the query ends
+  /// kResourceExhausted) and nothing was queued. Assigns the block the
   /// next wire sequence number of its producer (keyed by `from_node`); the
   /// assigned value is written to `assigned_seq` when non-null (the fault
   /// injector's duplication path re-sends under the same sequence).

@@ -389,10 +389,10 @@ void QueryService::RunQuery(const QueryHandlePtr& handle) {
     exec.queue_wait_ns = queue_wait_ns;
     // With a cluster memory budget configured, the admitted reservation
     // becomes the query's *binding* ledger: the executor charges actual
-    // arena/buffer bytes against it and degrades (shrink → spill → reject)
-    // instead of silently overshooting the estimate. An explicit per-query
-    // budget in the submit options wins; without an admission memory budget
-    // nothing changes.
+    // arena/buffer bytes against it and degrades (spill → reject) instead
+    // of silently overshooting the estimate. An explicit per-query budget in
+    // the submit options wins; without an admission memory budget nothing
+    // changes.
     if (exec.memory_budget_bytes == 0 &&
         admission_.options().memory_budget_bytes > 0) {
       exec.memory_budget_bytes = handle->reservation_.memory_bytes;

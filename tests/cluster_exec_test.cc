@@ -10,6 +10,7 @@
 #include "cluster/exchange.h"
 #include "cluster/executor.h"
 #include "common/clock.h"
+#include "ledger_balance_check.h"
 #include "mem/query_budget.h"
 #include "storage/partition.h"
 
@@ -220,6 +221,33 @@ struct BigShuffle {
     return plan;
   }
 
+  /// scan big → gather to node 0 → sort on k, v → ordered result.
+  PhysicalPlan SortPlan() const {
+    TablePtr big = *catalog.GetTable("big");
+    PhysicalPlan plan;
+    auto f0 = std::make_unique<Fragment>();
+    f0->id = 0;
+    f0->root = MakeScanOp(*big);
+    f0->nodes = {0, 1, 2};
+    f0->out_exchange_id = 0;
+    f0->partitioning = Partitioning::kToOne;
+    f0->consumer_nodes = {0};
+    auto f1 = std::make_unique<Fragment>();
+    f1->id = 1;
+    f1->root = MakeSortOp(MakeMergerOp(0, f0->root->output_schema),
+                          {{0, true}, {1, true}});
+    f1->nodes = {0};
+    f1->out_exchange_id = 1;
+    f1->partitioning = Partitioning::kToOne;
+    f1->consumer_nodes = {0};
+    f1->order_preserving = true;
+    plan.result_schema = f1->root->output_schema;
+    plan.result_exchange_id = 1;
+    plan.fragments.push_back(std::move(f0));
+    plan.fragments.push_back(std::move(f1));
+    return plan;
+  }
+
   Catalog catalog;
   std::unique_ptr<Cluster> cluster;
 };
@@ -273,6 +301,38 @@ TEST_F(ClusterExecTest, MaterializationOverItsBudgetIsRejected) {
     EXPECT_EQ(rejected.status().code(), StatusCode::kResourceExhausted)
         << rejected.status().ToString();
     EXPECT_GT(exec.report().peak_memory_bytes, 0);
+    EXPECT_LE(exec.report().peak_memory_bytes, opts.memory_budget_bytes);
+  }
+  EXPECT_EQ(QueryBudget::TotalChargedBytes(), 0);
+}
+
+// A sort holds its whole input, and a sorted copy, until it closes. Both are
+// charged to the query's ledger, so the peak covers the input, and a budget
+// smaller than the input ends the query kResourceExhausted: a sort cannot
+// spill.
+TEST_F(ClusterExecTest, SortChargesItsStateToTheLedger) {
+  BigShuffle big;
+  ExecOptions opts;
+  opts.mode = ExecMode::kStatic;
+  opts.parallelism = 2;
+  opts.buffer_capacity_blocks = 2;
+  const PhysicalPlan plan = big.SortPlan();
+  const int64_t input_bytes =
+      300000 * int64_t{(*big.catalog.GetTable("big"))->schema().row_size()};
+  {
+    Executor exec(big.cluster.get());
+    auto sorted = exec.Execute(plan, opts);
+    ASSERT_TRUE(sorted.ok()) << sorted.status().ToString();
+    EXPECT_EQ(sorted->num_rows(), 300000);
+    EXPECT_GE(exec.report().peak_memory_bytes, input_bytes);
+  }
+  {
+    Executor exec(big.cluster.get());
+    opts.memory_budget_bytes = 2 << 20;
+    auto rejected = exec.Execute(plan, opts);
+    ASSERT_FALSE(rejected.ok());
+    EXPECT_EQ(rejected.status().code(), StatusCode::kResourceExhausted)
+        << rejected.status().ToString();
     EXPECT_LE(exec.report().peak_memory_bytes, opts.memory_budget_bytes);
   }
   EXPECT_EQ(QueryBudget::TotalChargedBytes(), 0);
@@ -478,13 +538,16 @@ class ReplaySource : public Iterator {
   size_t next_ = 0;
 };
 
-/// One producer segment of a test exchange: its visit rate V_i, its
-/// counters (δ_i = output / input) and the blocks it emits.
+/// One producer segment of a test exchange: its visit rate V_i, the tuples
+/// its stage beginner took in, and the blocks it emits, whose rows over
+/// `input_tuples` are its δ_i. `output_counted` sets output_tuples to those
+/// rows before the pump runs; false models a worker whose count lags the
+/// block it inserted.
 struct TailProducer {
   double visit_rate;
   int64_t input_tuples;
-  int64_t output_tuples;
   std::vector<BlockPtr> blocks;
+  bool output_counted = true;
 };
 
 /// What one consumer's merger saw: its folded V_j and the blocks it got.
@@ -511,7 +574,11 @@ std::vector<TailConsumer> RunExchange(Partitioning partitioning,
     SegmentStats stats;
     stats.visit_rate.store(producers[i].visit_rate);
     stats.input_tuples.store(producers[i].input_tuples);
-    stats.output_tuples.store(producers[i].output_tuples);
+    if (producers[i].output_counted) {
+      for (const BlockPtr& b : producers[i].blocks) {
+        stats.output_tuples.fetch_add(b->num_rows());
+      }
+    }
     SenderPump::Spec spec;
     spec.exchange_id = kExchange;
     spec.from_node = i;
@@ -573,8 +640,8 @@ TEST(ExchangeTailTest, ToOneFoldsEveryProducersTail) {
   // V_j = Σ_i V_i·δ_i·p_ij, and a gather sends everything (p_ij = 1).
   const Schema s = KeySchema();
   std::vector<TailProducer> producers = {
-      {1.0, 200, 100, {KeyBlock(s, {1, 2, 3}), KeyBlock(s, {4})}},
-      {0.5, 80, 20, {KeyBlock(s, {5, 6})}},
+      {1.0, 8, {KeyBlock(s, {1, 2, 3}), KeyBlock(s, {4})}},  // δ = 4/8
+      {0.5, 8, {KeyBlock(s, {5, 6})}},                       // δ = 2/8
   };
   auto consumers = RunExchange(Partitioning::kToOne, producers, 1, s);
   EXPECT_DOUBLE_EQ(consumers[0].visit_rate, 1.0 * 0.5 + 0.5 * 0.25);
@@ -585,8 +652,8 @@ TEST(ExchangeTailTest, BroadcastFoldsWholeTailsAtEveryConsumer) {
   // Every consumer of a broadcast sees all of each producer (p_ij = 1).
   const Schema s = KeySchema();
   std::vector<TailProducer> producers = {
-      {0.5, 100, 50, {KeyBlock(s, {1, 2})}},
-      {2.0, 10, 30, {KeyBlock(s, {3}), KeyBlock(s, {4, 5})}},
+      {0.5, 4, {KeyBlock(s, {1, 2})}},                   // δ = 2/4
+      {2.0, 1, {KeyBlock(s, {3}), KeyBlock(s, {4, 5})}},  // δ = 3/1 (fan-out)
   };
   auto consumers = RunExchange(Partitioning::kBroadcast, producers, 3, s);
   for (const TailConsumer& c : consumers) {
@@ -596,22 +663,48 @@ TEST(ExchangeTailTest, BroadcastFoldsWholeTailsAtEveryConsumer) {
 }
 
 TEST(ExchangeTailTest, HashFoldsEachProducersShare) {
-  // The sender's p_ij is producer i's share of the tuples it had sent when
-  // its block to j left. Each producer's keys hash to one consumer, where
-  // that share is exact: p_ij is 1 there and 0 at the other consumer, which
-  // gets no tail from it.
+  // Each producer's keys hash to one consumer: p_ij is 1 there, and the
+  // other consumer gets no tail from it.
   const Schema s = KeySchema();
   std::vector<TailProducer> producers = {
-      {1.0, 200, 100, {KeyBlock(s, KeysFor(s, 0, 2, 40))}},
-      {0.5, 80, 20, {KeyBlock(s, KeysFor(s, 1, 2, 30))}},
-      {0.25, 10, 20, {KeyBlock(s, KeysFor(s, 0, 2, 5)),
-                      KeyBlock(s, KeysFor(s, 0, 2, 7))}},
+      {1.0, 80, {KeyBlock(s, KeysFor(s, 0, 2, 40))}},   // δ = 40/80
+      {0.5, 120, {KeyBlock(s, KeysFor(s, 1, 2, 30))}},  // δ = 30/120
+      {0.25, 6, {KeyBlock(s, KeysFor(s, 0, 2, 5)),      // δ = 12/6
+                 KeyBlock(s, KeysFor(s, 0, 2, 7))}},
   };
   auto consumers = RunExchange(Partitioning::kHash, producers, 2, s);
   EXPECT_DOUBLE_EQ(consumers[0].visit_rate, 1.0 * 0.5 + 0.25 * 2.0);
   EXPECT_DOUBLE_EQ(consumers[1].visit_rate, 0.5 * 0.25);
   EXPECT_EQ(RowsOf(consumers[0]), 40 + 5 + 7);
   EXPECT_EQ(RowsOf(consumers[1]), 30);
+}
+
+TEST(ExchangeTailTest, HashSplitsEachProducersTailEvenly) {
+  // Each producer sends one row to each consumer (p_ij = 1/2), both in the
+  // partial blocks flushed at end of input. The flush order must not matter:
+  // both consumers read Σ_i V_i·δ_i/2.
+  const Schema s = KeySchema();
+  std::vector<int64_t> keys = {KeysFor(s, 0, 2, 1)[0], KeysFor(s, 1, 2, 1)[0]};
+  std::vector<TailProducer> producers = {
+      {1.0, 4, {KeyBlock(s, keys)}},  // δ = 2/4
+      {0.5, 1, {KeyBlock(s, keys)}},  // δ = 2/1
+  };
+  auto consumers = RunExchange(Partitioning::kHash, producers, 2, s);
+  const double half = (1.0 * 0.5 + 0.5 * 2.0) / 2;
+  EXPECT_DOUBLE_EQ(consumers[0].visit_rate, half);
+  EXPECT_DOUBLE_EQ(consumers[1].visit_rate, half);
+}
+
+TEST(ExchangeTailTest, TailDoesNotWaitForTheOutputCount) {
+  // A worker adds a block's rows to output_tuples only after inserting it,
+  // so the sender may ship the block first. Its tail is counted from the
+  // rows sent, so it is V_i·rows/in_i even then, not 0.
+  const Schema s = KeySchema();
+  std::vector<TailProducer> producers = {
+      {2.0, 10, {KeyBlock(s, {1, 2, 3, 4})}, /*output_counted=*/false},
+  };
+  auto consumers = RunExchange(Partitioning::kToOne, producers, 1, s);
+  EXPECT_DOUBLE_EQ(consumers[0].visit_rate, 2.0 * 4 / 10);
 }
 
 TEST(SenderPumpTest, BroadcastSendsOneBlockToEveryConsumer) {
@@ -622,7 +715,7 @@ TEST(SenderPumpTest, BroadcastSendsOneBlockToEveryConsumer) {
   BlockPtr block = KeyBlock(s, {1, 2, 3});
   QueryBudget ledger(/*budget_bytes=*/0);
   auto consumers = RunExchange(Partitioning::kBroadcast,
-                               {{1.0, 3, 3, {block}}}, 3, s, &ledger);
+                               {{1.0, 3, {block}}}, 3, s, &ledger);
   for (const TailConsumer& c : consumers) {
     ASSERT_EQ(c.blocks.size(), 1u);
     EXPECT_EQ(c.blocks[0].get(), block.get());

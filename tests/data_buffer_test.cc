@@ -5,6 +5,8 @@
 #include <thread>
 #include <vector>
 
+#include "ledger_balance_check.h"
+
 namespace claims {
 namespace {
 
@@ -102,26 +104,56 @@ TEST(DataBufferTest, MemoryAccounting) {
   EXPECT_EQ(ledger.peak_charged_bytes(), bytes);
 }
 
-// An unbounded ledger (every query without a budget) is charged once a block
-// is queued: a producer waiting for room adds nothing to the peak.
-TEST(DataBufferTest, WaitingProducerHoldsNoChargeOnAnUnboundedLedger) {
-  QueryBudget ledger(/*budget_bytes=*/0);
-  DataBuffer buf({.capacity_blocks = 1, .order_preserving = false,
-                  .budget = &ledger});
-  buf.AddProducer(0);
-  BlockPtr first = SeqBlock(1);
-  const int64_t bytes = first->payload_bytes();
-  ASSERT_TRUE(buf.Insert(0, std::move(first)));
-  std::thread producer([&] { EXPECT_TRUE(buf.Insert(0, SeqBlock(2))); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_EQ(ledger.charged_bytes(), bytes);
-  BlockPtr out;
-  ASSERT_EQ(buf.Pop(&out), NextResult::kSuccess);
-  producer.join();
-  EXPECT_EQ(ledger.charged_bytes(), bytes);
-  EXPECT_EQ(ledger.peak_charged_bytes(), bytes);
-  ASSERT_EQ(buf.Pop(&out), NextResult::kSuccess);
-  EXPECT_EQ(ledger.charged_bytes(), 0);
+// Every ledger, bounded or not, is charged once a block is queued: a
+// producer waiting for room adds nothing to the peak, so a query reports the
+// same peak with a budget as without one.
+TEST(DataBufferTest, WaitingProducerHoldsNoCharge) {
+  for (int64_t budget_bytes : {int64_t{0}, int64_t{1} << 20}) {
+    SCOPED_TRACE(budget_bytes > 0 ? "bounded" : "unbounded");
+    QueryBudget ledger(budget_bytes);
+    DataBuffer buf({.capacity_blocks = 1, .order_preserving = false,
+                    .budget = &ledger});
+    buf.AddProducer(0);
+    BlockPtr first = SeqBlock(1);
+    const int64_t bytes = first->payload_bytes();
+    ASSERT_TRUE(buf.Insert(0, std::move(first)));
+    std::thread producer([&] { EXPECT_TRUE(buf.Insert(0, SeqBlock(2))); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_EQ(ledger.charged_bytes(), bytes);
+    BlockPtr out;
+    ASSERT_EQ(buf.Pop(&out), NextResult::kSuccess);
+    producer.join();
+    EXPECT_EQ(ledger.charged_bytes(), bytes);
+    EXPECT_EQ(ledger.peak_charged_bytes(), bytes);
+    ASSERT_EQ(buf.Pop(&out), NextResult::kSuccess);
+    EXPECT_EQ(ledger.charged_bytes(), 0);
+  }
+}
+
+// A refused charge queues nothing: the insert fails, the ledger latches
+// rejected(), and the buffer and the ledger hold what they held before.
+TEST(DataBufferTest, RefusedChargeQueuesNothingAndLatchesRejection) {
+  for (bool ordered : {false, true}) {
+    SCOPED_TRACE(ordered ? "ordered" : "unordered");
+    BlockPtr first = SeqBlock(1);
+    const int64_t bytes = first->payload_bytes();
+    QueryBudget ledger(bytes);  // room for one block
+    DataBuffer buf({.capacity_blocks = 8, .order_preserving = ordered,
+                    .budget = &ledger});
+    buf.AddProducer(0);
+    ASSERT_TRUE(buf.Insert(0, std::move(first)));
+    EXPECT_FALSE(ledger.rejected());
+    EXPECT_FALSE(buf.Insert(0, SeqBlock(2)));
+    EXPECT_TRUE(ledger.rejected());
+    EXPECT_EQ(buf.size(), 1u);
+    EXPECT_EQ(ledger.charged_bytes(), bytes);
+    buf.RemoveProducer(0);
+    BlockPtr out;
+    ASSERT_EQ(buf.Pop(&out), NextResult::kSuccess);
+    EXPECT_EQ(out->sequence_number(), 1u);
+    EXPECT_EQ(buf.Pop(&out), NextResult::kEndOfFile);
+    EXPECT_EQ(ledger.charged_bytes(), 0);
+  }
 }
 
 // A failed or cancelled segment's buffer outlives the run until its executor

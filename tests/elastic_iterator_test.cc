@@ -4,6 +4,8 @@
 
 #include <set>
 
+#include "ledger_balance_check.h"
+#include "mem/query_budget.h"
 #include "test_iterators.h"
 
 namespace claims {
@@ -271,6 +273,27 @@ TEST(ElasticIteratorTest, ChildErrorSurfacesInsteadOfCleanEof) {
   EXPECT_TRUE(it.failed());
   EXPECT_TRUE(it.finished());  // terminal: the scheduler must stop feeding it
   it.Close();
+}
+
+TEST(ElasticIteratorTest, RefusedBlockChargeSurfacesAsError) {
+  // A block the query's ledger refuses is a budget breach, not a routine
+  // cancellation: the worker reads the ledger's rejected() and fails the
+  // segment, so the consumer sees kError instead of a truncated end-of-file.
+  QueryBudget ledger(/*budget_bytes=*/8);  // under one 5-row int64 block
+  ElasticIterator::Options opts;
+  opts.budget = &ledger;
+  ElasticIterator it(std::make_unique<CountingSource>(10, 5), opts);
+  WorkerContext ctx;
+  ASSERT_EQ(it.Open(&ctx), NextResult::kSuccess);
+  NextResult last = NextResult::kSuccess;
+  BlockPtr block;
+  while ((last = it.Next(&ctx, &block)) == NextResult::kSuccess) {
+  }
+  EXPECT_EQ(last, NextResult::kError);
+  EXPECT_TRUE(ledger.rejected());
+  EXPECT_TRUE(it.failed());
+  it.Close();
+  EXPECT_EQ(ledger.charged_bytes(), 0);
 }
 
 TEST(ElasticIteratorTest, ChildOpenErrorSurfaces) {

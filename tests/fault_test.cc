@@ -18,6 +18,7 @@
 
 #include "cluster/executor.h"
 #include "fault/injector.h"
+#include "ledger_balance_check.h"
 #include "mem/query_budget.h"
 #include "net/network.h"
 #include "wlm/query_service.h"

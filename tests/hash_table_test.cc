@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "ledger_balance_check.h"
 #include "mem/query_budget.h"
 
 #include <cstring>

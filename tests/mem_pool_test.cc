@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "exec/hash_table.h"
+#include "ledger_balance_check.h"
 #include "mem/block_pool.h"
 #include "mem/mem_source.h"
 #include "mem/scratch.h"
@@ -27,21 +28,6 @@
 
 namespace claims {
 namespace {
-
-/// Fails the binary if any test leaves charge on the ledgers' process-wide
-/// total. A ledger destroyed while charged keeps its bytes in that total for
-/// every later test, whose process-cap arithmetic then starts from the wrong
-/// base.
-class LedgerBalanceCheck : public ::testing::Environment {
- public:
-  void TearDown() override {
-    EXPECT_EQ(QueryBudget::TotalChargedBytes(), 0)
-        << "a test left ledger charge behind";
-  }
-};
-
-::testing::Environment* const kLedgerBalanceCheck =
-    ::testing::AddGlobalTestEnvironment(new LedgerBalanceCheck);
 
 // --- Size classes ---------------------------------------------------------------
 
@@ -293,29 +279,6 @@ TEST(QueryBudgetTest, ChargeReleaseIsExact) {
   EXPECT_FALSE(budget.rejected());  // refusal alone never latches rejection
 }
 
-TEST(QueryBudgetTest, ChargeInvokesShrinkHookAndRetries) {
-  QueryBudget budget(1024);
-  ASSERT_TRUE(budget.TryCharge(1024));
-  int shrinks = 0;
-  budget.SetShrinkHook([&] {
-    ++shrinks;
-    budget.Release(512);  // the executor freeing a worker's buffers
-    return true;
-  });
-  EXPECT_TRUE(budget.Charge(256));
-  EXPECT_EQ(shrinks, 1);
-  EXPECT_EQ(budget.charged_bytes(), 768);
-  // Hook that frees nothing: the retry fails, nothing is charged.
-  budget.SetShrinkHook([&] {
-    ++shrinks;
-    return false;
-  });
-  EXPECT_FALSE(budget.Charge(1024));
-  EXPECT_EQ(shrinks, 2);
-  EXPECT_EQ(budget.charged_bytes(), 768);
-  budget.Release(768);
-}
-
 // The process cap (the mempressure fault's actuator) binds the sum over
 // every ledger, but only bounded ledgers honour it: an unbounded one has no
 // ladder to fall down.
@@ -333,16 +296,6 @@ TEST(QueryBudgetTest, ProcessCapRefusesBoundedLedgersOnly) {
   EXPECT_TRUE(unbounded.TryCharge(16 << 10));  // never refused
   EXPECT_EQ(QueryBudget::TotalChargedBytes(), 80 << 10);
   EXPECT_EQ(bounded.charged_bytes(), 16 << 10);
-
-  // A refusal runs the shrink hook and retries, like a budget refusal.
-  int shrinks = 0;
-  bounded.SetShrinkHook([&] {
-    ++shrinks;
-    unbounded.Release(32 << 10);
-    return true;
-  });
-  EXPECT_TRUE(bounded.Charge(16 << 10));
-  EXPECT_EQ(shrinks, 1);
 
   QueryBudget::SetProcessCapBytes(-1);  // restore: uncapped
   EXPECT_EQ(QueryBudget::process_cap_bytes(), 0);
@@ -393,7 +346,7 @@ TEST(QueryBudgetTest, ConcurrentPeakIsAtLeastSteadyState) {
   std::vector<std::thread> threads;
   for (int i = 0; i < kThreads; ++i) {
     threads.emplace_back([&budget] {
-      for (int j = 0; j < kIters; ++j) budget.Charge(10);
+      for (int j = 0; j < kIters; ++j) budget.TryCharge(10);
     });
   }
   for (auto& th : threads) th.join();

@@ -2,6 +2,7 @@
 
 #include <thread>
 
+#include "ledger_balance_check.h"
 #include "mem/query_budget.h"
 #include "net/network.h"
 
@@ -210,38 +211,38 @@ TEST(BlockChannelLedgerTest, DestructionRefundsQueuedBlocks) {
   EXPECT_EQ(ledger.charged_bytes(), 0);
 }
 
-TEST(BlockChannelLedgerTest, BoundedSenderCancelledWhileFullRefunds) {
-  QueryBudget ledger(1 << 20);
-  BlockChannel channel(1, 1, &ledger);
-  ASSERT_TRUE(channel.Send({RowBlock(4), 0}));
-  std::atomic<bool> cancel{false};
-  std::thread sender(
-      [&] { EXPECT_FALSE(channel.Send({RowBlock(4), 0}, &cancel)); });
-  // A bounded ledger is charged before the sender waits for room.
-  while (ledger.charged_bytes() < 64) std::this_thread::yield();
-  cancel.store(true);
-  sender.join();
-  EXPECT_EQ(ledger.charged_bytes(), 32);
-  EXPECT_EQ(channel.size(), 1u);
-}
-
-TEST(BlockChannelLedgerTest, UnboundedLedgerChargesQueuedBlocksOnly) {
-  QueryBudget ledger(/*budget_bytes=*/0);
-  BlockChannel channel(1, 1, &ledger);
-  ASSERT_TRUE(channel.Send({RowBlock(4), 0}));
-  std::atomic<bool> sent{false};
-  std::thread sender([&] {
-    EXPECT_TRUE(channel.Send({RowBlock(4), 0}));
-    sent.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(sent.load());
-  EXPECT_EQ(ledger.charged_bytes(), 32);  // the waiting block is not queued
-  NetBlock nb;
-  ASSERT_EQ(channel.Receive(&nb, 1'000'000), ChannelStatus::kOk);
-  sender.join();
-  EXPECT_EQ(ledger.charged_bytes(), 32);
-  EXPECT_EQ(ledger.peak_charged_bytes(), 32);
+// Every ledger, bounded or not, is charged once a block is queued: senders
+// waiting for room hold no charge, and one cancelled while it waits leaves
+// nothing behind.
+TEST(BlockChannelLedgerTest, ChargesQueuedBlocksOnly) {
+  for (int64_t budget_bytes : {int64_t{0}, int64_t{1} << 20}) {
+    SCOPED_TRACE(budget_bytes > 0 ? "bounded" : "unbounded");
+    QueryBudget ledger(budget_bytes);
+    BlockChannel channel(1, 1, &ledger);
+    ASSERT_TRUE(channel.Send({RowBlock(4), 0}));
+    std::atomic<bool> cancel{false};
+    std::thread cancelled(
+        [&] { EXPECT_FALSE(channel.Send({RowBlock(4), 0}, &cancel)); });
+    std::atomic<bool> sent{false};
+    std::thread sender([&] {
+      EXPECT_TRUE(channel.Send({RowBlock(4), 0}));
+      sent.store(true);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_FALSE(sent.load());
+    EXPECT_EQ(ledger.charged_bytes(), 32);  // the waiting blocks are not queued
+    cancel.store(true);
+    cancelled.join();
+    EXPECT_EQ(ledger.charged_bytes(), 32);
+    EXPECT_EQ(channel.size(), 1u);
+    NetBlock nb;
+    ASSERT_EQ(channel.Receive(&nb, 1'000'000), ChannelStatus::kOk);
+    sender.join();
+    EXPECT_EQ(ledger.charged_bytes(), 32);
+    EXPECT_EQ(ledger.peak_charged_bytes(), 32);
+    ASSERT_EQ(channel.Receive(&nb, 1'000'000), ChannelStatus::kOk);
+    EXPECT_EQ(ledger.charged_bytes(), 0);
+  }
 }
 
 TEST(BlockChannelLedgerTest, RefusedChargeFailsTheSendAndLatchesRejection) {

@@ -18,6 +18,7 @@
 #include "common/string_util.h"
 #include "engine/database.h"
 #include "engine/workloads.h"
+#include "ledger_balance_check.h"
 #include "obs/profile/assembler.h"
 #include "obs/recorder.h"
 

@@ -3,7 +3,7 @@
 // caps the ledgers' total charge for the whole storm. The contract under the
 // squeeze (docs/MEMORY.md): every query ends correct — byte-equivalent to an
 // unpressured reference run — or fails kResourceExhausted after the
-// shrink -> spill ladder; nothing hangs, nothing OOMs, and the ledger
+// spill -> reject ladder; nothing hangs, nothing OOMs, and the ledger
 // invariant `charged <= budget` holds at every millisecond sample. Under
 // TSan this is the test that races the squeeze and its restore against
 // charge, spill, and refund on all workers at once.
@@ -22,6 +22,7 @@
 
 #include "cluster/executor.h"
 #include "fault/injector.h"
+#include "ledger_balance_check.h"
 #include "mem/block_pool.h"
 #include "mem/query_budget.h"
 #include "obs/metrics_registry.h"
@@ -149,7 +150,6 @@ TEST_F(MemStressTest, SqueezedStormDegradesWithoutHangs) {
   MetricsRegistry* reg = MetricsRegistry::Global();
   auto ladder = [reg] {
     return std::vector<int64_t>{
-        reg->counter("mem.degrade.shrinks")->value(),
         reg->counter("mem.degrade.spills")->value(),
         reg->counter("mem.degrade.rejects")->value()};
   };
@@ -163,7 +163,7 @@ TEST_F(MemStressTest, SqueezedStormDegradesWithoutHangs) {
     sub.exec.parallelism = 1 + i % 2;
     sub.exec.buffer_capacity_blocks = 2;
     // Budgets straddle the workable range: the roomy ones should survive the
-    // squeeze by shrinking/spilling, the starved ones may reject — both are
+    // squeeze by spilling, the starved ones may reject — both are
     // legal outcomes; hanging or wrong bytes are not.
     sub.exec.memory_budget_bytes = (i % 3 + 1) * int64_t{2} << 20;  // 2/4/6 MiB
     auto mode = i % 2 ? HashAggIterator::Mode::kHybrid
@@ -205,9 +205,9 @@ TEST_F(MemStressTest, SqueezedStormDegradesWithoutHangs) {
   // The squeeze landed: the ladder engaged during the storm. Each rung is
   // printed; their sum is asserted, since a single rung (spills) rose by as
   // little as 1 in a run.
-  const char* kRungs[] = {"shrinks", "spills", "rejects"};
+  const char* kRungs[] = {"spills", "rejects"};
   int64_t rungs = 0;
-  for (int r = 0; r < 3; ++r) {
+  for (int r = 0; r < 2; ++r) {
     rungs += ladder_after[r] - ladder_before[r];
     std::printf("mem.degrade.%s +%lld\n", kRungs[r],
                 static_cast<long long>(ladder_after[r] - ladder_before[r]));

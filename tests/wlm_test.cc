@@ -17,6 +17,7 @@
 #include "engine/database.h"
 #include "engine/workloads.h"
 #include "fault/injector.h"
+#include "ledger_balance_check.h"
 #include "mem/block_pool.h"
 #include "net/socket_util.h"
 #include "wlm/driver/workload_driver.h"
