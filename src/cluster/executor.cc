@@ -130,6 +130,11 @@ Result<std::unique_ptr<Iterator>> Executor::BuildIteratorInner(
       spec.probe_schema = &op.children[1]->output_schema;
       spec.build_keys = op.build_keys;
       spec.probe_keys = op.probe_keys;
+      // Every node's table is sized for the whole build: exact for a
+      // broadcast, about n times a partitioned build's share.
+      if (op.build_rows >= 0) {
+        spec.num_buckets = JoinHashTable::BucketsFor(op.build_rows);
+      }
       spec.pool = BlockPool::Global();
       spec.budget = budget_.get();
       return std::unique_ptr<Iterator>(std::make_unique<HashJoinIterator>(

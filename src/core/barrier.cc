@@ -17,10 +17,7 @@ void DynamicBarrier::Deregister() {
   // When it was the last one registered, nobody arrived: the phase is not
   // done, so the barrier stays closed and the next worker to register (a
   // later Expand, or a worker that had not started yet) completes it.
-  if (registered_ > 0 && arrived_ >= registered_) {
-    open_ = true;
-    cv_.notify_all();
-  }
+  if (registered_ > 0 && arrived_ >= registered_) OpenLocked();
 }
 
 void DynamicBarrier::Arrive() {
@@ -28,11 +25,16 @@ void DynamicBarrier::Arrive() {
   if (open_) return;
   ++arrived_;
   if (arrived_ >= registered_) {
-    open_ = true;
-    cv_.notify_all();
+    OpenLocked();
     return;
   }
   cv_.wait(lock, [this] { return open_; });
+}
+
+void DynamicBarrier::OpenLocked() {
+  if (on_open_) on_open_();
+  open_ = true;
+  cv_.notify_all();
 }
 
 bool DynamicBarrier::IsOpen() const {

@@ -1,8 +1,8 @@
 #ifndef CLAIMS_CORE_BARRIER_H_
 #define CLAIMS_CORE_BARRIER_H_
 
-#include <atomic>
 #include <condition_variable>
+#include <functional>
 #include <mutex>
 
 #include "common/macros.h"
@@ -25,9 +25,17 @@ namespace claims {
 /// workers pass through Arrive() immediately — a worker expanded after hash
 /// table construction must not wait for a construction phase that already
 /// happened (§3.1, Expand in S3).
+///
+/// A barrier may carry a *completion action*: a step that must run once, on
+/// the complete state, before any worker goes on (the sort's separators, the
+/// join's relink). The call that opens the barrier — the last Arrive, or a
+/// Deregister that leaves every remaining worker arrived — runs it under the
+/// barrier's mutex, then opens. No waiter returns, and no late Register
+/// reports the barrier open, before the action has ended.
 class DynamicBarrier {
  public:
-  DynamicBarrier() = default;
+  explicit DynamicBarrier(std::function<void()> on_open = {})
+      : on_open_(std::move(on_open)) {}
   CLAIMS_DISALLOW_COPY_AND_ASSIGN(DynamicBarrier);
 
   /// Adds the calling worker to the expected set. No-op once the barrier has
@@ -36,13 +44,15 @@ class DynamicBarrier {
   bool Register();
 
   /// Removes a worker that will never arrive (termination). If the removed
-  /// worker was the last one outstanding, the barrier opens and waiters are
-  /// released. If no worker remains registered, nobody completed the phase:
-  /// the barrier stays closed, and the next worker to register runs it.
+  /// worker was the last one outstanding, it runs the completion action and
+  /// the barrier opens, releasing the waiters. If no worker remains
+  /// registered, nobody completed the phase: the barrier stays closed, the
+  /// action does not run, and the next worker to register runs the phase.
   void Deregister();
 
   /// Blocks until every registered worker has arrived (or the barrier is
-  /// already open). The completing arrival opens the barrier.
+  /// already open). The completing arrival runs the completion action and
+  /// opens the barrier.
   void Arrive();
 
   bool IsOpen() const;
@@ -51,30 +61,15 @@ class DynamicBarrier {
   int registered() const;
 
  private:
+  /// Runs the completion action and opens the barrier; caller holds mu_.
+  void OpenLocked();
+
+  const std::function<void()> on_open_;
   mutable std::mutex mu_;
   std::condition_variable cv_;
   int registered_ = 0;
   int arrived_ = 0;
   bool open_ = false;
-};
-
-/// First-caller election helper: exactly one worker performs a light-weight
-/// step (the sort's separator computation) while the rest wait at the
-/// accompanying barrier (appendix: isFirstWorkerThread()).
-class FirstCallerGate {
- public:
-  FirstCallerGate() = default;
-  CLAIMS_DISALLOW_COPY_AND_ASSIGN(FirstCallerGate);
-
-  /// True for exactly the first invocation.
-  bool TryClaim() {
-    bool expected = false;
-    return claimed_.compare_exchange_strong(expected, true,
-                                            std::memory_order_acq_rel);
-  }
-
- private:
-  std::atomic<bool> claimed_{false};
 };
 
 }  // namespace claims

@@ -175,9 +175,37 @@ JoinHashTable::JoinHashTable(const Schema* build_schema,
                              MemSource source)
     : build_schema_(build_schema),
       build_keys_(std::move(build_keys)),
-      buckets_(source.pool, RoundUpPow2(num_buckets == 0 ? 1 : num_buckets)),
-      bucket_mask_(buckets_.size() - 1),
+      bucket_pool_(source.pool),
+      bucket_store_(std::make_unique<BucketArray>(
+          source.pool, RoundUpPow2(num_buckets == 0 ? 1 : num_buckets))),
+      buckets_(&(*bucket_store_)[0]),
+      bucket_mask_(bucket_store_->size() - 1),
       arena_(1 << 18, source) {}
+
+size_t JoinHashTable::BucketsFor(int64_t rows) {
+  return RoundUpPow2(2 * static_cast<size_t>(std::max<int64_t>(rows, 1)));
+}
+
+bool JoinHashTable::RelinkIfOverloaded() {
+  const int64_t rows = size();
+  if (rows <= 2 * static_cast<int64_t>(bucket_count())) return false;
+  auto bigger = std::make_unique<BucketArray>(bucket_pool_, BucketsFor(rows));
+  const size_t mask = bigger->size() - 1;
+  for (size_t b = 0; b <= bucket_mask_; ++b) {
+    Entry* e = buckets_[b].load(std::memory_order_relaxed);
+    while (e != nullptr) {
+      Entry* next = e->next;
+      std::atomic<Entry*>& head = (*bigger)[e->hash & mask];
+      e->next = head.load(std::memory_order_relaxed);
+      head.store(e, std::memory_order_relaxed);
+      e = next;
+    }
+  }
+  bucket_store_ = std::move(bigger);
+  buckets_ = &(*bucket_store_)[0];
+  bucket_mask_ = mask;
+  return true;
+}
 
 bool JoinHashTable::Insert(const char* row) {
   return Insert(row, HashRowKeys(*build_schema_, row, build_keys_));

@@ -112,14 +112,28 @@ class KeyComparator {
 };
 
 /// Concurrent multi-map for the hash-join build side (appendix Alg. 6):
-/// fixed bucket array, chained entries, **CAS head insertion** so all worker
-/// threads build in parallel without locks; probe is read-only and needs no
-/// synchronization at all.
+/// chained entries, **CAS head insertion** so all worker threads build in
+/// parallel without locks; probe is read-only and needs no synchronization
+/// at all. The bucket array is sized once, from the expected build rows
+/// (BucketsFor); head insertion is correct at any bucket count, so an
+/// underestimate only lengthens the chains until RelinkIfOverloaded, which
+/// the join runs once its build is complete.
 class JoinHashTable {
  public:
   JoinHashTable(const Schema* build_schema, std::vector<int> build_keys,
                 size_t num_buckets, MemSource source = {});
   CLAIMS_DISALLOW_COPY_AND_ASSIGN(JoinHashTable);
+
+  /// Bucket count for `rows` build rows: 2 x rows rounded up to a power of
+  /// two, so a full build holds at most one row per bucket on average.
+  static size_t BucketsFor(int64_t rows);
+
+  /// Moves every entry into a bucket array of BucketsFor(size()) buckets
+  /// when the table holds more than 2 rows per bucket; true when it did.
+  /// Walks the chains (an arena chunk may hold bytes no entry owns), and
+  /// needs the caller to be the table's only user: no Insert or probe runs
+  /// concurrently.
+  bool RelinkIfOverloaded();
 
   /// Copies `row` into the arena and links it; thread-safe. false when the
   /// arena's memory source refused the bytes (query over budget).
@@ -156,6 +170,7 @@ class JoinHashTable {
 
   int64_t size() const { return size_.load(std::memory_order_relaxed); }
   int64_t bytes() const { return arena_.allocated_bytes(); }
+  size_t bucket_count() const { return bucket_mask_ + 1; }
 
  private:
   struct Entry {
@@ -164,12 +179,16 @@ class JoinHashTable {
     char* row() { return reinterpret_cast<char*>(this + 1); }
     const char* row() const { return reinterpret_cast<const char*>(this + 1); }
   };
+  using BucketArray = PooledArray<std::atomic<Entry*>>;
 
   const Schema* build_schema_;
   std::vector<int> build_keys_;
   /// Bucket count is rounded up to a power of two so the per-probe index is
-  /// a mask, not an integer division. Drawn from the source's pool.
-  PooledArray<std::atomic<Entry*>> buckets_;
+  /// a mask, not an integer division. Drawn from the source's pool;
+  /// RelinkIfOverloaded replaces it.
+  BlockPool* bucket_pool_;
+  std::unique_ptr<BucketArray> bucket_store_;
+  std::atomic<Entry*>* buckets_;  ///< bucket_store_'s bucket_mask_ + 1 heads
   size_t bucket_mask_;
   Arena arena_;
   std::atomic<int64_t> size_{0};

@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "mem/scratch.h"
+#include "obs/metrics_registry.h"
 
 namespace claims {
 
@@ -28,7 +29,14 @@ HashJoinIterator::HashJoinIterator(std::unique_ptr<Iterator> build_child,
       table_(spec.build_schema, spec.build_keys, spec.num_buckets,
              MemSource{spec.pool, spec.budget}),
       probe_cmp_(spec_.build_schema, spec_.build_keys, spec_.probe_schema,
-                 spec_.probe_keys) {}
+                 spec_.probe_keys),
+      build_barrier_([this] {
+        if (table_.RelinkIfOverloaded()) {
+          static MetricCounter* relinks =
+              MetricsRegistry::Global()->counter("exec.join.relinks");
+          relinks->Add();
+        }
+      }) {}
 
 NextResult HashJoinIterator::Open(WorkerContext* ctx) {
   bool already_open = build_barrier_.Register();
@@ -91,9 +99,8 @@ NextResult HashJoinIterator::Next(WorkerContext* ctx, BlockPtr* out) {
   if (r != NextResult::kSuccess) return r;
   const int32_t n = input->num_rows();
   // Join fan-out is unbounded: matches go straight into a default-size
-  // output block that doubles through the pool when it fills. Next stays
-  // stateless for concurrent workers, and a selective join never zeroes an
-  // input-sized block.
+  // output block that doubles through the pool when it fills, so Next stays
+  // stateless for concurrent workers. Each match writes its whole row.
   auto output = MakeBlock(output_schema_.row_size());
   Block& block = *output;
   auto emit = [&](const char* probe_row, const char* build_row) {

@@ -20,6 +20,9 @@ namespace claims {
 /// half-built table. Workers that receive a terminate request mid-build
 /// deregister from the barrier and unwind (shrink); workers expanded
 /// mid-build register and join the build immediately (state sharing, §3).
+/// The table's bucket array is sized from the expected build rows; the call
+/// that opens the barrier relinks it once if the build outgrew that size
+/// (JoinHashTable::RelinkIfOverloaded), before any worker probes.
 ///
 /// Next() probes with **right**-child blocks — read-only on the table, no
 /// synchronization. Output rows are [left columns | right columns]; the
@@ -31,7 +34,8 @@ class HashJoinIterator : public Iterator {
     const Schema* probe_schema = nullptr;
     std::vector<int> build_keys;
     std::vector<int> probe_keys;
-    /// Bucket count, rounded up to a power of two (0 counts as 1).
+    /// Bucket count, rounded up to a power of two (0 counts as 1). A plan's
+    /// join sets JoinHashTable::BucketsFor(its build estimate).
     size_t num_buckets = 1 << 16;
     /// Block pool + the query's ledger the build arena draws from. A build
     /// insert the ledger refuses fails the build with kError and rejected()
@@ -53,6 +57,7 @@ class HashJoinIterator : public Iterator {
 
   const Schema& output_schema() const { return output_schema_; }
   int64_t build_rows() const { return table_.size(); }
+  size_t bucket_count() const { return table_.bucket_count(); }
 
  private:
   std::unique_ptr<Iterator> build_child_;
@@ -63,6 +68,7 @@ class HashJoinIterator : public Iterator {
   /// Build-vs-probe key comparator, built once: constructing one per probe
   /// row costs two vector copies.
   KeyComparator probe_cmp_;
+  /// Opens on a complete build; its completion action relinks the table.
   DynamicBarrier build_barrier_;
 };
 

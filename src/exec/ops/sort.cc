@@ -55,7 +55,6 @@ SortIterator::SortIterator(std::unique_ptr<Iterator> child,
 
 void SortIterator::DeregisterAll() {
   barrier1_.Deregister();
-  barrier2_.Deregister();
   barrier3_.Deregister();
 }
 
@@ -69,10 +68,45 @@ bool SortIterator::Charge(int64_t bytes) {
   return true;
 }
 
+std::vector<const char*> SortIterator::MakeRun(const Block& block) const {
+  std::vector<const char*> run;
+  run.reserve(static_cast<size_t>(block.num_rows()));
+  for (int i = 0; i < block.num_rows(); ++i) run.push_back(block.RowAt(i));
+  std::sort(run.begin(), run.end(), comparator_);
+  return run;
+}
+
+void SortIterator::FinishRuns() {
+  std::lock_guard<std::mutex> lock(mu_);
+  // A worker that left after buffering its last block may have found every
+  // other worker past phase 1b already: its chunk is still unsorted.
+  for (int chunk = chunk_cursor_.load(std::memory_order_relaxed);
+       chunk < static_cast<int>(buffered_.size()); ++chunk) {
+    runs_.push_back(MakeRun(*buffered_[static_cast<size_t>(chunk)]));
+  }
+  chunk_cursor_.store(static_cast<int>(buffered_.size()),
+                      std::memory_order_relaxed);
+  // Sample up to 64 rows per run, sort the sample, take quantiles.
+  std::vector<const char*> sample;
+  for (const auto& run : runs_) {
+    size_t step = std::max<size_t>(1, run.size() / 64);
+    for (size_t i = 0; i < run.size(); i += step) sample.push_back(run[i]);
+  }
+  std::sort(sample.begin(), sample.end(), comparator_);
+  for (int r = 1; r < num_ranges_; ++r) {
+    if (sample.empty()) break;
+    size_t idx = sample.size() * static_cast<size_t>(r) /
+                 static_cast<size_t>(num_ranges_);
+    if (idx >= sample.size()) idx = sample.size() - 1;
+    std::vector<char> sep(static_cast<size_t>(schema_->row_size()));
+    std::memcpy(sep.data(), sample[idx], sep.size());
+    separators_.push_back(std::move(sep));
+  }
+}
+
 NextResult SortIterator::Open(WorkerContext* ctx) {
   // registerToAllBarriers (appendix A.2.2).
-  bool b1_open = barrier1_.Register();
-  barrier2_.Register();
+  barrier1_.Register();
   barrier3_.Register();
   // kTerminated (shrink) and kError (broken stream) both unwind through the
   // same deregistration; the original code is re-raised so errors propagate.
@@ -89,7 +123,12 @@ NextResult SortIterator::Open(WorkerContext* ctx) {
     NextResult r = child_->Next(ctx, &block);
     if (r == NextResult::kEndOfFile) break;
     if (r != NextResult::kSuccess) return bail(r);
-    if (!Charge(block->payload_bytes())) return bail(NextResult::kError);
+    // The block and the 8 bytes per row its run will hold.
+    if (!Charge(block->payload_bytes() +
+                static_cast<int64_t>(sizeof(const char*)) *
+                    block->num_rows())) {
+      return bail(NextResult::kError);
+    }
     {
       std::lock_guard<std::mutex> lock(mu_);
       total_rows_.fetch_add(block->num_rows(), std::memory_order_relaxed);
@@ -113,41 +152,12 @@ NextResult SortIterator::Open(WorkerContext* ctx) {
       chunk_cursor_.store(chunk + 1, std::memory_order_relaxed);
       chunk_block = buffered_[static_cast<size_t>(chunk)];
     }
-    const Block& block = *chunk_block;
-    if (!Charge(static_cast<int64_t>(sizeof(const char*)) * block.num_rows())) {
-      return bail(NextResult::kError);
-    }
-    std::vector<const char*> run;
-    run.reserve(static_cast<size_t>(block.num_rows()));
-    for (int i = 0; i < block.num_rows(); ++i) run.push_back(block.RowAt(i));
-    std::sort(run.begin(), run.end(), comparator_);
+    std::vector<const char*> run = MakeRun(*chunk_block);
     std::lock_guard<std::mutex> lock(mu_);
     runs_.push_back(std::move(run));
   }
-  (void)b1_open;
+  // The arrival that opens the barrier runs phase 2 (FinishRuns).
   barrier1_.Arrive();
-
-  // --- Phase 2: separator computation (one worker) ---------------------------
-  if (separator_gate_.TryClaim()) {
-    std::lock_guard<std::mutex> lock(mu_);
-    // Sample up to 64 rows per run, sort the sample, take quantiles.
-    std::vector<const char*> sample;
-    for (const auto& run : runs_) {
-      size_t step = std::max<size_t>(1, run.size() / 64);
-      for (size_t i = 0; i < run.size(); i += step) sample.push_back(run[i]);
-    }
-    std::sort(sample.begin(), sample.end(), comparator_);
-    for (int r = 1; r < num_ranges_; ++r) {
-      if (sample.empty()) break;
-      size_t idx = sample.size() * static_cast<size_t>(r) /
-                   static_cast<size_t>(num_ranges_);
-      if (idx >= sample.size()) idx = sample.size() - 1;
-      std::vector<char> sep(static_cast<size_t>(schema_->row_size()));
-      std::memcpy(sep.data(), sample[idx], sep.size());
-      separators_.push_back(std::move(sep));
-    }
-  }
-  barrier2_.Arrive();
 
   // --- Phase 3: range merges (claimed work units) -----------------------------
   const int nsep = static_cast<int>(separators_.size());

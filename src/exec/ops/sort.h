@@ -40,19 +40,21 @@ class RowComparator {
 /// Parallel sort — a pipeline breaker (appendix Alg. 8) in four phases:
 ///  1. all workers drain the child into a shared block buffer, then locally
 ///     sort one chunk (block) at a time into runs  — Barrier 1;
-///  2. an elected worker samples the data and computes global separator keys
-///     that split the key space into ranges                    — Barrier 2;
+///  2. the call that opens Barrier 1 (its completion action) sorts any chunk
+///     no worker claimed and computes global separator keys that split the
+///     key space into ranges; no worker passes the barrier before it ends;
 ///  3. workers claim ranges and merge each range from all runs without any
 ///     further synchronization                                 — Barrier 3;
 ///  4. Next() hands out the range-ordered result blocks (sequence-numbered,
 ///     so an order-preserving elastic iterator keeps global order).
-/// Terminate requests are honoured between chunks and between ranges: a
-/// shrinking worker always completes its claimed unit, so no row is lost.
+/// Terminate requests are honoured between blocks, chunks and ranges: a
+/// shrinking worker completes the range it claimed, and a chunk it buffered
+/// but nobody sorted is sorted in phase 2, so no row is lost.
 ///
 /// Everything the sort holds until Close is charged to the query's ledger:
-/// each buffered input block, 8 bytes per row for the runs, and each output
-/// block. A sort cannot spill, so a refused charge latches rejected() and
-/// fails the segment; Close refunds every charge.
+/// each buffered input block with 8 bytes per row for its run, and each
+/// output block. A sort cannot spill, so a refused charge latches rejected()
+/// and fails the segment; Close refunds every charge.
 class SortIterator : public Iterator {
  public:
   /// `budget` (nullable) is the owning query's ledger; `num_ranges` is the
@@ -72,6 +74,10 @@ class SortIterator : public Iterator {
   void DeregisterAll();
   /// Charges `bytes` to the ledger; false (rejected() latched) on refusal.
   bool Charge(int64_t bytes);
+  /// The rows of `block`, sorted: one run.
+  std::vector<const char*> MakeRun(const Block& block) const;
+  /// Barrier 1's completion action (phase 2).
+  void FinishRuns();
 
   std::unique_ptr<Iterator> child_;
   const Schema* schema_;
@@ -80,10 +86,8 @@ class SortIterator : public Iterator {
   int num_ranges_;
   std::atomic<int64_t> charged_{0};  ///< refunded by Close
 
-  DynamicBarrier barrier1_;
-  DynamicBarrier barrier2_;
+  DynamicBarrier barrier1_{[this] { FinishRuns(); }};
   DynamicBarrier barrier3_;
-  FirstCallerGate separator_gate_;
 
   std::mutex mu_;
   std::vector<BlockPtr> buffered_;                 // phase 1 input

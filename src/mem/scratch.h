@@ -38,11 +38,12 @@ class Scratch {
 };
 
 /// Fixed-size array of value-initialized T on Scratch storage, for the hash
-/// tables' bucket arrays (a join's is 512 KiB). Pool chunks stay mapped, so
-/// every query's tables start on resident memory; from the global allocator,
-/// whether they got fresh pages depended on whether free() had returned the
-/// previous query's arrays to the OS. Not charged to any ledger: the bucket
-/// count is fixed by the operator, not by the data it holds.
+/// tables' bucket arrays. Pool chunks stay mapped, so every query's tables
+/// start on resident memory; from the global allocator, whether they got
+/// fresh pages depended on whether free() had returned the previous query's
+/// arrays to the OS. Not charged to any ledger, like an aggregation's
+/// growing array: a join's follows its build estimate, and is relinked into
+/// a larger one at the build barrier if the build outgrew it.
 template <typename T>
 class PooledArray {
  public:

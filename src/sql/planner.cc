@@ -554,6 +554,7 @@ class Planner::Impl {
     pipeline->root =
         MakeHashJoinOp(std::move(build_source), std::move(pipeline->root),
                        std::move(build_keys), std::move(probe_keys));
+    pipeline->root->build_rows = EffRows(rel_index);
     if (step.est_rows.has_value()) {
       pipeline->root->est_rows = std::llround(*step.est_rows);
     }

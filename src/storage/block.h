@@ -26,31 +26,33 @@ inline constexpr int32_t kDefaultBlockBytes = 64 * 1024;
 /// writable pointer MakeBlock returns. Once emitted it travels as a BlockPtr,
 /// a pointer to const, so buffers, channels, broadcast consumers and scans
 /// of the same storage block share it without copies or locks.
+///
+/// Only appended rows are defined. Nothing zeroes a block's capacity: the
+/// payload is recycled pool memory, and every writer fills each byte of the
+/// rows it appends (whole-row copies, or every column of a row slot; CHAR
+/// columns NUL-pad to their width), so rows stay memcmp-comparable. Bytes
+/// past num_rows() are never read.
 class Block {
  public:
   /// Creates an empty block for rows of `row_size` bytes. The payload comes
-  /// from the shared BlockPool, which never refuses; a queued block is
-  /// charged to its query's ledger by the buffer or channel holding it.
-  /// Recycled pool memory is not zeroed, so the payload is memset here —
-  /// schema padding bytes must compare equal under memcmp-based row checks.
+  /// from the shared BlockPool, which never refuses, and is not initialised;
+  /// a queued block is charged to its query's ledger by the buffer or
+  /// channel holding it.
   explicit Block(int32_t row_size, int32_t capacity_bytes = kDefaultBlockBytes)
       : row_size_(row_size),
         capacity_rows_(capacity_bytes / (row_size > 0 ? row_size : 1)),
         payload_(BlockPool::Global()->Allocate(
-            static_cast<size_t>(capacity_rows_) * row_size)) {
-    std::memset(payload_.data, 0, data_size());
-  }
+            static_cast<size_t>(capacity_rows_) * row_size)) {}
 
   /// Deep copy (tests clone blocks via `std::make_shared<Block>(*block)`):
-  /// duplicates the pooled payload, never shares or steals it.
+  /// same capacity, a fresh pooled payload holding a copy of the rows.
   Block(const Block& other)
       : row_size_(other.row_size_),
         capacity_rows_(other.capacity_rows_),
         num_rows_(other.num_rows_),
         sequence_number_(other.sequence_number_),
         payload_(BlockPool::Global()->Allocate(other.data_size())) {
-    std::memset(payload_.data, 0, data_size());
-    std::memcpy(payload_.data, other.payload_.data, other.data_size());
+    std::memcpy(payload_.data, other.payload_.data, other.payload_bytes());
   }
   Block& operator=(const Block&) = delete;
 
@@ -73,7 +75,8 @@ class Block {
     return payload_.data + static_cast<size_t>(i) * row_size_;
   }
 
-  /// Reserves the next row slot; returns nullptr when full.
+  /// Reserves the next row slot; returns nullptr when full. The slot holds
+  /// whatever its memory held before: the caller writes every byte of it.
   char* AppendRow() {
     if (full()) return nullptr;
     return MutableRowAt(num_rows_++);
@@ -102,14 +105,12 @@ class Block {
   /// Doubles the row capacity through the pool, keeping the rows appended so
   /// far: the output of an operator whose fan-out per input block is
   /// unbounded (the join probe) starts at the default size and grows only
-  /// when it fills. The new tail is zeroed like a fresh payload.
+  /// when it fills. Only the rows are copied.
   void DoubleCapacity() {
     const int32_t rows = std::max<int32_t>(1, capacity_rows_) * 2;
     const size_t bytes = static_cast<size_t>(rows) * row_size_;
-    const size_t used = static_cast<size_t>(payload_bytes());
     PoolAlloc bigger = BlockPool::Global()->Allocate(bytes);
-    std::memcpy(bigger.data, payload_.data, used);
-    std::memset(bigger.data + used, 0, bytes - used);
+    std::memcpy(bigger.data, payload_.data, payload_bytes());
     BlockPool::Global()->Release(payload_);
     payload_ = bigger;
     capacity_rows_ = rows;
@@ -124,8 +125,8 @@ class Block {
   void set_sequence_number(uint64_t s) { sequence_number_ = s; }
 
  private:
-  /// Logical payload size (what capacity_bytes reports and what is zeroed /
-  /// copied); payload_.bytes may be larger after size-class rounding.
+  /// Logical payload size (what capacity_bytes reports); payload_.bytes may
+  /// be larger after size-class rounding.
   size_t data_size() const {
     return static_cast<size_t>(capacity_rows_) * row_size_;
   }

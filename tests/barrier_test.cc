@@ -112,17 +112,76 @@ TEST(DynamicBarrierTest, RegisteredCount) {
   EXPECT_EQ(b.registered(), 1);
 }
 
-TEST(FirstCallerGateTest, ExactlyOneClaims) {
-  FirstCallerGate gate;
-  std::atomic<int> claims{0};
+// --- Completion action -----------------------------------------------------------
+
+TEST(DynamicBarrierTest, ActionRunsOnceBeforeAnyWaiterReturns) {
+  constexpr int kThreads = 4;
+  std::atomic<int> runs{0};
+  std::atomic<bool> action_done{false};
+  DynamicBarrier b([&] {
+    runs.fetch_add(1);
+    // Waiters that return before this store would see it unset.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    action_done.store(true);
+  });
+  for (int i = 0; i < kThreads; ++i) b.Register();
+  std::atomic<int> saw_action{0};
   std::vector<std::thread> threads;
-  for (int i = 0; i < 8; ++i) {
-    threads.emplace_back([&] {
-      if (gate.TryClaim()) claims.fetch_add(1);
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(3 * i));
+      b.Arrive();
+      if (action_done.load()) saw_action.fetch_add(1);
     });
   }
   for (auto& t : threads) t.join();
-  EXPECT_EQ(claims.load(), 1);
+  EXPECT_EQ(runs.load(), 1);
+  EXPECT_EQ(saw_action.load(), kThreads);
+  // A worker passing an open barrier does not rerun it.
+  EXPECT_TRUE(b.Register());
+  b.Arrive();
+  EXPECT_EQ(runs.load(), 1);
+}
+
+TEST(DynamicBarrierTest, DeregisterThatOpensRunsTheAction) {
+  std::atomic<int> runs{0};
+  std::atomic<bool> action_done{false};
+  DynamicBarrier b([&] {
+    runs.fetch_add(1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    action_done.store(true);
+  });
+  b.Register();
+  b.Register();
+  std::atomic<bool> saw_action{false};
+  std::thread waiter([&] {
+    b.Arrive();
+    saw_action.store(action_done.load());
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(runs.load(), 0);
+  b.Deregister();  // the other worker terminates: it opens the barrier
+  EXPECT_EQ(runs.load(), 1);  // in this thread, before Deregister returned
+  waiter.join();
+  EXPECT_TRUE(saw_action.load());
+  EXPECT_EQ(runs.load(), 1);
+}
+
+TEST(DynamicBarrierTest, ActionDoesNotRunWhenTheLastRegistrantLeaves) {
+  // Nobody arrived, so the phase is not done: the barrier stays closed and
+  // the action waits for the worker that completes it.
+  int runs = 0;
+  DynamicBarrier b([&] { ++runs; });
+  b.Register();
+  b.Register();
+  b.Deregister();
+  b.Deregister();
+  EXPECT_FALSE(b.IsOpen());
+  EXPECT_EQ(runs, 0);
+  EXPECT_FALSE(b.Register());
+  b.Arrive();
+  EXPECT_TRUE(b.IsOpen());
+  EXPECT_EQ(runs, 1);
 }
 
 }  // namespace

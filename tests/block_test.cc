@@ -56,7 +56,7 @@ TEST(BlockTest, MetadataTail) {
   EXPECT_EQ(b.sequence_number(), 77u);
 }
 
-TEST(BlockTest, DoubleCapacityKeepsRowsAndZeroesTheTail) {
+TEST(BlockTest, DoubleCapacityKeepsTheRows) {
   Schema s({ColumnDef::Int64("x")});
   Block b(s.row_size(), 4 * s.row_size());
   for (int64_t i = 0; i < 4; ++i) s.SetInt64(b.AppendRow(), 0, i + 1);
@@ -65,9 +65,9 @@ TEST(BlockTest, DoubleCapacityKeepsRowsAndZeroesTheTail) {
   EXPECT_EQ(b.capacity_rows(), 8);
   EXPECT_EQ(b.num_rows(), 4);
   for (int i = 0; i < 4; ++i) EXPECT_EQ(s.GetInt64(b.RowAt(i), 0), i + 1);
-  char* slot = b.AppendRow();
-  ASSERT_NE(slot, nullptr);
-  EXPECT_EQ(s.GetInt64(slot, 0), 0);
+  for (int64_t i = 4; i < 8; ++i) s.SetInt64(b.AppendRow(), 0, i + 1);
+  EXPECT_TRUE(b.full());
+  for (int i = 0; i < 8; ++i) EXPECT_EQ(s.GetInt64(b.RowAt(i), 0), i + 1);
 }
 
 TEST(BlockTest, ClearResetsRows) {

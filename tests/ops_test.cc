@@ -4,11 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <map>
 #include <numeric>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/elastic_iterator.h"
@@ -53,6 +55,59 @@ class BlocksIterator : public Iterator {
   std::vector<BlockPtr> blocks_;
   std::atomic<size_t> cursor_{0};
 };
+
+// Replays fixed blocks like BlocksIterator, except that the worker whose
+// context has `slow_worker_id` claims the first block and holds it for
+// 100 ms before returning it: the other workers wait for that claim, drain
+// the rest meanwhile, and reach the operator's barrier first.
+class SlowWorkerSource : public Iterator {
+ public:
+  SlowWorkerSource(std::vector<BlockPtr> blocks, int slow_worker_id)
+      : blocks_(std::move(blocks)), slow_worker_id_(slow_worker_id) {}
+  NextResult Open(WorkerContext*) override { return NextResult::kSuccess; }
+  NextResult Next(WorkerContext* ctx, BlockPtr* out) override {
+    const bool slow = ctx->worker_id == slow_worker_id_;
+    while (!slow && !slow_claimed_.load()) std::this_thread::yield();
+    size_t i = cursor_.fetch_add(1, std::memory_order_relaxed);
+    if (slow && !slow_claimed_.exchange(true)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    }
+    if (i >= blocks_.size()) return NextResult::kEndOfFile;
+    *out = blocks_[i];
+    return NextResult::kSuccess;
+  }
+  void Close() override {}
+
+ private:
+  std::vector<BlockPtr> blocks_;
+  const int slow_worker_id_;
+  std::atomic<size_t> cursor_{0};
+  std::atomic<bool> slow_claimed_{false};
+};
+
+// Opens `op` on three threads; worker 0 has a terminate request pending
+// from the start, so it leaves after its first block. Returns each worker's
+// Open result.
+std::vector<NextResult> OpenWithOneTerminated(Iterator* op) {
+  std::vector<NextResult> results(3);
+  std::atomic<bool> terminate{true};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < 3; ++w) {
+    threads.emplace_back([&, w] {
+      WorkerContext ctx;
+      ctx.worker_id = w;
+      if (w == 0) ctx.terminate_requested = &terminate;
+      results[static_cast<size_t>(w)] = op->Open(&ctx);
+    });
+  }
+  for (auto& t : threads) t.join();
+  return results;
+}
+
+// The storage blocks of a table's first partition.
+std::vector<BlockPtr> BlocksOf(const Table& t) {
+  return t.partition(0).blocks();
+}
 
 // One kv block holding `rows` rows (k = i % mod, v = i), sized to fit even
 // when `rows` exceeds the default block capacity; still writable.
@@ -497,6 +552,133 @@ TEST(HashJoinTest, HighFanOutGrowsTheOutputBlockAndMatchesNestedLoop) {
   EXPECT_EQ(got, want);
 }
 
+// A join of two kv schemas on column 0, sized for `estimate` build rows.
+HashJoinIterator::Spec KVJoinSpec(const Schema& bs, const Schema& ps,
+                                  int64_t estimate) {
+  HashJoinIterator::Spec spec;
+  spec.build_schema = &bs;
+  spec.probe_schema = &ps;
+  spec.build_keys = {0};
+  spec.probe_keys = {0};
+  spec.num_buckets = JoinHashTable::BucketsFor(estimate);
+  return spec;
+}
+
+// Drains an opened operator on the calling thread; its rows as sorted bytes.
+std::vector<std::string> DrainBytes(Iterator* it, const Schema& out) {
+  std::vector<std::string> rows;
+  WorkerContext ctx;
+  BlockPtr block;
+  while (it->Next(&ctx, &block) == NextResult::kSuccess) {
+    for (int r = 0; r < block->num_rows(); ++r) {
+      rows.emplace_back(block->RowAt(r), out.row_size());
+    }
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+// Every (build, probe) pair with equal keys, as sorted [build | probe] bytes.
+std::vector<std::string> NestedLoopJoin(const Table& build,
+                                        const Table& probe) {
+  std::vector<std::string> rows;
+  const Schema& bs = build.schema();
+  const Schema& ps = probe.schema();
+  for (const BlockPtr& pb : BlocksOf(probe)) {
+    for (int p = 0; p < pb->num_rows(); ++p) {
+      for (const BlockPtr& bb : BlocksOf(build)) {
+        for (int b = 0; b < bb->num_rows(); ++b) {
+          if (bs.GetInt32(bb->RowAt(b), 0) == ps.GetInt32(pb->RowAt(p), 0)) {
+            rows.push_back(std::string(bb->RowAt(b), bs.row_size()) +
+                           std::string(pb->RowAt(p), ps.row_size()));
+          }
+        }
+      }
+    }
+  }
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+TEST(HashJoinTest, SmallBuildGetsASmallBucketArray) {
+  // 25 rows need at most 64 buckets, not a fixed 64 K (512 KiB).
+  auto build_table = MakeKV(25, 25);
+  auto probe_table = MakeKV(100, 30);
+  const Schema& bs = build_table->schema();
+  const Schema& ps = probe_table->schema();
+  HashJoinIterator join(
+      std::make_unique<ScanIterator>(&build_table->partition(0), &bs),
+      std::make_unique<ScanIterator>(&probe_table->partition(0), &ps),
+      KVJoinSpec(bs, ps, 25));
+  WorkerContext ctx;
+  ASSERT_EQ(join.Open(&ctx), NextResult::kSuccess);
+  EXPECT_LE(join.bucket_count(), 64u);
+  EXPECT_EQ(DrainBytes(&join, join.output_schema()),
+            NestedLoopJoin(*build_table, *probe_table));
+  join.Close();
+}
+
+// A 10 000-row build whose estimate says 1 row: the barrier relinks the
+// table so that it ends with at most 2 rows per bucket.
+class UnderestimatedBuildTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(UnderestimatedBuildTest, RelinksAndMatchesNestedLoop) {
+  auto build_table = MakeKV(10000, 7000);
+  auto probe_table = MakeKV(800, 8000);
+  const Schema& bs = build_table->schema();
+  const Schema& ps = probe_table->schema();
+  auto join = std::make_unique<HashJoinIterator>(
+      std::make_unique<ScanIterator>(&build_table->partition(0), &bs),
+      std::make_unique<ScanIterator>(&probe_table->partition(0), &ps),
+      KVJoinSpec(bs, ps, 1));
+  HashJoinIterator* join_raw = join.get();
+  const Schema out = join->output_schema();
+  ElasticIterator::Options opts;
+  opts.initial_parallelism = GetParam();
+  ElasticIterator it(std::move(join), opts);
+  WorkerContext ctx;
+  ASSERT_EQ(it.Open(&ctx), NextResult::kSuccess);
+  std::vector<std::string> rows;
+  BlockPtr block;
+  while (it.Next(&ctx, &block) == NextResult::kSuccess) {
+    for (int r = 0; r < block->num_rows(); ++r) {
+      rows.emplace_back(block->RowAt(r), out.row_size());
+    }
+  }
+  std::sort(rows.begin(), rows.end());
+  EXPECT_EQ(join_raw->build_rows(), 10000);
+  EXPECT_LE(join_raw->build_rows(),
+            2 * static_cast<int64_t>(join_raw->bucket_count()));
+  EXPECT_EQ(rows, NestedLoopJoin(*build_table, *probe_table));
+  it.Close();
+}
+
+INSTANTIATE_TEST_SUITE_P(Workers, UnderestimatedBuildTest,
+                         ::testing::Values(1, 3));
+
+TEST(HashJoinTest, BuildOpenedByATerminatedWorkerIsRelinked) {
+  // Worker 0 takes a build block, holds it while workers 1 and 2 build the
+  // rest and arrive, then inserts it and leaves: its Deregister opens the
+  // barrier, so the relink runs in its thread, on the whole build.
+  auto build_table = MakeKV(10000, 7000);
+  auto probe_table = MakeKV(800, 8000);
+  const Schema& bs = build_table->schema();
+  const Schema& ps = probe_table->schema();
+  HashJoinIterator join(
+      std::make_unique<SlowWorkerSource>(BlocksOf(*build_table), 0),
+      std::make_unique<ScanIterator>(&probe_table->partition(0), &ps),
+      KVJoinSpec(bs, ps, 1));
+  std::vector<NextResult> opened = OpenWithOneTerminated(&join);
+  EXPECT_EQ(opened[0], NextResult::kTerminated);
+  EXPECT_EQ(opened[1], NextResult::kSuccess);
+  EXPECT_EQ(opened[2], NextResult::kSuccess);
+  EXPECT_EQ(join.build_rows(), 10000);
+  EXPECT_LE(join.build_rows(), 2 * static_cast<int64_t>(join.bucket_count()));
+  EXPECT_EQ(DrainBytes(&join, join.output_schema()),
+            NestedLoopJoin(*build_table, *probe_table));
+  join.Close();
+}
+
 // --- Hash aggregation -----------------------------------------------------------
 
 HashAggIterator::Spec AggSpec(const Schema& s, HashAggIterator::Mode mode) {
@@ -701,6 +883,36 @@ TEST(SortTest, EmptyInput) {
       std::vector<SortKey>{{0, true}});
   auto rows = RunElastic(std::move(sort), s, 2);
   EXPECT_TRUE(rows.empty());
+}
+
+TEST(SortTest, WorkerTerminatedBeforeTheFirstBarrierLosesNoRow) {
+  // Worker 0 buffers a block after workers 1 and 2 have sorted every other
+  // chunk and arrived, then leaves: the barrier's completion action must
+  // sort that chunk before computing the separators.
+  auto table = MakeKV(20000, 997);
+  const Schema& s = table->schema();
+  ASSERT_GT(BlocksOf(*table).size(), 3u);
+  SortIterator sort(std::make_unique<SlowWorkerSource>(BlocksOf(*table), 0),
+                    &s, std::vector<SortKey>{{0, true}, {1, true}});
+  std::vector<NextResult> opened = OpenWithOneTerminated(&sort);
+  EXPECT_EQ(opened[0], NextResult::kTerminated);
+  EXPECT_EQ(opened[1], NextResult::kSuccess);
+  EXPECT_EQ(opened[2], NextResult::kSuccess);
+  WorkerContext ctx;
+  std::vector<std::pair<int32_t, int64_t>> rows;
+  BlockPtr block;
+  while (sort.Next(&ctx, &block) == NextResult::kSuccess) {
+    for (int r = 0; r < block->num_rows(); ++r) {
+      rows.emplace_back(s.GetInt32(block->RowAt(r), 0),
+                        s.GetInt64(block->RowAt(r), 1));
+    }
+  }
+  sort.Close();
+  EXPECT_EQ(rows.size(), 20000u);
+  EXPECT_TRUE(std::is_sorted(rows.begin(), rows.end()));
+  std::set<int64_t> values;
+  for (const auto& r : rows) values.insert(r.second);
+  EXPECT_EQ(values.size(), 20000u);  // every row once
 }
 
 TEST(RowComparatorTest, AllTypes) {

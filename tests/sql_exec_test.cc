@@ -19,6 +19,7 @@
 #include "engine/database.h"
 #include "engine/workloads.h"
 #include "ledger_balance_check.h"
+#include "obs/metrics_registry.h"
 #include "obs/profile/assembler.h"
 #include "obs/recorder.h"
 
@@ -579,6 +580,51 @@ TEST(AggregationTrafficTest, OnlyPartialRowsCrossTheNetwork) {
   ASSERT_TRUE(db.LoadSse(sse).ok());
   ExpectPartialRowTraffic(&db, *TpchQuery(1));
   ExpectPartialRowTraffic(&db, *SseQuery(7));
+}
+
+// --- A build that outgrows its estimate ------------------------------------------
+
+TEST(SortedTradesTest, SseQ9MatchesUnsortedData) {
+  // With trades sorted by date (the Fig. 11 set-up), the selectivity sample
+  // reads the first 20 000 rows of the first partition, all before the
+  // filter date: it finds no match, and the planner estimates the trades
+  // build at 1 row. The join's table is then sized for 1 row and relinked
+  // at the build barrier; the result must not change.
+  MetricCounter* relinks =
+      MetricsRegistry::Global()->counter("exec.join.relinks");
+  auto run = [&](bool sorted) {
+    DatabaseOptions options;
+    options.cluster.num_nodes = 2;
+    options.cluster.cores_per_node = 2;
+    Database db(options);
+    SseConfig sse;
+    sse.securities_rows = 20000;
+    sse.trades_rows = 60000;
+    sse.num_accounts = 300;
+    sse.sort_trades_by_date = sorted;
+    sse.seed = 1;
+    EXPECT_TRUE(db.LoadSse(sse).ok());
+    ExecOptions opts;
+    opts.mode = ExecMode::kStatic;
+    opts.parallelism = 2;
+    auto r = db.Query(*SseQuery(9), opts);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return r.ok() ? r->Rows(/*sorted=*/true)
+                  : std::vector<std::vector<Value>>{};
+  };
+  const auto unsorted = run(false);
+  const int64_t before = relinks->value();
+  const auto sorted = run(true);
+  EXPECT_GT(relinks->value(), before);
+  ASSERT_FALSE(unsorted.empty());
+  ASSERT_EQ(sorted.size(), unsorted.size());
+  for (size_t i = 0; i < sorted.size(); ++i) {
+    ASSERT_EQ(sorted[i].size(), unsorted[i].size());
+    for (size_t c = 0; c < sorted[i].size(); ++c) {
+      EXPECT_EQ(sorted[i][c].ToString(), unsorted[i][c].ToString())
+          << "row " << i << " col " << c;
+    }
+  }
 }
 
 // --- Cross-mode / cross-parallelism consistency over the full workload ---------

@@ -803,5 +803,20 @@ TEST_F(PlannerPinTest, ExplainMatchesPinnedText) {
   }
 }
 
+TEST_F(PlannerPinTest, EveryJoinCarriesItsBuildEstimate) {
+  // The estimate sizes each join's bucket array; EXPLAIN does not print it
+  // (ExplainMatchesPinnedText).
+  int joins = 0;
+  for (const auto& [name, sql] : WorkloadQueries()) {
+    auto plan = Plan(sql);
+    ASSERT_TRUE(plan.ok()) << name << ": " << plan.status().ToString();
+    for (const POp* join : Joins(*plan)) {
+      EXPECT_GE(join->build_rows, 1) << name;
+      ++joins;
+    }
+  }
+  EXPECT_GT(joins, 20);
+}
+
 }  // namespace
 }  // namespace claims

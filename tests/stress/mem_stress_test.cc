@@ -84,6 +84,37 @@ class MemStressTest : public ::testing::Test {
     return plan;
   }
 
+  /// Gathers kv to node 0 and groups it on v there: one shared table of
+  /// 30 000 groups, whose entries alone need two 1 MiB arena chunks.
+  static PhysicalPlan WidePlan() {
+    TablePtr kv = *catalog_->GetTable("kv");
+    PhysicalPlan plan;
+    auto f0 = std::make_unique<Fragment>();
+    f0->id = 0;
+    f0->root = MakeScanOp(*kv);
+    f0->nodes = {0, 1};
+    f0->out_exchange_id = 1;
+    f0->partitioning = Partitioning::kToOne;
+    f0->consumer_nodes = {0};
+    auto f1 = std::make_unique<Fragment>();
+    f1->id = 1;
+    auto merger = MakeMergerOp(1, f0->root->output_schema);
+    const Schema schema = merger->output_schema;
+    f1->root = MakeHashAggOp(std::move(merger), {Col(schema, "v")}, {"v"},
+                             {{AggFn::kSum, Col(schema, "k"), "s"},
+                              {AggFn::kCount, nullptr, "cnt"}},
+                             HashAggIterator::Mode::kShared);
+    f1->nodes = {0};
+    f1->out_exchange_id = 0;
+    f1->partitioning = Partitioning::kToOne;
+    f1->consumer_nodes = {0};
+    plan.result_schema = f1->root->output_schema;
+    plan.result_exchange_id = 0;
+    plan.fragments.push_back(std::move(f0));
+    plan.fragments.push_back(std::move(f1));
+    return plan;
+  }
+
   static Catalog* catalog_;
   static Cluster* cluster_;
 };
@@ -92,26 +123,49 @@ Catalog* MemStressTest::catalog_ = nullptr;
 Cluster* MemStressTest::cluster_ = nullptr;
 
 TEST_F(MemStressTest, SqueezedStormDegradesWithoutHangs) {
-  constexpr int kQueries = 24;
+  // 24 queries grouped on k, and one grouped on v whose own peak charge
+  // exceeds the squeeze's cap: the ladder engages however little the
+  // others overlap.
+  constexpr int kQueries = 25;
+  constexpr int kWide = kQueries - 1;
+  constexpr int64_t kCapBytes = 1835008;  // 1.75 MiB, the squeeze below
+  constexpr int64_t kWideBudgetBytes = int64_t{6} << 20;
+  auto plan_of = [](int i) {
+    if (i == kWide) return WidePlan();
+    return AggPlan(i % 2 ? HashAggIterator::Mode::kHybrid
+                         : HashAggIterator::Mode::kShared);
+  };
 
-  // Reference results from an unpressured run, one per agg mode. Any storm
-  // query that reports OK must reproduce these bytes exactly.
+  // Reference results from an unpressured run: the two modes grouped on k,
+  // then the wide query. Any storm query that reports OK must reproduce
+  // these bytes exactly.
   std::vector<std::vector<std::vector<Value>>> reference;
   {
     QueryServiceOptions opts;
     opts.admission.max_concurrent = 2;
     QueryService service(cluster_, opts);
-    for (auto mode :
-         {HashAggIterator::Mode::kShared, HashAggIterator::Mode::kHybrid}) {
+    for (int i : {0, 1, kWide}) {
       SubmitOptions sub;
       sub.label = "reference";
-      auto h = service.Submit(AggPlan(mode), sub);
+      auto h = service.Submit(plan_of(i), sub);
       h->Wait();
       ASSERT_TRUE(h->status().ok()) << h->status().ToString();
       reference.push_back(h->result().Rows(/*sorted=*/true));
+      if (i == kWide) {
+        // Alone and unbounded, it charges more than the cap allows and less
+        // than its own budget: under the squeeze the cap refuses it.
+        const int64_t peak = h->report().peak_memory_bytes;
+        std::printf("wide query peak %lld bytes\n",
+                    static_cast<long long>(peak));
+        ASSERT_GT(peak, kCapBytes);
+        ASSERT_LT(peak, kWideBudgetBytes);
+      }
     }
     service.Shutdown();
   }
+  auto reference_of = [&](int i) -> const std::vector<std::vector<Value>>& {
+    return reference[i == kWide ? 2 : i % 2];
+  };
 
   // The squeeze: a mempressure window opens before the first query and caps
   // the ledgers' total charge at 1.75 MiB through the injector's default
@@ -120,8 +174,8 @@ TEST_F(MemStressTest, SqueezedStormDegradesWithoutHangs) {
   // At 1 to 1.5 MiB as few as one query in 24 completed (under TSan, where
   // more of them overlap), close to the "some complete" floor asserted
   // below.
-  auto plan = ParseFaultPlan(
-      "at=0ns kind=mempressure dur=60s bytes=1835008\n");
+  auto plan = ParseFaultPlan("at=0ns kind=mempressure dur=60s bytes=" +
+                             std::to_string(kCapBytes) + "\n");
   ASSERT_TRUE(plan.ok());
   FaultInjector injector(*plan);
 
@@ -165,10 +219,10 @@ TEST_F(MemStressTest, SqueezedStormDegradesWithoutHangs) {
     // Budgets straddle the workable range: the roomy ones should survive the
     // squeeze by spilling, the starved ones may reject — both are
     // legal outcomes; hanging or wrong bytes are not.
-    sub.exec.memory_budget_bytes = (i % 3 + 1) * int64_t{2} << 20;  // 2/4/6 MiB
-    auto mode = i % 2 ? HashAggIterator::Mode::kHybrid
-                      : HashAggIterator::Mode::kShared;
-    handles.push_back(service.Submit(AggPlan(mode), sub));
+    sub.exec.memory_budget_bytes =
+        i == kWide ? kWideBudgetBytes
+                   : (i % 3 + 1) * int64_t{2} << 20;  // 2/4/6 MiB
+    handles.push_back(service.Submit(plan_of(i), sub));
   }
 
   // Zero hangs: every query must terminate well within the suite timeout
@@ -180,7 +234,7 @@ TEST_F(MemStressTest, SqueezedStormDegradesWithoutHangs) {
     const Status& s = handles[i]->status();
     if (s.ok()) {
       ++ok;
-      EXPECT_EQ(handles[i]->result().Rows(/*sorted=*/true), reference[i % 2])
+      EXPECT_EQ(handles[i]->result().Rows(/*sorted=*/true), reference_of(i))
           << handles[i]->label() << " returned wrong bytes";
     } else {
       EXPECT_EQ(s.code(), StatusCode::kResourceExhausted)
