@@ -394,6 +394,49 @@ void BM_HashAggSmallInput(benchmark::State& state) {
 }
 BENCHMARK(BM_HashAggSmallInput);
 
+// An SSE-Q7-shaped fold: 200 000 rows grouped on one INT32 key over about
+// 20 000 groups, one SUM over INT64, one worker, kHybrid. The table grows
+// from its starting size to tens of thousands of slots, and every lookup
+// misses the L1 cache.
+void BM_HashAggFoldManyGroups(benchmark::State& state) {
+  Schema s({ColumnDef::Int32("sec"), ColumnDef::Int64("qty")});
+  constexpr int32_t kRows = 200000;
+  constexpr uint32_t kGroups = 20000;
+  std::vector<BlockPtr> blocks;
+  uint64_t rng = 1;
+  for (int32_t done = 0; done < kRows;) {
+    auto b = MakeBlock(s.row_size());
+    for (int32_t r = 0; r < b->capacity_rows() && done < kRows; ++r, ++done) {
+      rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
+      char* row = b->AppendRow();
+      s.SetInt32(row, 0, static_cast<int32_t>((rng >> 33) % kGroups));
+      s.SetInt64(row, 1, static_cast<int64_t>(rng >> 54));
+    }
+    b->set_sequence_number(blocks.size());
+    blocks.push_back(std::move(b));
+  }
+  HashAggIterator::Spec spec;
+  spec.input_schema = &s;
+  spec.group_exprs = {MakeColumnRef(0, DataType::kInt32, "sec")};
+  spec.group_names = {"sec"};
+  spec.aggregates = {
+      {AggFn::kSum, MakeColumnRef(1, DataType::kInt64, "qty"), "sum_qty"}};
+  spec.mode = HashAggIterator::Mode::kHybrid;
+  spec.pool = BlockPool::Global();
+  for (auto _ : state) {
+    HashAggIterator agg(std::make_unique<BlocksIterator>(&blocks), spec);
+    WorkerContext ctx;
+    agg.Open(&ctx);
+    BlockPtr b;
+    int64_t groups = 0;
+    while (agg.Next(&ctx, &b) == NextResult::kSuccess) groups += b->num_rows();
+    benchmark::DoNotOptimize(groups);
+    agg.Close();
+  }
+  state.SetItemsProcessed(state.iterations() * kRows);
+}
+BENCHMARK(BM_HashAggFoldManyGroups)->Unit(benchmark::kMillisecond);
+
 void BM_HashJoinProbeBatch(benchmark::State& state) {
   Schema s({ColumnDef::Int32("k"), ColumnDef::Int64("v"),
             ColumnDef::Float64("f")});

@@ -781,6 +781,13 @@ struct BatchCompute::Impl {
       case Node::Op::kLitF64:
         for (int32_t i = 0; i < n; ++i) out[i] = node.f64;
         break;
+      case Node::Op::kColInt:  // an integer column widened in one pass
+        for (int32_t i = 0; i < n; ++i) {
+          int32_t r = sel != nullptr ? sel[i] : i;
+          out[i] =
+              static_cast<double>(LoadInt(row_ptr(r) + node.off, node.is32));
+        }
+        break;
       case Node::Op::kArithF64: {
         std::vector<double> a(n), b(n);
         EvalF64(node.left, block, sel, n, a.data());
@@ -847,9 +854,11 @@ void BatchCompute::Materialize(const Block& block, const int32_t* sel,
   const int32_t out_off = out_schema.offset(out_col);
   const ColumnDef& dst = out_schema.column(out_col);
 
-  // Bare column of identical type: strided byte copy. CHAR columns rely on
-  // the SetString invariant (payload NUL-padded to declared width), so the
-  // raw bytes equal what strip-then-SetValue would write.
+  // Bare column of identical type: strided byte copy, with a fixed-size copy
+  // per common width instead of a memcpy call of runtime width per row.
+  // CHAR columns rely on the SetString invariant (payload NUL-padded to
+  // declared width), so the raw bytes equal what strip-then-SetValue would
+  // write.
   if (impl_->root_column >= 0) {
     const ColumnDef& src = impl_->schema->column(impl_->root_column);
     if (src.type == dst.type && src.char_width == dst.char_width) {
@@ -857,10 +866,20 @@ void BatchCompute::Materialize(const Block& block, const int32_t* sel,
       const char* in_base =
           block.RowAt(0) + impl_->schema->offset(impl_->root_column);
       const int32_t in_stride = block.row_size();
-      for (int32_t i = 0; i < n; ++i) {
-        int32_t r = sel != nullptr ? sel[i] : i;
-        std::memcpy(out_rows + static_cast<size_t>(i) * out_stride + out_off,
-                    in_base + static_cast<size_t>(r) * in_stride, w);
+      char* out_base = out_rows + out_off;
+      auto copy = [&](auto width) {
+        for (int32_t i = 0; i < n; ++i) {
+          int32_t r = sel != nullptr ? sel[i] : i;
+          std::memcpy(out_base + static_cast<size_t>(i) * out_stride,
+                      in_base + static_cast<size_t>(r) * in_stride, width());
+        }
+      };
+      switch (w) {
+        case 1: copy([] { return 1; }); break;
+        case 2: copy([] { return 2; }); break;
+        case 4: copy([] { return 4; }); break;
+        case 8: copy([] { return 8; }); break;
+        default: copy([w] { return w; }); break;
       }
       return;
     }

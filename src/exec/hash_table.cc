@@ -1,6 +1,8 @@
 #include "exec/hash_table.h"
 
+#include <algorithm>
 #include <cstring>
+#include <exception>
 
 #include "mem/spill.h"
 
@@ -14,16 +16,12 @@ size_t RoundUpPow2(size_t n) {
   return p;
 }
 
-/// Up to this many buckets (256 KiB, the fixed size of a shared aggregation
-/// table) a growing aggregation table stays at most 1/8 full, beyond it at
-/// most half full. While the table is cache-resident a fold's cost rises
-/// with the load (2000 groups: +30% at 1/2 full against 1/8); once lookups
-/// are memory-bound the load barely matters and the array's size does.
-constexpr size_t kSparseBuckets = size_t{1} << 14;
+/// From this many slots (32 KiB, about an L1 data cache) a batch fold
+/// prefetches the slots and entries it is about to touch.
+constexpr size_t kPrefetchSlots = size_t{1} << 12;
 
-/// From this many buckets (64 KiB, more than an L1 data cache holds) a batch
-/// fold prefetches the buckets and entries it is about to touch.
-constexpr size_t kPrefetchBuckets = size_t{1} << 12;
+/// Seed of the aggregation tables' key hash.
+constexpr uint64_t kKeySeed = 0x2545F4914F6CDD1DULL;
 
 }  // namespace
 
@@ -242,7 +240,7 @@ const char* AggFnName(AggFn fn) {
 }
 
 AggHashTable::AggHashTable(Schema group_schema, int num_aggs,
-                           size_t num_buckets, MemSource source)
+                           size_t num_slots, MemSource source)
     : group_schema_(std::move(group_schema)),
       all_group_cols_([this] {
         std::vector<int> cols(
@@ -253,138 +251,337 @@ AggHashTable::AggHashTable(Schema group_schema, int num_aggs,
       group_cmp_(&group_schema_, all_group_cols_, &group_schema_,
                  all_group_cols_),
       group_row_size_(group_schema_.row_size()),
-      bytewise_keys_([this] {
+      bytewise_width_([this] {
         for (const ColumnDef& c : group_schema_.columns()) {
-          if (c.type != DataType::kInt32 && c.type != DataType::kDate &&
-              c.type != DataType::kInt64) {
-            return false;
-          }
+          if (c.type == DataType::kFloat64) return -1;
         }
-        return true;
+        return group_row_size_;
       }()),
       num_aggs_(num_aggs),
-      entry_bytes_(sizeof(Entry) + Entry::AlignUp(group_row_size_) +
+      states_offset_((static_cast<size_t>(group_row_size_) + 7) & ~size_t{7}),
+      entry_bytes_(sizeof(Entry) + states_offset_ +
                    sizeof(AggState) * static_cast<size_t>(num_aggs_)),
-      bucket_pool_(source.pool),
-      bucket_store_(std::make_unique<PooledArray<Bucket>>(
-          source.pool, RoundUpPow2(num_buckets == 0 ? 1 : num_buckets))),
-      buckets_(&(*bucket_store_)[0]),
-      bucket_mask_(bucket_store_->size() - 1),
+      slot_pool_(source.pool),
+      slot_store_(std::make_unique<SlotArray>(
+          source.pool, RoundUpPow2(std::max(num_slots, kSlotsPerGroup)))),
+      slots_(&(*slot_store_)[0]),
+      slot_mask_(slot_store_->size() - 1),
       arena_(1 << 18, source) {}
 
-AggHashTable::Entry* AggHashTable::FindOrCreate(const char* group_row,
-                                                uint64_t hash,
-                                                bool exclusive) {
-  // Lock-free lookup first.
-  if (Entry* e = Find(group_row, hash)) return e;
-  Bucket& bucket = buckets_[hash & bucket_mask_];
-  // Slow path: exclusive insert for this bucket, re-check, then link. A sole
-  // writer has nobody to exclude and nothing to re-check.
-  Entry* head = bucket.head.load(std::memory_order_relaxed);
-  if (!exclusive) {
-    while (bucket.insert_lock.test_and_set(std::memory_order_acquire)) {
+void AggHashTable::HashKeys(const char* group_rows, int32_t stride, int32_t n,
+                            uint64_t* out) const {
+  // A key of 2, 4 or 8 bytes is one word: load it, mix once.
+  auto words = [&](auto word) {
+    for (int32_t i = 0; i < n; ++i) {
+      decltype(word) w;
+      std::memcpy(&w, group_rows + static_cast<size_t>(i) * stride, sizeof(w));
+      out[i] = MixHash(kKeySeed ^ static_cast<uint64_t>(w));
     }
-    head = bucket.head.load(std::memory_order_relaxed);
-    for (Entry* e = head; e != nullptr; e = e->next) {
-      if (e->hash == hash && KeysEqual(e->row(group_row_size_), group_row)) {
-        bucket.insert_lock.clear(std::memory_order_release);
-        return e;
+  };
+  switch (bytewise_width_) {
+    case 0:  // no group columns: every row is the one group
+      std::fill(out, out + n, MixHash(kKeySeed));
+      break;
+    case -1:
+      HashRowKeysBatch(group_schema_, group_rows, stride, all_group_cols_,
+                       nullptr, n, out);
+      break;
+    case 2:
+      words(uint16_t{});
+      break;
+    case 4:
+      words(uint32_t{});
+      break;
+    case 8:
+      words(uint64_t{});
+      break;
+    default:
+      for (int32_t i = 0; i < n; ++i) {
+        out[i] = HashBytes(group_rows + static_cast<size_t>(i) * stride,
+                           static_cast<size_t>(group_row_size_), kKeySeed);
       }
-    }
+      break;
   }
+}
+
+AggHashTable::Entry* AggHashTable::NewEntry(const char* group_row,
+                                            bool exclusive) {
   char* storage = exclusive ? arena_.AllocateExclusive(entry_bytes_)
                             : arena_.Allocate(entry_bytes_);
-  if (storage == nullptr) {
-    // Release the bucket lock before failing or every other thread hashing
-    // into this bucket would spin forever.
-    if (!exclusive) bucket.insert_lock.clear(std::memory_order_release);
-    return nullptr;
+  if (storage == nullptr) return nullptr;
+  // A slot keeps the entry's address beside its tag and marker bits.
+  if ((reinterpret_cast<uintptr_t>(storage) & (kTagMask | kMarkerMask)) != 0) {
+    std::terminate();
   }
-  auto* entry = reinterpret_cast<Entry*>(storage);
-  new (entry) Entry();
-  entry->hash = hash;
-  std::memcpy(entry->row(group_row_size_), group_row, group_row_size_);
-  AggState* states = entry->states(group_row_size_, num_aggs_);
+  auto* entry = new (storage) Entry();
+  std::memcpy(entry->row(), group_row, static_cast<size_t>(group_row_size_));
+  AggState* states = States(entry);
   for (int i = 0; i < num_aggs_; ++i) new (&states[i]) AggState();
-  entry->next = head;
-  bucket.head.store(entry, std::memory_order_release);
-  if (!exclusive) bucket.insert_lock.clear(std::memory_order_release);
-  size_t groups;
-  if (exclusive) {
-    // Sole writer: a plain store, no read-modify-write.
-    groups = static_cast<size_t>(size_.load(std::memory_order_relaxed)) + 1;
-    size_.store(static_cast<int64_t>(groups), std::memory_order_relaxed);
-  } else {
-    groups =
-        static_cast<size_t>(size_.fetch_add(1, std::memory_order_relaxed)) + 1;
-  }
-  // One group (a scalar aggregation) never needs a second bucket.
-  const size_t max_load_inverse = bucket_count() < kSparseBuckets ? 8 : 2;
-  if (exclusive && groups > 1 && groups * max_load_inverse > bucket_count()) {
-    Grow();
-  }
   return entry;
 }
 
+AggHashTable::Entry* AggHashTable::InsertAt(size_t slot, const char* group_row,
+                                            uint64_t hash) {
+  const int64_t groups = size();
+  if (Full(groups)) {
+    Grow();
+    slot = hash & slot_mask_;
+    while (slots_[slot].load(std::memory_order_relaxed) != 0) {
+      slot = (slot + 1) & slot_mask_;
+    }
+  }
+  Entry* entry = NewEntry(group_row, /*exclusive=*/true);
+  if (entry == nullptr) return nullptr;
+  slots_[slot].store(TagOf(hash) | reinterpret_cast<uintptr_t>(entry),
+                     std::memory_order_relaxed);
+  // Sole user: a plain store, no read-modify-write.
+  size_.store(groups + 1, std::memory_order_relaxed);
+  return entry;
+}
+
+AggHashTable::Entry* AggHashTable::FindOrInsertShared(
+    const char* group_row, uint64_t hash,
+    std::shared_lock<std::shared_mutex>* lock) {
+  const uint64_t tag = TagOf(hash);
+  // Whether this insert holds a place in size_ (taken at the first empty
+  // slot, so that the table cannot pass a quarter full while the lock is
+  // held shared).
+  bool reserved = false;
+  size_t i = hash & slot_mask_;
+  while (true) {
+    uint64_t s = slots_[i].load(std::memory_order_acquire);
+    if (s == 0) {
+      if (!reserved) {
+        if (Full(size_.fetch_add(1, std::memory_order_relaxed))) {
+          size_.fetch_sub(1, std::memory_order_relaxed);
+          lock->unlock();
+          {
+            std::lock_guard<std::shared_mutex> grow(grow_mu_);
+            if (Full(size())) Grow();
+          }
+          lock->lock();
+          i = hash & slot_mask_;  // the slots moved: probe again
+          continue;
+        }
+        reserved = true;
+      }
+      // Claim the slot before allocating, so a racer that loses it has
+      // nothing to give back.
+      if (slots_[i].compare_exchange_strong(s, tag | kPending,
+                                            std::memory_order_acquire)) {
+        Entry* entry = NewEntry(group_row, /*exclusive=*/false);
+        if (entry == nullptr) {
+          slots_[i].store(kDead, std::memory_order_release);
+          dead_.fetch_add(1, std::memory_order_relaxed);
+          size_.fetch_sub(1, std::memory_order_relaxed);
+          return nullptr;
+        }
+        slots_[i].store(tag | reinterpret_cast<uintptr_t>(entry),
+                        std::memory_order_release);
+        return entry;
+      }
+      // Lost the slot: `s` now holds the winner's claim; look at it.
+    }
+    if ((s & kTagMask) == tag) {
+      // A pending claim with this tag may be this very key: wait for it.
+      while ((s & kMarkerMask) == kPending) {
+        s = slots_[i].load(std::memory_order_acquire);
+      }
+      if ((s & kMarkerMask) == 0 &&
+          KeysEqualAs<kAnyWidth>(EntryOf(s)->row(), group_row)) {
+        if (reserved) size_.fetch_sub(1, std::memory_order_relaxed);
+        return EntryOf(s);
+      }
+    }
+    i = (i + 1) & slot_mask_;
+  }
+}
+
 void AggHashTable::Grow() {
-  auto grown =
-      std::make_unique<PooledArray<Bucket>>(bucket_pool_, bucket_count() * 2);
-  const size_t mask = grown->size() - 1;
+  size_t slots = slot_count() * 2;
+  while (static_cast<size_t>(size() + 1) * kSlotsPerGroup > slots) slots *= 2;
+  auto grown = std::make_unique<SlotArray>(slot_pool_, slots);
+  const size_t mask = slots - 1;
   ForEachEntry([&](Entry* e) {
-    std::atomic<Entry*>& head = (*grown)[e->hash & mask].head;
-    e->next = head.load(std::memory_order_relaxed);
-    head.store(e, std::memory_order_relaxed);
+    const uint64_t hash = HashKey(e->row());
+    size_t i = hash & mask;
+    while ((*grown)[i].load(std::memory_order_relaxed) != 0) {
+      i = (i + 1) & mask;
+    }
+    (*grown)[i].store(TagOf(hash) | reinterpret_cast<uintptr_t>(e),
+                      std::memory_order_relaxed);
     return true;
   });
-  bucket_store_ = std::move(grown);
-  buckets_ = &(*bucket_store_)[0];
-  bucket_mask_ = mask;
+  slot_store_ = std::move(grown);
+  slots_ = &(*slot_store_)[0];
+  slot_mask_ = mask;
+  dead_.store(0, std::memory_order_relaxed);
 }
 
 void AggHashTable::SwapGroups(AggHashTable* other) {
-  std::swap(bucket_pool_, other->bucket_pool_);
-  bucket_store_.swap(other->bucket_store_);
-  std::swap(buckets_, other->buckets_);
-  std::swap(bucket_mask_, other->bucket_mask_);
+  std::swap(slot_pool_, other->slot_pool_);
+  slot_store_.swap(other->slot_store_);
+  std::swap(slots_, other->slots_);
+  std::swap(slot_mask_, other->slot_mask_);
   arena_.Swap(&other->arena_);
   const int64_t size = size_.load(std::memory_order_relaxed);
   size_.store(other->size(), std::memory_order_relaxed);
   other->size_.store(size, std::memory_order_relaxed);
+  const int64_t dead = dead_.load(std::memory_order_relaxed);
+  dead_.store(other->dead_.load(std::memory_order_relaxed),
+              std::memory_order_relaxed);
+  other->dead_.store(dead, std::memory_order_relaxed);
 }
 
-bool AggHashTable::MergeGroup(const char* group_row, uint64_t hash,
-                              const AggState* states,
-                              const std::vector<AggFn>& fns, bool exclusive) {
-  Entry* entry = FindOrCreate(group_row, hash, exclusive);
-  if (entry == nullptr) return false;
-  AggState* into = entry->states(group_row_size_, num_aggs_);
-  if (!exclusive) {
-    while (entry->lock.test_and_set(std::memory_order_acquire)) {
+template <int kWidth>
+int32_t AggHashTable::ResolveExclusive(const char* group_rows, int32_t stride,
+                                       const uint64_t* hashes, int32_t n,
+                                       Entry** entries) {
+  // The hashes are known up front: once the slots outgrow the L1 cache,
+  // load row i + 2 * kAhead's home slot, and row i + kAhead's entry, while
+  // row i resolves.
+  constexpr int32_t kAhead = 8;
+  std::atomic<uint64_t>* slots = slots_;
+  size_t mask = slot_mask_;
+  for (int32_t i = 0; i < n; ++i) {
+    if (mask >= kPrefetchSlots - 1) {
+      if (i + 2 * kAhead < n) {
+        __builtin_prefetch(&slots[hashes[i + 2 * kAhead] & mask]);
+      }
+      if (i + kAhead < n) {
+        const uint64_t s =
+            slots[hashes[i + kAhead] & mask].load(std::memory_order_relaxed);
+        if (s != 0) __builtin_prefetch(EntryOf(s));
+      }
+    }
+    const char* row = group_rows + static_cast<size_t>(i) * stride;
+    const uint64_t hash = hashes[i];
+    const uint64_t tag = TagOf(hash);
+    size_t j = hash & mask;
+    Entry* entry = nullptr;
+    for (uint64_t s; (s = slots[j].load(std::memory_order_relaxed)) != 0;
+         j = (j + 1) & mask) {
+      if (TagMatches(s, tag) && KeysEqualAs<kWidth>(EntryOf(s)->row(), row)) {
+        entry = EntryOf(s);
+        break;
+      }
+    }
+    if (entry == nullptr) {
+      entry = InsertAt(j, row, hash);
+      if (entry == nullptr) return i;
+      slots = slots_;  // InsertAt may have grown the table
+      mask = slot_mask_;
+    }
+    entries[i] = entry;
+  }
+  return n;
+}
+
+int32_t AggHashTable::Resolve(const char* group_rows, int32_t stride,
+                              const uint64_t* hashes, int32_t n,
+                              bool exclusive, Entry** entries) {
+  if (exclusive) {
+    switch (bytewise_width_) {
+      case 2:
+        return ResolveExclusive<2>(group_rows, stride, hashes, n, entries);
+      case 4:
+        return ResolveExclusive<4>(group_rows, stride, hashes, n, entries);
+      case 8:
+        return ResolveExclusive<8>(group_rows, stride, hashes, n, entries);
+      default:
+        return ResolveExclusive<kAnyWidth>(group_rows, stride, hashes, n,
+                                           entries);
     }
   }
-  for (int i = 0; i < num_aggs_; ++i) {
-    FoldAgg(fns[i], states[i].sum, states[i].count, &into[i]);
+  std::shared_lock<std::shared_mutex> lock(grow_mu_);
+  for (int32_t i = 0; i < n; ++i) {
+    entries[i] = FindOrInsertShared(
+        group_rows + static_cast<size_t>(i) * stride, hashes[i], &lock);
+    if (entries[i] == nullptr) return i;
   }
-  if (!exclusive) entry->lock.clear(std::memory_order_release);
-  return true;
+  return n;
 }
 
-bool AggHashTable::MergeFrom(const AggHashTable& src,
-                             const std::vector<AggFn>& fns, bool exclusive) {
-  return src.ForEachEntry([&](const Entry* e) {
-    return MergeGroup(e->row(src.group_row_size_), e->hash,
-                      e->states(src.group_row_size_, src.num_aggs_), fns,
-                      exclusive);
-  });
+void AggHashTable::FoldRows(const std::vector<AggFn>& fns,
+                            const double* const* arg_cols,
+                            Entry* const* entries, int32_t begin,
+                            int32_t end) const {
+  for (size_t a = 0; a < fns.size(); ++a) {
+    const size_t offset = states_offset_ + a * sizeof(AggState);
+    auto state = [&](int32_t i) {
+      return reinterpret_cast<AggState*>(entries[i]->row() + offset);
+    };
+    const double* v = arg_cols[a];
+    if (v == nullptr && fns[a] != AggFn::kCount) {
+      for (int32_t i = begin; i < end; ++i) FoldAgg(fns[a], 0.0, 1, state(i));
+      continue;
+    }
+    switch (fns[a]) {
+      case AggFn::kCount:
+        for (int32_t i = begin; i < end; ++i) state(i)->count += 1;
+        break;
+      case AggFn::kSum:
+      case AggFn::kAvg:
+        for (int32_t i = begin; i < end; ++i) {
+          AggState* st = state(i);
+          st->sum += v[i];
+          st->count += 1;
+        }
+        break;
+      case AggFn::kMin:
+        for (int32_t i = begin; i < end; ++i) {
+          AggState* st = state(i);
+          if (st->count == 0 || v[i] < st->sum) st->sum = v[i];
+          st->count += 1;
+        }
+        break;
+      case AggFn::kMax:
+        for (int32_t i = begin; i < end; ++i) {
+          AggState* st = state(i);
+          if (st->count == 0 || v[i] > st->sum) st->sum = v[i];
+          st->count += 1;
+        }
+        break;
+    }
+  }
+}
+
+bool AggHashTable::UpdateBatch(const char* group_rows, int32_t stride,
+                               const uint64_t* hashes, int32_t n,
+                               const std::vector<AggFn>& fns,
+                               const double* const* arg_cols, bool exclusive,
+                               int32_t* folded) {
+  Scratch<Entry*> entries(slot_pool_, static_cast<size_t>(std::max(n, 1)));
+  const int32_t resolved =
+      Resolve(group_rows, stride, hashes, n, exclusive, entries.data());
+  if (exclusive) {
+    FoldRows(fns, arg_cols, entries.data(), 0, resolved);
+  } else {
+    // One hold of the entry lock per run of rows in the same group: a
+    // scalar aggregation's block folds under a single acquisition.
+    for (int32_t begin = 0, end; begin < resolved; begin = end) {
+      Entry* entry = entries[begin];
+      for (end = begin + 1; end < resolved && entries[end] == entry; ++end) {
+      }
+      while (entry->lock.test_and_set(std::memory_order_acquire)) {
+      }
+      FoldRows(fns, arg_cols, entries.data(), begin, end);
+      entry->lock.clear(std::memory_order_release);
+    }
+  }
+  if (folded != nullptr) *folded = resolved;
+  return resolved == n;
 }
 
 bool AggHashTable::Update(const char* group_row, const std::vector<AggFn>& fns,
                           const double* values, const int64_t* count_weights) {
-  Entry* entry = FindOrCreate(
-      group_row, HashRowKeys(group_schema_, group_row, all_group_cols_),
-      /*exclusive=*/false);
+  Entry* entry;
+  {
+    std::shared_lock<std::shared_mutex> lock(grow_mu_);
+    entry = FindOrInsertShared(group_row, HashKey(group_row), &lock);
+  }
   if (entry == nullptr) return false;
-  AggState* states = entry->states(group_row_size_, num_aggs_);
+  AggState* states = States(entry);
   // Per-entry spinlock: the contention point of shared aggregation.
   while (entry->lock.test_and_set(std::memory_order_acquire)) {
   }
@@ -395,46 +592,36 @@ bool AggHashTable::Update(const char* group_row, const std::vector<AggFn>& fns,
   return true;
 }
 
-bool AggHashTable::UpdateBatch(const char* group_rows, int32_t stride,
-                               const uint64_t* hashes, int32_t n,
+void AggHashTable::MergeStates(Entry* entry, const AggState* states,
                                const std::vector<AggFn>& fns,
-                               const double* const* arg_cols, bool exclusive,
-                               int32_t* folded) {
-  const int num_aggs = num_aggs_;
-  // The hashes are known up front: once the table outgrows the L1 cache,
-  // load row i + kAhead's first entry, and row i + 2 * kAhead's bucket,
-  // while row i folds. (A Grow mid-batch only makes a few hints stale.)
-  constexpr int32_t kAhead = 8;
-  for (int32_t i = 0; i < n; ++i) {
-    const bool ahead = bucket_mask_ >= kPrefetchBuckets - 1;
-    if (ahead && i + 2 * kAhead < n) {
-      __builtin_prefetch(&buckets_[hashes[i + 2 * kAhead] & bucket_mask_]);
+                               bool exclusive) const {
+  AggState* into = States(entry);
+  if (!exclusive) {
+    while (entry->lock.test_and_set(std::memory_order_acquire)) {
     }
-    if (ahead && i + kAhead < n) {
-      const Entry* next = buckets_[hashes[i + kAhead] & bucket_mask_].head.load(
-          std::memory_order_relaxed);
-      if (next != nullptr) __builtin_prefetch(next);
-    }
-    const char* row = group_rows + static_cast<size_t>(i) * stride;
-    Entry* entry = Find(row, hashes[i]);
-    if (entry == nullptr) entry = FindOrCreate(row, hashes[i], exclusive);
-    if (entry == nullptr) {
-      if (folded != nullptr) *folded = i;
-      return false;
-    }
-    AggState* states = entry->states(group_row_size_, num_aggs);
-    if (!exclusive) {
-      while (entry->lock.test_and_set(std::memory_order_acquire)) {
-      }
-    }
-    for (int a = 0; a < num_aggs; ++a) {
-      FoldAgg(fns[a], arg_cols[a] != nullptr ? arg_cols[a][i] : 0.0, 1,
-              &states[a]);
-    }
-    if (!exclusive) entry->lock.clear(std::memory_order_release);
   }
-  if (folded != nullptr) *folded = n;
-  return true;
+  for (int i = 0; i < num_aggs_; ++i) {
+    FoldAgg(fns[i], states[i].sum, states[i].count, &into[i]);
+  }
+  if (!exclusive) entry->lock.clear(std::memory_order_release);
+}
+
+bool AggHashTable::MergeFrom(const AggHashTable& src,
+                             const std::vector<AggFn>& fns, bool exclusive) {
+  std::shared_lock<std::shared_mutex> lock(grow_mu_, std::defer_lock);
+  if (!exclusive) lock.lock();
+  return src.ForEachEntry([&](const Entry* e) {
+    const uint64_t hash = HashKey(e->row());
+    Entry* entry = nullptr;
+    if (exclusive) {
+      Resolve(e->row(), 0, &hash, 1, /*exclusive=*/true, &entry);
+    } else {
+      entry = FindOrInsertShared(e->row(), hash, &lock);
+    }
+    if (entry == nullptr) return false;
+    MergeStates(entry, src.States(e), fns, exclusive);
+    return true;
+  });
 }
 
 Status AggHashTable::SerializeTo(SpillRun* run) const {
@@ -486,12 +673,13 @@ Status AggHashTable::MergeSerialized(const char* data, size_t bytes,
     // does not align AggStates after an odd-sized group row.
     std::memcpy(states.data(), p + group_row_size,
                 sizeof(AggState) * static_cast<size_t>(num_aggs));
-    const uint64_t hash =
-        HashRowKeys(into->group_schema_, group_row, into->all_group_cols_);
-    if (!into->MergeGroup(group_row, hash, states.data(), fns,
-                          /*exclusive=*/true)) {
+    const uint64_t hash = into->HashKey(group_row);
+    Entry* entry = nullptr;
+    if (into->Resolve(group_row, 0, &hash, 1, /*exclusive=*/true, &entry) ==
+        0) {
       return Status::ResourceExhausted("agg table over budget during restore");
     }
+    into->MergeStates(entry, states.data(), fns, /*exclusive=*/true);
     p += entry_bytes;
   }
   return Status::OK();

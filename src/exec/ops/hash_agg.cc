@@ -9,9 +9,9 @@ namespace claims {
 
 namespace {
 
-/// Starting bucket count of a grouped table that grows: one 4 KiB pool size
-/// class of buckets.
-constexpr size_t kGrowableBuckets = 256;
+/// Starting slot count of a grouped table: one 4 KiB pool size class of
+/// slots.
+constexpr size_t kGroupedSlots = 512;
 
 }  // namespace
 
@@ -54,17 +54,11 @@ HashAggIterator::HashAggIterator(std::unique_ptr<Iterator> child, Spec spec)
         }
         return Schema(std::move(cols));
       }()),
-      initial_buckets_(group_schema_.num_columns() == 0 ? 1
-                                                        : kGrowableBuckets),
+      initial_slots_(group_schema_.num_columns() == 0 ? 4 : kGroupedSlots),
       global_(group_schema_, static_cast<int>(spec_.aggregates.size()),
-              spec_.mode == Mode::kShared && group_schema_.num_columns() > 0
-                  ? spec_.num_buckets
-                  : initial_buckets_,
-              MemSource{spec_.pool, spec_.budget}) {
+              initial_slots_, MemSource{spec_.pool, spec_.budget}) {
   fns_.reserve(spec_.aggregates.size());
   for (const Aggregate& a : spec_.aggregates) fns_.push_back(a.fn);
-  all_group_cols_.resize(group_schema_.num_columns());
-  for (int i = 0; i < group_schema_.num_columns(); ++i) all_group_cols_[i] = i;
   for (const ExprPtr& e : spec_.group_exprs) {
     group_computes_.push_back(BatchCompute::Compile(*spec_.input_schema, e));
   }
@@ -83,23 +77,22 @@ bool HashAggIterator::FoldBlock(const Block& block, AggHashTable* table,
   if (start >= n) return true;
   const int32_t group_size = group_schema_.row_size();
 
-  // (1) Materialize all group rows of the block into pooled scratch. A spill
-  // retry re-materializes the whole block — wasteful, but spills are the
-  // rare path and it keeps the scratch lifetime one call deep.
+  // Pass 1's inputs: the block's group rows, gathered into pooled scratch
+  // (a bare column key is a width-specialized strided copy), and their
+  // hashes. A spill retry gathers the whole block again — wasteful, but
+  // spills are the rare path and it keeps the scratch lifetime one call
+  // deep.
   Scratch<char> group_rows(
       spec_.pool, std::max<size_t>(1, static_cast<size_t>(group_size) * n));
   for (size_t g = 0; g < group_computes_.size(); ++g) {
     group_computes_[g]->Materialize(block, nullptr, n, group_schema_,
                                     static_cast<int>(g), group_rows.data());
   }
-
-  // (2) Hash the materialized group rows column-at-a-time.
   Scratch<uint64_t> hashes(spec_.pool, static_cast<size_t>(n));
-  HashRowKeysBatch(group_schema_, group_rows.data(), group_size,
-                   all_group_cols_, nullptr, n, hashes.data());
+  table->HashKeys(group_rows.data(), group_size, n, hashes.data());
 
-  // (3) Evaluate every aggregate argument as a value vector, one column of
-  // `args` per aggregate; COUNT(*) has none and folds 0.0.
+  // Pass 2's inputs: every aggregate argument as a value vector, one column
+  // of `args` per aggregate; COUNT(*) has none.
   Scratch<double> args(spec_.pool, static_cast<size_t>(n) * fns_.size());
   std::vector<const double*> arg_cols(fns_.size(), nullptr);
   for (size_t a = 0; a < fns_.size(); ++a) {
@@ -109,8 +102,8 @@ bool HashAggIterator::FoldBlock(const Block& block, AggHashTable* table,
     arg_cols[a] = col + start;
   }
 
-  // (4) Grouped update with the precomputed hashes, one batched call over
-  // the resumable sub-range.
+  // Both passes over the resumable sub-range: resolve every row's group,
+  // then one typed loop per aggregate.
   return table->UpdateBatch(
       group_rows.data() + static_cast<size_t>(start) * group_size, group_size,
       hashes.data() + start, n - start, fns_, arg_cols.data(), exclusive,
@@ -130,13 +123,13 @@ bool HashAggIterator::SpillPrivate(PrivateAggContext* priv) {
   if (spec_.budget != nullptr) spec_.budget->AddSpilledBytes(run_bytes);
   // Retiring the old table refunds its arena's ledger charges — that refund
   // is the headroom the fresh table folds into.
-  priv->table = NewTable(initial_buckets_);
+  priv->table = NewTable(initial_slots_);
   return true;
 }
 
-std::unique_ptr<AggHashTable> HashAggIterator::NewTable(size_t buckets) const {
+std::unique_ptr<AggHashTable> HashAggIterator::NewTable(size_t slots) const {
   return std::make_unique<AggHashTable>(
-      group_schema_, static_cast<int>(fns_.size()), buckets,
+      group_schema_, static_cast<int>(fns_.size()), slots,
       MemSource{spec_.pool, spec_.budget});
 }
 
@@ -164,13 +157,10 @@ bool HashAggIterator::ConsumeBlock(const Block& block, PrivateAggContext* priv,
 
 bool HashAggIterator::MergeInto(AggHashTable* src) {
   {
-    // The bucket count cannot change under the shared lock, and `src` adds
-    // at most src->size() groups: if they all fit one per bucket, merge in
-    // parallel without growing. An empty global table takes the swap below.
+    // Merges run together under the shared lock (the table grows itself).
+    // An empty global table takes the swap below.
     std::shared_lock<std::shared_mutex> lock(merge_mu_);
-    const int64_t groups = global_.size();
-    if (groups > 0 && groups + src->size() <=
-                          static_cast<int64_t>(global_.bucket_count())) {
+    if (global_.size() > 0) {
       return global_.MergeFrom(*src, fns_, /*exclusive=*/false);
     }
   }
@@ -200,7 +190,7 @@ NextResult HashAggIterator::Open(WorkerContext* ctx) {
       priv.reset(static_cast<PrivateAggContext*>(reused.release()));
     } else {
       priv = std::make_unique<PrivateAggContext>();
-      priv->table = NewTable(initial_buckets_);
+      priv->table = NewTable(initial_slots_);
     }
   }
   AggHashTable* sink = privately ? priv->table.get() : &global_;
@@ -243,9 +233,9 @@ NextResult HashAggIterator::Open(WorkerContext* ctx) {
         sink->size() > static_cast<int64_t>(spec_.hybrid_max_groups)) {
       // The flushed table's size is this worker's cardinality: start the
       // next one there instead of regrowing from the minimum.
-      const size_t buckets = sink->bucket_count();
+      const size_t slots = sink->slot_count();
       if (!MergeInto(sink)) return fail_build();
-      priv->table = NewTable(buckets);
+      priv->table = NewTable(slots);
       sink = priv->table.get();
     }
   }

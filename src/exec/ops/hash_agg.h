@@ -22,8 +22,9 @@ namespace claims {
 /// two aggregation strategies:
 ///
 ///  * **kShared**: all workers fold tuples directly into one global
-///    AggHashTable. Fast for large group-by cardinalities; per-entry lock
-///    contention makes it scale poorly when groups are few (Fig. 8b, S-Q3).
+///    AggHashTable, which grows under its own lock. Fast for large group-by
+///    cardinalities; per-entry lock contention makes it scale poorly when
+///    groups are few (Fig. 8b, S-Q3).
 ///  * **kIndependent / kHybrid**: each worker aggregates into a *private*
 ///    table (acquired from the context-reuse pool in core mode, §3.2(1)),
 ///    merged into the global table at build end. kHybrid additionally
@@ -51,14 +52,8 @@ class HashAggIterator : public Iterator {
     std::vector<std::string> group_names;
     std::vector<Aggregate> aggregates;
     Mode mode = Mode::kShared;
-    /// Bucket count of the kShared table: every worker writes it at once, so
-    /// it cannot grow. Worker-private tables and the global table they merge
-    /// into (kIndependent / kHybrid) start at 256 buckets and grow with their
-    /// groups (MergeInto). A group-less (scalar) aggregation holds one group
-    /// and gets one bucket in every mode.
-    size_t num_buckets = 1 << 14;
     /// kHybrid's flush point: at most this many groups (~3 MiB of entries
-    /// plus buckets) per private table. Each flush merges every group of the
+    /// plus slots) per private table. Each flush merges every group of the
     /// table into the global one, so a worker with a few more groups than
     /// this merges most of them twice.
     size_t hybrid_max_groups = 1 << 16;
@@ -88,13 +83,13 @@ class HashAggIterator : public Iterator {
     std::unique_ptr<AggHashTable> table;
   };
 
-  /// Materializes all group rows of `block`, hashes them column-at-a-time,
-  /// evaluates every aggregate argument as a double vector, then updates the
-  /// table once per row with the precomputed hash. `exclusive`
-  /// means `table` is private to the calling worker, so the per-entry
-  /// spinlock is skipped. Folds rows `[start..n)`; on a ledger refusal
-  /// returns false with `*folded` = rows folded past `start` (the caller
-  /// spills and resumes at start + *folded).
+  /// Gathers all group rows of `block`, hashes them with the table's key
+  /// hash, evaluates every aggregate argument as a double vector, then folds
+  /// in two passes (AggHashTable::UpdateBatch): resolve every row's group,
+  /// then one typed loop per aggregate. `exclusive` means `table` is private
+  /// to the calling worker, so no lock is taken. Folds rows `[start..n)`; on
+  /// a ledger refusal returns false with `*folded` = rows folded past
+  /// `start` (the caller spills and resumes at start + *folded).
   bool FoldBlock(const Block& block, AggHashTable* table, bool exclusive,
                  int32_t start, int32_t* folded);
 
@@ -111,17 +106,17 @@ class HashAggIterator : public Iterator {
   /// by the retired arena) and replaces it with a fresh empty table.
   bool SpillPrivate(PrivateAggContext* priv);
 
-  /// A fresh empty table of this aggregation's layout with `buckets`
-  /// starting buckets.
-  std::unique_ptr<AggHashTable> NewTable(size_t buckets) const;
+  /// A fresh empty table of this aggregation's layout with `slots` starting
+  /// slots.
+  std::unique_ptr<AggHashTable> NewTable(size_t slots) const;
 
-  /// Merges every (group, state) of `src` into the global table: alongside
-  /// other mergers while the global table has a bucket for every group the
-  /// merge could add, otherwise alone (merge_mu_ held exclusively), growing
-  /// the table. The first table merged into an empty global table is
-  /// swapped in whole, leaving `src` empty — with one worker, the only
-  /// merge costs nothing. false when the global table refused a group —
-  /// terminal: re-merging a partially folded source would double-count.
+  /// Merges every (group, state) of `src` into the global table, alongside
+  /// other mergers (merge_mu_ held shared; the table grows under its own
+  /// lock). The first table merged into an empty global table is swapped in
+  /// whole (merge_mu_ held exclusively), leaving `src` empty — with one
+  /// worker, the only merge costs nothing. false when the global table
+  /// refused a group — terminal: re-merging a partially folded source would
+  /// double-count.
   bool MergeInto(AggHashTable* src);
 
   /// Builds the sorted snapshot emitted by Next (first caller only).
@@ -132,19 +127,17 @@ class HashAggIterator : public Iterator {
   Schema group_schema_;
   Schema output_schema_;
   std::vector<AggFn> fns_;
-  std::vector<int> all_group_cols_;  ///< 0..num_groups-1, for batch hashing
   /// Batch-compiled group-key and aggregate-argument expressions (agg entry
   /// is null for COUNT(*)).
   std::vector<std::unique_ptr<BatchCompute>> group_computes_;
   std::vector<std::unique_ptr<BatchCompute>> agg_computes_;
-  /// Starting bucket count of private tables (and, unless kShared, of
-  /// global_).
-  size_t initial_buckets_;
+  /// Starting slot count of every table: the fewest that hold a scalar
+  /// aggregation's one group, otherwise one pool size class of slots.
+  size_t initial_slots_;
   AggHashTable global_;
-  /// Guards global_'s bucket array outside kShared mode: concurrent merges
-  /// hold it shared, a merge that may grow the table and the snapshot
-  /// builder (restore of spilled runs, the snapshot walk) hold it
-  /// exclusively.
+  /// Guards global_ outside kShared mode: concurrent merges hold it shared;
+  /// the swap into an empty table and the snapshot builder (restore of
+  /// spilled runs, the snapshot walk) hold it exclusively.
   std::shared_mutex merge_mu_;
   ContextPool context_pool_;
   DynamicBarrier build_barrier_;

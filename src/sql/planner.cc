@@ -2,19 +2,25 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <optional>
 #include <set>
 
 #include "common/string_util.h"
 #include "exec/expr/batch_expr.h"
 #include "sql/parser.h"
+#include "storage/partition.h"
 
 namespace claims {
 
 namespace {
 
-/// Rows per relation in the selectivity sample (a storage-order prefix).
-constexpr int64_t kSampleRows = 20000;
+/// Rows per relation in the selectivity sample: one from each of this many
+/// equal slices of the table.
+constexpr int64_t kSampleRows = 4000;
+
+/// Seed of the sample's positions, fixed so that planning is deterministic.
+constexpr uint64_t kSampleSeed = 0x5A3F1E0D2C4B6A79ULL;
 
 /// Clones a bound expression, substituting (a) subtrees structurally equal to
 /// a GROUP BY expression with a synthetic column reference, and (b) aggregate
@@ -793,20 +799,55 @@ class Planner::Impl {
   std::vector<std::optional<int64_t>> eff_rows_;
 };
 
+std::vector<int64_t> SelectivitySamplePositions(int64_t num_rows) {
+  std::vector<int64_t> positions;
+  if (num_rows <= kSampleRows) {
+    positions.resize(static_cast<size_t>(std::max<int64_t>(num_rows, 0)));
+    std::iota(positions.begin(), positions.end(), 0);
+    return positions;
+  }
+  positions.reserve(static_cast<size_t>(kSampleRows));
+  for (int64_t s = 0; s < kSampleRows; ++s) {
+    // A uniform point of the s-th of kSampleRows equal slices of [0, rows):
+    // every row is drawn with probability kSampleRows / rows. (Whole-row
+    // strata would be 2 and 3 rows long at 2.5 rows per stratum, and alias
+    // with data of period 5.) The draw is a seeded hash of s scaled by a
+    // multiply-high: a generator's state chain or a modulo per slice cost as
+    // much as counting the sample.
+    const uint64_t draw =
+        MixHash(kSampleSeed + static_cast<uint64_t>(s) * 0x9E3779B97F4A7C15ULL);
+    const auto u = static_cast<int64_t>(
+        (static_cast<unsigned __int128>(draw) *
+         static_cast<uint64_t>(num_rows)) >>
+        64);
+    positions.push_back((s * num_rows + u) / kSampleRows);
+  }
+  return positions;
+}
+
 SelectivitySample SampleSelectivity(const Table& table, const ExprPtr& pred) {
   const std::unique_ptr<BatchPredicate> kernel =
       BatchPredicate::Compile(table.schema(), pred);
   SelectivitySample sample;
-  std::vector<int32_t> survivors;
-  for (int p = 0; p < table.num_partitions() && sample.rows < kSampleRows;
-       ++p) {
+  std::vector<int32_t> sel;
+  const std::vector<int64_t> positions =
+      SelectivitySamplePositions(table.num_rows());
+  size_t next = 0;  // the first position not yet counted
+  int64_t base = 0;  // the table position of the current block's first row
+  for (int p = 0; p < table.num_partitions(); ++p) {
     const TablePartition& part = table.partition(p);
-    for (int b = 0; b < part.num_blocks() && sample.rows < kSampleRows; ++b) {
+    for (int b = 0; b < part.num_blocks() && next < positions.size(); ++b) {
       const Block& block = *part.block(b);
-      const auto n = static_cast<int32_t>(
-          std::min<int64_t>(block.num_rows(), kSampleRows - sample.rows));
-      if (survivors.size() < static_cast<size_t>(n)) survivors.resize(n);
-      sample.hits += kernel->FilterBlock(block, nullptr, n, survivors.data());
+      const int64_t end = base + block.num_rows();
+      sel.clear();
+      for (; next < positions.size() && positions[next] < end; ++next) {
+        sel.push_back(static_cast<int32_t>(positions[next] - base));
+      }
+      base = end;
+      if (sel.empty()) continue;
+      const auto n = static_cast<int32_t>(sel.size());
+      // In place: FilterBlock writes survivors at or behind its read cursor.
+      sample.hits += kernel->FilterBlock(block, sel.data(), n, sel.data());
       sample.rows += n;
     }
   }

@@ -2,6 +2,7 @@
 #define CLAIMS_SQL_PLANNER_H_
 
 #include <memory>
+#include <vector>
 
 #include "cluster/plan.h"
 #include "sql/binder.h"
@@ -17,9 +18,9 @@ struct PlannerOptions {
 };
 
 /// The planner's selectivity sample of one relation's pushed-down filter:
-/// the first 20 000 rows of `table` in storage order (partition, then block,
-/// then row), and how many of them satisfy `pred`. Counted block by block
-/// with the batch filter kernels (`BatchPredicate`).
+/// the rows of `table` at SelectivitySamplePositions, and how many of them
+/// satisfy `pred`. Counted block by block through the batch filter kernels'
+/// selection vector (`BatchPredicate`).
 struct SelectivitySample {
   int64_t rows = 0;
   int64_t hits = 0;
@@ -28,6 +29,16 @@ struct SelectivitySample {
     return rows == 0 ? 0.0 : static_cast<double>(hits) / rows;
   }
 };
+
+/// The positions the sample reads, in storage order (partition, then block,
+/// then row) and ascending: every row of a table of at most 4 000 rows,
+/// otherwise one seeded pseudo-random row from each of 4 000 equal slices of
+/// the table (two neighbouring slices may draw the same row), so every block
+/// of every partition contributes in proportion to its rows and every row is
+/// drawn with the same probability. Neither a prefix (which misses whatever
+/// sorted data holds later) nor a fixed stride (which aliases with periodic
+/// data).
+std::vector<int64_t> SelectivitySamplePositions(int64_t num_rows);
 
 SelectivitySample SampleSelectivity(const Table& table, const ExprPtr& pred);
 

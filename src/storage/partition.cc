@@ -4,13 +4,13 @@ namespace claims {
 
 namespace {
 
-inline uint64_t Mix(uint64_t h) {
-  h ^= h >> 33;
-  h *= 0xFF51AFD7ED558CCDULL;
-  h ^= h >> 33;
-  h *= 0xC4CEB9FE1A85EC53ULL;
-  h ^= h >> 33;
-  return h;
+/// The bits a FLOAT64 key hashes as: -0.0 as 0.0, since the two compare
+/// equal.
+inline uint64_t Float64KeyBits(double d) {
+  if (d == 0.0) d = 0.0;
+  uint64_t bits;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return bits;
 }
 
 }  // namespace
@@ -21,13 +21,13 @@ uint64_t HashBytes(const void* data, size_t len, uint64_t seed) {
   while (len >= 8) {
     uint64_t k;
     std::memcpy(&k, p, 8);
-    h = Mix(h ^ k);
+    h = MixHash(h ^ k);
     p += 8;
     len -= 8;
   }
   uint64_t k = 0;
   for (size_t i = 0; i < len; ++i) k |= static_cast<uint64_t>(p[i]) << (8 * i);
-  return Mix(h ^ k);
+  return MixHash(h ^ k);
 }
 
 void HashRowKeysBatch(const Schema& schema, const char* rows, int32_t stride,
@@ -44,7 +44,7 @@ void HashRowKeysBatch(const Schema& schema, const char* rows, int32_t stride,
           uint32_t v;
           std::memcpy(&v, base + static_cast<size_t>(sel ? sel[i] : i) * stride,
                       sizeof(v));
-          out[i] = Mix(out[i] ^ static_cast<uint64_t>(v));
+          out[i] = MixHash(out[i] ^ static_cast<uint64_t>(v));
         }
         break;
       case DataType::kInt64:
@@ -52,15 +52,15 @@ void HashRowKeysBatch(const Schema& schema, const char* rows, int32_t stride,
           uint64_t v;
           std::memcpy(&v, base + static_cast<size_t>(sel ? sel[i] : i) * stride,
                       sizeof(v));
-          out[i] = Mix(out[i] ^ v);
+          out[i] = MixHash(out[i] ^ v);
         }
         break;
       case DataType::kFloat64:
         for (int32_t i = 0; i < n; ++i) {
-          uint64_t bits;
-          std::memcpy(&bits,
-                      base + static_cast<size_t>(sel ? sel[i] : i) * stride, 8);
-          out[i] = Mix(out[i] ^ bits);
+          double d;
+          std::memcpy(&d, base + static_cast<size_t>(sel ? sel[i] : i) * stride,
+                      sizeof(d));
+          out[i] = MixHash(out[i] ^ Float64KeyBits(d));
         }
         break;
       case DataType::kChar:
@@ -82,19 +82,15 @@ uint64_t HashRowKeys(const Schema& schema, const char* row,
     switch (c.type) {
       case DataType::kInt32:
       case DataType::kDate:
-        h = Mix(h ^ static_cast<uint64_t>(
+        h = MixHash(h ^ static_cast<uint64_t>(
                         static_cast<uint32_t>(schema.GetInt32(row, col))));
         break;
       case DataType::kInt64:
-        h = Mix(h ^ static_cast<uint64_t>(schema.GetInt64(row, col)));
+        h = MixHash(h ^ static_cast<uint64_t>(schema.GetInt64(row, col)));
         break;
-      case DataType::kFloat64: {
-        double d = schema.GetFloat64(row, col);
-        uint64_t bits;
-        std::memcpy(&bits, &d, 8);
-        h = Mix(h ^ bits);
+      case DataType::kFloat64:
+        h = MixHash(h ^ Float64KeyBits(schema.GetFloat64(row, col)));
         break;
-      }
       case DataType::kChar: {
         std::string_view s = schema.GetString(row, col);
         h = HashBytes(s.data(), s.size(), h);

@@ -8,13 +8,25 @@
 
 namespace claims {
 
+/// The 64-bit finalizer (murmur3's fmix64) every hash here mixes words with.
+inline uint64_t MixHash(uint64_t h) {
+  h ^= h >> 33;
+  h *= 0xFF51AFD7ED558CCDULL;
+  h ^= h >> 33;
+  h *= 0xC4CEB9FE1A85EC53ULL;
+  h ^= h >> 33;
+  return h;
+}
+
 /// Mixes raw bytes into a 64-bit hash (xxhash-style avalanche). Stable across
 /// runs — partition placement is deterministic.
 uint64_t HashBytes(const void* data, size_t len, uint64_t seed = 0);
 
 /// Hashes the key columns of a fixed-width row. Used for table partitioning,
-/// repartition-join shuffles, and hash join/aggregation tables, so the same
-/// key always lands on the same partition/bucket.
+/// repartition-join shuffles and hash join tables, so the same key always
+/// lands on the same partition/bucket. Keys that compare equal hash equal:
+/// CHAR hashes its bytes up to the NUL padding, and a FLOAT64 -0.0 hashes as
+/// 0.0 (NaN keys are not canonicalized).
 uint64_t HashRowKeys(const Schema& schema, const char* row,
                      const std::vector<int>& key_cols);
 

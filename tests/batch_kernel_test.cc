@@ -424,6 +424,35 @@ TEST(BatchComputeProperty, MaterializeMatchesSetValueByteIdentical) {
   }
 }
 
+TEST(BatchComputeProperty, ComputedCharKeyMaterializesNulPadded) {
+  // The aggregation table compares CHAR group rows bytewise, so a computed
+  // CHAR key (a CASE, which the scalar fallback evaluates) must write every
+  // byte of its column: the string, then NULs to the width the aggregation
+  // gives it (64), whatever the buffer held before.
+  Schema s({ColumnDef::Int32("k")});
+  auto b = MakeBlock(s.row_size());
+  for (int32_t r = 0; r < 100; ++r) s.SetInt32(b->AppendRow(), 0, r);
+  std::vector<std::pair<ExprPtr, ExprPtr>> branches;
+  branches.emplace_back(
+      MakeCompare(CompareOp::kLt, MakeColumnRef(0, DataType::kInt32, "k"),
+                  MakeLiteral(Value::Int32(50))),
+      MakeLiteral(Value::String("A")));
+  const ExprPtr key =
+      MakeCase(std::move(branches), MakeLiteral(Value::String("BBBB")));
+  ASSERT_EQ(key->type(), DataType::kChar);
+  const Schema group({ColumnDef::Char("key", 64)});
+  std::vector<char> rows(100 * 64, '\xA5');
+  BatchCompute::Compile(s, key)->Materialize(*b, nullptr, 100, group, 0,
+                                             rows.data());
+  for (int32_t r = 0; r < 100; ++r) {
+    const std::string want = r < 50 ? "A" : "BBBB";
+    std::string expect(64, '\0');
+    expect.replace(0, want.size(), want);
+    EXPECT_EQ(std::string(&rows[static_cast<size_t>(r) * 64], 64), expect)
+        << "row " << r;
+  }
+}
+
 // --- Operators vs row-at-a-time references ------------------------------------
 
 /// Replays a fixed list of blocks, handed on read-only; thread-safe like a

@@ -4,10 +4,15 @@
 
 #include "ledger_balance_check.h"
 #include "mem/query_budget.h"
+#include "mem/spill.h"
 
+#include <algorithm>
 #include <cstring>
+#include <functional>
 #include <map>
+#include <random>
 #include <set>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -270,7 +275,7 @@ TEST(AggHashTableTest, CompositeGroupKeysWithStrings) {
   });
 }
 
-TEST(AggHashTableTest, ExclusiveFoldsGrowWithGroups) {
+TEST(AggHashTableTest, FoldsGrowWithGroups) {
   Schema group({ColumnDef::Int32("g")});
   const std::vector<AggFn> fns = {AggFn::kSum};
   constexpr int32_t kGroups = 5000;
@@ -280,49 +285,47 @@ TEST(AggHashTableTest, ExclusiveFoldsGrowWithGroups) {
     group.SetInt32(&rows[static_cast<size_t>(i) * group.row_size()], 0, i);
     values[i] = i;
   }
-  std::vector<uint64_t> hashes(kGroups);
-  HashRowKeysBatch(group, rows.data(), group.row_size(), {0}, nullptr,
-                   kGroups, hashes.data());
   const double* args[1] = {values.data()};
 
-  // A shared table keeps its bucket array: concurrent readers walk it.
-  AggHashTable shared(group, 1, 4);
-  ASSERT_TRUE(shared.UpdateBatch(rows.data(), group.row_size(), hashes.data(),
-                                 kGroups, fns, args, /*exclusive=*/false));
-  EXPECT_EQ(shared.bucket_count(), 4u);
-
-  // A sole writer's table doubles until its groups fill at most half of it.
-  AggHashTable table(group, 1, 4);
-  for (int pass = 0; pass < 2; ++pass) {
-    ASSERT_TRUE(table.UpdateBatch(rows.data(), group.row_size(),
-                                  hashes.data(), kGroups, fns, args,
-                                  /*exclusive=*/true));
+  // Shared and exclusive folds alike double the slot array until the groups
+  // fill at most a quarter of it.
+  for (const bool exclusive : {false, true}) {
+    AggHashTable table(group, 1, 4);
+    std::vector<uint64_t> hashes(kGroups);
+    table.HashKeys(rows.data(), group.row_size(), kGroups, hashes.data());
+    for (int pass = 0; pass < 2; ++pass) {
+      ASSERT_TRUE(table.UpdateBatch(rows.data(), group.row_size(),
+                                    hashes.data(), kGroups, fns, args,
+                                    exclusive));
+    }
+    EXPECT_EQ(table.size(), kGroups);
+    EXPECT_GE(table.slot_count(), 4u * kGroups);
+    EXPECT_LT(table.slot_count(), 8u * kGroups);
+    int64_t seen = 0;
+    table.ForEach([&](const char* row, const AggHashTable::AggState* states) {
+      EXPECT_DOUBLE_EQ(states[0].sum, 2.0 * group.GetInt32(row, 0));
+      EXPECT_EQ(states[0].count, 2);
+      ++seen;
+    });
+    EXPECT_EQ(seen, kGroups);
   }
-  EXPECT_EQ(table.size(), kGroups);
-  EXPECT_GE(table.bucket_count(), 2u * kGroups);
-  EXPECT_LT(table.bucket_count(), 4u * kGroups);
-  int64_t seen = 0;
-  table.ForEach([&](const char* row, const AggHashTable::AggState* states) {
-    EXPECT_DOUBLE_EQ(states[0].sum, 2.0 * group.GetInt32(row, 0));
-    EXPECT_EQ(states[0].count, 2);
-    ++seen;
-  });
-  EXPECT_EQ(seen, kGroups);
 }
 
-TEST(AggHashTableTest, OneGroupKeepsOneBucket) {
+TEST(AggHashTableTest, OneGroupKeepsFourSlots) {
   // A scalar aggregation's table: no group columns, so every row is the one
-  // group, and exclusive folds never grow it.
+  // group, which four slots hold at most a quarter full.
   Schema group(std::vector<ColumnDef>{});
   AggHashTable table(group, 1, 1);
+  EXPECT_EQ(table.slot_count(), 4u);
   const std::vector<AggFn> fns = {AggFn::kCount};
   const char row = 0;  // zero-width group rows, read with stride 0
-  const uint64_t hashes[3] = {7, 7, 7};
+  uint64_t hashes[3];
+  table.HashKeys(&row, 0, 3, hashes);
   const double* args[1] = {nullptr};
   ASSERT_TRUE(table.UpdateBatch(&row, 0, hashes, 3, fns, args,
                                 /*exclusive=*/true));
   EXPECT_EQ(table.size(), 1);
-  EXPECT_EQ(table.bucket_count(), 1u);
+  EXPECT_EQ(table.slot_count(), 4u);
 }
 
 TEST(AggHashTableTest, MergeFromFoldsPartialStates) {
@@ -343,14 +346,12 @@ TEST(AggHashTableTest, MergeFromFoldsPartialStates) {
       right.Update(grow.data(), fns, shifted, weights);
     }
   }
-  // The exclusive merge grows the table; the shared one (which may run
-  // beside other mergers) leaves the bucket array alone.
+  // Exclusive and shared merges both grow the table.
   AggHashTable merged(group, 3, 1);
   ASSERT_TRUE(merged.MergeFrom(left, fns, /*exclusive=*/true));
-  const size_t buckets = merged.bucket_count();
-  EXPECT_GE(buckets, 2000u);
+  EXPECT_GE(merged.slot_count(), 4000u);
   ASSERT_TRUE(merged.MergeFrom(right, fns, /*exclusive=*/false));
-  EXPECT_EQ(merged.bucket_count(), buckets);
+  EXPECT_GE(merged.slot_count(), 6000u);
   EXPECT_EQ(merged.size(), 1500);
   merged.ForEach([&](const char* row, const AggHashTable::AggState* s) {
     const int32_t g = group.GetInt32(row, 0);
@@ -364,7 +365,7 @@ TEST(AggHashTableTest, MergeFromFoldsPartialStates) {
 
 TEST(AggHashTableTest, ConcurrentSharedMergesExact) {
   // Four partial tables over the same 300 groups merge into one table at
-  // once through the shared path (entry locks, no growth).
+  // once through the shared path (entry locks; 2048 slots need no growth).
   Schema group({ColumnDef::Int32("g")});
   const std::vector<AggFn> fns = {AggFn::kSum, AggFn::kCount};
   constexpr int kThreads = 4;
@@ -382,7 +383,7 @@ TEST(AggHashTableTest, ConcurrentSharedMergesExact) {
       }
     }
   }
-  AggHashTable merged(group, 2, 1024);
+  AggHashTable merged(group, 2, 2048);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
@@ -391,7 +392,7 @@ TEST(AggHashTableTest, ConcurrentSharedMergesExact) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(merged.size(), kGroups);
-  EXPECT_EQ(merged.bucket_count(), 1024u);
+  EXPECT_EQ(merged.slot_count(), 2048u);
   // Partial t folded each group t + 1 times: 1 + 2 + 3 + 4 = 10 rows.
   merged.ForEach([&](const char*, const AggHashTable::AggState* s) {
     EXPECT_DOUBLE_EQ(s[0].sum, 10.0);
@@ -400,8 +401,10 @@ TEST(AggHashTableTest, ConcurrentSharedMergesExact) {
 }
 
 TEST(AggHashTableTest, KeysCompareWhenHashesCollide) {
-  // Every row carries the same hash, so each lookup walks one chain and the
-  // group rows decide: integer keys compare bytewise, CHAR keys by value.
+  // Every row carries the same hash, so each lookup probes one run of slots
+  // with one tag and the group rows decide: integer and CHAR keys compare
+  // bytewise, FLOAT64 keys by value. The tables start with room for every
+  // group: a Grow would rehash them with the table's own key hash.
   const std::vector<AggFn> fns = {AggFn::kCount};
   const double* args[1] = {nullptr};
   Schema ints({ColumnDef::Int32("a"), ColumnDef::Int64("b"),
@@ -417,7 +420,7 @@ TEST(AggHashTableTest, KeysCompareWhenHashesCollide) {
     ints.SetInt32(row, 2, c[i]);
   }
   const std::vector<uint64_t> same(6, 42);
-  AggHashTable by_bytes(ints, 1, 8);
+  AggHashTable by_bytes(ints, 1, 64);
   ASSERT_TRUE(by_bytes.UpdateBatch(rows.data(), ints.row_size(), same.data(),
                                    6, fns, args, /*exclusive=*/true));
   std::map<std::tuple<int32_t, int64_t, int32_t>, int64_t> counts;
@@ -429,21 +432,31 @@ TEST(AggHashTableTest, KeysCompareWhenHashesCollide) {
       {{1, 10, 5}, 2}, {{1, 11, 5}, 2}, {{2, 10, 5}, 1}, {{2, 10, 6}, 1}};
   EXPECT_EQ(counts, want);
 
-  // CHAR keys equal up to their NUL padding are one group even when the
-  // bytes after the terminator differ.
+  // CHAR keys as every writer stores them, NUL-padded to the width: "ab" and
+  // "abc" are two groups, a prefix does not match a longer key.
   Schema chars({ColumnDef::Char("s", 8)});
-  std::vector<char> crow(3 * 8, 'x');
-  std::memcpy(&crow[0], "ab\0xxxxx", 8);
-  std::memcpy(&crow[8], "ab\0yyyyy", 8);
-  std::memcpy(&crow[16], "abc\0zzzz", 8);
-  AggHashTable by_value(chars, 1, 8);
-  ASSERT_TRUE(by_value.UpdateBatch(crow.data(), 8, same.data(), 3, fns, args,
+  std::vector<char> crow(4 * 8);
+  for (int i = 0; i < 4; ++i) {
+    chars.SetString(&crow[static_cast<size_t>(i) * 8], 0,
+                    i % 2 == 0 ? "ab" : "abc");
+  }
+  AggHashTable by_char(chars, 1, 64);
+  ASSERT_TRUE(by_char.UpdateBatch(crow.data(), 8, same.data(), 4, fns, args,
+                                  /*exclusive=*/true));
+  EXPECT_EQ(by_char.size(), 2);
+
+  // FLOAT64 keys compare by value: -0.0 and 0.0 are one group.
+  Schema floats({ColumnDef::Float64("f")});
+  const double f[] = {0.0, -0.0, 1.5, -0.0};
+  AggHashTable by_value(floats, 1, 64);
+  ASSERT_TRUE(by_value.UpdateBatch(reinterpret_cast<const char*>(f), 8,
+                                   same.data(), 4, fns, args,
                                    /*exclusive=*/true));
   EXPECT_EQ(by_value.size(), 2);
 }
 
 TEST(AggHashTableTest, ForEachFollowsCreationOrder) {
-  // Enough groups for several arena chunks and bucket-array doublings: the
+  // Enough groups for several arena chunks and slot-array doublings: the
   // walk visits every group once, in the order the groups first appeared.
   Schema group({ColumnDef::Int32("g")});
   const std::vector<AggFn> fns = {AggFn::kSum};
@@ -456,11 +469,10 @@ TEST(AggHashTableTest, ForEachFollowsCreationOrder) {
     group.SetInt32(&rows[static_cast<size_t>(i) * group.row_size()], 0,
                    order[i]);
   }
-  std::vector<uint64_t> hashes(kGroups);
-  HashRowKeysBatch(group, rows.data(), group.row_size(), {0}, nullptr,
-                   kGroups, hashes.data());
   const double* args[1] = {values.data()};
   AggHashTable table(group, 1, 4);
+  std::vector<uint64_t> hashes(kGroups);
+  table.HashKeys(rows.data(), group.row_size(), kGroups, hashes.data());
   ASSERT_TRUE(table.UpdateBatch(rows.data(), group.row_size(), hashes.data(),
                                 kGroups, fns, args, /*exclusive=*/true));
   ASSERT_GT(table.bytes(), 1 << 18);  // more than one arena chunk
@@ -486,20 +498,21 @@ TEST(AggHashTableTest, SwapGroupsExchangesTables) {
   }
   AggHashTable empty(group, 1, 1);
   const int64_t bytes = full.bytes();
-  const size_t buckets = full.bucket_count();
+  const size_t slots = full.slot_count();
   empty.SwapGroups(&full);
   EXPECT_EQ(full.size(), 0);
   EXPECT_EQ(full.bytes(), 0);
-  EXPECT_EQ(full.bucket_count(), 1u);
+  EXPECT_EQ(full.slot_count(), 4u);
   EXPECT_EQ(empty.size(), 3000);
   EXPECT_EQ(empty.bytes(), bytes);
-  EXPECT_EQ(empty.bucket_count(), buckets);
+  EXPECT_EQ(empty.slot_count(), slots);
 
   // Both tables stay usable: the swapped-in groups keep folding and growing,
   // the emptied table takes new groups.
   for (int32_t g = 2000; g < 6000; ++g) {
     group.SetInt32(grow.data(), 0, g);
-    const uint64_t hash = HashRowKeys(group, grow.data(), {0});
+    uint64_t hash;
+    empty.HashKeys(grow.data(), group.row_size(), 1, &hash);
     const double v = g;
     const double* args[1] = {&v};
     ASSERT_TRUE(empty.UpdateBatch(grow.data(), group.row_size(), &hash, 1,
@@ -514,6 +527,314 @@ TEST(AggHashTableTest, SwapGroupsExchangesTables) {
     const double want = (g < 3000 ? 2.0 * g : 0.0) + (g >= 2000 ? g : 0.0);
     EXPECT_DOUBLE_EQ(s[0].sum, want) << g;
   });
+}
+
+TEST(JoinHashTableTest, NegativeZeroProbeMatchesZero) {
+  // FLOAT64 keys compare by value, so they must hash by value too.
+  Schema schema({ColumnDef::Float64("f"), ColumnDef::Int64("v")});
+  JoinHashTable table(&schema, {0}, 64);
+  std::vector<char> row(schema.row_size());
+  schema.SetFloat64(row.data(), 0, 0.0);
+  schema.SetInt64(row.data(), 1, 7);
+  ASSERT_TRUE(table.Insert(row.data()));
+  schema.SetFloat64(row.data(), 0, -0.0);
+  int matches = 0;
+  table.ForEachMatch(schema, row.data(), {0}, [&](const char* build_row) {
+    ++matches;
+    EXPECT_EQ(schema.GetInt64(build_row, 1), 7);
+  });
+  EXPECT_EQ(matches, 1);
+}
+
+// --- Differential test of the aggregation table ------------------------------
+
+/// One key shape of the differential test: the group schema and a writer of
+/// the k-th of a few hundred distinct keys (some spelled two ways, as -0.0
+/// and 0.0 are).
+struct KeyShape {
+  std::string name;
+  Schema schema;
+  std::function<void(const Schema&, char*, int, std::mt19937*)> write;
+};
+
+std::vector<KeyShape> KeyShapes() {
+  std::vector<KeyShape> shapes;
+  shapes.push_back({"Int32", Schema({ColumnDef::Int32("k")}),
+                    [](const Schema& s, char* row, int k, std::mt19937*) {
+                      s.SetInt32(row, 0, k * 7919 - 1000000);
+                    }});
+  shapes.push_back({"Int64Date",
+                    Schema({ColumnDef::Int64("k"), ColumnDef::Date("d")}),
+                    [](const Schema& s, char* row, int k, std::mt19937*) {
+                      s.SetInt64(row, 0, (int64_t{k % 17} << 40) - k);
+                      s.SetInt32(row, 1, 9000 + k / 17);
+                    }});
+  shapes.push_back({"TwoChar1",
+                    Schema({ColumnDef::Char("rf", 1),
+                            ColumnDef::Char("ls", 1)}),
+                    [](const Schema& s, char* row, int k, std::mt19937*) {
+                      const char rf[2] = {static_cast<char>('A' + k % 26), 0};
+                      const char ls[2] = {static_cast<char>('a' + k / 26 % 11),
+                                          0};
+                      s.SetString(row, 0, rf);
+                      s.SetString(row, 1, ls);
+                    }});
+  shapes.push_back({"Char25Int32",
+                    Schema({ColumnDef::Char("n_name", 25),
+                            ColumnDef::Int32("year")}),
+                    [](const Schema& s, char* row, int k, std::mt19937*) {
+                      // Names of different lengths, one a prefix of another.
+                      s.SetString(row, 0, std::string(1 + k % 25, 'N'));
+                      s.SetInt32(row, 1, 1992 + k / 25);
+                    }});
+  shapes.push_back({"Float64",
+                    Schema({ColumnDef::Float64("f"), ColumnDef::Int32("i")}),
+                    [](const Schema& s, char* row, int k, std::mt19937* rng) {
+                      // Key 0 is 0.0 or -0.0 at random: one group.
+                      const double f = k % 40 == 0 ? 0.0 : (k % 40) * 0.25 - 5;
+                      s.SetFloat64(row, 0, f == 0 && (*rng)() % 2 ? -0.0 : f);
+                      s.SetInt32(row, 1, k / 40);
+                    }});
+  return shapes;
+}
+
+/// The reference state of one group: every AggFn over the group's values.
+struct RefGroup {
+  int64_t rows = 0;
+  double sum = 0;
+  double min = 0;
+  double max = 0;
+};
+
+/// Canonical form of a group row for the reference map: the row bytes with
+/// every FLOAT64 -0.0 written as 0.0.
+std::string CanonicalKey(const Schema& schema, const char* row) {
+  std::string key(row, static_cast<size_t>(schema.row_size()));
+  for (int c = 0; c < schema.num_columns(); ++c) {
+    if (schema.column(c).type == DataType::kFloat64 &&
+        schema.GetFloat64(row, c) == 0.0) {
+      const double zero = 0.0;
+      std::memcpy(&key[static_cast<size_t>(schema.offset(c))], &zero, 8);
+    }
+  }
+  return key;
+}
+
+/// Rows of one random batch: packed group rows plus one value per row.
+struct Batch {
+  std::vector<char> rows;
+  std::vector<double> values;
+  int32_t n = 0;
+};
+
+class AggTableDifferentialTest : public ::testing::TestWithParam<int> {
+ protected:
+  /// Every AggFn once, in the order the states are checked.
+  const std::vector<AggFn> fns_ = {AggFn::kCount, AggFn::kSum, AggFn::kAvg,
+                                   AggFn::kMin, AggFn::kMax};
+
+  void SetUp() override {
+    shape_ = KeyShapes()[static_cast<size_t>(GetParam())];
+    std::mt19937 rng(1234 + GetParam());
+    const int32_t stride = shape_.schema.row_size();
+    for (int b = 0; b < 12; ++b) {
+      Batch batch;
+      batch.n = 1 + static_cast<int32_t>(rng() % 700);
+      batch.rows.resize(static_cast<size_t>(batch.n) * stride + 1);
+      for (int32_t i = 0; i < batch.n; ++i) {
+        // Skewed: low keys are hot, up to 400 distinct keys.
+        const int k = static_cast<int>(rng() % 20 * (rng() % 20));
+        char* row = &batch.rows[static_cast<size_t>(i) * stride];
+        shape_.write(shape_.schema, row, k, &rng);
+        // Integral values: every fold order sums them exactly.
+        const double v = static_cast<double>(static_cast<int>(rng() % 2001)) -
+                         1000;
+        batch.values.push_back(v);
+        RefGroup& g = want_[CanonicalKey(shape_.schema, row)];
+        if (g.rows == 0 || v < g.min) g.min = v;
+        if (g.rows == 0 || v > g.max) g.max = v;
+        g.sum += v;
+        ++g.rows;
+      }
+      batches_.push_back(std::move(batch));
+    }
+  }
+
+  /// Folds `batch` into `table` in two UpdateBatch calls split at a random
+  /// row, as a spill resume would.
+  void Fold(const Batch& batch, bool exclusive, AggHashTable* table) {
+    const int32_t stride = shape_.schema.row_size();
+    std::vector<uint64_t> hashes(static_cast<size_t>(batch.n));
+    table->HashKeys(batch.rows.data(), stride, batch.n, hashes.data());
+    const int32_t cut = batch.n / 3;
+    for (const auto& [begin, end] : {std::pair{0, cut}, {cut, batch.n}}) {
+      std::vector<const double*> args(fns_.size(),
+                                      batch.values.data() + begin);
+      args[0] = nullptr;  // COUNT(*)
+      int32_t folded = -1;
+      ASSERT_TRUE(table->UpdateBatch(
+          batch.rows.data() + static_cast<size_t>(begin) * stride, stride,
+          hashes.data() + begin, end - begin, fns_, args.data(), exclusive,
+          &folded));
+      EXPECT_EQ(folded, end - begin);
+    }
+  }
+
+  std::unique_ptr<AggHashTable> NewTable() const {
+    return std::make_unique<AggHashTable>(shape_.schema, 5, 1);
+  }
+
+  /// Checks every group of `table` against the reference.
+  void Expect(const AggHashTable& table, const std::string& path) const {
+    SCOPED_TRACE(shape_.name + ", " + path);
+    EXPECT_EQ(table.size(), static_cast<int64_t>(want_.size()));
+    int64_t seen = 0;
+    std::set<std::string> keys;
+    table.ForEach([&](const char* row, const AggHashTable::AggState* s) {
+      ++seen;
+      const std::string key = CanonicalKey(shape_.schema, row);
+      EXPECT_TRUE(keys.insert(key).second) << "group listed twice";
+      auto it = want_.find(key);
+      ASSERT_NE(it, want_.end()) << "group not in the input";
+      const RefGroup& g = it->second;
+      EXPECT_EQ(s[0].count, g.rows);
+      EXPECT_EQ(s[1].sum, g.sum);
+      EXPECT_EQ(s[1].count, g.rows);
+      EXPECT_EQ(s[2].sum, g.sum);
+      EXPECT_EQ(s[2].count, g.rows);
+      EXPECT_EQ(s[3].sum, g.min);
+      EXPECT_EQ(s[4].sum, g.max);
+    });
+    EXPECT_EQ(seen, table.size());
+  }
+
+  KeyShape shape_;
+  std::vector<Batch> batches_;
+  std::map<std::string, RefGroup> want_;
+};
+
+TEST_P(AggTableDifferentialTest, ExclusiveAndSharedFoldsGrowFromOneSlot) {
+  for (const bool exclusive : {true, false}) {
+    auto table = NewTable();
+    for (const Batch& b : batches_) Fold(b, exclusive, table.get());
+    Expect(*table, exclusive ? "exclusive fold" : "shared fold");
+    EXPECT_GE(table->slot_count(), 4 * want_.size());
+  }
+}
+
+TEST_P(AggTableDifferentialTest, HybridFlushesMergeBothWays) {
+  // A worker folds privately and flushes every third batch into the global
+  // table, as kHybrid does: the first flush swaps into the empty global
+  // table, later ones merge, alternately shared and exclusive.
+  auto global = NewTable();
+  auto priv = NewTable();
+  int flushes = 0;
+  for (size_t b = 0; b < batches_.size(); ++b) {
+    Fold(batches_[b], /*exclusive=*/true, priv.get());
+    if (b % 3 != 2 && b + 1 != batches_.size()) continue;
+    if (global->size() == 0) {
+      global->SwapGroups(priv.get());
+    } else {
+      ASSERT_TRUE(global->MergeFrom(*priv, fns_, /*exclusive=*/flushes % 2));
+    }
+    ++flushes;
+    priv = NewTable();
+  }
+  Expect(*global, "hybrid flush");
+}
+
+TEST_P(AggTableDifferentialTest, SpillRoundTripsThroughARun) {
+  // Half the batches fold into a table that is spilled and replaced, the
+  // rest into its successor; the run merges back into the successor.
+  auto table = NewTable();
+  auto run = SpillRun::Create();
+  ASSERT_NE(run, nullptr);
+  for (size_t b = 0; b < batches_.size(); ++b) {
+    if (b == batches_.size() / 2) {
+      ASSERT_TRUE(table->SerializeTo(run.get()).ok());
+      table = NewTable();
+    }
+    Fold(batches_[b], /*exclusive=*/true, table.get());
+  }
+  ASSERT_TRUE(run->Finish().ok());
+  std::vector<char> bytes;
+  ASSERT_TRUE(run->ReadAll(&bytes).ok());
+  ASSERT_TRUE(
+      AggHashTable::MergeSerialized(bytes.data(), bytes.size(), fns_,
+                                    table.get())
+          .ok());
+  Expect(*table, "spill round trip");
+}
+
+INSTANTIATE_TEST_SUITE_P(KeyShapes, AggTableDifferentialTest,
+                         ::testing::Range(0, 5),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return KeyShapes()[static_cast<size_t>(info.param)]
+                               .name;
+                         });
+
+TEST(AggHashTableTest, ConcurrentSharedInsertsGrowExactly) {
+  // Four threads fold overlapping ranges of 30 000 groups into one shared
+  // table that starts at 4 slots: the table grows under its lock while the
+  // others insert, every count comes out exact, and the arena holds exactly
+  // size() entries (a racer that lost a slot left no orphan behind).
+  Schema group({ColumnDef::Int32("g")});
+  const std::vector<AggFn> fns = {AggFn::kCount, AggFn::kSum};
+  constexpr int kThreads = 4;
+  constexpr int32_t kPerThread = 15000;
+  constexpr int32_t kShift = 5000;
+  AggHashTable table(group, 2, 4);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      constexpr int32_t kBatch = 256;
+      std::vector<char> rows(static_cast<size_t>(kBatch) * group.row_size());
+      std::vector<double> values(kBatch, 1.0);
+      std::vector<uint64_t> hashes(kBatch);
+      const double* args[2] = {nullptr, values.data()};
+      for (int32_t begin = 0; begin < kPerThread; begin += kBatch) {
+        const int32_t n = std::min(kBatch, kPerThread - begin);
+        for (int32_t i = 0; i < n; ++i) {
+          group.SetInt32(&rows[static_cast<size_t>(i) * group.row_size()], 0,
+                         t * kShift + begin + i);
+        }
+        table.HashKeys(rows.data(), group.row_size(), n, hashes.data());
+        ASSERT_TRUE(table.UpdateBatch(rows.data(), group.row_size(),
+                                      hashes.data(), n, fns, args,
+                                      /*exclusive=*/false));
+        // And one row-at-a-time update per batch, through Update.
+        const double value[2] = {0, 1.0};
+        const int64_t weights[2] = {1, 1};
+        ASSERT_TRUE(table.Update(rows.data(), fns, value, weights));
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  constexpr int32_t kGroups = (kThreads - 1) * kShift + kPerThread;
+  EXPECT_EQ(table.size(), kGroups);
+  EXPECT_GE(table.slot_count(), 4u * kGroups);
+  std::vector<int64_t> counts(kGroups, 0);
+  int64_t seen = 0;
+  table.ForEach([&](const char* row, const AggHashTable::AggState* s) {
+    const int32_t g = group.GetInt32(row, 0);
+    ASSERT_GE(g, 0);
+    ASSERT_LT(g, kGroups);
+    counts[static_cast<size_t>(g)] = s[0].count;
+    EXPECT_DOUBLE_EQ(s[1].sum, static_cast<double>(s[1].count));
+    ++seen;
+  });
+  EXPECT_EQ(seen, table.size());
+  for (int32_t g = 0; g < kGroups; ++g) {
+    // Threads t with t * kShift <= g < t * kShift + kPerThread fold g once,
+    // plus once more for each batch it opened.
+    int64_t want = 0;
+    for (int t = 0; t < kThreads; ++t) {
+      const int32_t local = g - t * kShift;
+      if (local < 0 || local >= kPerThread) continue;
+      want += 1 + (local % 256 == 0 ? 1 : 0);
+    }
+    ASSERT_EQ(counts[static_cast<size_t>(g)], want) << "group " << g;
+  }
 }
 
 TEST(FoldAggTest, MergeWeights) {

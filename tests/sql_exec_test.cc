@@ -83,6 +83,31 @@ class SqlExecTest : public ::testing::Test {
 
 Database* SqlExecTest::db_ = nullptr;
 
+TEST_F(SqlExecTest, NegativeZeroKeysFormOneGroup) {
+  // The key is 0.0 where l_tax >= 0.04 and -0.0 where it is lower. The two
+  // compare equal, so SQL has one group, in every mode: the aggregation
+  // tables, the shuffle's partitioning and the final merge must all put
+  // -0.0 with 0.0.
+  const ResultSet filtered =
+      Run("SELECT count(*) FROM lineitem WHERE l_discount = 0.0");
+  ASSERT_EQ(filtered.Rows().size(), 1u);
+  const int64_t want = filtered.Rows()[0][0].AsInt64();
+  ASSERT_GT(want, 0);
+  const std::string_view sql =
+      "SELECT l_discount * (l_tax - 0.04), count(*) FROM lineitem "
+      "WHERE l_discount = 0.0 GROUP BY l_discount * (l_tax - 0.04)";
+  for (auto [mode, parallelism] : {std::pair{ExecMode::kElastic, 1},
+                                   std::pair{ExecMode::kStatic, 1},
+                                   std::pair{ExecMode::kStatic, 2},
+                                   std::pair{ExecMode::kMaterialized, 2}}) {
+    SCOPED_TRACE(StrFormat("%s p=%d", ExecModeName(mode), parallelism));
+    const auto rows = Run(sql, mode, parallelism).Rows();
+    ASSERT_EQ(rows.size(), 1u);
+    EXPECT_EQ(rows[0][0].AsFloat64(), 0.0);
+    EXPECT_EQ(rows[0][1].AsInt64(), want);
+  }
+}
+
 TEST_F(SqlExecTest, CountStar) {
   ResultSet r = Run("SELECT count(*) FROM orders");
   ASSERT_EQ(r.num_rows(), 1);
@@ -584,15 +609,32 @@ TEST(AggregationTrafficTest, OnlyPartialRowsCrossTheNetwork) {
 
 // --- A build that outgrows its estimate ------------------------------------------
 
+/// The planner's estimate of `table`'s filtered rows: the est_rows of its
+/// scan in `op`'s subtree, -1 when there is none.
+int64_t ScanEstimate(const POp& op, const std::string& table) {
+  if (op.kind == POp::Kind::kScan && op.table_name == table) {
+    return op.est_rows;
+  }
+  for (const auto& child : op.children) {
+    const int64_t est = ScanEstimate(*child, table);
+    if (est >= 0) return est;
+  }
+  return -1;
+}
+
 TEST(SortedTradesTest, SseQ9MatchesUnsortedData) {
   // With trades sorted by date (the Fig. 11 set-up), the selectivity sample
-  // reads the first 20 000 rows of the first partition, all before the
-  // filter date: it finds no match, and the planner estimates the trades
-  // build at 1 row. The join's table is then sized for 1 row and relinked
-  // at the build barrier; the result must not change.
-  MetricCounter* relinks =
-      MetricsRegistry::Global()->counter("exec.join.relinks");
+  // must still see SSE-Q9's trading day: it draws from every block, so the
+  // plan is the one unsorted data gets, the trades estimate stays within 2x
+  // of the rows the filter keeps, and the result does not change.
+  struct Run {
+    std::string explain;
+    int64_t estimate = -1;
+    int64_t filtered = -1;
+    std::vector<std::vector<Value>> rows;
+  };
   auto run = [&](bool sorted) {
+    Run out;
     DatabaseOptions options;
     options.cluster.num_nodes = 2;
     options.cluster.cores_per_node = 2;
@@ -604,24 +646,42 @@ TEST(SortedTradesTest, SseQ9MatchesUnsortedData) {
     sse.sort_trades_by_date = sorted;
     sse.seed = 1;
     EXPECT_TRUE(db.LoadSse(sse).ok());
+    auto explain = db.Explain(*SseQuery(9));
+    EXPECT_TRUE(explain.ok());
+    if (explain.ok()) out.explain = *explain;
+    auto plan = db.Plan(*SseQuery(9));
+    EXPECT_TRUE(plan.ok());
+    if (plan.ok()) {
+      for (const auto& f : plan->fragments) {
+        out.estimate = std::max(out.estimate, ScanEstimate(*f->root, "trades"));
+      }
+    }
+    auto count = db.Query(
+        "SELECT count(*) FROM trades WHERE trade_date = '2010-10-30'");
+    EXPECT_TRUE(count.ok());
+    if (count.ok()) out.filtered = count->Rows()[0][0].AsInt64();
     ExecOptions opts;
     opts.mode = ExecMode::kStatic;
     opts.parallelism = 2;
     auto r = db.Query(*SseQuery(9), opts);
     EXPECT_TRUE(r.ok()) << r.status().ToString();
-    return r.ok() ? r->Rows(/*sorted=*/true)
-                  : std::vector<std::vector<Value>>{};
+    if (r.ok()) out.rows = r->Rows(/*sorted=*/true);
+    return out;
   };
-  const auto unsorted = run(false);
-  const int64_t before = relinks->value();
-  const auto sorted = run(true);
-  EXPECT_GT(relinks->value(), before);
-  ASSERT_FALSE(unsorted.empty());
-  ASSERT_EQ(sorted.size(), unsorted.size());
-  for (size_t i = 0; i < sorted.size(); ++i) {
-    ASSERT_EQ(sorted[i].size(), unsorted[i].size());
-    for (size_t c = 0; c < sorted[i].size(); ++c) {
-      EXPECT_EQ(sorted[i][c].ToString(), unsorted[i][c].ToString())
+  const Run unsorted = run(false);
+  const Run sorted = run(true);
+  EXPECT_EQ(sorted.explain, unsorted.explain);
+  for (const Run* r : {&unsorted, &sorted}) {
+    ASSERT_GT(r->filtered, 0);
+    EXPECT_GE(r->estimate, r->filtered / 2);
+    EXPECT_LE(r->estimate, r->filtered * 2);
+  }
+  ASSERT_FALSE(unsorted.rows.empty());
+  ASSERT_EQ(sorted.rows.size(), unsorted.rows.size());
+  for (size_t i = 0; i < sorted.rows.size(); ++i) {
+    ASSERT_EQ(sorted.rows[i].size(), unsorted.rows[i].size());
+    for (size_t c = 0; c < sorted.rows[i].size(); ++c) {
+      EXPECT_EQ(sorted.rows[i][c].ToString(), unsorted.rows[i][c].ToString())
           << "row " << i << " col " << c;
     }
   }

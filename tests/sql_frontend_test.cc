@@ -410,21 +410,29 @@ TEST_F(PlannerTest, AllWorkloadQueriesPlan) {
 
 // --- Selectivity sample ---------------------------------------------------------
 
-/// The planner's fixed sample: a prefix of this many rows in storage order.
-constexpr int64_t kSampleRows = 20000;
+/// The planner's sample budget: one row from each of this many strata.
+constexpr int64_t kSampleRows = 4000;
 
-/// Row-at-a-time reference for SampleSelectivity: EvalBool over the first
-/// kSampleRows rows, partition by partition, block by block, row by row.
+/// Row-at-a-time reference for SampleSelectivity: EvalBool over the rows at
+/// SelectivitySamplePositions, partition by partition, block by block, row
+/// by row.
 SelectivitySample RowAtATimeSample(const Table& table, const Expr& pred) {
+  const std::vector<int64_t> positions =
+      SelectivitySamplePositions(table.num_rows());
   SelectivitySample sample;
+  size_t next = 0;
+  int64_t position = 0;
   for (int p = 0; p < table.num_partitions(); ++p) {
     const TablePartition& part = table.partition(p);
     for (int b = 0; b < part.num_blocks(); ++b) {
       const Block& block = *part.block(b);
-      for (int32_t r = 0; r < block.num_rows(); ++r) {
-        if (sample.rows == kSampleRows) return sample;
-        ++sample.rows;
-        sample.hits += pred.EvalBool(table.schema(), block.RowAt(r));
+      for (int32_t r = 0; r < block.num_rows(); ++r, ++position) {
+        // A row two slices drew counts twice.
+        for (; next < positions.size() && positions[next] == position;
+             ++next) {
+          ++sample.rows;
+          sample.hits += pred.EvalBool(table.schema(), block.RowAt(r));
+        }
       }
     }
   }
@@ -546,28 +554,74 @@ TEST_F(SelectivitySampleTest, EmptyTableSamplesZero) {
   EXPECT_EQ(sample.fraction(), 0.0);
 }
 
-TEST_F(SelectivitySampleTest, CutFallsMidBlockInPartitionOne) {
+TEST_F(SelectivitySampleTest, EveryBlockContributesInProportion) {
   const Table& lineitem = **catalog_->GetTable("lineitem");
   ASSERT_GT(lineitem.num_rows(), kSampleRows);
   ASSERT_EQ(lineitem.num_partitions(), 2);
-  // The cut lies past partition 0 and strictly inside one of partition 1's
-  // blocks, so the last block is counted over a prefix of its rows.
-  int64_t before = lineitem.partition(0).num_rows();
-  ASSERT_LT(before, kSampleRows);
-  const TablePartition& part1 = lineitem.partition(1);
-  int b = 0;
-  while (before + part1.block(b)->num_rows() < kSampleRows) {
-    before += part1.block(b)->num_rows();
-    ++b;
+  const std::vector<int64_t> positions =
+      SelectivitySamplePositions(lineitem.num_rows());
+  ASSERT_EQ(static_cast<int64_t>(positions.size()), kSampleRows);
+  EXPECT_TRUE(std::is_sorted(positions.begin(), positions.end()));
+  // A block of R rows holds R x kSampleRows / N of the strata, give or take
+  // the two it shares with its neighbours.
+  const double per_row = static_cast<double>(kSampleRows) /
+                         static_cast<double>(lineitem.num_rows());
+  int64_t base = 0;
+  int blocks = 0;
+  for (int p = 0; p < lineitem.num_partitions(); ++p) {
+    const TablePartition& part = lineitem.partition(p);
+    for (int b = 0; b < part.num_blocks(); ++b, ++blocks) {
+      const int64_t end = base + part.block(b)->num_rows();
+      const auto in_block =
+          std::lower_bound(positions.begin(), positions.end(), end) -
+          std::lower_bound(positions.begin(), positions.end(), base);
+      const double share = per_row * static_cast<double>(end - base);
+      EXPECT_GE(static_cast<double>(in_block), share - 2) << p << "/" << b;
+      EXPECT_LE(static_cast<double>(in_block), share + 2) << p << "/" << b;
+      base = end;
+    }
   }
-  EXPECT_GT(kSampleRows, before);
-  EXPECT_LT(kSampleRows, before + part1.block(b)->num_rows());
+  EXPECT_GT(blocks, 2);
   ExpectExactSample("lineitem", "l_quantity < 25");
 }
 
-TEST_F(SelectivitySampleTest, TableSmallerThanTheCut) {
-  ASSERT_LT((*catalog_->GetTable("orders"))->num_rows(), kSampleRows);
-  ExpectExactSample("orders", "o_orderdate < '1995-03-15'");
+TEST_F(SelectivitySampleTest, TableWithinTheBudgetIsReadWhole) {
+  const Table& part = **catalog_->GetTable("part");
+  ASSERT_LE(part.num_rows(), kSampleRows);
+  const std::vector<int64_t> positions =
+      SelectivitySamplePositions(part.num_rows());
+  ASSERT_EQ(static_cast<int64_t>(positions.size()), part.num_rows());
+  for (size_t i = 0; i < positions.size(); ++i) {
+    ASSERT_EQ(positions[i], static_cast<int64_t>(i));
+  }
+  ExpectExactSample("part", "p_size < 20");
+}
+
+TEST_F(SelectivitySampleTest, OnePercentFiltersWithinThirtyPercent) {
+  // 100 000 rows sorted on k, with v a scattered permutation of k: a 1%
+  // range in the middle of the sorted data (which a prefix sample misses
+  // entirely) and a 1% filter spread over the table.
+  Schema s({ColumnDef::Int32("k"), ColumnDef::Int32("v")});
+  Table t("t", s, 2, {});
+  for (int32_t i = 0; i < 100000; ++i) {
+    t.AppendValues({Value::Int32(i), Value::Int32((i * 7919) % 100000)});
+  }
+  auto range = MakeLogic(
+      LogicOp::kAnd,
+      MakeCompare(CompareOp::kGe, MakeColumnRef(0, DataType::kInt32),
+                  MakeLiteral(Value::Int32(60000))),
+      MakeCompare(CompareOp::kLt, MakeColumnRef(0, DataType::kInt32),
+                  MakeLiteral(Value::Int32(61000))));
+  auto scattered =
+      MakeCompare(CompareOp::kLt, MakeColumnRef(1, DataType::kInt32),
+                  MakeLiteral(Value::Int32(1000)));
+  for (const ExprPtr& pred : {range, scattered}) {
+    const SelectivitySample sample = SampleSelectivity(t, pred);
+    EXPECT_EQ(sample.rows, kSampleRows);
+    EXPECT_NEAR(sample.fraction(), 0.01, 0.003) << pred->ToString();
+    const SelectivitySample expected = RowAtATimeSample(t, *pred);
+    EXPECT_EQ(sample.hits, expected.hits) << pred->ToString();
+  }
 }
 
 TEST_F(SelectivitySampleTest, ScalarFallbackNode) {

@@ -85,7 +85,8 @@ class MemStressTest : public ::testing::Test {
   }
 
   /// Gathers kv to node 0 and groups it on v there: one shared table of
-  /// 30 000 groups, whose entries alone need two 1 MiB arena chunks.
+  /// 30 000 groups, whose 64-byte entries (lock, key, three AggStates) fill
+  /// eight 256 KiB arena chunks.
   static PhysicalPlan WidePlan() {
     TablePtr kv = *catalog_->GetTable("kv");
     PhysicalPlan plan;
@@ -102,7 +103,8 @@ class MemStressTest : public ::testing::Test {
     const Schema schema = merger->output_schema;
     f1->root = MakeHashAggOp(std::move(merger), {Col(schema, "v")}, {"v"},
                              {{AggFn::kSum, Col(schema, "k"), "s"},
-                              {AggFn::kCount, nullptr, "cnt"}},
+                              {AggFn::kCount, nullptr, "cnt"},
+                              {AggFn::kMax, Col(schema, "k"), "m"}},
                              HashAggIterator::Mode::kShared);
     f1->nodes = {0};
     f1->out_exchange_id = 0;
