@@ -482,7 +482,7 @@ BENCHMARK(BM_HashJoinProbeBatch);
 
 // The fixed cost of one join with a tiny build (TPC-H's nation or region):
 // construct, open (a 25-row build whose spec carries its estimate), probe
-// one block, close. The bucket array follows the estimate: 64 buckets here,
+// one block, close. The slot array follows the estimate: 128 slots here,
 // where a fixed 64 K would zero 512 KiB per join.
 void BM_HashJoinSmallBuild(benchmark::State& state) {
   Schema s({ColumnDef::Int32("k"), ColumnDef::Int64("v"),
@@ -504,7 +504,7 @@ void BM_HashJoinSmallBuild(benchmark::State& state) {
   spec.probe_schema = &s;
   spec.build_keys = {0};
   spec.probe_keys = {0};
-  spec.num_buckets = JoinHashTable::BucketsFor(25);
+  spec.expected_build_rows = 25;
   spec.pool = BlockPool::Global();
   for (auto _ : state) {
     HashJoinIterator join(std::make_unique<BlocksIterator>(&build),
@@ -520,6 +520,66 @@ void BM_HashJoinSmallBuild(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_HashJoinSmallBuild);
+
+// A join with a large build, the shape of Q9's orders build at SF 0.1: 150 000
+// unique INT32 keys (every fourth integer, shuffled) sized from the
+// estimate, then 600 000 probe rows drawn uniformly from four times the key
+// range, so about a quarter of them match. One worker; the build and the
+// probe both miss the L1 cache on nearly every row.
+void BM_HashJoinManyKeys(benchmark::State& state) {
+  Schema s({ColumnDef::Int32("k"), ColumnDef::Int64("v")});
+  constexpr int32_t kBuildRows = 150000;
+  constexpr int32_t kProbeRows = 600000;
+  std::vector<int32_t> keys(kBuildRows);
+  for (int32_t i = 0; i < kBuildRows; ++i) keys[i] = 4 * i;
+  uint64_t rng = 7;
+  auto next = [&] {
+    rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
+    return rng >> 33;
+  };
+  for (int32_t i = kBuildRows - 1; i > 0; --i) {
+    std::swap(keys[i], keys[next() % static_cast<uint64_t>(i + 1)]);
+  }
+  auto fill = [&](int32_t rows, auto key_of) {
+    std::vector<BlockPtr> blocks;
+    for (int32_t done = 0; done < rows;) {
+      auto b = MakeBlock(s.row_size());
+      for (int32_t r = 0; r < b->capacity_rows() && done < rows; ++r, ++done) {
+        char* row = b->AppendRow();
+        s.SetInt32(row, 0, key_of(done));
+        s.SetInt64(row, 1, done);
+      }
+      b->set_sequence_number(blocks.size());
+      blocks.push_back(std::move(b));
+    }
+    return blocks;
+  };
+  const std::vector<BlockPtr> build =
+      fill(kBuildRows, [&](int32_t i) { return keys[i]; });
+  const std::vector<BlockPtr> probe = fill(kProbeRows, [&](int32_t) {
+    return static_cast<int32_t>(next() % (4 * kBuildRows));
+  });
+  HashJoinIterator::Spec spec;
+  spec.build_schema = &s;
+  spec.probe_schema = &s;
+  spec.build_keys = {0};
+  spec.probe_keys = {0};
+  spec.expected_build_rows = kBuildRows;
+  spec.pool = BlockPool::Global();
+  for (auto _ : state) {
+    HashJoinIterator join(std::make_unique<BlocksIterator>(&build),
+                          std::make_unique<BlocksIterator>(&probe), spec);
+    WorkerContext ctx;
+    join.Open(&ctx);
+    BlockPtr b;
+    int64_t matched = 0;
+    while (join.Next(&ctx, &b) == NextResult::kSuccess) matched += b->num_rows();
+    benchmark::DoNotOptimize(matched);
+    join.Close();
+  }
+  state.SetItemsProcessed(state.iterations() * (kBuildRows + kProbeRows));
+}
+BENCHMARK(BM_HashJoinManyKeys)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace claims

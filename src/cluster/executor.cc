@@ -133,7 +133,7 @@ Result<std::unique_ptr<Iterator>> Executor::BuildIteratorInner(
       // Every node's table is sized for the whole build: exact for a
       // broadcast, about n times a partitioned build's share.
       if (op.build_rows >= 0) {
-        spec.num_buckets = JoinHashTable::BucketsFor(op.build_rows);
+        spec.expected_build_rows = static_cast<size_t>(op.build_rows);
       }
       spec.pool = BlockPool::Global();
       spec.budget = budget_.get();

@@ -45,7 +45,7 @@ struct POp {
   std::vector<int> build_keys;
   std::vector<int> probe_keys;
   /// The planner's estimate of the build relation's filtered rows (all of
-  /// them, not one node's share), which sizes the join's bucket array. -1
+  /// them, not one node's share), which sizes the join's table. -1
   /// when no planner computed one. Not part of EXPLAIN.
   int64_t build_rows = -1;
   // kHashAgg

@@ -27,8 +27,8 @@ namespace claims {
 /// happened (§3.1, Expand in S3).
 ///
 /// A barrier may carry a *completion action*: a step that must run once, on
-/// the complete state, before any worker goes on (the sort's separators, the
-/// join's relink). The call that opens the barrier — the last Arrive, or a
+/// the complete state, before any worker goes on (the sort's separators).
+/// The call that opens the barrier — the last Arrive, or a
 /// Deregister that leaves every remaining worker arrived — runs it under the
 /// barrier's mutex, then opens. No waiter returns, and no late Register
 /// reports the barrier open, before the action has ended.

@@ -1,11 +1,14 @@
 #include "exec/expr/batch_expr.h"
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "exec/expr/like.h"
+#include "mem/scratch.h"
 #include "storage/types.h"
 #include "storage/value.h"
 
@@ -18,6 +21,10 @@ bool IsIntFamily(DataType t) {
          t == DataType::kDate;
 }
 bool IsIntValue(const Value& v) { return IsIntFamily(v.type()); }
+
+/// Scratch lanes for `n` rows (at least one, so an empty batch takes a
+/// valid buffer).
+size_t Lanes(int32_t n) { return static_cast<size_t>(std::max(n, 1)); }
 
 inline int64_t LoadInt(const char* p, bool is32) {
   if (is32) {
@@ -386,15 +393,15 @@ struct BatchPredicate::Impl {
         // left matches ∪ (right matches on the complement) — mirrors the
         // scalar short-circuit: the right side only sees rows the left
         // rejected, then the two sorted disjoint lists merge.
-        std::vector<int32_t> lhs(n);
-        std::vector<int32_t> rest(n);
+        Scratch<int32_t> lhs(BlockPool::Global(), Lanes(n));
+        Scratch<int32_t> rest(BlockPool::Global(), Lanes(n));
         int32_t nl = Run(node.left, block, sel, n, lhs.data());
         int32_t nc = Complement(sel, n, lhs.data(), nl, rest.data());
         int32_t nr = Run(node.right, block, rest.data(), nc, rest.data());
         return MergeSorted(lhs.data(), nl, rest.data(), nr, out);
       }
       case Node::Op::kNot: {
-        std::vector<int32_t> sub(n);
+        Scratch<int32_t> sub(BlockPool::Global(), Lanes(n));
         int32_t m = Run(node.left, block, sel, n, sub.data());
         return Complement(sel, n, sub.data(), m, out);
       }
@@ -703,95 +710,63 @@ struct BatchCompute::Impl {
     }
   }
 
-  void EvalI64(int idx, const Block& block, const int32_t* sel, int32_t n,
-               int64_t* out) const {
+  /// Evaluates node `idx` for rows `sel[0..n)` (`sel == nullptr` = rows
+  /// 0..n-1) on lane T: int64_t, for int-lane nodes, or double, where an
+  /// int-lane node other than a bare column evaluates exactly and then casts
+  /// — identical to `Eval(...).ToDouble()`. Temporaries come from the pool.
+  template <typename T>
+  void Eval(int idx, const Block& block, const int32_t* sel, int32_t n,
+            T* out) const {
     const Node& node = nodes[idx];
+    if constexpr (std::is_same_v<T, double>) {
+      if (IsIntLane(idx) && node.op != Node::Op::kColInt) {
+        Scratch<int64_t> exact(BlockPool::Global(), Lanes(n));
+        Eval(idx, block, sel, n, exact.data());
+        for (int32_t i = 0; i < n; ++i) out[i] = static_cast<double>(exact[i]);
+        return;
+      }
+    }
     const char* rows = n > 0 ? block.RowAt(0) : nullptr;
     const int32_t stride = block.row_size();
-    auto row_ptr = [&](int32_t r) {
-      return rows + static_cast<size_t>(r) * stride;
+    auto row_ptr = [&](int32_t i) {
+      return rows + static_cast<size_t>(sel != nullptr ? sel[i] : i) * stride;
     };
     switch (node.op) {
-      case Node::Op::kColInt:
+      case Node::Op::kColInt:  // on the double lane, widened in one pass
         for (int32_t i = 0; i < n; ++i) {
-          int32_t r = sel != nullptr ? sel[i] : i;
-          out[i] = LoadInt(row_ptr(r) + node.off, node.is32);
+          out[i] = static_cast<T>(LoadInt(row_ptr(i) + node.off, node.is32));
+        }
+        break;
+      case Node::Op::kColF64:
+        for (int32_t i = 0; i < n; ++i) {
+          double v;
+          std::memcpy(&v, row_ptr(i) + node.off, 8);
+          out[i] = static_cast<T>(v);
         }
         break;
       case Node::Op::kLitInt:
-        for (int32_t i = 0; i < n; ++i) out[i] = node.i64;
+        for (int32_t i = 0; i < n; ++i) out[i] = static_cast<T>(node.i64);
+        break;
+      case Node::Op::kLitF64:
+        for (int32_t i = 0; i < n; ++i) out[i] = static_cast<T>(node.f64);
         break;
       case Node::Op::kYear:
         for (int32_t i = 0; i < n; ++i) {
-          int32_t r = sel != nullptr ? sel[i] : i;
           int32_t days;
-          std::memcpy(&days, row_ptr(r) + node.off, 4);
+          std::memcpy(&days, row_ptr(i) + node.off, 4);
           int y, m, d;
           CivilFromDays(days, &y, &m, &d);
           out[i] = y;
         }
         break;
-      case Node::Op::kArithInt: {
-        std::vector<int64_t> a(n), b(n);
-        EvalI64(node.left, block, sel, n, a.data());
-        EvalI64(node.right, block, sel, n, b.data());
-        switch (node.arith) {
-          case ArithOp::kAdd:
-            for (int32_t i = 0; i < n; ++i) out[i] = a[i] + b[i];
-            break;
-          case ArithOp::kSub:
-            for (int32_t i = 0; i < n; ++i) out[i] = a[i] - b[i];
-            break;
-          case ArithOp::kMul:
-            for (int32_t i = 0; i < n; ++i) out[i] = a[i] * b[i];
-            break;
-          case ArithOp::kDiv:
-            for (int32_t i = 0; i < n; ++i)
-              out[i] = b[i] == 0 ? 0 : a[i] / b[i];
-            break;
-        }
-        break;
-      }
-      default:  // kScalarInt (and any int-typed fallback)
-        for (int32_t i = 0; i < n; ++i) {
-          int32_t r = sel != nullptr ? sel[i] : i;
-          out[i] = node.scalar->Eval(*schema, row_ptr(r)).AsInt64();
-        }
-        break;
-    }
-  }
-
-  void EvalF64(int idx, const Block& block, const int32_t* sel, int32_t n,
-               double* out) const {
-    const Node& node = nodes[idx];
-    const char* rows = n > 0 ? block.RowAt(0) : nullptr;
-    const int32_t stride = block.row_size();
-    auto row_ptr = [&](int32_t r) {
-      return rows + static_cast<size_t>(r) * stride;
-    };
-    switch (node.op) {
-      case Node::Op::kColF64:
-        for (int32_t i = 0; i < n; ++i) {
-          int32_t r = sel != nullptr ? sel[i] : i;
-          double v;
-          std::memcpy(&v, row_ptr(r) + node.off, 8);
-          out[i] = v;
-        }
-        break;
-      case Node::Op::kLitF64:
-        for (int32_t i = 0; i < n; ++i) out[i] = node.f64;
-        break;
-      case Node::Op::kColInt:  // an integer column widened in one pass
-        for (int32_t i = 0; i < n; ++i) {
-          int32_t r = sel != nullptr ? sel[i] : i;
-          out[i] =
-              static_cast<double>(LoadInt(row_ptr(r) + node.off, node.is32));
-        }
-        break;
+      case Node::Op::kArithInt:
       case Node::Op::kArithF64: {
-        std::vector<double> a(n), b(n);
-        EvalF64(node.left, block, sel, n, a.data());
-        EvalF64(node.right, block, sel, n, b.data());
+        // Both children on this lane, then one loop per operator. Division
+        // by zero yields 0; on the int64 lane division stays integer.
+        Scratch<T> a(BlockPool::Global(), Lanes(n));
+        Scratch<T> b(BlockPool::Global(), Lanes(n));
+        Eval(node.left, block, sel, n, a.data());
+        Eval(node.right, block, sel, n, b.data());
         switch (node.arith) {
           case ArithOp::kAdd:
             for (int32_t i = 0; i < n; ++i) out[i] = a[i] + b[i];
@@ -803,26 +778,23 @@ struct BatchCompute::Impl {
             for (int32_t i = 0; i < n; ++i) out[i] = a[i] * b[i];
             break;
           case ArithOp::kDiv:
-            for (int32_t i = 0; i < n; ++i)
+            for (int32_t i = 0; i < n; ++i) {
               out[i] = b[i] == 0 ? 0 : a[i] / b[i];
+            }
             break;
         }
         break;
       }
-      case Node::Op::kScalarF64:
+      default:  // kScalarInt / kScalarF64: Eval per row
         for (int32_t i = 0; i < n; ++i) {
-          int32_t r = sel != nullptr ? sel[i] : i;
-          out[i] = node.scalar->Eval(*schema, row_ptr(r)).ToDouble();
+          const Value v = node.scalar->Eval(*schema, row_ptr(i));
+          if constexpr (std::is_same_v<T, int64_t>) {
+            out[i] = v.AsInt64();
+          } else {
+            out[i] = v.ToDouble();
+          }
         }
         break;
-      default: {
-        // Int-lane node widened: evaluate exactly, then cast — identical to
-        // `Eval(...).ToDouble()`.
-        std::vector<int64_t> tmp(n);
-        EvalI64(idx, block, sel, n, tmp.data());
-        for (int32_t i = 0; i < n; ++i) out[i] = static_cast<double>(tmp[i]);
-        break;
-      }
     }
   }
 };
@@ -843,7 +815,7 @@ std::unique_ptr<BatchCompute> BatchCompute::Compile(const Schema& schema,
 void BatchCompute::EvalDouble(const Block& block, const int32_t* sel,
                               int32_t n, double* out) const {
   if (n <= 0) return;
-  impl_->EvalF64(impl_->root, block, sel, n, out);
+  impl_->Eval(impl_->root, block, sel, n, out);
 }
 
 void BatchCompute::Materialize(const Block& block, const int32_t* sel,
@@ -885,32 +857,31 @@ void BatchCompute::Materialize(const Block& block, const int32_t* sel,
     }
   }
 
-  // Typed lanes for numeric destinations; full scalar fallback otherwise
+  // Typed lanes for numeric destinations: evaluate into pooled scratch, then
+  // store at the destination's width. Full scalar fallback otherwise
   // (conversion handled by SetValue, as in per-row `SetValue(Eval)`).
+  auto lane = [&](auto zero, auto store) {
+    Scratch<decltype(zero)> tmp(BlockPool::Global(), Lanes(n));
+    impl_->Eval(impl_->root, block, sel, n, tmp.data());
+    for (int32_t i = 0; i < n; ++i) {
+      store(out_rows + static_cast<size_t>(i) * out_stride + out_off, tmp[i]);
+    }
+  };
   const Expr* e = impl_->expr.get();
   if (impl_->fully_compiled && IsIntFamily(dst.type) &&
       impl_->IsIntLane(impl_->root)) {
-    std::vector<int64_t> tmp(n);
-    impl_->EvalI64(impl_->root, block, sel, n, tmp.data());
-    const bool w32 = dst.type != DataType::kInt64;
-    for (int32_t i = 0; i < n; ++i) {
-      char* p = out_rows + static_cast<size_t>(i) * out_stride + out_off;
-      if (w32) {
-        int32_t v = static_cast<int32_t>(tmp[i]);
-        std::memcpy(p, &v, 4);
-      } else {
-        std::memcpy(p, &tmp[i], 8);
-      }
+    if (dst.type == DataType::kInt64) {
+      lane(int64_t{}, [](char* p, int64_t v) { std::memcpy(p, &v, 8); });
+    } else {
+      lane(int64_t{}, [](char* p, int64_t v) {
+        const int32_t w = static_cast<int32_t>(v);
+        std::memcpy(p, &w, 4);
+      });
     }
     return;
   }
   if (impl_->fully_compiled && dst.type == DataType::kFloat64) {
-    std::vector<double> tmp(n);
-    impl_->EvalF64(impl_->root, block, sel, n, tmp.data());
-    for (int32_t i = 0; i < n; ++i) {
-      std::memcpy(out_rows + static_cast<size_t>(i) * out_stride + out_off,
-                  &tmp[i], 8);
-    }
+    lane(double{}, [](char* p, double v) { std::memcpy(p, &v, 8); });
     return;
   }
   for (int32_t i = 0; i < n; ++i) {
@@ -921,5 +892,14 @@ void BatchCompute::Materialize(const Block& block, const int32_t* sel,
 }
 
 bool BatchCompute::fully_compiled() const { return impl_->fully_compiled; }
+
+void MaterializeRows(const std::vector<std::unique_ptr<BatchCompute>>& computes,
+                     const Block& block, int32_t n, const Schema& out_schema,
+                     char* out_rows) {
+  for (size_t c = 0; c < computes.size(); ++c) {
+    computes[c]->Materialize(block, nullptr, n, out_schema,
+                             static_cast<int>(c), out_rows);
+  }
+}
 
 }  // namespace claims

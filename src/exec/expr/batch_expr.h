@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "exec/expr/expr.h"
 #include "storage/block.h"
@@ -81,6 +82,13 @@ class BatchCompute {
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
+
+/// Writes rows 0..n-1 of `block` as `n` consecutive `out_schema` rows at
+/// `out_rows`, column c from computes[c]: the packed key rows the hash
+/// tables take (aggregation group keys, join build and probe keys).
+void MaterializeRows(const std::vector<std::unique_ptr<BatchCompute>>& computes,
+                     const Block& block, int32_t n, const Schema& out_schema,
+                     char* out_rows);
 
 }  // namespace claims
 

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cstring>
 #include <exception>
+#include <new>
 
 #include "mem/spill.h"
+#include "storage/partition.h"
 
 namespace claims {
 
@@ -16,11 +18,7 @@ size_t RoundUpPow2(size_t n) {
   return p;
 }
 
-/// From this many slots (32 KiB, about an L1 data cache) a batch fold
-/// prefetches the slots and entries it is about to touch.
-constexpr size_t kPrefetchSlots = size_t{1} << 12;
-
-/// Seed of the aggregation tables' key hash.
+/// Seed of the tables' key hash.
 constexpr uint64_t kKeySeed = 0x2545F4914F6CDD1DULL;
 
 }  // namespace
@@ -75,6 +73,9 @@ char* Arena::Allocate(size_t bytes) {
                              std::memory_order_relaxed);
         return cur;
       }
+      if (cur <= chunk->limit) {
+        chunk->filled.store(cur, std::memory_order_relaxed);
+      }
     }
     // Refill. Oversized requests get a dedicated chunk.
     std::lock_guard<std::mutex> lock(refill_mu_);
@@ -124,106 +125,249 @@ char* Arena::AllocateExclusive(size_t bytes) {
   return Allocate(bytes);
 }
 
-// --- KeyComparator -------------------------------------------------------------
+// --- SlotTable -----------------------------------------------------------------
 
-KeyComparator::KeyComparator(const Schema* left_schema,
-                             std::vector<int> left_cols,
-                             const Schema* right_schema,
-                             std::vector<int> right_cols)
-    : left_schema_(left_schema),
-      right_schema_(right_schema),
-      left_cols_(std::move(left_cols)),
-      right_cols_(std::move(right_cols)) {}
-
-bool KeyComparator::Equal(const char* left_row, const char* right_row) const {
-  for (size_t i = 0; i < left_cols_.size(); ++i) {
-    int lc = left_cols_[i];
-    int rc = right_cols_[i];
-    switch (left_schema_->column(lc).type) {
-      case DataType::kInt32:
-      case DataType::kDate:
-        if (left_schema_->GetInt32(left_row, lc) !=
-            right_schema_->GetInt32(right_row, rc))
-          return false;
-        break;
-      case DataType::kInt64:
-        if (left_schema_->GetInt64(left_row, lc) !=
-            right_schema_->GetInt64(right_row, rc))
-          return false;
-        break;
-      case DataType::kFloat64:
-        if (left_schema_->GetFloat64(left_row, lc) !=
-            right_schema_->GetFloat64(right_row, rc))
-          return false;
-        break;
-      case DataType::kChar:
-        if (left_schema_->GetString(left_row, lc) !=
-            right_schema_->GetString(right_row, rc))
-          return false;
-        break;
+SlotTable::SlotTable(Schema key_schema, size_t num_slots, MemSource source)
+    : key_schema_(std::move(key_schema)),
+      key_size_(key_schema_.row_size()),
+      arena_(1 << 18, source),
+      slot_pool_(source.pool),
+      slot_store_(std::make_unique<SlotArray>(
+          source.pool, RoundUpPow2(std::max(num_slots, kSlotsPerKey)))),
+      slots_(&(*slot_store_)[0]),
+      slot_mask_(slot_store_->size() - 1) {
+  for (int c = 0; c < key_schema_.num_columns(); ++c) {
+    if (key_schema_.column(c).type == DataType::kFloat64) {
+      float_offsets_.push_back(key_schema_.offset(c));
     }
   }
-  return true;
+}
+
+uint64_t SlotTable::SlotOf(uint64_t hash, const void* entry) {
+  const auto address = reinterpret_cast<uintptr_t>(entry);
+  if ((address & (kTagMask | kMarkerMask)) != 0) std::terminate();
+  return TagOf(hash) | address;
+}
+
+void SlotTable::Canonicalize(char* keys, int32_t stride, int32_t n) const {
+  for (const int32_t offset : float_offsets_) {
+    for (int32_t i = 0; i < n; ++i) {
+      char* p = keys + static_cast<size_t>(i) * stride + offset;
+      double d;
+      std::memcpy(&d, p, sizeof(d));
+      if (d == 0.0) std::memset(p, 0, sizeof(d));  // 0.0's bits
+    }
+  }
+}
+
+const char* SlotTable::Canonical(const char* keys, int32_t* stride, int32_t n,
+                                 std::optional<Scratch<char>>* copy) const {
+  if (float_offsets_.empty() || n <= 0) return keys;
+  const size_t size = static_cast<size_t>(key_size_);
+  copy->emplace(slot_pool_, size * static_cast<size_t>(n));
+  for (int32_t i = 0; i < n; ++i) {
+    std::memcpy((*copy)->data() + i * size,
+                keys + static_cast<size_t>(i) * *stride, size);
+  }
+  *stride = key_size_;
+  Canonicalize((*copy)->data(), key_size_, n);
+  return (*copy)->data();
+}
+
+void SlotTable::HashKeys(const char* keys, int32_t stride, int32_t n,
+                         uint64_t* out) const {
+  std::optional<Scratch<char>> canonical;
+  keys = Canonical(keys, &stride, n, &canonical);
+  HashCanonical(keys, stride, n, out);
+}
+
+void SlotTable::HashCanonical(const char* keys, int32_t stride, int32_t n,
+                              uint64_t* out) const {
+  // A key of 2, 4 or 8 bytes is one word: load it, mix once.
+  auto words = [&](auto word) {
+    for (int32_t i = 0; i < n; ++i) {
+      decltype(word) w;
+      std::memcpy(&w, keys + static_cast<size_t>(i) * stride, sizeof(w));
+      out[i] = MixHash(kKeySeed ^ static_cast<uint64_t>(w));
+    }
+  };
+  switch (key_size_) {
+    case 0:  // no key columns: every row is the one key
+      std::fill(out, out + n, MixHash(kKeySeed));
+      break;
+    case 2: words(uint16_t{}); break;
+    case 4: words(uint32_t{}); break;
+    case 8: words(uint64_t{}); break;
+    default:
+      for (int32_t i = 0; i < n; ++i) {
+        out[i] = HashBytes(keys + static_cast<size_t>(i) * stride,
+                           static_cast<size_t>(key_size_), kKeySeed);
+      }
+      break;
+  }
 }
 
 // --- JoinHashTable -------------------------------------------------------------
 
 JoinHashTable::JoinHashTable(const Schema* build_schema,
-                             std::vector<int> build_keys, size_t num_buckets,
+                             std::vector<int> build_keys, size_t expected_rows,
                              MemSource source)
-    : build_schema_(build_schema),
-      build_keys_(std::move(build_keys)),
-      bucket_pool_(source.pool),
-      bucket_store_(std::make_unique<BucketArray>(
-          source.pool, RoundUpPow2(num_buckets == 0 ? 1 : num_buckets))),
-      buckets_(&(*bucket_store_)[0]),
-      bucket_mask_(bucket_store_->size() - 1),
-      arena_(1 << 18, source) {}
+    : JoinHashTable(build_schema, build_keys,
+                    KeySchema(*build_schema, build_keys, *build_schema,
+                              build_keys),
+                    expected_rows, source) {}
 
-size_t JoinHashTable::BucketsFor(int64_t rows) {
-  return RoundUpPow2(2 * static_cast<size_t>(std::max<int64_t>(rows, 1)));
+JoinHashTable::JoinHashTable(const Schema* build_schema,
+                             std::vector<int> build_keys, Schema key_schema,
+                             size_t expected_rows, MemSource source)
+    : SlotTable(std::move(key_schema),
+                RoundUpPow2(std::max<size_t>(expected_rows, 1) * kSlotsPerKey),
+                source),
+      build_schema_(build_schema),
+      build_keys_(std::move(build_keys)),
+      row_offset_(kKeyOffset + static_cast<size_t>(key_size_)) {
+  entry_bytes_ =
+      (row_offset_ + static_cast<size_t>(build_schema->row_size()) + 7) &
+      ~size_t{7};
+  entries_per_allocation_ = std::max<size_t>(1, 4096 / entry_bytes_);
 }
 
-bool JoinHashTable::RelinkIfOverloaded() {
-  const int64_t rows = size();
-  if (rows <= 2 * static_cast<int64_t>(bucket_count())) return false;
-  auto bigger = std::make_unique<BucketArray>(bucket_pool_, BucketsFor(rows));
-  const size_t mask = bigger->size() - 1;
-  for (size_t b = 0; b <= bucket_mask_; ++b) {
-    Entry* e = buckets_[b].load(std::memory_order_relaxed);
-    while (e != nullptr) {
-      Entry* next = e->next;
-      std::atomic<Entry*>& head = (*bigger)[e->hash & mask];
-      e->next = head.load(std::memory_order_relaxed);
-      head.store(e, std::memory_order_relaxed);
-      e = next;
+Schema JoinHashTable::KeySchema(const Schema& build,
+                                const std::vector<int>& build_keys,
+                                const Schema& probe,
+                                const std::vector<int>& probe_keys) {
+  std::vector<ColumnDef> cols;
+  for (size_t i = 0; i < build_keys.size(); ++i) {
+    ColumnDef col = build.column(build_keys[i]);
+    const ColumnDef& other = probe.column(probe_keys[i]);
+    // INT32 and DATE pair as the build side's type: 4 bytes by value.
+    if (other.type == DataType::kFloat64 ||
+        (other.type == DataType::kInt64 && col.type != DataType::kFloat64)) {
+      col.type = other.type;
+    }
+    col.char_width = std::max(col.char_width, other.char_width);
+    cols.push_back(std::move(col));
+  }
+  return Schema(std::move(cols));
+}
+
+char* JoinHashTable::PackKey(const Schema& schema, const char* row,
+                             const std::vector<int>& cols) const {
+  // Per thread: a caller reads the key before it calls back into any table.
+  thread_local std::vector<char> key;
+  key.resize(static_cast<size_t>(key_size_));
+  for (int c = 0; c < key_schema_.num_columns(); ++c) {
+    const int col = cols[static_cast<size_t>(c)];
+    // By value; a CHAR key is copied as bytes, building no string.
+    if (key_schema_.column(c).type == DataType::kChar) {
+      key_schema_.SetString(key.data(), c, schema.GetString(row, col));
+    } else {
+      key_schema_.SetValue(key.data(), c, schema.GetValue(row, col));
     }
   }
-  bucket_store_ = std::move(bigger);
-  buckets_ = &(*bucket_store_)[0];
-  bucket_mask_ = mask;
-  return true;
+  return key.data();
 }
 
 bool JoinHashTable::Insert(const char* row) {
-  return Insert(row, HashRowKeys(*build_schema_, row, build_keys_));
+  return InsertBatch(PackKey(*build_schema_, row, build_keys_), row, 0, 1);
 }
 
-bool JoinHashTable::Insert(const char* row, uint64_t h) {
-  char* storage = arena_.Allocate(sizeof(Entry) + build_schema_->row_size());
-  if (storage == nullptr) return false;
-  auto* entry = reinterpret_cast<Entry*>(storage);
-  entry->hash = h;
-  std::memcpy(entry->row(), row, build_schema_->row_size());
-  std::atomic<Entry*>& head = buckets_[h & bucket_mask_];
-  Entry* expected = head.load(std::memory_order_relaxed);
-  do {
-    entry->next = expected;
-  } while (!head.compare_exchange_weak(expected, entry,
-                                       std::memory_order_release,
-                                       std::memory_order_relaxed));
-  size_.fetch_add(1, std::memory_order_relaxed);
-  return true;
+bool JoinHashTable::InsertBatch(char* keys, const char* rows, int32_t stride,
+                                int32_t n) {
+  if (n <= 0) return true;
+  Canonicalize(keys, key_size_, n);
+  std::shared_lock<std::shared_mutex> lock(grow_mu_);
+  // Room for every key of the batch, reserved once: while the lock is held
+  // shared, the table cannot pass a quarter full.
+  while (Full(keys_.fetch_add(n, std::memory_order_relaxed) + n)) {
+    keys_.fetch_sub(n, std::memory_order_relaxed);
+    lock.unlock();
+    {
+      std::lock_guard<std::shared_mutex> grow(grow_mu_);
+      const int64_t want = key_count() + n;
+      if (Full(want)) {
+        Grow(want, [](const char* entry) {
+          return (reinterpret_cast<const Entry*>(entry)->link.load(
+                      std::memory_order_relaxed) &
+                  kHead) != 0;
+        });
+      }
+    }
+    lock.lock();
+  }
+  int64_t added = 0;  // keys that took a slot
+  const int32_t linked = WithKeyWidth([&](auto width) -> int32_t {
+    constexpr int kWidth = decltype(width)::value;
+    const size_t row_size = static_cast<size_t>(build_schema_->row_size());
+    char* next = nullptr;  // this batch's unused entries: [next, end)
+    char* end = nullptr;
+    uint64_t hashes[kProbeRun];
+    for (int32_t begin = 0; begin < n; begin += kProbeRun) {
+      const int32_t m = std::min(kProbeRun, n - begin);
+      const char* run_keys = keys + static_cast<size_t>(begin) * key_size_;
+      HashCanonical(run_keys, key_size_, m, hashes);
+      const int32_t done = ProbeRows(hashes, m, [&](int32_t i) {
+        if (next == end) {
+          const size_t count = std::min(entries_per_allocation_,
+                                        static_cast<size_t>(n - begin - i));
+          next = arena_.Allocate(count * entry_bytes_);
+          if (next == nullptr) return false;
+          end = next + count * entry_bytes_;
+        }
+        auto* entry = new (next) Entry();
+        const char* key = run_keys + static_cast<size_t>(i) * key_size_;
+        std::memcpy(next + kKeyOffset, key, static_cast<size_t>(key_size_));
+        std::memcpy(next + row_offset_,
+                    rows + static_cast<size_t>(begin + i) * stride, row_size);
+        next += entry_bytes_;
+        // The entry heads its key's list unless the key is there already.
+        entry->link.store(kHead, std::memory_order_relaxed);
+        const uint64_t hash = hashes[i];
+        for (size_t j = hash & slot_mask_;;) {
+          auto* first =
+              reinterpret_cast<Entry*>(FindFrom<kWidth>(key, hash, &j));
+          if (first != nullptr) {  // link second: first -> entry -> the rest
+            uintptr_t head = first->link.load(std::memory_order_relaxed);
+            do {
+              entry->link.store(head & ~kHead, std::memory_order_relaxed);
+            } while (!first->link.compare_exchange_weak(
+                head, reinterpret_cast<uintptr_t>(entry) | kHead,
+                std::memory_order_release, std::memory_order_relaxed));
+            return true;
+          }
+          uint64_t empty = 0;
+          if (slots_[j].compare_exchange_strong(empty, SlotOf(hash, entry),
+                                                std::memory_order_release,
+                                                std::memory_order_relaxed)) {
+            ++added;
+            return true;
+          }
+          // Lost slot j to a racer, whose key may be this one: probe on.
+        }
+      });
+      if (done < m) return begin + done;
+    }
+    return n;
+  });
+  if (added < n) keys_.fetch_sub(n - added, std::memory_order_relaxed);
+  size_.fetch_add(linked, std::memory_order_relaxed);
+  return linked == n;
+}
+
+void JoinHashTable::FindFirsts(char* keys, int32_t n,
+                               const Entry** firsts) const {
+  Canonicalize(keys, key_size_, n);
+  uint64_t hashes[kProbeRun];
+  HashCanonical(keys, key_size_, n, hashes);
+  WithKeyWidth([&](auto width) {
+    ProbeRows(hashes, n, [&](int32_t i) {
+      size_t j = hashes[i] & slot_mask_;
+      firsts[i] = reinterpret_cast<const Entry*>(
+          FindFrom<decltype(width)::value>(
+              keys + static_cast<size_t>(i) * key_size_, hashes[i], &j));
+      return true;
+    });
+  });
 }
 
 // --- AggHashTable --------------------------------------------------------------
@@ -241,67 +385,11 @@ const char* AggFnName(AggFn fn) {
 
 AggHashTable::AggHashTable(Schema group_schema, int num_aggs,
                            size_t num_slots, MemSource source)
-    : group_schema_(std::move(group_schema)),
-      all_group_cols_([this] {
-        std::vector<int> cols(
-            static_cast<size_t>(group_schema_.num_columns()));
-        for (size_t i = 0; i < cols.size(); ++i) cols[i] = static_cast<int>(i);
-        return cols;
-      }()),
-      group_cmp_(&group_schema_, all_group_cols_, &group_schema_,
-                 all_group_cols_),
-      group_row_size_(group_schema_.row_size()),
-      bytewise_width_([this] {
-        for (const ColumnDef& c : group_schema_.columns()) {
-          if (c.type == DataType::kFloat64) return -1;
-        }
-        return group_row_size_;
-      }()),
+    : SlotTable(std::move(group_schema), num_slots, source),
       num_aggs_(num_aggs),
-      states_offset_((static_cast<size_t>(group_row_size_) + 7) & ~size_t{7}),
-      entry_bytes_(sizeof(Entry) + states_offset_ +
-                   sizeof(AggState) * static_cast<size_t>(num_aggs_)),
-      slot_pool_(source.pool),
-      slot_store_(std::make_unique<SlotArray>(
-          source.pool, RoundUpPow2(std::max(num_slots, kSlotsPerGroup)))),
-      slots_(&(*slot_store_)[0]),
-      slot_mask_(slot_store_->size() - 1),
-      arena_(1 << 18, source) {}
-
-void AggHashTable::HashKeys(const char* group_rows, int32_t stride, int32_t n,
-                            uint64_t* out) const {
-  // A key of 2, 4 or 8 bytes is one word: load it, mix once.
-  auto words = [&](auto word) {
-    for (int32_t i = 0; i < n; ++i) {
-      decltype(word) w;
-      std::memcpy(&w, group_rows + static_cast<size_t>(i) * stride, sizeof(w));
-      out[i] = MixHash(kKeySeed ^ static_cast<uint64_t>(w));
-    }
-  };
-  switch (bytewise_width_) {
-    case 0:  // no group columns: every row is the one group
-      std::fill(out, out + n, MixHash(kKeySeed));
-      break;
-    case -1:
-      HashRowKeysBatch(group_schema_, group_rows, stride, all_group_cols_,
-                       nullptr, n, out);
-      break;
-    case 2:
-      words(uint16_t{});
-      break;
-    case 4:
-      words(uint32_t{});
-      break;
-    case 8:
-      words(uint64_t{});
-      break;
-    default:
-      for (int32_t i = 0; i < n; ++i) {
-        out[i] = HashBytes(group_rows + static_cast<size_t>(i) * stride,
-                           static_cast<size_t>(group_row_size_), kKeySeed);
-      }
-      break;
-  }
+      states_offset_((static_cast<size_t>(key_size_) + 7) & ~size_t{7}) {
+  entry_bytes_ = sizeof(Entry) + states_offset_ +
+                 sizeof(AggState) * static_cast<size_t>(num_aggs_);
 }
 
 AggHashTable::Entry* AggHashTable::NewEntry(const char* group_row,
@@ -309,22 +397,23 @@ AggHashTable::Entry* AggHashTable::NewEntry(const char* group_row,
   char* storage = exclusive ? arena_.AllocateExclusive(entry_bytes_)
                             : arena_.Allocate(entry_bytes_);
   if (storage == nullptr) return nullptr;
-  // A slot keeps the entry's address beside its tag and marker bits.
-  if ((reinterpret_cast<uintptr_t>(storage) & (kTagMask | kMarkerMask)) != 0) {
-    std::terminate();
-  }
   auto* entry = new (storage) Entry();
-  std::memcpy(entry->row(), group_row, static_cast<size_t>(group_row_size_));
+  std::memcpy(entry->row(), group_row, static_cast<size_t>(key_size_));
   AggState* states = States(entry);
   for (int i = 0; i < num_aggs_; ++i) new (&states[i]) AggState();
   return entry;
 }
 
+void AggHashTable::GrowForNextGroup() {
+  Grow(size() + 1, [](const char*) { return true; });
+  dead_.store(0, std::memory_order_relaxed);
+}
+
 AggHashTable::Entry* AggHashTable::InsertAt(size_t slot, const char* group_row,
                                             uint64_t hash) {
   const int64_t groups = size();
-  if (Full(groups)) {
-    Grow();
+  if (FullWith(groups)) {
+    GrowForNextGroup();
     slot = hash & slot_mask_;
     while (slots_[slot].load(std::memory_order_relaxed) != 0) {
       slot = (slot + 1) & slot_mask_;
@@ -332,8 +421,7 @@ AggHashTable::Entry* AggHashTable::InsertAt(size_t slot, const char* group_row,
   }
   Entry* entry = NewEntry(group_row, /*exclusive=*/true);
   if (entry == nullptr) return nullptr;
-  slots_[slot].store(TagOf(hash) | reinterpret_cast<uintptr_t>(entry),
-                     std::memory_order_relaxed);
+  slots_[slot].store(SlotOf(hash, entry), std::memory_order_relaxed);
   // Sole user: a plain store, no read-modify-write.
   size_.store(groups + 1, std::memory_order_relaxed);
   return entry;
@@ -352,12 +440,12 @@ AggHashTable::Entry* AggHashTable::FindOrInsertShared(
     uint64_t s = slots_[i].load(std::memory_order_acquire);
     if (s == 0) {
       if (!reserved) {
-        if (Full(size_.fetch_add(1, std::memory_order_relaxed))) {
+        if (FullWith(size_.fetch_add(1, std::memory_order_relaxed))) {
           size_.fetch_sub(1, std::memory_order_relaxed);
           lock->unlock();
           {
             std::lock_guard<std::shared_mutex> grow(grow_mu_);
-            if (Full(size())) Grow();
+            if (FullWith(size())) GrowForNextGroup();
           }
           lock->lock();
           i = hash & slot_mask_;  // the slots moved: probe again
@@ -376,8 +464,7 @@ AggHashTable::Entry* AggHashTable::FindOrInsertShared(
           size_.fetch_sub(1, std::memory_order_relaxed);
           return nullptr;
         }
-        slots_[i].store(tag | reinterpret_cast<uintptr_t>(entry),
-                        std::memory_order_release);
+        slots_[i].store(SlotOf(hash, entry), std::memory_order_release);
         return entry;
       }
       // Lost the slot: `s` now holds the winner's claim; look at it.
@@ -388,34 +475,13 @@ AggHashTable::Entry* AggHashTable::FindOrInsertShared(
         s = slots_[i].load(std::memory_order_acquire);
       }
       if ((s & kMarkerMask) == 0 &&
-          KeysEqualAs<kAnyWidth>(EntryOf(s)->row(), group_row)) {
+          std::memcmp(EntryOf(s) + kKeyOffset, group_row, key_size_) == 0) {
         if (reserved) size_.fetch_sub(1, std::memory_order_relaxed);
-        return EntryOf(s);
+        return GroupOf(EntryOf(s));
       }
     }
     i = (i + 1) & slot_mask_;
   }
-}
-
-void AggHashTable::Grow() {
-  size_t slots = slot_count() * 2;
-  while (static_cast<size_t>(size() + 1) * kSlotsPerGroup > slots) slots *= 2;
-  auto grown = std::make_unique<SlotArray>(slot_pool_, slots);
-  const size_t mask = slots - 1;
-  ForEachEntry([&](Entry* e) {
-    const uint64_t hash = HashKey(e->row());
-    size_t i = hash & mask;
-    while ((*grown)[i].load(std::memory_order_relaxed) != 0) {
-      i = (i + 1) & mask;
-    }
-    (*grown)[i].store(TagOf(hash) | reinterpret_cast<uintptr_t>(e),
-                      std::memory_order_relaxed);
-    return true;
-  });
-  slot_store_ = std::move(grown);
-  slots_ = &(*slot_store_)[0];
-  slot_mask_ = mask;
-  dead_.store(0, std::memory_order_relaxed);
 }
 
 void AggHashTable::SwapGroups(AggHashTable* other) {
@@ -433,65 +499,21 @@ void AggHashTable::SwapGroups(AggHashTable* other) {
   other->dead_.store(dead, std::memory_order_relaxed);
 }
 
-template <int kWidth>
-int32_t AggHashTable::ResolveExclusive(const char* group_rows, int32_t stride,
-                                       const uint64_t* hashes, int32_t n,
-                                       Entry** entries) {
-  // The hashes are known up front: once the slots outgrow the L1 cache,
-  // load row i + 2 * kAhead's home slot, and row i + kAhead's entry, while
-  // row i resolves.
-  constexpr int32_t kAhead = 8;
-  std::atomic<uint64_t>* slots = slots_;
-  size_t mask = slot_mask_;
-  for (int32_t i = 0; i < n; ++i) {
-    if (mask >= kPrefetchSlots - 1) {
-      if (i + 2 * kAhead < n) {
-        __builtin_prefetch(&slots[hashes[i + 2 * kAhead] & mask]);
-      }
-      if (i + kAhead < n) {
-        const uint64_t s =
-            slots[hashes[i + kAhead] & mask].load(std::memory_order_relaxed);
-        if (s != 0) __builtin_prefetch(EntryOf(s));
-      }
-    }
-    const char* row = group_rows + static_cast<size_t>(i) * stride;
-    const uint64_t hash = hashes[i];
-    const uint64_t tag = TagOf(hash);
-    size_t j = hash & mask;
-    Entry* entry = nullptr;
-    for (uint64_t s; (s = slots[j].load(std::memory_order_relaxed)) != 0;
-         j = (j + 1) & mask) {
-      if (TagMatches(s, tag) && KeysEqualAs<kWidth>(EntryOf(s)->row(), row)) {
-        entry = EntryOf(s);
-        break;
-      }
-    }
-    if (entry == nullptr) {
-      entry = InsertAt(j, row, hash);
-      if (entry == nullptr) return i;
-      slots = slots_;  // InsertAt may have grown the table
-      mask = slot_mask_;
-    }
-    entries[i] = entry;
-  }
-  return n;
-}
-
 int32_t AggHashTable::Resolve(const char* group_rows, int32_t stride,
                               const uint64_t* hashes, int32_t n,
                               bool exclusive, Entry** entries) {
   if (exclusive) {
-    switch (bytewise_width_) {
-      case 2:
-        return ResolveExclusive<2>(group_rows, stride, hashes, n, entries);
-      case 4:
-        return ResolveExclusive<4>(group_rows, stride, hashes, n, entries);
-      case 8:
-        return ResolveExclusive<8>(group_rows, stride, hashes, n, entries);
-      default:
-        return ResolveExclusive<kAnyWidth>(group_rows, stride, hashes, n,
-                                           entries);
-    }
+    return WithKeyWidth([&](auto width) {
+      return ProbeRows(hashes, n, [&](int32_t i) {
+        const char* row = group_rows + static_cast<size_t>(i) * stride;
+        size_t j = hashes[i] & slot_mask_;
+        Entry* entry =
+            GroupOf(FindFrom<decltype(width)::value>(row, hashes[i], &j));
+        if (entry == nullptr) entry = InsertAt(j, row, hashes[i]);
+        entries[i] = entry;
+        return entry != nullptr;
+      });
+    });
   }
   std::shared_lock<std::shared_mutex> lock(grow_mu_);
   for (int32_t i = 0; i < n; ++i) {
@@ -551,6 +573,8 @@ bool AggHashTable::UpdateBatch(const char* group_rows, int32_t stride,
                                const std::vector<AggFn>& fns,
                                const double* const* arg_cols, bool exclusive,
                                int32_t* folded) {
+  std::optional<Scratch<char>> canonical;
+  group_rows = Canonical(group_rows, &stride, n, &canonical);
   Scratch<Entry*> entries(slot_pool_, static_cast<size_t>(std::max(n, 1)));
   const int32_t resolved =
       Resolve(group_rows, stride, hashes, n, exclusive, entries.data());
@@ -575,6 +599,9 @@ bool AggHashTable::UpdateBatch(const char* group_rows, int32_t stride,
 
 bool AggHashTable::Update(const char* group_row, const std::vector<AggFn>& fns,
                           const double* values, const int64_t* count_weights) {
+  std::optional<Scratch<char>> canonical;
+  int32_t stride = key_size_;
+  group_row = Canonical(group_row, &stride, 1, &canonical);
   Entry* entry;
   {
     std::shared_lock<std::shared_mutex> lock(grow_mu_);
@@ -610,7 +637,8 @@ bool AggHashTable::MergeFrom(const AggHashTable& src,
                              const std::vector<AggFn>& fns, bool exclusive) {
   std::shared_lock<std::shared_mutex> lock(grow_mu_, std::defer_lock);
   if (!exclusive) lock.lock();
-  return src.ForEachEntry([&](const Entry* e) {
+  return src.ForEachEntry([&](char* group) {
+    const Entry* e = GroupOf(group);
     const uint64_t hash = HashKey(e->row());
     Entry* entry = nullptr;
     if (exclusive) {
@@ -625,7 +653,7 @@ bool AggHashTable::MergeFrom(const AggHashTable& src,
 }
 
 Status AggHashTable::SerializeTo(SpillRun* run) const {
-  const int32_t header[2] = {group_row_size_, num_aggs_};
+  const int32_t header[2] = {key_size_, num_aggs_};
   Status s = run->Append(header, sizeof(header));
   if (!s.ok()) return s;
   const int64_t count = size();
@@ -634,7 +662,7 @@ Status AggHashTable::SerializeTo(SpillRun* run) const {
   Status append_status;
   ForEach([&](const char* group_row, const AggState* states) {
     if (!append_status.ok()) return;
-    append_status = run->Append(group_row, group_row_size_);
+    append_status = run->Append(group_row, key_size_);
     if (!append_status.ok()) return;
     append_status =
         run->Append(states, sizeof(AggState) * static_cast<size_t>(num_aggs_));
@@ -654,7 +682,7 @@ Status AggHashTable::MergeSerialized(const char* data, size_t bytes,
   std::memcpy(&group_row_size, data, sizeof(group_row_size));
   std::memcpy(&num_aggs, data + sizeof(int32_t), sizeof(num_aggs));
   std::memcpy(&count, data + sizeof(int32_t) * 2, sizeof(count));
-  if (group_row_size != into->group_row_size_ || num_aggs != into->num_aggs_) {
+  if (group_row_size != into->key_size_ || num_aggs != into->num_aggs_) {
     return Status::Internal("spill run layout mismatch");
   }
   const size_t entry_bytes =

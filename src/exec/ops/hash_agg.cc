@@ -84,10 +84,7 @@ bool HashAggIterator::FoldBlock(const Block& block, AggHashTable* table,
   // deep.
   Scratch<char> group_rows(
       spec_.pool, std::max<size_t>(1, static_cast<size_t>(group_size) * n));
-  for (size_t g = 0; g < group_computes_.size(); ++g) {
-    group_computes_[g]->Materialize(block, nullptr, n, group_schema_,
-                                    static_cast<int>(g), group_rows.data());
-  }
+  MaterializeRows(group_computes_, block, n, group_schema_, group_rows.data());
   Scratch<uint64_t> hashes(spec_.pool, static_cast<size_t>(n));
   table->HashKeys(group_rows.data(), group_size, n, hashes.data());
 

@@ -1,9 +1,9 @@
 #include "exec/ops/hash_join.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "mem/scratch.h"
-#include "obs/metrics_registry.h"
 
 namespace claims {
 
@@ -19,6 +19,21 @@ Schema JoinOutputSchema(const Schema& left, const Schema& right) {
   return Schema(std::move(cols));
 }
 
+namespace {
+
+/// One bare column reference per key column of `schema`.
+std::vector<std::unique_ptr<BatchCompute>> KeyComputes(
+    const Schema& schema, const std::vector<int>& keys) {
+  std::vector<std::unique_ptr<BatchCompute>> computes;
+  for (const int col : keys) {
+    computes.push_back(BatchCompute::Compile(
+        schema, MakeColumnRef(col, schema.column(col).type)));
+  }
+  return computes;
+}
+
+}  // namespace
+
 HashJoinIterator::HashJoinIterator(std::unique_ptr<Iterator> build_child,
                                    std::unique_ptr<Iterator> probe_child,
                                    Spec spec)
@@ -26,17 +41,13 @@ HashJoinIterator::HashJoinIterator(std::unique_ptr<Iterator> build_child,
       probe_child_(std::move(probe_child)),
       spec_(spec),
       output_schema_(JoinOutputSchema(*spec.build_schema, *spec.probe_schema)),
-      table_(spec.build_schema, spec.build_keys, spec.num_buckets,
-             MemSource{spec.pool, spec.budget}),
-      probe_cmp_(spec_.build_schema, spec_.build_keys, spec_.probe_schema,
-                 spec_.probe_keys),
-      build_barrier_([this] {
-        if (table_.RelinkIfOverloaded()) {
-          static MetricCounter* relinks =
-              MetricsRegistry::Global()->counter("exec.join.relinks");
-          relinks->Add();
-        }
-      }) {}
+      table_(spec.build_schema, spec.build_keys,
+             JoinHashTable::KeySchema(*spec.build_schema, spec.build_keys,
+                                      *spec.probe_schema, spec.probe_keys),
+             spec.expected_build_rows, MemSource{spec.pool, spec.budget}),
+      build_key_computes_(KeyComputes(*spec_.build_schema, spec_.build_keys)),
+      probe_key_computes_(
+          KeyComputes(*spec_.probe_schema, spec_.probe_keys)) {}
 
 NextResult HashJoinIterator::Open(WorkerContext* ctx) {
   bool already_open = build_barrier_.Register();
@@ -56,19 +67,16 @@ NextResult HashJoinIterator::Open(WorkerContext* ctx) {
       if (!already_open) build_barrier_.Deregister();
       return r;
     }
-    // Hash the whole build block column-at-a-time, then link each row with
-    // its precomputed hash.
+    // Gather the block's keys, then link every row.
     const int32_t nb = block->num_rows();
-    Scratch<uint64_t> hashes(spec_.pool, nb);
-    HashRowKeysBatch(*spec_.build_schema, block->RowAt(0), block->row_size(),
-                     spec_.build_keys, nullptr, nb, hashes.data());
-    int32_t inserted = 0;
-    while (inserted < nb &&
-           table_.Insert(block->RowAt(inserted), hashes[inserted])) {
-      ++inserted;
-    }
-    if (inserted < nb) {
-      // The query's ledger refused the build row. The shared build table
+    const Schema& key_schema = table_.key_schema();
+    Scratch<char> keys(spec_.pool,
+                       std::max<size_t>(1, static_cast<size_t>(nb) *
+                                               key_schema.row_size()));
+    MaterializeRows(build_key_computes_, *block, nb, key_schema, keys.data());
+    if (!table_.InsertBatch(keys.data(), block->RowAt(0), block->row_size(),
+                            nb)) {
+      // The query's ledger refused the build rows. The shared build table
       // cannot spill (every worker holds row pointers into it), so this is
       // the last rung: latch rejected and fail the segment — the executor
       // maps it to kResourceExhausted.
@@ -112,17 +120,17 @@ NextResult HashJoinIterator::Next(WorkerContext* ctx, BlockPtr* out) {
     std::memcpy(slot, build_row, build_size);
     std::memcpy(slot + build_size, probe_row, probe_size);
   };
-  // One column-at-a-time hash pass over the block, then chain walks with the
-  // hoisted comparator.
-  Scratch<uint64_t> hashes(spec_.pool, n);
-  HashRowKeysBatch(*spec_.probe_schema, input->RowAt(0), input->row_size(),
-                   spec_.probe_keys, nullptr, n, hashes.data());
-  for (int32_t i = 0; i < n; ++i) {
-    const char* probe_row = input->RowAt(i);
-    table_.ForEachMatchHashed(
-        hashes[i], probe_cmp_, probe_row,
-        [&](const char* build_row) { emit(probe_row, build_row); });
-  }
+  // Gather the block's keys, find every row's first entry in one pass, then
+  // emit each row's matches, rows in input order.
+  const Schema& key_schema = table_.key_schema();
+  Scratch<char> keys(spec_.pool,
+                     std::max<size_t>(1, static_cast<size_t>(n) *
+                                             key_schema.row_size()));
+  MaterializeRows(probe_key_computes_, *input, n, key_schema, keys.data());
+  table_.ForEachMatchBatch(keys.data(), n,
+                           [&](int32_t i, const char* build_row) {
+                             emit(input->RowAt(i), build_row);
+                           });
   // A probe block with no matches still emits (empty): its sequence number
   // is the watermark the order-preserving merge is waiting for.
   output->set_sequence_number(input->sequence_number());

@@ -15,18 +15,16 @@ namespace claims {
 /// Equi hash join — a pipeline breaker (appendix Alg. 6).
 ///
 /// Open() drains the **left** (build) child: every worker thread pulls build
-/// blocks and CAS-inserts tuples into the shared JoinHashTable in parallel;
-/// a dynamic barrier separates build from probe so that no worker probes a
+/// blocks and inserts them into the shared JoinHashTable in parallel; a
+/// dynamic barrier separates build from probe so that no worker probes a
 /// half-built table. Workers that receive a terminate request mid-build
 /// deregister from the barrier and unwind (shrink); workers expanded
 /// mid-build register and join the build immediately (state sharing, §3).
-/// The table's bucket array is sized from the expected build rows; the call
-/// that opens the barrier relinks it once if the build outgrew that size
-/// (JoinHashTable::RelinkIfOverloaded), before any worker probes.
 ///
 /// Next() probes with **right**-child blocks — read-only on the table, no
 /// synchronization. Output rows are [left columns | right columns]; the
-/// planner projects afterwards.
+/// planner projects afterwards. Both sides gather their keys into the
+/// table's key schema, so an INT32 key meets an INT64 one by value.
 class HashJoinIterator : public Iterator {
  public:
   struct Spec {
@@ -34,9 +32,9 @@ class HashJoinIterator : public Iterator {
     const Schema* probe_schema = nullptr;
     std::vector<int> build_keys;
     std::vector<int> probe_keys;
-    /// Bucket count, rounded up to a power of two (0 counts as 1). A plan's
-    /// join sets JoinHashTable::BucketsFor(its build estimate).
-    size_t num_buckets = 1 << 16;
+    /// Build rows the table is sized for; it grows past them. A plan's join
+    /// sets its build estimate.
+    size_t expected_build_rows = 1 << 14;
     /// Block pool + the query's ledger the build arena draws from. A build
     /// insert the ledger refuses fails the build with kError and rejected()
     /// latched — join builds do not spill (docs/MEMORY.md); the executor
@@ -57,7 +55,7 @@ class HashJoinIterator : public Iterator {
 
   const Schema& output_schema() const { return output_schema_; }
   int64_t build_rows() const { return table_.size(); }
-  size_t bucket_count() const { return table_.bucket_count(); }
+  const JoinHashTable& table() const { return table_; }
 
  private:
   std::unique_ptr<Iterator> build_child_;
@@ -65,10 +63,9 @@ class HashJoinIterator : public Iterator {
   Spec spec_;
   Schema output_schema_;
   JoinHashTable table_;
-  /// Build-vs-probe key comparator, built once: constructing one per probe
-  /// row costs two vector copies.
-  KeyComparator probe_cmp_;
-  /// Opens on a complete build; its completion action relinks the table.
+  /// The gathers of each side's key columns into the table's key schema.
+  std::vector<std::unique_ptr<BatchCompute>> build_key_computes_;
+  std::vector<std::unique_ptr<BatchCompute>> probe_key_computes_;
   DynamicBarrier build_barrier_;
 };
 

@@ -38,12 +38,11 @@ class Scratch {
 };
 
 /// Fixed-size array of value-initialized T on Scratch storage, for the hash
-/// tables' bucket arrays. Pool chunks stay mapped, so every query's tables
+/// tables' slot arrays. Pool chunks stay mapped, so every query's tables
 /// start on resident memory; from the global allocator, whether they got
 /// fresh pages depended on whether free() had returned the previous query's
-/// arrays to the OS. Not charged to any ledger, like an aggregation's
-/// growing array: a join's follows its build estimate, and is relinked into
-/// a larger one at the build barrier if the build outgrew it.
+/// arrays to the OS. Not charged to any ledger: a table grows its array as
+/// its keys come (a join's starts at its build estimate).
 template <typename T>
 class PooledArray {
  public:

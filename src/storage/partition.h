@@ -22,21 +22,20 @@ inline uint64_t MixHash(uint64_t h) {
 /// runs — partition placement is deterministic.
 uint64_t HashBytes(const void* data, size_t len, uint64_t seed = 0);
 
-/// Hashes the key columns of a fixed-width row. Used for table partitioning,
-/// repartition-join shuffles and hash join tables, so the same key always
-/// lands on the same partition/bucket. Keys that compare equal hash equal:
-/// CHAR hashes its bytes up to the NUL padding, and a FLOAT64 -0.0 hashes as
-/// 0.0 (NaN keys are not canonicalized).
-uint64_t HashRowKeys(const Schema& schema, const char* row,
-                     const std::vector<int>& key_cols);
-
-/// Batch form of HashRowKeys: hashes rows `sel[0..n)` (or rows 0..n-1 when
-/// `sel` is null) column-at-a-time into `out[0..n)`. Produces bit-identical
-/// hashes to the row-at-a-time version — hash join and aggregation tables mix
-/// batch-hashed probes with scalar-hashed builds freely.
+/// Hashes the key columns of rows `sel[0..n)` (or rows 0..n-1 when `sel` is
+/// null) column-at-a-time into `out[0..n)`. Used for table partitioning and
+/// the exchange's shuffles, so the same key always lands on the same
+/// partition. Keys that compare equal hash equal: INT32 and DATE hash
+/// sign-extended, as the INT64 of their value; CHAR hashes its bytes up to
+/// the NUL padding; a FLOAT64 -0.0 hashes as 0.0 (NaN keys are not
+/// canonicalized).
 void HashRowKeysBatch(const Schema& schema, const char* rows, int32_t stride,
                       const std::vector<int>& key_cols, const int32_t* sel,
                       int32_t n, uint64_t* out);
+
+/// HashRowKeysBatch of one row.
+uint64_t HashRowKeys(const Schema& schema, const char* row,
+                     const std::vector<int>& key_cols);
 
 /// Maps a key hash onto one of `n` partitions.
 inline int PartitionOf(uint64_t hash, int n) {

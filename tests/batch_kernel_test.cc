@@ -676,7 +676,7 @@ std::string SortedConcat(std::vector<std::string> rows) {
 }
 
 /// Reference equi-join key match: key values compared as Values, not through
-/// the engine's hashing or KeyComparator.
+/// the engine's hashing or key packing.
 bool KeysEqual(const Schema& ls, const char* l, const std::vector<int>& lk,
                const Schema& rs, const char* r, const std::vector<int>& rk) {
   for (size_t i = 0; i < lk.size(); ++i) {
@@ -688,7 +688,8 @@ bool KeysEqual(const Schema& ls, const char* l, const std::vector<int>& lk,
 }
 
 TEST(OperatorReference, HashJoinMatchesNestedLoop) {
-  // A single INT32 key, then a composite (CHAR, DATE) key. Small value
+  // A single INT32 key, a composite (CHAR, DATE) key, then an INT32 build
+  // key against an INT64 probe key, which match by value. Small value
   // domains give duplicate keys on both sides (fan-out) and misses.
   Schema bs({ColumnDef::Int32("k"), ColumnDef::Char("tag", 8),
              ColumnDef::Date("d"), ColumnDef::Float64("f")});
@@ -697,9 +698,9 @@ TEST(OperatorReference, HashJoinMatchesNestedLoop) {
   struct Keys {
     std::vector<int> build, probe;
   };
-  const Keys key_sets[] = {{{0}, {3}}, {{1, 2}, {2, 0}}};
+  const Keys key_sets[] = {{{0}, {3}}, {{1, 2}, {2, 0}}, {{0}, {1}}};
   for (uint32_t seed = 500; seed < 506; ++seed) {
-    const Keys& keys = key_sets[seed % 2];
+    const Keys& keys = key_sets[seed % 3];
     Gen g(seed);
     auto build = RandomBlocks(g, bs, 3);
     auto probe = RandomBlocks(g, ps, 5);

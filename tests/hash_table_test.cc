@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include "exec/expr/batch_expr.h"
 #include "ledger_balance_check.h"
 #include "mem/query_budget.h"
 #include "mem/spill.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <functional>
 #include <map>
@@ -772,6 +774,280 @@ INSTANTIATE_TEST_SUITE_P(KeyShapes, AggTableDifferentialTest,
                            return KeyShapes()[static_cast<size_t>(info.param)]
                                .name;
                          });
+
+// --- Differential test of the join table -------------------------------------
+
+/// One key shape of the join differential test. Each side's schema holds its
+/// key columns first, then an INT64 row id; `write` stores the k-th of a few
+/// thousand distinct keys into a row of either side, by the side's column
+/// types (a FLOAT64 0.0 is spelled 0.0 or -0.0 at random).
+struct JoinShape {
+  std::string name;
+  Schema build;
+  Schema probe;
+  int key_cols;
+  int rows_per_key;
+  std::function<void(const Schema&, char*, int, std::mt19937*)> write;
+};
+
+void WriteIntKey(const Schema& s, char* row, int k, std::mt19937*) {
+  const int64_t v = int64_t{k} * 7919 - 1000000;
+  if (s.column(0).type == DataType::kInt64) {
+    s.SetInt64(row, 0, v);
+  } else {
+    s.SetInt32(row, 0, static_cast<int32_t>(v));
+  }
+}
+
+std::vector<JoinShape> JoinShapes() {
+  const auto kv = [](ColumnDef key) {
+    return Schema({std::move(key), ColumnDef::Int64("id")});
+  };
+  std::vector<JoinShape> shapes;
+  shapes.push_back({"Int32Unique", kv(ColumnDef::Int32("k")),
+                    kv(ColumnDef::Int32("k")), 1, 1, WriteIntKey});
+  shapes.push_back({"Int32FourPerKey", kv(ColumnDef::Int32("k")),
+                    kv(ColumnDef::Int32("k")), 1, 4, WriteIntKey});
+  const Schema int64_date({ColumnDef::Int64("k"), ColumnDef::Date("d"),
+                           ColumnDef::Int64("id")});
+  shapes.push_back({"Int64Date", int64_date, int64_date, 2, 2,
+                    [](const Schema& s, char* row, int k, std::mt19937*) {
+                      s.SetInt64(row, 0, (int64_t{k % 17} << 40) - k);
+                      s.SetInt32(row, 1, 9000 + k / 17);
+                    }});
+  const Schema char_int({ColumnDef::Char("n_name", 25), ColumnDef::Int32("y"),
+                         ColumnDef::Int64("id")});
+  shapes.push_back({"Char25Int32", char_int, char_int, 2, 2,
+                    [](const Schema& s, char* row, int k, std::mt19937*) {
+                      // Names of different lengths, one a prefix of another.
+                      s.SetString(row, 0, std::string(1 + k % 25, 'N'));
+                      s.SetInt32(row, 1, 1992 + k / 25);
+                    }});
+  const Schema float_int({ColumnDef::Float64("f"), ColumnDef::Int32("i"),
+                          ColumnDef::Int64("id")});
+  shapes.push_back({"Float64", float_int, float_int, 2, 2,
+                    [](const Schema& s, char* row, int k, std::mt19937* rng) {
+                      // Only k % 40 == 0 writes a zero.
+                      const double f =
+                          k % 40 == 0 ? 0.0 : (k % 40) * 0.25 - 5.125;
+                      s.SetFloat64(row, 0, f == 0 && (*rng)() % 2 ? -0.0 : f);
+                      s.SetInt32(row, 1, k / 40);
+                    }});
+  shapes.push_back({"Int32ProbeIntoInt64", kv(ColumnDef::Int64("k")),
+                    kv(ColumnDef::Int32("k")), 1, 2, WriteIntKey});
+  return shapes;
+}
+
+class JoinTableDifferentialTest : public ::testing::TestWithParam<int> {
+ protected:
+  static constexpr int kKeys = 3000;
+
+  void SetUp() override {
+    shape_ = JoinShapes()[static_cast<size_t>(GetParam())];
+    std::mt19937 rng(4321 + GetParam());
+    std::vector<int> build_keys;
+    for (int k = 0; k < kKeys; ++k) {
+      for (int r = 0; r < shape_.rows_per_key; ++r) build_keys.push_back(k);
+    }
+    std::shuffle(build_keys.begin(), build_keys.end(), rng);
+    build_blocks_ = Blocks(shape_.build, build_keys, &rng);
+    for (size_t id = 0; id < build_keys.size(); ++id) {
+      want_.emplace(build_keys[id], static_cast<int64_t>(id));
+    }
+    // A third of the probe keys miss.
+    std::vector<int> probe_keys(4000);
+    for (int& k : probe_keys) k = static_cast<int>(rng() % (kKeys * 3 / 2));
+    probe_keys_ = probe_keys;
+    probe_blocks_ = Blocks(shape_.probe, probe_keys, &rng);
+    for (int c = 0; c < shape_.key_cols; ++c) {
+      key_cols_.push_back(c);
+      build_gather_.push_back(BatchCompute::Compile(
+          shape_.build, MakeColumnRef(c, shape_.build.column(c).type)));
+      probe_gather_.push_back(BatchCompute::Compile(
+          shape_.probe, MakeColumnRef(c, shape_.probe.column(c).type)));
+    }
+  }
+
+  /// Rows of `schema` for `keys`, row i with id i, in blocks of 1 to 300
+  /// rows.
+  std::vector<BlockPtr> Blocks(const Schema& schema,
+                               const std::vector<int>& keys,
+                               std::mt19937* rng) const {
+    std::vector<BlockPtr> blocks;
+    const int id_col = schema.num_columns() - 1;
+    for (size_t i = 0; i < keys.size();) {
+      auto block = MakeBlock(schema.row_size());
+      const size_t n = std::min(keys.size() - i, size_t{1} + (*rng)() % 300);
+      for (size_t end = i + n; i < end; ++i) {
+        char* row = block->AppendRow();
+        shape_.write(schema, row, keys[i], rng);
+        schema.SetInt64(row, id_col, static_cast<int64_t>(i));
+      }
+      blocks.push_back(std::move(block));
+    }
+    return blocks;
+  }
+
+  std::unique_ptr<JoinHashTable> NewTable(MemSource source = {}) const {
+    // The smallest table: every build grows it.
+    return std::make_unique<JoinHashTable>(
+        &shape_.build, key_cols_,
+        JoinHashTable::KeySchema(shape_.build, key_cols_, shape_.probe,
+                                 key_cols_),
+        0, source);
+  }
+
+  /// Inserts every build block, gathered as the join operator does, from
+  /// `threads` threads taking blocks off one cursor.
+  void Build(JoinHashTable* table, int threads) const {
+    std::atomic<size_t> next{0};
+    auto worker = [&] {
+      for (size_t b; (b = next.fetch_add(1)) < build_blocks_.size();) {
+        const Block& block = *build_blocks_[b];
+        const int32_t n = block.num_rows();
+        std::vector<char> keys(static_cast<size_t>(n) *
+                               table->key_schema().row_size());
+        MaterializeRows(build_gather_, block, n, table->key_schema(),
+                        keys.data());
+        EXPECT_TRUE(table->InsertBatch(keys.data(), block.RowAt(0),
+                                       block.row_size(), n));
+      }
+    };
+    std::vector<std::thread> pool;
+    for (int t = 0; t < threads; ++t) pool.emplace_back(worker);
+    for (auto& th : pool) th.join();
+  }
+
+  /// The build ids a probe row of logical key `k` must match, sorted.
+  std::vector<int64_t> Want(int k) const {
+    std::vector<int64_t> ids;
+    for (auto [it, end] = want_.equal_range(k); it != end; ++it) {
+      ids.push_back(it->second);
+    }
+    return ids;
+  }
+
+  /// The id of a matched build row, after checking the table copied it
+  /// whole.
+  int64_t BuildId(const char* build_row) const {
+    const int32_t size = shape_.build.row_size();
+    const int64_t id = shape_.build.GetInt64(build_row, shape_.key_cols);
+    int64_t seen = 0;
+    for (const BlockPtr& b : build_blocks_) {
+      if (id < seen + b->num_rows()) {
+        const char* original = b->RowAt(static_cast<int32_t>(id - seen));
+        EXPECT_EQ(std::memcmp(build_row, original, static_cast<size_t>(size)),
+                  0);
+        break;
+      }
+      seen += b->num_rows();
+    }
+    return id;
+  }
+
+  /// Probes every probe row through the batch and the row-at-a-time paths
+  /// and checks each against the reference multimap.
+  void Expect(const JoinHashTable& table, const std::string& path) const {
+    SCOPED_TRACE(shape_.name + ", " + path);
+    EXPECT_EQ(table.size(), static_cast<int64_t>(want_.size()));
+    EXPECT_EQ(table.key_count(), kKeys);
+    EXPECT_LE(4 * static_cast<size_t>(table.key_count()), table.slot_count());
+    size_t probe_id = 0;
+    for (const BlockPtr& b : probe_blocks_) {
+      const int32_t n = b->num_rows();
+      std::vector<char> keys(static_cast<size_t>(n) *
+                             table.key_schema().row_size());
+      MaterializeRows(probe_gather_, *b, n, table.key_schema(), keys.data());
+      std::vector<std::vector<int64_t>> got(static_cast<size_t>(n));
+      int32_t last = 0;
+      table.ForEachMatchBatch(keys.data(), n, [&](int32_t i, const char* row) {
+        EXPECT_GE(i, last) << "rows out of order";
+        last = i;
+        got[static_cast<size_t>(i)].push_back(BuildId(row));
+      });
+      for (int32_t i = 0; i < n; ++i, ++probe_id) {
+        std::vector<int64_t> row_path;
+        table.ForEachMatch(shape_.probe, b->RowAt(i), key_cols_,
+                           [&](const char* row) {
+                             row_path.push_back(BuildId(row));
+                           });
+        const std::vector<int64_t> want = Want(probe_keys_[probe_id]);
+        std::sort(got[static_cast<size_t>(i)].begin(),
+                  got[static_cast<size_t>(i)].end());
+        std::sort(row_path.begin(), row_path.end());
+        ASSERT_EQ(got[static_cast<size_t>(i)], want) << "probe " << probe_id;
+        ASSERT_EQ(row_path, want) << "probe " << probe_id;
+      }
+    }
+  }
+
+  JoinShape shape_;
+  std::vector<int> key_cols_;
+  std::vector<std::unique_ptr<BatchCompute>> build_gather_;
+  std::vector<std::unique_ptr<BatchCompute>> probe_gather_;
+  std::vector<BlockPtr> build_blocks_;
+  std::vector<BlockPtr> probe_blocks_;
+  std::vector<int> probe_keys_;
+  std::multimap<int, int64_t> want_;
+};
+
+TEST_P(JoinTableDifferentialTest, ExclusiveBuildGrowsFromTheSmallestTable) {
+  auto table = NewTable();
+  Build(table.get(), 1);
+  Expect(*table, "exclusive build");
+}
+
+TEST_P(JoinTableDifferentialTest, SharedBuildGrowsFromTheSmallestTable) {
+  auto table = NewTable();
+  Build(table.get(), 3);
+  Expect(*table, "3-thread shared build");
+}
+
+INSTANTIATE_TEST_SUITE_P(KeyShapes, JoinTableDifferentialTest,
+                         ::testing::Range(0, 6),
+                         [](const ::testing::TestParamInfo<int>& info) {
+                           return JoinShapes()[static_cast<size_t>(info.param)]
+                               .name;
+                         });
+
+TEST(JoinHashTableTest, LedgerRefusalMidBuildRefundsEveryChunk) {
+  // Three threads build into a table whose ledger holds two arena chunks.
+  // Each stops at its first refused batch; the table's destruction hands
+  // every charged byte back.
+  Schema schema = TwoColSchema();
+  QueryBudget ledger(2 << 18);
+  {
+    JoinHashTable table(&schema, {0}, 0, MemSource{nullptr, &ledger});
+    std::atomic<int> refused{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 3; ++t) {
+      threads.emplace_back([&, t] {
+        constexpr int32_t kBatch = 256;
+        std::vector<char> rows(static_cast<size_t>(kBatch) * schema.row_size());
+        std::vector<char> keys(static_cast<size_t>(kBatch) * 4);
+        for (int32_t batch = 0; batch < 200; ++batch) {
+          for (int32_t i = 0; i < kBatch; ++i) {
+            const int32_t k = (batch * 3 + t) * kBatch + i;
+            char* row = &rows[static_cast<size_t>(i) * schema.row_size()];
+            schema.SetInt32(row, 0, k);
+            std::memcpy(&keys[static_cast<size_t>(i) * 4], &k, 4);
+          }
+          if (!table.InsertBatch(keys.data(), rows.data(), schema.row_size(),
+                                 kBatch)) {
+            refused.fetch_add(1);
+            return;
+          }
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+    EXPECT_EQ(refused.load(), 3);
+    EXPECT_GT(table.size(), 0);
+    EXPECT_LE(table.bytes(), ledger.charged_bytes());
+    EXPECT_LE(ledger.charged_bytes(), 2 << 18);
+  }
+  EXPECT_EQ(ledger.charged_bytes(), 0);
+}
 
 TEST(AggHashTableTest, ConcurrentSharedInsertsGrowExactly) {
   // Four threads fold overlapping ranges of 30 000 groups into one shared

@@ -560,7 +560,7 @@ HashJoinIterator::Spec KVJoinSpec(const Schema& bs, const Schema& ps,
   spec.probe_schema = &ps;
   spec.build_keys = {0};
   spec.probe_keys = {0};
-  spec.num_buckets = JoinHashTable::BucketsFor(estimate);
+  spec.expected_build_rows = static_cast<size_t>(estimate);
   return spec;
 }
 
@@ -601,7 +601,8 @@ std::vector<std::string> NestedLoopJoin(const Table& build,
 }
 
 TEST(HashJoinTest, SmallBuildGetsASmallBucketArray) {
-  // 25 rows need at most 64 buckets, not a fixed 64 K (512 KiB).
+  // 25 rows take 128 slots (at most a quarter full), not a fixed 64 K
+  // (512 KiB).
   auto build_table = MakeKV(25, 25);
   auto probe_table = MakeKV(100, 30);
   const Schema& bs = build_table->schema();
@@ -612,17 +613,17 @@ TEST(HashJoinTest, SmallBuildGetsASmallBucketArray) {
       KVJoinSpec(bs, ps, 25));
   WorkerContext ctx;
   ASSERT_EQ(join.Open(&ctx), NextResult::kSuccess);
-  EXPECT_LE(join.bucket_count(), 64u);
+  EXPECT_EQ(join.table().slot_count(), 128u);
   EXPECT_EQ(DrainBytes(&join, join.output_schema()),
             NestedLoopJoin(*build_table, *probe_table));
   join.Close();
 }
 
-// A 10 000-row build whose estimate says 1 row: the barrier relinks the
-// table so that it ends with at most 2 rows per bucket.
+// A 10 000-row build whose estimate says 1 row: the build grows the table
+// so that its keys end at most a quarter full.
 class UnderestimatedBuildTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(UnderestimatedBuildTest, RelinksAndMatchesNestedLoop) {
+TEST_P(UnderestimatedBuildTest, GrowsAndMatchesNestedLoop) {
   auto build_table = MakeKV(10000, 7000);
   auto probe_table = MakeKV(800, 8000);
   const Schema& bs = build_table->schema();
@@ -647,8 +648,8 @@ TEST_P(UnderestimatedBuildTest, RelinksAndMatchesNestedLoop) {
   }
   std::sort(rows.begin(), rows.end());
   EXPECT_EQ(join_raw->build_rows(), 10000);
-  EXPECT_LE(join_raw->build_rows(),
-            2 * static_cast<int64_t>(join_raw->bucket_count()));
+  EXPECT_LE(4 * join_raw->table().key_count(),
+            static_cast<int64_t>(join_raw->table().slot_count()));
   EXPECT_EQ(rows, NestedLoopJoin(*build_table, *probe_table));
   it.Close();
 }
@@ -656,10 +657,10 @@ TEST_P(UnderestimatedBuildTest, RelinksAndMatchesNestedLoop) {
 INSTANTIATE_TEST_SUITE_P(Workers, UnderestimatedBuildTest,
                          ::testing::Values(1, 3));
 
-TEST(HashJoinTest, BuildOpenedByATerminatedWorkerIsRelinked) {
+TEST(HashJoinTest, BuildOpenedByATerminatedWorkerMatchesNestedLoop) {
   // Worker 0 takes a build block, holds it while workers 1 and 2 build the
   // rest and arrive, then inserts it and leaves: its Deregister opens the
-  // barrier, so the relink runs in its thread, on the whole build.
+  // barrier on the whole build, which grew while the three inserted.
   auto build_table = MakeKV(10000, 7000);
   auto probe_table = MakeKV(800, 8000);
   const Schema& bs = build_table->schema();
@@ -673,10 +674,34 @@ TEST(HashJoinTest, BuildOpenedByATerminatedWorkerIsRelinked) {
   EXPECT_EQ(opened[1], NextResult::kSuccess);
   EXPECT_EQ(opened[2], NextResult::kSuccess);
   EXPECT_EQ(join.build_rows(), 10000);
-  EXPECT_LE(join.build_rows(), 2 * static_cast<int64_t>(join.bucket_count()));
+  EXPECT_LE(4 * join.table().key_count(),
+            static_cast<int64_t>(join.table().slot_count()));
   EXPECT_EQ(DrainBytes(&join, join.output_schema()),
             NestedLoopJoin(*build_table, *probe_table));
   join.Close();
+}
+
+TEST(HashJoinTest, LedgerRefusalFailsTheBuild) {
+  // The build's entries outgrow the ledger: Open fails with kError and
+  // rejected() latched, and the join's destruction refunds every chunk.
+  auto build_table = MakeKV(50000, 1000);
+  auto probe_table = MakeKV(10, 10);
+  const Schema& bs = build_table->schema();
+  const Schema& ps = probe_table->schema();
+  QueryBudget ledger(1 << 18);
+  {
+    HashJoinIterator::Spec spec = KVJoinSpec(bs, ps, 50000);
+    spec.budget = &ledger;
+    HashJoinIterator join(
+        std::make_unique<ScanIterator>(&build_table->partition(0), &bs),
+        std::make_unique<ScanIterator>(&probe_table->partition(0), &ps), spec);
+    WorkerContext ctx;
+    EXPECT_EQ(join.Open(&ctx), NextResult::kError);
+    EXPECT_TRUE(ledger.rejected());
+    EXPECT_LT(join.build_rows(), 50000);
+    join.Close();
+  }
+  EXPECT_EQ(ledger.charged_bytes(), 0);
 }
 
 // --- Hash aggregation -----------------------------------------------------------

@@ -243,7 +243,7 @@ TEST_F(RowFillTest, JoinProbeWritesWholeRowsThroughGrowth) {
   spec.probe_schema = &schema_;
   spec.build_keys = {0};
   spec.probe_keys = {0};
-  spec.num_buckets = JoinHashTable::BucketsFor(40);
+  spec.expected_build_rows = 40;
   spec.pool = BlockPool::Global();
   HashJoinIterator join(
       std::make_unique<BlocksSource>(std::vector<BlockPtr>{std::move(build)}),

@@ -504,6 +504,33 @@ TEST_F(SqlExecTest, DerivedTableJoin) {
   EXPECT_EQ(r.Get(0, 0).AsInt64(), expected);
 }
 
+TEST_F(SqlExecTest, MixedWidthJoinKeysMatchByValue) {
+  // Each derived table's INT64 count(*) joins an INT32 key. The join builds
+  // on the INT64 side and compares the pair by value, in every mode: every
+  // region has 5 nations, and every nation key appears once.
+  const std::pair<std::string_view, int64_t> queries[] = {
+      {"SELECT count(*) FROM nation, "
+       "(SELECT n_regionkey AS rk, count(*) AS c FROM nation "
+       "GROUP BY n_regionkey) t WHERE n_nationkey = t.c",
+       5},
+      {"SELECT count(*) FROM region, "
+       "(SELECT n_nationkey AS nk, count(*) AS c FROM nation "
+       "GROUP BY n_nationkey) t WHERE r_regionkey = t.c",
+       25}};
+  for (const auto& [sql, want] : queries) {
+    for (auto [mode, parallelism] : {std::pair{ExecMode::kElastic, 1},
+                                     std::pair{ExecMode::kStatic, 1},
+                                     std::pair{ExecMode::kStatic, 2},
+                                     std::pair{ExecMode::kMaterialized, 2}}) {
+      SCOPED_TRACE(StrFormat("%s p=%d: %s", ExecModeName(mode), parallelism,
+                             std::string(sql).c_str()));
+      const auto rows = Run(sql, mode, parallelism).Rows();
+      ASSERT_EQ(rows.size(), 1u);
+      EXPECT_EQ(rows[0][0].AsInt64(), want);
+    }
+  }
+}
+
 // --- Join order: bounded intermediate rows -------------------------------------
 
 /// Runs `sql` with the event recorder on and returns its assembled profile.
