@@ -4,6 +4,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "common/string_util.h"
 #include "core/data_buffer.h"
 #include "core/elastic_iterator.h"
 #include "exec/expr/batch_expr.h"
@@ -14,6 +15,7 @@
 #include "exec/ops/hash_agg.h"
 #include "exec/ops/hash_join.h"
 #include "exec/ops/scan.h"
+#include "storage/partition.h"
 #include "storage/table.h"
 
 namespace claims {
@@ -44,17 +46,102 @@ void BM_ExprFilterEval(benchmark::State& state) {
 }
 BENCHMARK(BM_ExprFilterEval);
 
+// One insert per iteration into a table sized for the 64 K keys it takes, as
+// the planner's build estimate sizes a join's table: no insert grows it. A
+// fresh table replaces a full one outside the timed region.
 void BM_JoinHashTableInsert(benchmark::State& state) {
   Schema s({ColumnDef::Int32("k"), ColumnDef::Int64("v")});
+  constexpr int32_t kKeys = 1 << 16;
   std::vector<char> row(s.row_size());
-  int32_t k = 0;
-  JoinHashTable table(&s, {0}, 1 << 16);
+  std::unique_ptr<JoinHashTable> table;
+  int32_t k = kKeys;
   for (auto _ : state) {
+    if (k == kKeys) {
+      state.PauseTiming();
+      table = std::make_unique<JoinHashTable>(&s, std::vector<int>{0}, kKeys);
+      k = 0;
+      state.ResumeTiming();
+    }
     s.SetInt32(row.data(), 0, k++);
-    table.Insert(row.data());
+    table->Insert(row.data());
   }
 }
 BENCHMARK(BM_JoinHashTableInsert);
+
+/// `n` packed keys of `schema` with values of the workloads' keys: order and
+/// customer keys, line numbers, dates, Q1's flags, customer names, and
+/// FLOAT64 averages of which a quarter are integral.
+std::vector<char> KeyRows(const Schema& schema, int32_t n) {
+  std::vector<char> rows(static_cast<size_t>(n) * schema.row_size());
+  uint64_t rng = 11;
+  auto next = [&] {
+    rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
+    return rng >> 33;
+  };
+  const char* flags[] = {"A", "N", "R", "F", "O"};
+  for (int32_t i = 0; i < n; ++i) {
+    char* row = &rows[static_cast<size_t>(i) * schema.row_size()];
+    for (int c = 0; c < schema.num_columns(); ++c) {
+      const ColumnDef& col = schema.column(c);
+      switch (col.type) {
+        case DataType::kInt32:  // a line number after a key
+          schema.SetInt32(row, c,
+                          static_cast<int32_t>(c == 1 ? 1 + next() % 7
+                                                      : next() % 600000));
+          break;
+        case DataType::kDate:
+          schema.SetInt32(row, c, static_cast<int32_t>(8000 + next() % 2500));
+          break;
+        case DataType::kInt64:
+          schema.SetInt64(row, c, static_cast<int64_t>(next()));
+          break;
+        case DataType::kFloat64:
+          schema.SetFloat64(row, c, static_cast<double>(next() % 40000) / 4);
+          break;
+        case DataType::kChar:
+          schema.SetString(
+              row, c,
+              col.char_width == 1
+                  ? flags[c == 0 ? next() % 3 : 3 + next() % 2]
+                  : StrFormat("Customer#%09llu",
+                              static_cast<unsigned long long>(next() % 75000)));
+          break;
+      }
+    }
+  }
+  return rows;
+}
+
+// The one key hash (HashKeys) over a block's worth of packed keys, per key
+// shape the workloads' tables and exchanges hash: an INT32 (joins, SSE-Q7's
+// groups), two INT32s (lineitem's key), INT32+DATE+INT32 (Q3's groups),
+// CHAR(1) x 2 (Q1's groups), CHAR(25) (names) and FLOAT64 (a derived
+// average).
+void BM_KeyHash(benchmark::State& state, const Schema& schema) {
+  constexpr int32_t kRows = 1024;
+  const std::vector<char> rows = KeyRows(schema, kRows);
+  std::vector<int> cols;
+  for (int c = 0; c < schema.num_columns(); ++c) cols.push_back(c);
+  std::vector<uint64_t> hashes(kRows);
+  for (auto _ : state) {
+    HashKeys(schema, rows.data(), schema.row_size(), cols, kRows,
+             hashes.data());
+    benchmark::DoNotOptimize(hashes.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kRows);
+}
+BENCHMARK_CAPTURE(BM_KeyHash, int32, Schema({ColumnDef::Int32("k")}));
+BENCHMARK_CAPTURE(BM_KeyHash, int32x2,
+                  Schema({ColumnDef::Int32("o"), ColumnDef::Int32("l")}));
+BENCHMARK_CAPTURE(BM_KeyHash, int32_date_int32,
+                  Schema({ColumnDef::Int32("o"), ColumnDef::Date("d"),
+                          ColumnDef::Int32("p")}));
+BENCHMARK_CAPTURE(BM_KeyHash, char1x2,
+                  Schema({ColumnDef::Char("rf", 1),
+                          ColumnDef::Char("ls", 1)}));
+BENCHMARK_CAPTURE(BM_KeyHash, char25, Schema({ColumnDef::Char("name", 25)}));
+BENCHMARK_CAPTURE(BM_KeyHash, float64, Schema({ColumnDef::Float64("avg")}));
 
 void BM_JoinHashTableProbe(benchmark::State& state) {
   Schema s({ColumnDef::Int32("k"), ColumnDef::Int64("v")});

@@ -198,8 +198,8 @@ bool SenderPump::Pump(Iterator* source, WorkerContext* ctx,
         const int32_t n = block->num_rows();
         hashes.resize(static_cast<size_t>(n));
         if (n > 0) {
-          HashRowKeysBatch(schema, block->RowAt(0), block->row_size(),
-                           spec_.hash_cols, nullptr, n, hashes.data());
+          HashKeys(schema, block->RowAt(0), block->row_size(),
+                   spec_.hash_cols, n, hashes.data());
         }
         for (int i = 0; i < n && ok; ++i) {
           const char* row = block->RowAt(i);

@@ -18,9 +18,6 @@ size_t RoundUpPow2(size_t n) {
   return p;
 }
 
-/// Seed of the tables' key hash.
-constexpr uint64_t kKeySeed = 0x2545F4914F6CDD1DULL;
-
 }  // namespace
 
 // --- Arena ---------------------------------------------------------------------
@@ -137,6 +134,7 @@ SlotTable::SlotTable(Schema key_schema, size_t num_slots, MemSource source)
       slots_(&(*slot_store_)[0]),
       slot_mask_(slot_store_->size() - 1) {
   for (int c = 0; c < key_schema_.num_columns(); ++c) {
+    key_cols_.push_back(c);
     if (key_schema_.column(c).type == DataType::kFloat64) {
       float_offsets_.push_back(key_schema_.offset(c));
     }
@@ -160,51 +158,9 @@ void SlotTable::Canonicalize(char* keys, int32_t stride, int32_t n) const {
   }
 }
 
-const char* SlotTable::Canonical(const char* keys, int32_t* stride, int32_t n,
-                                 std::optional<Scratch<char>>* copy) const {
-  if (float_offsets_.empty() || n <= 0) return keys;
-  const size_t size = static_cast<size_t>(key_size_);
-  copy->emplace(slot_pool_, size * static_cast<size_t>(n));
-  for (int32_t i = 0; i < n; ++i) {
-    std::memcpy((*copy)->data() + i * size,
-                keys + static_cast<size_t>(i) * *stride, size);
-  }
-  *stride = key_size_;
-  Canonicalize((*copy)->data(), key_size_, n);
-  return (*copy)->data();
-}
-
 void SlotTable::HashKeys(const char* keys, int32_t stride, int32_t n,
                          uint64_t* out) const {
-  std::optional<Scratch<char>> canonical;
-  keys = Canonical(keys, &stride, n, &canonical);
-  HashCanonical(keys, stride, n, out);
-}
-
-void SlotTable::HashCanonical(const char* keys, int32_t stride, int32_t n,
-                              uint64_t* out) const {
-  // A key of 2, 4 or 8 bytes is one word: load it, mix once.
-  auto words = [&](auto word) {
-    for (int32_t i = 0; i < n; ++i) {
-      decltype(word) w;
-      std::memcpy(&w, keys + static_cast<size_t>(i) * stride, sizeof(w));
-      out[i] = MixHash(kKeySeed ^ static_cast<uint64_t>(w));
-    }
-  };
-  switch (key_size_) {
-    case 0:  // no key columns: every row is the one key
-      std::fill(out, out + n, MixHash(kKeySeed));
-      break;
-    case 2: words(uint16_t{}); break;
-    case 4: words(uint32_t{}); break;
-    case 8: words(uint64_t{}); break;
-    default:
-      for (int32_t i = 0; i < n; ++i) {
-        out[i] = HashBytes(keys + static_cast<size_t>(i) * stride,
-                           static_cast<size_t>(key_size_), kKeySeed);
-      }
-      break;
-  }
+  claims::HashKeys(key_schema_, keys, stride, key_cols_, n, out);
 }
 
 // --- JoinHashTable -------------------------------------------------------------
@@ -305,7 +261,7 @@ bool JoinHashTable::InsertBatch(char* keys, const char* rows, int32_t stride,
     for (int32_t begin = 0; begin < n; begin += kProbeRun) {
       const int32_t m = std::min(kProbeRun, n - begin);
       const char* run_keys = keys + static_cast<size_t>(begin) * key_size_;
-      HashCanonical(run_keys, key_size_, m, hashes);
+      HashKeys(run_keys, key_size_, m, hashes);
       const int32_t done = ProbeRows(hashes, m, [&](int32_t i) {
         if (next == end) {
           const size_t count = std::min(entries_per_allocation_,
@@ -323,7 +279,7 @@ bool JoinHashTable::InsertBatch(char* keys, const char* rows, int32_t stride,
         // The entry heads its key's list unless the key is there already.
         entry->link.store(kHead, std::memory_order_relaxed);
         const uint64_t hash = hashes[i];
-        for (size_t j = hash & slot_mask_;;) {
+        for (size_t j = HomeOf(hash);;) {
           auto* first =
               reinterpret_cast<Entry*>(FindFrom<kWidth>(key, hash, &j));
           if (first != nullptr) {  // link second: first -> entry -> the rest
@@ -358,10 +314,10 @@ void JoinHashTable::FindFirsts(char* keys, int32_t n,
                                const Entry** firsts) const {
   Canonicalize(keys, key_size_, n);
   uint64_t hashes[kProbeRun];
-  HashCanonical(keys, key_size_, n, hashes);
+  HashKeys(keys, key_size_, n, hashes);
   WithKeyWidth([&](auto width) {
     ProbeRows(hashes, n, [&](int32_t i) {
-      size_t j = hashes[i] & slot_mask_;
+      size_t j = HomeOf(hashes[i]);
       firsts[i] = reinterpret_cast<const Entry*>(
           FindFrom<decltype(width)::value>(
               keys + static_cast<size_t>(i) * key_size_, hashes[i], &j));
@@ -414,7 +370,7 @@ AggHashTable::Entry* AggHashTable::InsertAt(size_t slot, const char* group_row,
   const int64_t groups = size();
   if (FullWith(groups)) {
     GrowForNextGroup();
-    slot = hash & slot_mask_;
+    slot = HomeOf(hash);
     while (slots_[slot].load(std::memory_order_relaxed) != 0) {
       slot = (slot + 1) & slot_mask_;
     }
@@ -435,7 +391,7 @@ AggHashTable::Entry* AggHashTable::FindOrInsertShared(
   // slot, so that the table cannot pass a quarter full while the lock is
   // held shared).
   bool reserved = false;
-  size_t i = hash & slot_mask_;
+  size_t i = HomeOf(hash);
   while (true) {
     uint64_t s = slots_[i].load(std::memory_order_acquire);
     if (s == 0) {
@@ -448,7 +404,7 @@ AggHashTable::Entry* AggHashTable::FindOrInsertShared(
             if (FullWith(size())) GrowForNextGroup();
           }
           lock->lock();
-          i = hash & slot_mask_;  // the slots moved: probe again
+          i = HomeOf(hash);  // the slots moved: probe again
           continue;
         }
         reserved = true;
@@ -506,7 +462,7 @@ int32_t AggHashTable::Resolve(const char* group_rows, int32_t stride,
     return WithKeyWidth([&](auto width) {
       return ProbeRows(hashes, n, [&](int32_t i) {
         const char* row = group_rows + static_cast<size_t>(i) * stride;
-        size_t j = hashes[i] & slot_mask_;
+        size_t j = HomeOf(hashes[i]);
         Entry* entry =
             GroupOf(FindFrom<decltype(width)::value>(row, hashes[i], &j));
         if (entry == nullptr) entry = InsertAt(j, row, hashes[i]);
@@ -568,13 +524,12 @@ void AggHashTable::FoldRows(const std::vector<AggFn>& fns,
   }
 }
 
-bool AggHashTable::UpdateBatch(const char* group_rows, int32_t stride,
+bool AggHashTable::UpdateBatch(char* group_rows, int32_t stride,
                                const uint64_t* hashes, int32_t n,
                                const std::vector<AggFn>& fns,
                                const double* const* arg_cols, bool exclusive,
                                int32_t* folded) {
-  std::optional<Scratch<char>> canonical;
-  group_rows = Canonical(group_rows, &stride, n, &canonical);
+  Canonicalize(group_rows, stride, n);
   Scratch<Entry*> entries(slot_pool_, static_cast<size_t>(std::max(n, 1)));
   const int32_t resolved =
       Resolve(group_rows, stride, hashes, n, exclusive, entries.data());
@@ -599,13 +554,19 @@ bool AggHashTable::UpdateBatch(const char* group_rows, int32_t stride,
 
 bool AggHashTable::Update(const char* group_row, const std::vector<AggFn>& fns,
                           const double* values, const int64_t* count_weights) {
-  std::optional<Scratch<char>> canonical;
-  int32_t stride = key_size_;
-  group_row = Canonical(group_row, &stride, 1, &canonical);
+  // A canonical copy, per thread: no allocation once it has grown.
+  thread_local std::vector<char> canonical;
+  if (!float_offsets_.empty()) {
+    canonical.assign(group_row, group_row + key_size_);
+    Canonicalize(canonical.data(), key_size_, 1);
+    group_row = canonical.data();
+  }
+  uint64_t hash;
+  HashKeys(group_row, 0, 1, &hash);
   Entry* entry;
   {
     std::shared_lock<std::shared_mutex> lock(grow_mu_);
-    entry = FindOrInsertShared(group_row, HashKey(group_row), &lock);
+    entry = FindOrInsertShared(group_row, hash, &lock);
   }
   if (entry == nullptr) return false;
   AggState* states = States(entry);
@@ -637,9 +598,8 @@ bool AggHashTable::MergeFrom(const AggHashTable& src,
                              const std::vector<AggFn>& fns, bool exclusive) {
   std::shared_lock<std::shared_mutex> lock(grow_mu_, std::defer_lock);
   if (!exclusive) lock.lock();
-  return src.ForEachEntry([&](char* group) {
+  return src.ForEachEntry<true>([&](char* group, uint64_t hash) {
     const Entry* e = GroupOf(group);
-    const uint64_t hash = HashKey(e->row());
     Entry* entry = nullptr;
     if (exclusive) {
       Resolve(e->row(), 0, &hash, 1, /*exclusive=*/true, &entry);
@@ -701,7 +661,8 @@ Status AggHashTable::MergeSerialized(const char* data, size_t bytes,
     // does not align AggStates after an odd-sized group row.
     std::memcpy(states.data(), p + group_row_size,
                 sizeof(AggState) * static_cast<size_t>(num_aggs));
-    const uint64_t hash = into->HashKey(group_row);
+    uint64_t hash;
+    into->HashKeys(group_row, 0, 1, &hash);
     Entry* entry = nullptr;
     if (into->Resolve(group_row, 0, &hash, 1, /*exclusive=*/true, &entry) ==
         0) {

@@ -7,7 +7,6 @@
 #include <cstring>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <shared_mutex>
 #include <type_traits>
 #include <vector>
@@ -104,16 +103,23 @@ class Arena {
 /// power-of-two array of 8-byte slots, probed linearly and grown before a
 /// quarter fills. A slot holds a key hash's top 16 bits (its tag) and an
 /// arena entry's address: an 8-byte header, then the key, packed in the key
-/// schema. -0.0 is rewritten as 0.0 before a key is hashed, compared or
-/// stored, and CHAR is NUL-padded, so keys compare bytewise.
+/// schema. -0.0 is rewritten as 0.0 before a key is compared or stored, and
+/// CHAR is NUL-padded, so keys compare bytewise.
 class SlotTable {
  public:
   CLAIMS_DISALLOW_COPY_AND_ASSIGN(SlotTable);
 
-  /// The key hash of keys `[0..n)` (`keys + i * stride`), -0.0 as 0.0: one
-  /// mix of a 2-, 4- or 8-byte key, HashBytes of any other.
+  /// The one key hash (storage/partition.h) of keys `[0..n)` (`keys + i *
+  /// stride`) packed in the key schema.
   void HashKeys(const char* keys, int32_t stride, int32_t n,
                 uint64_t* out) const;
+
+  /// The slot where the probe for a key of hash `hash` starts: bits 16 and up,
+  /// below the tag. Routing reads the low bits, which every key one node
+  /// receives may share.
+  size_t HomeOf(uint64_t hash) const {
+    return static_cast<size_t>(hash >> kHomeShift) & slot_mask_;
+  }
 
   const Schema& key_schema() const { return key_schema_; }
   size_t slot_count() const { return slot_mask_ + 1; }
@@ -129,6 +135,7 @@ class SlotTable {
   /// A slot is 0 (empty), or the tag bits and the low 48 bits of an
   /// 8-aligned entry address or, in the aggregation, a marker.
   static constexpr uint64_t kTagMask = ~((uint64_t{1} << 48) - 1);
+  static constexpr int kHomeShift = 16;
   static constexpr uint64_t kMarkerMask = 7;
   static constexpr size_t kKeyOffset = 8;  ///< an entry's header bytes
   /// A key not at its home slot costs a mispredicted branch, so the load sets
@@ -157,13 +164,6 @@ class SlotTable {
 
   /// Rewrites every FLOAT64 -0.0 of keys `[0..n)` as 0.0.
   void Canonicalize(char* keys, int32_t stride, int32_t n) const;
-  /// `keys` when the key schema has no FLOAT64 column, else a canonical
-  /// copy in `*copy`, whose stride (the key size) goes to `*stride`.
-  const char* Canonical(const char* keys, int32_t* stride, int32_t n,
-                        std::optional<Scratch<char>>* copy) const;
-  /// HashKeys of canonical keys.
-  void HashCanonical(const char* keys, int32_t stride, int32_t n,
-                     uint64_t* out) const;
 
   /// fn(std::integral_constant<int, W>) for the compiled key width W: 2, 4,
   /// 8 or kAnyWidth.
@@ -206,11 +206,11 @@ class SlotTable {
       const size_t mask = slot_mask_;
       if (mask >= kPrefetchSlots - 1) {
         if (i + 2 * kAhead < n) {
-          __builtin_prefetch(&slots_[hashes[i + 2 * kAhead] & mask]);
+          __builtin_prefetch(&slots_[HomeOf(hashes[i + 2 * kAhead])]);
         }
         if (i + kAhead < n) {
-          const uint64_t s =
-              slots_[hashes[i + kAhead] & mask].load(std::memory_order_relaxed);
+          const uint64_t s = slots_[HomeOf(hashes[i + kAhead])].load(
+              std::memory_order_relaxed);
           if (s != 0) __builtin_prefetch(EntryOf(s));
         }
       }
@@ -219,16 +219,28 @@ class SlotTable {
     return n;
   }
 
-  /// fn(char* entry) for every entry in creation order until fn returns
-  /// false; false when stopped. Entries are entry_bytes_ apart, so this is a
-  /// sequential walk of the arena. No insert may run concurrently.
-  template <typename Fn>
+  /// fn(char* entry, uint64_t hash) for every entry in creation order until
+  /// fn returns false; false when stopped. Entries are entry_bytes_ apart, so
+  /// this is a sequential walk of the arena. With kHashed, the keys of a run
+  /// of entries hash in one call, stride the entry size; else `hash` is 0. No
+  /// insert may run concurrently.
+  template <bool kHashed, typename Fn>
   bool ForEachEntry(Fn&& fn) const {
+    constexpr size_t kRun = 256;
+    uint64_t hashes[kRun];
     bool more = true;
-    arena_.ForEachChunk([&](char* begin, char* end) {
-      for (char* p = begin; more && p + entry_bytes_ <= end;
-           p += entry_bytes_) {
-        more = fn(p);
+    arena_.ForEachChunk([&](char* p, char* end) {
+      for (size_t left = static_cast<size_t>(end - p) / entry_bytes_;
+           more && left > 0;) {
+        const size_t m = std::min(kRun, left);
+        if constexpr (kHashed) {
+          HashKeys(p + kKeyOffset, static_cast<int32_t>(entry_bytes_),
+                   static_cast<int32_t>(m), hashes);
+        }
+        for (size_t i = 0; more && i < m; ++i, p += entry_bytes_) {
+          more = fn(p, kHashed ? hashes[i] : 0);
+        }
+        left -= m;
       }
     });
     return more;
@@ -242,26 +254,23 @@ class SlotTable {
   void Grow(int64_t keys, IsKey&& is_key) {
     size_t slots = slot_count() * 2;
     while (static_cast<size_t>(keys) * kSlotsPerKey > slots) slots *= 2;
-    auto grown = std::make_unique<SlotArray>(slot_pool_, slots);
-    const size_t mask = slots - 1;
-    ForEachEntry([&](char* entry) {
+    slot_store_ = std::make_unique<SlotArray>(slot_pool_, slots);
+    slots_ = &(*slot_store_)[0];
+    slot_mask_ = slots - 1;
+    ForEachEntry<true>([&](char* entry, uint64_t hash) {
       if (is_key(entry)) {
-        uint64_t hash;
-        HashCanonical(entry + kKeyOffset, 0, 1, &hash);
-        size_t j = hash & mask;
-        while ((*grown)[j].load(std::memory_order_relaxed) != 0) {
-          j = (j + 1) & mask;
+        size_t j = HomeOf(hash);
+        while (slots_[j].load(std::memory_order_relaxed) != 0) {
+          j = (j + 1) & slot_mask_;
         }
-        (*grown)[j].store(SlotOf(hash, entry), std::memory_order_relaxed);
+        slots_[j].store(SlotOf(hash, entry), std::memory_order_relaxed);
       }
       return true;
     });
-    slot_store_ = std::move(grown);
-    slots_ = &(*slot_store_)[0];
-    slot_mask_ = mask;
   }
 
   Schema key_schema_;
+  std::vector<int> key_cols_;  ///< every column of the key schema
   int32_t key_size_;
   std::vector<int32_t> float_offsets_;  ///< of the FLOAT64 key columns
   /// Shared callers hold it shared, Grow exclusively; exclusive callers
@@ -407,7 +416,8 @@ class AggHashTable : public SlotTable {
               const double* values, const int64_t* count_weights);
 
   /// Batch fold of rows `[0..n)` of a group-row buffer (`group_rows + i *
-  /// stride`) with their HashKeys hashes, in two passes: the first resolves
+  /// stride`, rewritten in place into canonical form, as JoinHashTable's
+  /// keys are) with their HashKeys hashes, in two passes: the first resolves
   /// every row's group (finding or inserting it), the second runs one typed
   /// loop per aggregate over the rows' entries. `arg_cols[a]` is a per-row
   /// value vector, or null to fold 0.0 (COUNT(*)); every fold carries count
@@ -417,7 +427,7 @@ class AggHashTable : public SlotTable {
   /// first row whose group cannot be allocated and returns false with
   /// `*folded` = the rows before it, which are folded (re-folding the block
   /// after a spill would double-count — callers spill and resume there).
-  bool UpdateBatch(const char* group_rows, int32_t stride,
+  bool UpdateBatch(char* group_rows, int32_t stride,
                    const uint64_t* hashes, int32_t n,
                    const std::vector<AggFn>& fns, const double* const* arg_cols,
                    bool exclusive, int32_t* folded = nullptr);
@@ -440,7 +450,7 @@ class AggHashTable : public SlotTable {
   /// group_row, const AggState* states). No insert may run concurrently.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    ForEachEntry([&](char* e) {
+    ForEachEntry<false>([&](char* e, uint64_t) {
       fn(e + kKeyOffset, States(GroupOf(e)));
       return true;
     });
@@ -465,9 +475,9 @@ class AggHashTable : public SlotTable {
   int num_aggs() const { return num_aggs_; }
 
  private:
-  /// An entry holds no hash: Grow and MergeFrom rehash its key, which is one
-  /// mix for a key of 2, 4 or 8 bytes, and the smaller entry keeps more
-  /// groups per cache line.
+  /// An entry holds no hash: Grow and MergeFrom rehash the keys of a run of
+  /// entries in one call, and the smaller entry keeps more groups per cache
+  /// line.
   struct alignas(8) Entry {
     std::atomic_flag lock = ATOMIC_FLAG_INIT;
     // layout: [group_row bytes, padded to 8][AggState x num_aggs]
@@ -503,13 +513,6 @@ class AggHashTable : public SlotTable {
   /// A new entry for `group_row` with zeroed states; nullptr when the arena
   /// refused it (over budget).
   Entry* NewEntry(const char* group_row, bool exclusive);
-
-  /// The key hash of one canonical group row.
-  uint64_t HashKey(const char* group_row) const {
-    uint64_t hash;
-    HashCanonical(group_row, 0, 1, &hash);
-    return hash;
-  }
 
   /// Inserts the group of `group_row` as the table's only user at empty slot
   /// `slot`, the end of its probe; grows first when the table is full.

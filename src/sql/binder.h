@@ -24,7 +24,8 @@ struct BoundRelation {
   std::unique_ptr<BoundQuery> subquery;
   Schema schema;
   int virtual_base = 0;
-  /// Relation-local partition-key columns (base tables only).
+  /// Relation-local columns its rows are hash-partitioned on, in hash order
+  /// (a derived table's: column 0).
   std::vector<int> partition_cols;
   int64_t estimated_rows = 0;
 };

@@ -103,8 +103,10 @@ class Planner::Impl {
     std::vector<int> nodes;
     /// virtual (or synthetic) column id → stream column index.
     std::map<int, int> virt2stream;
-    /// Virtual columns the stream is hash-partitioned on (empty: unknown).
-    std::set<int> partition_virt;
+    /// The columns the stream is hash-partitioned on, in hash order (empty:
+    /// unknown). Entry k holds every virtual column known equal to the k-th
+    /// hashed column: the one key hash hashes equal values alike.
+    std::vector<std::set<int>> partition_virt;
   };
 
   struct JoinEdge {
@@ -342,12 +344,6 @@ class Planner::Impl {
       for (int n = 0; n < rel.table->num_partitions(); ++n) {
         p.nodes.push_back(n);
       }
-      for (int c = 0; c < rel.schema.num_columns(); ++c) {
-        p.virt2stream[rel.virtual_base + c] = c;
-      }
-      for (int c : rel.partition_cols) {
-        p.partition_virt.insert(rel.virtual_base + c);
-      }
     } else {
       // Derived table: plan the subquery; its sender hash-partitions on
       // output column 0 across all nodes.
@@ -356,10 +352,12 @@ class Planner::Impl {
                               sub.RunAsSubquery(&plan_, &next_exchange_));
       p.root = MakeMergerOp(exchange, rel.schema);
       p.nodes = AllNodes();
-      for (int c = 0; c < rel.schema.num_columns(); ++c) {
-        p.virt2stream[rel.virtual_base + c] = c;
-      }
-      p.partition_virt.insert(rel.virtual_base + 0);
+    }
+    for (int c = 0; c < rel.schema.num_columns(); ++c) {
+      p.virt2stream[rel.virtual_base + c] = c;
+    }
+    for (int c : rel.partition_cols) {
+      p.partition_virt.push_back({rel.virtual_base + c});
     }
     if (const ExprPtr& pred = rel_preds_[static_cast<size_t>(rel_index)]) {
       p.root = MakeFilterOp(std::move(p.root), pred);
@@ -480,30 +478,32 @@ class Planner::Impl {
 
     const bool small_build =
         EffRows(rel_index) <= options_.broadcast_threshold_rows;
-    const bool stream_partitioned_on_keys = [&] {
-      if (pipeline->partition_virt.empty()) return false;
-      // Every partition column must be among the probe keys (a superset of
-      // partition columns keeps co-location: equal keys share all columns).
-      for (int v : pipeline->partition_virt) {
-        if (std::find(stream_key_virt.begin(), stream_key_virt.end(), v) ==
-            stream_key_virt.end()) {
-          return false;
-        }
+    // The build keys paired with the stream's partition columns, in hash
+    // order; empty unless every partition column is a probe key (a superset
+    // of partition columns keeps co-location: equal keys share all columns).
+    auto key_index = [&](int v) {
+      return std::find(stream_key_virt.begin(), stream_key_virt.end(), v) -
+             stream_key_virt.begin();
+    };
+    std::vector<int> aligned_build_virt;
+    for (const std::set<int>& equal : pipeline->partition_virt) {
+      if (std::any_of(equal.begin(), equal.end(), [&](int v) {
+            return key_index(v) == std::ssize(stream_key_virt);
+          })) {
+        aligned_build_virt.clear();
+        break;
       }
-      return true;
-    }();
-    const bool build_colocated =
-        stream_partitioned_on_keys && rel.table != nullptr &&
-        !rel.partition_cols.empty() &&
-        build.nodes == pipeline->nodes && [&] {
-          // Build partition columns must match the build keys positionally
-          // aligned with the stream partition columns — conservative check:
-          // set equality of build partition cols and build keys.
-          std::set<int> pc;
-          for (int c : rel.partition_cols) pc.insert(rel.virtual_base + c);
-          std::set<int> bk(build_key_virt.begin(), build_key_virt.end());
-          return pc == bk;
-        }();
+      aligned_build_virt.push_back(build_key_virt[key_index(*equal.begin())]);
+    }
+    const bool stream_partitioned_on_keys = !aligned_build_virt.empty();
+    std::vector<int> build_partition_virt;
+    for (int c : rel.partition_cols) {
+      build_partition_virt.push_back(rel.virtual_base + c);
+    }
+    const bool build_colocated = stream_partitioned_on_keys &&
+                                 rel.table != nullptr &&
+                                 build.nodes == pipeline->nodes &&
+                                 build_partition_virt == aligned_build_virt;
 
     std::unique_ptr<POp> build_source;
     std::map<int, int> build_map;  // virt → build-stream col
@@ -522,7 +522,7 @@ class Planner::Impl {
       // Repartition only the build side to match the stream's partitioning.
       Schema build_schema = build.root->output_schema;
       build_map = build.virt2stream;
-      std::vector<int> hash_cols = stream_cols_of(build, build_key_virt);
+      std::vector<int> hash_cols = stream_cols_of(build, aligned_build_virt);
       int exchange = ClosePipeline(std::move(build), Partitioning::kHash,
                                    std::move(hash_cols), pipeline->nodes);
       build_source = MakeMergerOp(exchange, std::move(build_schema));
@@ -542,7 +542,7 @@ class Planner::Impl {
       pipeline->nodes = AllNodes();
       pipeline->virt2stream = std::move(stream_map);
       pipeline->partition_virt.clear();
-      for (int v : stream_key_virt) pipeline->partition_virt.insert(v);
+      for (int v : stream_key_virt) pipeline->partition_virt.push_back({v});
 
       Schema build_schema = build.root->output_schema;
       build_map = build.virt2stream;
@@ -571,9 +571,9 @@ class Planner::Impl {
     }
     pipeline->virt2stream = std::move(new_map);
     // Equal join keys propagate the partitioning property to the build side.
-    for (size_t i = 0; i < stream_key_virt.size(); ++i) {
-      if (pipeline->partition_virt.count(stream_key_virt[i])) {
-        pipeline->partition_virt.insert(build_key_virt[i]);
+    for (std::set<int>& equal : pipeline->partition_virt) {
+      for (size_t i = 0; i < stream_key_virt.size(); ++i) {
+        if (equal.count(stream_key_virt[i])) equal.insert(build_key_virt[i]);
       }
     }
     return ApplyCoveredResiduals(pipeline);
@@ -588,13 +588,15 @@ class Planner::Impl {
   /// column, so each group already lives on one node.
   bool PartitionedOnGroupKeys(const Pipeline& pipeline) const {
     if (pipeline.partition_virt.empty()) return false;
-    for (int v : pipeline.partition_virt) {
-      if (std::none_of(query_.group_by.begin(), query_.group_by.end(),
-                       [v](const BExprPtr& g) {
-                         return g->kind == BExpr::Kind::kColumn &&
-                                g->column == v;
-                       })) {
-        return false;
+    for (const std::set<int>& equal : pipeline.partition_virt) {
+      for (int v : equal) {
+        if (std::none_of(query_.group_by.begin(), query_.group_by.end(),
+                         [v](const BExprPtr& g) {
+                           return g->kind == BExpr::Kind::kColumn &&
+                                  g->column == v;
+                         })) {
+          return false;
+        }
       }
     }
     return true;

@@ -18,24 +18,15 @@ inline uint64_t MixHash(uint64_t h) {
   return h;
 }
 
-/// Mixes raw bytes into a 64-bit hash (xxhash-style avalanche). Stable across
-/// runs — partition placement is deterministic.
-uint64_t HashBytes(const void* data, size_t len, uint64_t seed = 0);
-
-/// Hashes the key columns of rows `sel[0..n)` (or rows 0..n-1 when `sel` is
-/// null) column-at-a-time into `out[0..n)`. Used for table partitioning and
-/// the exchange's shuffles, so the same key always lands on the same
-/// partition. Keys that compare equal hash equal: INT32 and DATE hash
-/// sign-extended, as the INT64 of their value; CHAR hashes its bytes up to
-/// the NUL padding; a FLOAT64 -0.0 hashes as 0.0 (NaN keys are not
-/// canonicalized).
-void HashRowKeysBatch(const Schema& schema, const char* rows, int32_t stride,
-                      const std::vector<int>& key_cols, const int32_t* sel,
-                      int32_t n, uint64_t* out);
-
-/// HashRowKeysBatch of one row.
-uint64_t HashRowKeys(const Schema& schema, const char* row,
-                     const std::vector<int>& key_cols);
+/// The one key hash: of the key columns `cols` of rows `[0..n)` (`rows + i *
+/// stride`) into `out[0..n)`. The loader, the exchange's shuffles and both
+/// slot tables call it. It hashes values, so equal keys hash equal across
+/// types and widths: INT32, DATE and an integral FLOAT64 (-0.0 too) as the
+/// INT64 of their value, CHAR up to its NUL padding (docs/VECTORIZATION.md).
+/// A one-column integer key v hashes to MixHash(seed ^ v). Routing reads the
+/// low bits (PartitionOf), the slot tables bits 16 and up (SlotTable::HomeOf).
+void HashKeys(const Schema& schema, const char* rows, int32_t stride,
+              const std::vector<int>& cols, int32_t n, uint64_t* out);
 
 /// Maps a key hash onto one of `n` partitions.
 inline int PartitionOf(uint64_t hash, int n) {

@@ -1,7 +1,5 @@
 #include "storage/table.h"
 
-#include <algorithm>
-
 namespace claims {
 
 char* TablePartition::AppendRowSlot() {
@@ -41,16 +39,6 @@ int64_t Table::bytes() const {
   return total;
 }
 
-bool Table::IsPartitionedOn(const std::vector<int>& cols) const {
-  if (partition_key_cols_.empty() || cols.size() != partition_key_cols_.size())
-    return false;
-  std::vector<int> a = partition_key_cols_;
-  std::vector<int> b = cols;
-  std::sort(a.begin(), a.end());
-  std::sort(b.begin(), b.end());
-  return a == b;
-}
-
 char* Table::AppendRowSlotRoundRobin() {
   int p = round_robin_next_;
   round_robin_next_ = (round_robin_next_ + 1) % num_partitions();
@@ -67,15 +55,14 @@ void Table::AppendValues(const std::vector<Value>& values) {
 }
 
 void Table::AppendRawRow(const char* row) {
-  int p;
+  char* slot;
   if (partition_key_cols_.empty()) {
-    p = round_robin_next_;
-    round_robin_next_ = (round_robin_next_ + 1) % num_partitions();
+    slot = AppendRowSlotRoundRobin();
   } else {
-    p = PartitionOf(HashRowKeys(schema_, row, partition_key_cols_),
-                    num_partitions());
+    uint64_t hash;
+    HashKeys(schema_, row, 0, partition_key_cols_, 1, &hash);
+    slot = partitions_[PartitionOf(hash, num_partitions())].AppendRowSlot();
   }
-  char* slot = partitions_[p].AppendRowSlot();
   std::memcpy(slot, row, schema_.row_size());
 }
 

@@ -62,10 +62,6 @@ class Table {
   int64_t num_rows() const;
   int64_t bytes() const;
 
-  /// True when the table is hash-partitioned exactly on `cols` (order
-  /// insensitive); lets the planner elide a repartition (co-located join).
-  bool IsPartitionedOn(const std::vector<int>& cols) const;
-
   /// Reserves a slot in the partition chosen by the row's key hash. Caller
   /// fills the returned row, then the key columns must not change. For keyed
   /// tables the caller instead uses AppendValues (the key must be known to

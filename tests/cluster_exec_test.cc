@@ -623,7 +623,9 @@ std::vector<int64_t> KeysFor(const Schema& s, int j, int of, int n) {
   std::vector<char> row(static_cast<size_t>(s.row_size()));
   for (int64_t k = 0; static_cast<int>(keys.size()) < n; ++k) {
     s.SetInt64(row.data(), 0, k);
-    if (PartitionOf(HashRowKeys(s, row.data(), {0}), of) == j) {
+    uint64_t hash;
+    HashKeys(s, row.data(), 0, {0}, 1, &hash);
+    if (PartitionOf(hash, of) == j) {
       keys.push_back(k);
     }
   }

@@ -490,7 +490,7 @@ constexpr int kNodes = 3;
 /// Two copies of the same kv data, partitioned differently:
 ///   kva — round-robin (the repartition/build side);
 ///   kvb — hash-partitioned on k (the probe side). The table partitioner and
-///         the exchange use the same HashRowKeys/PartitionOf mapping, so
+///         the exchange route by the one key hash (HashKeys, PartitionOf), so
 ///         after repartitioning kva on k, key k's build rows land exactly on
 ///         the node holding kvb's k rows — every key joins, making the join
 ///         result deterministic: (rows/300)² matches per key.

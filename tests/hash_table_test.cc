@@ -6,6 +6,7 @@
 #include "ledger_balance_check.h"
 #include "mem/query_budget.h"
 #include "mem/spill.h"
+#include "storage/partition.h"
 
 #include <algorithm>
 #include <atomic>
@@ -320,7 +321,7 @@ TEST(AggHashTableTest, OneGroupKeepsFourSlots) {
   AggHashTable table(group, 1, 1);
   EXPECT_EQ(table.slot_count(), 4u);
   const std::vector<AggFn> fns = {AggFn::kCount};
-  const char row = 0;  // zero-width group rows, read with stride 0
+  char row = 0;  // zero-width group rows, read with stride 0
   uint64_t hashes[3];
   table.HashKeys(&row, 0, 3, hashes);
   const double* args[1] = {nullptr};
@@ -449,9 +450,9 @@ TEST(AggHashTableTest, KeysCompareWhenHashesCollide) {
 
   // FLOAT64 keys compare by value: -0.0 and 0.0 are one group.
   Schema floats({ColumnDef::Float64("f")});
-  const double f[] = {0.0, -0.0, 1.5, -0.0};
+  double f[] = {0.0, -0.0, 1.5, -0.0};
   AggHashTable by_value(floats, 1, 64);
-  ASSERT_TRUE(by_value.UpdateBatch(reinterpret_cast<const char*>(f), 8,
+  ASSERT_TRUE(by_value.UpdateBatch(reinterpret_cast<char*>(f), 8,
                                    same.data(), 4, fns, args,
                                    /*exclusive=*/true));
   EXPECT_EQ(by_value.size(), 2);
@@ -546,6 +547,31 @@ TEST(JoinHashTableTest, NegativeZeroProbeMatchesZero) {
     EXPECT_EQ(schema.GetInt64(build_row, 1), 7);
   });
   EXPECT_EQ(matches, 1);
+}
+
+TEST(SlotTableTest, KeysOfOneNodeSpreadOverHomeSlots) {
+  // Routing sends key k to node hash % 2, so every key node 0 receives has
+  // an even hash. Its tables take the home slot from higher bits, so those
+  // keys still start their probes in odd and even slots alike.
+  Schema key({ColumnDef::Int32("k")});
+  AggHashTable table(key, 1, 1 << 12);
+  constexpr int32_t kKeys = 20000;
+  std::vector<char> rows(static_cast<size_t>(kKeys) * key.row_size());
+  for (int32_t k = 0; k < kKeys; ++k) {
+    key.SetInt32(&rows[static_cast<size_t>(k) * key.row_size()], 0, k);
+  }
+  std::vector<uint64_t> hashes(kKeys);
+  table.HashKeys(rows.data(), key.row_size(), kKeys, hashes.data());
+  int64_t node0 = 0;
+  int64_t odd = 0;
+  for (const uint64_t hash : hashes) {
+    if (PartitionOf(hash, 2) != 0) continue;
+    ++node0;
+    odd += table.HomeOf(hash) % 2;
+  }
+  ASSERT_GT(node0, kKeys / 3);
+  EXPECT_GE(odd, node0 * 4 / 10);
+  EXPECT_LE(odd, node0 * 6 / 10);
 }
 
 // --- Differential test of the aggregation table ------------------------------
@@ -665,6 +691,7 @@ class AggTableDifferentialTest : public ::testing::TestWithParam<int> {
   /// Folds `batch` into `table` in two UpdateBatch calls split at a random
   /// row, as a spill resume would.
   void Fold(const Batch& batch, bool exclusive, AggHashTable* table) {
+    std::vector<char> rows = batch.rows;  // UpdateBatch canonicalizes them
     const int32_t stride = shape_.schema.row_size();
     std::vector<uint64_t> hashes(static_cast<size_t>(batch.n));
     table->HashKeys(batch.rows.data(), stride, batch.n, hashes.data());
@@ -675,7 +702,7 @@ class AggTableDifferentialTest : public ::testing::TestWithParam<int> {
       args[0] = nullptr;  // COUNT(*)
       int32_t folded = -1;
       ASSERT_TRUE(table->UpdateBatch(
-          batch.rows.data() + static_cast<size_t>(begin) * stride, stride,
+          rows.data() + static_cast<size_t>(begin) * stride, stride,
           hashes.data() + begin, end - begin, fns_, args.data(), exclusive,
           &folded));
       EXPECT_EQ(folded, end - begin);

@@ -531,6 +531,95 @@ TEST_F(SqlExecTest, MixedWidthJoinKeysMatchByValue) {
   }
 }
 
+// --- Routing across node counts ----------------------------------------------
+
+/// A result's rows, sorted and rendered.
+std::string Rendered(const ResultSet& result) {
+  std::string text;
+  for (const auto& row : result.Rows(/*sorted=*/true)) {
+    for (const Value& v : row) text += v.ToString() + " ";
+    text += "\n";
+  }
+  return text;
+}
+
+TEST(RoutingTest, JoinsMatchOneNodeAtEveryNodeCount) {
+  // The two sides of a join meet on one node only if the tables and every
+  // exchange route a key by one hash of its value. Each query runs on 2, 3
+  // and 4 nodes, with every join shuffled and with the default broadcast
+  // threshold, and must return what one node returns.
+  struct Case {
+    std::string_view sql;
+    bool at_default_threshold;
+  };
+  const Case cases[] = {
+      // lineitem streams partitioned on l_orderkey, one of its two probe
+      // keys. The build side lives partitioned on its paired key, so the
+      // join runs where the rows are ...
+      {"SELECT count(*) FROM lineitem a, lineitem b "
+       "WHERE a.l_orderkey = b.l_orderkey AND a.l_linenumber = b.l_linenumber",
+       true},
+      // ... or moves to meet the stream, hashed on b.l_partkey alone.
+      {"SELECT count(*) FROM lineitem a, lineitem b "
+       "WHERE a.l_orderkey = b.l_partkey AND a.l_linenumber = b.l_linenumber",
+       true},
+      // A FLOAT64 key shuffled to customer, partitioned on INT32 c_custkey.
+      {"SELECT count(*) FROM customer, "
+       "(SELECT o_orderkey AS k, avg(o_custkey) AS a FROM orders "
+       "GROUP BY o_orderkey) t WHERE c_custkey = t.a",
+       true},
+      // MixedWidthJoinKeysMatchByValue's joins, shuffled: an INT64 count(*)
+      // meets INT32 keys.
+      {"SELECT count(*) FROM nation, "
+       "(SELECT n_regionkey AS rk, count(*) AS c FROM nation "
+       "GROUP BY n_regionkey) t WHERE n_nationkey = t.c",
+       false},
+      {"SELECT count(*) FROM region, "
+       "(SELECT n_nationkey AS nk, count(*) AS c FROM nation "
+       "GROUP BY n_nationkey) t WHERE r_regionkey = t.c",
+       false}};
+  const int64_t default_threshold = PlannerOptions().broadcast_threshold_rows;
+  std::vector<std::string> want;  // one node's results
+  int64_t lineitem_rows = 0;
+  int64_t orders_rows = 0;
+  for (const int nodes : {1, 2, 3, 4}) {
+    for (const int64_t threshold : {int64_t{0}, default_threshold}) {
+      if (nodes == 1 && threshold == 0) continue;
+      DatabaseOptions options;
+      options.cluster.num_nodes = nodes;
+      options.cluster.cores_per_node = 2;
+      options.planner.broadcast_threshold_rows = threshold;
+      Database db(options);
+      ASSERT_TRUE(db.LoadTpch({.scale_factor = 0.005}).ok());
+      lineitem_rows = (*db.catalog()->GetTable("lineitem"))->num_rows();
+      orders_rows = (*db.catalog()->GetTable("orders"))->num_rows();
+      for (size_t q = 0; q < std::size(cases); ++q) {
+        const Case& c = cases[q];
+        if (threshold != 0 && !c.at_default_threshold && nodes > 1) continue;
+        for (auto [mode, parallelism] :
+             {std::pair{ExecMode::kElastic, 1}, std::pair{ExecMode::kStatic, 2},
+              std::pair{ExecMode::kMaterialized, 2}}) {
+          SCOPED_TRACE(StrFormat("%d nodes, threshold %lld, %s p=%d: %s",
+                                 nodes, static_cast<long long>(threshold),
+                                 ExecModeName(mode), parallelism,
+                                 std::string(c.sql).c_str()));
+          ExecOptions exec;
+          exec.mode = mode;
+          exec.parallelism = parallelism;
+          auto result = db.Query(c.sql, exec);
+          ASSERT_TRUE(result.ok()) << result.status().ToString();
+          if (want.size() <= q) want.push_back(Rendered(*result));
+          EXPECT_EQ(Rendered(*result), want[q]);
+        }
+      }
+    }
+  }
+  // Independent counts: (l_orderkey, l_linenumber) is lineitem's key, and
+  // each order's avg(o_custkey) is its customer key.
+  EXPECT_EQ(want[0], std::to_string(lineitem_rows) + " \n");
+  EXPECT_EQ(want[2], std::to_string(orders_rows) + " \n");
+}
+
 // --- Join order: bounded intermediate rows -------------------------------------
 
 /// Runs `sql` with the event recorder on and returns its assembled profile.

@@ -36,8 +36,10 @@ TEST(SseGenTest, PartitioningPerPaper) {
   Catalog cat;
   ASSERT_TRUE(GenerateSse(SmallConfig(), &cat).ok());
   // §5.3: Trades on sec_code (col 1), Securities on acct_id (col 1).
-  EXPECT_TRUE((*cat.GetTable("trades"))->IsPartitionedOn({1}));
-  EXPECT_TRUE((*cat.GetTable("securities"))->IsPartitionedOn({1}));
+  EXPECT_EQ((*cat.GetTable("trades"))->partition_key_cols(),
+            std::vector<int>{1});
+  EXPECT_EQ((*cat.GetTable("securities"))->partition_key_cols(),
+            std::vector<int>{1});
 }
 
 TEST(SseGenTest, DatesWithinQuarter) {

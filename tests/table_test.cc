@@ -35,8 +35,9 @@ TEST(TableTest, HashPartitionIsDeterministicAndConsistent) {
       const Block& blk = *part.block(b);
       for (int r = 0; r < blk.num_rows(); ++r) {
         int32_t key = s.GetInt32(blk.RowAt(r), 0);
-        EXPECT_EQ(PartitionOf(HashRowKeys(s, blk.RowAt(r), {0}), 4), p)
-            << "key " << key;
+        uint64_t hash;
+        HashKeys(s, blk.RowAt(r), 0, {0}, 1, &hash);
+        EXPECT_EQ(PartitionOf(hash, 4), p) << "key " << key;
       }
     }
   }
@@ -52,13 +53,29 @@ TEST(TableTest, PartitionsReasonablyBalanced) {
   }
 }
 
-TEST(TableTest, IsPartitionedOn) {
-  Table t("t", KeyedSchema(), 4, {0});
-  EXPECT_TRUE(t.IsPartitionedOn({0}));
-  EXPECT_FALSE(t.IsPartitionedOn({1}));
-  EXPECT_FALSE(t.IsPartitionedOn({0, 1}));
-  Table rr("rr", KeyedSchema(), 4, {});
-  EXPECT_FALSE(rr.IsPartitionedOn({0}));
+TEST(TableTest, MultiColumnKeyRoutesByItsColumnsInOrder) {
+  // The loader hashes the partition columns in the order the table lists
+  // them, as a shuffle on the same columns does.
+  Table t("t", KeyedSchema(), 3, {1, 0});
+  for (int i = 0; i < 300; ++i) {
+    t.AppendValues({Value::Int32(i % 7), Value::Int64(i % 11)});
+  }
+  const Schema& s = t.schema();
+  int64_t swapped_differs = 0;
+  for (int p = 0; p < 3; ++p) {
+    const TablePartition& part = t.partition(p);
+    for (int b = 0; b < part.num_blocks(); ++b) {
+      const Block& blk = *part.block(b);
+      for (int r = 0; r < blk.num_rows(); ++r) {
+        uint64_t hash;
+        HashKeys(s, blk.RowAt(r), 0, {1, 0}, 1, &hash);
+        EXPECT_EQ(PartitionOf(hash, 3), p);
+        HashKeys(s, blk.RowAt(r), 0, {0, 1}, 1, &hash);
+        swapped_differs += PartitionOf(hash, 3) != p;
+      }
+    }
+  }
+  EXPECT_GT(swapped_differs, 0);
 }
 
 TEST(TableTest, BytesAccounting) {
@@ -72,11 +89,14 @@ TEST(PartitionTest, HashIsStable) {
   std::vector<char> row(s.row_size());
   s.SetInt32(row.data(), 0, 600036);
   s.SetInt64(row.data(), 1, 9);
-  uint64_t h1 = HashRowKeys(s, row.data(), {0});
-  uint64_t h2 = HashRowKeys(s, row.data(), {0});
+  uint64_t h1;
+  uint64_t h2;
+  HashKeys(s, row.data(), 0, {0}, 1, &h1);
+  HashKeys(s, row.data(), 0, {0}, 1, &h2);
   EXPECT_EQ(h1, h2);
   s.SetInt32(row.data(), 0, 600037);
-  EXPECT_NE(HashRowKeys(s, row.data(), {0}), h1);
+  HashKeys(s, row.data(), 0, {0}, 1, &h2);
+  EXPECT_NE(h2, h1);
 }
 
 }  // namespace

@@ -74,8 +74,8 @@ TEST_F(TpchGenTest, ForeignKeysResolve) {
 TEST_F(TpchGenTest, OrderAndLineitemCoPartitionedOnOrderKey) {
   TablePtr orders = *catalog_->GetTable("orders");
   TablePtr lineitem = *catalog_->GetTable("lineitem");
-  EXPECT_TRUE(orders->IsPartitionedOn({0}));
-  EXPECT_TRUE(lineitem->IsPartitionedOn({0}));
+  EXPECT_EQ(orders->partition_key_cols(), std::vector<int>{0});
+  EXPECT_EQ(lineitem->partition_key_cols(), std::vector<int>{0});
   EXPECT_EQ(orders->num_partitions(), lineitem->num_partitions());
 }
 
