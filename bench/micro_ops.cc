@@ -1,9 +1,11 @@
 // google-benchmark micro benchmarks of the real engine's building blocks:
-// expression evaluation, LIKE matching, hash tables, block buffers, and the
-// elastic iterator's expansion/shrink machinery.
+// expression evaluation, LIKE matching, hash tables, block buffers, the
+// elastic iterator's expansion/shrink machinery, and the exchange's split
+// and wire frames.
 
 #include <benchmark/benchmark.h>
 
+#include "cluster/exchange.h"
 #include "common/string_util.h"
 #include "core/data_buffer.h"
 #include "core/elastic_iterator.h"
@@ -15,6 +17,9 @@
 #include "exec/ops/hash_agg.h"
 #include "exec/ops/hash_join.h"
 #include "exec/ops/scan.h"
+#include "net/wire_frame.h"
+#include "storage/datagen/sse_gen.h"
+#include "storage/datagen/tpch_gen.h"
 #include "storage/partition.h"
 #include "storage/table.h"
 
@@ -667,6 +672,114 @@ void BM_HashJoinManyKeys(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * (kBuildRows + kProbeRows));
 }
 BENCHMARK(BM_HashJoinManyKeys)->Unit(benchmark::kMillisecond);
+
+// --- The exchange's cross-host path: the shuffle's split and wire frames ------
+
+/// One 64 KiB block of SSE-Q7's partial rows, (acct_id INT32, sum INT64):
+/// the first block a kHybrid partial aggregation of 200 000 generated
+/// trades emits, as a node of sse-netbound ships it to the final merge.
+const Block& Q7PartialBlock(const Schema** schema) {
+  static const auto* made = [] {
+    auto* out = new std::pair<Schema, BlockPtr>();
+    Catalog catalog;
+    SseConfig sse;
+    sse.trades_rows = 200000;
+    sse.securities_rows = 1000;
+    if (!GenerateSse(sse, &catalog).ok()) std::abort();
+    TablePtr trades = *catalog.GetTable("trades");
+    const Schema& ts = trades->schema();
+    std::vector<BlockPtr> blocks = trades->partition(0).blocks();
+    HashAggIterator::Spec spec;
+    spec.input_schema = &ts;
+    spec.group_exprs = {MakeColumnRef(0, DataType::kInt32, "acct_id")};
+    spec.group_names = {"acct_id"};
+    spec.aggregates = {{AggFn::kSum,
+                        MakeColumnRef(5, DataType::kInt64, "trade_volume"),
+                        "sum"}};
+    spec.mode = HashAggIterator::Mode::kHybrid;
+    spec.pool = BlockPool::Global();
+    HashAggIterator agg(std::make_unique<BlocksIterator>(&blocks), spec);
+    WorkerContext ctx;
+    agg.Open(&ctx);
+    if (agg.Next(&ctx, &out->second) != NextResult::kSuccess ||
+        !out->second->full()) {
+      std::abort();
+    }
+    agg.Close();
+    out->first = agg.output_schema();
+    return out;
+  }();
+  *schema = &made->first;
+  return *made->second;
+}
+
+/// One 64 KiB storage block of TPC-H lineitem (141-byte rows, SF 0.01).
+const Block& LineitemBlock(const Schema** schema) {
+  static const auto* made = [] {
+    auto* out = new std::pair<Schema, BlockPtr>();
+    Catalog catalog;
+    if (!GenerateTpch(TpchConfig{}, &catalog).ok()) std::abort();
+    TablePtr lineitem = *catalog.GetTable("lineitem");
+    out->first = lineitem->schema();
+    out->second = lineitem->partition(0).block(0);
+    return out;
+  }();
+  *schema = &made->first;
+  return *made->second;
+}
+
+using SampleBlock = const Block& (*)(const Schema**);
+
+// Encoding one block as the frame it crosses hosts in: ns/row is 1e9 over
+// items_per_second, and bytes_ratio the rows' bytes over the frame's.
+void BM_WireEncode(benchmark::State& state, SampleBlock sample) {
+  const Schema* schema = nullptr;
+  const Block& block = sample(&schema);
+  int64_t frame_bytes = 0;
+  for (auto _ : state) {
+    FramePtr frame = WireFrame::Encode(*schema, block);
+    frame_bytes = frame->bytes();
+    benchmark::DoNotOptimize(frame.get());
+  }
+  state.SetItemsProcessed(state.iterations() * block.num_rows());
+  state.counters["bytes_ratio"] =
+      static_cast<double>(block.payload_bytes()) / frame_bytes;
+}
+BENCHMARK_CAPTURE(BM_WireEncode, sse_q7_partial, &Q7PartialBlock);
+BENCHMARK_CAPTURE(BM_WireEncode, lineitem, &LineitemBlock);
+
+// Decoding it into a fresh pooled block, as the receiving channel does.
+void BM_WireDecode(benchmark::State& state, SampleBlock sample) {
+  const Schema* schema = nullptr;
+  const Block& block = sample(&schema);
+  const FramePtr frame = WireFrame::Encode(*schema, block);
+  for (auto _ : state) {
+    BlockPtr decoded = frame->Decode();
+    benchmark::DoNotOptimize(decoded->RowAt(0));
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * block.num_rows());
+  state.counters["bytes_ratio"] =
+      static_cast<double>(block.payload_bytes()) / frame->bytes();
+}
+BENCHMARK_CAPTURE(BM_WireDecode, sse_q7_partial, &Q7PartialBlock);
+BENCHMARK_CAPTURE(BM_WireDecode, lineitem, &LineitemBlock);
+
+// A shuffle's split of SSE-Q7's partial rows by acct_id over 2 and 4
+// destinations (HashSplit), each filled destination block handed on and
+// dropped.
+void BM_ExchangeSplit(benchmark::State& state) {
+  const Schema* schema = nullptr;
+  const Block& block = Q7PartialBlock(&schema);
+  HashSplit split(schema, {0}, static_cast<int>(state.range(0)));
+  const HashSplit::Emit emit = [](int, BlockPtr full) {
+    benchmark::DoNotOptimize(full.get());
+    return true;
+  };
+  for (auto _ : state) split.Add(block, emit);
+  state.SetItemsProcessed(state.iterations() * block.num_rows());
+}
+BENCHMARK(BM_ExchangeSplit)->Arg(2)->Arg(4);
 
 }  // namespace
 }  // namespace claims

@@ -1,5 +1,7 @@
 #include "cluster/exchange.h"
 
+#include <optional>
+
 #include "obs/recorder.h"
 #include "storage/partition.h"
 
@@ -74,7 +76,7 @@ NextResult MergerIterator::Next(WorkerContext* ctx, BlockPtr* out) {
         EventRecord recv(EventKind::kNetRecv, OwnerOf(stats_), t0, t1);
         recv.name = "recv";
         recv.tuples = nb.block->num_rows();
-        recv.bytes = nb.block->payload_bytes();
+        recv.bytes = nb.wire_bytes();
         // Link seqs are 1-based, matching the send record; 0 = unlinked.
         recv.link = LinkKey{nb.exchange_id, nb.from_node, nb.to_node,
                             nb.wire_seq + 1};
@@ -104,13 +106,48 @@ NextResult MergerIterator::Next(WorkerContext* ctx, BlockPtr* out) {
 
 void MergerIterator::Close() { AbortStarved(); }
 
+HashSplit::HashSplit(const Schema* schema, std::vector<int> hash_cols,
+                     int num_dests)
+    : schema_(schema),
+      hash_cols_(std::move(hash_cols)),
+      pending_(static_cast<size_t>(num_dests)) {}
+
+bool HashSplit::Add(const Block& block, const Emit& emit) {
+  const int32_t n = block.num_rows();
+  if (n == 0) return true;
+  const int ndest = static_cast<int>(pending_.size());
+  hashes_.resize(static_cast<size_t>(n));
+  HashKeys(*schema_, block.RowAt(0), block.row_size(), hash_cols_, n,
+           hashes_.data());
+  for (int32_t i = 0; i < n; ++i) {
+    const int d = PartitionOf(hashes_[static_cast<size_t>(i)], ndest);
+    std::shared_ptr<Block>& dst = pending_[d];
+    if (dst == nullptr) dst = MakeBlock(schema_->row_size());
+    dst->AppendRowCopy(block.RowAt(i));
+    if (dst->full()) {
+      if (!emit(d, std::move(dst))) return false;
+      dst = nullptr;
+    }
+  }
+  return true;
+}
+
+bool HashSplit::Flush(const Emit& emit) {
+  for (int d = 0; d < static_cast<int>(pending_.size()); ++d) {
+    if (pending_[d] == nullptr) continue;
+    if (!emit(d, std::move(pending_[d]))) return false;
+    pending_[d] = nullptr;
+  }
+  return true;
+}
+
 SenderPump::SenderPump(Spec spec)
     : spec_(std::move(spec)), sent_tuples_(spec_.consumer_nodes.size()) {}
 
-bool SenderPump::SendBlock(int dest_index, BlockPtr block,
+bool SenderPump::SendBlock(int dest_index, Outgoing* out,
                            const std::atomic<bool>* cancel) {
-  if (block == nullptr || block->empty()) return true;
-  const int64_t rows = block->num_rows();
+  if (out->block == nullptr || out->block->empty()) return true;
+  const int64_t rows = out->block->num_rows();
   // Outgoing tail = V_i · sent_ij / in_i, which is V_i·δ_i·p_ij (paper §4.3)
   // once the stream ends. Both counts precede the send: sent_ij is added
   // here, and the stage beginner counted in_i before it emitted the rows, so
@@ -136,18 +173,29 @@ bool SenderPump::SendBlock(int dest_index, BlockPtr block,
       static_cast<size_t>(dest_index) < spec_.consumer_placement.size()
           ? spec_.consumer_placement[dest_index]
           : route.to_logical;
+  // Only a block leaving its host is encoded, and only once: a broadcast's
+  // remote consumers share the frame, a local one shares the block.
+  const bool remote = route.from_physical != route.to_physical;
+  if (remote && !out->encoded) {
+    out->frame = WireFrame::Encode(*spec_.schema, *out->block);
+    out->encoded = true;
+  }
+  const bool framed = remote && out->frame != nullptr;
   EventRecorder* rec = EventRecorder::Global();
   const bool recording = rec->enabled();
   Clock* clock = spec_.clock != nullptr ? spec_.clock : SteadyClock::Default();
   const int64_t t0 = recording ? clock->NowNanos() : 0;
-  const int64_t bytes = block->payload_bytes();
+  const int64_t bytes =
+      framed ? out->frame->bytes() : out->block->payload_bytes();
   uint64_t wire_seq = 0;
-  SendOutcome outcome = spec_.network->SendRoute(route, std::move(block), tail,
-                                                 cancel, &wire_seq);
+  const SendOutcome outcome =
+      framed ? spec_.network->SendRoute(route, out->frame, tail, cancel,
+                                        &wire_seq)
+             : spec_.network->SendRoute(route, out->block, tail, cancel,
+                                        &wire_seq);
   // Counted here, per query, rather than read off the fabric's total, which
   // every concurrent query adds to.
-  if (outcome == SendOutcome::kOk && spec_.stats != nullptr &&
-      route.from_physical != route.to_physical) {
+  if (outcome == SendOutcome::kOk && spec_.stats != nullptr && remote) {
     spec_.stats->remote_bytes.fetch_add(bytes, std::memory_order_relaxed);
   }
   if (recording && outcome == SendOutcome::kOk) {
@@ -172,8 +220,14 @@ bool SenderPump::SendBlock(int dest_index, BlockPtr block,
 bool SenderPump::Pump(Iterator* source, WorkerContext* ctx,
                       const std::atomic<bool>* cancel) {
   const int ncons = static_cast<int>(spec_.consumer_nodes.size());
-  std::vector<std::shared_ptr<Block>> pending(static_cast<size_t>(ncons));
-  std::vector<uint64_t> hashes;  // kHash: one block's row hashes
+  const HashSplit::Emit send = [&](int d, BlockPtr block) {
+    Outgoing out{std::move(block)};
+    return SendBlock(d, &out, cancel);
+  };
+  std::optional<HashSplit> split;
+  if (spec_.partitioning == Partitioning::kHash) {
+    split.emplace(spec_.schema, spec_.hash_cols, ncons);
+  }
   bool ok = true;
   while (ok) {
     BlockPtr block;
@@ -187,38 +241,20 @@ bool SenderPump::Pump(Iterator* source, WorkerContext* ctx,
     if (r != NextResult::kSuccess) break;
     switch (spec_.partitioning) {
       case Partitioning::kToOne:
-        ok = SendBlock(0, std::move(block), cancel);
+        ok = send(0, std::move(block));
         break;
-      case Partitioning::kBroadcast:
-        // Every consumer gets the same read-only block.
-        for (int d = 0; d < ncons && ok; ++d) ok = SendBlock(d, block, cancel);
-        break;
-      case Partitioning::kHash: {
-        const Schema& schema = *spec_.schema;
-        const int32_t n = block->num_rows();
-        hashes.resize(static_cast<size_t>(n));
-        if (n > 0) {
-          HashKeys(schema, block->RowAt(0), block->row_size(),
-                   spec_.hash_cols, n, hashes.data());
-        }
-        for (int i = 0; i < n && ok; ++i) {
-          const char* row = block->RowAt(i);
-          int d = PartitionOf(hashes[static_cast<size_t>(i)], ncons);
-          std::shared_ptr<Block>& dst = pending[d];
-          if (dst == nullptr) dst = MakeBlock(schema.row_size());
-          dst->AppendRowCopy(row);
-          if (dst->full()) {
-            ok = SendBlock(d, std::move(dst), cancel);
-            dst = nullptr;
-          }
-        }
+      case Partitioning::kBroadcast: {
+        // Every consumer gets the same read-only block, or its one frame.
+        Outgoing out{std::move(block)};
+        for (int d = 0; d < ncons && ok; ++d) ok = SendBlock(d, &out, cancel);
         break;
       }
+      case Partitioning::kHash:
+        ok = split->Add(*block, send);
+        break;
     }
   }
-  for (int d = 0; d < ncons && ok; ++d) {
-    if (pending[d] != nullptr) ok = SendBlock(d, std::move(pending[d]), cancel);
-  }
+  if (ok && split.has_value()) ok = split->Flush(send);
   spec_.network->CloseProducer(spec_.exchange_id);
   return ok;
 }

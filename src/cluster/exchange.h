@@ -2,6 +2,7 @@
 #define CLAIMS_CLUSTER_EXCHANGE_H_
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -59,6 +60,32 @@ enum class Partitioning {
   kToOne,      ///< everything to one consumer (master collector / gather)
 };
 
+/// A shuffle's row split: hashes a block's key columns (HashKeys) and copies
+/// each row into the block of destination PartitionOf(hash, number of
+/// destinations), in order. A destination's block leaves when it fills.
+class HashSplit {
+ public:
+  /// Takes each block that fills: its destination and the block. False
+  /// stops the split.
+  using Emit = std::function<bool(int dest, BlockPtr block)>;
+
+  /// `schema` lays out the rows and must outlive the split.
+  HashSplit(const Schema* schema, std::vector<int> hash_cols, int num_dests);
+
+  /// Routes every row of `block`. False as soon as `emit` returns false.
+  bool Add(const Block& block, const Emit& emit);
+
+  /// Emits each destination's partly filled block.
+  bool Flush(const Emit& emit);
+
+ private:
+  const Schema* schema_;
+  std::vector<int> hash_cols_;
+  /// Per destination: the block being filled (null: none yet).
+  std::vector<std::shared_ptr<Block>> pending_;
+  std::vector<uint64_t> hashes_;  ///< one block's key hashes
+};
+
 /// Sender — the data-exchange transmitter at the top of a segment (appendix
 /// Alg. 4). Pump() drains the segment's elastic iterator and routes blocks
 /// into the network fabric, each envelope carrying the visit-rate tail
@@ -69,6 +96,10 @@ enum class Partitioning {
 /// throttle or full consumer channel) propagates as backpressure into the
 /// elastic buffer, which is how the dynamic scheduler sees "over-producing
 /// for the network".
+///
+/// A block bound for another host crosses as its frame (net/wire_frame.h),
+/// encoded once however many remote consumers it has; a consumer on the
+/// sender's host receives the block itself.
 class SenderPump {
  public:
   struct Spec {
@@ -77,6 +108,7 @@ class SenderPump {
     Partitioning partitioning = Partitioning::kToOne;
     std::vector<int> hash_cols;
     std::vector<int> consumer_nodes;
+    /// Lays out the rows: the shuffle hashes and the frames read it.
     const Schema* schema = nullptr;
     Network* network = nullptr;
     SegmentStats* stats = nullptr;
@@ -112,7 +144,15 @@ class SenderPump {
             const std::atomic<bool>* cancel);
 
  private:
-  bool SendBlock(int dest_index, BlockPtr block,
+  /// A block on its way out, and its frame once a cross-host send asked for
+  /// one (null after that when the rows are the smaller form).
+  struct Outgoing {
+    BlockPtr block;
+    FramePtr frame = nullptr;
+    bool encoded = false;
+  };
+
+  bool SendBlock(int dest_index, Outgoing* out,
                  const std::atomic<bool>* cancel);
 
   Spec spec_;

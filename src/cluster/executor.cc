@@ -150,6 +150,7 @@ Result<std::unique_ptr<Iterator>> Executor::BuildIteratorInner(
       spec.group_names = op.group_names;
       spec.aggregates = op.aggregates;
       spec.mode = op.agg_mode;
+      spec.scalar_final = op.agg_scalar_final;
       spec.pool = BlockPool::Global();
       spec.budget = budget_.get();
       return std::unique_ptr<Iterator>(
@@ -427,8 +428,8 @@ Result<ResultSet> Executor::Execute(const PhysicalPlan& plan,
   }
 
   auto drain_result = [&]() {
-    NetBlock nb;
     while (true) {
+      NetBlock nb;
       ChannelStatus s = result_channel->Receive(&nb, 5'000'000);
       if (s == ChannelStatus::kOk) {
         if (opts.collect_result) result.AppendBlock(std::move(nb.block));

@@ -53,6 +53,8 @@ struct POp {
   std::vector<std::string> group_names;
   std::vector<HashAggIterator::Aggregate> aggregates;
   HashAggIterator::Mode agg_mode = HashAggIterator::Mode::kHybrid;
+  /// HashAggIterator::Spec::scalar_final. Not part of EXPLAIN.
+  bool agg_scalar_final = false;
   // kSort
   std::vector<SortKey> sort_keys;
 

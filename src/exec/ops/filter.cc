@@ -64,8 +64,7 @@ NextResult ProjectIterator::Next(WorkerContext* ctx, BlockPtr* out) {
   auto output = MakeBlock(
       output_schema_.row_size(),
       std::max<int32_t>(kDefaultBlockBytes, n * output_schema_.row_size()));
-  for (int32_t i = 0; i < n; ++i) output->AppendRow();
-  char* rows = output->MutableRowAt(0);
+  char* rows = output->AppendRows(n);
   for (size_t c = 0; c < columns_.size(); ++c) {
     columns_[c]->Materialize(*input, nullptr, n, output_schema_,
                              static_cast<int>(c), rows);

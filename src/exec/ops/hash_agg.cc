@@ -293,6 +293,13 @@ void HashAggIterator::SnapshotGroups() {
       [&](const char* row, const AggHashTable::AggState* states) {
         groups_.emplace_back(row, states);
       });
+  if (groups_.empty() && spec_.scalar_final) {
+    // SQL's one row over no input: zeroed states emit 0 for every aggregate.
+    // The group key has no bytes; any valid pointer stands for it.
+    empty_states_.resize(fns_.size());
+    groups_.emplace_back(reinterpret_cast<const char*>(&empty_states_),
+                         empty_states_.data());
+  }
   snapshot_ready_.store(true, std::memory_order_release);
 }
 

@@ -66,6 +66,11 @@ class HashAggIterator : public Iterator {
     /// which the executor maps to kResourceExhausted.
     BlockPool* pool = nullptr;
     QueryBudget* budget = nullptr;
+    /// The final aggregation of a query without GROUP BY: over no input it
+    /// still emits SQL's one row, every aggregate 0 (the engine has no NULL,
+    /// and x / 0 is 0, so a split AVG is 0 too). Partial aggregations emit
+    /// nothing over no input, so no false 0 reaches the final MIN or MAX.
+    bool scalar_final = false;
   };
 
   HashAggIterator(std::unique_ptr<Iterator> child, Spec spec);
@@ -155,6 +160,8 @@ class HashAggIterator : public Iterator {
   /// lock-free fast path in Next() sees a fully built groups_ vector.
   std::atomic<bool> snapshot_ready_{false};
   std::vector<std::pair<const char*, const AggHashTable::AggState*>> groups_;
+  /// The states of a scalar_final aggregation's row over no input.
+  std::vector<AggHashTable::AggState> empty_states_;
   std::atomic<size_t> emit_cursor_{0};
 };
 

@@ -22,7 +22,7 @@ BlockChannel::~BlockChannel() {
 void BlockChannel::DropQueuedLocked() {
   if (budget_ != nullptr) {
     int64_t charged = 0;
-    for (const NetBlock& nb : queue_) charged += nb.block->payload_bytes();
+    for (const NetBlock& nb : queue_) charged += nb.wire_bytes();
     if (charged > 0) budget_->Release(charged);
   }
   queue_.clear();
@@ -41,7 +41,7 @@ bool BlockChannel::Enqueue(NetBlock block, const std::atomic<bool>* cancel,
   if (cancelled_) return false;
   // Charged once the block has room, so a sender still waiting holds no
   // charge; a refusal queues nothing and takes no wire sequence number.
-  if (budget_ != nullptr && !budget_->TryCharge(block.block->payload_bytes())) {
+  if (budget_ != nullptr && !budget_->TryCharge(block.wire_bytes())) {
     budget_->MarkRejected();
     return false;
   }
@@ -80,7 +80,7 @@ ChannelStatus BlockChannel::Receive(NetBlock* out, int64_t timeout_ns) {
   while (!queue_.empty()) {
     NetBlock block = std::move(queue_.front());
     queue_.pop_front();
-    const int64_t bytes = block.block->payload_bytes();
+    const int64_t bytes = block.wire_bytes();
     if (budget_ != nullptr && bytes > 0) budget_->Release(bytes);
     not_full_.notify_all();
     uint64_t& expected = next_recv_seq_[block.from_node];
@@ -98,6 +98,8 @@ ChannelStatus BlockChannel::Receive(NetBlock* out, int64_t timeout_ns) {
       sequence_gaps_ += static_cast<int64_t>(block.wire_seq - expected);
     }
     expected = block.wire_seq + 1;
+    lock.unlock();
+    if (block.frame != nullptr) block.block = block.frame->Decode();
     *out = std::move(block);
     return ChannelStatus::kOk;
   }

@@ -7,6 +7,7 @@
 #include <mutex>
 
 #include "common/macros.h"
+#include "net/wire_frame.h"
 #include "storage/block.h"
 
 namespace claims {
@@ -22,6 +23,10 @@ class QueryBudget;
 /// assigns; Receive uses it to suppress duplicated deliveries and detect
 /// losses (docs/FAULTS.md). With the exchange id and logical consumer node
 /// it forms the batch's causal link key, which the receiver records.
+///
+/// A block crossing hosts travels as its frame (net/wire_frame.h): a queued
+/// envelope then holds the frame alone, and Receive decodes it into `block`,
+/// leaving the frame in place so the receiver can count its bytes.
 struct NetBlock {
   BlockPtr block;
   int from_node = 0;
@@ -29,6 +34,13 @@ struct NetBlock {
   int exchange_id = -1;
   int to_node = -1;
   double visit_rate = 1.0;
+  FramePtr frame = nullptr;
+
+  /// What the envelope costs on the wire and in the channel's ledger: the
+  /// frame's bytes when it has one, else the block's payload.
+  int64_t wire_bytes() const {
+    return frame != nullptr ? frame->bytes() : block->payload_bytes();
+  }
 };
 
 /// Receive outcomes; kTimeout lets mergers poll their terminate flag while
@@ -40,13 +52,13 @@ enum class ChannelStatus { kOk, kTimeout, kClosed };
 /// threads receive from it. Capacity bounds give end-to-end backpressure from
 /// a slow consumer back into the producers' elastic buffers.
 ///
-/// With a ledger, every queued block (duplicates and shared broadcast blocks
-/// included) holds its payload bytes on the owning query's QueryBudget,
-/// refunded when the block is received, when the channel is cancelled, and
-/// when it is destroyed with blocks still queued. A queued block is
-/// read-only, so the refund is its payload_bytes() again. The charge is
-/// taken under the channel lock once the block has room, so a sender waiting
-/// on a full channel holds none.
+/// With a ledger, every queued envelope (duplicates and shared broadcast
+/// blocks and frames included) holds its wire_bytes() on the owning query's
+/// QueryBudget, refunded when it is received, when the channel is
+/// cancelled, and when it is destroyed with envelopes still queued. A queued
+/// block or frame is read-only, so the refund is its wire_bytes() again. The
+/// charge is taken under the channel lock once the envelope has room, so a
+/// sender waiting on a full channel holds none.
 class BlockChannel {
  public:
   /// `num_producers` senders must call CloseProducer before the channel
@@ -79,7 +91,8 @@ class BlockChannel {
   /// non-blocking poll: it returns whatever is decidable right now (kOk,
   /// kClosed) without waiting, else kTimeout immediately. Duplicated
   /// deliveries (wire_seq already consumed from that producer) are dropped
-  /// here and never surfaced.
+  /// here and never surfaced. A framed envelope is decoded after the lock
+  /// is released, so `out->block` is always an ordinary block.
   ChannelStatus Receive(NetBlock* out, int64_t timeout_ns);
 
   /// Blocks received then dropped as duplicates (fault-injection evidence).

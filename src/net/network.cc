@@ -90,13 +90,37 @@ SendOutcome Network::SendRoute(const Route& route, BlockPtr block,
                                double visit_rate,
                                const std::atomic<bool>* cancel,
                                uint64_t* wire_seq) {
+  NetBlock envelope;
+  envelope.block = std::move(block);
+  envelope.visit_rate = visit_rate;
+  return Deliver(route, std::move(envelope), cancel, wire_seq);
+}
+
+SendOutcome Network::SendRoute(const Route& route, FramePtr frame,
+                               double visit_rate,
+                               const std::atomic<bool>* cancel,
+                               uint64_t* wire_seq) {
+  NetBlock envelope;
+  envelope.frame = std::move(frame);
+  envelope.visit_rate = visit_rate;
+  return Deliver(route, std::move(envelope), cancel, wire_seq);
+}
+
+SendOutcome Network::Deliver(const Route& route, NetBlock envelope,
+                             const std::atomic<bool>* cancel,
+                             uint64_t* wire_seq) {
   // Channels are addressed by *logical* endpoints: after re-dispatch the
   // surviving node keeps consuming the dead node's channel, so producers
   // need not learn new addresses mid-query.
   BlockChannel* channel = GetChannel(route.exchange_id, route.to_logical);
   if (channel == nullptr) return SendOutcome::kUnavailable;
+  // NetBlock carries the logical producer id: mergers key visit-rate
+  // aggregation and wire sequencing on the plan-level endpoint.
+  envelope.from_node = route.from_logical;
+  envelope.exchange_id = route.exchange_id;
+  envelope.to_node = route.to_logical;
   FaultInjector* injector = injector_.load(std::memory_order_acquire);
-  const int64_t bytes = block->payload_bytes();
+  const int64_t bytes = envelope.wire_bytes();
   int64_t backoff_ns = options_.retry_backoff_ns;
   for (int attempt = 0;; ++attempt) {
     if (cancel != nullptr && cancel->load(std::memory_order_acquire)) {
@@ -147,21 +171,17 @@ SendOutcome Network::SendRoute(const Route& route, BlockPtr block,
       remote_bytes_.fetch_add(bytes, std::memory_order_relaxed);
       remote_bytes_metric_->Add(bytes);
     }
-    // NetBlock carries the logical producer id: mergers key visit-rate
-    // aggregation and wire sequencing on the plan-level endpoint.
-    NetBlock net_block{block, route.from_logical, 0, route.exchange_id,
-                       route.to_logical, visit_rate};
     uint64_t seq = 0;
-    if (!channel->Send(net_block, cancel, &seq)) {
+    if (!channel->Send(envelope, cancel, &seq)) {
       return SendOutcome::kCancelled;
     }
     if (wire_seq != nullptr) *wire_seq = seq;
     if (decision.fate == SendDecision::Fate::kDuplicate) {
-      // Second envelope under the same wire sequence, sharing the block; the
-      // receiver's duplicate suppression drops it. Best-effort: a cancelled
-      // duplicate is no loss.
-      net_block.wire_seq = seq;
-      channel->SendDuplicate(std::move(net_block), cancel);
+      // Second envelope under the same wire sequence, sharing the block or
+      // frame; the receiver's duplicate suppression drops it. Best-effort: a
+      // cancelled duplicate is no loss.
+      envelope.wire_seq = seq;
+      channel->SendDuplicate(std::move(envelope), cancel);
     }
     bytes_sent_metric_->Add(bytes);
     sent_metric_->Add();

@@ -78,10 +78,10 @@ class Network {
                       int capacity_override = 0,
                       QueryBudget* budget = nullptr);
 
-  /// Sends `block` from node `from` to the exchange's channel at node `to`,
-  /// charging NIC budgets. False when cancelled or unavailable. Equivalent
-  /// to SendRoute with logical == physical on both ends and a visit-rate
-  /// tail of 1.
+  /// Sends `block`'s rows, unencoded, from node `from` to the exchange's
+  /// channel at node `to`, charging NIC budgets. False when cancelled or
+  /// unavailable. Equivalent to SendRoute with logical == physical on both
+  /// ends and a visit-rate tail of 1.
   bool Send(int exchange_id, int from, int to, BlockPtr block,
             const std::atomic<bool>* cancel = nullptr);
 
@@ -96,6 +96,14 @@ class Network {
   /// recorder keys its send↔receive links on it (a fabric-dropped attempt is
   /// never enqueued, so each delivered block has exactly one sequence).
   SendOutcome SendRoute(const Route& route, BlockPtr block, double visit_rate,
+                        const std::atomic<bool>* cancel = nullptr,
+                        uint64_t* wire_seq = nullptr);
+
+  /// The same send for a block encoded as a frame (net/wire_frame.h): the
+  /// NICs, the fabric's byte counters and the channel's ledger count the
+  /// frame's bytes, and the receiving channel decodes it. Several sends may
+  /// share one frame (a broadcast's remote consumers).
+  SendOutcome SendRoute(const Route& route, FramePtr frame, double visit_rate,
                         const std::atomic<bool>* cancel = nullptr,
                         uint64_t* wire_seq = nullptr);
 
@@ -125,10 +133,16 @@ class Network {
   TokenBucket* ingress(int node) { return ingress_[node].get(); }
 
   /// Aggregate bytes sent across node boundaries by every query (network
-  /// utilization). A query's own share is ExecutionReport::remote_bytes.
+  /// utilization), counted as wire bytes. A query's own share is
+  /// ExecutionReport::remote_bytes.
   int64_t total_remote_bytes() const;
 
  private:
+  /// Both SendRoutes: `envelope` holds the block or its frame; the route
+  /// fills its addressing.
+  SendOutcome Deliver(const Route& route, NetBlock envelope,
+                      const std::atomic<bool>* cancel, uint64_t* wire_seq);
+
   /// Sleeps `delay_ns` on the fabric clock in cancellation-responsive
   /// chunks; false when `cancel` trips.
   bool SleepCancellable(int64_t delay_ns, const std::atomic<bool>* cancel);

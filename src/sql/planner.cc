@@ -674,6 +674,7 @@ class Planner::Impl {
           std::move(group_names), std::move(merges),
           ngroup > 0 ? HashAggIterator::Mode::kHybrid
                      : HashAggIterator::Mode::kShared);
+      pipeline.root->agg_scalar_final = ngroup == 0;
       pipeline.nodes = std::move(nodes);
     }
 

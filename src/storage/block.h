@@ -82,6 +82,14 @@ class Block {
     return MutableRowAt(num_rows_++);
   }
 
+  /// Reserves the next `n` row slots and returns the first. The caller
+  /// guarantees capacity and writes every byte of the slots.
+  char* AppendRows(int32_t n) {
+    char* first = MutableRowAt(num_rows_);
+    num_rows_ += n;
+    return first;
+  }
+
   /// Appends a copy of `row` (must be row_size() bytes); false when full.
   bool AppendRowCopy(const char* row) {
     char* slot = AppendRow();

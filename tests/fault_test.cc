@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <future>
@@ -16,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "cluster/exchange.h"
 #include "cluster/executor.h"
 #include "fault/injector.h"
 #include "ledger_balance_check.h"
@@ -472,6 +474,110 @@ TEST(NetworkFaultTest, DuplicatedDeliveryIsSuppressedAtReceive) {
   EXPECT_EQ(ch->Receive(&nb, 0), ChannelStatus::kTimeout);
   EXPECT_EQ(ch->duplicates_suppressed(), 1);
   net.SetFaultInjector(nullptr);
+}
+
+/// Replays fixed blocks in order: one producer segment's output.
+class ReplaySource : public Iterator {
+ public:
+  explicit ReplaySource(std::vector<BlockPtr> blocks)
+      : blocks_(std::move(blocks)) {}
+  NextResult Open(WorkerContext*) override { return NextResult::kSuccess; }
+  NextResult Next(WorkerContext*, BlockPtr* out) override {
+    if (next_ >= blocks_.size()) return NextResult::kEndOfFile;
+    *out = blocks_[next_++];
+    return NextResult::kSuccess;
+  }
+  void Close() override {}
+
+ private:
+  std::vector<BlockPtr> blocks_;
+  size_t next_ = 0;
+};
+
+/// Shuffles 40 000 (k, v) rows from node 0 to nodes {0, 1} under `plan`
+/// (none: fault-free) and returns each node's rows, sorted, and the bytes
+/// the sender counted as crossing hosts. One sender draws every fate from
+/// the plan's seed, so a plan's faults are the same on every run.
+std::pair<std::vector<std::string>, int64_t> ShuffleUnder(
+    const FaultPlan* plan) {
+  const Schema s({ColumnDef::Int32("k"), ColumnDef::Int64("v")});
+  std::vector<BlockPtr> blocks;
+  for (int i = 0; i < 40000;) {
+    auto b = MakeBlock(s.row_size());
+    for (; !b->full() && i < 40000; ++i) {
+      char* row = b->AppendRow();
+      s.SetInt32(row, 0, i % 700);
+      s.SetInt64(row, 1, i);
+    }
+    blocks.push_back(std::move(b));
+  }
+  NetworkOptions opts = FastRetryOptions();
+  opts.max_send_attempts = 40;
+  opts.retry_backoff_ns = 1'000;
+  opts.retry_backoff_multiplier = 1.0;
+  Network net(2, opts);
+  ManualClock clock;
+  std::unique_ptr<FaultInjector> injector;
+  if (plan != nullptr) {
+    injector = std::make_unique<FaultInjector>(*plan, &clock);
+    injector->ArmManual();
+    clock.Advance(1);
+    injector->PollOnce();
+    net.SetFaultInjector(injector.get());
+  }
+  net.CreateExchange(1, 1, {0, 1}, /*capacity_override=*/-1);
+  SegmentStats stats;
+  SenderPump::Spec spec;
+  spec.exchange_id = 1;
+  spec.partitioning = Partitioning::kHash;
+  spec.hash_cols = {0};
+  spec.consumer_nodes = {0, 1};
+  spec.schema = &s;
+  spec.network = &net;
+  spec.stats = &stats;
+  SenderPump pump(spec);
+  ReplaySource source(blocks);
+  WorkerContext ctx;
+  EXPECT_TRUE(pump.Pump(&source, &ctx, nullptr));
+  net.SetFaultInjector(nullptr);
+  std::vector<std::string> rows;
+  for (int node : {0, 1}) {
+    SegmentStats merged;
+    MergerIterator merger(net.GetChannel(1, node), &merged, nullptr);
+    EXPECT_EQ(merger.Open(&ctx), NextResult::kSuccess);
+    BlockPtr b;
+    while (merger.Next(&ctx, &b) == NextResult::kSuccess) {
+      for (int r = 0; r < b->num_rows(); ++r) {
+        rows.push_back(std::to_string(node) + ":" +
+                       std::string(b->RowAt(r), b->row_size()));
+      }
+    }
+    merger.Close();
+  }
+  std::sort(rows.begin(), rows.end());
+  return {rows, stats.remote_bytes.load()};
+}
+
+TEST(NetworkFaultTest, DroppedAndDuplicatedFramesKeepTheRows) {
+  // The shuffle's blocks for node 1 cross as frames. A retry after a drop
+  // re-sends the same frame, and a duplicate queues it twice under one
+  // wire sequence: each node gets the fault-free run's rows, and the
+  // sender counts the same bytes.
+  const auto [want, want_bytes] = ShuffleUnder(nullptr);
+  ASSERT_EQ(want.size(), 40000u);
+  EXPECT_LT(2 * want_bytes, 40000 * 12 / 2);  // 2-byte k, 2-byte v deltas
+  auto plan = ParseFaultPlan(
+      "seed=5\n"
+      "at=0ns kind=drop dur=1s p=0.3\n"
+      "at=0ns kind=dup dur=1s p=0.3\n");
+  ASSERT_TRUE(plan.ok());
+  const int64_t drops = CounterValue("fault.drops");
+  const int64_t dups = CounterValue("fault.duplicates");
+  const auto [got, got_bytes] = ShuffleUnder(&*plan);
+  EXPECT_GT(CounterValue("fault.drops"), drops);
+  EXPECT_GT(CounterValue("fault.duplicates"), dups);
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(got_bytes, want_bytes);
 }
 
 // --- cluster resilience scenarios -----------------------------------------------

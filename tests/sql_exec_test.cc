@@ -723,6 +723,46 @@ TEST(AggregationTrafficTest, OnlyPartialRowsCrossTheNetwork) {
   ExpectPartialRowTraffic(&db, *SseQuery(7));
 }
 
+TEST(EmptyScalarAggregateTest, ReturnsOneRowOfZeros) {
+  // An aggregate without GROUP BY returns one row even over no rows. The
+  // engine has no NULL, so every aggregate of it is 0. A node whose partial
+  // aggregation saw no rows adds nothing: MIN and MAX over rows that all
+  // live on one node keep their value.
+  for (const int nodes : {1, 2}) {
+    DatabaseOptions options;
+    options.cluster.num_nodes = nodes;
+    options.cluster.cores_per_node = 2;
+    Database db(options);
+    ASSERT_TRUE(db.LoadTpch({.scale_factor = 0.001}).ok());
+    for (auto [mode, parallelism] :
+         {std::pair{ExecMode::kElastic, 1}, std::pair{ExecMode::kStatic, 2},
+          std::pair{ExecMode::kMaterialized, 2}}) {
+      SCOPED_TRACE(StrFormat("%d nodes, %s p=%d", nodes, ExecModeName(mode),
+                             parallelism));
+      ExecOptions exec;
+      exec.mode = mode;
+      exec.parallelism = parallelism;
+      auto count =
+          db.Query("SELECT count(*) FROM nation WHERE n_nationkey = 99", exec);
+      ASSERT_TRUE(count.ok()) << count.status().ToString();
+      EXPECT_EQ(Rendered(*count), "0 \n");
+      auto all = db.Query(
+          "SELECT count(*), sum(n_regionkey), min(n_regionkey), "
+          "max(n_nationkey), avg(n_regionkey), sum(n_nationkey) / count(*) "
+          "FROM nation WHERE n_nationkey = 99",
+          exec);
+      ASSERT_TRUE(all.ok()) << all.status().ToString();
+      EXPECT_EQ(Rendered(*all), "0 0 0 0 0.0000 0.0000 \n");
+      auto one = db.Query(
+          "SELECT count(*), min(n_nationkey), max(n_nationkey) FROM nation "
+          "WHERE n_nationkey = 24",
+          exec);
+      ASSERT_TRUE(one.ok()) << one.status().ToString();
+      EXPECT_EQ(Rendered(*one), "1 24 24 \n");
+    }
+  }
+}
+
 // --- A build that outgrows its estimate ------------------------------------------
 
 /// The planner's estimate of `table`'s filtered rows: the est_rows of its
