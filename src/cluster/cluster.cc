@@ -12,11 +12,10 @@ Cluster::Cluster(ClusterOptions options, Catalog* catalog)
   net.bandwidth_bytes_per_sec = options_.bandwidth_bytes_per_sec;
   net.capacity_blocks = options_.channel_capacity_blocks;
   network_ = std::make_unique<Network>(options_.num_nodes, net);
-  SchedulerOptions sched = options_.scheduler;
-  sched.num_cores = options_.cores_per_node;
   for (int n = 0; n < options_.num_nodes; ++n) {
     schedulers_.push_back(std::make_unique<DynamicScheduler>(
-        n, sched, SteadyClock::Default(), &board_));
+        n, SchedulerOptions{options_.cores_per_node}, SteadyClock::Default(),
+        &board_));
   }
   node_alive_.assign(options_.num_nodes, true);
   const std::chrono::milliseconds period(options_.scheduler_period_ms);

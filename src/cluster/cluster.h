@@ -26,7 +26,6 @@ struct ClusterOptions {
   int channel_capacity_blocks = 64;
   /// Dynamic scheduler tick period (EP mode).
   int64_t scheduler_period_ms = 50;
-  SchedulerOptions scheduler;
 };
 
 /// The in-process shared-nothing cluster: k nodes, each with a core budget

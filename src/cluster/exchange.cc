@@ -62,8 +62,13 @@ NextResult MergerIterator::Next(WorkerContext* ctx, BlockPtr* out) {
   while (true) {
     if (ctx->DetectedTerminateRequest()) return NextResult::kTerminated;
     NetBlock nb;
-    int64_t t0 = clock_->NowNanos();
+    // Every receive is a wait on input, however it ends, so a wait shorter
+    // than one poll counts too.
+    const int64_t t0 =
+        OpenInterval(stats_, WorkerTimeMeter::kBlockedInput, *clock_);
     ChannelStatus status = channel_->Receive(&nb, kMergerPollNs);
+    const int64_t t1 =
+        CloseInterval(stats_, WorkerTimeMeter::kBlockedInput, *clock_);
     if (status == ChannelStatus::kOk) {
       if (stats_ != nullptr) {
         stats_->input_tuples.fetch_add(nb.block->num_rows(),
@@ -72,7 +77,6 @@ NextResult MergerIterator::Next(WorkerContext* ctx, BlockPtr* out) {
       }
       EventRecorder* rec = EventRecorder::Global();
       if (rec->enabled()) {
-        const int64_t t1 = clock_->NowNanos();
         EventRecord recv(EventKind::kNetRecv, OwnerOf(stats_), t0, t1);
         recv.name = "recv";
         recv.tuples = nb.block->num_rows();
@@ -95,11 +99,7 @@ NextResult MergerIterator::Next(WorkerContext* ctx, BlockPtr* out) {
       AbortStarved();
       return NextResult::kEndOfFile;
     }
-    // Timeout: starved — record the wait so the scheduler can tell.
-    if (stats_ != nullptr) {
-      stats_->blocked_input_ns.fetch_add(clock_->NowNanos() - t0,
-                                         std::memory_order_relaxed);
-    }
+    // Timeout: the recorder's starved span stays open until data arrives.
     NoteStarved(t0);
   }
 }

@@ -538,9 +538,11 @@ Result<ResultSet> Executor::Execute(const PhysicalPlan& plan,
     sr.output_tuples = st.output_tuples.load(std::memory_order_relaxed);
     sr.selectivity = st.selectivity();
     sr.visit_rate = st.visit_rate.load(std::memory_order_relaxed);
-    sr.blocked_input_ns = st.blocked_input_ns.load(std::memory_order_relaxed);
-    sr.blocked_output_ns =
-        st.blocked_output_ns.load(std::memory_order_relaxed);
+    // Every worker has exited, so no interval is open.
+    const WorkerTimeMeter::Reading time = st.worker_time.Read(*clock);
+    sr.worker_ns = time.live_ns;
+    sr.blocked_input_ns = time.blocked_input_ns;
+    sr.blocked_output_ns = time.blocked_output_ns;
     sr.lifetime_ns = seg.lifetime_ns();
     sr.final_parallelism = seg.final_parallelism();
     sr.peak_parallelism = segments_[i]->elastic()->peak_parallelism();

@@ -110,7 +110,10 @@ void ElasticIterator::WorkerMain(Worker* worker) {
   EventRecorder* rec = EventRecorder::Global();
   const bool recording = rec->enabled();
   const RecordOwner& owner = OwnerOf(options_.stats);
-  const int64_t span_start = recording ? clock_->NowNanos() : 0;
+  // Live from here until the exit bookkeeping below; every wait this worker
+  // charges falls inside this interval.
+  const int64_t live_start =
+      OpenInterval(options_.stats, WorkerTimeMeter::kLive, *clock_);
 
   bool via_eof = false;
   NextResult open_status = child_->Open(&ctx);
@@ -141,18 +144,20 @@ void ElasticIterator::WorkerMain(Worker* worker) {
           continue;
         }
         int32_t rows = block->num_rows();
-        int64_t t0 = clock_->NowNanos();
+        const int64_t t0 = OpenInterval(
+            options_.stats, WorkerTimeMeter::kBlockedOutput, *clock_);
         // A full buffer is about to block this worker: register the wait as
         // an open span, so a watchdog incident names the segment wedged on
         // backpressure; waits long enough to matter stay in the profile.
         uint64_t blocked_token = 0;
         if (recording && buffer_.size() >= options_.buffer_capacity_blocks) {
-          EventRecord wait(EventKind::kBlockedOutput, owner, t0, t0);
-          wait.name = "buffer-insert";
-          blocked_token = rec->BeginOpen(std::move(wait));
+          EventRecord span(EventKind::kBlockedOutput, owner, t0, t0);
+          span.name = "buffer-insert";
+          blocked_token = rec->BeginOpen(std::move(span));
         }
         bool inserted = buffer_.Insert(worker->worker_id, std::move(block));
-        const int64_t t1 = clock_->NowNanos();
+        const int64_t t1 = CloseInterval(
+            options_.stats, WorkerTimeMeter::kBlockedOutput, *clock_);
         if (blocked_token != 0) {
           if (t1 - t0 < EventRecorder::kMinBlockedSpanNs) {
             rec->AbortOpen(blocked_token);
@@ -160,13 +165,9 @@ void ElasticIterator::WorkerMain(Worker* worker) {
             rec->EndOpen(blocked_token, t1);
           }
         }
-        if (options_.stats != nullptr) {
-          options_.stats->blocked_output_ns.fetch_add(
-              t1 - t0, std::memory_order_relaxed);
-          if (inserted) {
-            options_.stats->output_tuples.fetch_add(rows,
-                                                    std::memory_order_relaxed);
-          }
+        if (options_.stats != nullptr && inserted) {
+          options_.stats->output_tuples.fetch_add(rows,
+                                                  std::memory_order_relaxed);
         }
         if (inserted) {
           double depth = static_cast<double>(buffer_.size());
@@ -197,9 +198,10 @@ void ElasticIterator::WorkerMain(Worker* worker) {
     }
   }
   worker->ready.store(true, std::memory_order_release);
+  const int64_t exit_ns =
+      CloseInterval(options_.stats, WorkerTimeMeter::kLive, *clock_);
   if (recording) {
-    EventRecord span(EventKind::kWorker, owner, span_start,
-                     clock_->NowNanos());
+    EventRecord span(EventKind::kWorker, owner, live_start, exit_ns);
     span.name = "worker";
     span.AddArg("worker", worker->worker_id);
     span.AddArg("exhausted_input", via_eof ? 1 : 0);

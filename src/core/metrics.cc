@@ -2,9 +2,50 @@
 
 namespace claims {
 
+int64_t WorkerTimeMeter::Open(Kind kind, const Clock& clock) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const int64_t now = clock.NowNanos();
+  totals_[kind].ends_minus_starts_ns -= now;
+  ++totals_[kind].open;
+  return now;
+}
+
+int64_t WorkerTimeMeter::Close(Kind kind, const Clock& clock) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const int64_t now = clock.NowNanos();
+  totals_[kind].ends_minus_starts_ns += now;
+  --totals_[kind].open;
+  return now;
+}
+
+WorkerTimeMeter::Reading WorkerTimeMeter::Read(const Clock& clock) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  Reading r;
+  r.at_ns = clock.NowNanos();
+  auto total = [&](Kind kind) {
+    return totals_[kind].ends_minus_starts_ns + totals_[kind].open * r.at_ns;
+  };
+  r.live_ns = total(kLive);
+  r.blocked_input_ns = total(kBlockedInput);
+  r.blocked_output_ns = total(kBlockedOutput);
+  return r;
+}
+
 const RecordOwner& OwnerOf(const SegmentStats* stats) {
   static const RecordOwner kAnonymous;
   return stats != nullptr ? stats->owner : kAnonymous;
+}
+
+int64_t OpenInterval(SegmentStats* stats, WorkerTimeMeter::Kind kind,
+                     const Clock& clock) {
+  return stats != nullptr ? stats->worker_time.Open(kind, clock)
+                          : clock.NowNanos();
+}
+
+int64_t CloseInterval(SegmentStats* stats, WorkerTimeMeter::Kind kind,
+                      const Clock& clock) {
+  return stats != nullptr ? stats->worker_time.Close(kind, clock)
+                          : clock.NowNanos();
 }
 
 void VisitRateAggregator::Observe(int producer_id, double tail_visit_rate) {
@@ -21,22 +62,5 @@ void VisitRateAggregator::Observe(int producer_id, double tail_visit_rate) {
   slot = tail_visit_rate;
   stats_->visit_rate.store(sum_, std::memory_order_relaxed);
 }
-
-double RateSampler::Sample(int64_t counter, int64_t now_ns) {
-  if (!primed_) {
-    primed_ = true;
-    last_counter_ = counter;
-    last_ns_ = now_ns;
-    return 0.0;
-  }
-  int64_t dt = now_ns - last_ns_;
-  int64_t dc = counter - last_counter_;
-  last_counter_ = counter;
-  last_ns_ = now_ns;
-  if (dt <= 0) return 0.0;
-  return static_cast<double>(dc) * 1e9 / static_cast<double>(dt);
-}
-
-void RateSampler::Reset() { primed_ = false; }
 
 }  // namespace claims

@@ -11,6 +11,42 @@
 
 namespace claims {
 
+/// Worker time of one segment: how long its workers were live, and of that
+/// how long they were blocked on input (starved) or on output (a full buffer
+/// or network). The scheduler's blocked fractions are Δblocked ÷ Δlive
+/// between ticks (§4.4); the real engine and the simulator write the same
+/// meter. A read counts each interval still open up to the read's instant,
+/// so a wait is charged to the tick it happens in. Writers and the reader
+/// take the clock under one leaf lock, so a read is exact; as a worker
+/// waits only while live, and never on input and output at once,
+/// Δblocked_input + Δblocked_output ≤ Δlive between any two reads.
+class WorkerTimeMeter {
+ public:
+  enum Kind { kLive = 0, kBlockedInput = 1, kBlockedOutput = 2 };
+
+  /// The three totals at one instant, `at_ns`.
+  struct Reading {
+    int64_t at_ns = 0;
+    int64_t live_ns = 0;
+    int64_t blocked_input_ns = 0;
+    int64_t blocked_output_ns = 0;
+  };
+
+  /// Open and Close start and end one interval of `kind` now and return
+  /// that instant.
+  int64_t Open(Kind kind, const Clock& clock);
+  int64_t Close(Kind kind, const Clock& clock);
+  Reading Read(const Clock& clock) const;
+
+ private:
+  /// Per kind: the intervals' ends minus their starts, an open one counting
+  /// its start only, and how many are open; a read at t adds open · t.
+  struct Total { int64_t ends_minus_starts_ns = 0, open = 0; };
+
+  mutable std::mutex mu_;
+  Total totals_[3];  ///< indexed by Kind; guarded by mu_
+};
+
 /// Shared runtime counters of one segment, updated by its worker threads and
 /// sampled by the dynamic scheduler each tick (paper §4.3–4.4). The real
 /// engine updates them with wall-clock nanoseconds; the virtual-time
@@ -27,12 +63,8 @@ struct SegmentStats {
   /// Tuples emitted into the elastic iterator's buffer; input vs output gives
   /// the segment selectivity δ_i.
   std::atomic<int64_t> output_tuples{0};
-  /// Time workers spent blocked waiting for input (starved) or for space in
-  /// the output buffer / network (over-producing). Used to decide whether a
-  /// measured rate is "under-estimated" (§4.4) and to classify segments for
-  /// Algorithm 1.
-  std::atomic<int64_t> blocked_input_ns{0};
-  std::atomic<int64_t> blocked_output_ns{0};
+  /// Live and blocked worker time.
+  WorkerTimeMeter worker_time;
   /// Average visit rate V_i aggregated from input block tails (§4.3).
   std::atomic<double> visit_rate{1.0};
   /// Payload bytes the segment's sender delivered to another host; the
@@ -49,6 +81,13 @@ struct SegmentStats {
 /// `stats`'s owner, or an anonymous one for components run without segment
 /// counters (unit tests, benches).
 const RecordOwner& OwnerOf(const SegmentStats* stats);
+
+/// WorkerTimeMeter::Open / Close on `stats`'s meter; without segment
+/// counters (unit tests, benches) they only read the clock.
+int64_t OpenInterval(SegmentStats* stats, WorkerTimeMeter::Kind kind,
+                     const Clock& clock);
+int64_t CloseInterval(SegmentStats* stats, WorkerTimeMeter::Kind kind,
+                      const Clock& clock);
 
 /// Aggregates the visit-rate contributions that exchange envelopes carry: a
 /// segment's V_i is the sum of the latest contribution from each producer
@@ -71,22 +110,6 @@ class VisitRateAggregator {
   std::mutex mu_;
   std::map<int, double> latest_;
   double sum_ = 0.0;  ///< Σ latest_ values, maintained incrementally
-};
-
-/// Differentiates a monotone counter into an instantaneous rate between
-/// scheduler ticks.
-class RateSampler {
- public:
-  /// Returns the rate (units/sec) since the previous Sample call; the first
-  /// call primes the baseline and returns 0.
-  double Sample(int64_t counter, int64_t now_ns);
-
-  void Reset();
-
- private:
-  bool primed_ = false;
-  int64_t last_counter_ = 0;
-  int64_t last_ns_ = 0;
 };
 
 }  // namespace claims

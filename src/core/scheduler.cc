@@ -3,10 +3,33 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "common/logging.h"
 
 namespace claims {
+namespace {
+
+/// U-set width: segments with R_i ≤ λ·(1+kUnderEpsilon) count as close to
+/// the bottleneck (under-performing).
+constexpr double kUnderEpsilon = 0.25;
+/// O-set threshold: segments with R_i ≥ λ·kOverFactor are over-performing
+/// donors.
+constexpr double kOverFactor = 1.6;
+/// Algorithm 1's penalty factor Δ, as a fraction of λ: a core move must
+/// leave both sides' normalized rates ≥ λ·(1+kDeltaFraction).
+constexpr double kDeltaFraction = 0.05;
+/// θ: scalability-vector entries older than this are stale (§4.4).
+constexpr int64_t kFreshnessNs = 2'000'000'000;
+/// A segment whose workers spent more than this fraction of their live time
+/// since the last tick blocked on input is starved; blocked on output,
+/// over-producing. Either way its measured rate is "under-estimated" and not
+/// recorded (§4.4).
+constexpr double kBlockedFractionThreshold = 0.25;
+/// Most cores a starved segment keeps while it has nothing to process.
+constexpr int kStarvedParallelism = 1;
+
+}  // namespace
 
 void GlobalThroughputBoard::PublishLocal(int node_id, double lambda_local) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -73,15 +96,6 @@ int DynamicScheduler::cores_in_use() const {
     if (r->segment->active()) used += r->segment->parallelism();
   }
   return used;
-}
-
-double DynamicScheduler::NormalizedRate(
-    const SchedulableSegment* segment) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& r : records_) {
-    if (r->segment == segment && r->has_sample) return r->last_normalized;
-  }
-  return std::numeric_limits<double>::quiet_NaN();
 }
 
 std::shared_ptr<const SchedTickAudit> DynamicScheduler::LastAudit() const {
@@ -154,7 +168,6 @@ void DynamicScheduler::Tick() {
 void DynamicScheduler::TickLocked() {
   if (!enabled_.load(std::memory_order_acquire)) return;
   const int64_t now = clock_->NowNanos();
-  const double thr = options_.blocked_fraction_threshold;
   ticks_metric_->Add();
   tick_count_.fetch_add(1, std::memory_order_relaxed);
 
@@ -169,29 +182,33 @@ void DynamicScheduler::TickLocked() {
   int cores_used = 0;
   for (auto& r : records_) {
     if (!r->segment->active()) continue;
-    const int p = std::max(1, r->segment->parallelism());
     cores_used += r->segment->parallelism();
     SegmentStats* stats = r->segment->stats();
-    double rate = r->rate_sampler.Sample(
-        stats->input_tuples.load(std::memory_order_relaxed), now);
-    double blocked_in_rate = r->blocked_in_sampler.Sample(
-        stats->blocked_input_ns.load(std::memory_order_relaxed), now);
-    double blocked_out_rate = r->blocked_out_sampler.Sample(
-        stats->blocked_output_ns.load(std::memory_order_relaxed), now);
+    const int64_t tuples = stats->input_tuples.load(std::memory_order_relaxed);
+    const int64_t new_tuples =
+        tuples - std::exchange(r->last_input_tuples, tuples);
+    const WorkerTimeMeter::Reading time = stats->worker_time.Read(*clock_);
+    const WorkerTimeMeter::Reading prev = std::exchange(r->last_time, time);
     if (!r->has_sample) {
-      // First tick only primes the samplers.
+      // First tick only primes the baselines.
       r->has_sample = true;
       continue;
     }
+    const double dt = static_cast<double>(time.at_ns - prev.at_ns);
+    const double rate = dt > 0 ? new_tuples * 1e9 / dt : 0.0;
     double v = std::max(1e-9, stats->visit_rate.load(std::memory_order_relaxed));
     r->last_rate = rate;
     r->last_normalized = rate / v;
-    // blocked counters accumulate over p workers; normalize to per-worker
-    // fraction of the tick.
-    r->blocked_in_fraction = blocked_in_rate / 1e9 / p;
-    r->blocked_out_fraction = blocked_out_rate / 1e9 / p;
-    bool starved = r->blocked_in_fraction > thr;
-    bool out_blocked = r->blocked_out_fraction > thr;
+    // Shares of the workers' live time since the last tick spent blocked;
+    // in [0, 1] because a worker waits only while live.
+    const double lived = static_cast<double>(time.live_ns - prev.live_ns);
+    r->blocked_in_fraction =
+        lived > 0 ? (time.blocked_input_ns - prev.blocked_input_ns) / lived : 0;
+    r->blocked_out_fraction =
+        lived > 0 ? (time.blocked_output_ns - prev.blocked_output_ns) / lived
+                  : 0;
+    bool starved = r->blocked_in_fraction > kBlockedFractionThreshold;
+    bool out_blocked = r->blocked_out_fraction > kBlockedFractionThreshold;
     // §4.4: only record the rate when it is not under-estimated.
     if (!starved && !out_blocked && rate > 0) {
       r->segment->scalability()->Update(r->segment->parallelism(), rate, now);
@@ -217,8 +234,7 @@ void DynamicScheduler::TickLocked() {
   board_->PublishLocal(node_id_, lambda_local);
   const double lambda = board_->GlobalLambda();
   auto estimate_rate = [&](SegmentRecord* rec, int p) -> double {
-    auto est = rec->segment->scalability()->Estimate(p, now,
-                                                     options_.freshness_ns);
+    auto est = rec->segment->scalability()->Estimate(p, now, kFreshnessNs);
     if (est.has_value()) return *est;
     // No data yet: assume linear scaling from the live sample.
     int cur = std::max(1, rec->segment->parallelism());
@@ -279,16 +295,16 @@ void DynamicScheduler::TickLocked() {
     record_audit();
     return;
   }
-  const double delta = std::max(lambda * options_.delta_fraction, 1e-9);
+  const double delta = std::max(lambda * kDeltaFraction, 1e-9);
 
   // ---- 3. U / O classification (Algorithm 1 lines 1-2) -----------------------
   std::vector<Classified*> under;
   std::vector<Classified*> over;
   for (Classified& c : live) {
     if (c.starved || c.out_blocked) continue;
-    if (c.rec->last_normalized <= lambda * (1.0 + options_.under_epsilon)) {
+    if (c.rec->last_normalized <= lambda * (1.0 + kUnderEpsilon)) {
       under.push_back(&c);
-    } else if (c.rec->last_normalized >= lambda * options_.over_factor &&
+    } else if (c.rec->last_normalized >= lambda * kOverFactor &&
                c.rec->segment->parallelism() > 1) {
       over.push_back(&c);
     }
@@ -298,7 +314,7 @@ void DynamicScheduler::TickLocked() {
   int free_cores = options_.num_cores - cores_used;
   if (free_cores > 0 && !under.empty()) {
     for (int round = 0;
-         round < std::min(free_cores, options_.max_free_expansions); ++round) {
+         round < std::min(free_cores, kMaxFreeExpansions); ++round) {
       Classified* best = nullptr;
       double best_gain = -1;
       for (Classified* c : under) {
@@ -370,13 +386,13 @@ void DynamicScheduler::TickLocked() {
   // ---- 6. Reclaim cores from starved / over-producing segments ---------------
   for (Classified& c : live) {
     int p = c.rec->segment->parallelism();
-    if (c.starved && p > options_.starved_parallelism) {
+    if (c.starved && p > kStarvedParallelism) {
       if (c.rec->segment->Shrink()) {
         shrink_metric_->Add();
         action_of[c.rec] = "shrink-1(starved)";
       }
     } else if (c.out_blocked && p > 1 &&
-               c.rec->blocked_out_fraction > 1.4 * thr) {
+               c.rec->blocked_out_fraction > 1.4 * kBlockedFractionThreshold) {
       // Over-producing: the consumer/network cannot absorb the output; keep
       // the producing rate matched by dropping one core (hysteresis margin
       // avoids oscillation around the matched parallelism).

@@ -65,26 +65,6 @@ class GlobalThroughputBoard {
 struct SchedulerOptions {
   /// Cores available to query processing on this node (paper's m).
   int num_cores = 24;
-  /// U-set width: segments with R_i ≤ λ·(1+epsilon) count as close to the
-  /// bottleneck (under-performing).
-  double under_epsilon = 0.25;
-  /// O-set threshold: segments with R_i ≥ λ·over_factor are over-performing
-  /// donors.
-  double over_factor = 1.6;
-  /// Algorithm 1's penalty factor Δ, as a fraction of λ: a core move must
-  /// leave both sides' normalized rates ≥ λ·(1+delta_fraction).
-  double delta_fraction = 0.05;
-  /// θ: scalability-vector entries older than this are stale (§4.4).
-  int64_t freshness_ns = 2'000'000'000;
-  /// A segment whose workers spent more than this fraction of the tick
-  /// blocked on input is starved; blocked on output, over-producing. Either
-  /// way its measured rate is "under-estimated" and not recorded (§4.4).
-  double blocked_fraction_threshold = 0.25;
-  /// Most cores a starved segment keeps while it has nothing to process.
-  int starved_parallelism = 1;
-  /// Free-pool cores handed out per tick (pair moves stay one per tick, as
-  /// in Algorithm 1).
-  int max_free_expansions = 2;
   /// Trace "process" id for this scheduler's tick records; -1 uses the node
   /// id. The virtual-time simulator sets 1000+node so one capture can hold
   /// both substrates without track collisions (see obs/recorder.h).
@@ -146,9 +126,9 @@ class DynamicScheduler {
   int node_id() const { return node_id_; }
   const SchedulerOptions& options() const { return options_; }
 
-  /// Latest sampled normalized rate of a segment (for traces/tests); NaN if
-  /// unknown.
-  double NormalizedRate(const SchedulableSegment* segment) const;
+  /// Free-pool cores handed out per tick (pair moves stay one per tick, as
+  /// in Algorithm 1).
+  static constexpr int kMaxFreeExpansions = 2;
 
   /// Ticks executed so far (lock-free; watchdog progress probe).
   int64_t tick_count() const {
@@ -172,9 +152,10 @@ class DynamicScheduler {
  private:
   struct SegmentRecord {
     SchedulableSegment* segment;
-    RateSampler rate_sampler;
-    RateSampler blocked_in_sampler;   // ns/ns fractions via rate of ns counter
-    RateSampler blocked_out_sampler;
+    /// The previous tick's input count and worker-time reading: the rate is
+    /// Δtuples ÷ Δt and the blocked fractions Δblocked ÷ Δlive against them.
+    int64_t last_input_tuples = 0;
+    WorkerTimeMeter::Reading last_time;
     double last_rate = 0.0;        // T_i tuples/sec
     double last_normalized = 0.0;  // R_i = T_i / V_i
     double blocked_in_fraction = 0.0;

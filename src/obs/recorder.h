@@ -209,7 +209,7 @@ class EventRecorder {
                std::initializer_list<EventArg> args = {});
 
   /// Backpressure waits shorter than this are dropped instead of recorded:
-  /// the segment's blocked-time counters already hold them. (Starvation
+  /// the segment's worker-time meter already holds them. (Starvation
   /// waits are kept: the link key that ends one is a causal edge.)
   static constexpr int64_t kMinBlockedSpanNs = 100'000;  // 100 µs
 

@@ -43,15 +43,16 @@ std::string ExecutionReport::ToString() const {
       mode.c_str(), latency.c_str(), static_cast<long long>(result_tuples),
       HumanBytes(peak_memory_bytes).c_str(), HumanBytes(remote_bytes).c_str());
   out += StrFormat(
-      "  %-12s %4s %12s %12s %6s %6s %11s %11s %10s %5s  %s\n", "segment",
-      "node", "tuples-in", "tuples-out", "delta", "V_i", "blocked-in",
-      "blocked-out", "lifetime", "p/max", "parallelism timeline");
+      "  %-12s %4s %12s %12s %6s %6s %11s %11s %11s %10s %5s  %s\n",
+      "segment", "node", "tuples-in", "tuples-out", "delta", "V_i", "worker",
+      "blocked-in", "blocked-out", "lifetime", "p/max", "parallelism timeline");
   for (const SegmentReport& s : segments) {
     out += StrFormat(
-        "  %-12s %4d %12lld %12lld %6.3f %6.2f %11s %11s %10s %2d/%-2d  %s\n",
+        "  %-12s %4d %12lld %12lld %6.3f %6.2f %11s %11s %11s %10s %2d/%-2d  "
+        "%s\n",
         s.name.c_str(), s.node_id, static_cast<long long>(s.input_tuples),
         static_cast<long long>(s.output_tuples), s.selectivity, s.visit_rate,
-        HumanMs(s.blocked_input_ns).c_str(),
+        HumanMs(s.worker_ns).c_str(), HumanMs(s.blocked_input_ns).c_str(),
         HumanMs(s.blocked_output_ns).c_str(), HumanMs(s.lifetime_ns).c_str(),
         s.final_parallelism, s.peak_parallelism,
         TimelineString(s.parallelism_timeline).c_str());

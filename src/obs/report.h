@@ -21,8 +21,9 @@ struct SegmentReport {
   int64_t output_tuples = 0;
   double selectivity = 1.0;       ///< δ_i = out / in
   double visit_rate = 1.0;        ///< final V_i
-  int64_t blocked_input_ns = 0;   ///< summed worker starvation time
-  int64_t blocked_output_ns = 0;  ///< summed backpressure time
+  int64_t worker_ns = 0;          ///< summed worker live time
+  int64_t blocked_input_ns = 0;   ///< of it, starved (waiting on input)
+  int64_t blocked_output_ns = 0;  ///< of it, backpressured (output full)
   int64_t lifetime_ns = 0;        ///< driver start → drained
   int final_parallelism = 0;
   int peak_parallelism = 0;
@@ -61,7 +62,7 @@ struct ExecutionReport {
   /// Pretty table, one row per segment plus query totals:
   ///
   ///   Query (EP): 12.34 ms, 1 result tuples, peak mem 2.1 MB, net 0.5 MB
-  ///    segment    node  tuples-in  tuples-out  δ      blocked-in  ...
+  ///    segment    node  tuples-in  tuples-out  δ      worker  blocked-in ...
   std::string ToString() const;
 };
 

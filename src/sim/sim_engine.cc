@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
-#include <set>
 #include <tuple>
 
 #include "common/random.h"
@@ -54,13 +53,11 @@ class SimRun::Impl {
     std::deque<SimBlock> queue;
     int capacity_blocks = 64;  // <=0: unbounded
     int open_producers = 0;
-    int64_t buffered_bytes = 0;
     bool auto_drain = false;  // result collector
     /// Materialized execution: partitions stay resident after consumption
     /// (Shark-style producer-side materialization, paper §2.2).
     bool materialized = false;
     std::vector<Worker*> recv_waiters;
-    std::vector<Worker*> send_waiters;
     bool closed() const { return open_producers <= 0; }
     bool full() const {
       return capacity_blocks > 0 &&
@@ -77,7 +74,6 @@ class SimRun::Impl {
     // NIC serialization points.
     int64_t egress_free = 0;
     int64_t ingress_free = 0;
-    int64_t egress_busy_ns = 0;
     double context_switches = 0;
     int64_t sched_overhead_ns = 0;
     std::unique_ptr<DynamicScheduler> scheduler;  // EP only
@@ -108,7 +104,9 @@ class SimRun::Impl {
     int64_t first_stage_switch_ns = -1;
 
     std::vector<Worker*> workers;        // bound (non-pool) workers
-    std::set<Worker*> parked;            // waiting for stage transition
+    /// Workers waiting for the stage transition, by id: waking them in id
+    /// order keeps the run independent of where the allocator put them.
+    std::map<int, Worker*> parked;
     /// Static policies: per-worker exclusive share of the local source.
     std::map<Worker*, int64_t> static_share;
     /// Sender-side buffer (models the paper's sender thread + elastic
@@ -150,7 +148,6 @@ class SimRun::Impl {
     Instance* last_unit = nullptr;  // previous unit's segment (locality)
     enum class State { kIdle, kBusy, kWaitInput, kWaitOutput } state =
         State::kIdle;
-    int64_t wait_start = 0;
     Instance* working_on = nullptr;  // pool: instance of the in-flight unit
     std::deque<std::pair<Channel*, SimBlock>> to_send;
   };
@@ -229,8 +226,26 @@ class SimRun::Impl {
   void FinishInstance(Instance* inst);
   void EmitTuples(Instance* inst, Worker* w, double tuples, bool flush);
   void PushBlock(Channel* ch, SimBlock block);
-  void PopWake(Channel* ch);
   void WakeIdlePool(NodeState* node);
+
+  // --- worker time (SegmentStats::worker_time) -------------------------------
+  /// A pool worker takes up a unit of `inst` (nullptr: none). Its live time
+  /// goes to the instance of the unit it holds; a bound worker is live in
+  /// its instance from ExpandInstance to WorkerExit.
+  void HoldUnit(Worker* w, Instance* inst);
+  /// Puts `w` in `wait` (kWaitInput / kWaitOutput) and opens the matching
+  /// blocked interval; a worker already in that state keeps its interval.
+  void BeginWait(Worker* w, Worker::State wait);
+  /// Closes `w`'s blocked interval; `w` is idle afterwards.
+  void EndWait(Worker* w);
+  static WorkerTimeMeter::Kind WaitKind(Worker::State wait) {
+    return wait == Worker::State::kWaitInput ? WorkerTimeMeter::kBlockedInput
+                                             : WorkerTimeMeter::kBlockedOutput;
+  }
+  /// MDP liveness: true when at most one pool worker on `node` is not
+  /// blocked on a full sender buffer. That worker must not block too, or
+  /// every node could wedge behind not-yet-consumable exchanges.
+  bool LastFreePoolWorker(const NodeState* node) const;
 
   Instance* PickPoolUnit(Worker* w);
   bool InstanceHasInput(Instance* inst);
@@ -254,7 +269,6 @@ class SimRun::Impl {
 
   // --- EP scheduling -------------------------------------------------------------
   void ScheduleTick();
-  void FlushWaitTimes();
 
   SimQuerySpec spec_;
   SimOptions opt_;
@@ -409,18 +423,8 @@ SimRun::Impl::Instance* SimRun::Impl::PickPoolUnit(Worker* w) {
   // last free worker on a node refuses such units, which keeps utilization
   // low without a full deadlock. MDP+ (this paper's strategy) always avoids
   // units whose sender buffer is full.
-  int blocked_here = 0;
-  for (auto& inst : instances_) {
-    if (inst->node_id == w->node->id) {
-      blocked_here += static_cast<int>(inst->outbox_waiters.size());
-    }
-  }
-  int pool_here = 0;
-  for (auto& other : workers_) {
-    if (other->pool && !other->exited && other->node == w->node) ++pool_here;
-  }
   const bool must_avoid_full = opt_.policy == SimPolicy::kMorselPlus ||
-                               blocked_here >= pool_here - 1;
+                               LastFreePoolWorker(w->node);
   std::vector<Instance*> candidates;
   for (auto& inst : instances_) {
     if (inst->node_id == w->node->id && InstanceHasInput(inst.get()) &&
@@ -495,6 +499,7 @@ void SimRun::Impl::WorkerTryStart(Worker* w) {
   Instance* inst = w->instance;
   if (w->pool) {
     inst = PickPoolUnit(w);
+    HoldUnit(w, inst);
     if (inst == nullptr) {
       if (done_) {
         WorkerExit(w);
@@ -504,7 +509,6 @@ void SimRun::Impl::WorkerTryStart(Worker* w) {
       w->node->idle_pool.push_back(w);
       return;
     }
-    w->working_on = inst;
   } else {
     if (w->terminate || inst == nullptr || inst->finished_flag) {
       WorkerExit(w);
@@ -523,7 +527,6 @@ void SimRun::Impl::WorkerTryStart(Worker* w) {
       std::max<int64_t>(1, unit_bytes / std::max(1, stage.profile.in_row_bytes));
 
   int64_t take = 0;
-  double visit_tail = 1.0;
   if (stage.input_exchange < 0) {
     if (inst->source_remaining <= 0) {
       ParkForStageEnd(w, inst);
@@ -553,26 +556,21 @@ void SimRun::Impl::WorkerTryStart(Worker* w) {
     if (ch->queue.empty()) {
       if (w->pool) {
         // Pool workers re-pick instead of camping on one channel.
-        w->working_on = nullptr;
+        HoldUnit(w, nullptr);
         w->state = Worker::State::kIdle;
         w->node->idle_pool.push_back(w);
         return;
       }
-      w->state = Worker::State::kWaitInput;
-      w->wait_start = Now();
+      BeginWait(w, Worker::State::kWaitInput);
       ch->recv_waiters.push_back(w);
       return;
     }
     SimBlock block = ch->queue.front();
     ch->queue.pop_front();
-    ch->buffered_bytes -= block.bytes();
     if (!ch->materialized) MemSub(block.bytes());
     take = block.tuples;
-    visit_tail = block.visit_tail;
     inst->visits.Observe(block.from_instance, block.visit_tail);
-    PopWake(ch);
   }
-  (void)visit_tail;
 
   // Start processing.
   TouchNodeBusy(w->node);
@@ -722,33 +720,13 @@ void SimRun::Impl::TrySendAll(Worker* w) {
     }
     if (static_cast<int>(inst->outbox.size()) >=
         opt_.channel_capacity_blocks) {
-      bool must_overflow = false;
-      if (w->pool) {
-        // Liveness guard: the last unblocked pool worker on a node may
-        // overshoot the sender buffer instead of blocking, or every node
-        // could wedge behind not-yet-consumable exchanges (all-blocked MDP
-        // deadlock). Utilization still collapses — the paper's observation —
-        // but progress is guaranteed.
-        int blocked_here = 0;
-        for (auto& other : instances_) {
-          if (other->node_id == w->node->id) {
-            blocked_here += static_cast<int>(other->outbox_waiters.size());
-          }
-        }
-        int pool_here = 0;
-        for (auto& other : workers_) {
-          if (other->pool && !other->exited && other->node == w->node) {
-            ++pool_here;
-          }
-        }
-        must_overflow = blocked_here >= pool_here - 1;
-      }
-      if (!must_overflow) {
+      // Liveness guard: the last unblocked pool worker on a node may
+      // overshoot the sender buffer instead of blocking (all-blocked MDP
+      // deadlock). Utilization still collapses — the paper's observation —
+      // but progress is guaranteed.
+      if (!w->pool || !LastFreePoolWorker(w->node)) {
         // Sender buffer full: genuine backpressure onto the worker.
-        if (w->state != Worker::State::kWaitOutput) {
-          w->state = Worker::State::kWaitOutput;
-          w->wait_start = Now();
-        }
+        BeginWait(w, Worker::State::kWaitOutput);
         inst->outbox_waiters.push_back(w);
         PumpOutbox(inst);
         return;
@@ -764,35 +742,13 @@ void SimRun::Impl::TrySendAll(Worker* w) {
   // worker stays blocked until the sender buffer drains. MDP+ and the other
   // policies hand the blocks to the sender and move on.
   if (opt_.policy == SimPolicy::kMorsel && w->pool && inst != nullptr &&
-      (!inst->outbox.empty() || inst->outbox_sending)) {
-    int blocked_here = 0;
-    for (auto& other : instances_) {
-      if (other->node_id == w->node->id) {
-        blocked_here += static_cast<int>(other->outbox_waiters.size());
-      }
-    }
-    int pool_here = 0;
-    for (auto& other : workers_) {
-      if (other->pool && !other->exited && other->node == w->node) {
-        ++pool_here;
-      }
-    }
-    if (blocked_here < pool_here - 1) {  // liveness: keep one worker free
-      if (w->state != Worker::State::kWaitOutput) {
-        w->state = Worker::State::kWaitOutput;
-        w->wait_start = Now();
-      }
-      inst->outbox_waiters.push_back(w);
-      return;
-    }
+      (!inst->outbox.empty() || inst->outbox_sending) &&
+      !LastFreePoolWorker(w->node)) {
+    BeginWait(w, Worker::State::kWaitOutput);
+    inst->outbox_waiters.push_back(w);
+    return;
   }
-  if (w->state == Worker::State::kWaitOutput) {
-    if (Instance* sink = StatsTarget(w)) {
-      sink->seg_stats.blocked_output_ns.fetch_add(
-          Now() - w->wait_start, std::memory_order_relaxed);
-    }
-    w->state = Worker::State::kIdle;
-  }
+  if (w->state == Worker::State::kWaitOutput) EndWait(w);
   ScheduleTryStart(w);
 }
 
@@ -841,7 +797,6 @@ void SimRun::Impl::PumpOutbox(Instance* inst) {
     int64_t dt = static_cast<int64_t>(
         static_cast<double>(bytes) / static_cast<double>(rate) * 1e9);
     from->egress_free = depart + dt;
-    from->egress_busy_ns += dt;
     AddToWindows(&from->window_net_ns, depart, depart + dt, 1.0);
     NodeState* to = nodes_[static_cast<size_t>(ch->node)].get();
     int64_t arrive = std::max(from->egress_free, to->ingress_free);
@@ -897,35 +852,15 @@ void SimRun::Impl::PumpOutbox(Instance* inst) {
 void SimRun::Impl::PushBlock(Channel* ch, SimBlock block) {
   if (ch->auto_drain) return;  // collector consumes instantly
   ch->queue.push_back(block);
-  ch->buffered_bytes += block.bytes();
   MemAdd(block.bytes());
   // Wake one receiver.
   if (!ch->recv_waiters.empty()) {
     Worker* w = ch->recv_waiters.back();
     ch->recv_waiters.pop_back();
-    if (Instance* sink = StatsTarget(w)) {
-      sink->seg_stats.blocked_input_ns.fetch_add(
-          Now() - w->wait_start, std::memory_order_relaxed);
-    }
-    w->state = Worker::State::kIdle;
+    EndWait(w);
     ScheduleTryStart(w);
   }
   WakeIdlePool(nodes_[static_cast<size_t>(ch->node)].get());
-}
-
-void SimRun::Impl::PopWake(Channel* ch) {
-  if (!ch->send_waiters.empty()) {
-    Worker* w = ch->send_waiters.back();
-    ch->send_waiters.pop_back();
-    if (w->state == Worker::State::kWaitOutput) {
-      if (Instance* sink = StatsTarget(w)) {
-        sink->seg_stats.blocked_output_ns.fetch_add(
-            Now() - w->wait_start, std::memory_order_relaxed);
-      }
-      w->wait_start = Now();
-    }
-    events_.ScheduleAfter(0, [this, w] { TrySendAll(w); });
-  }
 }
 
 void SimRun::Impl::WakeIdlePool(NodeState* node) {
@@ -937,7 +872,7 @@ void SimRun::Impl::WakeIdlePool(NodeState* node) {
 
 void SimRun::Impl::ParkForStageEnd(Worker* w, Instance* inst) {
   if (w->pool) {
-    w->working_on = nullptr;
+    HoldUnit(w, nullptr);
     MaybeAdvanceStage(inst);
     // Try other instances immediately.
     w->state = Worker::State::kIdle;
@@ -949,7 +884,7 @@ void SimRun::Impl::ParkForStageEnd(Worker* w, Instance* inst) {
     MaybeAdvanceStage(inst);
     return;
   }
-  inst->parked.insert(w);
+  inst->parked.emplace(w->id, w);
   w->state = Worker::State::kIdle;
   MaybeAdvanceStage(inst);
 }
@@ -1015,9 +950,9 @@ void SimRun::Impl::AdvanceStage(Instance* inst) {
       next.input_exchange < 0 ? next.source_tuples_per_node : 0;
   inst->stage_input_consumed = 0;
   AssignStaticShares(inst);
-  std::set<Worker*> parked = std::move(inst->parked);
+  auto parked = std::move(inst->parked);
   inst->parked.clear();
-  for (Worker* w : parked) ScheduleTryStart(w);
+  for (const auto& [id, w] : parked) ScheduleTryStart(w);
   WakeIdlePool(inst->node);
 }
 
@@ -1053,20 +988,16 @@ void SimRun::Impl::CompleteFinish(Instance* inst) {
       std::vector<Worker*> waiters = std::move(ch->recv_waiters);
       ch->recv_waiters.clear();
       for (Worker* w : waiters) {
-        if (Instance* sink = StatsTarget(w)) {
-          sink->seg_stats.blocked_input_ns.fetch_add(
-              Now() - w->wait_start, std::memory_order_relaxed);
-        }
-        w->state = Worker::State::kIdle;
+        EndWait(w);
         ScheduleTryStart(w);
       }
       WakeIdlePool(nodes_[static_cast<size_t>(ch->node)].get());
     }
   }
   // Bound workers exit.
-  std::set<Worker*> parked = std::move(inst->parked);
+  auto parked = std::move(inst->parked);
   inst->parked.clear();
-  for (Worker* w : parked) WorkerExit(w);
+  for (const auto& [id, w] : parked) WorkerExit(w);
   for (Worker* w : inst->workers) {
     if (!w->exited) w->terminate = true;
   }
@@ -1089,9 +1020,49 @@ void SimRun::Impl::CompleteFinish(Instance* inst) {
 void SimRun::Impl::WorkerExit(Worker* w) {
   if (w->exited) return;
   w->exited = true;
-  if (w->instance != nullptr) {
-    w->instance->parked.erase(w);
+  if (w->instance != nullptr) w->instance->parked.erase(w->id);
+  if (Instance* sink = StatsTarget(w)) {
+    sink->seg_stats.worker_time.Close(WorkerTimeMeter::kLive, *events_.clock());
   }
+}
+
+void SimRun::Impl::HoldUnit(Worker* w, Instance* inst) {
+  if (w->working_on == inst) return;
+  const Clock& clock = *events_.clock();
+  if (w->working_on != nullptr) {
+    w->working_on->seg_stats.worker_time.Close(WorkerTimeMeter::kLive, clock);
+  }
+  w->working_on = inst;
+  if (inst != nullptr) {
+    inst->seg_stats.worker_time.Open(WorkerTimeMeter::kLive, clock);
+  }
+}
+
+void SimRun::Impl::BeginWait(Worker* w, Worker::State wait) {
+  if (w->state == wait) return;
+  w->state = wait;
+  if (Instance* sink = StatsTarget(w)) {
+    sink->seg_stats.worker_time.Open(WaitKind(wait), *events_.clock());
+  }
+}
+
+void SimRun::Impl::EndWait(Worker* w) {
+  if (Instance* sink = StatsTarget(w)) {
+    sink->seg_stats.worker_time.Close(WaitKind(w->state), *events_.clock());
+  }
+  w->state = Worker::State::kIdle;
+}
+
+bool SimRun::Impl::LastFreePoolWorker(const NodeState* node) const {
+  size_t blocked = 0;
+  for (const auto& inst : instances_) {
+    if (inst->node == node) blocked += inst->outbox_waiters.size();
+  }
+  size_t pool = 0;
+  for (const auto& w : workers_) {
+    if (w->pool && !w->exited && w->node == node) ++pool;
+  }
+  return blocked + 1 >= pool;
 }
 
 bool SimRun::Impl::ExpandInstance(Instance* inst, int /*core_id*/) {
@@ -1100,6 +1071,7 @@ bool SimRun::Impl::ExpandInstance(Instance* inst, int /*core_id*/) {
   worker->id = next_worker_id_++;
   worker->instance = inst;
   worker->node = inst->node;
+  inst->seg_stats.worker_time.Open(WorkerTimeMeter::kLive, *events_.clock());
   Worker* w = worker.get();
   inst->workers.push_back(w);
   workers_.push_back(std::move(worker));
@@ -1119,7 +1091,7 @@ bool SimRun::Impl::ShrinkInstance(Instance* inst) {
   if (victim == nullptr || live <= 1) return false;
   victim->terminate = true;
   // An idle/parked/waiting victim can unwind immediately.
-  if (inst->parked.count(victim)) {
+  if (inst->parked.count(victim->id)) {
     WorkerExit(victim);
     MaybeAdvanceStage(inst);
   } else if (victim->state == Worker::State::kWaitInput) {
@@ -1129,8 +1101,7 @@ bool SimRun::Impl::ShrinkInstance(Instance* inst) {
       auto& ws = ch->recv_waiters;
       ws.erase(std::remove(ws.begin(), ws.end(), victim), ws.end());
     }
-    inst->seg_stats.blocked_input_ns.fetch_add(Now() - victim->wait_start,
-                                               std::memory_order_relaxed);
+    EndWait(victim);
     WorkerExit(victim);
   }
   return true;
@@ -1138,28 +1109,9 @@ bool SimRun::Impl::ShrinkInstance(Instance* inst) {
 
 // --- EP scheduler ticks ----------------------------------------------------------
 
-void SimRun::Impl::FlushWaitTimes() {
-  int64_t now = Now();
-  for (auto& w : workers_) {
-    if (w->exited) continue;
-    Instance* sink = StatsTarget(w.get());
-    if (sink == nullptr) continue;
-    if (w->state == Worker::State::kWaitInput) {
-      sink->seg_stats.blocked_input_ns.fetch_add(now - w->wait_start,
-                                                 std::memory_order_relaxed);
-      w->wait_start = now;
-    } else if (w->state == Worker::State::kWaitOutput) {
-      sink->seg_stats.blocked_output_ns.fetch_add(now - w->wait_start,
-                                                  std::memory_order_relaxed);
-      w->wait_start = now;
-    }
-  }
-}
-
 void SimRun::Impl::ScheduleTick() {
   events_.ScheduleAfter(opt_.scheduler_period_ns, [this] {
     if (done_) return;
-    FlushWaitTimes();
     // Liveness sweep: stage transitions that no worker event will trigger
     // (e.g. an upstream close observed by nobody).
     for (auto& inst : instances_) MaybeAdvanceStage(inst.get());
@@ -1200,11 +1152,9 @@ Result<SimMetrics> SimRun::Impl::Run() {
     auto node = std::make_unique<NodeState>();
     node->id = n;
     if (opt_.policy == SimPolicy::kElastic) {
-      SchedulerOptions so = opt_.scheduler;
-      so.num_cores = hw.logical_cores;
-      so.trace_pid = SimPid(n);
       node->scheduler = std::make_unique<DynamicScheduler>(
-          n, so, events_.clock(), &board_);
+          n, SchedulerOptions{hw.logical_cores, SimPid(n)}, events_.clock(),
+          &board_);
     }
     nodes_.push_back(std::move(node));
   }

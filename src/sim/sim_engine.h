@@ -87,7 +87,6 @@ struct SimOptions {
   int64_t unit_bytes = 64 * 1024;
   int channel_capacity_blocks = 64;
   int64_t scheduler_period_ns = 50'000'000;
-  SchedulerOptions scheduler;
   /// Time-varying node capacity multiplier (Fig. 12's interfering program).
   std::function<double(int64_t)> node_capacity_at;
   /// Watchdog: abort the simulation past this virtual time.

@@ -368,6 +368,96 @@ TEST_F(ClusterExecTest, ElasticSchedulerExpandsSegments) {
   EXPECT_EQ(result->num_rows(), 300);
 }
 
+TEST(ClusterExecBoundsTest, BlockedFractionsStayWithinWorkerTime) {
+  // EP on 2 nodes × 2 cores, a 5 ms tick and a 1 MB/s NIC: each producer's
+  // sender waits on the NIC, so its buffer fills and its workers block on
+  // output for many ticks at a time, while the consumer's merger starves on
+  // the remote half of its input. Every fraction a tick audits is a share
+  // of the workers' live time, and every report row's blocked times fit in
+  // its worker time.
+  constexpr int kBoundNodes = 2;
+  Catalog catalog;
+  Schema schema({ColumnDef::Int32("k"), ColumnDef::Int64("v")});
+  auto table = std::make_shared<Table>("big", schema, kBoundNodes,
+                                       std::vector<int>{});
+  for (int i = 0; i < 200000; ++i) {
+    table->AppendValues({Value::Int32(i % 500), Value::Int64(i)});
+  }
+  ASSERT_TRUE(catalog.RegisterTable(std::move(table)).ok());
+  ClusterOptions copts;
+  copts.num_nodes = kBoundNodes;
+  copts.cores_per_node = 2;
+  copts.bandwidth_bytes_per_sec = 1'000'000;
+  copts.channel_capacity_blocks = 2;
+  copts.scheduler_period_ms = 5;
+  Cluster cluster(copts, &catalog);
+
+  // scan big → hash exchange on k → shared count per key → gather.
+  TablePtr big = *catalog.GetTable("big");
+  PhysicalPlan plan;
+  auto f0 = std::make_unique<Fragment>();
+  f0->id = 0;
+  f0->root = MakeScanOp(*big);
+  f0->nodes = {0, 1};
+  f0->out_exchange_id = 0;
+  f0->partitioning = Partitioning::kHash;
+  f0->hash_cols = {0};
+  f0->consumer_nodes = {0, 1};
+  auto f1 = std::make_unique<Fragment>();
+  f1->id = 1;
+  auto merger = MakeMergerOp(0, f0->root->output_schema);
+  const Schema in = merger->output_schema;
+  f1->root = MakeHashAggOp(
+      std::move(merger), {Col(in, "k")}, {"k"},
+      {{AggFn::kCount, nullptr, "cnt"}}, HashAggIterator::Mode::kShared);
+  f1->nodes = {0, 1};
+  f1->out_exchange_id = 1;
+  f1->partitioning = Partitioning::kToOne;
+  f1->consumer_nodes = {0};
+  plan.result_schema = f1->root->output_schema;
+  plan.result_exchange_id = 1;
+  plan.fragments.push_back(std::move(f0));
+  plan.fragments.push_back(std::move(f1));
+
+  Executor exec(&cluster);
+  ExecOptions opts;
+  opts.mode = ExecMode::kElastic;
+  opts.parallelism = 1;
+  opts.buffer_capacity_blocks = 2;
+  opts.query_id = 9001;
+  auto result = exec.Execute(plan, opts);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->num_rows(), 500);
+
+  int entries = 0;
+  double max_in = 0;
+  double max_out = 0;
+  for (int n = 0; n < kBoundNodes; ++n) {
+    for (const SchedTickAudit& tick :
+         cluster.scheduler(n)->AuditLogForQuery(opts.query_id)) {
+      for (const SchedTickAudit::Segment& s : tick.segments) {
+        ++entries;
+        EXPECT_GE(s.blocked_in, 0.0) << s.name << " tick " << tick.tick;
+        EXPECT_GE(s.blocked_out, 0.0) << s.name << " tick " << tick.tick;
+        EXPECT_LE(s.blocked_in + s.blocked_out, 1.0)
+            << s.name << " tick " << tick.tick << ": in " << s.blocked_in
+            << " out " << s.blocked_out;
+        max_in = std::max(max_in, s.blocked_in);
+        max_out = std::max(max_out, s.blocked_out);
+      }
+    }
+  }
+  EXPECT_GT(entries, 0);
+  // The run exercised both signals past the scheduler's threshold.
+  EXPECT_GT(max_in, 0.25);
+  EXPECT_GT(max_out, 0.25);
+  for (const SegmentReport& sr : exec.report().segments) {
+    EXPECT_GT(sr.worker_ns, 0) << sr.name;
+    EXPECT_LE(sr.blocked_input_ns + sr.blocked_output_ns, sr.worker_ns)
+        << sr.name;
+  }
+}
+
 TEST_F(ClusterExecTest, ExplainRendersPlan) {
   PhysicalPlan plan = JoinAggPlan();
   std::string text = plan.ToString();

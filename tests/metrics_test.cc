@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 namespace claims {
 namespace {
 
@@ -25,32 +29,82 @@ TEST(VisitRateAggregatorTest, SumsLatestPerProducer) {
   EXPECT_DOUBLE_EQ(stats.visit_rate.load(), 0.55);
 }
 
-TEST(RateSamplerTest, FirstSamplePrimes) {
-  RateSampler s;
-  EXPECT_EQ(s.Sample(100, 1'000'000'000), 0.0);
-  // 100 more units over 1 second → 100/s.
-  EXPECT_DOUBLE_EQ(s.Sample(200, 2'000'000'000), 100.0);
+class ManualClock : public Clock {
+ public:
+  int64_t NowNanos() const override { return now_; }
+  void Advance(int64_t ns) { now_ += ns; }
+
+ private:
+  int64_t now_ = 0;
+};
+
+TEST(WorkerTimeMeterTest, ReadCountsOpenIntervalsUpToItsInstant) {
+  ManualClock clock;
+  WorkerTimeMeter meter;
+  meter.Open(WorkerTimeMeter::kLive, clock);
+  clock.Advance(10);
+  meter.Open(WorkerTimeMeter::kBlockedInput, clock);
+  clock.Advance(20);
+  WorkerTimeMeter::Reading r = meter.Read(clock);
+  EXPECT_EQ(r.at_ns, 30);
+  EXPECT_EQ(r.live_ns, 30);
+  EXPECT_EQ(r.blocked_input_ns, 20);  // still waiting: counted up to the read
+  EXPECT_EQ(r.blocked_output_ns, 0);
+  meter.Close(WorkerTimeMeter::kBlockedInput, clock);
+  meter.Open(WorkerTimeMeter::kBlockedOutput, clock);
+  clock.Advance(5);
+  meter.Close(WorkerTimeMeter::kBlockedOutput, clock);
+  meter.Close(WorkerTimeMeter::kLive, clock);
+  clock.Advance(100);  // nothing open: the totals stop growing
+  r = meter.Read(clock);
+  EXPECT_EQ(r.live_ns, 35);
+  EXPECT_EQ(r.blocked_input_ns, 20);
+  EXPECT_EQ(r.blocked_output_ns, 5);
 }
 
-TEST(RateSamplerTest, HandlesZeroDt) {
-  RateSampler s;
-  s.Sample(0, 5);
-  EXPECT_EQ(s.Sample(10, 5), 0.0);
+TEST(WorkerTimeMeterTest, IntervalsWithoutStatsOnlyReadTheClock) {
+  ManualClock clock;
+  clock.Advance(7);
+  EXPECT_EQ(OpenInterval(nullptr, WorkerTimeMeter::kLive, clock), 7);
+  clock.Advance(3);
+  EXPECT_EQ(CloseInterval(nullptr, WorkerTimeMeter::kLive, clock), 10);
 }
 
-TEST(RateSamplerTest, ResetReprimes) {
-  RateSampler s;
-  s.Sample(100, 1'000'000'000);
-  s.Reset();
-  EXPECT_EQ(s.Sample(500, 2'000'000'000), 0.0);
-  EXPECT_DOUBLE_EQ(s.Sample(600, 3'000'000'000), 100.0);
-}
-
-TEST(RateSamplerTest, SubSecondIntervals) {
-  RateSampler s;
-  s.Sample(0, 0);
-  // 50 tuples in 50 ms → 1000 tuples/s.
-  EXPECT_DOUBLE_EQ(s.Sample(50, 50'000'000), 1000.0);
+TEST(WorkerTimeMeterTest, ConcurrentReadsStayWithinLiveTime) {
+  // Workers on the steady clock wait inside their live intervals while a
+  // reader samples: between any two readings the blocked time grows by no
+  // more than the live time, with no timing slack.
+  SegmentStats stats;
+  const Clock& clock = *SteadyClock::Default();
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < 3; ++t) {
+    workers.emplace_back([&, t] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        OpenInterval(&stats, WorkerTimeMeter::kLive, clock);
+        for (int i = 0; i < 50; ++i) {
+          const auto kind = (i + t) % 2 == 0 ? WorkerTimeMeter::kBlockedInput
+                                             : WorkerTimeMeter::kBlockedOutput;
+          OpenInterval(&stats, kind, clock);
+          CloseInterval(&stats, kind, clock);
+        }
+        CloseInterval(&stats, WorkerTimeMeter::kLive, clock);
+      }
+    });
+  }
+  WorkerTimeMeter::Reading prev = stats.worker_time.Read(clock);
+  for (int i = 0; i < 20000; ++i) {
+    const WorkerTimeMeter::Reading r = stats.worker_time.Read(clock);
+    const int64_t live = r.live_ns - prev.live_ns;
+    const int64_t in = r.blocked_input_ns - prev.blocked_input_ns;
+    const int64_t out = r.blocked_output_ns - prev.blocked_output_ns;
+    ASSERT_GE(in, 0);
+    ASSERT_GE(out, 0);
+    ASSERT_LE(in + out, live) << "reading " << i;
+    prev = r;
+  }
+  stop.store(true);
+  for (std::thread& w : workers) w.join();
 }
 
 }  // namespace

@@ -132,8 +132,11 @@ TEST_F(ObsReportTest, ReportReconcilesWithSegmentStats) {
     EXPECT_EQ(sr.input_tuples, st->input_tuples.load());
     EXPECT_EQ(sr.output_tuples, st->output_tuples.load());
     EXPECT_DOUBLE_EQ(sr.selectivity, st->selectivity());
-    EXPECT_EQ(sr.blocked_input_ns, st->blocked_input_ns.load());
-    EXPECT_EQ(sr.blocked_output_ns, st->blocked_output_ns.load());
+    const WorkerTimeMeter::Reading time =
+        st->worker_time.Read(*SteadyClock::Default());
+    EXPECT_EQ(sr.worker_ns, time.live_ns);
+    EXPECT_EQ(sr.blocked_input_ns, time.blocked_input_ns);
+    EXPECT_EQ(sr.blocked_output_ns, time.blocked_output_ns);
     EXPECT_GT(sr.lifetime_ns, 0);
     EXPECT_GE(sr.peak_parallelism, 1);
     if (sr.name.rfind("S0", 0) == 0) {
@@ -153,6 +156,7 @@ TEST_F(ObsReportTest, ReportReconcilesWithSegmentStats) {
 
   std::string text = report.ToString();
   EXPECT_NE(text.find("Query (EP)"), std::string::npos);
+  EXPECT_NE(text.find("worker"), std::string::npos);
   EXPECT_NE(text.find("S0@n0"), std::string::npos);
   EXPECT_NE(text.find("S1@n1"), std::string::npos);
 }

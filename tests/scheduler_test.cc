@@ -46,14 +46,26 @@ class FakeSegment : public SchedulableSegment {
 
   /// Advances counters as if the segment processed for `dt_ns` at
   /// `tuples_per_sec`, spending the given blocked fractions (per worker).
+  /// Each worker's intervals are written on the segment's own clock, one
+  /// worker after another, and are all closed when Work returns.
   void Work(int64_t dt_ns, double tuples_per_sec, double blocked_in = 0,
             double blocked_out = 0) {
     stats_.input_tuples.fetch_add(
         static_cast<int64_t>(tuples_per_sec * dt_ns / 1e9));
-    stats_.blocked_input_ns.fetch_add(
-        static_cast<int64_t>(blocked_in * dt_ns * parallelism_));
-    stats_.blocked_output_ns.fetch_add(
-        static_cast<int64_t>(blocked_out * dt_ns * parallelism_));
+    const int64_t in_ns = static_cast<int64_t>(blocked_in * dt_ns);
+    const int64_t out_ns = static_cast<int64_t>(blocked_out * dt_ns);
+    WorkerTimeMeter& meter = stats_.worker_time;
+    for (int w = 0; w < parallelism_; ++w) {
+      meter.Open(WorkerTimeMeter::kLive, work_clock_);
+      meter.Open(WorkerTimeMeter::kBlockedInput, work_clock_);
+      work_clock_.Advance(in_ns);
+      meter.Close(WorkerTimeMeter::kBlockedInput, work_clock_);
+      meter.Open(WorkerTimeMeter::kBlockedOutput, work_clock_);
+      work_clock_.Advance(out_ns);
+      meter.Close(WorkerTimeMeter::kBlockedOutput, work_clock_);
+      work_clock_.Advance(dt_ns - in_ns - out_ns);
+      meter.Close(WorkerTimeMeter::kLive, work_clock_);
+    }
   }
 
   std::string name_;
@@ -63,6 +75,7 @@ class FakeSegment : public SchedulableSegment {
   int expand_calls_ = 0;
   int shrink_calls_ = 0;
   SegmentStats stats_;
+  FakeClock work_clock_;
   ScalabilityVector scalability_;
 };
 
@@ -108,9 +121,9 @@ TEST(DynamicSchedulerTest, ExpandsBottleneckWithFreeCores) {
   seg.Work(kSec, 1000.0);
   sched.Tick();
   EXPECT_EQ(ActionOf(sched, "s1"), "expand+1(free)");
-  // Up to max_free_expansions (default 2) free-pool cores per tick.
+  // Up to kMaxFreeExpansions free-pool cores per tick.
   EXPECT_GT(seg.parallelism(), 1);
-  EXPECT_LE(seg.parallelism(), 1 + sched.options().max_free_expansions);
+  EXPECT_LE(seg.parallelism(), 1 + DynamicScheduler::kMaxFreeExpansions);
   EXPECT_EQ(sched.LastAudit()->segments[0].parallelism, seg.parallelism());
 }
 
@@ -263,7 +276,7 @@ TEST(DynamicSchedulerTest, NormalizedRateUsesVisitRate) {
   seg.Work(kSec, 100.0);
   sched.Tick();
   // R = T / V = 100 / 0.5.
-  EXPECT_NEAR(sched.NormalizedRate(&seg), 200.0, 1.0);
+  EXPECT_NEAR(sched.LastAudit()->segments[0].normalized_rate, 200.0, 1.0);
 }
 
 TEST(DynamicSchedulerTest, PublishesLocalLambda) {

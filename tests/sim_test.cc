@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
+#include "obs/recorder.h"
 #include "sim/event_queue.h"
 #include "sim/sim_engine.h"
 #include "sim/specs.h"
@@ -311,6 +313,52 @@ TEST(SimPipelineTest, SelectivityProfileShiftsWork) {
   // scheduler must keep it thin, then grow it when the burst arrives.
   EXPECT_LE(early, 6);
   EXPECT_GT(late, early);
+}
+
+TEST(SimPipelineTest, BlockedFractionsStayWithinWorkerTime) {
+  // Fig. 11's selectivity step starves the join build, then turns the
+  // filter into an over-producer: both kinds of wait, many of them open
+  // across ticks. Every fraction a tick audits is a share of the workers'
+  // live time.
+  SseSimParams p = SmallSse();
+  SimCostParams c;
+  SimQuerySpec spec = SseQ9Spec(p, c);
+  double flat_sel = spec.segments[0].stages[0].profile.selectivity;
+  spec.segments[0].stages[0].profile.selectivity_at =
+      [flat_sel](double progress) {
+        return progress < 0.9 ? 0.0 : flat_sel / 0.1;
+      };
+  SimOptions opt;
+  opt.num_nodes = p.num_nodes;
+  opt.policy = SimPolicy::kElastic;
+  opt.parallelism = 1;
+  EventRecorder* rec = EventRecorder::Global();
+  rec->Clear();
+  rec->Enable();
+  SimRun run(std::move(spec), opt);
+  auto m = run.Run();
+  rec->Disable();
+  ASSERT_TRUE(m.ok()) << m.status().ToString();
+  int ticks = 0;
+  double max_in = 0;
+  double max_out = 0;
+  for (const EventRecord& ev : rec->Snapshot()) {
+    if (ev.kind != EventKind::kTick) continue;
+    ++ticks;
+    for (const SchedTickAudit::Segment& s : ev.tick->segments) {
+      EXPECT_GE(s.blocked_in, 0.0) << s.name << " tick " << ev.tick->tick;
+      EXPECT_GE(s.blocked_out, 0.0) << s.name << " tick " << ev.tick->tick;
+      EXPECT_LE(s.blocked_in + s.blocked_out, 1.0)
+          << s.name << " tick " << ev.tick->tick;
+      max_in = std::max(max_in, s.blocked_in);
+      max_out = std::max(max_out, s.blocked_out);
+    }
+  }
+  rec->Clear();
+  EXPECT_GT(ticks, 8);
+  // The run exercised both signals past the scheduler's threshold.
+  EXPECT_GT(max_in, 0.25);
+  EXPECT_GT(max_out, 0.25);
 }
 
 TEST(SimPipelineTest, CapacityFaultsSlowTheRunDeterministically) {
